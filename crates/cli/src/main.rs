@@ -273,9 +273,10 @@ injects the binary container formats; failures print a reproducer case
 seed and a shrunk minimal program weight. Exit status 1 on any divergence
 or panic. --hybrid additionally derives a random block-aligned hotness
 mask per case and fuzzes hybrid (partially compressed) images the same
-way. --isa mips runs the MIPS half of the cross-ISA battery: the same
-campaign-seed stream drives a MIPS program generator through the same
-lockstep oracle (fault injection and --hybrid are PPC-only).
+way. --isa mips runs the same campaign on the MIPS backend: the same
+case-seed stream drives the shared generator through MIPS templates, and
+shrinking, the planted-corruption self-test, fault injection and --hybrid
+all apply unchanged.
 
 asm syntax: one instruction per line (the disasm output syntax), `label:`
 definitions, `label` usable as any branch target, `#` comments. --isa
@@ -1154,16 +1155,13 @@ fn cmd_hybrid(args: &[String]) -> CliResult {
     // Full-trace equivalence, not just matching exit codes.
     let trace_mask =
         TraceMask { skip_gprs: 1 << 0, mem_skip: std::iter::once(0xE0000..1 << 20).collect() };
-    let got = lockstep(
-        &kernel.module,
-        &hybrid,
-        &[],
-        &|machine| kernel.apply_init(machine),
-        &trace_mask,
-        1 << 20,
-        max_steps,
-    )
-    .map_err(|d| format!("hybrid image diverged from native: {d}"))?;
+    let boot = || {
+        let mut machine = codense_vm::Machine::new(1 << 20);
+        kernel.apply_init(&mut machine);
+        Box::new(machine)
+    };
+    let got = lockstep(&kernel.module, &hybrid, &[], &boot, &trace_mask, max_steps)
+        .map_err(|d| format!("hybrid image diverged from native: {d}"))?;
     if got != (LockstepOk::Completed { steps: profile.steps, exit: kernel.expected }) {
         return Err(format!("hybrid lockstep ended unexpectedly: {got:?}"));
     }
@@ -1256,12 +1254,8 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         opts.fault_tries = v.parse().map_err(|_| "bad --fault-tries")?;
     }
     opts.hybrid = args.iter().any(|a| a == "--hybrid");
-    let isa = parse_isa(args)?;
-    if isa == "mips" && opts.hybrid {
-        return Err("fuzz: --hybrid is not supported with --isa mips".into());
-    }
-    let report =
-        if isa == "mips" { codense_fuzz::run_mips(&opts) } else { codense_fuzz::run(&opts) };
+    opts.isa = isa_ref(parse_isa(args)?);
+    let report = codense_fuzz::run(&opts);
     println!("{}", report.render());
     if report.ok() {
         Ok(())

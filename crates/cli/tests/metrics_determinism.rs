@@ -62,10 +62,13 @@ fn repro_counters_identical_across_job_counts() {
 #[test]
 fn fuzz_counters_identical_across_job_counts() {
     let dir = tmpdir("fuzz");
-    let args = ["fuzz", "--cases", "12", "--seed", "0xfeed", "--max-steps", "200"];
-    let seq = run_with_jobs(&dir, "fuzz", "1", &args);
-    let par = run_with_jobs(&dir, "fuzz", "8", &args);
-    assert_eq!(seq, par, "fuzz counters diverged between --jobs 1 and --jobs 8");
-    assert!(seq.contains("\"fuzz.cases\": 12"), "{seq}");
+    let base = ["fuzz", "--cases", "12", "--seed", "0xfeed", "--max-steps", "200"];
+    for extra in [&[][..], &["--isa", "mips", "--hybrid"]] {
+        let args = [&base[..], extra].concat();
+        let seq = run_with_jobs(&dir, "fuzz", "1", &args);
+        let par = run_with_jobs(&dir, "fuzz", "8", &args);
+        assert_eq!(seq, par, "{extra:?}: fuzz counters diverged between --jobs 1 and --jobs 8");
+        assert!(seq.contains("\"fuzz.cases\": 12"), "{extra:?}: {seq}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

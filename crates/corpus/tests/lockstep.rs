@@ -3,7 +3,7 @@
 
 use codense_core::{CompressionConfig, Compressor};
 use codense_corpus::{build, CorpusIsa, CorpusSpec, MEM_BYTES};
-use codense_fuzz::{lockstep, lockstep_mips, LockstepOk, TraceMask};
+use codense_fuzz::{lockstep, LockstepOk, TraceMask};
 use codense_isa::IsaRef;
 
 fn spec() -> CorpusSpec {
@@ -20,57 +20,32 @@ fn encodings() -> [(&'static str, CompressionConfig); 4] {
 }
 
 #[test]
-fn corpus_lockstep_ppc_all_encodings() {
-    let p = build(&spec(), CorpusIsa::Ppc).expect("build");
-    let mask =
-        TraceMask { mem_skip: p.mem_mask_ranges(), ..TraceMask::skipping_gprs(p.mask_gprs()) };
-    for (label, config) in encodings() {
-        let compressed = Compressor::new(config).compress(&p.module).expect(label);
-        let ok = lockstep(
-            &p.module,
-            &compressed,
-            &p.table_addrs,
-            &|_| {},
-            &mask,
-            MEM_BYTES,
-            p.stats.dynamic_insns + 10,
-        )
-        .unwrap_or_else(|d| panic!("{label}: {d:?}"));
-        match ok {
-            LockstepOk::Completed { steps, exit } => {
-                assert_eq!(steps, p.stats.dynamic_insns, "{label}");
-                assert_eq!(exit, p.stats.exit_code, "{label}");
+fn corpus_lockstep_all_isas_all_encodings() {
+    for corpus_isa in [CorpusIsa::Ppc, CorpusIsa::Mips] {
+        let isa = corpus_isa.isa_ref();
+        let p = build(&spec(), corpus_isa).expect("build");
+        let mask =
+            TraceMask { mem_skip: p.mem_mask_ranges(), ..TraceMask::skipping_gprs(p.mask_gprs()) };
+        for (label, config) in encodings() {
+            let tag = format!("{} {label}", isa.name());
+            let compressed = Compressor::new(config).with_isa(isa).compress(&p.module).expect(&tag);
+            let boot = || isa.new_core(MEM_BYTES);
+            let ok = lockstep(
+                &p.module,
+                &compressed,
+                &p.table_addrs,
+                &boot,
+                &mask,
+                p.stats.dynamic_insns + 10,
+            )
+            .unwrap_or_else(|d| panic!("{tag}: {d:?}"));
+            match ok {
+                LockstepOk::Completed { steps, exit } => {
+                    assert_eq!(steps, p.stats.dynamic_insns, "{tag}");
+                    assert_eq!(exit, p.stats.exit_code, "{tag}");
+                }
+                other => panic!("{tag}: expected Completed, got {other:?}"),
             }
-            other => panic!("{label}: expected Completed, got {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn corpus_lockstep_mips_all_encodings() {
-    let p = build(&spec(), CorpusIsa::Mips).expect("build");
-    let mask =
-        TraceMask { mem_skip: p.mem_mask_ranges(), ..TraceMask::skipping_gprs(p.mask_gprs()) };
-    for (label, config) in encodings() {
-        let compressed = Compressor::new(config)
-            .with_isa(IsaRef(&codense_mips::ISA))
-            .compress(&p.module)
-            .expect(label);
-        let ok = lockstep_mips(
-            &p.module,
-            &compressed,
-            &p.table_addrs,
-            &mask,
-            MEM_BYTES,
-            p.stats.dynamic_insns + 10,
-        )
-        .unwrap_or_else(|d| panic!("{label}: {d:?}"));
-        match ok {
-            LockstepOk::Completed { steps, exit } => {
-                assert_eq!(steps, p.stats.dynamic_insns, "{label}");
-                assert_eq!(exit, p.stats.exit_code, "{label}");
-            }
-            other => panic!("{label}: expected Completed, got {other:?}"),
         }
     }
 }

@@ -19,8 +19,7 @@ use codense_core::nibbles::NibbleReader;
 use codense_core::{CompressedProgram, CompressionConfig, Compressor, EncodingKind, HuffCode};
 use codense_isa::IsaRef;
 use codense_obj::ObjectModule;
-use codense_vm::fetch::{CompressedFetcher, Fetch};
-use codense_vm::machine::{Machine, Outcome};
+use codense_vm::fetch::CompressedFetcher;
 
 /// Tally of one fault-injection battery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,28 +105,16 @@ pub fn corrupt(bytes: &[u8], rng: &mut Rng) -> Vec<u8> {
 }
 
 /// Drives a fetcher booted from an accepted (possibly corrupt) image for a
-/// bounded number of steps. Every outcome — clean halt, typed fault, budget
-/// exhaustion — is acceptable; only a panic is not.
-fn bounded_run(image: &container::ProgramImage, max_steps: u64) {
-    let mut fetcher = CompressedFetcher::from_image(image);
-    let mut machine = Machine::new(1 << 16);
-    let mut pc = 0u64;
-    for _ in 0..max_steps {
-        let fetched = match fetcher.fetch(pc) {
-            Ok(f) => f,
-            Err(_) => return,
-        };
-        let insn = codense_ppc::decode(fetched.word);
-        match machine.step(&insn, pc, fetched.next_pc, fetcher.granule()) {
-            Ok(Outcome::Next) => pc = fetched.next_pc,
-            Ok(Outcome::Branch(t)) => pc = t,
-            Ok(Outcome::Halt) | Err(_) => return,
-        }
-    }
+/// bounded number of steps on a fresh `isa` core. Every outcome — clean
+/// halt, typed fault, budget exhaustion — is acceptable; only a panic is
+/// not.
+fn bounded_run(image: &container::ProgramImage, isa: IsaRef, max_steps: u64) {
+    let mut fetcher = CompressedFetcher::from_image_with(image, isa);
+    let _ = codense_vm::run(&mut *isa.new_core(1 << 16), &mut fetcher, 0, max_steps);
 }
 
 /// Corrupts the `.cdns` container of a compressed program `tries` times and
-/// checks the decode-and-execute path end to end.
+/// checks the decode-and-execute path end to end, on the program's ISA.
 pub fn container_battery(
     compressed: &CompressedProgram,
     rng: &mut Rng,
@@ -149,7 +136,7 @@ pub fn container_battery(
         report.checks += 1;
         let outcome = catch_unwind(AssertUnwindSafe(|| match container::deserialize(&input) {
             Ok(image) => {
-                bounded_run(&image, 50_000);
+                bounded_run(&image, compressed.isa, 50_000);
                 (false, true)
             }
             Err(_) => (true, false),
@@ -167,9 +154,14 @@ pub fn container_battery(
 }
 
 /// Corrupts the `.cdm` serialized form of an object module `tries` times;
-/// accepted modules are validated and, when still valid, compressed — the
-/// compressor must also return typed errors, never panic.
-pub fn module_battery(module: &ObjectModule, rng: &mut Rng, tries: usize) -> FaultReport {
+/// accepted modules are validated and, when still valid, compressed for
+/// `isa` — the compressor must also return typed errors, never panic.
+pub fn module_battery(
+    module: &ObjectModule,
+    isa: IsaRef,
+    rng: &mut Rng,
+    tries: usize,
+) -> FaultReport {
     let bytes = codense_obj::serialize(module);
     let mut report = FaultReport::default();
 
@@ -190,10 +182,10 @@ pub fn module_battery(module: &ObjectModule, rng: &mut Rng, tries: usize) -> Fau
         let outcome = catch_unwind(AssertUnwindSafe(|| match codense_obj::deserialize(&input) {
             Ok(m) => {
                 let mut exercised = false;
-                if m.validate().is_ok() && m.len() <= 4 * module.len() + 64 {
+                if m.validate_with(isa).is_ok() && m.len() <= 4 * module.len() + 64 {
                     // Typed CompressError or success — both fine; the size
                     // bound keeps spliced-length monsters cheap.
-                    let _ = Compressor::new(config).compress(&m);
+                    let _ = Compressor::new(config).with_isa(isa).compress(&m);
                     exercised = true;
                 }
                 (false, exercised)
@@ -212,12 +204,13 @@ pub fn module_battery(module: &ObjectModule, rng: &mut Rng, tries: usize) -> Fau
     report
 }
 
-/// Feeds random nibble soup to the stream parser under every encoding and
-/// asserts it terminates with monotonic progress — the decoder loop of the
-/// paper's fetch hardware must never live-lock on garbage. The Huffman
-/// scheme parses against a fixed small code table (soup decodes to random
-/// symbols; the parser must still terminate and make progress).
-pub fn nibble_soup_battery(rng: &mut Rng, tries: usize) -> FaultReport {
+/// Feeds random nibble soup to the stream parser under every encoding, with
+/// `isa`'s escape bytes, and asserts it terminates with monotonic progress —
+/// the decoder loop of the paper's fetch hardware must never live-lock on
+/// garbage. The Huffman scheme parses against a fixed small code table
+/// (soup decodes to random symbols; the parser must still terminate and
+/// make progress).
+pub fn nibble_soup_battery(isa: IsaRef, rng: &mut Rng, tries: usize) -> FaultReport {
     let mut report = FaultReport::default();
     let huff = HuffCode::from_frequencies(&[40, 20, 10, 5, 2, 1, 1], 80);
     for _ in 0..tries {
@@ -235,9 +228,7 @@ pub fn nibble_soup_battery(rng: &mut Rng, tries: usize) -> FaultReport {
                 let mut r = NibbleReader::new(&soup);
                 let mut last = r.pos();
                 let mut items = 0u64;
-                while let Some(_item) =
-                    read_item_coded(kind, IsaRef(&codense_ppc::ISA), table, &mut r)
-                {
+                while let Some(_item) = read_item_coded(kind, isa, table, &mut r) {
                     assert!(r.pos() > last, "parser made no progress at nibble {last}");
                     last = r.pos();
                     items += 1;
@@ -337,7 +328,7 @@ mod tests {
     #[test]
     fn module_battery_never_panics() {
         let mut rng = Rng::new(8);
-        let report = module_battery(&module(), &mut rng, 150);
+        let report = module_battery(&module(), IsaRef(&codense_ppc::ISA), &mut rng, 150);
         assert_eq!(report.panics, 0, "{report:?}");
         assert!(report.typed_errors > 0);
     }
@@ -345,7 +336,7 @@ mod tests {
     #[test]
     fn nibble_soup_never_hangs_or_panics() {
         let mut rng = Rng::new(9);
-        let report = nibble_soup_battery(&mut rng, 120);
+        let report = nibble_soup_battery(IsaRef(&codense_ppc::ISA), &mut rng, 120);
         assert_eq!(report.panics, 0, "{report:?}");
         assert_eq!(report.checks, 4 * 120);
     }

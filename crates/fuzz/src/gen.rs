@@ -4,18 +4,13 @@
 //! of concrete instructions the generator mostly draws from, so repeated
 //! sequences exist for the dictionary compressor to find (a uniformly random
 //! instruction stream would compress to nothing and leave the codeword paths
-//! untested). Register discipline keeps the program comparable between the
-//! native and compressed fetch domains: only `r11`, LR and CTR ever hold
-//! code addresses, everything else is plain data identical in both runs.
+//! untested). The tree shape is drawn here; the [`Target`] draws the
+//! ISA-specific leaves (fresh ops, indexed accesses, if-conditions).
 
 use codense_codegen::Rng;
-use codense_ppc::insn::{bo, Insn};
-use codense_ppc::reg::{CrField, Gpr, R10, R14, R15, R16, R17, R18, R3, R4, R5, R6, R7, R8};
 
-use crate::spec::{FuncSpec, Node, ProgramSpec, DATA_MASK};
-
-/// Registers the generator may read or write in straight-line code.
-pub const DATA_REGS: [Gpr; 10] = [R3, R4, R5, R6, R7, R14, R15, R16, R17, R18];
+use crate::spec::{FuncSpec, Node, ProgramSpec, CALLEE_LOOP_BASE};
+use crate::target::Target;
 
 /// Size knobs for generated programs.
 #[derive(Debug, Clone)]
@@ -37,142 +32,32 @@ impl Default for GenConfig {
 }
 
 struct Gen<'a> {
+    target: &'a dyn Target,
     rng: &'a mut Rng,
     cfg: GenConfig,
-    vocab: Vec<Insn>,
+    vocab: Vec<u32>,
 }
 
 impl Gen<'_> {
-    fn data_reg(&mut self) -> Gpr {
-        *self.rng.pick(&DATA_REGS)
-    }
-
-    fn cr_field(&mut self) -> CrField {
-        CrField::new(self.rng.below(8) as u8).expect("0..8 is a CR field")
-    }
-
-    /// One fresh straight-line instruction over the data registers. Memory
-    /// accesses stay inside the scratch region: displacement forms use a
-    /// bounded positive offset from the data base `r10`, indexed forms mask
-    /// the index register first (emitted as an extra instruction by
-    /// [`Gen::straight_ops`]).
-    fn fresh_op(&mut self) -> Insn {
-        let rt = self.data_reg();
-        let ra = self.data_reg();
-        let rb = self.data_reg();
-        let si = self.rng.next_u64() as i16;
-        let ui = self.rng.next_u64() as u16;
-        let rc = self.rng.chance(0.25);
-        let d = (self.rng.below(0x7FF8) & !3) as i16;
-        let sh = self.rng.below(32) as u8;
-        let bf = self.cr_field();
-        match self.rng.weighted(&[
-            18, // D-form arithmetic
-            10, // D-form logical
-            6,  // compares
-            8,  // loads
-            6,  // stores
-            14, // XO-form arithmetic
-            10, // X-form logical / shifts
-            6,  // rotates
-            3,  // CR ops
-        ]) {
-            0 => match self.rng.below(6) {
-                0 => Insn::Addi { rt, ra, si },
-                1 => Insn::Addis { rt, ra, si },
-                2 => Insn::Addic { rt, ra, si },
-                3 => Insn::AddicRc { rt, ra, si },
-                4 => Insn::Subfic { rt, ra, si },
-                _ => Insn::Mulli { rt, ra, si },
-            },
-            1 => match self.rng.below(6) {
-                0 => Insn::Ori { ra, rs: rt, ui },
-                1 => Insn::Oris { ra, rs: rt, ui },
-                2 => Insn::Xori { ra, rs: rt, ui },
-                3 => Insn::Xoris { ra, rs: rt, ui },
-                4 => Insn::AndiRc { ra, rs: rt, ui },
-                _ => Insn::AndisRc { ra, rs: rt, ui },
-            },
-            2 => match self.rng.below(4) {
-                0 => Insn::Cmpwi { bf, ra, si },
-                1 => Insn::Cmplwi { bf, ra, ui },
-                2 => Insn::Cmpw { bf, ra, rb },
-                _ => Insn::Cmplw { bf, ra, rb },
-            },
-            3 => match self.rng.below(5) {
-                0 => Insn::Lwz { rt, ra: R10, d },
-                1 => Insn::Lbz { rt, ra: R10, d },
-                2 => Insn::Lhz { rt, ra: R10, d },
-                3 => Insn::Lha { rt, ra: R10, d },
-                _ => Insn::Lwz { rt, ra: R10, d },
-            },
-            4 => match self.rng.below(3) {
-                0 => Insn::Stw { rs: rt, ra: R10, d },
-                1 => Insn::Stb { rs: rt, ra: R10, d },
-                _ => Insn::Sth { rs: rt, ra: R10, d },
-            },
-            5 => match self.rng.below(7) {
-                0 => Insn::Add { rt, ra, rb, rc },
-                1 => Insn::Subf { rt, ra, rb, rc },
-                2 => Insn::Mullw { rt, ra, rb, rc },
-                3 => Insn::Mulhw { rt, ra, rb, rc },
-                4 => Insn::Divw { rt, ra, rb, rc },
-                5 => Insn::Divwu { rt, ra, rb, rc },
-                _ => Insn::Neg { rt, ra, rc },
-            },
-            6 => match self.rng.below(10) {
-                0 => Insn::And { ra, rs: rt, rb, rc },
-                1 => Insn::Or { ra, rs: rt, rb, rc },
-                2 => Insn::Xor { ra, rs: rt, rb, rc },
-                3 => Insn::Nand { ra, rs: rt, rb, rc },
-                4 => Insn::Nor { ra, rs: rt, rb, rc },
-                5 => Insn::Slw { ra, rs: rt, rb, rc },
-                6 => Insn::Srw { ra, rs: rt, rb, rc },
-                7 => Insn::Sraw { ra, rs: rt, rb, rc },
-                8 => Insn::Srawi { ra, rs: rt, sh, rc },
-                _ => Insn::Cntlzw { ra, rs: rt, rc },
-            },
-            7 => {
-                let mb = self.rng.below(32) as u8;
-                let me = self.rng.below(32) as u8;
-                if self.rng.chance(0.5) {
-                    Insn::Rlwinm { ra, rs: rt, sh, mb, me, rc }
-                } else {
-                    Insn::Rlwimi { ra, rs: rt, sh, mb, me, rc }
-                }
-            }
-            _ => match self.rng.below(3) {
-                0 => Insn::Crxor {
-                    bt: self.rng.below(32) as u8,
-                    ba: self.rng.below(32) as u8,
-                    bb: self.rng.below(32) as u8,
-                },
-                1 => Insn::Mfcr { rt },
-                _ => Insn::Extsh { ra, rs: rt, rc },
-            },
-        }
+    fn data_reg(&mut self) -> u8 {
+        *self.rng.pick(self.target.data_regs())
     }
 
     /// A run of straight-line instructions, drawn mostly from the
-    /// vocabulary. Occasionally emits a masked indexed access pair.
-    fn straight_ops(&mut self) -> Vec<Insn> {
+    /// vocabulary. Occasionally emits a bounds-masked indexed access.
+    fn straight_ops(&mut self) -> Vec<u32> {
         let n = self.rng.range(1, self.cfg.max_block);
         let mut ops = Vec::with_capacity(n + 2);
         for _ in 0..n {
             if self.rng.chance(0.12) {
-                // Indexed access with a bounds-masked offset register.
                 let src = self.data_reg();
                 let val = self.data_reg();
-                ops.push(Insn::AndiRc { ra: R8, rs: src, ui: DATA_MASK });
-                ops.push(if self.rng.chance(0.5) {
-                    Insn::Lwzx { rt: val, ra: R10, rb: R8 }
-                } else {
-                    Insn::Stwx { rs: val, ra: R10, rb: R8 }
-                });
+                let load = self.rng.chance(0.5);
+                ops.extend(self.target.indexed_access(src, val, load));
             } else if !self.vocab.is_empty() && self.rng.chance(0.8) {
                 ops.push(*self.rng.pick(&self.vocab));
             } else {
-                let op = self.fresh_op();
+                let op = self.target.fresh_op(self.rng);
                 self.vocab.push(op);
                 ops.push(op);
             }
@@ -196,21 +81,9 @@ impl Gen<'_> {
                 Node::Loop { trips, body }
             }
             2 => {
-                let bf = self.cr_field();
-                let reg = self.data_reg();
-                let cmp = if self.rng.chance(0.5) {
-                    Insn::Cmpwi { bf, ra: reg, si: self.rng.next_u64() as i16 }
-                } else {
-                    Insn::Cmplwi { bf, ra: reg, ui: self.rng.next_u64() as u16 }
-                };
-                let bit = match self.rng.below(3) {
-                    0 => bf.lt_bit(),
-                    1 => bf.gt_bit(),
-                    _ => bf.eq_bit(),
-                };
-                let skip_bo = if self.rng.chance(0.5) { bo::IF_TRUE } else { bo::IF_FALSE };
+                let test = self.target.condition(self.rng);
                 let then = self.body(depth, may_call, funcs, 2);
-                Node::If { cmp, skip_bo, skip_bi: bit, then }
+                Node::If { test, then }
             }
             3 => {
                 let width = 1 << self.rng.range(1, 3); // 2, 4 or 8 arms
@@ -233,12 +106,13 @@ impl Gen<'_> {
     }
 }
 
-/// Generates a program spec from the RNG stream.
-pub fn generate_spec(rng: &mut Rng, cfg: &GenConfig) -> ProgramSpec {
+/// Generates a program spec for `target` from the RNG stream.
+pub fn generate_spec(target: &dyn Target, rng: &mut Rng, cfg: &GenConfig) -> ProgramSpec {
     let funcs_n = rng.range(1, cfg.max_funcs.max(1));
-    let mut g = Gen { rng, cfg: cfg.clone(), vocab: Vec::new() };
+    let mut g = Gen { target, rng, cfg: cfg.clone(), vocab: Vec::new() };
 
-    let reg_init: Vec<(Gpr, u32)> = DATA_REGS
+    let reg_init: Vec<(u8, u32)> = target
+        .data_regs()
         .iter()
         .filter(|_| g.rng.chance(0.7))
         .copied()
@@ -247,6 +121,7 @@ pub fn generate_spec(rng: &mut Rng, cfg: &GenConfig) -> ProgramSpec {
         .map(|r| (r, g.rng.next_u64() as u32))
         .collect();
 
+    let loop_regs = target.loop_regs().len();
     let mut funcs = Vec::with_capacity(funcs_n);
     for fi in 0..funcs_n {
         let may_call = fi == 0;
@@ -254,15 +129,15 @@ pub fn generate_spec(rng: &mut Rng, cfg: &GenConfig) -> ProgramSpec {
         // bank (see `spec::CALLEE_LOOP_BASE`), so their nesting budget is
         // half the entry function's.
         g.cfg.max_loop_depth = if fi == 0 {
-            cfg.max_loop_depth.min(crate::spec::LOOP_REGS.len())
+            cfg.max_loop_depth.min(loop_regs)
         } else {
-            cfg.max_loop_depth.min(crate::spec::LOOP_REGS.len() - crate::spec::CALLEE_LOOP_BASE)
+            cfg.max_loop_depth.min(loop_regs - CALLEE_LOOP_BASE)
         };
         let regions = g.rng.range(1, g.cfg.max_regions);
         let body = (0..regions).map(|_| g.region(0, may_call, funcs_n)).collect();
         funcs.push(FuncSpec { frame: fi != 0 && g.rng.chance(0.6), body });
     }
-    let result_reg = *g.rng.pick(&DATA_REGS);
+    let result_reg = g.data_reg();
     ProgramSpec { funcs, reg_init, result_reg }
 }
 
@@ -270,25 +145,32 @@ pub fn generate_spec(rng: &mut Rng, cfg: &GenConfig) -> ProgramSpec {
 mod tests {
     use super::*;
     use crate::spec::build;
+    use crate::target::{Mips, Ppc};
+
+    const TARGETS: [&dyn Target; 2] = [&Ppc, &Mips];
 
     #[test]
     fn generation_is_deterministic() {
         let cfg = GenConfig::default();
-        let a = generate_spec(&mut Rng::new(42), &cfg);
-        let b = generate_spec(&mut Rng::new(42), &cfg);
-        assert_eq!(a, b);
-        let c = generate_spec(&mut Rng::new(43), &cfg);
-        assert_ne!(a, c);
+        for target in TARGETS {
+            let a = generate_spec(target, &mut Rng::new(42), &cfg);
+            let b = generate_spec(target, &mut Rng::new(42), &cfg);
+            assert_eq!(a, b);
+            let c = generate_spec(target, &mut Rng::new(43), &cfg);
+            assert_ne!(a, c);
+        }
     }
 
     #[test]
     fn generated_specs_build_and_validate() {
         let cfg = GenConfig::default();
-        for seed in 0..60 {
-            let spec = generate_spec(&mut Rng::new(seed), &cfg);
-            let built = build(&spec).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            assert!(built.module.validate().is_ok(), "seed {seed}");
-            assert!(!built.module.code.is_empty());
+        for target in TARGETS {
+            for seed in 0..60 {
+                let spec = generate_spec(target, &mut Rng::new(seed), &cfg);
+                let built = build(target, &spec).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                assert!(built.module.validate_with(target.isa()).is_ok(), "seed {seed}");
+                assert!(!built.module.code.is_empty());
+            }
         }
     }
 }

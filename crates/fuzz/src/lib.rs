@@ -9,24 +9,28 @@
 //! *is* corrupted, every decoder path must fail with a typed error, never a
 //! panic, hang, or out-of-bounds read.
 //!
+//! Every piece is ISA-generic; one campaign runs on any backend with a
+//! fuzz [`target`], and every ISA gets the same depth: shrinking, the
+//! planted-corruption self-test, fault injection and hybrid images.
+//!
 //! The pieces:
 //!
 //! - [`spec`]/[`gen`] — a seeded generator of structured, terminating
-//!   programs over the supported PowerPC subset: multi-block control flow,
-//!   forward and backward branches, calls, stack frames, and jump-table
-//!   dispatches through `.data`.
-//! - [`oracle`] — the lockstep differential oracle: native fetch vs.
-//!   compressed fetch under each codeword encoding, comparing the full
-//!   architectural trace step by step.
+//!   programs: multi-block control flow, forward and backward branches,
+//!   calls, stack frames, and jump-table dispatches through `.data`.
+//! - [`target`] — the per-ISA leaves of that tree (PowerPC and MIPS):
+//!   register roles, straight-line op and condition draws, and the
+//!   instruction templates for loops, ifs, dispatches, calls and exits.
+//! - [`oracle`] — the lockstep differential oracle over any
+//!   [`codense_isa::Core`]: native fetch vs. compressed fetch under each
+//!   codeword encoding, comparing the full architectural trace step by step.
 //! - [`faults`] — corruption batteries over the `.cdns`/`.cdm` binary
 //!   formats and raw nibble soup, asserting the no-panic decoder policy.
 //! - [`shrink`] — spec-level test-case minimization: every candidate is a
 //!   well-formed terminating program by construction.
 //! - [`runner`] — the campaign driver behind `codense fuzz`: per-case seed
-//!   derivation, parallel execution, shrinking, deterministic reporting.
-//! - [`mips`] — the cross-ISA battery: the same generator/oracle/campaign
-//!   structure ported to the MIPS backend, sharing the campaign seed
-//!   stream so `--isa ppc` and `--isa mips` fuzz the same case seeds.
+//!   derivation (the same stream for every ISA), parallel execution,
+//!   shrinking, deterministic reporting.
 //!
 //! Reproducing a failure is always `seed → program`: the report prints the
 //! derived case seed, and `runner` rebuilds the identical case from it.
@@ -36,16 +40,16 @@
 
 pub mod faults;
 pub mod gen;
-pub mod mips;
 pub mod oracle;
 pub mod runner;
 pub mod shrink;
 pub mod spec;
+pub mod target;
 
 pub use faults::{container_battery, corrupt, module_battery, nibble_soup_battery, FaultReport};
 pub use gen::{generate_spec, GenConfig};
-pub use mips::{generate_mips, lockstep_mips, lockstep_mips_with, run_mips, MipsProgram};
 pub use oracle::{lockstep, lockstep_with, Divergence, DivergenceKind, LockstepOk, TraceMask};
 pub use runner::{run, FuzzOptions, FuzzReport};
 pub use shrink::shrink;
 pub use spec::{build, BuildError, BuiltProgram, FuncSpec, Node, ProgramSpec};
+pub use target::Target;

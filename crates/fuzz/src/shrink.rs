@@ -194,11 +194,11 @@ fn remove_reg_init_candidate(spec: &ProgramSpec, n: usize) -> Option<ProgramSpec
 mod tests {
     use super::*;
     use crate::spec::FuncSpec;
-    use codense_ppc::insn::Insn;
-    use codense_ppc::reg::{R0, R4, R5};
+    use codense_ppc::insn::{bo, Insn};
+    use codense_ppc::reg::{Gpr, CR0, R0, R4, R5};
 
-    fn addi(rt: codense_ppc::reg::Gpr, si: i16) -> Insn {
-        Insn::Addi { rt, ra: R0, si }
+    fn addi(rt: Gpr, si: i16) -> u32 {
+        codense_ppc::encode(&Insn::Addi { rt, ra: R0, si })
     }
 
     fn bulky_spec() -> ProgramSpec {
@@ -212,15 +212,22 @@ mod tests {
                         body: vec![Node::Straight(vec![addi(R4, 3), addi(R5, 99)])],
                     },
                     Node::If {
-                        cmp: Insn::Cmpwi { bf: codense_ppc::reg::CR0, ra: R4, si: 0 },
-                        skip_bo: codense_ppc::insn::bo::IF_TRUE,
-                        skip_bi: codense_ppc::reg::CR0.eq_bit(),
+                        test: vec![
+                            codense_ppc::encode(&Insn::Cmpwi { bf: CR0, ra: R4, si: 0 }),
+                            codense_ppc::encode(&Insn::Bc {
+                                bo: bo::IF_TRUE,
+                                bi: CR0.eq_bit(),
+                                bd: 0,
+                                aa: false,
+                                lk: false,
+                            }),
+                        ],
                         then: vec![Node::Straight(vec![addi(R5, 99)])],
                     },
                 ],
             }],
-            reg_init: vec![(R4, 7), (R5, 9)],
-            result_reg: R4,
+            reg_init: vec![(4, 7), (5, 9)],
+            result_reg: 4,
         }
     }
 
@@ -228,7 +235,9 @@ mod tests {
     fn contains_99(spec: &ProgramSpec) -> bool {
         fn nodes_contain(v: &[Node]) -> bool {
             v.iter().any(|n| match n {
-                Node::Straight(ops) => ops.iter().any(|op| matches!(op, Insn::Addi { si: 99, .. })),
+                Node::Straight(ops) => ops
+                    .iter()
+                    .any(|&op| matches!(codense_ppc::decode(op), Insn::Addi { si: 99, .. })),
                 Node::Loop { body, .. } => nodes_contain(body),
                 Node::If { then, .. } => nodes_contain(then),
                 Node::Dispatch { arms, .. } => arms.iter().any(|a| nodes_contain(a)),

@@ -1,23 +1,24 @@
 //! The structured program representation the fuzzer generates and shrinks.
 //!
 //! A [`ProgramSpec`] is a tree of control-flow regions over concrete
-//! instructions. The tree shape guarantees termination by construction:
+//! instruction words. The tree shape guarantees termination by construction:
 //! every branch is forward except loop back-edges, and every loop decrements
 //! a dedicated counter register initialized immediately before the loop
-//! head, so a built program always reaches its final `sc` within a bounded
-//! step count. [`build`] lowers the tree through the label-resolving
-//! assembler into a valid [`ObjectModule`] with function metadata and
-//! jump tables, ready for the compressor.
+//! head, so a built program always reaches its final halt within a bounded
+//! step count. [`build`] lowers the tree, with a [`Target`]'s templates and a
+//! label-resolving pass over its ISA's branch forms, into a valid
+//! [`ObjectModule`] with function metadata and jump tables, ready for the
+//! compressor.
 //!
 //! Keeping the *spec* (rather than a raw seed or instruction list) as the
 //! unit of shrinking means every shrink candidate is a well-formed,
 //! terminating program — the minimizer never has to reason about dangling
 //! branches.
 
+use codense_isa::{fits_signed, IsaRef};
 use codense_obj::{FunctionInfo, JumpTable, ObjectModule};
-use codense_ppc::asm::Assembler;
-use codense_ppc::insn::{bo, Insn};
-use codense_ppc::reg::{Gpr, CR0, R0, R1, R10, R11, R24, R25, R26, R27, R29, R3};
+
+use crate::target::Target;
 
 /// Data-memory size the differential oracle instantiates (1 MiB).
 pub const MEM_BYTES: usize = 1 << 20;
@@ -29,21 +30,15 @@ pub const DATA_MASK: u16 = 0x7FFC;
 /// Base address where the oracle materializes jump tables in data memory.
 pub const JT_BASE: u32 = 0x0008_0000;
 
-/// Loop counter registers by nesting depth (reserved: never written by
-/// straight-line ops). The entry function indexes from 0, callees from
-/// [`CALLEE_LOOP_BASE`], so a callee's loops can never clobber a counter of
-/// the loop its call site sits in.
-pub const LOOP_REGS: [Gpr; 4] = [R24, R25, R26, R27];
-
-/// First [`LOOP_REGS`] index available to non-entry functions.
+/// First [`Target::loop_regs`] index available to non-entry functions.
 pub const CALLEE_LOOP_BASE: usize = 2;
 
 /// One region of a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
-    /// Straight-line instructions (no control flow).
-    Straight(Vec<Insn>),
-    /// `bl` to the function with this index (call depth is 1: only the
+    /// Straight-line instruction words (no control flow).
+    Straight(Vec<u32>),
+    /// A call to the function with this index (call depth is 1: only the
     /// entry function calls, callees are leaves).
     Call(usize),
     /// A counted loop: the body repeats `trips` times via a dedicated
@@ -54,25 +49,21 @@ pub enum Node {
         /// Loop body.
         body: Vec<Node>,
     },
-    /// A forward conditional region: `cmp` sets a CR field, then a `bc`
-    /// with the given BO/BI skips over `then` when taken.
+    /// A forward conditional region: `test` ends in a relative branch that
+    /// skips over `then` when taken.
     If {
-        /// The compare instruction establishing the condition.
-        cmp: Insn,
-        /// BO field of the skipping branch.
-        skip_bo: u8,
-        /// BI field of the skipping branch.
-        skip_bi: u8,
+        /// Condition setup words, then the skip branch (displacement 0).
+        test: Vec<u32>,
         /// Region executed when the skip branch falls through.
         then: Vec<Node>,
     },
     /// A jump-table dispatch: the index register is masked to the table
-    /// size (a power of two), the table entry is loaded from data memory
-    /// into CTR, and `bctr` selects one arm. Every arm jumps forward to a
+    /// size (a power of two), the table entry is loaded from data memory,
+    /// and an indirect jump selects one arm. Every arm jumps forward to a
     /// common join point.
     Dispatch {
         /// Register supplying the (unmasked) case index.
-        index: Gpr,
+        index: u8,
         /// One region per table entry; `arms.len()` is a power of two.
         arms: Vec<Vec<Node>>,
     },
@@ -81,25 +72,24 @@ pub enum Node {
 /// One function of the program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncSpec {
-    /// Whether to emit a stack-frame prologue/epilogue (`stwu`/`stmw` …
-    /// `lmw`/`addi`), exercising the paper's prologue/epilogue patterns.
+    /// Whether to emit the target's stack-frame prologue/epilogue,
+    /// exercising the paper's prologue/epilogue patterns.
     pub frame: bool,
     /// Body regions, executed in order.
     pub body: Vec<Node>,
 }
 
-/// A whole generated program. Function 0 is the entry; it ends in `sc` with
-/// the exit code taken from `result_reg`. All other functions are leaves
-/// ending in `blr`.
+/// A whole generated program. Function 0 is the entry; it halts with the
+/// exit code taken from `result_reg`. All other functions are leaves ending
+/// in a return.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramSpec {
     /// Functions; index 0 is the entry point.
     pub funcs: Vec<FuncSpec>,
-    /// Initial register values, materialized as `lis`/`ori` pairs in the
-    /// entry preamble.
-    pub reg_init: Vec<(Gpr, u32)>,
+    /// Initial register values, materialized in the entry preamble.
+    pub reg_init: Vec<(u8, u32)>,
     /// Register whose value becomes the exit code.
-    pub result_reg: Gpr,
+    pub result_reg: u8,
 }
 
 impl ProgramSpec {
@@ -111,7 +101,7 @@ impl ProgramSpec {
                     Node::Straight(ops) => ops.len(),
                     Node::Call(_) => 1,
                     Node::Loop { body, .. } => 2 + nodes(body),
-                    Node::If { then, .. } => 2 + nodes(then),
+                    Node::If { test, then } => test.len() + nodes(then),
                     Node::Dispatch { arms, .. } => {
                         7 + arms.iter().map(|a| 1 + nodes(a)).sum::<usize>()
                     }
@@ -136,9 +126,10 @@ pub struct BuiltProgram {
 /// Errors lowering a spec to a module.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
-    /// The assembler rejected the program (branch out of range, …).
+    /// A branch displacement does not fit its field, or a template that
+    /// must end in a relative branch does not.
     Asm(String),
-    /// The finished module failed [`ObjectModule::validate`].
+    /// The finished module failed [`ObjectModule::validate_with`].
     Module(String),
     /// The spec violates a structural invariant (bad callee index, loop
     /// nesting too deep, non-power-of-two dispatch width).
@@ -157,85 +148,111 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// Instruction words with numbered labels. Each fixup names a word ending
+/// a template — a relative branch with displacement 0 — and the label it
+/// targets; [`Asm::finish`] patches the displacement through the ISA.
+struct Asm {
+    isa: IsaRef,
+    code: Vec<u32>,
+    /// Word index of each label, once bound.
+    labels: Vec<Option<usize>>,
+    fixups: Vec<(usize, usize)>,
+}
+
+impl Asm {
+    fn label(&mut self) -> usize {
+        self.labels.push(None);
+        self.labels.len() - 1
+    }
+
+    fn bind(&mut self, label: usize) {
+        self.labels[label] = Some(self.code.len());
+    }
+
+    /// Emits `words`, whose last word branches to `label`.
+    fn branch(&mut self, words: &[u32], label: usize) -> Result<(), BuildError> {
+        if words.is_empty() {
+            return Err(BuildError::Structure("branch template is empty".into()));
+        }
+        self.code.extend_from_slice(words);
+        self.fixups.push((self.code.len() - 1, label));
+        Ok(())
+    }
+
+    fn finish(mut self) -> Result<Vec<u32>, BuildError> {
+        for &(at, label) in &self.fixups {
+            let word = self.code[at];
+            let Some(branch) = self.isa.rel_branch_info(word) else {
+                return Err(BuildError::Asm(format!("word {at} ({word:#010x}) is not a branch")));
+            };
+            let Some(target) = self.labels[label] else {
+                return Err(BuildError::Asm(format!("branch at {at} targets an unbound label")));
+            };
+            let units = target as i64 - at as i64;
+            if !fits_signed(units, self.isa.branch_field_bits(branch.kind)) {
+                return Err(BuildError::Asm(format!("branch at {at} out of range ({units})")));
+            }
+            self.code[at] = self.isa.patch_offset_units(word, branch.kind, units as i32);
+        }
+        Ok(self.code)
+    }
+}
+
 struct Lowering<'a> {
-    a: &'a mut Assembler,
-    /// Per-table list of arm-entry label names; resolved to instruction
-    /// indices after emission.
-    tables: Vec<Vec<String>>,
-    next_label: usize,
-    /// Index into [`LOOP_REGS`] for depth-0 loops of the current function.
+    target: &'a dyn Target,
+    a: Asm,
+    /// Per-table arm-entry labels.
+    tables: Vec<Vec<usize>>,
+    /// Index into [`Target::loop_regs`] for depth-0 loops of the current
+    /// function.
     loop_base: usize,
 }
 
 impl Lowering<'_> {
-    fn fresh(&mut self, what: &str) -> String {
-        self.next_label += 1;
-        format!("{}_{}", what, self.next_label)
-    }
-
     fn emit_body(&mut self, nodes: &[Node], depth: usize) -> Result<(), BuildError> {
+        let t = self.target;
         for node in nodes {
             match node {
-                Node::Straight(ops) => {
-                    for &op in ops {
-                        self.a.emit(op);
-                    }
-                }
-                Node::Call(callee) => {
-                    self.a.bl(&format!("fn_{callee}"));
-                }
+                Node::Straight(ops) => self.a.code.extend_from_slice(ops),
+                // Function `i` owns label `i`.
+                Node::Call(callee) => self.a.branch(&[t.call()], *callee)?,
                 Node::Loop { trips, body } => {
-                    if self.loop_base + depth >= LOOP_REGS.len() {
+                    let Some(&counter) = t.loop_regs().get(self.loop_base + depth) else {
                         return Err(BuildError::Structure("loop nesting too deep".into()));
-                    }
-                    let counter = LOOP_REGS[self.loop_base + depth];
-                    let head = self.fresh("loop");
-                    self.a.emit(Insn::Addi { rt: counter, ra: R0, si: (*trips).max(1) as i16 });
-                    self.a.label(&head);
+                    };
+                    self.a.code.push(t.loop_init(counter, (*trips).max(1)));
+                    let head = self.a.label();
+                    self.a.bind(head);
                     self.emit_body(body, depth + 1)?;
-                    self.a.emit(Insn::AddicRc { rt: counter, ra: counter, si: -1 });
-                    self.a.bc(bo::IF_FALSE, CR0.eq_bit(), &head);
+                    self.a.branch(&t.loop_back(counter), head)?;
                 }
-                Node::If { cmp, skip_bo, skip_bi, then } => {
-                    let join = self.fresh("join");
-                    self.a.emit(*cmp);
-                    self.a.bc(*skip_bo, *skip_bi, &join);
+                Node::If { test, then } => {
+                    let join = self.a.label();
+                    self.a.branch(test, join)?;
                     self.emit_body(then, depth)?;
-                    self.a.label(&join);
+                    self.a.bind(join);
                 }
                 Node::Dispatch { index, arms } => {
-                    if !arms.len().is_power_of_two() || arms.is_empty() {
+                    if !arms.len().is_power_of_two() {
                         return Err(BuildError::Structure(
                             "dispatch width must be a power of two".into(),
                         ));
                     }
-                    let table_no = self.tables.len();
-                    let addr = table_address(&self.tables);
-                    // Mask the index to the table, scale by entry size, load
-                    // the patched target into CTR, dispatch.
-                    self.a.emit(Insn::AndiRc { ra: R11, rs: *index, ui: (arms.len() - 1) as u16 });
-                    self.a.emit(Insn::Rlwinm { ra: R11, rs: R11, sh: 2, mb: 0, me: 29, rc: false });
-                    self.a.emit(Insn::Addis { rt: R10, ra: R0, si: (addr >> 16) as i16 });
-                    self.a.emit(Insn::Ori { ra: R10, rs: R10, ui: (addr & 0xFFFF) as u16 });
-                    self.a.emit(Insn::Lwzx { rt: R11, ra: R10, rb: R11 });
-                    self.a.emit(Insn::Mtspr { spr: codense_ppc::reg::Spr::Ctr, rs: R11 });
-                    self.a.emit(Insn::Bcctr { bo: bo::ALWAYS, bi: 0, lk: false });
-                    // Restore the data base pointer clobbered by the address
-                    // materialization, once per arm (each arm is an entry
-                    // point, so each must restore it).
-                    let join = self.fresh("join");
+                    let addr =
+                        JT_BASE + 4 * self.tables.iter().map(|t| t.len() as u32).sum::<u32>();
+                    self.a.code.extend(t.dispatch(*index, arms.len(), addr));
+                    let join = self.a.label();
                     let mut entries = Vec::with_capacity(arms.len());
                     for arm in arms {
-                        let entry = self.fresh("arm");
-                        entries.push(entry.clone());
-                        self.a.label(&entry);
-                        self.a.emit(Insn::Addis { rt: R10, ra: R0, si: (DATA_BASE >> 16) as i16 });
+                        let entry = self.a.label();
+                        self.a.bind(entry);
+                        entries.push(entry);
+                        self.a.code.extend(t.arm_entry());
                         self.emit_body(arm, depth)?;
-                        self.a.b(&join);
+                        self.a.branch(&[t.jump()], join)?;
                     }
-                    self.a.label(&join);
+                    self.a.bind(join);
                     self.tables.push(entries);
-                    let _ = table_no;
                 }
             }
         }
@@ -243,61 +260,52 @@ impl Lowering<'_> {
     }
 }
 
-/// Address of the next table given the tables allocated so far.
-fn table_address(tables: &[Vec<String>]) -> u32 {
-    JT_BASE + 4 * tables.iter().map(|t| t.len() as u32).sum::<u32>()
-}
-
-/// Lowers a spec into a runnable, validated module.
+/// Lowers a spec into a runnable module for `target`, validated under its
+/// ISA.
 ///
 /// # Errors
 ///
 /// Returns a [`BuildError`] if the spec violates a structural invariant or
 /// produces an out-of-range branch.
-pub fn build(spec: &ProgramSpec) -> Result<BuiltProgram, BuildError> {
+pub fn build(target: &dyn Target, spec: &ProgramSpec) -> Result<BuiltProgram, BuildError> {
     for func in &spec.funcs {
         check_calls(&func.body, spec.funcs.len())?;
     }
-    let mut a = Assembler::new();
-    let mut lower = Lowering { a: &mut a, tables: Vec::new(), next_label: 0, loop_base: 0 };
+    let isa = target.isa();
+    let a = Asm { isa, code: Vec::new(), labels: Vec::new(), fixups: Vec::new() };
+    let mut lower = Lowering { target, a, tables: Vec::new(), loop_base: 0 };
+    for _ in &spec.funcs {
+        lower.a.label();
+    }
+    let (frame_prologue, frame_epilogue) = target.frame();
     let mut functions: Vec<FunctionInfo> = Vec::new();
 
     for (fi, func) in spec.funcs.iter().enumerate() {
         lower.loop_base = if fi == 0 { 0 } else { CALLEE_LOOP_BASE };
-        let start = lower.a.here();
-        lower.a.label(&format!("fn_{fi}"));
-        let mut prologue_len = 0;
-        if fi == 0 {
-            // Entry preamble: data base pointer and initial register values.
-            lower.a.emit(Insn::Addis { rt: R10, ra: R0, si: (DATA_BASE >> 16) as i16 });
-            for &(reg, value) in &spec.reg_init {
-                lower.a.emit(Insn::Addis { rt: reg, ra: R0, si: (value >> 16) as i16 });
-                lower.a.emit(Insn::Ori { ra: reg, rs: reg, ui: (value & 0xFFFF) as u16 });
-            }
-            prologue_len = lower.a.here() - start;
-        } else if func.frame {
-            lower.a.emit(Insn::Stwu { rs: R1, ra: R1, d: -32 });
-            lower.a.emit(Insn::Stmw { rs: R29, ra: R1, d: 8 });
-            prologue_len = 2;
-        }
+        let start = lower.a.code.len();
+        lower.a.bind(fi);
+        let prologue = match fi {
+            0 => target.entry_prologue(&spec.reg_init),
+            _ if func.frame => frame_prologue.clone(),
+            _ => Vec::new(),
+        };
+        lower.a.code.extend_from_slice(&prologue);
         lower.emit_body(&func.body, 0)?;
-        let epi_start = lower.a.here();
+        let epi_start = lower.a.code.len();
         if fi == 0 {
-            lower.a.emit(Insn::Or { ra: R3, rs: spec.result_reg, rb: spec.result_reg, rc: false });
-            lower.a.emit(Insn::Sc);
+            lower.a.code.extend(target.exit(spec.result_reg));
         } else {
             if func.frame {
-                lower.a.emit(Insn::Lmw { rt: R29, ra: R1, d: 8 });
-                lower.a.emit(Insn::Addi { rt: R1, ra: R1, si: 32 });
+                lower.a.code.extend_from_slice(&frame_epilogue);
             }
-            lower.a.blr();
+            lower.a.code.push(target.ret());
         }
-        let end = lower.a.here();
+        let end = lower.a.code.len();
         functions.push(FunctionInfo {
             name: format!("fn_{fi}"),
             start,
             end,
-            prologue_len,
+            prologue_len: prologue.len(),
             epilogues: std::iter::once(epi_start..end).collect(),
         });
     }
@@ -306,20 +314,19 @@ pub fn build(spec: &ProgramSpec) -> Result<BuiltProgram, BuildError> {
     let mut jump_tables = Vec::with_capacity(lower.tables.len());
     let mut table_addrs = Vec::with_capacity(lower.tables.len());
     let mut next_addr = JT_BASE;
-    for labels in &lower.tables {
+    for entries in &lower.tables {
         let targets: Vec<usize> =
-            labels.iter().map(|l| lower.a.label_pos(l).expect("arm label defined")).collect();
+            entries.iter().map(|&l| lower.a.labels[l].expect("arm labels are bound")).collect();
         table_addrs.push(next_addr);
         next_addr += 4 * targets.len() as u32;
         jump_tables.push(JumpTable { targets });
     }
 
-    let code = a.finish().map_err(|e| BuildError::Asm(e.to_string()))?;
     let mut module = ObjectModule::new("fuzz");
-    module.code = code;
+    module.code = lower.a.finish()?;
     module.functions = functions;
     module.jump_tables = jump_tables;
-    module.validate().map_err(|e| BuildError::Module(e.to_string()))?;
+    module.validate_with(isa).map_err(|e| BuildError::Module(e.to_string()))?;
     Ok(BuiltProgram { module, table_addrs })
 }
 
@@ -345,59 +352,90 @@ fn check_calls(nodes: &[Node], funcs: usize) -> Result<(), BuildError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codense_ppc::reg::{R4, R5};
+    use crate::target::{Mips, Ppc};
+    use codense_ppc::insn::Insn;
+    use codense_ppc::reg::{R0, R5};
+
+    fn addi(rt: codense_ppc::reg::Gpr, ra: codense_ppc::reg::Gpr, si: i16) -> u32 {
+        codense_ppc::encode(&Insn::Addi { rt, ra, si })
+    }
 
     fn tiny_spec() -> ProgramSpec {
         ProgramSpec {
             funcs: vec![FuncSpec {
                 frame: false,
                 body: vec![
-                    Node::Straight(vec![Insn::Addi { rt: R4, ra: R0, si: 7 }]),
-                    Node::Loop {
-                        trips: 3,
-                        body: vec![Node::Straight(vec![Insn::Addi { rt: R5, ra: R5, si: 1 }])],
-                    },
+                    Node::Straight(vec![addi(R5, R0, 7)]),
+                    Node::Loop { trips: 3, body: vec![Node::Straight(vec![addi(R5, R5, 1)])] },
                 ],
             }],
-            reg_init: vec![(R5, 0x10)],
-            result_reg: R5,
+            reg_init: vec![(5, 0x10)],
+            result_reg: 5,
         }
     }
 
     #[test]
     fn tiny_spec_builds_and_validates() {
-        let built = build(&tiny_spec()).unwrap();
+        let built = build(&Ppc, &tiny_spec()).unwrap();
         assert!(built.module.validate().is_ok());
         assert_eq!(built.module.functions.len(), 1);
         assert!(built.module.code.len() >= 8);
     }
 
     #[test]
-    fn dispatch_allocates_tables() {
-        let spec = ProgramSpec {
-            funcs: vec![FuncSpec {
-                frame: false,
-                body: vec![Node::Dispatch {
-                    index: R4,
-                    arms: vec![
-                        vec![Node::Straight(vec![Insn::Addi { rt: R5, ra: R5, si: 1 }])],
-                        vec![Node::Straight(vec![Insn::Addi { rt: R5, ra: R5, si: 2 }])],
-                    ],
+    fn dispatch_allocates_tables_on_both_targets() {
+        for target in [&Ppc as &dyn Target, &Mips] {
+            let op = target.loop_init(target.data_regs()[1], 1);
+            let spec = ProgramSpec {
+                funcs: vec![FuncSpec {
+                    frame: false,
+                    body: vec![Node::Dispatch {
+                        index: target.data_regs()[0],
+                        arms: vec![vec![Node::Straight(vec![op])], vec![Node::Straight(vec![op])]],
+                    }],
                 }],
-            }],
-            reg_init: vec![(R4, 1)],
-            result_reg: R5,
-        };
-        let built = build(&spec).unwrap();
-        assert_eq!(built.module.jump_tables.len(), 1);
-        assert_eq!(built.module.jump_tables[0].targets.len(), 2);
-        assert_eq!(built.table_addrs, vec![JT_BASE]);
+                reg_init: vec![(target.data_regs()[0], 1)],
+                result_reg: target.data_regs()[1],
+            };
+            let built = build(target, &spec).unwrap();
+            assert_eq!(built.module.jump_tables.len(), 1);
+            assert_eq!(built.module.jump_tables[0].targets.len(), 2);
+            assert_eq!(built.table_addrs, vec![JT_BASE]);
+        }
+    }
+
+    #[test]
+    fn branches_resolve_to_their_labels() {
+        for target in [&Ppc as &dyn Target, &Mips] {
+            // A one-instruction loop body (any non-branch word will do).
+            let marker = target.loop_init(target.data_regs()[0], 7);
+            let spec = ProgramSpec {
+                funcs: vec![FuncSpec {
+                    frame: false,
+                    body: vec![Node::Loop { trips: 3, body: vec![Node::Straight(vec![marker])] }],
+                }],
+                reg_init: Vec::new(),
+                result_reg: target.data_regs()[0],
+            };
+            let code = build(target, &spec).unwrap().module.code;
+            // The back-edge closes the loop right before the two-word exit
+            // and must land on the head: the marker after the counter init.
+            let back = code.len() - 3;
+            let info = target.isa().rel_branch_info(code[back]).expect("back-edge");
+            let head = code.iter().position(|&w| w == marker).unwrap();
+            assert_eq!(
+                back as i64 + i64::from(info.offset / 4),
+                head as i64,
+                "{}",
+                target.isa().name()
+            );
+        }
     }
 
     #[test]
     fn bad_callee_rejected() {
         let mut spec = tiny_spec();
         spec.funcs[0].body.push(Node::Call(9));
-        assert!(matches!(build(&spec), Err(BuildError::Structure(_))));
+        assert!(matches!(build(&Ppc, &spec), Err(BuildError::Structure(_))));
     }
 }

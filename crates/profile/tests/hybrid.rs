@@ -57,16 +57,13 @@ fn hybrid_images_lockstep_under_all_encodings() {
                 .compress_masked(&kernel.module, &hot.exempt)
                 .unwrap();
             verify(&kernel.module, &hybrid).unwrap();
-            let got = lockstep(
-                &kernel.module,
-                &hybrid,
-                &[],
-                &|machine| kernel.apply_init(machine),
-                &mask,
-                1 << 20,
-                10_000_000,
-            )
-            .unwrap_or_else(|d| panic!("{name} {encoding:?}: trace divergence: {d}"));
+            let boot = || {
+                let mut machine = codense_vm::Machine::new(1 << 20);
+                kernel.apply_init(&mut machine);
+                Box::new(machine)
+            };
+            let got = lockstep(&kernel.module, &hybrid, &[], &boot, &mask, 10_000_000)
+                .unwrap_or_else(|d| panic!("{name} {encoding:?}: trace divergence: {d}"));
             assert_eq!(
                 got,
                 LockstepOk::Completed { steps: profile.steps, exit: kernel.expected },

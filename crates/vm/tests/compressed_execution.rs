@@ -60,8 +60,8 @@ fn compressed_kernels_match_uncompressed() {
 /// Stronger form of [`compressed_kernels_match_uncompressed`]: instead of
 /// comparing final states, run every kernel through the differential oracle,
 /// which checks the *whole trace* — per-step PC correspondence against the
-/// atom map, fetched instructions, every unmasked register, CR, CA, and the
-/// control-flow outcome — under all three encodings.
+/// atom map, fetched instructions, every unmasked register, the CR/CA
+/// flags, and the control-flow outcome — under all three encodings.
 #[test]
 fn kernels_lockstep_full_trace_under_all_encodings() {
     use codense_fuzz::oracle::{lockstep, LockstepOk, TraceMask};
@@ -88,16 +88,13 @@ fn kernels_lockstep_full_trace_under_all_encodings() {
             let compressed = Compressor::new(config)
                 .compress(&kernel.module)
                 .unwrap_or_else(|e| panic!("{} {tag}: {e}", kernel.name));
-            let got = lockstep(
-                &kernel.module,
-                &compressed,
-                &[],
-                &|machine| kernel.apply_init(machine),
-                &mask,
-                1 << 20,
-                1_000_000,
-            )
-            .unwrap_or_else(|d| panic!("{} {tag}: trace divergence: {d}", kernel.name));
+            let boot = || {
+                let mut machine = Machine::new(1 << 20);
+                kernel.apply_init(&mut machine);
+                Box::new(machine)
+            };
+            let got = lockstep(&kernel.module, &compressed, &[], &boot, &mask, 1_000_000)
+                .unwrap_or_else(|d| panic!("{} {tag}: trace divergence: {d}", kernel.name));
             assert_eq!(
                 got,
                 LockstepOk::Completed { steps: reference.steps, exit: kernel.expected },

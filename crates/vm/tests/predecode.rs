@@ -13,8 +13,8 @@
 use codense_codegen::Rng;
 use codense_core::{verify::verify, CompressedProgram, CompressionConfig, Compressor};
 use codense_fuzz::gen::{generate_spec, GenConfig};
-use codense_fuzz::mips::generate_mips;
 use codense_fuzz::spec::{build, MEM_BYTES};
+use codense_fuzz::target::{Mips, Ppc};
 use codense_isa::IsaRef;
 use codense_vm::fetch::{CompressedFetcher, Fetch, FetchStats, PredecodedFetcher};
 use codense_vm::machine::MachineError;
@@ -132,8 +132,8 @@ fn fuzz_ppc_predecoded_matches_reparse() {
     let mut tested = 0;
     for case in 0..6u64 {
         let mut rng = Rng::new(0x5EED_0000 + case);
-        let spec = generate_spec(&mut rng, &GenConfig::default());
-        let program = build(&spec).expect("build");
+        let spec = generate_spec(&Ppc, &mut rng, &GenConfig::default());
+        let program = build(&Ppc, &spec).expect("build");
         for (label, config) in configs() {
             let tag = format!("case {case} {label}");
             let compressed = Compressor::new(config).compress(&program.module).expect(&tag);
@@ -163,10 +163,8 @@ fn fuzz_mips_predecoded_matches_reparse() {
     let mut tested = 0;
     for case in 0..6u64 {
         let mut rng = Rng::new(0x3B1A_0000 + case);
-        let program = match generate_mips(&mut rng, &GenConfig::default()) {
-            Ok(p) => p,
-            Err(e) => panic!("case {case}: generate failed: {e}"),
-        };
+        let spec = generate_spec(&Mips, &mut rng, &GenConfig::default());
+        let program = build(&Mips, &spec).expect("build");
         for (label, config) in configs() {
             let tag = format!("case {case} {label}");
             let compressed =
@@ -202,8 +200,8 @@ fn fuzz_mips_predecoded_matches_reparse() {
 #[test]
 fn capacity_thrash_stays_equivalent() {
     let mut rng = Rng::new(0xCAFE_0001);
-    let spec = generate_spec(&mut rng, &GenConfig::default());
-    let program = build(&spec).expect("build");
+    let spec = generate_spec(&Ppc, &mut rng, &GenConfig::default());
+    let program = build(&Ppc, &spec).expect("build");
     for (label, config) in
         [("nibble", CompressionConfig::nibble_aligned()), ("huffman", CompressionConfig::huffman())]
     {
@@ -228,8 +226,8 @@ fn capacity_thrash_stays_equivalent() {
 #[test]
 fn invalidate_between_runs_refills_and_keeps_stats() {
     let mut rng = Rng::new(0xCAFE_0002);
-    let spec = generate_spec(&mut rng, &GenConfig::default());
-    let program = build(&spec).expect("build");
+    let spec = generate_spec(&Ppc, &mut rng, &GenConfig::default());
+    let program = build(&Ppc, &spec).expect("build");
     let compressed =
         Compressor::new(CompressionConfig::nibble_aligned()).compress(&program.module).unwrap();
     assert!(compressed.overflow_table.is_empty(), "pick another seed");
@@ -258,8 +256,8 @@ fn invalidate_between_runs_refills_and_keeps_stats() {
 #[test]
 fn invalidate_mid_use_stays_coherent() {
     let mut rng = Rng::new(0xCAFE_0003);
-    let spec = generate_spec(&mut rng, &GenConfig::default());
-    let program = build(&spec).expect("build");
+    let spec = generate_spec(&Ppc, &mut rng, &GenConfig::default());
+    let program = build(&Ppc, &spec).expect("build");
     let compressed =
         Compressor::new(CompressionConfig::nibble_aligned()).compress(&program.module).unwrap();
     assert!(compressed.overflow_table.is_empty(), "pick another seed");
@@ -297,8 +295,8 @@ fn invalidate_mid_use_stays_coherent() {
 #[test]
 fn fetch_impl_then_predecoded_share_one_cache() {
     let mut rng = Rng::new(0xCAFE_0004);
-    let spec = generate_spec(&mut rng, &GenConfig::default());
-    let program = build(&spec).expect("build");
+    let spec = generate_spec(&Ppc, &mut rng, &GenConfig::default());
+    let program = build(&Ppc, &spec).expect("build");
     let compressed =
         Compressor::new(CompressionConfig::nibble_aligned()).compress(&program.module).unwrap();
     assert!(compressed.overflow_table.is_empty(), "pick another seed");
@@ -331,8 +329,8 @@ fn fetch_impl_then_predecoded_share_one_cache() {
 #[test]
 fn faults_are_not_cached() {
     let mut rng = Rng::new(0xCAFE_0005);
-    let spec = generate_spec(&mut rng, &GenConfig::default());
-    let program = build(&spec).expect("build");
+    let spec = generate_spec(&Ppc, &mut rng, &GenConfig::default());
+    let program = build(&Ppc, &spec).expect("build");
     let compressed =
         Compressor::new(CompressionConfig::nibble_aligned()).compress(&program.module).unwrap();
     let mut fetch = PredecodedFetcher::new(&compressed);

@@ -29,8 +29,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> fuzz smoke (500 cases)"
 ./target/release/codense fuzz --cases 500 --seed 1
 
-echo "==> cross-ISA fuzz smoke (mips, 500 cases)"
+echo "==> cross-ISA fuzz smoke (mips, 500 cases: shrinking self-test + fault injection)"
 ./target/release/codense fuzz --isa mips --cases 500 --seed 1
+
+echo "==> cross-ISA hybrid fuzz smoke (mips, 200 cases)"
+./target/release/codense fuzz --isa mips --hybrid --cases 200 --seed 1
 
 echo "==> metrics determinism smoke (repro, --jobs 1 vs --jobs 8)"
 tmp="$(mktemp -d)"
