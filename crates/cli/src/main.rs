@@ -1,47 +1,13 @@
 //! `codense` — command-line front end for the code-compression system.
 //!
-//! ```text
-//! codense gen <benchmark|all> [-o DIR]        write .cdm module file(s)
-//! codense info <FILE>                         inspect a .cdm or .cdns file
-//! codense disasm <FILE.cdm|FILE.cdns> [START [COUNT]]   disassemble a module
-//! codense compress <FILE.cdm> [-o OUT.cdns] [--encoding E] [--max-entry N]
-//!                                             [--max-codewords N]
-//! codense analyze <FILE.cdm>                  redundancy / branch / size stats
-//! codense run-kernel <NAME> [--encoding E]    execute a built-in kernel
-//! codense repro [--bench NAME] [--isa ppc|mips|both] [--out BENCH_isa.json]
-//!                                             suite ratio table, all encodings
-//! codense corpus [--insns N] [--dup N] [--seed S] [--isa ISA] [-o FILE.cdm]
-//!                                             build a SPEC-scale program
-//! codense scale [--points CSV] [--isa ppc|mips|both] [--out BENCH_scale.json]
-//!                                             ratio/throughput/VM-speed at scale
-//! codense sweep [--bench NAME] [--isa ISA]    Figs 4/5/8 parameter sweeps
-//! codense profile [--bench NAME] [--encoding E] [--out FILE]
-//!                                             execution profiles of the kernel suite
-//! codense hybrid --bench NAME [--coverage F|--threshold N] [--encoding E]
-//!                                             one profile-guided hybrid compression
-//! codense hybrid-sweep [--encoding E] [--out BENCH_hybrid.json]
-//!                                             size-vs-cycles Pareto frontier
-//! codense fuzz [--cases N] [--seed S] [--isa ISA] [--hybrid]
-//!                                             differential fuzz campaign
-//! codense serve --addr HOST:PORT [--queue-depth N] [--timeout-ms N]
-//!               [--cache-bytes N]             batch-compression TCP server
-//! codense loadgen --addr HOST:PORT [--requests N] [--connections N]
-//!                 [--bench NAME] [--encoding E] [--out FILE] [--shutdown]
-//!                                             drive a server, write BENCH_serve.json
-//! codense loadsweep --addr HOST:PORT [--rates CSV] [--unique CSV]
-//!                   [--out FILE] [--shutdown] open-loop + cache sweeps, BENCH_load.json
-//! codense speed [--bench NAME] [--samples N] [--out BENCH_speed.json]
-//!               [--no-reference] [--check FILE] [--floor X]
-//!                                             compression-throughput benchmark
-//! ```
-//!
-//! Encodings: `baseline` (2-byte codewords), `onebyte`, `nibble`,
-//! `huffman` (frequency-adaptive codeword lengths). Selectors (`--selector`
-//! on `compress`/`repro`/`speed`/`loadgen`): `greedy` (default), `refine`.
-//! ISAs (`--isa` on `asm`/`repro`/`sweep`/`fuzz`/`speed`): `ppc` (default),
-//! `mips`. `--corpus N` (on `repro`/`sweep`/`profile`/`hybrid-sweep`/
-//! `speed`/`loadgen`) swaps the benchmark for an N-instruction SPEC-scale
-//! corpus program (`10k`/`100k`/`1m` suffixes accepted).
+//! One subcommand per pipeline stage or experiment: module generation and
+//! inspection (`gen`, `info`, `disasm`, `analyze`, `asm`), compression
+//! (`compress`), execution (`run-kernel`), the paper's tables (`repro`,
+//! `sweep`), SPEC-scale programs (`corpus`), profile-guided hybrid images
+//! (`profile`, `hybrid`, `hybrid-sweep`), differential fuzzing (`fuzz`), and
+//! the compression service (`serve`, `loadgen`, `loadsweep`). [`USAGE`] is
+//! the user-facing reference; [`COMMANDS`] holds each subcommand's flag
+//! list, which its arguments are checked against before it does any work.
 //!
 //! Global flags: `--jobs N` (worker-pool width) and `--metrics OUT.json`
 //! (telemetry report + per-phase summary on stderr after the command).
@@ -70,30 +36,14 @@ fn main() -> ExitCode {
     };
     let command = args.first().cloned().unwrap_or_else(|| "help".to_owned());
     let result = match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("disasm") => cmd_disasm(&args[1..]),
-        Some("compress") => cmd_compress(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("asm") => cmd_asm(&args[1..]),
-        Some("run-kernel") => cmd_run_kernel(&args[1..]),
-        Some("repro") => cmd_repro(&args[1..]),
-        Some("corpus") => corpus::cmd_corpus(&args[1..]),
-        Some("scale") => corpus::cmd_scale(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("hybrid") => cmd_hybrid(&args[1..]),
-        Some("hybrid-sweep") => cmd_hybrid_sweep(&args[1..]),
-        Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("loadsweep") => cmd_loadsweep(&args[1..]),
-        Some("speed") => cmd_speed(&args[1..]),
         Some("help") | None => {
             print!("{}", USAGE);
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
+        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
+            Some(c) => Args::parse(c, &args[1..]).and_then(|a| (c.run)(&a)),
+            None => Err(format!("unknown command `{name}`\n{USAGE}")),
+        },
     };
     // Metrics are written even when the command fails: the counters of a
     // failing run are exactly what a bug report needs.
@@ -134,8 +84,6 @@ usage:
                 [--corpus N]
   codense corpus [--insns N] [--dup N] [--seed S] [--isa ppc|mips]
                  [-o FILE.cdm]
-  codense scale [--points CSV] [--isa ppc|mips|both] [--trials N]
-                [--dup N] [--seed S] [--out BENCH_scale.json]
   codense sweep [--bench NAME] [--isa ppc|mips] [--selector greedy|refine]
                 [--corpus N]
   codense profile [--bench NAME] [--encoding baseline|onebyte|nibble]
@@ -153,21 +101,22 @@ usage:
                   [--selector greedy|refine] [--corpus N]
                   [--max-entry N] [--out BENCH_serve.json] [--shutdown]
                   [--server-jobs N] [--server-queue-depth N]
-                  [--metrics-out METRICS.json]
+                  [--metrics-out METRICS.json] [--timeout-ms N]
   codense loadsweep --addr HOST:PORT [--bench NAME]
                     [--encoding baseline|onebyte|nibble|huffman]
                     [--selector greedy|refine] [--max-entry N]
                     [--rates CSV] [--point-requests N] [--connections N]
                     [--unique CSV] [--cache-requests N] [--seed S]
-                    [--out BENCH_load.json] [--shutdown]
-  codense speed [--bench NAME] [--samples N] [--out BENCH_speed.json]
-                [--no-reference] [--check BENCH_speed.json] [--floor X]
-                [--isa ppc|mips] [--selector greedy|refine] [--corpus N]
+                    [--timeout-ms N] [--out BENCH_load.json] [--shutdown]
 
 --jobs N sets the worker-thread count for parallel phases (candidate-index
 construction, suite generation, fuzz campaigns); the default is the
 machine's available parallelism, and --jobs 1 is the exact sequential
 reference. Output is bit-identical at any job count.
+
+Each command accepts only the flags listed for it above; an unknown flag,
+a repeated flag, a flag without its value, or an extra positional
+argument fails with exit status 2 before the command does any work.
 
 --metrics OUT.json writes a schema-stable telemetry report (sorted-key
 JSON: every registered counter plus per-phase timings) after the command
@@ -196,19 +145,12 @@ error-handling bulk — 10K to 1M+ lowered instructions on either ISA,
 runnable under the VM and the lockstep oracle. --insns accepts k/m
 suffixes (default 100k). -o writes the module as a .cdm file.
 
-scale is the SPEC-scale benchmark behind BENCH_scale.json: for each
---points scale point (default 10k,100k,1m) on each ISA it builds the
-corpus program, compresses it under all four encodings (verifying each),
-and times compression throughput plus full-run VM execution through both
-the reparse fetch path and the predecoded threaded-dispatch path (nibble
-encoding), best of --trials. See EXPERIMENTS.md for the bless workflow.
-
---corpus N on repro/sweep/profile/hybrid-sweep/speed/loadgen swaps that
+--corpus N on repro/sweep/profile/hybrid-sweep/loadgen swaps that
 command's benchmark for the N-instruction corpus program (sharing --dup /
 --seed with the corpus command). repro prints the corpus row under the
 suite table without touching the blessed artifacts; profile and
-hybrid-sweep run it as a PPC profiling subject; speed times it with the
-reference engine disabled (the boxed-slice index is too slow at scale).
+hybrid-sweep run it as a PPC profiling subject. Performance at corpus
+scale is measured by the repository benchmark (benchmark/README.md).
 
 sweep runs the parameter sweeps behind Figures 4-8 (max entry length,
 codeword count, small dictionaries) on one benchmark (default `compress`)
@@ -223,16 +165,6 @@ per-request deadlines, a content-addressed LRU result cache
 frames for malformed input. The bound address is printed on stdout;
 serve blocks until a SHUTDOWN frame arrives, then drains in-flight work
 and exits.
-
-speed measures compression throughput (instructions compressed per
-second, median of --samples whole runs) for every encoding on one
-benchmark (default `compress`), using the production interned matchfinder
-and — unless --no-reference — the original boxed-slice index as the
-speedup baseline. Writes the schema-1 BENCH_speed.json artifact with
---out (see EXPERIMENTS.md for the bless workflow). --check FILE compares
-the current interned throughput against a checked-in baseline and fails
-when any encoding falls below baseline/--floor (default 3.0) — the
-speed-regression gate in scripts/verify.sh.
 
 loadgen compresses --bench in process once, then drives --requests
 identical compression requests over --connections concurrent connections
@@ -337,13 +269,139 @@ fn take_metrics(args: &mut Vec<String>) -> Result<Option<String>, String> {
     Ok(path)
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+/// One subcommand: its handler, how many positional arguments it takes,
+/// and its flags, space-separated: those that take a value, then the bare
+/// switches.
+struct Command {
+    name: &'static str,
+    run: fn(&Args) -> CliResult,
+    positionals: usize,
+    valued: &'static str,
+    switches: &'static str,
+}
+
+const fn cmd(
+    name: &'static str,
+    run: fn(&Args) -> CliResult,
+    positionals: usize,
+    valued: &'static str,
+    switches: &'static str,
+) -> Command {
+    Command { name, run, positionals, valued, switches }
+}
+
+/// Every subcommand with its complete flag list. `--corpus N` brings the
+/// corpus knobs `--dup` and `--seed` with it.
+const COMMANDS: &[Command] = &[
+    cmd("gen", cmd_gen, 1, "-o", ""),
+    cmd("info", cmd_info, 1, "", ""),
+    cmd("disasm", cmd_disasm, 3, "", ""),
+    cmd("compress", cmd_compress, 1, "-o --encoding --selector --max-entry --max-codewords", ""),
+    cmd("analyze", cmd_analyze, 1, "", ""),
+    cmd("asm", cmd_asm, 1, "-o --isa", ""),
+    cmd("run-kernel", cmd_run_kernel, 1, "--encoding", ""),
+    cmd(
+        "repro",
+        cmd_repro,
+        0,
+        "--bench --isa --out --ratio-out --selector --corpus --dup --seed",
+        "",
+    ),
+    cmd("corpus", corpus::cmd_corpus, 0, "--insns --dup --seed --isa -o", ""),
+    cmd("sweep", cmd_sweep, 0, "--bench --isa --selector --corpus --dup --seed", ""),
+    cmd(
+        "profile",
+        cmd_profile,
+        0,
+        "--bench --encoding --max-steps --out --corpus --dup --seed",
+        "",
+    ),
+    cmd("hybrid", cmd_hybrid, 0, "--bench --coverage --threshold --encoding --max-steps", ""),
+    cmd("hybrid-sweep", cmd_hybrid_sweep, 0, "--encoding --out --corpus --dup --seed", ""),
+    cmd("fuzz", cmd_fuzz, 0, "--cases --seed --max-steps --fault-tries --isa", "--hybrid"),
+    cmd("serve", cmd_serve, 0, "--addr --queue-depth --timeout-ms --cache-bytes", ""),
+    cmd(
+        "loadgen",
+        cmd_loadgen,
+        0,
+        "--addr --requests --connections --timeout-ms --bench --encoding --selector --max-entry \
+         --corpus --dup --seed --out --metrics-out --server-jobs --server-queue-depth",
+        "--shutdown",
+    ),
+    cmd(
+        "loadsweep",
+        cmd_loadsweep,
+        0,
+        "--addr --bench --encoding --selector --max-entry --rates --point-requests --connections \
+         --unique --cache-requests --seed --timeout-ms --out",
+        "--shutdown",
+    ),
+];
+
+/// Whether `flag` is one of the space-separated `flags`.
+fn listed(flags: &str, flag: &str) -> bool {
+    flags.split_whitespace().any(|f| f == flag)
+}
+
+/// A subcommand's arguments, checked against its [`Command`] entry before
+/// the command runs.
+struct Args<'a> {
+    command: &'static Command,
+    positionals: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn parse(command: &'static Command, raw: &'a [String]) -> Result<Args<'a>, String> {
+        let name = command.name;
+        let valued = |a: &str| listed(command.valued, a);
+        let switch = |a: &str| listed(command.switches, a);
+        let mut args =
+            Args { command, positionals: Vec::new(), values: Vec::new(), switches: Vec::new() };
+        let mut raw = raw.iter().map(String::as_str);
+        while let Some(a) = raw.next() {
+            if args.values.iter().any(|&(f, _)| f == a) || args.switches.contains(&a) {
+                return Err(format!("{name}: {a} given twice"));
+            } else if valued(a) {
+                match raw.next() {
+                    Some(v) if !valued(v) && !switch(v) => args.values.push((a, v)),
+                    _ => return Err(format!("{name}: {a} requires a value")),
+                }
+            } else if switch(a) {
+                args.switches.push(a);
+            } else if a.starts_with('-') {
+                return Err(format!("{name}: unknown flag `{a}`"));
+            } else if args.positionals.len() < command.positionals {
+                args.positionals.push(a);
+            } else {
+                return Err(format!("{name}: unexpected argument `{a}`"));
+            }
+        }
+        Ok(args)
+    }
+
+    /// The value of a flag, if given.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        debug_assert!(listed(self.command.valued, flag), "{flag} is not in the flag list");
+        self.values.iter().find(|&&(f, _)| f == flag).map(|&(_, v)| v)
+    }
+
+    /// Whether a switch was given.
+    fn has(&self, switch: &str) -> bool {
+        debug_assert!(listed(self.command.switches, switch), "{switch} is not in the flag list");
+        self.switches.contains(&switch)
+    }
+
+    /// The `i`th positional argument, if given.
+    fn positional(&self, i: usize) -> Option<&'a str> {
+        self.positionals.get(i).copied()
+    }
 }
 
 /// Resolves a `--isa` flag to a backend name (default `ppc`).
-fn parse_isa(args: &[String]) -> Result<&'static str, String> {
-    match flag_value(args, "--isa") {
+fn parse_isa(args: &Args) -> Result<&'static str, String> {
+    match args.value("--isa") {
         None | Some("ppc") => Ok("ppc"),
         Some("mips") => Ok("mips"),
         Some(other) => Err(format!("unknown ISA `{other}` (ppc|mips)")),
@@ -380,8 +438,8 @@ fn parse_encoding(name: &str) -> Result<EncodingKind, String> {
 
 /// Resolves a `--selector` flag to a dictionary selection strategy
 /// (default `greedy`).
-fn parse_selector(args: &[String]) -> Result<SelectorKind, String> {
-    match flag_value(args, "--selector") {
+fn parse_selector(args: &Args) -> Result<SelectorKind, String> {
+    match args.value("--selector") {
         None | Some("greedy") => Ok(SelectorKind::Greedy),
         Some("refine") => Ok(SelectorKind::Refine),
         Some(other) => Err(format!("unknown selector `{other}` (greedy|refine)")),
@@ -393,9 +451,9 @@ fn load_module(path: &str) -> Result<ObjectModule, String> {
     codense_obj::deserialize(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_gen(args: &[String]) -> CliResult {
-    let which = args.first().ok_or("gen: missing benchmark name (or `all`)")?;
-    let dir = flag_value(args, "-o").unwrap_or(".");
+fn cmd_gen(args: &Args) -> CliResult {
+    let which = args.positional(0).ok_or("gen: missing benchmark name (or `all`)")?;
+    let dir = args.value("-o").unwrap_or(".");
     std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     let modules: Vec<ObjectModule> = if which == "all" {
         // Each benchmark is generated from its own seeded profile, so the
@@ -415,8 +473,8 @@ fn cmd_gen(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_info(args: &[String]) -> CliResult {
-    let path = args.first().ok_or("info: missing file")?;
+fn cmd_info(args: &Args) -> CliResult {
+    let path = args.positional(0).ok_or("info: missing file")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     if bytes.starts_with(&codense_obj::serialize::MAGIC) {
         let m = codense_obj::deserialize(&bytes).map_err(|e| format!("{path}: {e}"))?;
@@ -446,13 +504,13 @@ fn cmd_info(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_disasm(args: &[String]) -> CliResult {
-    let path = args.first().ok_or("disasm: missing file")?;
+fn cmd_disasm(args: &Args) -> CliResult {
+    let path = args.positional(0).ok_or("disasm: missing file")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let start: usize =
-        args.get(1).map(|s| s.parse().map_err(|_| "bad START")).transpose()?.unwrap_or(0);
+        args.positional(1).map(|s| s.parse().map_err(|_| "bad START")).transpose()?.unwrap_or(0);
     let count: usize =
-        args.get(2).map(|s| s.parse().map_err(|_| "bad COUNT")).transpose()?.unwrap_or(64);
+        args.positional(2).map(|s| s.parse().map_err(|_| "bad COUNT")).transpose()?.unwrap_or(64);
     if bytes.starts_with(&container::MAGIC) {
         let image = container::deserialize(&bytes).map_err(|e| format!("{path}: {e}"))?;
         return disasm_stream(&image, start, count);
@@ -511,19 +569,20 @@ fn disasm_stream(image: &container::ProgramImage, skip_items: usize, count: usiz
     Ok(())
 }
 
-fn cmd_compress(args: &[String]) -> CliResult {
-    let path = args.first().ok_or("compress: missing input .cdm")?;
+fn cmd_compress(args: &Args) -> CliResult {
+    let path = args.positional(0).ok_or("compress: missing input .cdm")?;
     let m = load_module(path)?;
-    let encoding = parse_encoding(flag_value(args, "--encoding").unwrap_or("nibble"))?;
+    let encoding = parse_encoding(args.value("--encoding").unwrap_or("nibble"))?;
     let mut config =
         CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
-    if let Some(v) = flag_value(args, "--max-entry") {
+    if let Some(v) = args.value("--max-entry") {
         config.max_entry_len = v.parse().map_err(|_| "bad --max-entry")?;
     }
-    if let Some(v) = flag_value(args, "--max-codewords") {
+    if let Some(v) = args.value("--max-codewords") {
         config.max_codewords = v.parse().map_err(|_| "bad --max-codewords")?;
     }
-    let out_path = flag_value(args, "-o")
+    let out_path = args
+        .value("-o")
         .map(str::to_owned)
         .unwrap_or_else(|| format!("{}.cdns", path.trim_end_matches(".cdm")));
 
@@ -551,8 +610,8 @@ fn cmd_compress(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_analyze(args: &[String]) -> CliResult {
-    let path = args.first().ok_or("analyze: missing file")?;
+fn cmd_analyze(args: &Args) -> CliResult {
+    let path = args.positional(0).ok_or("analyze: missing file")?;
     let m = load_module(path)?;
     let p = codense_core::analysis::encoding_profile(&m);
     println!("`{}`: {} instructions, {} distinct encodings", m.name, p.total_insns, p.distinct);
@@ -586,8 +645,8 @@ fn cmd_analyze(args: &[String]) -> CliResult {
 /// Two-pass textual assembler over the selected backend's `parse` module:
 /// pass 1 assigns label addresses, pass 2 substitutes them into branch
 /// targets. `--isa` picks the backend (default `ppc`).
-fn cmd_asm(args: &[String]) -> CliResult {
-    let path = args.first().ok_or("asm: missing input .s file")?;
+fn cmd_asm(args: &Args) -> CliResult {
+    let path = args.positional(0).ok_or("asm: missing input .s file")?;
     let isa_name = parse_isa(args)?;
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
 
@@ -657,8 +716,7 @@ fn cmd_asm(args: &[String]) -> CliResult {
     }
 
     let stem = path.trim_end_matches(".s");
-    let out_path =
-        flag_value(args, "-o").map(str::to_owned).unwrap_or_else(|| format!("{stem}.cdm"));
+    let out_path = args.value("-o").map(str::to_owned).unwrap_or_else(|| format!("{stem}.cdm"));
     let mut module = ObjectModule::new(
         std::path::Path::new(stem)
             .file_name()
@@ -871,17 +929,17 @@ fn render_ratio_artifact(per_isa: &[(&str, SelectorCells)]) -> String {
     json
 }
 
-fn cmd_repro(args: &[String]) -> CliResult {
-    let bench_filter = flag_value(args, "--bench");
-    let isa_flag = flag_value(args, "--isa").unwrap_or("ppc");
+fn cmd_repro(args: &Args) -> CliResult {
+    let bench_filter = args.value("--bench");
+    let isa_flag = args.value("--isa").unwrap_or("ppc");
     let show: Vec<&'static str> = match isa_flag {
         "ppc" => vec!["ppc"],
         "mips" => vec!["mips"],
         "both" => vec!["ppc", "mips"],
         other => return Err(format!("unknown ISA `{other}` (ppc|mips|both)")),
     };
-    let out_path = flag_value(args, "--out");
-    let ratio_path = flag_value(args, "--ratio-out");
+    let out_path = args.value("--out");
+    let ratio_path = args.value("--ratio-out");
     let selector = parse_selector(args)?;
 
     // (isa, selector) → rows, computed lazily so the table, the isa
@@ -914,8 +972,7 @@ fn cmd_repro(args: &[String]) -> CliResult {
         }
         print_repro_table(rows);
         // The corpus scale point rides along in the printed table only; the
-        // blessed artifacts carry the fixed suite (BENCH_scale.json owns the
-        // corpus data).
+        // blessed artifacts carry the fixed suite.
         if let Some(n) = corpus_insns {
             let p = corpus::corpus_program(args, n, isa)?;
             print_repro_row(&corpus::corpus_repro_row(&p, selector)?);
@@ -973,9 +1030,9 @@ fn cmd_repro(args: &[String]) -> CliResult {
 }
 
 /// Parameter sweeps behind Figures 4-8 on one benchmark.
-fn cmd_sweep(args: &[String]) -> CliResult {
+fn cmd_sweep(args: &Args) -> CliResult {
     use codense_core::{sweep, telemetry};
-    let bench = flag_value(args, "--bench").unwrap_or("compress");
+    let bench = args.value("--bench").unwrap_or("compress");
     let isa_name = parse_isa(args)?;
     let isa = isa_ref(isa_name);
     let selector = parse_selector(args)?;
@@ -1068,15 +1125,15 @@ fn cmd_sweep(args: &[String]) -> CliResult {
 }
 
 /// Profiles the kernel benchmark suite and renders the schema-1 artifact.
-fn cmd_profile(args: &[String]) -> CliResult {
+fn cmd_profile(args: &Args) -> CliResult {
     use codense_profile::{bench, collect_subject, render_profiles_json, Subject};
-    let encoding_name = flag_value(args, "--encoding").unwrap_or("nibble");
+    let encoding_name = args.value("--encoding").unwrap_or("nibble");
     let encoding = parse_encoding(encoding_name)?;
-    let max_steps: u64 = match flag_value(args, "--max-steps") {
+    let max_steps: u64 = match args.value("--max-steps") {
         Some(v) => v.parse().map_err(|_| "bad --max-steps")?,
         None => 10_000_000,
     };
-    let subjects: Vec<Subject> = match (corpus::corpus_arg(args)?, flag_value(args, "--bench")) {
+    let subjects: Vec<Subject> = match (corpus::corpus_arg(args)?, args.value("--bench")) {
         (Some(_), Some(_)) => return Err("profile: --corpus and --bench conflict".into()),
         (Some(n), None) => {
             vec![corpus::corpus_subject(&corpus::corpus_program(args, n, "ppc")?)?]
@@ -1094,7 +1151,7 @@ fn cmd_profile(args: &[String]) -> CliResult {
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
     let json = render_profiles_json(&profiles, encoding_name);
-    match flag_value(args, "--out") {
+    match args.value("--out") {
         Some(path) => {
             std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
             for p in &profiles {
@@ -1115,19 +1172,19 @@ fn cmd_profile(args: &[String]) -> CliResult {
 }
 
 /// One profile-guided hybrid compression with full-trace validation.
-fn cmd_hybrid(args: &[String]) -> CliResult {
+fn cmd_hybrid(args: &Args) -> CliResult {
     use codense_fuzz::oracle::{lockstep, LockstepOk, TraceMask};
     use codense_profile::{
         bench, collect, hot_mask, score_compressed, score_native, CostParams, HotnessPolicy,
     };
-    let name = flag_value(args, "--bench").ok_or("hybrid: missing --bench NAME")?;
+    let name = args.value("--bench").ok_or("hybrid: missing --bench NAME")?;
     let kernel = bench::bench(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    let encoding = parse_encoding(flag_value(args, "--encoding").unwrap_or("nibble"))?;
-    let max_steps: u64 = match flag_value(args, "--max-steps") {
+    let encoding = parse_encoding(args.value("--encoding").unwrap_or("nibble"))?;
+    let max_steps: u64 = match args.value("--max-steps") {
         Some(v) => v.parse().map_err(|_| "bad --max-steps")?,
         None => 10_000_000,
     };
-    let policy = match (flag_value(args, "--coverage"), flag_value(args, "--threshold")) {
+    let policy = match (args.value("--coverage"), args.value("--threshold")) {
         (Some(_), Some(_)) => return Err("hybrid: --coverage and --threshold conflict".into()),
         (Some(v), None) => {
             let f: f64 = v.parse().map_err(|_| "bad --coverage")?;
@@ -1196,14 +1253,14 @@ fn cmd_hybrid(args: &[String]) -> CliResult {
 }
 
 /// The whole-suite coverage sweep behind `BENCH_hybrid.json`.
-fn cmd_hybrid_sweep(args: &[String]) -> CliResult {
+fn cmd_hybrid_sweep(args: &Args) -> CliResult {
     use codense_profile::{
         bench, hybrid_sweep_subjects, render_bench_json, HybridOptions, Subject,
     };
-    let encoding_name = flag_value(args, "--encoding").unwrap_or("nibble");
+    let encoding_name = args.value("--encoding").unwrap_or("nibble");
     let options =
         HybridOptions { encoding: parse_encoding(encoding_name)?, ..HybridOptions::default() };
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_hybrid.json");
+    let out_path = args.value("--out").unwrap_or("BENCH_hybrid.json");
     let mut subjects: Vec<Subject> = bench::benches().iter().map(Subject::from_kernel).collect();
     // An optional corpus scale point joins the sweep; the blessed
     // BENCH_hybrid.json is generated without it.
@@ -1239,21 +1296,21 @@ fn cmd_hybrid_sweep(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_fuzz(args: &[String]) -> CliResult {
+fn cmd_fuzz(args: &Args) -> CliResult {
     let mut opts = codense_fuzz::FuzzOptions::default();
-    if let Some(v) = flag_value(args, "--cases") {
+    if let Some(v) = args.value("--cases") {
         opts.cases = v.parse().map_err(|_| "bad --cases")?;
     }
-    if let Some(v) = flag_value(args, "--seed") {
+    if let Some(v) = args.value("--seed") {
         opts.seed = parse_seed(v)?;
     }
-    if let Some(v) = flag_value(args, "--max-steps") {
+    if let Some(v) = args.value("--max-steps") {
         opts.max_steps = v.parse().map_err(|_| "bad --max-steps")?;
     }
-    if let Some(v) = flag_value(args, "--fault-tries") {
+    if let Some(v) = args.value("--fault-tries") {
         opts.fault_tries = v.parse().map_err(|_| "bad --fault-tries")?;
     }
-    opts.hybrid = args.iter().any(|a| a == "--hybrid");
+    opts.hybrid = args.has("--hybrid");
     opts.isa = isa_ref(parse_isa(args)?);
     let report = codense_fuzz::run(&opts);
     println!("{}", report.render());
@@ -1274,11 +1331,11 @@ fn parse_seed(v: &str) -> Result<u64, String> {
     parsed.map_err(|_| format!("bad --seed `{v}` (decimal or 0x hex)"))
 }
 
-fn cmd_run_kernel(args: &[String]) -> CliResult {
+fn cmd_run_kernel(args: &Args) -> CliResult {
     use codense_vm::{
         fetch::CompressedFetcher, kernels, machine::Machine, run::run, LinearFetcher,
     };
-    let name = args.first().ok_or("run-kernel: missing kernel name (try `list`)")?;
+    let name = args.positional(0).ok_or("run-kernel: missing kernel name (try `list`)")?;
     let all = kernels::all();
     if name == "list" {
         for k in &all {
@@ -1288,9 +1345,9 @@ fn cmd_run_kernel(args: &[String]) -> CliResult {
     }
     let kernel = all
         .iter()
-        .find(|k| k.name == name.as_str())
+        .find(|k| k.name == name)
         .ok_or_else(|| format!("unknown kernel `{name}` (try `list`)"))?;
-    let encoding = flag_value(args, "--encoding").unwrap_or("nibble");
+    let encoding = args.value("--encoding").unwrap_or("nibble");
 
     let mut machine = Machine::new(1 << 20);
     kernel.apply_init(&mut machine);
@@ -1319,25 +1376,25 @@ fn cmd_run_kernel(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> CliResult {
+fn cmd_serve(args: &Args) -> CliResult {
     let mut opts = codense_service::ServeOptions {
-        addr: flag_value(args, "--addr").unwrap_or("127.0.0.1:0").to_owned(),
+        addr: args.value("--addr").unwrap_or("127.0.0.1:0").to_owned(),
         jobs: codense_core::parallel::jobs(),
         ..Default::default()
     };
-    if let Some(v) = flag_value(args, "--queue-depth") {
+    if let Some(v) = args.value("--queue-depth") {
         opts.queue_depth = match v.parse() {
             Ok(n) if n >= 1 => n,
             _ => return Err(format!("bad --queue-depth `{v}` (expected an integer >= 1)")),
         };
     }
-    if let Some(v) = flag_value(args, "--timeout-ms") {
+    if let Some(v) = args.value("--timeout-ms") {
         opts.timeout_ms = match v.parse() {
             Ok(n) if n >= 1 => n,
             _ => return Err(format!("bad --timeout-ms `{v}` (expected an integer >= 1)")),
         };
     }
-    if let Some(v) = flag_value(args, "--cache-bytes") {
+    if let Some(v) = args.value("--cache-bytes") {
         opts.cache_bytes =
             v.parse().map_err(|_| format!("bad --cache-bytes `{v}` (expected an integer >= 0)"))?;
     }
@@ -1352,30 +1409,30 @@ fn cmd_serve(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_loadgen(args: &[String]) -> CliResult {
-    let addr = flag_value(args, "--addr").ok_or("loadgen: missing --addr HOST:PORT")?;
+fn cmd_loadgen(args: &Args) -> CliResult {
+    let addr = args.value("--addr").ok_or("loadgen: missing --addr HOST:PORT")?;
     let corpus_insns = corpus::corpus_arg(args)?;
     let bench = match corpus_insns {
         Some(n) => corpus::corpus_name(n),
-        None => flag_value(args, "--bench").unwrap_or("compress").to_owned(),
+        None => args.value("--bench").unwrap_or("compress").to_owned(),
     };
-    let encoding = parse_encoding(flag_value(args, "--encoding").unwrap_or("nibble"))?;
-    let max_entry: u16 = match flag_value(args, "--max-entry") {
+    let encoding = parse_encoding(args.value("--encoding").unwrap_or("nibble"))?;
+    let max_entry: u16 = match args.value("--max-entry") {
         Some(v) => v.parse().map_err(|_| "bad --max-entry")?,
         None => 4,
     };
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_serve.json");
+    let out_path = args.value("--out").unwrap_or("BENCH_serve.json");
     let mut opts = codense_service::LoadgenOptions { addr: addr.to_owned(), ..Default::default() };
-    if let Some(v) = flag_value(args, "--requests") {
+    if let Some(v) = args.value("--requests") {
         opts.requests = v.parse().map_err(|_| "bad --requests")?;
     }
-    if let Some(v) = flag_value(args, "--connections") {
+    if let Some(v) = args.value("--connections") {
         opts.connections = match v.parse() {
             Ok(n) if n >= 1 => n,
             _ => return Err(format!("bad --connections `{v}` (expected an integer >= 1)")),
         };
     }
-    if let Some(v) = flag_value(args, "--timeout-ms") {
+    if let Some(v) = args.value("--timeout-ms") {
         opts.timeout_ms = v.parse().map_err(|_| "bad --timeout-ms")?;
     }
 
@@ -1414,7 +1471,7 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
 
     // Snapshot the server's telemetry right after the run (and before any
     // --shutdown), for the determinism gate in scripts/verify.sh.
-    if let Some(path) = flag_value(args, "--metrics-out") {
+    if let Some(path) = args.value("--metrics-out") {
         let json = codense_service::Client::connect(addr, opts.timeout_ms)
             .map_err(|e| format!("loadgen: metrics: {e}"))?
             .metrics()
@@ -1426,14 +1483,14 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
     // counters section must stay identical at any --jobs), so the caller
     // records it explicitly; 0 means "not recorded".
     let parse_shape = |flag: &str| -> Result<usize, String> {
-        match flag_value(args, flag) {
+        match args.value(flag) {
             Some(v) => v.parse().map_err(|_| format!("bad {flag} `{v}`")),
             None => Ok(0),
         }
     };
     let meta = codense_service::BenchMeta {
         bench: bench.to_owned(),
-        encoding: flag_value(args, "--encoding").unwrap_or("nibble").to_owned(),
+        encoding: args.value("--encoding").unwrap_or("nibble").to_owned(),
         jobs: parse_shape("--server-jobs")?,
         queue_depth: parse_shape("--server-queue-depth")?,
     };
@@ -1449,7 +1506,7 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
         report.percentile_us(99.0),
     );
 
-    if args.iter().any(|a| a == "--shutdown") {
+    if args.has("--shutdown") {
         codense_service::Client::connect(addr, opts.timeout_ms)
             .and_then(|mut c| c.shutdown().map_err(|e| std::io::Error::other(e.to_string())))
             .map_err(|e| format!("loadgen: shutdown: {e}"))?;
@@ -1460,34 +1517,34 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_loadsweep(args: &[String]) -> CliResult {
-    let addr = flag_value(args, "--addr").ok_or("loadsweep: missing --addr HOST:PORT")?;
-    let bench = flag_value(args, "--bench").unwrap_or("compress");
-    let encoding_name = flag_value(args, "--encoding").unwrap_or("nibble");
+fn cmd_loadsweep(args: &Args) -> CliResult {
+    let addr = args.value("--addr").ok_or("loadsweep: missing --addr HOST:PORT")?;
+    let bench = args.value("--bench").unwrap_or("compress");
+    let encoding_name = args.value("--encoding").unwrap_or("nibble");
     let encoding = parse_encoding(encoding_name)?;
     let selector = parse_selector(args)?;
-    let max_entry: u16 = match flag_value(args, "--max-entry") {
+    let max_entry: u16 = match args.value("--max-entry") {
         Some(v) => v.parse().map_err(|_| "bad --max-entry")?,
         None => 4,
     };
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_load.json");
-    let timeout_ms: u64 = match flag_value(args, "--timeout-ms") {
+    let out_path = args.value("--out").unwrap_or("BENCH_load.json");
+    let timeout_ms: u64 = match args.value("--timeout-ms") {
         Some(v) => v.parse().map_err(|_| "bad --timeout-ms")?,
         None => 30_000,
     };
-    let connections: usize = match flag_value(args, "--connections") {
+    let connections: usize = match args.value("--connections") {
         Some(v) => match v.parse() {
             Ok(n) if n >= 1 => n,
             _ => return Err(format!("bad --connections `{v}` (expected an integer >= 1)")),
         },
         None => 4,
     };
-    let seed: u64 = match flag_value(args, "--seed") {
+    let seed: u64 = match args.value("--seed") {
         Some(v) => v.parse().map_err(|_| "bad --seed")?,
         None => 0xC0DE,
     };
     let parse_csv = |flag: &str, default: &str| -> Result<Vec<u64>, String> {
-        flag_value(args, flag)
+        args.value(flag)
             .unwrap_or(default)
             .split(',')
             .map(|s| s.trim().parse().map_err(|_| format!("bad {flag} entry `{s}`")))
@@ -1495,11 +1552,11 @@ fn cmd_loadsweep(args: &[String]) -> CliResult {
     };
     let rates = parse_csv("--rates", "50,100,200,400,800")?;
     let uniques = parse_csv("--unique", "1,2,4,8,16")?;
-    let point_requests: usize = match flag_value(args, "--point-requests") {
+    let point_requests: usize = match args.value("--point-requests") {
         Some(v) => v.parse().map_err(|_| "bad --point-requests")?,
         None => 64,
     };
-    let cache_requests: usize = match flag_value(args, "--cache-requests") {
+    let cache_requests: usize = match args.value("--cache-requests") {
         Some(v) => v.parse().map_err(|_| "bad --cache-requests")?,
         None => 64,
     };
@@ -1583,7 +1640,7 @@ fn cmd_loadsweep(args: &[String]) -> CliResult {
     std::fs::write(out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
     println!("{out_path}: {} load points, {} cache points", load_points.len(), cache_points.len());
 
-    if args.iter().any(|a| a == "--shutdown") {
+    if args.has("--shutdown") {
         codense_service::Client::connect(addr, timeout_ms)
             .and_then(|mut c| c.shutdown().map_err(|e| std::io::Error::other(e.to_string())))
             .map_err(|e| format!("loadsweep: shutdown: {e}"))?;
@@ -1592,173 +1649,4 @@ fn cmd_loadsweep(args: &[String]) -> CliResult {
         return Err(format!("{failed_total} open-loop request(s) failed"));
     }
     Ok(())
-}
-
-/// Compression-throughput benchmark: median-of-N whole-run timing of the
-/// interned matchfinder (and optionally the boxed-slice reference index)
-/// per encoding, reported as instructions compressed per second. Writes the
-/// `BENCH_speed.json` artifact and implements the speed-regression gate.
-fn cmd_speed(args: &[String]) -> CliResult {
-    use codense_core::greedy::MatchfinderKind;
-
-    let samples: usize = match flag_value(args, "--samples") {
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err(format!("bad --samples `{v}` (expected an integer >= 1)")),
-        },
-        None => 5,
-    };
-    let corpus_insns = corpus::corpus_arg(args)?;
-    // The boxed-slice reference index is far too slow at corpus scale; the
-    // corpus rows time the production engine only.
-    let with_reference = !args.iter().any(|a| a == "--no-reference") && corpus_insns.is_none();
-    let floor: f64 = match flag_value(args, "--floor") {
-        Some(v) => match v.parse() {
-            Ok(f) if f >= 1.0 => f,
-            _ => return Err(format!("bad --floor `{v}` (expected a number >= 1.0)")),
-        },
-        None => 3.0,
-    };
-    let isa_name = parse_isa(args)?;
-    let (bench, module) = match corpus_insns {
-        Some(n) => (corpus::corpus_name(n), corpus::corpus_program(args, n, isa_name)?.module),
-        None => {
-            let bench = flag_value(args, "--bench").unwrap_or("compress");
-            let module = benchmark_for(isa_name, bench)
-                .ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
-            (bench.to_owned(), module)
-        }
-    };
-    let insns = module.len() as u64;
-    println!("speed on `{}` ({} insns, median of {samples})", module.name, insns);
-
-    // Alphabetical so the JSON artifact's keys are sorted.
-    const ENCODINGS: [(&str, EncodingKind); 4] = [
-        ("baseline", EncodingKind::Baseline),
-        ("huffman", EncodingKind::Huffman),
-        ("nibble", EncodingKind::NibbleAligned),
-        ("onebyte", EncodingKind::OneByte),
-    ];
-    let selector = parse_selector(args)?;
-    struct Row {
-        name: &'static str,
-        median_ns: u64,
-        reference_ns: Option<u64>,
-    }
-    let mut rows = Vec::new();
-    for (name, encoding) in ENCODINGS {
-        let config =
-            CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
-        let time_engine = |kind: MatchfinderKind| {
-            let compressor = Compressor::new(config.clone())
-                .with_isa(isa_ref(isa_name))
-                .with_selector(selector)
-                .with_matchfinder(kind);
-            codense_bench::median_ns(samples, || {
-                codense_bench::black_box(
-                    compressor.compress(&module).expect("benchmark compresses"),
-                )
-            })
-        };
-        let median_ns = time_engine(MatchfinderKind::Interned);
-        let reference_ns = with_reference.then(|| time_engine(MatchfinderKind::Reference));
-        let ips = insns_per_sec(insns, median_ns);
-        match reference_ns {
-            Some(r) => println!(
-                "  {name:<8} {:>12} insns/s ({:>7} us)   reference {:>10} insns/s ({:>8} us)   speedup {:.1}x",
-                ips,
-                median_ns / 1_000,
-                insns_per_sec(insns, r),
-                r / 1_000,
-                r as f64 / median_ns as f64,
-            ),
-            None => println!(
-                "  {name:<8} {:>12} insns/s ({:>7} us)",
-                ips,
-                median_ns / 1_000,
-            ),
-        }
-        rows.push(Row { name, median_ns, reference_ns });
-    }
-
-    // Schema-1 sorted-key JSON artifact.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"bench\": \"{bench}\",\n"));
-    json.push_str("  \"encodings\": {\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!("    \"{}\": {{\n", row.name));
-        json.push_str(&format!(
-            "      \"insns_per_sec\": {},\n      \"median_us\": {}",
-            insns_per_sec(insns, row.median_ns),
-            row.median_ns / 1_000
-        ));
-        if let Some(r) = row.reference_ns {
-            json.push_str(&format!(
-                ",\n      \"reference_insns_per_sec\": {},\n      \"reference_median_us\": {},\n      \"speedup\": {:.2}",
-                insns_per_sec(insns, r),
-                r / 1_000,
-                r as f64 / row.median_ns as f64
-            ));
-        }
-        json.push_str(&format!("\n    }}{comma}\n"));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"insns\": {insns},\n"));
-    json.push_str(&format!("  \"samples\": {samples},\n"));
-    json.push_str("  \"schema\": 1\n");
-    json.push_str("}\n");
-    if let Some(path) = flag_value(args, "--out") {
-        std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
-        println!("{path}: {} encoding(s)", rows.len());
-    }
-
-    // Regression gate: current interned throughput must stay within --floor
-    // of the checked-in baseline for every encoding.
-    if let Some(path) = flag_value(args, "--check") {
-        let baseline = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        for row in &rows {
-            let want = baseline_insns_per_sec(&baseline, row.name)
-                .ok_or_else(|| format!("{path}: no `insns_per_sec` for `{}`", row.name))?;
-            let got = insns_per_sec(insns, row.median_ns);
-            let lower = want / floor;
-            if (got as f64) < lower {
-                return Err(format!(
-                    "speed regression: {} at {got} insns/s, below baseline {want:.0}/{floor:.1} = {lower:.0} (from {path})",
-                    row.name
-                ));
-            }
-            println!(
-                "  {:<8} {got:>12} insns/s >= {lower:>12.0} (baseline/{floor:.1})  ok",
-                row.name
-            );
-        }
-    }
-    Ok(())
-}
-
-fn insns_per_sec(insns: u64, median_ns: u64) -> u64 {
-    ((insns as u128 * 1_000_000_000) / median_ns.max(1) as u128) as u64
-}
-
-/// Pulls `encodings.<name>.insns_per_sec` out of a `BENCH_speed.json`
-/// artifact with a minimal line scan (the artifact's key order is pinned by
-/// its schema; no JSON parser in the workspace).
-fn baseline_insns_per_sec(json: &str, encoding: &str) -> Option<f64> {
-    let mut in_section = false;
-    for line in json.lines() {
-        let t = line.trim();
-        if t.starts_with(&format!("\"{encoding}\":")) {
-            in_section = true;
-        } else if in_section {
-            if let Some(rest) = t.strip_prefix("\"insns_per_sec\":") {
-                return rest.trim_end_matches(',').trim().parse().ok();
-            }
-            if t.starts_with('}') {
-                return None;
-            }
-        }
-    }
-    None
 }

@@ -71,6 +71,34 @@ fn bad_inputs_fail_cleanly() {
     assert!(!bin().args(["gen", "espresso"]).output().unwrap().status.success());
     assert!(!bin().args(["frobnicate"]).output().unwrap().status.success());
     assert!(bin().args(["run-kernel", "list"]).output().unwrap().status.success());
+
+    // Flags are checked against the command's own list before any work: a
+    // misspelled flag, a flag missing its value, and a retired command each
+    // exit 2 with a message naming the culprit.
+    let dir = tmpdir("badflags");
+    bin().args(["gen", "compress", "-o", dir.to_str().unwrap()]).status().unwrap();
+    let cdm = dir.join("compress.cdm");
+    let cdm = cdm.to_str().unwrap();
+    for (args, named) in [
+        (&["compress", cdm, "--encodng", "huffman"][..], "unknown flag `--encodng`"),
+        (&["repro", "--bench"], "--bench requires a value"),
+        (&["compress", cdm, "-o"], "-o requires a value"),
+        (&["speed"], "unknown command `speed`"),
+        (&["scale"], "unknown command `scale`"),
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named), "{args:?}: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} did work: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    // Neither rejected `compress` wrote an image to the default path.
+    assert!(!dir.join("compress.cdns").exists());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -46,16 +46,29 @@ fn run_with_jobs(dir: &Path, tag: &str, jobs: &str, args: &[&str]) -> String {
 }
 
 #[test]
-fn repro_counters_identical_across_job_counts() {
+fn repro_and_profile_counters_identical_across_job_counts() {
     let dir = tmpdir("repro");
+    let profile = dir.join("profile.json");
+    let profile = profile.to_str().unwrap();
     // One small benchmark keeps debug-mode runtime reasonable; the full
-    // suite goes through the same par_map path.
-    let args = ["repro", "--bench", "compress"];
-    let seq = run_with_jobs(&dir, "repro", "1", &args);
-    let par = run_with_jobs(&dir, "repro", "8", &args);
-    assert_eq!(seq, par, "repro counters diverged between --jobs 1 and --jobs 8");
-    // The run must actually have exercised the compressor.
-    assert!(!seq.contains("\"compress.runs\": 0"), "{seq}");
+    // suite goes through the same par_map path. The 10K corpus program
+    // covers the SPEC-scale path: built, compressed and verified under all
+    // four encodings (repro), then run natively and through the compressed
+    // fetch path (profile).
+    for args in [
+        &["repro", "--bench", "compress"][..],
+        &["repro", "--corpus", "10k", "--bench", "compress"],
+        &["profile", "--corpus", "10k", "--out", profile],
+    ] {
+        let seq = run_with_jobs(&dir, "repro", "1", args);
+        let seq_profile = std::fs::read(profile).ok();
+        let par = run_with_jobs(&dir, "repro", "8", args);
+        assert_eq!(seq, par, "{args:?}: counters diverged between --jobs 1 and --jobs 8");
+        // The profile artifact is byte-identical at any job count too.
+        assert_eq!(seq_profile, std::fs::read(profile).ok(), "{args:?}: profile diverged");
+        // The run must actually have exercised the compressor.
+        assert!(!seq.contains("\"compress.runs\": 0"), "{args:?}: {seq}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -224,7 +224,7 @@ impl Compressor {
 
     /// Selects which matchfinder backs the greedy pass. Output is
     /// byte-identical for every kind; [`MatchfinderKind::Reference`] exists
-    /// for equivalence testing and speed baselining.
+    /// for equivalence testing.
     pub fn with_matchfinder(mut self, kind: MatchfinderKind) -> Compressor {
         self.matchfinder = kind;
         self

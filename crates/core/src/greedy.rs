@@ -158,7 +158,7 @@ pub enum MatchfinderKind {
     #[default]
     Interned,
     /// The original `Box<[u32]>`-keyed index ([`reference`]), kept as the
-    /// executable specification and speed baseline.
+    /// executable specification the equivalence tests compare against.
     Reference,
 }
 

@@ -9,8 +9,9 @@
 //! * the `matchfinder_equivalence` property suite asserts the interned
 //!   matchfinder produces a byte-identical pick log, dictionary, and
 //!   compressed image against it, across all encodings and hotness masks;
-//! * `codense speed` measures it as the baseline the `BENCH_speed.json`
-//!   speedup figures are relative to.
+//! * the `interner_telemetry` test runs it to show that
+//!   [`telemetry::GREEDY_REMOVAL_ALLOCS`] is live, so the interned index's
+//!   zero on that counter means something.
 //!
 //! Its removal path increments [`telemetry::GREEDY_REMOVAL_ALLOCS`] once
 //! per boxed lookup key — the counter the interned index proves it never
