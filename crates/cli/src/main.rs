@@ -109,8 +109,8 @@ usage:
                     [--unique CSV] [--cache-requests N] [--seed S]
                     [--timeout-ms N] [--out BENCH_load.json] [--shutdown]
 
---jobs N sets the worker-thread count for parallel phases (candidate-index
-construction, suite generation, fuzz campaigns); the default is the
+--jobs N sets the worker-thread count for parallel phases (sweep points,
+suite generation, fuzz campaigns); the default is the
 machine's available parallelism, and --jobs 1 is the exact sequential
 reference. Output is bit-identical at any job count.
 

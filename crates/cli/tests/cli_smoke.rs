@@ -45,6 +45,31 @@ fn gen_compress_info_pipeline() {
 }
 
 #[test]
+fn compress_accepts_a_window_cap_past_every_block() {
+    // No window is longer than the longest block, so any larger cap mines
+    // the same windows: the largest usize neither overflows nor trips the
+    // matchfinder's 32-bit guard.
+    let dir = tmpdir("max-entry");
+    bin().args(["gen", "compress", "-o", dir.to_str().unwrap()]).status().unwrap();
+    let cdm = dir.join("compress.cdm");
+    let cdns = dir.join("compress.cdns");
+    let out = bin()
+        .args([
+            "compress",
+            cdm.to_str().unwrap(),
+            "-o",
+            cdns.to_str().unwrap(),
+            "--max-entry",
+            "18446744073709551615",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("ratio"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn disasm_prints_paper_style_text() {
     let dir = tmpdir("dis");
     bin().args(["gen", "li", "-o", dir.to_str().unwrap()]).status().unwrap();

@@ -9,8 +9,8 @@ use crate::dict::Dictionary;
 use crate::encoding::{self, try_write_codeword_coded, write_insn_coded};
 use crate::error::CompressError;
 use crate::greedy::{
-    run_greedy, run_greedy_banned, run_greedy_with, BanSet, CandidateIndex, CostModel,
-    GreedyParams, MatchfinderKind, PickRecord,
+    run_greedy_banned, run_owned, BanSet, CandidateIndex, CostModel, GreedyParams, MatchfinderKind,
+    PickRecord,
 };
 use crate::huffcode::HuffCode;
 use crate::model::{Cell, ProgramModel};
@@ -399,25 +399,28 @@ impl Compressor {
                 dict_entry_fixed_bits: 0,
             },
         };
-        let picks = if !bans.is_empty() {
-            // Banned selection is the refinement selector's probe; it always
-            // runs against an index (the reference matchfinder has no ban
-            // support, and refinement reuses one index across all trials).
-            match shared_index {
-                Some(index) => run_greedy_banned(index, &mut model, &mut dictionary, params, bans),
-                None => {
-                    let index = CandidateIndex::build(&model, params.max_entry_len)?;
-                    run_greedy_banned(&index, &mut model, &mut dictionary, params, bans)
-                }
+        // Banned selection is the refinement selector's probe; it always
+        // runs against an index (the reference matchfinder has no ban
+        // support, and refinement reuses one index across all trials). The
+        // reference engine mines as it selects, so it has no phase split.
+        let picks = match (shared_index, self.matchfinder) {
+            (Some(index), _) => {
+                let _phase = crate::telemetry::phase("select");
+                run_greedy_banned(index, &mut model, &mut dictionary, params, bans)
             }
-        } else {
-            match (shared_index, self.matchfinder) {
-                (Some(index), _) => run_greedy_with(index, &mut model, &mut dictionary, params),
-                (None, MatchfinderKind::Interned) => {
-                    run_greedy(&mut model, &mut dictionary, params)?
-                }
-                (None, MatchfinderKind::Reference) => {
-                    crate::greedy::reference::run_greedy(&mut model, &mut dictionary, params)
+            (None, MatchfinderKind::Reference) if bans.is_empty() => {
+                crate::greedy::reference::run_greedy(&mut model, &mut dictionary, params)
+            }
+            (None, _) => {
+                let index = {
+                    let _phase = crate::telemetry::phase("mine");
+                    CandidateIndex::build(&model, params.max_entry_len)?
+                };
+                let _phase = crate::telemetry::phase("select");
+                if bans.is_empty() {
+                    run_owned(index, &mut model, &mut dictionary, params)
+                } else {
+                    run_greedy_banned(&index, &mut model, &mut dictionary, params, bans)
                 }
             }
         };

@@ -49,8 +49,9 @@ impl Dictionary {
     /// Appends an entry, returning its index, with an identity rank.
     ///
     /// Accepts anything convertible into the stored `Vec<u32>` — an owned
-    /// vector by move, or a borrowed slice (e.g. the matchfinder's interned
-    /// arena view), so each accepted entry is materialized exactly once.
+    /// vector by move, or a borrowed slice (e.g. a window of the
+    /// matchfinder's word array), so each accepted entry is materialized
+    /// exactly once.
     pub fn push(&mut self, words: impl Into<Vec<u32>>, replaced: usize) -> u32 {
         let words = words.into();
         debug_assert!(!words.is_empty());

@@ -1,5 +1,5 @@
-//! The greedy dictionary-selection pass (§3.1.1 of the paper) with an
-//! interned-sequence matchfinder.
+//! The greedy dictionary-selection pass (§3.1.1 of the paper) over a
+//! sort-mined candidate index.
 //!
 //! Choosing the optimum dictionary is NP-complete [Storer77], so — like the
 //! paper — "on every iteration of the algorithm, we examine each potential
@@ -11,42 +11,46 @@
 //! implementation is equivalent but incremental, and allocation-free on the
 //! selection hot path:
 //!
-//! * a **rolling-hash windower** walks every compressible run once, extending
-//!   each window's hash by one instruction at a time, and maps each distinct
-//!   candidate sequence to a dense [`SeqId`](crate::intern::SeqId) through an
-//!   arena-backed [`SeqInterner`] — zero per-window heap allocations;
-//! * the **occurrence index** ([`OccLists`]) is one flat position arena in
-//!   CSR layout — a span per `SeqId` bracketing that candidate's window
-//!   positions in (block, cell) order. Replacements never touch it: a
-//!   position is *live* iff its cells are still compressible in the model,
-//!   checked (and compacted out of the span, in place) lazily at recount
-//!   time. Every window created by a replacement is a sub-window of an
-//!   original run, so the candidate set is closed at build time and the
-//!   index only ever shrinks;
-//! * a **lazy max-heap** seeded with each candidate's exact initial savings
-//!   (every position is live before the first replacement, so one
-//!   sequential counting pass computes them; candidates that start
-//!   non-positive can never recover and are never enqueued). Counts only
-//!   ever decrease, so a popped entry whose recomputed savings still equals
-//!   its key is the true maximum; stale entries are re-inserted with their
-//!   corrected value.
+//! * a window is one `u32`: the **flat offset** of its first cell. Blocks
+//!   partition the text in order, so this is the original instruction
+//!   index, and since no window crosses a block, two windows of one
+//!   candidate overlap exactly when `p < prev + len`;
+//! * **mining** is prefix refinement, with no hashing: one sort orders the
+//!   compressible cells by (word, offset), and each group is split, depth
+//!   first, by the word that extends its windows by one instruction. Every
+//!   group is one candidate and its occurrence list comes out ascending. The
+//!   walk visits candidates in slice order of their words, so a candidate's
+//!   id *is* its lexicographic rank;
+//! * the **occurrence index** is one flat offset arena in id order.
+//!   Replacements never touch it: a window is *live* while all its cells
+//!   are, checked against a per-cell flag array (and compacted out of the
+//!   list, in place) lazily at recount time. Every window created by a
+//!   replacement is a sub-window of an original run, so the candidate set is
+//!   closed at build time and the index only ever shrinks;
+//! * a **lazy max-heap** of `(savings, id)` seeded with each candidate's
+//!   exact initial savings (the counts are taken once, at build time;
+//!   candidates that start non-positive can never recover and are never
+//!   enqueued). Counts only ever decrease, so a popped entry whose
+//!   recomputed savings still equals its key is the true maximum; stale
+//!   entries are re-inserted with their corrected value.
 //!
-//! Tie-breaking is deterministic (savings, then lexicographic sequence
-//! content, materialized as a per-candidate rank so heap items stay three
-//! plain words), so compression output is bit-stable across runs, platforms,
-//! and worker counts — and byte-identical to the original boxed-slice index,
-//! kept in [`reference`] as the executable specification.
+//! Selection reads and writes only flat per-cell arrays and rewrites the
+//! [`ProgramModel`] once, after the last pick.
+//!
+//! Tie-breaking is deterministic (savings, then the greater sequence, which
+//! is the greater id), so compression output is bit-stable across runs,
+//! platforms, and worker counts — and byte-identical to the original
+//! boxed-slice index, kept in [`reference`] as the executable specification.
 //!
 //! A [`CandidateIndex`] is immutable once built and can be shared across
 //! runs: the sweep engine builds one index at the largest entry length and
-//! every sweep point reuses it (cloning only the dense position lists)
+//! every sweep point reuses it (cloning only the flat arrays a run mutates)
 //! instead of re-mining the program per point.
 
 use std::collections::BinaryHeap;
 
 use crate::dict::Dictionary;
 use crate::error::CompressError;
-use crate::intern::{hash_extend, hash_seed, SeqId, SeqInterner};
 use crate::model::{Cell, ProgramModel};
 use crate::telemetry;
 
@@ -153,8 +157,8 @@ pub struct PickRecord {
 /// pins the identity).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MatchfinderKind {
-    /// The interned-sequence index (this module): arena interner, dense
-    /// `SeqId` occurrence lists, lazy liveness. The production path.
+    /// The sort-mined index (this module): candidates ranked by content,
+    /// flat-offset occurrence lists, lazy liveness. The production path.
     #[default]
     Interned,
     /// The original `Box<[u32]>`-keyed index ([`reference`]), kept as the
@@ -162,113 +166,46 @@ pub enum MatchfinderKind {
     Reference,
 }
 
-/// Position of a window: (block index, cell index).
-type Pos = (u32, u32);
+/// Dense candidate id: the rank of the candidate's words in slice order.
+type SeqId = u32;
 
-/// Per-candidate occurrence lists packed into one flat arena (CSR layout):
-/// `spans[id]` brackets candidate `id`'s live positions in `flat`, in
-/// (block, cell) order. Compaction shrinks a span in place, so the
-/// selection hot path never allocates and cloning the lists for a shared-
-/// index run is two flat memcpys instead of one heap allocation per
-/// candidate.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct OccLists {
-    spans: Vec<(u32, u32)>,
-    flat: Vec<Pos>,
-}
+/// A heap entry, `(savings, id)`. Max-heap by savings; on a tie the greater
+/// id, which is the greater sequence, pops first.
+type HeapItem = (i64, SeqId);
 
-impl OccLists {
-    /// Builds the arena from mined `(candidate, position)` pairs by
-    /// counting-sort scatter; within each candidate, positions keep their
-    /// order of appearance in `pairs`.
-    fn from_pairs(candidates: usize, pairs: &[(SeqId, Pos)]) -> OccLists {
-        let mut counts = vec![0u32; candidates];
-        for &(id, _) in pairs {
-            counts[id as usize] += 1;
-        }
-        let mut spans = Vec::with_capacity(candidates);
-        let mut acc = 0u32;
-        for &c in &counts {
-            spans.push((acc, acc));
-            acc += c;
-        }
-        let mut flat = vec![(0u32, 0u32); pairs.len()];
-        for &(id, pos) in pairs {
-            let end = &mut spans[id as usize].1;
-            flat[*end as usize] = pos;
-            *end += 1;
-        }
-        OccLists { spans, flat }
-    }
-
-    /// The live positions of candidate `id`.
-    fn list(&self, id: SeqId) -> &[Pos] {
-        let (s, e) = self.spans[id as usize];
-        &self.flat[s as usize..e as usize]
-    }
-
-    /// In-place `retain` over one candidate's span; returns how many
-    /// positions were dropped. Each dead position is examined exactly once
-    /// across a run.
-    fn compact(&mut self, id: SeqId, mut keep: impl FnMut(Pos) -> bool) -> usize {
-        let (s, e) = self.spans[id as usize];
-        let mut w = s as usize;
-        for r in s as usize..e as usize {
-            let pos = self.flat[r];
-            if keep(pos) {
-                self.flat[w] = pos;
-                w += 1;
-            }
-        }
-        self.spans[id as usize].1 = w as u32;
-        e as usize - w
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HeapItem {
-    savings: i64,
-    /// Lexicographic rank of the candidate's sequence content — carries the
-    /// reference tie-break (greater sequence first) without touching words.
-    lex: u32,
-    id: SeqId,
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap by savings; deterministic lexicographic tie-break.
-        self.savings.cmp(&other.savings).then_with(|| self.lex.cmp(&other.lex))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// A run's head-array value for a cell that heads no replaced occurrence.
+const NO_ENTRY: u32 = u32::MAX;
 
 /// The immutable product of window mining: every candidate sequence of the
-/// program interned to a dense id, with its occurrence positions and
-/// content-lexicographic rank. Build once, run greedy selection against it
-/// any number of times (`[run_greedy_with]`) — each run clones only the
-/// position lists.
+/// program, ranked by content, with its occurrence offsets and initial
+/// count. Build once, run greedy selection against it any number of times
+/// ([`run_greedy_with`]) — each run clones only the arrays it mutates.
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
-    interner: SeqInterner,
-    /// Initial window positions per candidate, sorted by (block, cell).
-    occ: OccLists,
-    /// The window length cap the index was mined with. Runs may use any
+    /// Each cell's instruction word by flat offset (0 where incompressible).
+    words: Vec<u32>,
+    /// Whether each cell is compressible.
+    compressible: Vec<bool>,
+    /// Window start offsets, grouped by candidate in id order, ascending
+    /// within each group.
+    occ: Vec<u32>,
+    /// Candidate `id`'s windows are `occ[starts[id]..starts[id + 1]]`.
+    starts: Vec<u32>,
+    /// Length of each candidate, in instructions.
+    lens: Vec<u32>,
+    /// Non-overlapping occurrence count of each candidate before any
+    /// replacement.
+    counts: Vec<u32>,
+    /// The window length cap the index was requested with. Runs may use any
     /// `max_entry_len` ≤ this.
     max_entry_len: usize,
 }
 
 impl CandidateIndex {
     /// Mines every candidate window of `model` (runs of compressible cells,
-    /// windows up to `max_entry_len` instructions).
-    ///
-    /// Mining is parallel over disjoint block ranges; per-chunk interners
-    /// are merged in block order, so the index is deterministic for a given
-    /// model regardless of the worker count.
+    /// windows up to `max_len` instructions). A cap above the longest block
+    /// mines the same windows as the longest block's length, and is
+    /// checked as that.
     ///
     /// # Errors
     ///
@@ -277,62 +214,133 @@ impl CandidateIndex {
     pub fn build(model: &ProgramModel, max_len: usize) -> Result<CandidateIndex, CompressError> {
         let largest_block = model.blocks.iter().map(|b| b.cells.len()).max().unwrap_or(0);
         let total_cells: usize = model.blocks.iter().map(|b| b.cells.len()).sum();
-        check_position_space(model.blocks.len(), largest_block, total_cells, max_len)?;
+        let cap = max_len.min(largest_block);
+        check_position_space(model.blocks.len(), largest_block, total_cells, cap)?;
 
-        // One chunk per worker quantum; a single-threaded run mines the
-        // whole program in one pass and skips the merge entirely (the
-        // merged result is partition-invariant, so this is unobservable).
-        let jobs = crate::parallel::jobs();
-        let parts = if jobs <= 1 { 1 } else { jobs.saturating_mul(4) };
-        let ranges = crate::parallel::chunk_ranges(model.blocks.len(), parts);
-        let mut chunks =
-            crate::parallel::par_map(ranges, |_, (b0, b1)| mine_range(model, b0, b1, max_len));
-
-        let (interner, pairs) = if chunks.len() == 1 {
-            chunks.pop().expect("one chunk")
-        } else {
-            // Merge chunk interners in block order: re-intern each distinct
-            // local sequence once and remap that chunk's pairs through the
-            // global ids. Positions stay sorted per candidate because
-            // chunks cover ascending block ranges in mining order.
-            let seqs: usize = chunks.iter().map(|(li, _)| li.len()).sum();
-            let windows: usize = chunks.iter().map(|(_, lp)| lp.len()).sum();
-            let mut interner = SeqInterner::with_capacity(seqs, 2);
-            let mut pairs: Vec<(SeqId, Pos)> = Vec::with_capacity(windows);
-            for (li, lpairs) in chunks {
-                let remap: Vec<SeqId> = (0..li.len() as SeqId)
-                    .map(|lid| interner.intern(li.words(lid), li.hash(lid)))
-                    .collect();
-                pairs.extend(lpairs.into_iter().map(|(lid, pos)| (remap[lid as usize], pos)));
-            }
-            (interner, pairs)
+        let mut index = CandidateIndex {
+            words: Vec::with_capacity(total_cells),
+            compressible: Vec::with_capacity(total_cells),
+            occ: Vec::new(),
+            starts: vec![0],
+            lens: Vec::new(),
+            counts: Vec::new(),
+            max_entry_len: max_len,
         };
-        if pairs.len() > u32::MAX as usize {
-            // The flat occurrence arena is u32-indexed too.
-            return Err(CompressError::ProgramTooLarge {
-                blocks: model.blocks.len(),
-                largest_block,
-            });
+        // rem[p]: how many windows start at p, i.e. the compressible cells
+        // from p to the end of its run, capped at `cap`.
+        let mut rem = vec![0u32; total_cells];
+        for block in &model.blocks {
+            let base = index.words.len();
+            for cell in &block.cells {
+                let word = cell.compressible_word();
+                index.words.push(word.unwrap_or(0));
+                index.compressible.push(word.is_some());
+            }
+            let mut run = 0;
+            for p in (base..index.words.len()).rev() {
+                run = if index.compressible[p] { (run + 1).min(cap as u32) } else { 0 };
+                rem[p] = run;
+            }
+        }
+        let windows: usize = rem.iter().map(|&r| r as usize).sum();
+        index.occ.reserve_exact(windows);
+        index.starts.reserve(windows);
+        index.lens.reserve(windows);
+        index.counts.reserve(windows);
+
+        // Depth-first prefix refinement. `pending` holds sibling groups not
+        // yet visited, each a range of `buf` plus its window length, pushed
+        // greatest word first so the least pops first: the visit order is
+        // slice order. A popped group's range is the top of `buf`, since
+        // every group above it has been visited, and it moves into the
+        // arena before its children are split off behind it.
+        let mut buf: Vec<u32> = Vec::new();
+        let mut pending: Vec<(usize, usize, usize)> = Vec::new();
+        let mut keys: Vec<u64> = (0..total_cells)
+            .filter(|&p| rem[p] > 0)
+            .map(|p| group_key(index.words[p], p))
+            .collect();
+        push_groups(&mut keys, &mut buf, &mut pending, 1);
+        while let Some((s, e, len)) = pending.pop() {
+            if e - s == 1 {
+                // A lone window's extensions are lone windows: a chain.
+                let p = buf[s];
+                for l in len..=rem[p as usize] as usize {
+                    index.push_candidate(&[p], l);
+                }
+                buf.truncate(s);
+                continue;
+            }
+            let a = index.occ.len();
+            index.push_candidate(&buf[s..e], len);
+            buf.truncate(s);
+            if len < cap {
+                keys.clear();
+                keys.extend(
+                    index.occ[a..]
+                        .iter()
+                        .filter(|&&p| rem[p as usize] as usize > len)
+                        .map(|&p| group_key(index.words[p as usize + len], p as usize)),
+                );
+                push_groups(&mut keys, &mut buf, &mut pending, len + 1);
+            }
         }
 
-        telemetry::GREEDY_CANDIDATES_SEEDED.add(interner.len() as u64);
-        telemetry::GREEDY_INTERNED_SEQS.add(interner.len() as u64);
-        telemetry::GREEDY_INTERNED_WORDS.add(interner.arena_words() as u64);
-        telemetry::GREEDY_WINDOW_ADDS.add(pairs.len() as u64);
+        let candidates = index.candidates() as u64;
+        telemetry::GREEDY_CANDIDATES_SEEDED.add(candidates);
+        telemetry::GREEDY_INTERNED_SEQS.add(candidates);
+        telemetry::GREEDY_INTERNED_WORDS.add(index.lens.iter().map(|&l| l as u64).sum());
+        telemetry::GREEDY_WINDOW_ADDS.add(index.occ.len() as u64);
+        Ok(index)
+    }
 
-        let occ = OccLists::from_pairs(interner.len(), &pairs);
-
-        Ok(CandidateIndex { interner, occ, max_entry_len: max_len })
+    /// Appends the next candidate in id order: windows of `len` at
+    /// `positions`.
+    fn push_candidate(&mut self, positions: &[u32], len: usize) {
+        self.occ.extend_from_slice(positions);
+        self.starts.push(self.occ.len() as u32);
+        self.lens.push(len as u32);
+        self.counts.push(effective_count(positions, len) as u32);
     }
 
     /// Number of distinct candidate sequences.
     pub fn candidates(&self) -> usize {
-        self.interner.len()
+        self.lens.len()
     }
 
     /// The window length cap this index was mined with.
     pub fn max_entry_len(&self) -> usize {
         self.max_entry_len
+    }
+
+    /// The instruction words of candidate `id`, read at its first window in
+    /// `occ` (the index's arena or a run's compacted copy of it: compaction
+    /// keeps some window of `id` at the head of its span).
+    fn words_of(&self, occ: &[u32], id: SeqId) -> &[u32] {
+        let p = occ[self.starts[id as usize] as usize] as usize;
+        &self.words[p..p + self.lens[id as usize] as usize]
+    }
+}
+
+/// Sort key grouping the window at `p` by its next word: ascending keys
+/// put the greatest word first and keep offsets ascending within a word.
+fn group_key(word: u32, p: usize) -> u64 {
+    (!word as u64) << 32 | p as u64
+}
+
+/// Sorts `keys` (see [`group_key`]) and pushes one pending group of window
+/// length `len` per distinct word, its offsets appended to `buf`.
+fn push_groups(
+    keys: &mut [u64],
+    buf: &mut Vec<u32>,
+    pending: &mut Vec<(usize, usize, usize)>,
+    len: usize,
+) {
+    keys.sort_unstable();
+    for group in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+        let start = buf.len();
+        buf.extend(group.iter().map(|&k| k as u32));
+        pending.push((start, buf.len(), len));
     }
 }
 
@@ -348,17 +356,26 @@ pub fn run_greedy(
     dict: &mut Dictionary,
     params: GreedyParams,
 ) -> Result<Vec<PickRecord>, CompressError> {
-    let mut index = CandidateIndex::build(model, params.max_entry_len)?;
-    // The index is owned and dies with this call, so the position lists
-    // move into the selector instead of being cloned entry by entry.
+    let index = CandidateIndex::build(model, params.max_entry_len)?;
+    Ok(run_owned(index, model, dict, params))
+}
+
+/// [`run_greedy`] against an index the caller built for this run alone:
+/// its arrays move into the selector instead of being cloned.
+pub(crate) fn run_owned(
+    mut index: CandidateIndex,
+    model: &mut ProgramModel,
+    dict: &mut Dictionary,
+    params: GreedyParams,
+) -> Vec<PickRecord> {
     let occ = std::mem::take(&mut index.occ);
-    Ok(run_core(&index, occ, model, dict, params, &BanSet::default()))
+    let live = std::mem::take(&mut index.compressible);
+    run_core(&index, occ, live, model, dict, params, &BanSet::default())
 }
 
 /// Runs greedy selection against a prebuilt (shared) [`CandidateIndex`],
-/// cloning only its flat position arena (two memcpys). The index must have
-/// been mined
-/// from a model with identical cell content, with a window cap ≥
+/// cloning only the flat arrays a run mutates. The index must have been
+/// mined from a model with identical cell content, with a window cap ≥
 /// `params.max_entry_len`; candidates longer than the run's cap are
 /// filtered at heap seeding, so the result is byte-identical to a fresh
 /// build at the smaller cap.
@@ -372,14 +389,7 @@ pub fn run_greedy_with(
     dict: &mut Dictionary,
     params: GreedyParams,
 ) -> Vec<PickRecord> {
-    assert!(
-        params.max_entry_len <= index.max_entry_len,
-        "index mined at max_entry_len {} cannot serve a run at {}",
-        index.max_entry_len,
-        params.max_entry_len
-    );
-    telemetry::GREEDY_INDEX_REUSES.inc();
-    run_core(index, index.occ.clone(), model, dict, params, &BanSet::default())
+    run_greedy_banned(index, model, dict, params, &BanSet::default())
 }
 
 /// [`run_greedy_with`] minus any candidate whose sequence content is in
@@ -404,117 +414,106 @@ pub fn run_greedy_banned(
         params.max_entry_len
     );
     telemetry::GREEDY_INDEX_REUSES.inc();
-    run_core(index, index.occ.clone(), model, dict, params, bans)
+    run_core(index, index.occ.clone(), index.compressible.clone(), model, dict, params, bans)
 }
 
+/// The selection loop. `occ` is the run's copy of the occurrence arena and
+/// `live` its copy of the per-cell compressible flags; both only shrink.
 fn run_core(
     index: &CandidateIndex,
-    mut occ: OccLists,
+    mut occ: Vec<u32>,
+    mut live: Vec<bool>,
     model: &mut ProgramModel,
     dict: &mut Dictionary,
     params: GreedyParams,
     bans: &BanSet,
 ) -> Vec<PickRecord> {
-    let interner = &index.interner;
-    // Exact seeding: before any replacement every indexed position is
-    // live, so one sequential counting pass yields each candidate's true
-    // initial savings. Candidates that start non-positive can never become
-    // acceptable (counts only shrink), so they never enter the heap — the
-    // tail of hopeless candidates is discarded here, in cache order,
-    // instead of one heap pop + recount at a time.
-    let mut seeds: Vec<HeapItem> = (0..interner.len() as SeqId)
-        .filter_map(|id| {
-            let len = interner.seq_len(id);
+    debug_assert_eq!(live.len(), model.blocks.iter().map(|b| b.cells.len()).sum::<usize>());
+    // Exact seeding: before any replacement every window is live, so the
+    // build-time counts are each candidate's true initial savings.
+    // Candidates that start non-positive can never become acceptable
+    // (counts only shrink), so they never enter the heap.
+    let seeds: Vec<HeapItem> = (0..index.candidates())
+        .filter_map(|i| {
+            let len = index.lens[i] as usize;
             if len > params.max_entry_len {
                 return None;
             }
-            if !bans.is_empty() && bans.contains(interner.words(id)) {
-                return None;
-            }
-            let n = effective_count_sorted(occ.list(id), len);
-            let savings = params.cost.savings_bits(len, n);
-            (savings > 0).then_some(HeapItem { savings, lex: 0, id })
+            let savings = params.cost.savings_bits(len, index.counts[i] as usize);
+            let id = i as SeqId;
+            (savings > 0 && !bans.contains(index.words_of(&occ, id))).then_some((savings, id))
         })
         .collect();
-    // Content-lexicographic ranks among the seeds only: tie-breaking never
-    // compares a heap member against a candidate that was filtered out, and
-    // the relative order of a subset equals its order under global ranks —
-    // so ranking the (much smaller) positive set reproduces the reference
-    // index's `Box<[u32]>` comparison without sorting the whole universe.
-    // Each entry carries its first two words packed into a u64 so almost
-    // every comparison resolves inside the sorted array; the packed order
-    // never contradicts slice order (a missing second word packs as 0, and
-    // any packed tie falls through to the full compare).
-    let mut order: Vec<(u64, u32)> = seeds
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let words = interner.words(s.id);
-            let key = (words[0] as u64) << 32 | words.get(1).copied().unwrap_or(0) as u64;
-            (key, i as u32)
-        })
-        .collect();
-    order.sort_unstable_by(|a, b| {
-        a.0.cmp(&b.0).then_with(|| {
-            interner.words(seeds[a.1 as usize].id).cmp(interner.words(seeds[b.1 as usize].id))
-        })
-    });
-    for (rank, &(_, i)) in order.iter().enumerate() {
-        seeds[i as usize].lex = rank as u32;
-    }
-    drop(order);
-    let mut heap: BinaryHeap<HeapItem> = BinaryHeap::from(seeds);
+    let mut heap = BinaryHeap::from(seeds);
+    // Each candidate's live windows are `occ[starts[id]..ends[id]]`.
+    let mut ends = index.starts[1..].to_vec();
+    // The entry whose codeword heads each cell, once replaced.
+    let mut heads = vec![NO_ENTRY; live.len()];
     let mut picks = Vec::new();
 
     while dict.len() < params.max_codewords {
-        let Some(top) = heap.pop() else { break };
+        let Some((top, id)) = heap.pop() else { break };
         telemetry::GREEDY_HEAP_POPS.inc();
-        let len = interner.seq_len(top.id);
-        // Lazy liveness: drop positions whose window lost a cell to an
-        // accepted replacement, then recount.
-        let dropped = occ.compact(top.id, |(b, p)| {
-            let cells = &model.blocks[b as usize].cells;
-            cells[p as usize..p as usize + len].iter().all(|c| c.compressible_word().is_some())
-        });
-        telemetry::GREEDY_WINDOW_REMOVES.add(dropped as u64);
-        let positions = occ.list(top.id);
-        let n = effective_count_sorted(positions, len);
+        let len = index.lens[id as usize] as usize;
+        // Lazy liveness: drop windows that lost a cell to an accepted
+        // replacement, then recount.
+        let (s, e) = (index.starts[id as usize] as usize, ends[id as usize] as usize);
+        let mut w = s;
+        for r in s..e {
+            let p = occ[r] as usize;
+            if live[p..p + len].iter().all(|&l| l) {
+                occ[w] = p as u32;
+                w += 1;
+            }
+        }
+        ends[id as usize] = w as u32;
+        telemetry::GREEDY_WINDOW_REMOVES.add((e - w) as u64);
+        let positions = &occ[s..w];
+        let n = effective_count(positions, len);
         let savings = params.cost.savings_bits(len, n);
-        debug_assert!(savings <= top.savings, "counts only decrease");
+        debug_assert!(savings <= top, "counts only decrease");
         if savings <= 0 {
             continue; // candidate dead; others may still be live
         }
-        if savings < top.savings {
+        if savings < top {
             telemetry::GREEDY_STALE_REINSERTS.inc();
-            heap.push(HeapItem { savings, ..top });
+            heap.push((savings, id));
             continue;
         }
 
         // Accept: replace every non-overlapping occurrence left to right.
-        // No index surgery — occurrences overlapping a replacement simply
-        // stop being live and are compacted away on their next recount.
-        let selected = select_positions_sorted(positions, len);
-        debug_assert_eq!(selected.len(), n);
-        let entry = dict.push(interner.words(top.id), n);
-        for &(b, p) in &selected {
-            apply_replacement(model, b as usize, p as usize, entry, len);
+        // No index surgery — windows overlapping a replacement simply stop
+        // being live and are compacted away on their next recount.
+        let entry = dict.push(index.words_of(&occ, id), n);
+        let mut next = 0;
+        for &p in positions {
+            let p = p as usize;
+            if p >= next {
+                live[p..p + len].fill(false);
+                heads[p] = entry;
+                next = p + len;
+            }
         }
+        debug_assert_eq!(positions.iter().filter(|&&p| heads[p as usize] == entry).count(), n);
         telemetry::GREEDY_PICKS_ACCEPTED.inc();
         telemetry::GREEDY_REPLACEMENTS.add(n as u64);
         picks.push(PickRecord { entry, len, replaced: n, savings_bits: savings });
     }
+    apply_replacements(model, &heads, dict);
     picks
 }
 
-/// Rejects programs whose (block, cell) positions would not fit the index's
-/// packed 32-bit coordinates. `max_len` headroom on the cell bound keeps
-/// the non-overlap scan's `p + len` arithmetic from wrapping.
+/// Rejects programs too large for the index's 32-bit fields: window
+/// offsets, arena indices, candidate ids and lengths are `u32`.
 ///
-/// The `total_cells` bound covers the interner: arena offsets and dense ids
-/// are `u32`, and in the worst case every window is a distinct sequence,
-/// appending `1 + 2 + … + max_len` words per start cell. Rejecting up front
-/// makes [`CompressError::ProgramTooLarge`] the only failure mode — mining
-/// can never silently truncate an offset.
+/// The `total_cells` bound covers them: in the worst case every window is a
+/// distinct sequence, so the candidates' summed lengths reach
+/// `1 + 2 + … + max_len` words per start cell, which bounds the window and
+/// candidate counts and, whenever there is a window at all, the cell count.
+/// The block bounds keep a (block, cell) coordinate within `u32` too, with
+/// `max_len` headroom so a cell index plus a window length cannot wrap.
+/// Rejecting up front makes [`CompressError::ProgramTooLarge`] the only
+/// failure mode — mining can never silently truncate an offset.
 fn check_position_space(
     blocks: usize,
     largest_block: usize,
@@ -531,120 +530,55 @@ fn check_position_space(
     Ok(())
 }
 
-/// Rewrites the window at (`b`, `p`) into codeword `entry` covering `len`
-/// instructions: one [`Cell::Code`] plus `len − 1` tombstones.
-fn apply_replacement(model: &mut ProgramModel, b: usize, p: usize, entry: u32, len: usize) {
-    let block = &mut model.blocks[b];
-    let orig = match block.cells[p] {
-        Cell::Insn { orig, .. } => orig,
-        _ => unreachable!("replacement target must be an instruction"),
-    };
-    block.cells[p] = Cell::Code { entry, orig, len };
-    for cell in &mut block.cells[p + 1..p + len] {
-        *cell = Cell::Dead;
+/// Rewrites the model from a run's `heads`: each cell heading an accepted
+/// occurrence becomes one [`Cell::Code`], the rest of that occurrence
+/// tombstones. One sequential pass, after selection.
+fn apply_replacements(model: &mut ProgramModel, heads: &[u32], dict: &Dictionary) {
+    let mut base = 0;
+    for block in &mut model.blocks {
+        let cells = &mut block.cells;
+        let mut c = 0;
+        while c < cells.len() {
+            let entry = heads[base + c];
+            if entry == NO_ENTRY {
+                c += 1;
+                continue;
+            }
+            let Cell::Insn { orig, .. } = cells[c] else {
+                unreachable!("replacement target must be an instruction")
+            };
+            let len = dict.entry(entry).len();
+            cells[c] = Cell::Code { entry, orig, len };
+            cells[c + 1..c + len].fill(Cell::Dead);
+            c += len;
+        }
+        base += cells.len();
     }
 }
 
-/// Greedy left-to-right non-overlapping occurrence count over positions
-/// sorted by (block, cell).
-pub(crate) fn effective_count_sorted(positions: &[Pos], len: usize) -> usize {
+/// Greedy left-to-right non-overlapping occurrence count over ascending
+/// window offsets.
+fn effective_count(positions: &[u32], len: usize) -> usize {
     if len == 1 {
         // Single-cell windows occupy distinct cells; none can overlap.
         return positions.len();
     }
     let mut n = 0;
-    let mut last: Option<(u32, u32)> = None; // (block, end)
-    for &(b, p) in positions {
-        if let Some((lb, end)) = last {
-            if lb == b && p < end {
-                continue;
-            }
+    let mut next = 0; // first offset a new occurrence may start at
+    for &p in positions {
+        if p as usize >= next {
+            n += 1;
+            next = p as usize + len;
         }
-        n += 1;
-        last = Some((b, p + len as u32));
     }
     n
-}
-
-/// The positions [`effective_count_sorted`] counted.
-pub(crate) fn select_positions_sorted(positions: &[Pos], len: usize) -> Vec<Pos> {
-    if len == 1 {
-        return positions.to_vec();
-    }
-    let mut out = Vec::new();
-    let mut last: Option<(u32, u32)> = None;
-    for &(b, p) in positions {
-        if let Some((lb, end)) = last {
-            if lb == b && p < end {
-                continue;
-            }
-        }
-        out.push((b, p));
-        last = Some((b, p + len as u32));
-    }
-    out
-}
-
-/// Mines candidate windows for the block range `b0..b1` into a fresh local
-/// interner + a flat `(candidate, position)` pair list. Run on worker
-/// threads by [`CandidateIndex::build`]. The run's words are staged in one
-/// reusable scratch buffer so every window is a borrowed subslice — no
-/// per-window allocation.
-fn mine_range(
-    model: &ProgramModel,
-    b0: usize,
-    b1: usize,
-    max_len: usize,
-) -> (SeqInterner, Vec<(SeqId, Pos)>) {
-    // Upper-bound the window count so neither the interner table nor the
-    // pair list rehashes/reallocates mid-mine.
-    let cells: usize = model.blocks[b0..b1].iter().map(|b| b.cells.len()).sum();
-    let windows = cells.saturating_mul(max_len);
-    let mut interner = SeqInterner::with_capacity(windows, 2);
-    let mut pairs: Vec<(SeqId, Pos)> = Vec::with_capacity(windows);
-    let mut scratch: Vec<u32> = Vec::new();
-    for (b, block) in model.blocks[b0..b1].iter().enumerate() {
-        for (start, end) in runs(&block.cells) {
-            scratch.clear();
-            scratch.extend(
-                block.cells[start..end].iter().map(|c| c.compressible_word().expect("run cell")),
-            );
-            for s in 0..scratch.len() {
-                let limit = max_len.min(scratch.len() - s);
-                let mut h = hash_seed();
-                for l in 1..=limit {
-                    h = hash_extend(h, scratch[s + l - 1]);
-                    let id = interner.intern(&scratch[s..s + l], h);
-                    pairs.push((id, ((b0 + b) as u32, (start + s) as u32)));
-                }
-            }
-        }
-    }
-    (interner, pairs)
-}
-
-/// Maximal runs of compressible instruction cells.
-pub(crate) fn runs(cells: &[Cell]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut start = None;
-    for (i, c) in cells.iter().enumerate() {
-        if c.compressible_word().is_some() {
-            if start.is_none() {
-                start = Some(i);
-            }
-        } else if let Some(s) = start.take() {
-            out.push((s, i));
-        }
-    }
-    if let Some(s) = start {
-        out.push((s, cells.len()));
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use codense_obj::ObjectModule;
     use codense_ppc::encode;
     use codense_ppc::insn::Insn;
@@ -731,9 +665,10 @@ mod tests {
     fn overlapping_occurrences_counted_non_overlapping() {
         // "aaaa": sequence [a,a] has raw occurrences at 0,1,2 but only 2
         // non-overlapping.
-        let positions: Vec<Pos> = vec![(0, 0), (0, 1), (0, 2)];
-        assert_eq!(effective_count_sorted(&positions, 2), 2);
-        assert_eq!(select_positions_sorted(&positions, 2), vec![(0, 0), (0, 2)]);
+        assert_eq!(effective_count(&[0, 1, 2], 2), 2);
+        assert_eq!(effective_count(&[0, 1, 2, 3], 2), 2);
+        assert_eq!(effective_count(&[0, 2, 3, 5], 2), 3);
+        assert_eq!(effective_count(&[0, 1, 2], 1), 3);
     }
 
     #[test]
@@ -869,9 +804,9 @@ mod tests {
 
     #[test]
     fn arena_capacity_guard() {
-        // The interner's arena offsets are u32; the worst case appends
-        // 1+2+…+max_len words per start cell. The boundary sits exactly at
-        // u32::MAX worst-case words.
+        // The index's arena offsets and ids are u32; in the worst case the
+        // candidates sum to 1+2+…+max_len words per start cell. The boundary
+        // sits exactly at u32::MAX worst-case words.
         let tri = 8 * 9 / 2;
         let fits = u32::MAX as usize / tri;
         assert!(check_position_space(1, fits, fits, 8).is_ok());
@@ -885,5 +820,170 @@ mod tests {
         let err =
             check_position_space(1, u32::MAX as usize - 1, u32::MAX as usize + 1, 1).unwrap_err();
         assert!(matches!(err, CompressError::ProgramTooLarge { .. }));
+    }
+
+    /// A seeded random model over a three-word alphabet: a few backward
+    /// branches cut it into blocks, and half the models carry a hotness
+    /// mask that makes about one cell in five incompressible.
+    fn random_model(rng: &mut codense_codegen::Rng) -> ProgramModel {
+        let len = rng.range(8, 120);
+        let mut code: Vec<u32> = (0..len).map(|_| w(rng.below(3) as i16)).collect();
+        for _ in 0..rng.below(6) {
+            let at = rng.below(len);
+            let target = rng.below(at + 1);
+            let li = ((target as i64 - at as i64) * 4) as i32;
+            code[at] = encode(&Insn::B { li, aa: false, lk: false });
+        }
+        let mut model = model_of(code);
+        if rng.below(2) == 1 {
+            for cell in model.blocks.iter_mut().flat_map(|b| &mut b.cells) {
+                if let Cell::Insn { compressible, .. } = cell {
+                    if rng.below(5) == 0 {
+                        *compressible = false;
+                    }
+                }
+            }
+        }
+        model
+    }
+
+    /// Every window of every compressible run up to `cap` long, by content:
+    /// each window's flat offset plus its (block, cell) position.
+    fn brute_force_windows(
+        model: &ProgramModel,
+        cap: usize,
+    ) -> BTreeMap<Vec<u32>, Vec<(u32, usize, usize)>> {
+        let mut out: BTreeMap<Vec<u32>, Vec<(u32, usize, usize)>> = BTreeMap::new();
+        let mut base = 0;
+        for (b, block) in model.blocks.iter().enumerate() {
+            for c in 0..block.cells.len() {
+                let mut seq = Vec::new();
+                for cell in block.cells[c..].iter().take(cap) {
+                    let Some(word) = cell.compressible_word() else { break };
+                    seq.push(word);
+                    out.entry(seq.clone()).or_default().push(((base + c) as u32, b, c));
+                }
+            }
+            base += block.cells.len();
+        }
+        out
+    }
+
+    /// The non-overlapping count over (block, cell) positions: windows
+    /// overlap only inside one block.
+    fn block_cell_count(positions: &[(u32, usize, usize)], len: usize) -> usize {
+        let mut n = 0;
+        let mut last: Option<(usize, usize)> = None;
+        for &(_, b, c) in positions {
+            if last.is_some_and(|(lb, end)| lb == b && c < end) {
+                continue;
+            }
+            n += 1;
+            last = Some((b, c + len));
+        }
+        n
+    }
+
+    #[test]
+    fn index_matches_brute_force_on_random_models() {
+        let mut rng = codense_codegen::Rng::new(0x51DE_C0DE);
+        for case in 0..64 {
+            let model = random_model(&mut rng);
+            for cap in 1..=8 {
+                let ctx = format!("case {case}, cap {cap}");
+                let index = CandidateIndex::build(&model, cap).unwrap();
+                let expected = brute_force_windows(&model, cap);
+                let list = |id: usize| {
+                    &index.occ[index.starts[id] as usize..index.starts[id + 1] as usize]
+                };
+                let words = |id: usize| index.words_of(&index.occ, id as SeqId);
+
+                // Ids ascend strictly in slice order of their words.
+                for id in 1..index.candidates() {
+                    assert!(words(id - 1) < words(id), "{ctx}: ids {} and {id}", id - 1);
+                }
+                // Every list ascends strictly, and every window appears
+                // exactly once, under its own content, counted as the
+                // (block, cell) overlap rule counts it.
+                let mut mined = BTreeMap::new();
+                for id in 0..index.candidates() {
+                    let positions = list(id);
+                    assert!(positions.windows(2).all(|p| p[0] < p[1]), "{ctx}: id {id}");
+                    let brute = &expected[words(id)];
+                    let len = index.lens[id] as usize;
+                    assert_eq!(len, words(id).len(), "{ctx}: id {id}");
+                    assert_eq!(index.counts[id] as usize, block_cell_count(brute, len), "{ctx}");
+                    mined.insert(words(id).to_vec(), positions.to_vec());
+                }
+                let flat: BTreeMap<Vec<u32>, Vec<u32>> = expected
+                    .iter()
+                    .map(|(seq, ps)| (seq.clone(), ps.iter().map(|p| p.0).collect()))
+                    .collect();
+                assert_eq!(mined, flat, "{ctx}");
+                // Candidate, word and window totals.
+                assert_eq!(index.candidates(), expected.len(), "{ctx}");
+                let words_total: usize = index.lens.iter().map(|&l| l as usize).sum();
+                assert_eq!(words_total, expected.keys().map(Vec::len).sum::<usize>(), "{ctx}");
+                assert_eq!(index.occ.len(), expected.values().map(Vec::len).sum::<usize>());
+            }
+        }
+    }
+
+    #[test]
+    fn equal_windows_meeting_at_a_block_boundary_both_count() {
+        // [a b | a b br]: the branch back to offset 2 starts a block there,
+        // so the two [a b] windows touch without overlapping, and no window
+        // spans the boundary.
+        let (a, b) = (w(1), w(2));
+        let br = encode(&Insn::B { li: -8, aa: false, lk: false });
+        let words = vec![a, b, a, b, br];
+        let model = model_of(words.clone());
+        let sizes: Vec<usize> = model.blocks.iter().map(|b| b.cells.len()).collect();
+        assert_eq!(sizes, [2, 3]);
+        let index = CandidateIndex::build(&model, 4).unwrap();
+        let find = |seq: &[u32]| {
+            (0..index.candidates()).find(|&id| index.words_of(&index.occ, id as SeqId) == seq)
+        };
+        assert_eq!(index.counts[find(&[a, b]).unwrap()], 2);
+        assert_eq!(find(&[b, a]), None);
+
+        let mut m1 = model;
+        let mut d1 = Dictionary::new();
+        let p1 = run_greedy_with(&index, &mut m1, &mut d1, baseline_params(4, 8));
+        assert_eq!(p1[0].replaced, 2);
+        let mut m2 = model_of(words);
+        let mut d2 = Dictionary::new();
+        let p2 = reference::run_greedy(&mut m2, &mut d2, baseline_params(4, 8));
+        assert_eq!(p1, p2);
+        assert_eq!(d1, d2);
+        assert!(m1.atoms().eq(m2.atoms()));
+    }
+
+    #[test]
+    fn caps_above_the_largest_block_mine_the_largest_block() {
+        let mut m = ObjectModule::new("t");
+        for i in 0..40 {
+            m.code.extend([w(i % 5), w(7), w(i % 3 + 20)]);
+            if i % 9 == 8 {
+                m.code.push(encode(&Insn::B { li: -8, aa: false, lk: false }));
+            }
+        }
+        let model = ProgramModel::build(&m);
+        let largest = model.blocks.iter().map(|b| b.cells.len()).max().unwrap();
+        // Unclamped, the guard would refuse this small program at 100000.
+        assert!(check_position_space(model.blocks.len(), largest, m.code.len(), 100_000).is_err());
+        let compress = |cap: usize| {
+            let config = crate::CompressionConfig {
+                max_entry_len: cap,
+                ..crate::CompressionConfig::nibble_aligned()
+            };
+            let c = crate::Compressor::new(config).compress(&m).unwrap();
+            (c.picks.clone(), crate::container::serialize(&c))
+        };
+        let at_largest = compress(largest);
+        assert!(!at_largest.0.is_empty());
+        for cap in [100_000, usize::MAX] {
+            assert_eq!(compress(cap), at_largest, "cap {cap}");
+        }
     }
 }

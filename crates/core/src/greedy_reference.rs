@@ -1,25 +1,26 @@
 //! The original `Box<[u32]>`-keyed occurrence index, kept verbatim as an
 //! executable specification of the greedy selector.
 //!
-//! This is the matchfinder the interned index (the parent module) replaced:
-//! it allocates a fresh boxed-slice HashMap key for every window on build,
-//! replacement, *and removal lookups*, and pays a `BTreeSet` node per
-//! occurrence. It survives for two reasons:
+//! This is the matchfinder the sort-mined index (the parent module)
+//! replaced: it allocates a fresh boxed-slice HashMap key for every window
+//! on build, replacement, *and removal lookups*, and pays a `BTreeSet` node
+//! per occurrence. It survives for two reasons:
 //!
-//! * the `matchfinder_equivalence` property suite asserts the interned
+//! * the `matchfinder_equivalence` property suite asserts the production
 //!   matchfinder produces a byte-identical pick log, dictionary, and
 //!   compressed image against it, across all encodings and hotness masks;
 //! * the `interner_telemetry` test runs it to show that
-//!   [`telemetry::GREEDY_REMOVAL_ALLOCS`] is live, so the interned index's
-//!   zero on that counter means something.
+//!   [`telemetry::GREEDY_REMOVAL_ALLOCS`] is live, so the production
+//!   index's zero on that counter means something.
 //!
 //! Its removal path increments [`telemetry::GREEDY_REMOVAL_ALLOCS`] once
-//! per boxed lookup key — the counter the interned index proves it never
-//! touches.
+//! per boxed lookup key — the counter the production index never touches.
+//! It names positions by (block, cell) and keeps its own overlap helpers,
+//! independent of the parent's flat offsets.
 
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
-use super::{effective_count_sorted, select_positions_sorted, GreedyParams, PickRecord};
+use super::{GreedyParams, PickRecord};
 use crate::dict::Dictionary;
 use crate::model::{Cell, ProgramModel};
 use crate::telemetry;
@@ -91,14 +92,22 @@ pub fn run_greedy(
 
 /// Greedy left-to-right non-overlapping occurrence count.
 fn effective_count(set: &BTreeSet<Pos>, len: usize) -> usize {
-    let positions: Vec<Pos> = set.iter().copied().collect();
-    effective_count_sorted(&positions, len)
+    select_positions(set, len).len()
 }
 
-/// The positions [`effective_count`] counted.
+/// The positions [`effective_count`] counted: left to right, skipping any
+/// that overlaps the last one taken in the same block.
 fn select_positions(set: &BTreeSet<Pos>, len: usize) -> Vec<Pos> {
-    let positions: Vec<Pos> = set.iter().copied().collect();
-    select_positions_sorted(&positions, len)
+    let mut out: Vec<Pos> = Vec::new();
+    for &(b, p) in set {
+        if let Some(&(lb, lp)) = out.last() {
+            if lb == b && (p as usize) < lp as usize + len {
+                continue;
+            }
+        }
+        out.push((b, p));
+    }
+    out
 }
 
 struct Index {
@@ -181,11 +190,30 @@ fn build_occ_range(
 ) -> HashMap<Seq, BTreeSet<Pos>> {
     let mut occ: HashMap<Seq, BTreeSet<Pos>> = HashMap::new();
     for (b, block) in model.blocks[b0..b1].iter().enumerate() {
-        for (start, end) in super::runs(&block.cells) {
+        for (start, end) in runs(&block.cells) {
             add_windows(&mut occ, &block.cells, (b0 + b) as u32, start, end, max_len);
         }
     }
     occ
+}
+
+/// Maximal runs of compressible instruction cells.
+fn runs(cells: &[Cell]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut start = None;
+    for (i, c) in cells.iter().enumerate() {
+        if c.compressible_word().is_some() {
+            if start.is_none() {
+                start = Some(i);
+            }
+        } else if let Some(s) = start.take() {
+            out.push((s, i));
+        }
+    }
+    if let Some(s) = start {
+        out.push((s, cells.len()));
+    }
+    out
 }
 
 /// Initial savings upper bound for a fresh candidate. Seeding only needs a
@@ -246,8 +274,8 @@ fn remove_windows(
         let mut words = Vec::with_capacity(limit);
         for l in 1..=limit {
             words.push(cells[s + l - 1].compressible_word().expect("run cell"));
-            // The removal-path allocation the interned index eliminates: a
-            // boxed key built just to *look up* an entry.
+            // The removal-path allocation the production index never
+            // makes: a boxed key built just to *look up* an entry.
             let key: Seq = words.clone().into_boxed_slice();
             telemetry::GREEDY_REMOVAL_ALLOCS.inc();
             if let Some(set) = occ.get_mut(&key) {

@@ -57,7 +57,6 @@ pub mod encoding;
 pub mod error;
 pub mod greedy;
 pub mod huffcode;
-pub mod intern;
 pub mod model;
 pub mod nibbles;
 pub mod parallel;

@@ -1,7 +1,7 @@
 //! Dictionary-selection strategies: the greedy fast path and an
 //! iterative-refinement hill climb.
 //!
-//! Greedy selection (PR 3's interned matchfinder) maximizes *immediate*
+//! Greedy selection (the sort-mined matchfinder) maximizes *immediate*
 //! savings under an estimated codeword size, but the estimate diverges from
 //! reality in two ways: variable-length codewords are priced at a worst
 //! practical case, and the layout pass adds branch-patching and
@@ -84,6 +84,7 @@ pub(crate) fn refine(
         Some(index) => index,
         None => {
             let model = c.build_masked_model(module, exempt);
+            let _phase = telemetry::phase("mine");
             owned = CandidateIndex::build(&model, c.config().max_entry_len)?;
             &owned
         }

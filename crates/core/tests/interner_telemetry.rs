@@ -1,7 +1,8 @@
-//! Proof (via the telemetry plane) that the interned matchfinder's removal
-//! and lookup paths never allocate: `greedy.removal_allocs` counts every
-//! boxed lookup key the reference index builds, and the interned index must
-//! leave it untouched.
+//! Proof (via the telemetry plane) that the production matchfinder never
+//! builds lookup keys: `greedy.removal_allocs` counts every boxed lookup key
+//! the reference index builds, and the sort-mined index, which drops dead
+//! windows lazily instead of removing them by content, must leave it
+//! untouched.
 //!
 //! This lives in its own integration-test binary so no other test's
 //! reference-engine run can pollute the process-global counter.
@@ -30,7 +31,7 @@ fn module() -> ObjectModule {
 fn interned_matchfinder_makes_zero_removal_allocations() {
     let m = module();
 
-    // The interned engine: many picks, zero removal-path allocations.
+    // The production engine: many picks, zero removal-path allocations.
     let before = telemetry::GREEDY_REMOVAL_ALLOCS.get();
     let c = Compressor::new(CompressionConfig::baseline())
         .with_matchfinder(MatchfinderKind::Interned)
@@ -40,10 +41,10 @@ fn interned_matchfinder_makes_zero_removal_allocations() {
     assert_eq!(
         telemetry::GREEDY_REMOVAL_ALLOCS.get(),
         before,
-        "interned matchfinder touched the removal-allocation path"
+        "production matchfinder touched the removal-allocation path"
     );
-    // It also mines through the interner (the arena counters fire) and
-    // never walks the reference window-remove path: windows die lazily.
+    // Its mining counters fire (distinct candidates and their summed
+    // lengths), and it never walks the reference window-remove path.
     assert!(telemetry::GREEDY_INTERNED_SEQS.get() > 0);
     assert!(telemetry::GREEDY_INTERNED_WORDS.get() >= telemetry::GREEDY_INTERNED_SEQS.get());
 

@@ -117,6 +117,24 @@ mod tests {
     }
 
     #[test]
+    fn any_wire_window_cap_is_servable() {
+        // One 300-cell block: a cap past it mines that block's length, so
+        // the largest wire value compresses exactly like a cap of 300
+        // instead of tripping the matchfinder's 32-bit guard.
+        let mut module = ObjectModule::new("t");
+        module.code = (0..300u32).map(|i| 0x3860_0000 | (i % 7)).collect(); // li r3, i % 7
+        let req = |max_entry_len| CompressRequest {
+            encoding: EncodingKind::NibbleAligned,
+            selector: codense_core::SelectorKind::Greedy,
+            max_entry_len,
+            max_codewords: 0,
+            module: codense_obj::serialize(&module),
+        };
+        let widest = process(&req(u16::MAX)).expect("cap u16::MAX");
+        assert_eq!(widest, process(&req(300)).unwrap());
+    }
+
+    #[test]
     fn unservable_codec_is_a_hard_typed_error() {
         let lzw = by_name("lzw").unwrap();
         assert!(lzw.kind.is_none());

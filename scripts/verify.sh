@@ -176,6 +176,12 @@ diff -u "$tmp/corpus-repro-1.counters" "$tmp/corpus-repro-8.counters"
 diff -u "$tmp/corpus-profile-1.counters" "$tmp/corpus-profile-8.counters"
 cmp "$tmp/corpus-profile-1.out.json" "$tmp/corpus-profile-8.out.json"
 
+echo "==> matchfinder equivalence at corpus scale (100K insns, both ISAs, nibble + huffman)"
+# The production matchfinder must give the reference engine's images, pick
+# logs and dictionaries on SPEC-scale programs too. The reference engine
+# makes this step release-only; the 10K variant runs in `cargo test`.
+cargo test -q --release -p codense-corpus --test matchfinder -- --ignored
+
 echo "==> benchmark toy tests (benchmark/ against the workspace crates it links)"
 # The repo benchmark is its own Cargo workspace, so no step above builds
 # it: an API change in a crate it links would otherwise surface only when
