@@ -9,7 +9,9 @@
 //! substrate: a set-associative I-cache model ([`Cache`]) plus a tracing
 //! fetch adapter ([`TracingFetch`]) that records the program-memory
 //! references a fetch engine actually makes, so compressed and uncompressed
-//! executions of the same kernel can be compared miss-for-miss.
+//! executions of the same kernel can be compared miss-for-miss. The same
+//! trace also drives the paper's §3.3 dictionary-cache model
+//! ([`replay_dict_cache`]).
 //!
 //! A compressed program touches fewer distinct bytes for the same executed
 //! instructions, so at equal cache size its miss count can only shrink —
@@ -27,7 +29,7 @@
 //! assert_eq!(cache.stats().misses, 2);
 //! ```
 
-use codense_core::telemetry;
+use codense_core::{telemetry, Atom, CompressedProgram};
 use codense_vm::{Fetch, FetchStats};
 
 /// Cache geometry. All three parameters must be powers of two and
@@ -206,6 +208,53 @@ pub fn replay(trace: &[FetchRef], cache: &mut Cache) {
         let end = (r.nibble_addr + r.nibbles).div_ceil(2);
         cache.access_range(start, end - start);
     }
+}
+
+/// Counters of a dictionary-cache replay ([`replay_dict_cache`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DictCacheStats {
+    /// Expansions whose dictionary entry was resident.
+    pub hits: u64,
+    /// Expansions that loaded their entry from data memory.
+    pub misses: u64,
+    /// Bytes of dictionary entries loaded on misses (4 per word).
+    pub bytes_loaded: u64,
+}
+
+/// Replays a compressed run's reference trace against the paper's §3.3
+/// dictionary cache: "if the dictionary is larger, it might be kept as a
+/// data segment of the compressed program and each dictionary entry could
+/// be loaded as needed".
+///
+/// Every traced fetch that read program memory at a codeword's address is
+/// one expansion of that codeword's entry (buffered deliveries read none).
+/// The cache holds `entries` dictionary entries (at least one) under LRU;
+/// a miss loads the whole entry.
+pub fn replay_dict_cache(
+    trace: &[FetchRef],
+    program: &CompressedProgram,
+    entries: usize,
+) -> DictCacheStats {
+    let capacity = entries.max(1);
+    // Resident entries, least recently used first.
+    let mut resident: Vec<u32> = Vec::new();
+    let mut stats = DictCacheStats::default();
+    for r in trace.iter().filter(|r| r.nibbles > 0) {
+        let Ok(i) = program.addresses.binary_search(&r.nibble_addr) else { continue };
+        let Atom::Codeword { entry, .. } = program.atoms[i] else { continue };
+        if let Some(pos) = resident.iter().position(|&e| e == entry) {
+            resident.remove(pos);
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
+            stats.bytes_loaded += 4 * program.dictionary.entry(entry).words.len() as u64;
+            if resident.len() == capacity {
+                resident.remove(0);
+            }
+        }
+        resident.push(entry);
+    }
+    stats
 }
 
 impl<F: Fetch> Fetch for TracingFetch<F> {

@@ -5,9 +5,9 @@
 //! aggregate ones, plus a strong per-program claim on the real benchmark
 //! images whose redundancy the scheme targets.
 
-use codense_cache::{replay, Cache, CacheConfig, FetchRef, TracingFetch};
+use codense_cache::{replay, replay_dict_cache, Cache, CacheConfig, FetchRef, TracingFetch};
 use codense_core::{CompressionConfig, Compressor};
-use codense_vm::{fetch::CompressedFetcher, kernels, machine::Machine, run::run, LinearFetcher};
+use codense_vm::{kernels, machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
 
 fn miss_counts(kernel: &codense_vm::kernels::Kernel, config: CacheConfig) -> (u64, u64) {
     let mut machine = Machine::new(1 << 20);
@@ -23,7 +23,7 @@ fn miss_counts(kernel: &codense_vm::kernels::Kernel, config: CacheConfig) -> (u6
         .expect("compress");
     let mut machine = Machine::new(1 << 20);
     kernel.apply_init(&mut machine);
-    let mut fetch = TracingFetch::new(CompressedFetcher::new(&compressed));
+    let mut fetch = TracingFetch::new(PredecodedFetcher::new(&compressed));
     let r2 = run(&mut machine, &mut fetch, 0, 10_000_000).expect("compressed run");
     assert_eq!(r1.exit_code, r2.exit_code);
     let mut cache = Cache::new(config);
@@ -108,4 +108,34 @@ fn trace_replay_is_deterministic() {
     replay(&a, &mut c1);
     replay(&b, &mut c2);
     assert_eq!(c1.stats(), c2.stats());
+}
+
+#[test]
+fn dictionary_cache_models_section_3_3() {
+    // §3.3: a small on-chip dictionary cache backed by the data segment.
+    // Bigger caches can only hit more, and an unbounded cache misses each
+    // used entry exactly once (cold loads).
+    let kernel = kernels::bubble_sort();
+    let compressed =
+        Compressor::new(CompressionConfig::nibble_aligned()).compress(&kernel.module).unwrap();
+    let mut machine = Machine::new(1 << 20);
+    kernel.apply_init(&mut machine);
+    let mut fetch = TracingFetch::new(PredecodedFetcher::new(&compressed));
+    let result = run(&mut machine, &mut fetch, 0, 1_000_000).unwrap();
+    assert_eq!(result.exit_code, kernel.expected);
+
+    let tiny = replay_dict_cache(fetch.trace(), &compressed, 1);
+    let small = replay_dict_cache(fetch.trace(), &compressed, 4);
+    let huge = replay_dict_cache(fetch.trace(), &compressed, 10_000);
+    for stats in [tiny, small, huge] {
+        assert_eq!(stats.hits + stats.misses, result.stats.codewords, "one touch per expansion");
+    }
+    assert!(small.misses <= tiny.misses);
+    assert!(huge.misses <= small.misses);
+    // Unbounded: one cold miss per distinct entry used.
+    assert!(huge.misses <= compressed.dictionary.len() as u64);
+    assert!(huge.bytes_loaded <= compressed.dictionary_bytes() as u64);
+    assert!(tiny.misses > huge.misses, "a one-entry cache must thrash on bubble_sort");
+    // The zero-entry request is clamped to one entry.
+    assert_eq!(replay_dict_cache(fetch.trace(), &compressed, 0), tiny);
 }

@@ -35,6 +35,9 @@ fn main() -> ExitCode {
         }
     };
     let command = args.first().cloned().unwrap_or_else(|| "help".to_owned());
+    if !matches!(command.as_str(), "serve" | "loadgen" | "loadsweep") {
+        restore_default_sigpipe();
+    }
     let result = match args.first().map(String::as_str) {
         Some("help") | None => {
             print!("{}", USAGE);
@@ -61,6 +64,23 @@ fn main() -> ExitCode {
             eprintln!("codense: {e}");
             ExitCode::from(2)
         }
+    }
+}
+
+/// Restores the default SIGPIPE disposition, which the Rust runtime sets to
+/// "ignore" before `main`, so a reader that closes the pipe early (`codense
+/// disasm … | head`) ends the process quietly, as with any Unix filter,
+/// instead of making `println!` panic. The network commands keep SIGPIPE
+/// ignored: their sockets and wake pipe must see a vanished peer as an error.
+fn restore_default_sigpipe() {
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        // SIGPIPE is 13 and SIG_DFL is 0 on Linux, macOS and the BSDs.
+        // SAFETY: installs the default disposition, before any thread exists.
+        unsafe { signal(13, 0) };
     }
 }
 
@@ -1332,9 +1352,7 @@ fn parse_seed(v: &str) -> Result<u64, String> {
 }
 
 fn cmd_run_kernel(args: &Args) -> CliResult {
-    use codense_vm::{
-        fetch::CompressedFetcher, kernels, machine::Machine, run::run, LinearFetcher,
-    };
+    use codense_vm::{kernels, machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
     let name = args.positional(0).ok_or("run-kernel: missing kernel name (try `list`)")?;
     let all = kernels::all();
     if name == "list" {
@@ -1360,7 +1378,7 @@ fn cmd_run_kernel(args: &Args) -> CliResult {
             CompressionConfig { max_entry_len: 4, max_codewords: kind.capacity(), encoding: kind };
         let compressed =
             Compressor::new(config).compress(&kernel.module).map_err(|e| e.to_string())?;
-        let mut fetch = CompressedFetcher::new(&compressed);
+        let mut fetch = PredecodedFetcher::new(&compressed);
         run(&mut machine, &mut fetch, 0, 100_000_000).map_err(|e| e.to_string())?
     };
     println!(

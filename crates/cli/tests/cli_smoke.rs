@@ -238,3 +238,34 @@ fn disasm_renders_compressed_streams() {
     assert!(text.contains("=>"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn disasm_exits_quietly_when_its_reader_closes_early() {
+    // `codense disasm … | head -1`: the reader takes one line and closes
+    // the pipe while more than a pipe buffer (64 KiB) of output is pending.
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let dir = tmpdir("dis-pipe");
+    bin().args(["gen", "compress", "-o", dir.to_str().unwrap()]).status().unwrap();
+    let cdm = dir.join("compress.cdm");
+    let cdns = dir.join("compress.cdns");
+    bin().args(["compress", cdm.to_str().unwrap(), "-o", cdns.to_str().unwrap()]).status().unwrap();
+    let full = bin().args(["disasm", cdns.to_str().unwrap(), "0", "100000"]).output().unwrap();
+    assert!(full.stdout.len() > 64 << 10, "only {} bytes of output", full.stdout.len());
+
+    let mut child = bin()
+        .args(["disasm", cdns.to_str().unwrap(), "0", "100000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut line).unwrap();
+    assert!(!line.is_empty());
+    // The reader is dropped here, closing the pipe.
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -56,7 +56,8 @@ fn corpus_lockstep_all_isas_all_encodings() {
 /// engines run in the compressed fetch domain, so even link values agree).
 #[test]
 fn corpus_predecoded_matches_reparse_ppc() {
-    use codense_vm::{run, run_predecoded, CompressedFetcher, PredecodedFetcher};
+    use codense_vm::fetch_reference::CompressedFetcher;
+    use codense_vm::{run, run_predecoded, PredecodedFetcher};
 
     let p = build(&spec(), CorpusIsa::Ppc).expect("build");
     for (label, config) in encodings() {
@@ -83,7 +84,8 @@ fn corpus_predecoded_matches_reparse_ppc() {
 /// MIPS counterpart of [`corpus_predecoded_matches_reparse_ppc`].
 #[test]
 fn corpus_predecoded_matches_reparse_mips() {
-    use codense_vm::{run, run_predecoded, CompressedFetcher, PredecodedFetcher};
+    use codense_vm::fetch_reference::CompressedFetcher;
+    use codense_vm::{run, run_predecoded, PredecodedFetcher};
 
     let p = build(&spec(), CorpusIsa::Mips).expect("build");
     for (label, config) in encodings() {

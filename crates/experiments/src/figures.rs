@@ -391,9 +391,7 @@ pub fn methods(ctx: &mut Ctx) {
 
 /// Extension: fetch-bandwidth effect measured on the runnable kernels.
 pub fn bandwidth(_ctx: &mut Ctx) {
-    use codense_vm::{
-        fetch::CompressedFetcher, kernels, machine::Machine, run::run, LinearFetcher,
-    };
+    use codense_vm::{kernels, machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
     println!("Extension: program-memory bits fetched per executed instruction");
     println!("(compressed fetch amortizes codeword bits over expanded instructions)\n");
     let mut t = Table::new(["kernel", "uncompressed b/insn", "nibble b/insn", "exit ok"]);
@@ -408,7 +406,7 @@ pub fn bandwidth(_ctx: &mut Ctx) {
             .expect("compress kernel");
         let mut m2 = Machine::new(1 << 20);
         k.apply_init(&mut m2);
-        let mut cf = CompressedFetcher::new(&c);
+        let mut cf = PredecodedFetcher::new(&c);
         let r2 = run(&mut m2, &mut cf, 0, 10_000_000).expect("compressed run");
 
         t.row([
@@ -449,9 +447,7 @@ pub fn thumb(ctx: &mut Ctx) {
 /// Extension (§1/§5, [Chen97b]): I-cache misses, compressed vs uncompressed.
 pub fn cache(_ctx: &mut Ctx) {
     use codense_cache::{Cache, CacheConfig, TracingFetch};
-    use codense_vm::{
-        fetch::CompressedFetcher, kernels, machine::Machine, run::run, LinearFetcher,
-    };
+    use codense_vm::{kernels, machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
     println!("Extension: I-cache misses executing kernels (16B lines, direct-mapped)");
     println!("(compression shrinks the code working set; [Chen97b]'s premise)\n");
     let sizes = [64usize, 128, 256, 512];
@@ -463,23 +459,21 @@ pub fn cache(_ctx: &mut Ctx) {
         let compressed = Compressor::new(CompressionConfig::nibble_aligned())
             .compress(&kernel.module)
             .expect("compress kernel");
+        let mut machine = Machine::new(1 << 20);
+        kernel.apply_init(&mut machine);
+        let mut plain = TracingFetch::new(LinearFetcher::new(kernel.module.code.clone()));
+        run(&mut machine, &mut plain, 0, 10_000_000).expect("plain run");
+        let mut machine = Machine::new(1 << 20);
+        kernel.apply_init(&mut machine);
+        let mut comp = TracingFetch::new(PredecodedFetcher::new(&compressed));
+        run(&mut machine, &mut comp, 0, 10_000_000).expect("compressed run");
+
         let mut row = vec![kernel.name.to_string()];
         for &size in &sizes {
             let config = CacheConfig { size_bytes: size, line_bytes: 16, ways: 1 };
-            let mut machine = Machine::new(1 << 20);
-            kernel.apply_init(&mut machine);
-            let mut plain = TracingFetch::new(LinearFetcher::new(kernel.module.code.clone()));
-            run(&mut machine, &mut plain, 0, 10_000_000).expect("plain run");
-            let mut c1 = Cache::new(config);
+            let (mut c1, mut c2) = (Cache::new(config), Cache::new(config));
             plain.replay(&mut c1);
-
-            let mut machine = Machine::new(1 << 20);
-            kernel.apply_init(&mut machine);
-            let mut comp = TracingFetch::new(CompressedFetcher::new(&compressed));
-            run(&mut machine, &mut comp, 0, 10_000_000).expect("compressed run");
-            let mut c2 = Cache::new(config);
             comp.replay(&mut c2);
-
             row.push(format!("{}/{}", c1.stats().misses, c2.stats().misses));
         }
         t.row(row);
@@ -557,9 +551,10 @@ pub fn partition(ctx: &mut Ctx) {
 }
 
 /// Extension (§3.3): on-demand dictionary cache instead of a fully on-chip
-/// dictionary.
+/// dictionary, replayed over each kernel's fetch trace.
 pub fn dictcache(_ctx: &mut Ctx) {
-    use codense_vm::{fetch::CompressedFetcher, kernels, machine::Machine, run::run};
+    use codense_cache::{replay_dict_cache, TracingFetch};
+    use codense_vm::{kernels, machine::Machine, run::run, PredecodedFetcher};
     println!("Extension: dictionary kept in data memory, cached on chip (paper §3.3)");
     println!("(hit rate and load traffic per dictionary-cache size, nibble scheme)\n");
     let sizes = [2usize, 4, 8, 16];
@@ -571,16 +566,16 @@ pub fn dictcache(_ctx: &mut Ctx) {
         let compressed = Compressor::new(CompressionConfig::nibble_aligned())
             .compress(&kernel.module)
             .expect("compress kernel");
+        let mut machine = Machine::new(1 << 20);
+        kernel.apply_init(&mut machine);
+        let mut fetch = TracingFetch::new(PredecodedFetcher::new(&compressed));
+        run(&mut machine, &mut fetch, 0, 10_000_000).expect("run");
         let mut row = vec![kernel.name.to_string()];
         for &size in &sizes {
-            let mut machine = Machine::new(1 << 20);
-            kernel.apply_init(&mut machine);
-            let mut fetch = CompressedFetcher::new(&compressed).with_dict_cache(size);
-            let stats = run(&mut machine, &mut fetch, 0, 10_000_000).expect("run").stats;
-            let total = stats.dict_hits + stats.dict_misses;
-            let hit =
-                if total == 0 { 100.0 } else { 100.0 * stats.dict_hits as f64 / total as f64 };
-            row.push(format!("{hit:.0}%/{}", stats.dict_bytes_loaded));
+            let stats = replay_dict_cache(fetch.trace(), &compressed, size);
+            let total = stats.hits + stats.misses;
+            let hit = if total == 0 { 100.0 } else { 100.0 * stats.hits as f64 / total as f64 };
+            row.push(format!("{hit:.0}%/{}", stats.bytes_loaded));
         }
         t.row(row);
     }

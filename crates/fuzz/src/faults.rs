@@ -3,7 +3,7 @@
 //! The contract under test is the *no-panic decoder policy*: feeding any
 //! byte soup to `codense_core::container::deserialize`,
 //! `codense_obj::deserialize`, the nibble-stream parser, or a
-//! [`CompressedFetcher`] booted from a corrupt-but-checksummed image must
+//! [`PredecodedFetcher`] booted from a corrupt-but-checksummed image must
 //! produce a typed error (or a well-formed value) — never a panic, a hang,
 //! or an out-of-bounds read. Each battery mutates a valid artifact (bit
 //! flips, truncations, splices, extensions, and flips with the trailing
@@ -19,7 +19,7 @@ use codense_core::nibbles::NibbleReader;
 use codense_core::{CompressedProgram, CompressionConfig, Compressor, EncodingKind, HuffCode};
 use codense_isa::IsaRef;
 use codense_obj::ObjectModule;
-use codense_vm::fetch::CompressedFetcher;
+use codense_vm::fetch::PredecodedFetcher;
 
 /// Tally of one fault-injection battery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,7 +109,7 @@ pub fn corrupt(bytes: &[u8], rng: &mut Rng) -> Vec<u8> {
 /// halt, typed fault, budget exhaustion — is acceptable; only a panic is
 /// not.
 fn bounded_run(image: &container::ProgramImage, isa: IsaRef, max_steps: u64) {
-    let mut fetcher = CompressedFetcher::from_image_with(image, isa);
+    let mut fetcher = PredecodedFetcher::from_image_with(image, isa);
     let _ = codense_vm::run(&mut *isa.new_core(1 << 16), &mut fetcher, 0, max_steps);
 }
 

@@ -1,22 +1,23 @@
 //! The differential-execution oracle.
 //!
 //! Runs one program twice in lockstep — once through the native
-//! [`LinearFetcher`], once through the [`CompressedFetcher`] — and compares
-//! the *full architectural trace*, not just the final state: every step
-//! checks the compressed PC against the atom map, the fetched instruction
-//! word (normalized for branch-offset patching), every unmasked GPR, the
-//! core's flags, and the control-flow outcome kind. Memory is compared at
-//! halt. The oracle only speaks [`Core`] and [`codense_isa::Isa`], so it is
-//! the same for every backend; the only per-ISA input is the [`TraceMask`]
-//! naming the registers that legitimately hold fetch-domain addresses (link
-//! values, loaded jump-table entries). Those differ between the two
-//! machines by design; their effects are still checked because calls,
-//! returns, and table dispatches land on atoms the PC check validates.
+//! [`LinearFetcher`], once through the compressed [`PredecodedFetcher`] —
+//! and compares the *full architectural trace*, not just the final state:
+//! every step checks the compressed PC against the atom map, the fetched
+//! instruction word (normalized for branch-offset patching), every unmasked
+//! GPR, the core's flags, and the control-flow outcome kind. Memory is
+//! compared at halt. The oracle only speaks [`Core`] and
+//! [`codense_isa::Isa`], so it is the same for every backend; the only
+//! per-ISA input is the [`TraceMask`] naming the registers that
+//! legitimately hold fetch-domain addresses (link values, loaded jump-table
+//! entries). Those differ between the two machines by design; their
+//! effects are still checked because calls, returns, and table dispatches
+//! land on atoms the PC check validates.
 
 use codense_core::CompressedProgram;
 use codense_isa::IsaRef;
 use codense_obj::ObjectModule;
-use codense_vm::fetch::{CompressedFetcher, Fetch, LinearFetcher};
+use codense_vm::fetch::{Fetch, LinearFetcher, PredecodedFetcher};
 use codense_vm::machine::{Core, MachineError, Outcome};
 
 /// What a lockstep comparison ignores.
@@ -184,8 +185,8 @@ fn seed_tables<C: Core + ?Sized>(
     Ok(())
 }
 
-/// Runs the differential oracle with the default (faithful) compressed
-/// fetcher. See [`lockstep_with`] for the full contract.
+/// Runs the differential oracle with the program's own compressed fetcher.
+/// See [`lockstep_with`] for the full contract.
 ///
 /// # Errors
 ///
@@ -198,7 +199,7 @@ pub fn lockstep<C: Core + ?Sized>(
     mask: &TraceMask,
     max_steps: u64,
 ) -> Result<LockstepOk, Divergence> {
-    let fetcher = CompressedFetcher::new(compressed);
+    let fetcher = PredecodedFetcher::new(compressed);
     lockstep_with(fetcher, module, compressed, table_addrs, boot, mask, max_steps)
 }
 
@@ -219,7 +220,7 @@ pub fn lockstep<C: Core + ?Sized>(
 /// generated programs terminate by construction, so a budget overrun means
 /// one trace stopped making progress.
 pub fn lockstep_with<C: Core + ?Sized>(
-    comp_fetch: CompressedFetcher,
+    comp_fetch: PredecodedFetcher,
     module: &ObjectModule,
     compressed: &CompressedProgram,
     table_addrs: &[u32],
@@ -480,7 +481,7 @@ mod tests {
             assert!(!image.dictionary_by_rank.is_empty());
             // Flip a register bit in the hottest dictionary entry's first word.
             image.dictionary_by_rank[0][0] ^= 1 << 16;
-            let bad = CompressedFetcher::from_image_with(&image, isa);
+            let bad = PredecodedFetcher::from_image_with(&image, isa);
             let boot = || isa.new_core(1 << 16);
             let err = lockstep_with(bad, &m, &c, &[], &boot, &TraceMask::default(), 10_000)
                 .expect_err("corruption must be caught");

@@ -13,7 +13,7 @@ use codense_core::{
 };
 use codense_isa::IsaRef;
 use codense_obj::{BasicBlocks, ObjectModule};
-use codense_vm::fetch::CompressedFetcher;
+use codense_vm::fetch::PredecodedFetcher;
 
 use crate::faults::{
     container_battery, entropy_decoder_battery, module_battery, nibble_soup_battery, FaultReport,
@@ -98,7 +98,7 @@ fn check(
     target: &dyn Target,
     built: &BuiltProgram,
     compressed: &CompressedProgram,
-    fetcher: CompressedFetcher,
+    fetcher: PredecodedFetcher,
     max_steps: u64,
 ) -> Result<LockstepOk, Divergence> {
     telemetry::FUZZ_LOCKSTEP_RUNS.inc();
@@ -178,7 +178,7 @@ fn run_case(opts: &FuzzOptions, case: usize) -> CaseOutcome {
                 out.failures.push(format!("{tag} verify error: {e}"));
                 continue;
             }
-            let fetcher = CompressedFetcher::new(&compressed);
+            let fetcher = PredecodedFetcher::new(&compressed);
             match check(target, &built, &compressed, fetcher, opts.max_steps) {
                 Ok(LockstepOk::Completed { .. }) => out.completed[pass][ei] += 1,
                 Ok(LockstepOk::Faulted { .. }) => out.agreed_faults += 1,
@@ -231,7 +231,7 @@ fn diverges(
     let Ok(compressed) = compress(isa, &built.module, config, exempt.as_deref()) else {
         return false;
     };
-    check(target, &built, &compressed, CompressedFetcher::new(&compressed), max_steps).is_err()
+    check(target, &built, &compressed, PredecodedFetcher::new(&compressed), max_steps).is_err()
 }
 
 /// Result of a fuzz campaign.
@@ -322,7 +322,7 @@ fn hybrid_smoke(target: &dyn Target, max_steps: u64) -> (String, usize) {
     if let Err(e) = verify::verify(&built.module, &hybrid) {
         return (format!("self-test: FAILED - hybrid smoke verify: {e}"), 1);
     }
-    match check(target, &built, &hybrid, CompressedFetcher::new(&hybrid), max_steps) {
+    match check(target, &built, &hybrid, PredecodedFetcher::new(&hybrid), max_steps) {
         Ok(_) => (
             format!(
                 "self-test: hybrid smoke ok ({} of {} insns exempt)",
@@ -350,7 +350,7 @@ fn detectable_rank(
     for rank in 0..compressed.dictionary.len() as u32 {
         let mut image = compressed.to_image();
         image.dictionary_by_rank[rank as usize][0] ^= 1 << 21;
-        let fetcher = CompressedFetcher::from_image_with(&image, isa);
+        let fetcher = PredecodedFetcher::from_image_with(&image, isa);
         if let Err(d) = check(target, &built, &compressed, fetcher, max_steps) {
             return Some((rank, d.kind.to_string()));
         }

@@ -3,7 +3,7 @@
 use codense_core::{telemetry, CompressError, CompressionConfig, Compressor, EncodingKind};
 use codense_obj::BasicBlocks;
 use codense_vm::kernels::Kernel;
-use codense_vm::{run, run_traced, CompressedFetcher, LinearFetcher, MachineError};
+use codense_vm::{run, run_traced, LinearFetcher, MachineError, PredecodedFetcher};
 
 use crate::artifact::{BlockStat, FetchEvents, Profile};
 use crate::subject::Subject;
@@ -111,7 +111,7 @@ pub fn collect_subject(
         CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
     let compressed = Compressor::new(config).compress(&subject.module)?;
     let mut cmachine = subject.machine_compressed(&compressed);
-    let mut cfetch = CompressedFetcher::new(&compressed);
+    let mut cfetch = PredecodedFetcher::new(&compressed);
     let creference = run(&mut cmachine, &mut cfetch, 0, max_steps)?;
     if creference.exit_code != subject.expected {
         return Err(ProfileError::WrongExit { got: creference.exit_code, want: subject.expected });

@@ -18,7 +18,7 @@
 use codense_cache::{Cache, CacheConfig, TracingFetch};
 use codense_core::CompressedProgram;
 use codense_vm::kernels::Kernel;
-use codense_vm::{run, CompressedFetcher, LinearFetcher};
+use codense_vm::{run, LinearFetcher, PredecodedFetcher};
 
 use crate::collect::ProfileError;
 use crate::subject::Subject;
@@ -178,7 +178,7 @@ pub fn score_compressed_subject(
     max_steps: u64,
 ) -> Result<Score, ProfileError> {
     let mut machine = subject.machine_compressed(program);
-    let mut fetch = TracingFetch::new(CompressedFetcher::new(program));
+    let mut fetch = TracingFetch::new(PredecodedFetcher::new(program));
     let result = run(&mut machine, &mut fetch, 0, max_steps)?;
     if result.exit_code != subject.expected {
         return Err(ProfileError::WrongExit { got: result.exit_code, want: subject.expected });

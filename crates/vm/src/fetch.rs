@@ -1,25 +1,22 @@
-//! Instruction fetch engines: the two paths of the paper's Fig 3, plus the
-//! predecoded fast path that makes SPEC-scale programs runnable.
+//! Instruction fetch engines: the two paths of the paper's Fig 3.
 //!
 //! [`LinearFetcher`] is the ordinary processor front end: the PC advances 8
-//! nibbles (one word) per instruction. [`CompressedFetcher`] is the modified
-//! front end: it parses the packed compressed image nibble by nibble,
-//! detects escape prefixes, and expands codewords through the on-chip
-//! dictionary into an expansion buffer that feeds the core one instruction
-//! at a time. It re-parses the stream on every fetch — faithful to the
-//! hardware model and the reference against which everything else is
-//! checked, but too slow for multi-million-step corpus runs.
-//!
-//! [`PredecodedFetcher`] is the fast path: a decoded-item cache keyed by
-//! compressed-stream (nibble) offset. The first fetch of an item parses it
-//! exactly as [`CompressedFetcher`] would and caches the outcome — the
+//! nibbles (one word) per instruction. [`PredecodedFetcher`] is the
+//! modified front end: escape detection plus a dictionary expansion buffer
+//! that feeds the core one instruction at a time, behind a decoded-item
+//! cache keyed by compressed-stream (nibble) offset. The first fetch of an
+//! item parses it from the packed image and caches the outcome — the
 //! delivered words, the item kind, and the nibbles it consumes; every later
 //! fetch of that offset replays the cache with no parsing, no dictionary
-//! copy, and no allocation. Faults are never cached. The engine is
-//! byte-exact with [`CompressedFetcher`]: same delivered stream, same
-//! [`FetchStats`], same telemetry counters (`vm_fetch_*`), so the cycle
-//! model and `BENCH_hybrid.json` stay valid. [`crate::run::run_predecoded`]
-//! drives it with a threaded dispatch loop that also hoists instruction
+//! copy, and no allocation. Faults are never cached.
+//!
+//! The engine is byte-exact with the re-parsing specification in
+//! [`crate::fetch_reference`], which parses the stream on every fetch: same
+//! delivered stream, same [`FetchStats`], same telemetry counters
+//! (`vm.fetch.*`), so the cycle model and `BENCH_hybrid.json` read the same
+//! numbers. Its [`Fetch`] impl serves the generic loop
+//! ([`crate::run::run`]); [`crate::run::run_predecoded`] drives the same
+//! cache with a threaded dispatch loop that also hoists instruction
 //! *decode* out of the step cycle (see [`codense_isa::PredecodeCore`]).
 //!
 //! Fetch engines deliver raw instruction *words* — decode belongs to the
@@ -29,6 +26,7 @@
 //! All engines report [`FetchStats`], making the fetch-bandwidth effect of
 //! compression measurable (the I-cache angle of [Chen97]).
 
+use codense_core::container::ProgramImage;
 use codense_core::encoding::{read_item_coded, Item};
 use codense_core::nibbles::NibbleReader;
 use codense_core::{telemetry, CompressedProgram, HuffCode};
@@ -47,13 +45,6 @@ pub struct FetchStats {
     pub codewords: u64,
     /// Instructions delivered out of dictionary expansions.
     pub expanded_insns: u64,
-    /// Dictionary-cache hits (only counted when a dictionary cache is
-    /// configured; see [`CompressedFetcher::with_dict_cache`]).
-    pub dict_hits: u64,
-    /// Dictionary-cache misses.
-    pub dict_misses: u64,
-    /// Bytes of dictionary entries loaded from data memory on misses.
-    pub dict_bytes_loaded: u64,
     /// Nibble-PC realignments: control transfers into the packed stream at
     /// an address that is not word-aligned, forcing the fetch unit to
     /// realign mid-word (sequential flow streams and never realigns).
@@ -137,207 +128,7 @@ impl Fetch for LinearFetcher {
     }
 }
 
-/// The compressed-program fetch path: escape detection, dictionary
-/// expansion buffer, nibble-granular PC.
-///
-/// Sequential flow inside an expanded codeword keeps the PC at the
-/// codeword's address while the buffer drains; branches always target
-/// codeword boundaries (guaranteed by the compressor), which flush the
-/// buffer.
-#[derive(Debug, Clone)]
-pub struct CompressedFetcher {
-    image: Vec<u8>,
-    encoding: codense_core::EncodingKind,
-    /// The ISA whose escape bytes introduce stream items.
-    isa: IsaRef,
-    /// Dictionary entries by codeword rank.
-    by_rank: Vec<Vec<u32>>,
-    /// Canonical Huffman decode table, rebuilt from codeword lengths
-    /// ([`codense_core::EncodingKind::Huffman`] programs only). `None` for
-    /// other encodings — or when a container carried unusable lengths, in
-    /// which case every fetch faults instead of panicking.
-    huffman: Option<HuffCode>,
-    /// Remaining instructions of the codeword being drained.
-    buffer: Vec<u32>,
-    /// Position within the draining codeword.
-    buffer_pos: usize,
-    /// PC the buffer belongs to.
-    buffer_pc: u64,
-    /// Address of the atom following the buffered codeword.
-    after_buffer: u64,
-    /// Optional on-demand dictionary cache (the paper's §3.3 alternative to
-    /// a fully on-chip dictionary): capacity in entries, plus the resident
-    /// set in LRU order (most recent last). `None` = whole dictionary
-    /// on-chip, no load traffic.
-    dict_cache: Option<(usize, Vec<u32>)>,
-    /// `next_pc` of the previous delivery, for realignment detection:
-    /// a fetch anywhere else is a control transfer. `u64::MAX` before the
-    /// first fetch (entry is conventionally aligned at 0).
-    expect_pc: u64,
-    stats: FetchStats,
-}
-
-impl CompressedFetcher {
-    /// Builds the fetch engine from a compressed program (the image and the
-    /// dictionary; atoms/addresses are not consulted — the engine parses
-    /// the byte image exactly as hardware would). The program's ISA is used
-    /// for escape detection.
-    pub fn new(program: &CompressedProgram) -> CompressedFetcher {
-        let mut by_rank = vec![Vec::new(); program.dictionary.len()];
-        for rank in 0..program.dictionary.len() as u32 {
-            let entry = program.dictionary.entry_of_rank(rank);
-            by_rank[rank as usize] = program.dictionary.entry(entry).words.clone();
-        }
-        CompressedFetcher {
-            image: program.image.clone(),
-            encoding: program.encoding,
-            isa: program.isa,
-            by_rank,
-            huffman: program.huffman.clone(),
-            buffer: Vec::new(),
-            buffer_pos: 0,
-            buffer_pc: u64::MAX,
-            after_buffer: 0,
-            dict_cache: None,
-            expect_pc: u64::MAX,
-            stats: FetchStats::default(),
-        }
-    }
-
-    /// Builds the fetch engine from a deserialized container image (see
-    /// `codense_core::container`): what a real decoder boots from. The
-    /// container format does not record an ISA; this assumes PowerPC (see
-    /// [`from_image_with`](Self::from_image_with)).
-    pub fn from_image(image: &codense_core::container::ProgramImage) -> CompressedFetcher {
-        CompressedFetcher::from_image_with(image, IsaRef(&codense_ppc::ISA))
-    }
-
-    /// Like [`from_image`](Self::from_image), for an explicit target ISA.
-    pub fn from_image_with(
-        image: &codense_core::container::ProgramImage,
-        isa: IsaRef,
-    ) -> CompressedFetcher {
-        CompressedFetcher {
-            image: image.image.clone(),
-            encoding: image.encoding,
-            isa,
-            by_rank: image.dictionary_by_rank.clone(),
-            // Hostile or absent lengths yield `None`; Huffman fetches then
-            // fault rather than panic.
-            huffman: HuffCode::from_nibble_lengths(image.huffman_lengths.clone()),
-            buffer: Vec::new(),
-            buffer_pos: 0,
-            buffer_pc: u64::MAX,
-            after_buffer: 0,
-            dict_cache: None,
-            expect_pc: u64::MAX,
-            stats: FetchStats::default(),
-        }
-    }
-
-    /// Configures an on-demand dictionary cache of `entries` slots (LRU).
-    ///
-    /// Models the paper's §3.3 alternative: "if the dictionary is larger,
-    /// it might be kept as a data segment of the compressed program and
-    /// each dictionary entry could be loaded as needed". Expansions of
-    /// uncached entries count [`FetchStats::dict_misses`] and charge the
-    /// entry's bytes to [`FetchStats::dict_bytes_loaded`].
-    pub fn with_dict_cache(mut self, entries: usize) -> CompressedFetcher {
-        self.dict_cache = Some((entries.max(1), Vec::new()));
-        self
-    }
-
-    /// Runs the dictionary-cache bookkeeping for an expansion of `rank`.
-    fn touch_dict(&mut self, rank: u32) {
-        let Some((capacity, resident)) = &mut self.dict_cache else { return };
-        if let Some(pos) = resident.iter().position(|&r| r == rank) {
-            resident.remove(pos);
-            resident.push(rank);
-            self.stats.dict_hits += 1;
-        } else {
-            self.stats.dict_misses += 1;
-            self.stats.dict_bytes_loaded += 4 * self.by_rank[rank as usize].len() as u64;
-            if resident.len() == *capacity {
-                resident.remove(0);
-            }
-            resident.push(rank);
-        }
-    }
-
-    fn deliver_buffered(&mut self) -> Fetched {
-        let word = self.buffer[self.buffer_pos];
-        self.buffer_pos += 1;
-        self.stats.insns += 1;
-        self.stats.expanded_insns += 1;
-        telemetry::VM_FETCH_BUFFERED_INSNS.inc();
-        let next_pc =
-            if self.buffer_pos < self.buffer.len() { self.buffer_pc } else { self.after_buffer };
-        self.expect_pc = next_pc;
-        Fetched { word, next_pc }
-    }
-}
-
-impl Fetch for CompressedFetcher {
-    fn fetch(&mut self, pc: u64) -> Result<Fetched, MachineError> {
-        // A fetch anywhere but the previous delivery's `next_pc` is a
-        // control transfer; when it lands mid-word the fetch unit must
-        // realign its nibble pointer (the cost model charges this).
-        if pc != self.expect_pc && !pc.is_multiple_of(8) {
-            self.stats.realigns += 1;
-            telemetry::VM_FETCH_REALIGNS.inc();
-        }
-        // Drain the expansion buffer while sequential flow stays on it.
-        if pc == self.buffer_pc && self.buffer_pos < self.buffer.len() {
-            return Ok(self.deliver_buffered());
-        }
-        let mut r = NibbleReader::new(&self.image);
-        r.seek(pc);
-        let before = r.pos();
-        match read_item_coded(self.encoding, self.isa, self.huffman.as_ref(), &mut r) {
-            Some(Item::Insn(word)) => {
-                self.stats.insns += 1;
-                self.stats.nibbles_fetched += r.pos() - before;
-                // Under every encoding an uncompressed instruction in the
-                // stream is introduced by an escape prefix.
-                telemetry::VM_FETCH_ESCAPES.inc();
-                telemetry::VM_FETCH_NIBBLES.add(r.pos() - before);
-                // Leaving any previous codeword behind.
-                self.buffer_pc = u64::MAX;
-                self.expect_pc = r.pos();
-                Ok(Fetched { word, next_pc: r.pos() })
-            }
-            Some(Item::Codeword(rank)) => {
-                let seq =
-                    self.by_rank.get(rank as usize).ok_or(MachineError::FetchFault { pc })?.clone();
-                if seq.is_empty() {
-                    return Err(MachineError::FetchFault { pc });
-                }
-                self.stats.codewords += 1;
-                self.stats.nibbles_fetched += r.pos() - before;
-                telemetry::VM_FETCH_CODEWORDS.inc();
-                telemetry::VM_FETCH_NIBBLES.add(r.pos() - before);
-                let after = r.pos();
-                self.touch_dict(rank);
-                self.buffer = seq;
-                self.buffer_pos = 0;
-                self.buffer_pc = pc;
-                self.after_buffer = after;
-                Ok(self.deliver_buffered())
-            }
-            None => Err(MachineError::FetchFault { pc }),
-        }
-    }
-
-    fn granule(&self) -> u32 {
-        self.encoding.granule_nibbles()
-    }
-
-    fn stats(&self) -> FetchStats {
-        self.stats
-    }
-}
-
-// ---- predecoded fast path -------------------------------------------------
+// ---- compressed fetch engine ----------------------------------------------
 
 /// Cache-entry tag: offset holds an escaped (uncompressed) instruction.
 pub(crate) const TAG_INSN: u64 = 1;
@@ -400,34 +191,33 @@ pub(crate) struct RunCounters {
     pub realigns: u64,
 }
 
-/// The predecoded fetch engine: [`CompressedFetcher`] semantics behind a
-/// decoded-item cache keyed by compressed-stream offset.
+/// The compressed-program fetch engine: escape detection and dictionary
+/// expansion behind a decoded-item cache keyed by compressed-stream offset.
 ///
 /// Every nibble offset of the image has a cache slot. A miss parses the
-/// item at that offset exactly as the re-parsing engine would (escape
-/// detection, dictionary expansion, Huffman decode) and caches the
-/// delivered words in a shared pool; a hit replays the pool with no
-/// parsing and no allocation. Offsets that do not parse (mid-item PCs,
-/// truncated streams) fault without being cached, so a bad branch target
-/// faults on every attempt, just like the re-parsing engine.
+/// item at that offset (escape detection, dictionary expansion, Huffman
+/// decode) and caches the delivered words in a shared pool; a hit replays
+/// the pool with no parsing and no allocation. Offsets that do not parse
+/// (mid-item PCs, truncated streams) fault without being cached, so a bad
+/// branch target faults on every attempt. The cache is never evicted: it
+/// grows to the program's executed working set.
 ///
-/// The cache can be bounded with [`with_capacity`](Self::with_capacity)
-/// (eviction is a wholesale flush, the hardware-realistic policy for a
-/// predecode buffer) and dropped explicitly with
-/// [`invalidate`](Self::invalidate) — e.g. after patching the image.
-/// Flushing mid-expansion abandons the expansion buffer; the next fetch of
-/// that codeword re-parses and redelivers it from its first instruction.
+/// Sequential flow inside an expanded codeword keeps the PC at the
+/// codeword's address while the expansion drains; branches always target
+/// codeword boundaries (guaranteed by the compressor).
 ///
-/// [`FetchStats`] and telemetry are byte-exact with the re-parsing engine
-/// under its default configuration (the dictionary-cache model of
-/// [`CompressedFetcher::with_dict_cache`] is not available here: a
-/// predecoded engine never re-touches the dictionary).
+/// Delivered words, [`FetchStats`] and telemetry are byte-exact with the
+/// re-parsing specification in [`crate::fetch_reference`].
 #[derive(Debug, Clone)]
 pub struct PredecodedFetcher {
     image: Vec<u8>,
     encoding: codense_core::EncodingKind,
     isa: IsaRef,
+    /// Canonical Huffman decode table; `None` for other encodings, or when
+    /// a container carried unusable lengths (every Huffman fetch then
+    /// faults instead of panicking).
     huffman: Option<HuffCode>,
+    /// Dictionary entries by codeword rank.
     by_rank: Vec<Vec<u32>>,
     /// One slot per nibble offset of the image; packed with [`pack_entry`],
     /// zero = empty.
@@ -437,77 +227,41 @@ pub struct PredecodedFetcher {
     /// Delivered instruction words of every cached item, contiguous per
     /// item.
     pool: Vec<u32>,
-    /// Cached items (not pool words); bounded by `capacity`.
+    /// Cached items (not pool words).
     filled: usize,
-    capacity: usize,
-    /// Bumped on every flush/invalidate so decoded-side mirrors (see
-    /// [`crate::run::run_predecoded`]) know their pool indices died.
-    generation: u64,
-    // Expansion-drain state for the `Fetch` impl, mirroring
-    // `CompressedFetcher` (start/len/pos index into `pool`).
+    // Expansion-drain state for the `Fetch` impl (start/len/pos index into
+    // `pool`), the codeword's PC, and the address after it.
     drain_start: usize,
     drain_len: usize,
     drain_pos: usize,
     buffer_pc: u64,
     after_buffer: u64,
+    /// `next_pc` of the previous delivery, for realignment detection.
     expect_pc: u64,
     stats: FetchStats,
 }
 
 impl PredecodedFetcher {
-    /// Builds the engine from a compressed program. Parsing state matches
-    /// [`CompressedFetcher::new`]; the cache starts empty and unbounded.
+    /// Builds the engine from a compressed program, through its container
+    /// image ([`CompressedProgram::to_image`]) and its ISA.
     pub fn new(program: &CompressedProgram) -> PredecodedFetcher {
-        let mut by_rank = vec![Vec::new(); program.dictionary.len()];
-        for rank in 0..program.dictionary.len() as u32 {
-            let entry = program.dictionary.entry_of_rank(rank);
-            by_rank[rank as usize] = program.dictionary.entry(entry).words.clone();
-        }
-        PredecodedFetcher::from_parts(
-            program.image.clone(),
-            program.encoding,
-            program.isa,
-            program.huffman.clone(),
-            by_rank,
-        )
+        PredecodedFetcher::from_image_with(&program.to_image(), program.isa)
     }
 
-    /// Builds the engine from a deserialized container image for an
-    /// explicit target ISA (the predecoded counterpart of
-    /// [`CompressedFetcher::from_image_with`]).
-    pub fn from_image_with(
-        image: &codense_core::container::ProgramImage,
-        isa: IsaRef,
-    ) -> PredecodedFetcher {
-        PredecodedFetcher::from_parts(
-            image.image.clone(),
-            image.encoding,
-            isa,
-            HuffCode::from_nibble_lengths(image.huffman_lengths.clone()),
-            image.dictionary_by_rank.clone(),
-        )
-    }
-
-    fn from_parts(
-        image: Vec<u8>,
-        encoding: codense_core::EncodingKind,
-        isa: IsaRef,
-        huffman: Option<HuffCode>,
-        by_rank: Vec<Vec<u32>>,
-    ) -> PredecodedFetcher {
-        let nibbles = image.len() * 2;
+    /// Builds the engine from a deserialized container image (see
+    /// `codense_core::container`) for an explicit target ISA: containers do
+    /// not record one. The cache starts empty.
+    pub fn from_image_with(image: &ProgramImage, isa: IsaRef) -> PredecodedFetcher {
         PredecodedFetcher {
-            image,
-            encoding,
+            image: image.image.clone(),
+            encoding: image.encoding,
             isa,
-            huffman,
-            by_rank,
-            entries: vec![0; nibbles],
+            huffman: HuffCode::from_nibble_lengths(image.huffman_lengths.clone()),
+            by_rank: image.dictionary_by_rank.clone(),
+            entries: vec![0; image.image.len() * 2],
             side: Vec::new(),
             pool: Vec::new(),
             filled: 0,
-            capacity: usize::MAX,
-            generation: 0,
             drain_start: 0,
             drain_len: 0,
             drain_pos: 0,
@@ -518,45 +272,9 @@ impl PredecodedFetcher {
         }
     }
 
-    /// Bounds the cache at `items` cached items. Filling past the bound
-    /// flushes the whole cache first (wholesale eviction), so a working set
-    /// larger than the capacity thrashes but stays correct.
-    pub fn with_capacity(mut self, items: usize) -> PredecodedFetcher {
-        self.capacity = items.max(1);
-        self
-    }
-
-    /// Drops every cached item (e.g. after the image has been repatched).
-    /// Stats and telemetry are unaffected; subsequent fetches re-parse and
-    /// re-fill on demand.
-    pub fn invalidate(&mut self) {
-        self.entries.fill(0);
-        self.side.clear();
-        self.pool.clear();
-        self.flush_runtime_state();
-    }
-
-    /// The non-storage half of a flush: shared between [`invalidate`] and
-    /// the detached-storage flush inside [`Self::fill_detached`].
-    fn flush_runtime_state(&mut self) {
-        self.filled = 0;
-        self.generation += 1;
-        // Pool indices died with the pool; abandon any in-flight expansion.
-        self.buffer_pc = u64::MAX;
-        self.drain_len = 0;
-        self.drain_pos = 0;
-    }
-
     /// Cached items currently resident.
     pub fn cached_items(&self) -> usize {
         self.filled
-    }
-
-    /// Flush epoch: bumped by every [`invalidate`](Self::invalidate),
-    /// including capacity-driven ones.
-    #[inline(always)]
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The cache entry for `pc`, parsing and filling on a miss.
@@ -565,7 +283,7 @@ impl PredecodedFetcher {
     ///
     /// [`MachineError::FetchFault`] if `pc` does not address a parseable
     /// item; the fault is not cached.
-    pub(crate) fn lookup_or_fill(&mut self, pc: u64) -> Result<u32, MachineError> {
+    fn lookup_or_fill(&mut self, pc: u64) -> Result<u32, MachineError> {
         match self.entries.get(pc as usize) {
             Some(0) => self.fill(pc),
             Some(&e) => Ok(e),
@@ -576,7 +294,7 @@ impl PredecodedFetcher {
     /// The `(tag, consumed, len, start)` of a table entry, chasing side
     /// indirections.
     #[inline(always)]
-    pub(crate) fn resolve(&self, e: u32) -> (u64, u64, usize, usize) {
+    fn resolve(&self, e: u32) -> (u64, u64, usize, usize) {
         unpack_entry(e, &self.side)
     }
 
@@ -644,13 +362,6 @@ impl PredecodedFetcher {
                 None => return Err(MachineError::FetchFault { pc }),
             };
         let consumed = r.pos() - before;
-        if self.filled >= self.capacity {
-            // Wholesale eviction, on the detached storage.
-            entries.fill(0);
-            side.clear();
-            pool.clear();
-            self.flush_runtime_state();
-        }
         let start = pool.len();
         let entry = match pack_entry(tag, consumed, words.len(), start) {
             Some(e) => e,
@@ -777,8 +488,11 @@ mod tests {
         assert_eq!(f.stats().insns, 1);
     }
 
+    /// Every encoding, booted from the program and from its serialized
+    /// container, delivers the original instruction stream.
     #[test]
     fn compressed_fetch_delivers_same_stream() {
+        use codense_core::container::{deserialize, serialize};
         let m = module();
         for config in [
             CompressionConfig::baseline(),
@@ -787,33 +501,20 @@ mod tests {
             CompressionConfig::huffman(),
         ] {
             let c = Compressor::new(config).compress(&m).unwrap();
-            let mut f = CompressedFetcher::new(&c);
-            let mut pc = 0;
-            let mut got = Vec::new();
-            for _ in 0..m.len() {
-                let fetched = f.fetch(pc).unwrap();
-                got.push(fetched.word);
-                pc = fetched.next_pc;
+            let image = deserialize(&serialize(&c)).unwrap();
+            for mut f in
+                [PredecodedFetcher::new(&c), PredecodedFetcher::from_image_with(&image, c.isa)]
+            {
+                let mut pc = 0;
+                let mut got = Vec::new();
+                for _ in 0..m.len() {
+                    let fetched = f.fetch(pc).unwrap();
+                    got.push(fetched.word);
+                    pc = fetched.next_pc;
+                }
+                assert_eq!(got, m.code);
             }
-            assert_eq!(got, m.code);
         }
-    }
-
-    #[test]
-    fn huffman_fetch_from_container_image() {
-        let m = module();
-        let c = Compressor::new(CompressionConfig::huffman()).compress(&m).unwrap();
-        let image =
-            codense_core::container::deserialize(&codense_core::container::serialize(&c)).unwrap();
-        let mut f = CompressedFetcher::from_image(&image);
-        let mut pc = 0;
-        let mut got = Vec::new();
-        for _ in 0..m.len() {
-            let fetched = f.fetch(pc).unwrap();
-            got.push(fetched.word);
-            pc = fetched.next_pc;
-        }
-        assert_eq!(got, m.code);
     }
 
     #[test]
@@ -824,7 +525,7 @@ mod tests {
             codense_core::container::deserialize(&codense_core::container::serialize(&c)).unwrap();
         // Kraft-violating table: more length-1 codes than nibble values.
         image.huffman_lengths = vec![1; 17];
-        let mut f = CompressedFetcher::from_image(&image);
+        let mut f = PredecodedFetcher::from_image_with(&image, c.isa);
         assert!(f.fetch(0).is_err());
     }
 
@@ -833,7 +534,7 @@ mod tests {
         let m = module();
         let c = Compressor::new(CompressionConfig::baseline()).compress(&m).unwrap();
         let mut lf = LinearFetcher::new(m.code.clone());
-        let mut cf = CompressedFetcher::new(&c);
+        let mut cf = PredecodedFetcher::new(&c);
         let (mut lp, mut cp) = (0u64, 0u64);
         for _ in 0..m.len() {
             lp = lf.fetch(lp).unwrap().next_pc;
@@ -848,7 +549,7 @@ mod tests {
     fn fetch_fault_on_garbage_pc() {
         let m = module();
         let c = Compressor::new(CompressionConfig::nibble_aligned()).compress(&m).unwrap();
-        let mut f = CompressedFetcher::new(&c);
+        let mut f = PredecodedFetcher::new(&c);
         assert!(f.fetch(c.total_nibbles + 10).is_err());
     }
 }

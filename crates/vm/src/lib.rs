@@ -8,27 +8,33 @@
 //! [`fetch::Fetch`], with two implementations:
 //!
 //! * [`fetch::LinearFetcher`] — the ordinary front end over raw words;
-//! * [`fetch::CompressedFetcher`] — the modified front end: it parses the
+//! * [`fetch::PredecodedFetcher`] — the modified front end: it parses the
 //!   packed compressed image, routes uncompressed instructions straight to
-//!   decode, and expands codewords through the on-chip dictionary.
+//!   decode, and expands codewords through the on-chip dictionary, caching
+//!   each parsed item by its stream offset.
 //!
 //! Because the machine's PC domain is nibble addresses in both cases, the
 //! *same* execution loop ([`run::run`]) runs both program forms; the
 //! [`kernels`] module supplies real programs to prove equivalence
-//! end-to-end.
+//! end-to-end. [`run::run_predecoded`] is the threaded-dispatch loop over
+//! the same compressed engine, for corpus-scale runs.
+//!
+//! [`fetch_reference`] keeps the re-parsing engine that parses the stream
+//! on every fetch: a test-only executable specification the compressed
+//! engine is checked against.
 //!
 //! # Example
 //!
 //! ```
 //! use codense_core::{Compressor, CompressionConfig};
-//! use codense_vm::{fetch::CompressedFetcher, kernels, machine::Machine, run::run};
+//! use codense_vm::{kernels, machine::Machine, run::run, PredecodedFetcher};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let kernel = kernels::fib();
 //! let compressed = Compressor::new(CompressionConfig::baseline()).compress(&kernel.module)?;
 //! let mut machine = Machine::new(1 << 20);
 //! kernel.apply_init(&mut machine);
-//! let mut fetch = CompressedFetcher::new(&compressed);
+//! let mut fetch = PredecodedFetcher::new(&compressed);
 //! let result = run(&mut machine, &mut fetch, 0, 1_000_000)?;
 //! assert_eq!(result.exit_code, 6765);
 //! # Ok(())
@@ -36,10 +42,11 @@
 //! ```
 
 pub mod fetch;
+pub mod fetch_reference;
 pub mod kernels;
 pub mod machine;
 pub mod run;
 
-pub use fetch::{CompressedFetcher, Fetch, FetchStats, LinearFetcher, PredecodedFetcher};
+pub use fetch::{Fetch, FetchStats, LinearFetcher, PredecodedFetcher};
 pub use machine::{Core, Machine, MachineError, Outcome};
 pub use run::{run, run_predecoded, run_traced, RunResult};

@@ -1,6 +1,9 @@
 //! The execution loops gluing a [`Core`] to a fetch engine: the generic
-//! per-step loop ([`run`]) and the predecoded threaded-dispatch loop
-//! ([`run_predecoded`]) that makes SPEC-scale corpus programs runnable.
+//! per-step loop over any [`Fetch`] ([`run_traced`]; [`run`] is the same
+//! loop with no observer) and the threaded-dispatch loop over the
+//! [`PredecodedFetcher`] ([`run_predecoded`]) that makes SPEC-scale corpus
+//! programs runnable. Both loops give byte-exact results, [`FetchStats`]
+//! and telemetry on the same compressed program.
 
 use crate::fetch::{Fetch, FetchStats, PredecodedFetcher, RunCounters};
 use crate::machine::{Core, MachineError, Outcome};
@@ -29,22 +32,7 @@ pub fn run(
     entry: u64,
     max_steps: u64,
 ) -> Result<RunResult, MachineError> {
-    let mut pc = entry;
-    for step in 0..max_steps {
-        let fetched = fetch.fetch(pc)?;
-        match core.step_word(fetched.word, pc, fetched.next_pc, fetch.granule())? {
-            Outcome::Next => pc = fetched.next_pc,
-            Outcome::Branch(target) => pc = target,
-            Outcome::Halt => {
-                return Ok(RunResult {
-                    exit_code: core.exit_code(),
-                    steps: step + 1,
-                    stats: fetch.stats(),
-                })
-            }
-        }
-    }
-    Err(MachineError::StepLimit)
+    run_traced(core, fetch, entry, max_steps, |_, _| {})
 }
 
 /// Like [`run`], invoking `observer` before each executed instruction with
@@ -83,11 +71,10 @@ pub fn run_traced(
 /// The predecoded threaded-dispatch loop: [`run`] semantics at a fraction
 /// of the per-step cost.
 ///
-/// Three costs are hoisted out of the step cycle relative to
-/// [`run`]-over-[`crate::fetch::CompressedFetcher`]:
+/// Two costs are hoisted out of the step cycle relative to [`run`] over
+/// the same fetcher's [`Fetch`] impl (which already replays parsed items
+/// from the shared decoded-item cache):
 ///
-/// * **parse** — items are replayed from the fetcher's decoded-item cache
-///   (first touch parses and fills, exactly like the `Fetch` impl);
 /// * **decode** — each cached word is decoded once into the backend's
 ///   decoded form ([`PredecodeCore::predecode`]) and the loop dispatches
 ///   [`PredecodeCore::step_insn`] directly, monomorphized per backend (no
@@ -96,10 +83,6 @@ pub fn run_traced(
 ///   locals and flush when the loop exits (halt, fault, or step limit).
 ///   Final counter values are byte-exact with the per-fetch path; only the
 ///   update granularity differs.
-///
-/// The decoded mirror tracks the fetcher's flush epoch, so capacity-driven
-/// evictions and [`PredecodedFetcher::invalidate`] invalidate the decoded
-/// side too.
 ///
 /// # Errors
 ///
@@ -125,7 +108,6 @@ pub fn run_predecoded<C: PredecodeCore>(
     // happens or when a cache hit points past it (entries filled before
     // this run started).
     let mut decoded: Vec<C::Insn> = Vec::new();
-    let mut generation = fetch.generation();
     let mut c = RunCounters::default();
     let mut pc = entry;
     let mut expect_pc = u64::MAX;
@@ -152,11 +134,7 @@ pub fn run_predecoded<C: PredecodeCore>(
                     Some(&e) if e != 0 => e,
                     _ => {
                         // Miss (or out-of-range pc): parse and fill, then
-                        // sync the mirror. A capacity flush bumps the
-                        // generation and restarts pool indices from zero,
-                        // so drop the stale mirror first; any in-flight
-                        // expansion state is overwritten below (both tag
-                        // branches reassign `dpc`).
+                        // sync the mirror.
                         let e = match fetch.fill_detached(pc, &mut entries, &mut side, &mut pool) {
                             Ok(e) => e,
                             Err(err) => {
@@ -164,10 +142,6 @@ pub fn run_predecoded<C: PredecodeCore>(
                                 break 'run Err(err);
                             }
                         };
-                        if fetch.generation() != generation {
-                            generation = fetch.generation();
-                            decoded.clear();
-                        }
                         while decoded.len() < pool.len() {
                             decoded.push(C::predecode(pool[decoded.len()]));
                         }
@@ -178,8 +152,7 @@ pub fn run_predecoded<C: PredecodeCore>(
                 if start + len > decoded.len() {
                     // A hit on an entry cached before this run started:
                     // the pool already holds its words, the mirror just
-                    // hasn't caught up (no fill happened, so no flush can
-                    // have either).
+                    // hasn't caught up.
                     while decoded.len() < pool.len() {
                         decoded.push(C::predecode(pool[decoded.len()]));
                     }

@@ -3,7 +3,7 @@
 //! as its uncompressed original.
 
 use codense_core::{verify::verify, CompressionConfig, Compressor};
-use codense_vm::{fetch::CompressedFetcher, kernels, machine::Machine, run::run, LinearFetcher};
+use codense_vm::{kernels, machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
 
 fn configs() -> Vec<(&'static str, CompressionConfig)> {
     vec![
@@ -33,7 +33,7 @@ fn compressed_kernels_match_uncompressed() {
 
             let mut machine = Machine::new(1 << 20);
             kernel.apply_init(&mut machine);
-            let mut fetch = CompressedFetcher::new(&compressed);
+            let mut fetch = PredecodedFetcher::new(&compressed);
             let result = run(&mut machine, &mut fetch, 0, 1_000_000)
                 .unwrap_or_else(|e| panic!("{} {tag}: {e}", kernel.name));
 
@@ -120,7 +120,7 @@ fn compressed_fetch_bandwidth_not_worse() {
 
     let mut m2 = Machine::new(1 << 20);
     kernel.apply_init(&mut m2);
-    let mut cf = CompressedFetcher::new(&compressed);
+    let mut cf = PredecodedFetcher::new(&compressed);
     let r2 = run(&mut m2, &mut cf, 0, 1_000_000).unwrap();
 
     assert_eq!(r1.exit_code, r2.exit_code);
@@ -144,46 +144,9 @@ fn container_roundtrip_executes_identically() {
 
         let mut machine = Machine::new(1 << 20);
         kernel.apply_init(&mut machine);
-        let mut fetch = CompressedFetcher::from_image(&image);
+        let mut fetch = PredecodedFetcher::from_image_with(&image, compressed.isa);
         let result = run(&mut machine, &mut fetch, 0, 1_000_000)
             .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
         assert_eq!(result.exit_code, kernel.expected, "{}", kernel.name);
     }
-}
-
-#[test]
-fn dictionary_cache_models_section_3_3() {
-    // §3.3: a small on-chip dictionary cache backed by the data segment.
-    // Bigger caches can only hit more, and an unbounded cache misses each
-    // used entry exactly once (cold loads).
-    let kernel = kernels::bubble_sort();
-    let compressed =
-        Compressor::new(CompressionConfig::nibble_aligned()).compress(&kernel.module).unwrap();
-
-    let run_with = |entries: usize| {
-        let mut machine = Machine::new(1 << 20);
-        kernel.apply_init(&mut machine);
-        let mut fetch = CompressedFetcher::new(&compressed).with_dict_cache(entries);
-        let result = run(&mut machine, &mut fetch, 0, 1_000_000).unwrap();
-        assert_eq!(result.exit_code, kernel.expected);
-        result.stats
-    };
-
-    let tiny = run_with(1);
-    let small = run_with(4);
-    let huge = run_with(10_000);
-    assert_eq!(tiny.codewords, small.codewords);
-    assert_eq!(tiny.dict_hits + tiny.dict_misses, tiny.codewords);
-    assert!(small.dict_misses <= tiny.dict_misses);
-    assert!(huge.dict_misses <= small.dict_misses);
-    // Unbounded: one cold miss per distinct entry used.
-    assert!(huge.dict_misses <= compressed.dictionary.len() as u64);
-    assert!(huge.dict_bytes_loaded <= compressed.dictionary_bytes() as u64);
-    // Without a cache configured, no dictionary traffic is counted.
-    let mut machine = Machine::new(1 << 20);
-    kernel.apply_init(&mut machine);
-    let mut fetch = CompressedFetcher::new(&compressed);
-    let plain = run(&mut machine, &mut fetch, 0, 1_000_000).unwrap();
-    assert_eq!(plain.stats.dict_misses, 0);
-    assert_eq!(plain.stats.dict_hits, 0);
 }

@@ -9,7 +9,7 @@ use codense_obj::ObjectModule;
 use codense_ppc::asm::Assembler;
 use codense_ppc::insn::Insn;
 use codense_ppc::reg::*;
-use codense_vm::{fetch::CompressedFetcher, machine::Machine, run::run, LinearFetcher};
+use codense_vm::{machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
 
 /// A program where `beq` must skip ~1200 unique instructions: under the
 /// nibble scheme that is > 8192 nibbles, beyond the 14-bit field at 4-bit
@@ -65,7 +65,7 @@ fn overflow_dispatch_executes_correctly() {
         for (slot, &addr) in c.overflow_table.iter().enumerate() {
             machine.store32(table_base + 4 * slot as u32, addr as u32).unwrap();
         }
-        let mut fetch = CompressedFetcher::new(&c);
+        let mut fetch = PredecodedFetcher::new(&c);
         let result = run(&mut machine, &mut fetch, 0, 100_000).unwrap();
 
         assert_eq!(result.exit_code, reference.exit_code, "r4 = {r4}");

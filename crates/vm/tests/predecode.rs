@@ -1,13 +1,12 @@
 //! Decode-cache equivalence suite.
 //!
 //! [`run_predecoded`] over the [`PredecodedFetcher`] must be observably
-//! identical to the re-parsing [`CompressedFetcher`] under [`run`]: same
-//! exit, same step count, byte-exact [`FetchStats`], and an identical final
-//! machine — registers *and* memory, with no masking, because both engines
-//! execute in the same (compressed) fetch domain. The suite pins this on
-//! randomized fuzz programs under all four encodings on both ISAs, then
-//! hammers the cache-management edges: capacity thrash (wholesale flush),
-//! explicit invalidation between and mid-use, warm-cache reuse across the
+//! identical to the re-parsing specification ([`CompressedFetcher`]) under
+//! [`run`]: same exit, same step count, byte-exact [`FetchStats`], and an
+//! identical final machine — registers *and* memory, with no masking,
+//! because both engines execute in the same (compressed) fetch domain. The
+//! suite pins this on randomized fuzz programs under all four encodings on
+//! both ISAs, then checks the cache edges: warm-cache reuse across the
 //! `Fetch`-trait and threaded-dispatch entry points, and fault caching.
 
 use codense_codegen::Rng;
@@ -16,7 +15,8 @@ use codense_fuzz::gen::{generate_spec, GenConfig};
 use codense_fuzz::spec::{build, MEM_BYTES};
 use codense_fuzz::target::{Mips, Ppc};
 use codense_isa::IsaRef;
-use codense_vm::fetch::{CompressedFetcher, Fetch, FetchStats, PredecodedFetcher};
+use codense_vm::fetch::{Fetch, FetchStats, PredecodedFetcher};
+use codense_vm::fetch_reference::CompressedFetcher;
 use codense_vm::machine::MachineError;
 use codense_vm::{run, run_predecoded, Machine, RunResult};
 
@@ -59,8 +59,8 @@ fn ppc_reference(
     (r, m)
 }
 
-/// One predecoded run on a caller-managed fetcher (so tests can reuse,
-/// bound, or invalidate the cache between runs).
+/// One predecoded run on a caller-managed fetcher (so tests can reuse its
+/// cache across runs).
 fn ppc_predecoded(
     compressed: &CompressedProgram,
     table_addrs: &[u32],
@@ -118,9 +118,6 @@ fn scaled(stats: FetchStats, n: u64) -> FetchStats {
         nibbles_fetched: stats.nibbles_fetched * n,
         codewords: stats.codewords * n,
         expanded_insns: stats.expanded_insns * n,
-        dict_hits: 0,
-        dict_misses: 0,
-        dict_bytes_loaded: 0,
         realigns: stats.realigns * n,
     }
 }
@@ -194,100 +191,6 @@ fn fuzz_mips_predecoded_matches_reparse() {
     assert!(tested >= 12, "only {tested} (case, encoding) pairs ran");
 }
 
-/// A cache bounded far below the program's working set thrashes through
-/// wholesale flushes (entries, side table, and pool all die together) yet
-/// stays trace-equivalent, and never holds more than its capacity.
-#[test]
-fn capacity_thrash_stays_equivalent() {
-    let mut rng = Rng::new(0xCAFE_0001);
-    let spec = generate_spec(&Ppc, &mut rng, &GenConfig::default());
-    let program = build(&Ppc, &spec).expect("build");
-    for (label, config) in
-        [("nibble", CompressionConfig::nibble_aligned()), ("huffman", CompressionConfig::huffman())]
-    {
-        let compressed = Compressor::new(config).compress(&program.module).expect(label);
-        if !compressed.overflow_table.is_empty() {
-            continue;
-        }
-        let reference = ppc_reference(&compressed, &program.table_addrs);
-        for capacity in [1usize, 2, 7] {
-            let tag = format!("{label} capacity {capacity}");
-            let mut fetch = PredecodedFetcher::new(&compressed).with_capacity(capacity);
-            let got = ppc_predecoded(&compressed, &program.table_addrs, &mut fetch);
-            assert_ppc_equal(&tag, &reference, &got);
-            assert!(fetch.cached_items() <= capacity, "{tag}: {} resident", fetch.cached_items());
-        }
-    }
-}
-
-/// Invalidation drops the cache but not the counters: a second run after
-/// [`PredecodedFetcher::invalidate`] re-parses from scratch, produces the
-/// identical machine, and stats accumulate to exactly two runs' worth.
-#[test]
-fn invalidate_between_runs_refills_and_keeps_stats() {
-    let mut rng = Rng::new(0xCAFE_0002);
-    let spec = generate_spec(&Ppc, &mut rng, &GenConfig::default());
-    let program = build(&Ppc, &spec).expect("build");
-    let compressed =
-        Compressor::new(CompressionConfig::nibble_aligned()).compress(&program.module).unwrap();
-    assert!(compressed.overflow_table.is_empty(), "pick another seed");
-    let reference = ppc_reference(&compressed, &program.table_addrs);
-    let ref_stats = reference.0.as_ref().expect("reference halts").stats;
-
-    let mut fetch = PredecodedFetcher::new(&compressed);
-    let first = ppc_predecoded(&compressed, &program.table_addrs, &mut fetch);
-    assert_ppc_equal("first run", &reference, &first);
-    let resident = fetch.cached_items();
-    assert!(resident > 0);
-
-    fetch.invalidate();
-    assert_eq!(fetch.cached_items(), 0, "invalidate empties the cache");
-    assert_eq!(fetch.stats(), ref_stats, "invalidate leaves stats alone");
-
-    let second = ppc_predecoded(&compressed, &program.table_addrs, &mut fetch);
-    assert_ppc_rerun_equal("post-invalidate run", &reference, &second);
-    assert_eq!(fetch.cached_items(), resident, "same working set refills");
-    assert_eq!(fetch.stats(), scaled(ref_stats, 2), "two runs' worth of counters");
-}
-
-/// Invalidating mid-use — after the `Fetch` impl has already walked part of
-/// the stream (as image repatching would) — leaves a coherent engine: the
-/// next full run matches the reference machine exactly.
-#[test]
-fn invalidate_mid_use_stays_coherent() {
-    let mut rng = Rng::new(0xCAFE_0003);
-    let spec = generate_spec(&Ppc, &mut rng, &GenConfig::default());
-    let program = build(&Ppc, &spec).expect("build");
-    let compressed =
-        Compressor::new(CompressionConfig::nibble_aligned()).compress(&program.module).unwrap();
-    assert!(compressed.overflow_table.is_empty(), "pick another seed");
-    let reference = ppc_reference(&compressed, &program.table_addrs);
-
-    let mut fetch = PredecodedFetcher::new(&compressed);
-    // Walk a few items through the Fetch impl (possibly entering an
-    // expansion buffer), then yank the cache out from under it.
-    let mut pc = entry_of(&compressed);
-    for _ in 0..5 {
-        match fetch.fetch(pc) {
-            Ok(f) => pc = f.next_pc,
-            Err(_) => break,
-        }
-    }
-    fetch.invalidate();
-
-    let before = fetch.stats();
-    let got = ppc_predecoded(&compressed, &program.table_addrs, &mut fetch);
-    assert_ppc_rerun_equal("post-mid-use-invalidate", &reference, &got);
-    let after = fetch.stats();
-    let run_stats = reference.0.as_ref().expect("reference halts").stats;
-    assert_eq!(after.insns - before.insns, run_stats.insns, "run delta");
-    assert_eq!(
-        after.nibbles_fetched - before.nibbles_fetched,
-        run_stats.nibbles_fetched,
-        "nibble delta"
-    );
-}
-
 /// The engine's two entry points interoperate on one warm cache: a full run
 /// through the `Fetch` impl (itself byte-exact with the re-parsing engine),
 /// then a threaded-dispatch run over the entries the first run cached —
@@ -305,8 +208,7 @@ fn fetch_impl_then_predecoded_share_one_cache() {
 
     let mut fetch = PredecodedFetcher::new(&compressed);
 
-    // Generic loop over the Fetch impl: the cached engine is a drop-in
-    // Fetch, byte-exact with CompressedFetcher.
+    // Generic loop over the Fetch impl, byte-exact with the spec.
     let mut m1 = Machine::new(MEM_BYTES);
     seed_tables(&mut m1.mem, &program.table_addrs, &compressed);
     let r1 = run(&mut m1, &mut fetch, entry_of(&compressed), MAX_STEPS);

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
             let mut machine = Machine::new(1 << 20);
             kernel.apply_init(&mut machine);
-            let mut fetch = CompressedFetcher::new(&compressed);
+            let mut fetch = PredecodedFetcher::new(&compressed);
             let result = run(&mut machine, &mut fetch, 0, 10_000_000)?;
             assert_eq!(result.exit_code, reference.exit_code, "{} {tag}", kernel.name);
             assert_eq!(result.steps, reference.steps, "{} {tag}", kernel.name);

@@ -63,6 +63,13 @@ echo "==> ratio gate (greedy/refine x nibble/huffman vs checked-in BENCH_ratio.j
 ./target/release/codense repro --isa both --ratio-out "$tmp/BENCH_ratio.json" >/dev/null
 diff -u BENCH_ratio.json "$tmp/BENCH_ratio.json"
 
+echo "==> hybrid gate (hybrid-sweep vs checked-in BENCH_hybrid.json)"
+# The cycle model behind the size-vs-cycles frontier reads the compressed
+# fetch engine's reference trace and FetchStats, so any drift in the engine
+# shows up here as a diff.
+./target/release/codense hybrid-sweep --out "$tmp/BENCH_hybrid.json" >/dev/null
+diff -u BENCH_hybrid.json "$tmp/BENCH_hybrid.json"
+
 echo "==> hybrid determinism gate (profile + hybrid, --jobs 1 vs --jobs 8)"
 for j in 1 8; do
     ./target/release/codense --jobs "$j" --metrics "$tmp/hybrid-$j.metrics.json" \

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use codense_isa::IsaRef;
     pub use codense_obj::ObjectModule;
     pub use codense_ppc::{decode, encode, Insn};
-    pub use codense_vm::{CompressedFetcher, LinearFetcher, Machine};
+    pub use codense_vm::{LinearFetcher, Machine, PredecodedFetcher};
 }
 
 #[cfg(test)]
