@@ -150,7 +150,7 @@ mod tests {
     use codense_ppc::reg::*;
 
     fn module() -> ObjectModule {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         for i in 0..200 {
             m.code.push(enc(&Insn::Addi { rt: R3, ra: R3, si: (i % 5) as i16 }));
             m.code.push(enc(&Insn::Lwz { rt: R9, ra: R1, d: 8 }));
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn short_final_line_handled() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         m.code = vec![enc(&Insn::Sc); 9]; // 36 bytes: one full + one short line
         let c = compress(&m, CcrpConfig::default());
         assert_eq!(c.line_count(), 2);

@@ -6,6 +6,7 @@ use std::time::Instant;
 
 use codense_core::{verify::verify, CompressionConfig, Compressor};
 use codense_corpus::{build, CorpusIsa, CorpusProgram, CorpusSpec};
+use codense_isa::IsaId;
 
 use crate::{parse_seed, Args, CliResult, ReproRow, REPRO_ENCODINGS};
 
@@ -63,18 +64,17 @@ fn spec_from_args(args: &Args, insns: usize) -> Result<CorpusSpec, String> {
     Ok(spec)
 }
 
-fn parse_corpus_isa(name: &str) -> Result<CorpusIsa, String> {
-    match name {
-        "ppc" => Ok(CorpusIsa::Ppc),
-        "mips" => Ok(CorpusIsa::Mips),
-        other => Err(format!("unknown ISA `{other}` (ppc|mips)")),
+fn corpus_isa(isa: IsaId) -> CorpusIsa {
+    match isa {
+        IsaId::Ppc => CorpusIsa::Ppc,
+        IsaId::Mips => CorpusIsa::Mips,
     }
 }
 
-/// Builds the corpus program for `--corpus insns` on the named backend.
-pub fn corpus_program(args: &Args, insns: usize, isa: &str) -> Result<CorpusProgram, String> {
+/// Builds the corpus program for `--corpus insns` on the given backend.
+pub fn corpus_program(args: &Args, insns: usize, isa: IsaId) -> Result<CorpusProgram, String> {
     let spec = spec_from_args(args, insns)?;
-    build(&spec, parse_corpus_isa(isa)?).map_err(|e| format!("{}: {e}", corpus_name(insns)))
+    build(&spec, corpus_isa(isa)).map_err(|e| format!("{}: {e}", corpus_name(insns)))
 }
 
 /// Wraps a (PPC) corpus program as a profiling [`codense_profile::Subject`]:
@@ -124,14 +124,13 @@ pub fn cmd_corpus(args: &Args) -> CliResult {
         Some(v) => parse_size(v)?,
         None => CorpusSpec::default().insns,
     };
-    let isa_name = crate::parse_isa(args)?;
+    let isa = crate::parse_isa(args)?;
     let spec = spec_from_args(args, insns)?;
     let t0 = Instant::now();
-    let p = build(&spec, parse_corpus_isa(isa_name)?)
-        .map_err(|e| format!("{}: {e}", corpus_name(insns)))?;
+    let p = build(&spec, corpus_isa(isa)).map_err(|e| format!("{}: {e}", corpus_name(insns)))?;
     let s = &p.stats;
     println!(
-        "{} ({isa_name}, seed {:#x}): built in {:.1}s",
+        "{} ({isa}, seed {:#x}): built in {:.1}s",
         corpus_name(insns),
         spec.seed,
         t0.elapsed().as_secs_f64()

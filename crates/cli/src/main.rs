@@ -14,9 +14,11 @@
 
 use std::process::ExitCode;
 
+use codense_codegen::isa_ref;
 use codense_core::{
     container, verify::verify, CompressionConfig, Compressor, EncodingKind, SelectorKind,
 };
+use codense_isa::IsaId;
 use codense_obj::ObjectModule;
 
 mod corpus;
@@ -419,30 +421,18 @@ impl<'a> Args<'a> {
     }
 }
 
-/// Resolves a `--isa` flag to a backend name (default `ppc`).
-fn parse_isa(args: &Args) -> Result<&'static str, String> {
-    match args.value("--isa") {
-        None | Some("ppc") => Ok("ppc"),
-        Some("mips") => Ok("mips"),
-        Some(other) => Err(format!("unknown ISA `{other}` (ppc|mips)")),
-    }
+/// Resolves a `--isa` flag (default `ppc`). Only commands that create a
+/// module or pick a suite take one; the others follow the file's tag.
+fn parse_isa(args: &Args) -> Result<IsaId, String> {
+    let name = args.value("--isa").unwrap_or("ppc");
+    IsaId::from_name(name).ok_or_else(|| format!("unknown ISA `{name}` (ppc|mips)"))
 }
 
-/// The trait object for a backend name from [`parse_isa`].
-fn isa_ref(isa: &str) -> codense_isa::IsaRef {
-    if isa == "mips" {
-        codense_isa::IsaRef(&codense_mips::ISA)
-    } else {
-        codense_isa::IsaRef(&codense_ppc::ISA)
-    }
-}
-
-/// Generates one benchmark module for the named backend.
-fn benchmark_for(isa: &str, bench: &str) -> Option<ObjectModule> {
-    if isa == "mips" {
-        codense_codegen::benchmark_mips(bench)
-    } else {
-        codense_codegen::benchmark(bench)
+/// Generates one benchmark module for the given backend.
+fn benchmark_for(isa: IsaId, bench: &str) -> Option<ObjectModule> {
+    match isa {
+        IsaId::Ppc => codense_codegen::benchmark(bench),
+        IsaId::Mips => codense_codegen::benchmark_mips(bench),
     }
 }
 
@@ -466,9 +456,17 @@ fn parse_selector(args: &Args) -> Result<SelectorKind, String> {
     }
 }
 
+/// Reads a `.cdm` module and validates it under the ISA it records, so no
+/// consumer sees a branch or jump-table target outside the text.
 fn load_module(path: &str) -> Result<ObjectModule, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    codense_obj::deserialize(&bytes).map_err(|e| format!("{path}: {e}"))
+    module_from_bytes(path, &bytes)
+}
+
+fn module_from_bytes(path: &str, bytes: &[u8]) -> Result<ObjectModule, String> {
+    let m = codense_obj::deserialize(bytes).map_err(|e| format!("{path}: {e}"))?;
+    m.validate_with(isa_ref(m.isa)).map_err(|e| format!("{path}: {e}"))?;
+    Ok(m)
 }
 
 fn cmd_gen(args: &Args) -> CliResult {
@@ -497,17 +495,19 @@ fn cmd_info(args: &Args) -> CliResult {
     let path = args.positional(0).ok_or("info: missing file")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     if bytes.starts_with(&codense_obj::serialize::MAGIC) {
-        let m = codense_obj::deserialize(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        let m = module_from_bytes(path, &bytes)?;
         println!("module `{}`", m.name);
+        println!("  isa          : {}", m.isa);
         println!("  instructions : {}", m.len());
         println!("  text bytes   : {}", m.text_bytes());
         println!("  functions    : {}", m.functions.len());
         println!("  jump tables  : {} ({} bytes)", m.jump_tables.len(), m.jump_table_bytes());
-        let bbs = codense_obj::BasicBlocks::compute(&m);
+        let bbs = codense_obj::BasicBlocks::compute_with(&m, isa_ref(m.isa));
         println!("  basic blocks : {} (mean {:.1} insns)", bbs.len(), bbs.mean_block_len());
     } else if bytes.starts_with(&container::MAGIC) {
         let image = container::deserialize(&bytes).map_err(|e| format!("{path}: {e}"))?;
         println!("compressed program ({:?})", image.encoding);
+        println!("  isa           : {}", image.isa);
         println!("  original text : {} bytes", image.original_text_bytes);
         println!("  stream        : {} nibbles ({} bytes)", image.total_nibbles, image.image.len());
         println!("  dictionary    : {} entries", image.dictionary_by_rank.len());
@@ -535,12 +535,12 @@ fn cmd_disasm(args: &Args) -> CliResult {
         let image = container::deserialize(&bytes).map_err(|e| format!("{path}: {e}"))?;
         return disasm_stream(&image, start, count);
     }
-    let m = codense_obj::deserialize(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    let m = module_from_bytes(path, &bytes)?;
     if start >= m.len() {
         return Err(format!("START {start} beyond program ({} insns)", m.len()));
     }
-    let end = (start + count).min(m.len());
-    print!("{}", codense_ppc::disasm::dump(&m.code[start..end], 4 * start as u32));
+    let end = start.saturating_add(count).min(m.len());
+    print!("{}", isa_ref(m.isa).dump(&m.code[start..end], 4 * start as u32));
     Ok(())
 }
 
@@ -558,27 +558,25 @@ fn disasm_stream(image: &container::ProgramImage, skip_items: usize, count: usiz
     } else {
         None
     };
+    let isa = isa_ref(image.isa);
     let mut r = NibbleReader::new(&image.image);
     let mut index = 0usize;
     let mut shown = 0usize;
     while r.pos() < image.total_nibbles && shown < count {
         let at = r.pos();
-        let Some(item) = read_item_coded(image.encoding, isa_ref("ppc"), huff.as_ref(), &mut r)
-        else {
+        let Some(item) = read_item_coded(image.encoding, isa, huff.as_ref(), &mut r) else {
             break;
         };
         if index >= skip_items {
             match item {
-                Item::Insn(word) => {
-                    println!("{at:7}:  {}", codense_ppc::disasm::disassemble(word, 0));
-                }
+                Item::Insn(word) => println!("{at:7}:  {}", isa.disassemble(word, 0)),
                 Item::Codeword(rank) => {
                     let words = image
                         .dictionary_by_rank
                         .get(rank as usize)
                         .ok_or_else(|| format!("stream references unknown rank {rank}"))?;
                     let expansion: Vec<String> =
-                        words.iter().map(|&w| codense_ppc::disasm::disassemble(w, 0)).collect();
+                        words.iter().map(|&w| isa.disassemble(w, 0)).collect();
                     println!("{at:7}:  CODEWORD #{rank}  => {}", expansion.join("; "));
                 }
             }
@@ -607,6 +605,7 @@ fn cmd_compress(args: &Args) -> CliResult {
         .unwrap_or_else(|| format!("{}.cdns", path.trim_end_matches(".cdm")));
 
     let compressed = Compressor::new(config)
+        .with_isa(isa_ref(m.isa))
         .with_selector(parse_selector(args)?)
         .compress(&m)
         .map_err(|e| e.to_string())?;
@@ -640,7 +639,7 @@ fn cmd_analyze(args: &Args) -> CliResult {
         p.used_once_insns,
         100.0 * p.used_once_fraction()
     );
-    let u = codense_core::analysis::branch_offset_usage(&m);
+    let u = codense_core::analysis::branch_offset_usage(&m, isa_ref(m.isa));
     println!("  PC-relative branches : {}", u.total);
     let pct = u.percentages();
     println!(
@@ -667,7 +666,7 @@ fn cmd_analyze(args: &Args) -> CliResult {
 /// targets. `--isa` picks the backend (default `ppc`).
 fn cmd_asm(args: &Args) -> CliResult {
     let path = args.positional(0).ok_or("asm: missing input .s file")?;
-    let isa_name = parse_isa(args)?;
+    let isa = parse_isa(args)?;
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
 
     // Pass 1: strip comments/labels, record label -> instruction index.
@@ -697,17 +696,16 @@ fn cmd_asm(args: &Args) -> CliResult {
 
     // Pass 2: substitute label operands with absolute hex addresses, parse.
     // Both backends print and parse branch targets as absolute *byte*
-    // addresses; instruction width comes from the backend, not a literal.
-    let insn_bytes: u32 = if isa_name == "mips" { codense_mips::INSN_BYTES } else { 4 };
+    // addresses of fixed-width instructions.
+    let insn_bytes = codense_isa::INSN_BYTES;
     let parse_encode = |text: &str, addr: u32| -> Result<u32, String> {
-        if isa_name == "mips" {
-            codense_mips::parse::parse_insn(text, addr)
-                .map(|i| codense_mips::encode(&i))
-                .map_err(|e| e.to_string())
-        } else {
-            codense_ppc::parse::parse_insn(text, addr)
+        match isa {
+            IsaId::Ppc => codense_ppc::parse::parse_insn(text, addr)
                 .map(|i| codense_ppc::encode(&i))
-                .map_err(|e| e.to_string())
+                .map_err(|e| e.to_string()),
+            IsaId::Mips => codense_mips::parse::parse_insn(text, addr)
+                .map(|i| codense_mips::encode(&i))
+                .map_err(|e| e.to_string()),
         }
     };
     let mut code = Vec::with_capacity(lines.len());
@@ -742,9 +740,10 @@ fn cmd_asm(args: &Args) -> CliResult {
             .file_name()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "module".to_owned()),
+        isa,
     );
     module.code = code;
-    module.validate_with(isa_ref(isa_name)).map_err(|e| format!("{path}: invalid program: {e}"))?;
+    module.validate_with(isa_ref(isa)).map_err(|e| format!("{path}: invalid program: {e}"))?;
     std::fs::write(&out_path, codense_obj::serialize(&module))
         .map_err(|e| format!("{out_path}: {e}"))?;
     println!("{out_path}: {} instructions", module.len());
@@ -770,7 +769,7 @@ const REPRO_ENCODINGS: [(&str, EncodingKind); 4] = [
 /// Generates the suite for one backend and compresses every benchmark
 /// under all four encodings with the given selector, verifying each result.
 fn repro_rows(
-    isa: &str,
+    isa: IsaId,
     bench_filter: Option<&str>,
     selector: SelectorKind,
 ) -> Result<Vec<ReproRow>, String> {
@@ -782,15 +781,11 @@ fn repro_rows(
     if profiles.is_empty() {
         return Err(format!("repro: unknown benchmark `{}`", bench_filter.unwrap_or("")));
     }
-    let isa_name = isa.to_owned();
     let modules: Vec<ObjectModule> = {
         let _phase = telemetry::phase("suite-gen");
-        codense_core::parallel::par_map(profiles, move |_, p| {
-            if isa_name == "mips" {
-                codense_codegen::generate_module_mips(&p)
-            } else {
-                codense_codegen::generate_module(&p)
-            }
+        codense_core::parallel::par_map(profiles, move |_, p| match isa {
+            IsaId::Ppc => codense_codegen::generate_module(&p),
+            IsaId::Mips => codense_codegen::generate_module_mips(&p),
         })
     };
 
@@ -951,12 +946,10 @@ fn render_ratio_artifact(per_isa: &[(&str, SelectorCells)]) -> String {
 
 fn cmd_repro(args: &Args) -> CliResult {
     let bench_filter = args.value("--bench");
-    let isa_flag = args.value("--isa").unwrap_or("ppc");
-    let show: Vec<&'static str> = match isa_flag {
-        "ppc" => vec!["ppc"],
-        "mips" => vec!["mips"],
-        "both" => vec!["ppc", "mips"],
-        other => return Err(format!("unknown ISA `{other}` (ppc|mips|both)")),
+    let show: Vec<IsaId> = match args.value("--isa").unwrap_or("ppc") {
+        "both" => IsaId::ALL.to_vec(),
+        name => vec![IsaId::from_name(name)
+            .ok_or_else(|| format!("unknown ISA `{name}` (ppc|mips|both)"))?],
     };
     let out_path = args.value("--out");
     let ratio_path = args.value("--ratio-out");
@@ -965,10 +958,10 @@ fn cmd_repro(args: &Args) -> CliResult {
     // (isa, selector) → rows, computed lazily so the table, the isa
     // artifact (always greedy), and the ratio artifact (both selectors)
     // share work.
-    let mut computed: Vec<((&'static str, SelectorKind), Vec<ReproRow>)> = Vec::new();
+    let mut computed: Vec<((IsaId, SelectorKind), Vec<ReproRow>)> = Vec::new();
     fn rows_for<'a>(
-        computed: &'a mut Vec<((&'static str, SelectorKind), Vec<ReproRow>)>,
-        isa: &'static str,
+        computed: &'a mut Vec<((IsaId, SelectorKind), Vec<ReproRow>)>,
+        isa: IsaId,
         selector: SelectorKind,
         bench_filter: Option<&str>,
     ) -> Result<&'a [ReproRow], String> {
@@ -984,7 +977,7 @@ fn cmd_repro(args: &Args) -> CliResult {
     for &isa in &show {
         let rows = rows_for(&mut computed, isa, selector, bench_filter)?;
         // The single-ISA default output is the historical table, unchanged.
-        if show.len() > 1 || isa != "ppc" {
+        if show.len() > 1 || isa != IsaId::Ppc {
             println!("isa: {isa}");
         }
         if selector != SelectorKind::Greedy {
@@ -1003,13 +996,13 @@ fn cmd_repro(args: &Args) -> CliResult {
     // backends under the greedy selector, computing whatever the table
     // display didn't need.
     if let Some(path) = out_path {
-        for isa in ["ppc", "mips"] {
+        for isa in IsaId::ALL {
             rows_for(&mut computed, isa, SelectorKind::Greedy, bench_filter)?;
         }
         let per_isa: Vec<(&str, &[ReproRow])> = computed
             .iter()
             .filter(|((_, s), _)| *s == SelectorKind::Greedy)
-            .map(|((i, _), r)| (*i, r.as_slice()))
+            .map(|((i, _), r)| (i.name(), r.as_slice()))
             .collect();
         let json = render_isa_artifact(&per_isa);
         std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
@@ -1018,23 +1011,23 @@ fn cmd_repro(args: &Args) -> CliResult {
 
     // The ratio artifact carries the full isa × selector × encoding grid.
     if let Some(path) = ratio_path {
-        for isa in ["ppc", "mips"] {
+        for isa in IsaId::ALL {
             for s in [SelectorKind::Greedy, SelectorKind::Refine] {
                 rows_for(&mut computed, isa, s, bench_filter)?;
             }
         }
-        let cell = |isa: &str, s: SelectorKind| -> &[ReproRow] {
+        let cell = |isa: IsaId, s: SelectorKind| -> &[ReproRow] {
             computed
                 .iter()
                 .find(|((i, cs), _)| *i == isa && *cs == s)
                 .map(|(_, r)| r.as_slice())
                 .expect("computed above")
         };
-        let per_isa: Vec<(&str, SelectorCells)> = ["ppc", "mips"]
-            .iter()
+        let per_isa: Vec<(&str, SelectorCells)> = IsaId::ALL
+            .into_iter()
             .map(|isa| {
                 (
-                    *isa,
+                    isa.name(),
                     [
                         ("greedy", cell(isa, SelectorKind::Greedy)),
                         ("refine", cell(isa, SelectorKind::Refine)),
@@ -1053,15 +1046,13 @@ fn cmd_repro(args: &Args) -> CliResult {
 fn cmd_sweep(args: &Args) -> CliResult {
     use codense_core::{sweep, telemetry};
     let bench = args.value("--bench").unwrap_or("compress");
-    let isa_name = parse_isa(args)?;
-    let isa = isa_ref(isa_name);
+    let isa = parse_isa(args)?;
     let selector = parse_selector(args)?;
     let module = match corpus::corpus_arg(args)? {
-        Some(n) => corpus::corpus_program(args, n, isa_name)?.module,
-        None => {
-            benchmark_for(isa_name, bench).ok_or_else(|| format!("unknown benchmark `{bench}`"))?
-        }
+        Some(n) => corpus::corpus_program(args, n, isa)?.module,
+        None => benchmark_for(isa, bench).ok_or_else(|| format!("unknown benchmark `{bench}`"))?,
     };
+    let isa = isa_ref(module.isa);
     println!("sweeps on `{}` ({} insns, {} bytes)", module.name, module.len(), module.text_bytes());
     if selector != SelectorKind::Greedy {
         println!("selector: refine");
@@ -1156,7 +1147,7 @@ fn cmd_profile(args: &Args) -> CliResult {
     let subjects: Vec<Subject> = match (corpus::corpus_arg(args)?, args.value("--bench")) {
         (Some(_), Some(_)) => return Err("profile: --corpus and --bench conflict".into()),
         (Some(n), None) => {
-            vec![corpus::corpus_subject(&corpus::corpus_program(args, n, "ppc")?)?]
+            vec![corpus::corpus_subject(&corpus::corpus_program(args, n, IsaId::Ppc)?)?]
         }
         (None, Some(name)) => {
             vec![Subject::from_kernel(
@@ -1285,7 +1276,7 @@ fn cmd_hybrid_sweep(args: &Args) -> CliResult {
     // An optional corpus scale point joins the sweep; the blessed
     // BENCH_hybrid.json is generated without it.
     if let Some(n) = corpus::corpus_arg(args)? {
-        subjects.push(corpus::corpus_subject(&corpus::corpus_program(args, n, "ppc")?)?);
+        subjects.push(corpus::corpus_subject(&corpus::corpus_program(args, n, IsaId::Ppc)?)?);
     }
     let results = hybrid_sweep_subjects(&subjects, &options).map_err(|e| e.to_string())?;
     let json = render_bench_json(&results, encoding_name, &options.cost);
@@ -1458,7 +1449,7 @@ fn cmd_loadgen(args: &Args) -> CliResult {
     // the server's frame streaming at multi-MiB request sizes (the
     // MAX_FRAME / TOO_LARGE boundary itself is pinned by protocol tests).
     let module = match corpus_insns {
-        Some(n) => corpus::corpus_program(args, n, "ppc")?.module,
+        Some(n) => corpus::corpus_program(args, n, IsaId::Ppc)?.module,
         None => codense_codegen::benchmark(&bench)
             .ok_or_else(|| format!("unknown benchmark `{bench}`"))?,
     };

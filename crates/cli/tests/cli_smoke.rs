@@ -1,7 +1,10 @@
 //! End-to-end CLI smoke tests driving the real binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use codense_obj::{IsaId, JumpTable, ObjectModule};
+use codense_ppc::{encode, Insn};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_codense"))
@@ -11,6 +14,21 @@ fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("codense-cli-test-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Writes a PowerPC module with `code` (and `jump_tables`) as a `.cdm`.
+fn write_module(path: &Path, code: Vec<u32>, jump_tables: Vec<JumpTable>) {
+    let mut m = ObjectModule::new("t", IsaId::Ppc);
+    m.code = code;
+    m.jump_tables = jump_tables;
+    std::fs::write(path, codense_obj::serialize(&m)).unwrap();
+}
+
+/// 601 straight-line instructions: two equal 300-instruction halves, `sc`.
+fn two_halves() -> Vec<u32> {
+    let half = (0..300)
+        .map(|i| encode(&Insn::Addi { rt: codense_ppc::reg::R3, ra: codense_ppc::reg::R3, si: i }));
+    half.clone().chain(half).chain([encode(&Insn::Sc)]).collect()
 }
 
 #[test]
@@ -123,6 +141,65 @@ fn bad_inputs_fail_cleanly() {
     }
     // Neither rejected `compress` wrote an image to the default path.
     assert!(!dir.join("compress.cdns").exists());
+
+    // Modules whose checksum is valid but whose contents are not: every
+    // command that loads one exits 2 with the validation error, instead of
+    // panicking in the basic-block pass.
+    let nop = encode(&Insn::Ori { ra: codense_ppc::reg::R0, rs: codense_ppc::reg::R0, ui: 0 });
+    let branch = encode(&Insn::B { li: 0x1000, aa: false, lk: false });
+    let sc = encode(&Insn::Sc);
+    let jump = dir.join("jump.cdm");
+    write_module(&jump, vec![nop, sc], vec![JumpTable { targets: vec![1000] }]);
+    let far = dir.join("far.cdm");
+    write_module(&far, vec![branch, sc], vec![]);
+    for (path, named) in [
+        (&jump, "jump table 0 entry 0 is out of range"),
+        (&far, "branch at instruction 0 targets out-of-range index 1024"),
+    ] {
+        for command in ["info", "compress", "disasm", "analyze"] {
+            let out = bin().args([command, path.to_str().unwrap()]).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} {path:?}: {err}");
+            assert!(err.contains(named), "{command} {path:?}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn entries_are_capped_at_what_a_container_records() {
+    // At a window cap of 400 the best entry would be a whole 300-word half,
+    // but a container records entry lengths in a byte: mining caps windows
+    // at 255, so the image stays readable.
+    let dir = tmpdir("long-entry");
+    let cdm = dir.join("long.cdm");
+    let cdns = dir.join("long.cdns");
+    write_module(&cdm, two_halves(), vec![]);
+    let (cdm, cdns) = (cdm.to_str().unwrap(), cdns.to_str().unwrap());
+    let out = bin().args(["compress", cdm, "-o", cdns, "--max-entry", "400"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for command in ["info", "disasm"] {
+        let out = bin().args([command, cdns]).output().unwrap();
+        assert!(out.status.success(), "{command}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let image = codense_core::container::deserialize(&std::fs::read(cdns).unwrap()).unwrap();
+    let longest = image.dictionary_by_rank.iter().map(Vec::len).max();
+    assert_eq!(longest, Some(255));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn disasm_count_past_the_end_of_memory_is_clamped() {
+    // START + COUNT overflows usize: the range ends at the program's end.
+    let dir = tmpdir("dis-overflow");
+    let cdm = dir.join("long.cdm");
+    write_module(&cdm, two_halves(), vec![]);
+    let out = bin()
+        .args(["disasm", cdm.to_str().unwrap(), "1", "18446744073709551615"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 600);
     std::fs::remove_dir_all(&dir).ok();
 }
 

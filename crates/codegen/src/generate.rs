@@ -299,7 +299,7 @@ pub fn generate_module_with(
     let program = build_program(profile);
     let module =
         crate::lower::lower_program_with(&program, options).expect("generated program lowers");
-    debug_assert_eq!(module.validate(), Ok(()));
+    debug_assert_eq!(module.validate_with(crate::isa_ref(module.isa)), Ok(()));
     module
 }
 
@@ -336,7 +336,7 @@ pub fn generate_module_mips_with(
     let program = build_program(profile);
     let module = crate::lower_mips::lower_program_mips_with(&program, options)
         .expect("generated program lowers");
-    debug_assert_eq!(module.validate_with(codense_isa::IsaRef(&codense_mips::ISA)), Ok(()));
+    debug_assert_eq!(module.validate_with(crate::isa_ref(module.isa)), Ok(()));
     module
 }
 
@@ -353,6 +353,7 @@ pub fn benchmark_mips(name: &str) -> Option<ObjectModule> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codense_isa::IsaId;
 
     #[test]
     fn generation_is_deterministic() {
@@ -369,7 +370,7 @@ mod tests {
         // Smallest benchmark only; the full suite is exercised by
         // integration tests.
         let m = benchmark("compress").unwrap();
-        assert_eq!(m.validate(), Ok(()));
+        assert_eq!(m.validate_with(crate::isa_ref(IsaId::Ppc)), Ok(()));
         assert!(m.len() > 2000, "compress stand-in too small: {}", m.len());
     }
 
@@ -403,7 +404,7 @@ mod tests {
     #[test]
     fn mips_modules_validate() {
         let m = benchmark_mips("compress").unwrap();
-        assert_eq!(m.validate_with(codense_isa::IsaRef(&codense_mips::ISA)), Ok(()));
+        assert_eq!(m.validate_with(crate::isa_ref(IsaId::Mips)), Ok(()));
         assert!(m.len() > 2000, "compress stand-in too small: {}", m.len());
     }
 
@@ -436,6 +437,6 @@ mod tests {
             crate::lower::LowerOptions { standardize_prologues: true, ..Default::default() },
         );
         assert!(std_pe.len() > plain.len());
-        assert_eq!(std_pe.validate_with(codense_isa::IsaRef(&codense_mips::ISA)), Ok(()));
+        assert_eq!(std_pe.validate_with(crate::isa_ref(IsaId::Mips)), Ok(()));
     }
 }

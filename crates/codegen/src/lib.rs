@@ -29,7 +29,7 @@
 //!
 //! ```
 //! let module = codense_codegen::benchmark("compress").unwrap();
-//! assert_eq!(module.validate(), Ok(()));
+//! assert_eq!(module.validate_with(codense_codegen::isa_ref(module.isa)), Ok(()));
 //! assert!(module.len() > 1000);
 //! ```
 
@@ -40,6 +40,8 @@ pub mod lower_mips;
 pub mod profile;
 pub mod rng;
 
+use codense_isa::{IsaId, IsaRef};
+
 pub use generate::{
     benchmark, benchmark_mips, build_program, generate_module, generate_module_mips,
     generate_module_mips_with, generate_module_with, generate_suite, generate_suite_mips,
@@ -47,3 +49,13 @@ pub use generate::{
 pub use lower::LowerOptions;
 pub use profile::{lib_profile, spec_profiles, BenchProfile};
 pub use rng::Rng;
+
+/// The backend behind an ISA tag: the one registry from the [`IsaId`] a
+/// module or container records to the [`IsaRef`] that reads it. It lives
+/// here because this is the lowest crate that links both backends.
+pub fn isa_ref(id: IsaId) -> IsaRef {
+    match id {
+        IsaId::Ppc => IsaRef(&codense_ppc::ISA),
+        IsaId::Mips => IsaRef(&codense_mips::ISA),
+    }
+}

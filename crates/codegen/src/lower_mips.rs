@@ -94,7 +94,7 @@ pub fn lower_program_mips_with(
                 .collect(),
         })
         .collect();
-    let mut module = ObjectModule::new(program.name.clone());
+    let mut module = ObjectModule::new(program.name.clone(), codense_isa::IsaId::Mips);
     module.functions = lw.functions;
     module.jump_tables = tables;
     module.code = lw.asm.finish()?;

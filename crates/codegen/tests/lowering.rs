@@ -224,7 +224,7 @@ fn switches_produce_consistent_jump_tables() {
     let profile = &spec_profiles()[1]; // gcc: switch-heavy
     let module = codense_codegen::generate_module(profile);
     assert!(!module.jump_tables.is_empty());
-    let bbs = codense_obj::BasicBlocks::compute(&module);
+    let bbs = codense_obj::BasicBlocks::compute_with(&module, codense_codegen::isa_ref(module.isa));
     for table in &module.jump_tables {
         assert!(table.targets.len() >= 2);
         for &t in &table.targets {

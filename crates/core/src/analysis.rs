@@ -4,8 +4,8 @@
 
 use std::collections::HashMap;
 
+use codense_isa::IsaRef;
 use codense_obj::ObjectModule;
-use codense_ppc::branch::{offset_expressible, rel_branch_info};
 
 /// Instruction-encoding redundancy profile of a program (Fig 1).
 #[derive(Debug, Clone, PartialEq)]
@@ -90,8 +90,8 @@ impl BranchOffsetUsage {
     }
 }
 
-/// Computes Table 1's row for a module.
-pub fn branch_offset_usage(module: &ObjectModule) -> BranchOffsetUsage {
+/// Computes Table 1's row for a module, decoding its branches under `isa`.
+pub fn branch_offset_usage(module: &ObjectModule, isa: IsaRef) -> BranchOffsetUsage {
     let mut usage = BranchOffsetUsage {
         total: 0,
         too_narrow_2byte: 0,
@@ -99,16 +99,16 @@ pub fn branch_offset_usage(module: &ObjectModule) -> BranchOffsetUsage {
         too_narrow_4bit: 0,
     };
     for &w in &module.code {
-        let Some(info) = rel_branch_info(w) else { continue };
+        let Some(info) = isa.rel_branch_info(w) else { continue };
         usage.total += 1;
         let nibbles = info.offset as i64 * 2;
-        if !offset_expressible(info.kind, nibbles, 4) {
+        if !isa.offset_expressible(info.kind, nibbles, 4) {
             usage.too_narrow_2byte += 1;
         }
-        if !offset_expressible(info.kind, nibbles, 2) {
+        if !isa.offset_expressible(info.kind, nibbles, 2) {
             usage.too_narrow_1byte += 1;
         }
-        if !offset_expressible(info.kind, nibbles, 1) {
+        if !isa.offset_expressible(info.kind, nibbles, 1) {
             usage.too_narrow_4bit += 1;
         }
     }
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn profile_counts_singletons() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_isa::IsaId::Ppc);
         let a = encode(&Insn::Addi { rt: R3, ra: R3, si: 1 });
         let b = encode(&Insn::Addi { rt: R4, ra: R4, si: 2 });
         let c = encode(&Insn::Addi { rt: R5, ra: R5, si: 3 });
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn top_coverage_monotone() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_isa::IsaId::Ppc);
         m.code =
             (0..100).map(|i| encode(&Insn::Addi { rt: R3, ra: R3, si: (i % 10) as i16 })).collect();
         let c1 = top_encoding_coverage(&m, 0.01);
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn branch_usage_detects_narrow_fields() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_isa::IsaId::Ppc);
         // bc with bd near the 14-bit limit: 16380 bytes displacement fits at
         // 4-byte granularity (4095 words) but not at 2-byte resolution as
         // 8190 > 8191? It does fit (8190 < 8192); 1-byte needs 16380 ≥ 2^13 → too narrow.
@@ -193,7 +193,7 @@ mod tests {
             encode(&Insn::Bc { bo: bo::IF_TRUE, bi: 0, bd: 16, aa: false, lk: false }),
             encode(&Insn::B { li: 32, aa: false, lk: false }),
         ];
-        let u = branch_offset_usage(&m);
+        let u = branch_offset_usage(&m, IsaRef(&codense_ppc::ISA));
         assert_eq!(u.total, 3);
         assert_eq!(u.too_narrow_2byte, 0);
         assert_eq!(u.too_narrow_1byte, 1);
@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn prologue_epilogue_sums_functions() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_isa::IsaId::Ppc);
         m.code = vec![0x6000_0000; 20];
         m.functions.push(FunctionInfo {
             name: "a".into(),
@@ -308,7 +308,7 @@ mod mix_tests {
 
     #[test]
     fn classifies_each_class() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_isa::IsaId::Ppc);
         m.code = vec![
             encode(&Insn::Lwz { rt: R3, ra: R1, d: 0 }),
             encode(&Insn::Stw { rs: R3, ra: R1, d: 0 }),
@@ -335,7 +335,7 @@ mod mix_tests {
     // analysis lives below codegen in the crate graph; synthesize a small
     // template-shaped module by hand instead of depending upward.
     fn codense_codegen_stub() -> ObjectModule {
-        let mut m = ObjectModule::new("stub");
+        let mut m = ObjectModule::new("stub", codense_obj::IsaId::Ppc);
         for i in 0..50i16 {
             m.code.push(encode(&Insn::Lwz { rt: R9, ra: R1, d: 8 + (i % 6) * 4 }));
             m.code.push(encode(&Insn::Addi { rt: R9, ra: R9, si: i % 7 }));

@@ -180,7 +180,7 @@ impl CompressedProgram {
 /// use codense_ppc::{encode, Insn, reg::{R3, R0}};
 ///
 /// # fn main() -> Result<(), codense_core::CompressError> {
-/// let mut module = ObjectModule::new("demo");
+/// let mut module = ObjectModule::new("demo", codense_obj::IsaId::Ppc);
 /// module.code = vec![encode(&Insn::Addi { rt: R3, ra: R0, si: 7 }); 64];
 /// let compressed = Compressor::new(CompressionConfig::baseline()).compress(&module)?;
 /// assert!(compressed.compression_ratio() < 0.2);
@@ -202,7 +202,10 @@ impl Default for Compressor {
 }
 
 impl Compressor {
-    /// Creates a compressor with the given configuration, targeting PowerPC.
+    /// Creates a compressor with the given configuration, targeting PowerPC
+    /// (the one backend this crate links; [`with_isa`](Self::with_isa)
+    /// retargets it). Compressing a module built for another ISA is an
+    /// [`CompressError::IsaMismatch`], never a PowerPC reading of its words.
     pub fn new(config: CompressionConfig) -> Compressor {
         Compressor {
             config,
@@ -215,11 +218,6 @@ impl Compressor {
     /// The configuration in use.
     pub fn config(&self) -> &CompressionConfig {
         &self.config
-    }
-
-    /// The target instruction-set architecture.
-    pub fn isa(&self) -> IsaRef {
-        self.isa
     }
 
     /// Selects which matchfinder backs the greedy pass. Output is
@@ -244,12 +242,24 @@ impl Compressor {
     }
 
     /// Retargets the compressor at a different instruction-set architecture.
+    /// It then compresses only modules built for `isa`.
     pub fn with_isa(mut self, isa: IsaRef) -> Compressor {
         self.isa = isa;
         self
     }
 
-    /// Compresses a module.
+    /// Rejects a module built for another ISA than the target.
+    fn check_isa(&self, module: &ObjectModule) -> Result<(), CompressError> {
+        if self.isa.id() != module.isa {
+            return Err(CompressError::IsaMismatch {
+                module: module.isa,
+                compressor: self.isa.id(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Compresses a module built for the target ISA.
     ///
     /// # Errors
     ///
@@ -277,6 +287,7 @@ impl Compressor {
         module: &ObjectModule,
         index: &CandidateIndex,
     ) -> Result<CompressedProgram, CompressError> {
+        self.check_isa(module)?;
         match self.selector {
             SelectorKind::Greedy => self.compress_inner(module, &[], Some(index), &BanSet::new()),
             SelectorKind::Refine => crate::selector::refine(self, module, &[], Some(index)),
@@ -305,6 +316,7 @@ impl Compressor {
         module: &ObjectModule,
         exempt: &[bool],
     ) -> Result<CompressedProgram, CompressError> {
+        self.check_isa(module)?;
         match self.selector {
             SelectorKind::Greedy => self.compress_inner(module, exempt, None, &BanSet::new()),
             SelectorKind::Refine => crate::selector::refine(self, module, exempt, None),
@@ -601,17 +613,6 @@ impl Compressor {
     }
 }
 
-/// Size of one atom in nibbles (PowerPC; see [`atom_nibbles_with`]).
-pub fn atom_nibbles(kind: EncodingKind, atom: &Atom, dict: &Dictionary) -> u64 {
-    atom_nibbles_with(IsaRef(&codense_ppc::ISA), kind, atom, dict)
-}
-
-/// Size of one atom in nibbles under `isa` (fixed-layout encodings; for
-/// [`EncodingKind::Huffman`] use [`atom_nibbles_coded`]).
-pub fn atom_nibbles_with(isa: IsaRef, kind: EncodingKind, atom: &Atom, dict: &Dictionary) -> u64 {
-    atom_nibbles_coded(isa, kind, None, atom, dict)
-}
-
 /// Size of one atom in nibbles under `isa`, with the program's Huffman
 /// codeword table when the encoding needs one.
 ///
@@ -639,29 +640,6 @@ pub fn atom_nibbles_coded(
                 * encoding::insn_nibbles_coded(kind, huff) as u64
         }
     }
-}
-
-/// The instruction sequence a [`Atom::ViaTable`] packs under PowerPC (see
-/// [`via_table_expansion_with`]).
-pub fn via_table_expansion(kind: EncodingKind, word: u32, slot: usize) -> Vec<u32> {
-    via_table_expansion_with(IsaRef(&codense_ppc::ISA), kind, word, slot)
-}
-
-/// The instruction sequence a [`Atom::ViaTable`] packs under `isa`
-/// (fixed-layout encodings; for [`EncodingKind::Huffman`] use
-/// [`via_table_expansion_coded`]).
-///
-/// # Panics
-///
-/// Panics if the ISA cannot expand `word` (the compressor rejects such
-/// branches with [`CompressError::UnsupportedOverflowBranch`] earlier).
-pub fn via_table_expansion_with(
-    isa: IsaRef,
-    kind: EncodingKind,
-    word: u32,
-    slot: usize,
-) -> Vec<u32> {
-    via_table_expansion_coded(isa, kind, None, word, slot)
 }
 
 /// The instruction sequence a [`Atom::ViaTable`] packs under `isa`: an
@@ -695,6 +673,7 @@ pub fn via_table_expansion_coded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codense_isa::IsaId;
     use codense_ppc::branch::RelBranchKind;
     use codense_ppc::encode;
     use codense_ppc::insn::{bo, Insn};
@@ -704,8 +683,10 @@ mod tests {
         encode(&Insn::Addi { rt: codense_ppc::Gpr::new(rt).unwrap(), ra: R3, si })
     }
 
+    const PPC: IsaRef = IsaRef(&codense_ppc::ISA);
+
     fn simple_module(words: Vec<u32>) -> ObjectModule {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", IsaId::Ppc);
         m.code = words;
         m
     }
@@ -763,7 +744,7 @@ mod tests {
         a.emit(Insn::Cmpwi { bf: CR0, ra: R5, si: 3 });
         a.bne(CR0, "target");
         a.emit(Insn::Sc);
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", IsaId::Ppc);
         m.code = a.finish().unwrap();
 
         let c = Compressor::new(CompressionConfig::baseline()).compress(&m).unwrap();
@@ -774,16 +755,16 @@ mod tests {
     fn via_table_expansion_shapes() {
         // Unconditional branch: 4-instruction dispatch, no skip.
         let b = encode(&Insn::B { li: 4096, aa: false, lk: false });
-        let seq = via_table_expansion(EncodingKind::Baseline, b, 3);
+        let seq = via_table_expansion_coded(PPC, EncodingKind::Baseline, None, b, 3);
         assert_eq!(seq.len(), 4);
         assert!(matches!(codense_ppc::decode(seq[3]), Insn::Bcctr { lk: false, .. }));
         // Call keeps LK.
         let bl = encode(&Insn::B { li: 4096, aa: false, lk: true });
-        let seq = via_table_expansion(EncodingKind::Baseline, bl, 0);
+        let seq = via_table_expansion_coded(PPC, EncodingKind::Baseline, None, bl, 0);
         assert!(matches!(codense_ppc::decode(seq[3]), Insn::Bcctr { lk: true, .. }));
         // Conditional branch gains an inverted skip.
         let bc = encode(&Insn::Bc { bo: bo::IF_TRUE, bi: 2, bd: 64, aa: false, lk: false });
-        let seq = via_table_expansion(EncodingKind::Baseline, bc, 0);
+        let seq = via_table_expansion_coded(PPC, EncodingKind::Baseline, None, bc, 0);
         assert_eq!(seq.len(), 5);
         match codense_ppc::decode(seq[0]) {
             Insn::Bc { bo: b, bi, .. } => {
@@ -808,6 +789,20 @@ mod tests {
         assert!(c.dictionary.len() <= 8);
         assert!(c.dictionary_bytes() <= 128);
         assert!(c.compression_ratio() < 0.5);
+    }
+
+    #[test]
+    fn foreign_isa_module_is_a_typed_error() {
+        let mut m = simple_module(vec![addi(3, 1); 16]);
+        m.isa = IsaId::Mips;
+        let want = CompressError::IsaMismatch { module: IsaId::Mips, compressor: IsaId::Ppc };
+        let c = Compressor::new(CompressionConfig::nibble_aligned());
+        assert_eq!(c.compress(&m).unwrap_err(), want);
+        assert_eq!(c.compress_masked(&m, &[false; 16]).unwrap_err(), want);
+        let c = c.with_selector(SelectorKind::Refine);
+        assert_eq!(c.compress(&m).unwrap_err(), want);
+        let index = CandidateIndex::build(&ProgramModel::build_isa(&m, PPC), 4).unwrap();
+        assert_eq!(c.compress_with_index(&m, &index).unwrap_err(), want);
     }
 
     #[test]

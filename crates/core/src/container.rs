@@ -11,11 +11,11 @@
 //! u16               format version (1)
 //! u8                encoding (0 = baseline, 1 = one-byte, 2 = nibble,
 //!                             3 = huffman)
-//! u8                reserved (0)
+//! u8                ISA tag (0 = PowerPC, 1 = MIPS; see `codense_isa::IsaId`)
 //! u32               original text bytes
 //! u64               stream length in nibbles
 //! u32               dictionary entry count          (rank order)
-//!   per entry: u8 length, u32 × length words
+//!   per entry: u8 length (≤ MAX_ENTRY_LEN), u32 × length words
 //! [encoding 3 only]
 //! u32               huffman symbol count, then one nibble-length byte per
 //!                   symbol (rank order, escape last) — the decoder rebuilds
@@ -27,6 +27,8 @@
 //! u32               CRC-32 (IEEE) of everything above
 //! ```
 
+use codense_isa::IsaId;
+
 use crate::compressor::CompressedProgram;
 use crate::config::EncodingKind;
 
@@ -34,11 +36,19 @@ use crate::config::EncodingKind;
 pub const MAGIC: [u8; 4] = *b"CDNS";
 /// Current format version.
 pub const VERSION: u16 = 1;
+/// Byte offset of the `u8` ISA tag: after the magic, version and encoding.
+pub const ISA_TAG_AT: usize = 7;
+/// The longest dictionary entry, in instructions, the format can record
+/// (its length field is a `u8`). Mining caps windows here, so every
+/// compressed program serializes.
+pub const MAX_ENTRY_LEN: usize = u8::MAX as usize;
 
 /// A deserialized, execution-ready compressed program: exactly the state the
 /// paper's hardware needs (Fig 3) — no compression-time bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramImage {
+    /// The instruction set the dictionary and escaped words are encoded in.
+    pub isa: IsaId,
     /// Codeword encoding scheme.
     pub encoding: EncodingKind,
     /// Dictionary entries in codeword-rank order.
@@ -80,6 +90,8 @@ pub enum ContainerError {
     BadVersion(u16),
     /// Unknown encoding discriminant.
     BadEncoding(u8),
+    /// Unknown ISA tag.
+    BadIsa(u8),
     /// The container is shorter than its fields claim.
     Truncated,
     /// The CRC does not match the payload.
@@ -92,6 +104,7 @@ impl std::fmt::Display for ContainerError {
             ContainerError::BadMagic => write!(f, "not a codense container (bad magic)"),
             ContainerError::BadVersion(v) => write!(f, "unsupported container version {v}"),
             ContainerError::BadEncoding(e) => write!(f, "unknown encoding discriminant {e}"),
+            ContainerError::BadIsa(t) => write!(f, "unknown ISA tag {t} in container"),
             ContainerError::Truncated => write!(f, "container truncated"),
             ContainerError::ChecksumMismatch => write!(f, "container checksum mismatch"),
         }
@@ -132,14 +145,14 @@ pub fn serialize(program: &CompressedProgram) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_be_bytes());
     out.push(encoding_tag(program.encoding));
-    out.push(0);
+    out.push(program.isa.id().tag());
     out.extend_from_slice(&(program.original_text_bytes as u32).to_be_bytes());
     out.extend_from_slice(&program.total_nibbles.to_be_bytes());
 
     out.extend_from_slice(&(program.dictionary.len() as u32).to_be_bytes());
     for rank in 0..program.dictionary.len() as u32 {
         let entry = program.dictionary.entry(program.dictionary.entry_of_rank(rank));
-        out.push(entry.words.len() as u8);
+        out.push(u8::try_from(entry.words.len()).expect("mining caps entries at MAX_ENTRY_LEN"));
         for &w in &entry.words {
             out.extend_from_slice(&w.to_be_bytes());
         }
@@ -235,7 +248,8 @@ pub fn deserialize(data: &[u8]) -> Result<ProgramImage, ContainerError> {
     }
     let enc_tag = r.u8()?;
     let encoding = encoding_from_tag(enc_tag).ok_or(ContainerError::BadEncoding(enc_tag))?;
-    let _reserved = r.u8()?;
+    let isa_tag = r.u8()?;
+    let isa = IsaId::from_tag(isa_tag).ok_or(ContainerError::BadIsa(isa_tag))?;
     let original_text_bytes = r.u32()?;
     let total_nibbles = r.u64()?;
 
@@ -278,6 +292,7 @@ pub fn deserialize(data: &[u8]) -> Result<ProgramImage, ContainerError> {
     }
 
     Ok(ProgramImage {
+        isa,
         encoding,
         dictionary_by_rank,
         huffman_lengths,
@@ -297,6 +312,7 @@ impl CompressedProgram {
             .map(|rank| self.dictionary.entry(self.dictionary.entry_of_rank(rank)).words.clone())
             .collect();
         ProgramImage {
+            isa: self.isa.id(),
             encoding: self.encoding,
             dictionary_by_rank,
             huffman_lengths: self
@@ -327,7 +343,7 @@ mod tests {
     use codense_ppc::reg::*;
 
     fn program() -> CompressedProgram {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", IsaId::Ppc);
         for i in 0..60 {
             m.code.push(encode(&Insn::Addi { rt: R3, ra: R3, si: (i % 4) as i16 }));
         }
@@ -347,7 +363,7 @@ mod tests {
 
     #[test]
     fn all_encodings_roundtrip() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", IsaId::Ppc);
         m.code = vec![encode(&Insn::Addi { rt: R4, ra: R4, si: 2 }); 40];
         for config in [
             CompressionConfig::baseline(),
@@ -362,7 +378,7 @@ mod tests {
 
     #[test]
     fn huffman_lengths_travel_in_the_container() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", IsaId::Ppc);
         for i in 0..60 {
             m.code.push(encode(&Insn::Addi { rt: R3, ra: R3, si: (i % 4) as i16 }));
         }
@@ -389,6 +405,31 @@ mod tests {
                 matches!(err, ContainerError::ChecksumMismatch | ContainerError::BadMagic),
                 "flip at {at}: {err:?}"
             );
+        }
+    }
+
+    /// PowerPC keeps the zero the tag field held before it was a tag, MIPS
+    /// writes 1, and an unknown tag under a valid CRC is a typed error.
+    #[test]
+    fn isa_tag_travels_and_is_checked() {
+        let c = program();
+        let mut bytes = serialize(&c);
+        assert_eq!(bytes[ISA_TAG_AT], 0);
+        assert_eq!(deserialize(&bytes).unwrap().isa, IsaId::Ppc);
+        let mut mips = ObjectModule::new("t", IsaId::Mips);
+        mips.code = vec![0x2442_0001; 40]; // addiu $2,$2,1
+        let c = Compressor::new(CompressionConfig::nibble_aligned())
+            .with_isa(codense_codegen::isa_ref(IsaId::Mips))
+            .compress(&mips)
+            .unwrap();
+        let image = deserialize(&serialize(&c)).unwrap();
+        assert_eq!((image.isa, serialize(&c)[ISA_TAG_AT]), (IsaId::Mips, 1));
+        for tag in 2..=u8::MAX {
+            bytes[ISA_TAG_AT] = tag;
+            let n = bytes.len() - 4;
+            let crc = crc32(&bytes[..n]);
+            bytes[n..].copy_from_slice(&crc.to_be_bytes());
+            assert_eq!(deserialize(&bytes), Err(ContainerError::BadIsa(tag)));
         }
     }
 

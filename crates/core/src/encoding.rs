@@ -79,16 +79,6 @@ pub mod nibble {
     }
 }
 
-/// How many nibbles an uncompressed instruction occupies in the stream.
-///
-/// # Panics
-///
-/// Panics for [`EncodingKind::Huffman`], whose escape length depends on the
-/// program's code table; use [`insn_nibbles_coded`] there.
-pub fn insn_nibbles(kind: EncodingKind) -> u32 {
-    insn_nibbles_coded(kind, None)
-}
-
 /// How many nibbles an uncompressed instruction occupies in the stream,
 /// given the program's Huffman code table when the encoding needs one.
 ///
@@ -105,16 +95,9 @@ pub fn insn_nibbles_coded(kind: EncodingKind, huff: Option<&HuffCode>) -> u32 {
     }
 }
 
-/// How many nibbles the codeword of the given rank occupies, or `None` if
-/// the rank does not fit the encoding's codeword space (always `None` for
-/// [`EncodingKind::Huffman`], whose lengths live in the program's code
-/// table — use [`try_codeword_nibbles_coded`]).
-pub fn try_codeword_nibbles(kind: EncodingKind, rank: u32) -> Option<u32> {
-    try_codeword_nibbles_coded(kind, None, rank)
-}
-
 /// How many nibbles the codeword of the given rank occupies under the given
-/// Huffman table, or `None` if the rank does not fit the codeword space.
+/// Huffman table (required only by [`EncodingKind::Huffman`]), or `None` if
+/// the rank does not fit the codeword space.
 pub fn try_codeword_nibbles_coded(
     kind: EncodingKind,
     huff: Option<&HuffCode>,
@@ -129,26 +112,6 @@ pub fn try_codeword_nibbles_coded(
         EncodingKind::NibbleAligned => nibble::try_codeword_nibbles(rank),
         EncodingKind::Huffman => huff?.codeword_len(rank),
     }
-}
-
-/// How many nibbles the codeword of the given rank occupies.
-///
-/// # Panics
-///
-/// Panics if `rank` exceeds the encoding's capacity; use
-/// [`try_codeword_nibbles`] when the rank is not known to be in range.
-pub fn codeword_nibbles(kind: EncodingKind, rank: u32) -> u32 {
-    try_codeword_nibbles(kind, rank)
-        .unwrap_or_else(|| panic!("rank {rank} out of {kind:?} codeword space"))
-}
-
-/// Serializes an uncompressed instruction into the stream.
-///
-/// # Panics
-///
-/// Panics for [`EncodingKind::Huffman`]; use [`write_insn_coded`] there.
-pub fn write_insn(kind: EncodingKind, w: &mut NibbleWriter, word: u32) {
-    write_insn_coded(kind, None, w, word);
 }
 
 /// Serializes an uncompressed instruction into the stream, given the
@@ -174,36 +137,9 @@ pub fn write_insn_coded(
     w.push_u32(word);
 }
 
-/// Serializes a codeword rank into the stream, or returns
-/// [`CompressError::CodewordSpaceExhausted`] if the rank does not fit the
-/// encoding's codeword space. Nothing is written on error.
-///
-/// PowerPC convenience wrapper over [`try_write_codeword_with`].
-pub fn try_write_codeword(
-    kind: EncodingKind,
-    w: &mut NibbleWriter,
-    rank: u32,
-) -> Result<(), crate::CompressError> {
-    try_write_codeword_with(kind, IsaRef(&codense_ppc::ISA), w, rank)
-}
-
 /// Serializes a codeword rank into the stream under `isa`'s escape-byte
-/// reservation, or returns [`CompressError::CodewordSpaceExhausted`] if the
-/// rank does not fit the encoding's codeword space. Nothing is written on
-/// error. For [`EncodingKind::Huffman`] (whose codewords live in a
-/// per-program table) every rank is out of space here — use
-/// [`try_write_codeword_coded`].
-pub fn try_write_codeword_with(
-    kind: EncodingKind,
-    isa: IsaRef,
-    w: &mut NibbleWriter,
-    rank: u32,
-) -> Result<(), crate::CompressError> {
-    try_write_codeword_coded(kind, isa, None, w, rank)
-}
-
-/// Serializes a codeword rank into the stream under `isa`'s escape-byte
-/// reservation and the program's Huffman code table, or returns
+/// reservation and the program's Huffman code table (required only by
+/// [`EncodingKind::Huffman`]; ignored elsewhere), or returns
 /// [`CompressError::CodewordSpaceExhausted`] if the rank does not fit the
 /// encoding's (or table's) codeword space. Nothing is written on error.
 pub fn try_write_codeword_coded(
@@ -262,41 +198,12 @@ pub fn try_write_codeword_coded(
     Ok(())
 }
 
-/// Serializes a codeword rank into the stream.
-///
-/// # Panics
-///
-/// Panics if `rank` exceeds the encoding's capacity; use
-/// [`try_write_codeword`] when the rank is not known to be in range.
-pub fn write_codeword(kind: EncodingKind, w: &mut NibbleWriter, rank: u32) {
-    try_write_codeword(kind, w, rank).expect("rank out of codeword space");
-}
-
-/// Parses the next stream item.
-///
-/// Returns `None` at (or past) end of stream, or on a malformed/truncated
-/// item.
-///
-/// PowerPC convenience wrapper over [`read_item_with`].
-pub fn read_item(kind: EncodingKind, r: &mut NibbleReader<'_>) -> Option<Item> {
-    read_item_with(kind, IsaRef(&codense_ppc::ISA), r)
-}
-
-/// Parses the next stream item under `isa`'s escape-byte reservation (the
-/// byte-level schemes classify items by whether the leading byte is one of
-/// the ISA's escape bytes; the nibble scheme has an explicit escape nibble
-/// and never consults the ISA).
-///
-/// Returns `None` at (or past) end of stream, or on a malformed/truncated
-/// item. [`EncodingKind::Huffman`] streams need their code table and always
-/// parse as `None` here — use [`read_item_coded`].
-pub fn read_item_with(kind: EncodingKind, isa: IsaRef, r: &mut NibbleReader<'_>) -> Option<Item> {
-    read_item_coded(kind, isa, None, r)
-}
-
 /// Parses the next stream item under `isa`'s escape-byte reservation and
 /// the program's Huffman code table (required only by
-/// [`EncodingKind::Huffman`]; ignored elsewhere).
+/// [`EncodingKind::Huffman`]; ignored elsewhere). The byte-level schemes
+/// classify items by whether the leading byte is one of the ISA's escape
+/// bytes; the nibble scheme has an explicit escape nibble and never
+/// consults the ISA.
 ///
 /// Returns `None` at (or past) end of stream, on a malformed/truncated
 /// item, or when a Huffman stream is parsed without its table.
@@ -372,10 +279,20 @@ pub fn read_item_coded(
 mod tests {
     use super::*;
 
+    const PPC: IsaRef = IsaRef(&codense_ppc::ISA);
+
+    fn write_codeword(kind: EncodingKind, w: &mut NibbleWriter, rank: u32) {
+        try_write_codeword_coded(kind, PPC, None, w, rank).unwrap();
+    }
+
+    fn read_item(kind: EncodingKind, r: &mut NibbleReader<'_>) -> Option<Item> {
+        read_item_coded(kind, PPC, None, r)
+    }
+
     fn roundtrip_rank(kind: EncodingKind, rank: u32) {
         let mut w = NibbleWriter::new();
         write_codeword(kind, &mut w, rank);
-        assert_eq!(w.len(), codeword_nibbles(kind, rank) as u64);
+        assert_eq!(w.len(), try_codeword_nibbles_coded(kind, None, rank).unwrap() as u64);
         let bytes = w.into_bytes();
         let mut r = NibbleReader::new(&bytes);
         assert_eq!(read_item(kind, &mut r), Some(Item::Codeword(rank)), "{kind:?} rank {rank}");
@@ -427,8 +344,8 @@ mod tests {
     fn insns_roundtrip_in_all_schemes() {
         for kind in [EncodingKind::Baseline, EncodingKind::OneByte, EncodingKind::NibbleAligned] {
             let mut w = NibbleWriter::new();
-            write_insn(kind, &mut w, 0x3860_0001);
-            assert_eq!(w.len(), insn_nibbles(kind) as u64);
+            write_insn_coded(kind, None, &mut w, 0x3860_0001);
+            assert_eq!(w.len(), insn_nibbles_coded(kind, None) as u64);
             let bytes = w.into_bytes();
             let mut r = NibbleReader::new(&bytes);
             assert_eq!(read_item(kind, &mut r), Some(Item::Insn(0x3860_0001)));
@@ -438,7 +355,7 @@ mod tests {
     #[test]
     fn nibble_codeword_lengths_match_classes() {
         use nibble::{CAPACITY, N12, N4, N8};
-        let n = |rank| super::codeword_nibbles(EncodingKind::NibbleAligned, rank);
+        let n = |rank| try_codeword_nibbles_coded(EncodingKind::NibbleAligned, None, rank).unwrap();
         assert_eq!(n(0), 1);
         assert_eq!(n(7), 1);
         assert_eq!(n(8), 2);
@@ -452,7 +369,7 @@ mod tests {
         let kind = EncodingKind::NibbleAligned;
         let mut w = NibbleWriter::new();
         write_codeword(kind, &mut w, 3);
-        write_insn(kind, &mut w, 0x4e80_0020);
+        write_insn_coded(kind, None, &mut w, 0x4e80_0020);
         write_codeword(kind, &mut w, 600);
         let bytes = w.into_bytes();
         let mut r = NibbleReader::new(&bytes);
@@ -471,7 +388,7 @@ mod tests {
     #[test]
     fn huffman_items_roundtrip_with_table() {
         let kind = EncodingKind::Huffman;
-        let isa = IsaRef(&codense_ppc::ISA);
+        let isa = PPC;
         let freqs: Vec<u64> = (0..100u64).map(|r| 1000 / (r + 1)).collect();
         let huff = HuffCode::from_frequencies(&freqs, 25);
         let h = Some(&huff);
@@ -489,20 +406,20 @@ mod tests {
     #[test]
     fn huffman_without_table_is_out_of_space_and_unreadable() {
         let kind = EncodingKind::Huffman;
-        let isa = IsaRef(&codense_ppc::ISA);
+        let isa = PPC;
         let mut w = NibbleWriter::new();
         let err = try_write_codeword_coded(kind, isa, None, &mut w, 0).unwrap_err();
         assert!(matches!(err, crate::CompressError::CodewordSpaceExhausted { .. }));
         assert_eq!(w.len(), 0);
         let mut r = NibbleReader::new(&[0x12, 0x34]);
-        assert_eq!(read_item_with(kind, isa, &mut r), None);
-        assert_eq!(try_codeword_nibbles(kind, 0), None);
+        assert_eq!(read_item_coded(kind, isa, None, &mut r), None);
+        assert_eq!(try_codeword_nibbles_coded(kind, None, 0), None);
     }
 
     #[test]
     fn huffman_rank_past_table_is_typed_error() {
         let kind = EncodingKind::Huffman;
-        let isa = IsaRef(&codense_ppc::ISA);
+        let isa = PPC;
         let huff = HuffCode::from_frequencies(&[10, 5, 1], 2);
         let mut w = NibbleWriter::new();
         let err = try_write_codeword_coded(kind, isa, Some(&huff), &mut w, 3).unwrap_err();

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use codense_isa::IsaId;
+
 /// Errors from [`Compressor::compress`](crate::Compressor::compress).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompressError {
@@ -44,6 +46,13 @@ pub enum CompressError {
         /// Cells in the largest block.
         largest_block: usize,
     },
+    /// The compressor targets an ISA other than the one the module records.
+    IsaMismatch {
+        /// The ISA the module records.
+        module: IsaId,
+        /// The ISA the compressor targets.
+        compressor: IsaId,
+    },
 }
 
 impl fmt::Display for CompressError {
@@ -65,6 +74,9 @@ impl fmt::Display for CompressError {
                     "program exceeds the matchfinder's 32-bit position space \
                      ({blocks} blocks, largest block {largest_block} cells)"
                 )
+            }
+            CompressError::IsaMismatch { module, compressor } => {
+                write!(f, "module is built for {module}, but the compressor targets {compressor}")
             }
         }
     }
@@ -112,6 +124,14 @@ pub enum VerifyError {
         /// Entry index.
         entry: usize,
     },
+    /// The program was compressed for an ISA other than the one the module
+    /// records, so its branches and escape bytes mean something else.
+    IsaMismatch {
+        /// The ISA the module records.
+        module: IsaId,
+        /// The ISA the program was compressed for.
+        program: IsaId,
+    },
 }
 
 impl fmt::Display for VerifyError {
@@ -131,6 +151,12 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::JumpTableMismatch { table, entry } => {
                 write!(f, "jump table {table} entry {entry} not patched correctly")
+            }
+            VerifyError::IsaMismatch { module, program } => {
+                write!(
+                    f,
+                    "module is built for {module}, but the program is compressed for {program}"
+                )
             }
         }
     }

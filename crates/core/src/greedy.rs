@@ -49,6 +49,7 @@
 
 use std::collections::BinaryHeap;
 
+use crate::container::MAX_ENTRY_LEN;
 use crate::dict::Dictionary;
 use crate::error::CompressError;
 use crate::model::{Cell, ProgramModel};
@@ -205,7 +206,8 @@ impl CandidateIndex {
     /// Mines every candidate window of `model` (runs of compressible cells,
     /// windows up to `max_len` instructions). A cap above the longest block
     /// mines the same windows as the longest block's length, and is
-    /// checked as that.
+    /// checked as that; a cap above [`MAX_ENTRY_LEN`], the longest entry a
+    /// container can record, mines as that.
     ///
     /// # Errors
     ///
@@ -214,7 +216,7 @@ impl CandidateIndex {
     pub fn build(model: &ProgramModel, max_len: usize) -> Result<CandidateIndex, CompressError> {
         let largest_block = model.blocks.iter().map(|b| b.cells.len()).max().unwrap_or(0);
         let total_cells: usize = model.blocks.iter().map(|b| b.cells.len()).sum();
-        let cap = max_len.min(largest_block);
+        let cap = max_len.min(largest_block).min(MAX_ENTRY_LEN);
         check_position_space(model.blocks.len(), largest_block, total_cells, cap)?;
 
         let mut index = CandidateIndex {
@@ -579,6 +581,8 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
+    use codense_isa::IsaRef;
+
     use codense_obj::ObjectModule;
     use codense_ppc::encode;
     use codense_ppc::insn::Insn;
@@ -589,9 +593,9 @@ mod tests {
     }
 
     fn model_of(words: Vec<u32>) -> ProgramModel {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         m.code = words;
-        ProgramModel::build(&m)
+        ProgramModel::build_isa(&m, IsaRef(&codense_ppc::ISA))
     }
 
     fn baseline_params(max_len: usize, max_cw: usize) -> GreedyParams {
@@ -724,9 +728,9 @@ mod tests {
         }
         a.label("end");
         a.b("end");
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         m.code = a.finish().unwrap();
-        let mut model = ProgramModel::build(&m);
+        let mut model = ProgramModel::build_isa(&m, IsaRef(&codense_ppc::ISA));
         let mut dict = Dictionary::new();
         run_greedy(&mut model, &mut dict, baseline_params(4, 100)).unwrap();
         for e in dict.entries() {
@@ -961,14 +965,14 @@ mod tests {
 
     #[test]
     fn caps_above_the_largest_block_mine_the_largest_block() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         for i in 0..40 {
             m.code.extend([w(i % 5), w(7), w(i % 3 + 20)]);
             if i % 9 == 8 {
                 m.code.push(encode(&Insn::B { li: -8, aa: false, lk: false }));
             }
         }
-        let model = ProgramModel::build(&m);
+        let model = ProgramModel::build_isa(&m, IsaRef(&codense_ppc::ISA));
         let largest = model.blocks.iter().map(|b| b.cells.len()).max().unwrap();
         // Unclamped, the guard would refuse this small program at 100000.
         assert!(check_position_space(model.blocks.len(), largest, m.code.len(), 100_000).is_err());

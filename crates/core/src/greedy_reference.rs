@@ -56,6 +56,10 @@ pub fn run_greedy(
     dict: &mut Dictionary,
     params: GreedyParams,
 ) -> Vec<PickRecord> {
+    // Mining caps entries at what a container can record, as the
+    // production index does.
+    let cap = params.max_entry_len.min(crate::container::MAX_ENTRY_LEN);
+    let params = GreedyParams { max_entry_len: cap, ..params };
     let mut index = Index::build(model, params.max_entry_len);
     let mut picks = Vec::new();
 

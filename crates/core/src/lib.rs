@@ -35,7 +35,7 @@
 //! use codense_core::{Compressor, CompressionConfig, verify::verify};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut module = codense_obj::ObjectModule::new("demo");
+//! let mut module = codense_obj::ObjectModule::new("demo", codense_obj::IsaId::Ppc);
 //! module.code = vec![0x3863_0001; 100];
 //! let compressed = Compressor::new(CompressionConfig::nibble_aligned()).compress(&module)?;
 //! verify(&module, &compressed)?;

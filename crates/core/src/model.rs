@@ -61,27 +61,17 @@ pub struct ProgramModel {
 }
 
 impl ProgramModel {
-    /// Builds the model from a module: computes basic blocks and marks
-    /// PC-relative branches incompressible (PowerPC decoding).
-    pub fn build(module: &ObjectModule) -> ProgramModel {
-        ProgramModel::build_isa(module, IsaRef(&codense_ppc::ISA))
-    }
-
-    /// Like [`build`](ProgramModel::build), with a custom compressibility
-    /// predicate (baselines impose extra constraints — e.g. Liao's software
-    /// mini-subroutines cannot contain link-register users).
-    pub fn build_with(module: &ObjectModule, compressible: impl Fn(u32) -> bool) -> ProgramModel {
-        ProgramModel::build_isa_with(module, IsaRef(&codense_ppc::ISA), compressible)
-    }
-
-    /// Builds the model under `isa`.
+    /// Builds the model from a module under `isa`: computes basic blocks
+    /// and marks PC-relative branches incompressible.
     pub fn build_isa(module: &ObjectModule, isa: IsaRef) -> ProgramModel {
         // `build_isa_with` already excludes PC-relative branches; the extra
         // predicate is identity so each word is decoded exactly once.
         ProgramModel::build_isa_with(module, isa, |_| true)
     }
 
-    /// Builds the model under `isa` with a custom compressibility predicate.
+    /// Like [`build_isa`](ProgramModel::build_isa), with a custom
+    /// compressibility predicate (baselines impose extra constraints — e.g.
+    /// Liao's software mini-subroutines cannot contain link-register users).
     pub fn build_isa_with(
         module: &ObjectModule,
         isa: IsaRef,
@@ -143,14 +133,18 @@ mod tests {
         a.emit(Insn::Addi { rt: R3, ra: R3, si: 1 });
         a.bne(CR0, "l");
         a.emit(Insn::Sc);
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_isa::IsaId::Ppc);
         m.code = a.finish().unwrap();
         m
     }
 
+    fn build(module: &ObjectModule) -> ProgramModel {
+        ProgramModel::build_isa(module, IsaRef(&codense_ppc::ISA))
+    }
+
     #[test]
     fn build_marks_branches_incompressible() {
-        let pm = ProgramModel::build(&module());
+        let pm = build(&module());
         let flat: Vec<Cell> = pm.atoms().collect();
         assert_eq!(flat.len(), 4);
         assert!(matches!(flat[2], Cell::Insn { compressible: false, .. }));
@@ -160,7 +154,7 @@ mod tests {
 
     #[test]
     fn atoms_skip_tombstones() {
-        let mut pm = ProgramModel::build(&module());
+        let mut pm = build(&module());
         // Manually fuse block 1's first cell into a codeword of length 1 and
         // kill nothing; then fuse two cells.
         pm.blocks[1].cells[0] = Cell::Code { entry: 0, orig: 1, len: 1 };

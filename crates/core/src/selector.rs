@@ -192,7 +192,7 @@ mod tests {
             }
             words.push(addi(8, (i % 7) as i16));
         }
-        let mut m = ObjectModule::new("overlap");
+        let mut m = ObjectModule::new("overlap", codense_obj::IsaId::Ppc);
         m.code = words;
         m
     }

@@ -147,7 +147,7 @@ mod tests {
             words.push(encode(&Insn::Addi { rt: R3, ra: R3, si: 1 }));
             words.push(encode(&Insn::Addi { rt: R4, ra: R4, si: (i % 3) as i16 }));
         }
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         m.code = words;
         m
     }

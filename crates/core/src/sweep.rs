@@ -7,7 +7,7 @@
 //! candidate set and therefore recompress.
 //!
 //! Sweeps whose points need independent full compression runs
-//! ([`entry_len_sweep`], [`small_dictionary_sweep`]) evaluate their points
+//! ([`entry_len_sweep_with_isa`], [`small_dictionary_sweep_with_isa`]) evaluate their points
 //! on the [`crate::parallel`] worker pool; each point is an independent
 //! compression of the same immutable module, so results are identical to
 //! the sequential loop and arrive in point order. These sweeps mine the
@@ -27,24 +27,11 @@ use crate::greedy::CandidateIndex;
 use crate::model::ProgramModel;
 
 /// Compression ratio at each requested codeword-count point (Fig 5),
-/// computed from one baseline run to the largest point.
+/// computed from one baseline run under `isa` to the largest point.
 ///
 /// Ratios at interior points are exact for the baseline encoding up to
 /// branch-overflow rewrites (which add a handful of bytes and affect all
 /// points equally).
-///
-/// # Errors
-///
-/// Propagates [`CompressError`] from the underlying run.
-pub fn codeword_count_sweep(
-    module: &ObjectModule,
-    max_entry_len: usize,
-    points: &[usize],
-) -> Result<Vec<(usize, f64)>, CompressError> {
-    codeword_count_sweep_with_isa(module, IsaRef(&codense_ppc::ISA), max_entry_len, points)
-}
-
-/// [`codeword_count_sweep`] for an explicit target ISA.
 ///
 /// # Errors
 ///
@@ -80,19 +67,7 @@ pub fn ratio_at_prefix(c: &CompressedProgram, k: usize) -> f64 {
 }
 
 /// Compression ratio for each maximum entry length (Fig 4), each a full
-/// baseline run with the whole 8192-codeword space.
-///
-/// # Errors
-///
-/// Propagates [`CompressError`] from the underlying runs.
-pub fn entry_len_sweep(
-    module: &ObjectModule,
-    lens: &[usize],
-) -> Result<Vec<(usize, f64)>, CompressError> {
-    entry_len_sweep_with_isa(module, IsaRef(&codense_ppc::ISA), lens)
-}
-
-/// [`entry_len_sweep`] for an explicit target ISA.
+/// baseline run under `isa` with the whole 8192-codeword space.
 ///
 /// # Errors
 ///
@@ -180,19 +155,8 @@ pub fn savings_by_length_sweep(
         .collect())
 }
 
-/// Small-dictionary ratios (Fig 8): 1-byte codewords at each entry count.
-///
-/// # Errors
-///
-/// Propagates [`CompressError`] from the underlying runs.
-pub fn small_dictionary_sweep(
-    module: &ObjectModule,
-    entry_counts: &[usize],
-) -> Result<Vec<(usize, f64)>, CompressError> {
-    small_dictionary_sweep_with_isa(module, IsaRef(&codense_ppc::ISA), entry_counts)
-}
-
-/// [`small_dictionary_sweep`] for an explicit target ISA.
+/// Small-dictionary ratios (Fig 8): 1-byte codewords under `isa` at each
+/// entry count.
 ///
 /// # Errors
 ///
@@ -223,6 +187,8 @@ mod tests {
     use codense_ppc::insn::Insn;
     use codense_ppc::reg::*;
 
+    const PPC: IsaRef = IsaRef(&codense_ppc::ISA);
+
     fn module() -> ObjectModule {
         let mut words = Vec::new();
         for i in 0..40 {
@@ -231,7 +197,7 @@ mod tests {
                 words.push(encode(&Insn::Addi { rt: R4, ra: R4, si: (i * 2) as i16 }));
             }
         }
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_isa::IsaId::Ppc);
         m.code = words;
         m
     }
@@ -239,7 +205,7 @@ mod tests {
     #[test]
     fn more_codewords_never_hurt() {
         let m = module();
-        let sweep = codeword_count_sweep(&m, 4, &[2, 8, 32, 128, 512]).unwrap();
+        let sweep = codeword_count_sweep_with_isa(&m, PPC, 4, &[2, 8, 32, 128, 512]).unwrap();
         for pair in sweep.windows(2) {
             assert!(pair[1].1 <= pair[0].1 + 1e-9, "{sweep:?}");
         }
@@ -249,7 +215,7 @@ mod tests {
     fn prefix_ratio_matches_full_run_at_cap() {
         let m = module();
         let cap = 64;
-        let sweep = codeword_count_sweep(&m, 4, &[cap]).unwrap();
+        let sweep = codeword_count_sweep_with_isa(&m, PPC, 4, &[cap]).unwrap();
         let full = Compressor::new(CompressionConfig {
             max_entry_len: 4,
             max_codewords: cap,
@@ -263,7 +229,7 @@ mod tests {
     #[test]
     fn entry_len_sweep_runs_all_points() {
         let m = module();
-        let sweep = entry_len_sweep(&m, &[1, 2, 4]).unwrap();
+        let sweep = entry_len_sweep_with_isa(&m, PPC, &[1, 2, 4]).unwrap();
         assert_eq!(sweep.len(), 3);
         // Longer entries can only help or match on this simple input.
         assert!(sweep[2].1 <= sweep[0].1 + 1e-9);
@@ -293,7 +259,7 @@ mod tests {
     #[test]
     fn small_dictionary_sweep_improves_with_entries() {
         let m = module();
-        let sweep = small_dictionary_sweep(&m, &[8, 16, 32]).unwrap();
+        let sweep = small_dictionary_sweep_with_isa(&m, PPC, &[8, 16, 32]).unwrap();
         assert!(sweep[2].1 <= sweep[0].1 + 1e-9);
     }
 
@@ -303,7 +269,7 @@ mod tests {
         // must equal an independent full compression bit-for-bit (here via
         // the exact ratio).
         let m = module();
-        for (l, ratio) in entry_len_sweep(&m, &[1, 2, 4, 8]).unwrap() {
+        for (l, ratio) in entry_len_sweep_with_isa(&m, PPC, &[1, 2, 4, 8]).unwrap() {
             let fresh = Compressor::new(CompressionConfig {
                 max_entry_len: l,
                 max_codewords: EncodingKind::Baseline.capacity(),
@@ -313,7 +279,7 @@ mod tests {
             .unwrap();
             assert_eq!(ratio, fresh.compression_ratio(), "entry len {l}");
         }
-        for (n, ratio) in small_dictionary_sweep(&m, &[4, 16, 32]).unwrap() {
+        for (n, ratio) in small_dictionary_sweep_with_isa(&m, PPC, &[4, 16, 32]).unwrap() {
             let fresh =
                 Compressor::new(CompressionConfig::small_dictionary(n)).compress(&m).unwrap();
             assert_eq!(ratio, fresh.compression_ratio(), "entry count {n}");
@@ -412,8 +378,10 @@ pub fn text_nibbles_under_split(
         .map(|a| match *a {
             crate::compressor::Atom::Insn { .. } => 9,
             crate::compressor::Atom::ViaTable { word, slot, .. } => {
-                9 * crate::compressor::via_table_expansion_with(c.isa, c.encoding, word, slot).len()
-                    as u64
+                let expansion = crate::compressor::via_table_expansion_coded(
+                    c.isa, c.encoding, None, word, slot,
+                );
+                9 * expansion.len() as u64
             }
             crate::compressor::Atom::Codeword { .. } => 0,
         })

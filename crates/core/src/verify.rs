@@ -1,7 +1,8 @@
 //! Round-trip verification: proves a compressed program is semantically
 //! equivalent to its original.
 //!
-//! Four properties are checked:
+//! The program must be compressed for the ISA the module records; then
+//! four properties are checked:
 //!
 //! 1. **Coverage** — the expanded atom stream covers original instructions
 //!    `0..n` exactly once, in order.
@@ -28,10 +29,15 @@ use crate::nibbles::NibbleReader;
 ///
 /// Returns the first [`VerifyError`] found; `Ok(())` means the compressed
 /// program provably expands to the original (modulo the intended branch
-/// re-encoding).
+/// re-encoding). [`VerifyError::IsaMismatch`] if the program was
+/// compressed for another ISA than the module's: branches and escapes
+/// checked under the compressor's ISA would prove nothing.
 pub fn verify(module: &ObjectModule, compressed: &CompressedProgram) -> Result<(), VerifyError> {
     crate::telemetry::VERIFY_RUNS.inc();
     let _phase = crate::telemetry::phase("verify");
+    if compressed.isa.id() != module.isa {
+        return Err(VerifyError::IsaMismatch { module: module.isa, program: compressed.isa.id() });
+    }
     verify_coverage_and_words(module, compressed)?;
     verify_image(compressed)?;
     verify_jump_tables(module, compressed)?;
@@ -159,6 +165,7 @@ fn verify_jump_tables(module: &ObjectModule, c: &CompressedProgram) -> Result<()
 mod tests {
     use super::*;
     use crate::{CompressionConfig, Compressor};
+    use codense_isa::IsaId;
     use codense_obj::JumpTable;
     use codense_ppc::asm::Assembler;
     use codense_ppc::insn::Insn;
@@ -176,7 +183,7 @@ mod tests {
         a.emit(Insn::Cmpwi { bf: CR0, ra: R6, si: 0 });
         a.bne(CR0, "head");
         a.emit(Insn::Sc);
-        let mut m = ObjectModule::new("loop");
+        let mut m = ObjectModule::new("loop", IsaId::Ppc);
         m.code = a.finish().unwrap();
         m.jump_tables.push(JumpTable { targets: vec![0, 36] });
         m
@@ -219,6 +226,18 @@ mod tests {
         let mid = c.image.len() / 2;
         c.image[mid] ^= 0xff;
         assert!(matches!(verify(&m, &c), Err(VerifyError::ImageMismatch { .. })));
+    }
+
+    #[test]
+    fn foreign_isa_fails_verification() {
+        let m = looped_module();
+        let c = Compressor::new(CompressionConfig::nibble_aligned()).compress(&m).unwrap();
+        let mut mips = m.clone();
+        mips.isa = IsaId::Mips;
+        assert_eq!(
+            verify(&mips, &c),
+            Err(VerifyError::IsaMismatch { module: IsaId::Mips, program: IsaId::Ppc })
+        );
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! at the exact boundary for all three encodings, and that the compressor
 //! clamps oversized `max_codewords` instead of ever reaching the boundary.
 
-use codense_core::encoding::{self, nibble, read_item, try_write_codeword, Item};
+use codense_core::encoding::{self, nibble, read_item_coded, try_write_codeword_coded, Item};
 use codense_core::nibbles::{NibbleReader, NibbleWriter};
 use codense_core::verify::verify;
 use codense_core::{CompressError, CompressionConfig, Compressor, EncodingKind};
+
+const PPC: codense_isa::IsaRef = codense_isa::IsaRef(&codense_ppc::ISA);
 
 const ALL: [EncodingKind; 3] =
     [EncodingKind::Baseline, EncodingKind::OneByte, EncodingKind::NibbleAligned];
@@ -29,18 +31,22 @@ fn try_write_codeword_at_exact_capacity_boundary() {
         // Last valid rank: writes, and parses back to the same rank.
         let mut w = NibbleWriter::new();
         let last = capacity as u32 - 1;
-        try_write_codeword(kind, &mut w, last).unwrap();
-        assert_eq!(w.len(), encoding::try_codeword_nibbles(kind, last).unwrap() as u64);
+        try_write_codeword_coded(kind, PPC, None, &mut w, last).unwrap();
+        assert_eq!(w.len(), encoding::try_codeword_nibbles_coded(kind, None, last).unwrap() as u64);
         let bytes = w.into_bytes();
         let mut r = NibbleReader::new(&bytes);
-        assert_eq!(read_item(kind, &mut r), Some(Item::Codeword(last)), "{kind:?}");
+        assert_eq!(
+            read_item_coded(kind, PPC, None, &mut r),
+            Some(Item::Codeword(last)),
+            "{kind:?}"
+        );
 
         // First invalid rank: typed error, nothing written.
         let mut w = NibbleWriter::new();
-        let err = try_write_codeword(kind, &mut w, capacity as u32).unwrap_err();
+        let err = try_write_codeword_coded(kind, PPC, None, &mut w, capacity as u32).unwrap_err();
         assert_eq!(err, CompressError::CodewordSpaceExhausted { rank: capacity as u32, capacity });
         assert_eq!(w.len(), 0, "{kind:?} must not write on error");
-        assert_eq!(encoding::try_codeword_nibbles(kind, capacity as u32), None);
+        assert_eq!(encoding::try_codeword_nibbles_coded(kind, None, capacity as u32), None);
     }
 }
 
@@ -49,7 +55,7 @@ fn try_write_codeword_at_exact_capacity_boundary() {
 /// collisions) and repeats three times, so an unclamped greedy run would
 /// assign well over 32 codewords.
 fn wide_module() -> codense_obj::ObjectModule {
-    let mut m = codense_obj::ObjectModule::new("capacity-boundary");
+    let mut m = codense_obj::ObjectModule::new("capacity-boundary", codense_obj::IsaId::Ppc);
     let mut code = Vec::new();
     for i in 0..64u32 {
         for _ in 0..3 {

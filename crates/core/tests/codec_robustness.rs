@@ -5,7 +5,7 @@
 //! ([`codense_codegen::Rng`]) with fixed seeds.
 
 use codense_codegen::Rng;
-use codense_core::encoding::read_item;
+use codense_core::encoding::read_item_coded;
 use codense_core::nibbles::NibbleReader;
 use codense_core::{CompressionConfig, Compressor, EncodingKind};
 use codense_obj::ObjectModule;
@@ -14,6 +14,8 @@ use codense_ppc::insn::Insn;
 use codense_ppc::reg::*;
 
 const CASES: usize = 256;
+
+const PPC: codense_isa::IsaRef = codense_isa::IsaRef(&codense_ppc::ISA);
 
 fn random_bytes(rng: &mut Rng, max_len: usize) -> Vec<u8> {
     let len = rng.below(max_len + 1);
@@ -30,7 +32,7 @@ fn read_item_total_on_garbage() {
         for kind in [EncodingKind::Baseline, EncodingKind::OneByte, EncodingKind::NibbleAligned] {
             let mut r = NibbleReader::new(&bytes);
             let mut guard = 0;
-            while read_item(kind, &mut r).is_some() {
+            while read_item_coded(kind, PPC, None, &mut r).is_some() {
                 guard += 1;
                 assert!(guard <= 2 * bytes.len() + 2, "parser failed to progress");
             }
@@ -42,7 +44,7 @@ fn read_item_total_on_garbage() {
 /// the flip landed in dead padding — never a panic.
 #[test]
 fn verify_survives_bit_flips() {
-    let mut m = ObjectModule::new("t");
+    let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
     for i in 0..100 {
         m.code.push(encode(&Insn::Addi { rt: R3, ra: R3, si: (i % 7) as i16 }));
     }
@@ -72,7 +74,7 @@ fn container_deserialize_total() {
 
 #[test]
 fn fetcher_faults_cleanly_on_corrupt_image() {
-    let mut m = ObjectModule::new("t");
+    let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
     for i in 0..50 {
         m.code.push(encode(&Insn::Addi { rt: R4, ra: R4, si: i as i16 }));
     }
@@ -82,6 +84,6 @@ fn fetcher_faults_cleanly_on_corrupt_image() {
     for pos in 0..c.total_nibbles {
         let mut r = NibbleReader::new(&c.image);
         r.seek(pos);
-        let _ = read_item(c.encoding, &mut r);
+        let _ = read_item_coded(c.encoding, PPC, None, &mut r);
     }
 }

@@ -74,7 +74,7 @@ fn best_remaining_savings(model: &ProgramModel, max_len: usize) -> i64 {
 /// strategy `vec((0u8..6, 0i16..5), 4..120)`.
 fn random_module(rng: &mut Rng) -> ObjectModule {
     let len = rng.range(4, 119);
-    let mut m = ObjectModule::new("prop");
+    let mut m = ObjectModule::new("prop", codense_obj::IsaId::Ppc);
     m.code = (0..len)
         .map(|_| {
             let reg = Gpr::new(3 + rng.below(6) as u8).unwrap();
@@ -90,7 +90,7 @@ fn no_positive_savings_remain() {
     let mut rng = Rng::new(0x6EED_0001);
     for _ in 0..CASES {
         let m = random_module(&mut rng);
-        let mut model = ProgramModel::build(&m);
+        let mut model = ProgramModel::build_isa(&m, codense_isa::IsaRef(&codense_ppc::ISA));
         let mut dict = Dictionary::new();
         run_greedy(
             &mut model,
@@ -111,7 +111,7 @@ fn pick_savings_monotone_nonincreasing() {
     let mut rng = Rng::new(0x6EED_0002);
     for _ in 0..CASES {
         let m = random_module(&mut rng);
-        let mut model = ProgramModel::build(&m);
+        let mut model = ProgramModel::build_isa(&m, codense_isa::IsaRef(&codense_ppc::ISA));
         let mut dict = Dictionary::new();
         let log = run_greedy(
             &mut model,
@@ -132,7 +132,7 @@ fn model_dictionary_consistency() {
     let mut rng = Rng::new(0x6EED_0003);
     for _ in 0..CASES {
         let m = random_module(&mut rng);
-        let mut model = ProgramModel::build(&m);
+        let mut model = ProgramModel::build_isa(&m, codense_isa::IsaRef(&codense_ppc::ISA));
         let mut dict = Dictionary::new();
         run_greedy(
             &mut model,
@@ -168,7 +168,7 @@ mod nibble_split {
     use codense_ppc::{encode, Insn};
 
     fn compressed() -> codense_core::CompressedProgram {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         for i in 0..200 {
             let r = codense_ppc::Gpr::new(3 + (i % 5) as u8).unwrap();
             m.code.push(encode(&Insn::Addi { rt: r, ra: r, si: (i % 9) as i16 }));

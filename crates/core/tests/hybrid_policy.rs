@@ -31,9 +31,9 @@ fn repetitive_module() -> ObjectModule {
     let mut a = Assembler::new();
     body(&mut a);
     a.emit(Insn::Sc);
-    let mut m = ObjectModule::new("hybrid-policy");
+    let mut m = ObjectModule::new("hybrid-policy", codense_obj::IsaId::Ppc);
     m.code = a.finish().unwrap();
-    m.validate().unwrap();
+    m.validate_with(codense_isa::IsaRef(&codense_ppc::ISA)).unwrap();
     m
 }
 
@@ -89,7 +89,7 @@ fn hot_function_exempt_cold_twin_still_compresses() {
     a.blr();
     body(&mut a); // cold copy: insns 34..67
     a.emit(Insn::Sc);
-    let mut m = ObjectModule::new("twin");
+    let mut m = ObjectModule::new("twin", codense_obj::IsaId::Ppc);
     m.code = a.finish().unwrap();
     let half = 33; // body + blr
     m.functions = vec![
@@ -108,7 +108,7 @@ fn hot_function_exempt_cold_twin_still_compresses() {
             epilogues: vec![],
         },
     ];
-    m.validate().unwrap();
+    m.validate_with(codense_isa::IsaRef(&codense_ppc::ISA)).unwrap();
 
     let mut exempt = vec![false; m.len()];
     exempt[..half].iter_mut().for_each(|e| *e = true);

@@ -22,7 +22,7 @@ fn module() -> ObjectModule {
             words.push(encode(&Insn::Addi { rt: R4, ra: R4, si: (i % 5) as i16 }));
         }
     }
-    let mut m = ObjectModule::new("t");
+    let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
     m.code = words;
     m
 }

@@ -23,7 +23,7 @@ const CASES: usize = 256;
 /// the block structure.
 fn random_module(rng: &mut Rng) -> ObjectModule {
     let len = rng.range(8, 180);
-    let mut m = ObjectModule::new("equiv");
+    let mut m = ObjectModule::new("equiv", codense_obj::IsaId::Ppc);
     m.code = (0..len)
         .map(|_| {
             let reg = Gpr::new(3 + rng.below(5) as u8).unwrap();

@@ -9,11 +9,15 @@
 use std::sync::Mutex;
 
 use codense_core::parallel::set_jobs;
-use codense_core::sweep::{codeword_count_sweep, entry_len_sweep, small_dictionary_sweep};
+use codense_core::sweep::{
+    codeword_count_sweep_with_isa, entry_len_sweep_with_isa, small_dictionary_sweep_with_isa,
+};
 use codense_core::{CompressedProgram, CompressionConfig, Compressor};
 use codense_obj::ObjectModule;
 
 static JOBS_LOCK: Mutex<()> = Mutex::new(());
+
+const PPC: codense_isa::IsaRef = codense_isa::IsaRef(&codense_ppc::ISA);
 
 fn module() -> ObjectModule {
     codense_codegen::benchmark("compress").expect("compress benchmark")
@@ -82,8 +86,8 @@ fn entry_len_sweep_is_identical_across_job_counts() {
     let _guard = JOBS_LOCK.lock().unwrap();
     let m = module();
     let lens = [1usize, 2, 4, 8];
-    let serial = with_jobs(1, || entry_len_sweep(&m, &lens).unwrap());
-    let parallel = with_jobs(8, || entry_len_sweep(&m, &lens).unwrap());
+    let serial = with_jobs(1, || entry_len_sweep_with_isa(&m, PPC, &lens).unwrap());
+    let parallel = with_jobs(8, || entry_len_sweep_with_isa(&m, PPC, &lens).unwrap());
     assert_eq!(serial, parallel);
 }
 
@@ -92,8 +96,8 @@ fn small_dictionary_sweep_is_identical_across_job_counts() {
     let _guard = JOBS_LOCK.lock().unwrap();
     let m = module();
     let counts = [8usize, 16, 32];
-    let serial = with_jobs(1, || small_dictionary_sweep(&m, &counts).unwrap());
-    let parallel = with_jobs(8, || small_dictionary_sweep(&m, &counts).unwrap());
+    let serial = with_jobs(1, || small_dictionary_sweep_with_isa(&m, PPC, &counts).unwrap());
+    let parallel = with_jobs(8, || small_dictionary_sweep_with_isa(&m, PPC, &counts).unwrap());
     assert_eq!(serial, parallel);
 }
 
@@ -102,7 +106,7 @@ fn codeword_count_sweep_is_identical_across_job_counts() {
     let _guard = JOBS_LOCK.lock().unwrap();
     let m = module();
     let points = [16usize, 64, 256, 1024, 8192];
-    let serial = with_jobs(1, || codeword_count_sweep(&m, 4, &points).unwrap());
-    let parallel = with_jobs(8, || codeword_count_sweep(&m, 4, &points).unwrap());
+    let serial = with_jobs(1, || codeword_count_sweep_with_isa(&m, PPC, 4, &points).unwrap());
+    let parallel = with_jobs(8, || codeword_count_sweep_with_isa(&m, PPC, 4, &points).unwrap());
     assert_eq!(serial, parallel);
 }

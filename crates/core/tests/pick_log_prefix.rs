@@ -29,7 +29,7 @@ const COST: CostModel =
 /// repeats (and therefore picks) are plentiful.
 fn random_module(rng: &mut Rng) -> ObjectModule {
     let len = rng.range(8, 150);
-    let mut m = ObjectModule::new("prefix");
+    let mut m = ObjectModule::new("prefix", codense_obj::IsaId::Ppc);
     m.code = (0..len)
         .map(|_| {
             let reg = Gpr::new(3 + rng.below(5) as u8).unwrap();
@@ -43,7 +43,7 @@ fn greedy_with_cap(
     m: &ObjectModule,
     cap: usize,
 ) -> (Vec<codense_core::greedy::PickRecord>, Dictionary) {
-    let mut model = ProgramModel::build(m);
+    let mut model = ProgramModel::build_isa(m, codense_isa::IsaRef(&codense_ppc::ISA));
     let mut dict = Dictionary::new();
     let log = run_greedy(
         &mut model,

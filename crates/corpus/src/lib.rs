@@ -43,7 +43,7 @@ use codense_codegen::lower::lower_program_with;
 use codense_codegen::lower_mips::lower_program_mips_with;
 use codense_codegen::{LowerOptions, Rng};
 use codense_core::CompressedProgram;
-use codense_isa::{Core, IsaRef, MachineError};
+use codense_isa::{Core, IsaId, IsaRef, MachineError};
 use codense_obj::ObjectModule;
 use codense_vm::{run, LinearFetcher, RunResult};
 
@@ -84,20 +84,22 @@ pub enum CorpusIsa {
 }
 
 impl CorpusIsa {
+    /// The ISA tag the program's module records.
+    pub fn id(self) -> IsaId {
+        match self {
+            CorpusIsa::Ppc => IsaId::Ppc,
+            CorpusIsa::Mips => IsaId::Mips,
+        }
+    }
+
     /// The compressor-facing ISA handle.
     pub fn isa_ref(self) -> IsaRef {
-        match self {
-            CorpusIsa::Ppc => IsaRef(&codense_ppc::ISA),
-            CorpusIsa::Mips => IsaRef(&codense_mips::ISA),
-        }
+        codense_codegen::isa_ref(self.id())
     }
 
     /// The CLI spelling (`ppc` / `mips`).
     pub fn name(self) -> &'static str {
-        match self {
-            CorpusIsa::Ppc => "ppc",
-            CorpusIsa::Mips => "mips",
-        }
+        self.id().name()
     }
 }
 

@@ -1,12 +1,13 @@
 //! One function per table/figure of the paper, each printing the measured
 //! reproduction of that exhibit.
 
+use codense_codegen::isa_ref;
 use codense_core::analysis::{
     branch_offset_usage, encoding_profile, prologue_epilogue, top_encoding_coverage,
 };
 use codense_core::sweep::{
-    codeword_count_sweep, dict_composition_sweep, entry_len_sweep, savings_by_length_sweep,
-    small_dictionary_sweep,
+    codeword_count_sweep_with_isa, dict_composition_sweep, entry_len_sweep_with_isa,
+    savings_by_length_sweep, small_dictionary_sweep_with_isa,
 };
 use codense_core::{verify::verify, CompressedProgram, CompressionConfig, Compressor};
 use codense_obj::ObjectModule;
@@ -91,7 +92,7 @@ pub fn table1(ctx: &mut Ctx) {
         "4-bit %",
     ]);
     for m in &ctx.suite {
-        let u = branch_offset_usage(m);
+        let u = branch_offset_usage(m, isa_ref(m.isa));
         let p = u.percentages();
         t.row([
             m.name.clone(),
@@ -182,7 +183,7 @@ pub fn fig4(ctx: &mut Ctx) {
         std::iter::once("bench".to_string()).chain(lens.iter().map(|l| format!("len≤{l}"))),
     );
     let rows = codense_core::parallel::par_map(ctx.suite.iter().collect(), |_, m| {
-        (m.name.clone(), entry_len_sweep(m, &lens).expect("sweep"))
+        (m.name.clone(), entry_len_sweep_with_isa(m, isa_ref(m.isa), &lens).expect("sweep"))
     });
     for (name, sweep) in rows {
         t.row(std::iter::once(name).chain(sweep.iter().map(|&(_, r)| pct(r))));
@@ -199,7 +200,10 @@ pub fn fig5(ctx: &mut Ctx) {
         std::iter::once("bench".to_string()).chain(points.iter().map(|p| p.to_string())),
     );
     let rows = codense_core::parallel::par_map(ctx.suite.iter().collect(), |_, m| {
-        (m.name.clone(), codeword_count_sweep(m, 4, &points).expect("sweep"))
+        (
+            m.name.clone(),
+            codeword_count_sweep_with_isa(m, isa_ref(m.isa), 4, &points).expect("sweep"),
+        )
     });
     for (name, sweep) in rows {
         t.row(std::iter::once(name).chain(sweep.iter().map(|&(_, r)| pct(r))));
@@ -279,7 +283,10 @@ pub fn fig8(ctx: &mut Ctx) {
     let counts = [8usize, 16, 32];
     let mut t = Table::new(["bench", "8 (128B dict)", "16 (256B dict)", "32 (512B dict)"]);
     let rows = codense_core::parallel::par_map(ctx.suite.iter().collect(), |_, m| {
-        (m.name.clone(), small_dictionary_sweep(m, &counts).expect("sweep"))
+        (
+            m.name.clone(),
+            small_dictionary_sweep_with_isa(m, isa_ref(m.isa), &counts).expect("sweep"),
+        )
     });
     for (name, sweep) in rows {
         t.row([name, pct(sweep[0].1), pct(sweep[1].1), pct(sweep[2].1)]);

@@ -8,11 +8,14 @@
 //! or an out-of-bounds read. Each battery mutates a valid artifact (bit
 //! flips, truncations, splices, extensions, and flips with the trailing
 //! CRC re-fixed so corruption *passes* the integrity check), then drives
-//! the decoder under `catch_unwind` with a bounded execution budget.
+//! the decoder under `catch_unwind` with a bounded execution budget. Both
+//! file batteries also rewrite the ISA tag (CRC re-fixed): an unknown tag
+//! is a typed error, and a flip to the other ISA decodes and, for
+//! containers, boots and runs on that ISA's core.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use codense_codegen::Rng;
+use codense_codegen::{isa_ref, Rng};
 use codense_core::container;
 use codense_core::encoding::read_item_coded;
 use codense_core::nibbles::NibbleReader;
@@ -20,6 +23,10 @@ use codense_core::{CompressedProgram, CompressionConfig, Compressor, EncodingKin
 use codense_isa::IsaRef;
 use codense_obj::ObjectModule;
 use codense_vm::fetch::PredecodedFetcher;
+
+/// `.cdm` tags tried: both known ones, then unknown ones at the byte and
+/// word boundaries.
+const MODULE_TAGS: [u16; 8] = [0, 1, 2, 0x00ff, 0x0100, 0x0101, 0x8000, 0xffff];
 
 /// Tally of one fault-injection battery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,12 +102,26 @@ pub fn corrupt(bytes: &[u8], rng: &mut Rng) -> Vec<u8> {
             if out.len() > 8 {
                 let i = rng.below(out.len() - 4);
                 out[i] ^= 1 << rng.below(8);
-                let crc = container::crc32(&out[..out.len() - 4]);
-                let n = out.len();
-                out[n - 4..].copy_from_slice(&crc.to_be_bytes());
+                refix_crc(&mut out);
             }
         }
     }
+    out
+}
+
+/// Re-stamps the trailing CRC-32 (both formats end in one) so a mutation
+/// passes the integrity check and reaches the parser.
+fn refix_crc(bytes: &mut [u8]) {
+    let (payload, crc) = bytes.split_at_mut(bytes.len() - 4);
+    crc.copy_from_slice(&container::crc32(payload).to_be_bytes());
+}
+
+/// `bytes` with the `width`-byte big-endian field at `at` set to `tag` and
+/// the CRC re-fixed.
+fn with_tag(bytes: &[u8], at: usize, width: usize, tag: u16) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + width].copy_from_slice(&tag.to_be_bytes()[2 - width..]);
+    refix_crc(&mut out);
     out
 }
 
@@ -114,7 +135,8 @@ fn bounded_run(image: &container::ProgramImage, isa: IsaRef, max_steps: u64) {
 }
 
 /// Corrupts the `.cdns` container of a compressed program `tries` times and
-/// checks the decode-and-execute path end to end, on the program's ISA.
+/// checks the decode-and-execute path end to end, booting each accepted
+/// image on the ISA it records. Every tag value is tried too.
 pub fn container_battery(
     compressed: &CompressedProgram,
     rng: &mut Rng,
@@ -124,19 +146,20 @@ pub fn container_battery(
     let mut report = FaultReport::default();
 
     // Deterministic boundary truncations of the valid container, then the
-    // randomized mutation battery.
+    // randomized mutation battery, then every ISA tag.
     let boundary_lens =
         (0..bytes.len().min(32)).chain((bytes.len().saturating_sub(8)..bytes.len()).rev());
     let mut inputs: Vec<Vec<u8>> = boundary_lens.map(|n| bytes[..n].to_vec()).collect();
     for _ in 0..tries {
         inputs.push(corrupt(&bytes, rng));
     }
+    inputs.extend((0..=u8::MAX).map(|tag| with_tag(&bytes, container::ISA_TAG_AT, 1, tag.into())));
 
     for input in inputs {
         report.checks += 1;
         let outcome = catch_unwind(AssertUnwindSafe(|| match container::deserialize(&input) {
             Ok(image) => {
-                bounded_run(&image, compressed.isa, 50_000);
+                bounded_run(&image, isa_ref(image.isa), 50_000);
                 (false, true)
             }
             Err(_) => (true, false),
@@ -155,13 +178,9 @@ pub fn container_battery(
 
 /// Corrupts the `.cdm` serialized form of an object module `tries` times;
 /// accepted modules are validated and, when still valid, compressed for
-/// `isa` — the compressor must also return typed errors, never panic.
-pub fn module_battery(
-    module: &ObjectModule,
-    isa: IsaRef,
-    rng: &mut Rng,
-    tries: usize,
-) -> FaultReport {
+/// the ISA they record — the compressor must also return typed errors,
+/// never panic. The known tags and a spread of unknown ones are tried too.
+pub fn module_battery(module: &ObjectModule, rng: &mut Rng, tries: usize) -> FaultReport {
     let bytes = codense_obj::serialize(module);
     let mut report = FaultReport::default();
 
@@ -171,6 +190,9 @@ pub fn module_battery(
     for _ in 0..tries {
         inputs.push(corrupt(&bytes, rng));
     }
+    inputs.extend(
+        MODULE_TAGS.map(|tag| with_tag(&bytes, codense_obj::serialize::ISA_TAG_AT, 2, tag)),
+    );
 
     for input in inputs {
         report.checks += 1;
@@ -182,6 +204,7 @@ pub fn module_battery(
         let outcome = catch_unwind(AssertUnwindSafe(|| match codense_obj::deserialize(&input) {
             Ok(m) => {
                 let mut exercised = false;
+                let isa = isa_ref(m.isa);
                 if m.validate_with(isa).is_ok() && m.len() <= 4 * module.len() + 64 {
                     // Typed CompressError or success — both fine; the size
                     // bound keeps spliced-length monsters cheap.
@@ -306,7 +329,7 @@ mod tests {
     use codense_ppc::reg::{R3, R4};
 
     fn module() -> ObjectModule {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         for _ in 0..24 {
             m.code.push(encode(&Insn::Addi { rt: R3, ra: R3, si: 1 }));
             m.code.push(encode(&Insn::Addi { rt: R4, ra: R4, si: 2 }));
@@ -328,9 +351,36 @@ mod tests {
     #[test]
     fn module_battery_never_panics() {
         let mut rng = Rng::new(8);
-        let report = module_battery(&module(), IsaRef(&codense_ppc::ISA), &mut rng, 150);
+        let report = module_battery(&module(), &mut rng, 150);
         assert_eq!(report.panics, 0, "{report:?}");
         assert!(report.typed_errors > 0);
+    }
+
+    /// With no random tries, each battery runs only its boundary
+    /// truncations (all rejected) and its tag sweep: every unknown tag is a
+    /// typed error, and each known tag decodes (a container then boots and
+    /// runs on that ISA's core).
+    #[test]
+    fn isa_tag_sweeps_reject_unknown_tags_and_run_known_ones() {
+        use codense_isa::IsaId;
+        use codense_mips::insn::MInsn;
+        use codense_mips::reg::V0;
+        let mut mips = ObjectModule::new("t", IsaId::Mips);
+        mips.code = vec![codense_mips::encode(&MInsn::Addiu { rt: V0, rs: V0, imm: 1 }); 24];
+        mips.code.push(codense_mips::encode(&MInsn::Syscall));
+        for m in [module(), mips] {
+            let isa = isa_ref(m.isa);
+            let config = CompressionConfig::nibble_aligned();
+            let c = Compressor::new(config).with_isa(isa).compress(&m).unwrap();
+            for report in [
+                container_battery(&c, &mut Rng::new(11), 0),
+                module_battery(&m, &mut Rng::new(12), 0),
+            ] {
+                assert_eq!(report.panics, 0, "{} {report:?}", m.isa);
+                assert_eq!(report.accepted, IsaId::ALL.len() as u64, "{} {report:?}", m.isa);
+                assert_eq!(report.typed_errors, report.checks - report.accepted);
+            }
+        }
     }
 
     #[test]

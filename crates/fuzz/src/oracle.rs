@@ -422,7 +422,7 @@ mod tests {
 
     /// A counting loop unrolled 12 times, ending in `sc` with 12 in `r3`.
     fn ppc_counting_module() -> ObjectModule {
-        let mut m = ObjectModule::new("count");
+        let mut m = ObjectModule::new("count", codense_obj::IsaId::Ppc);
         m.code.push(codense_ppc::encode(&Insn::Addi { rt: R3, ra: R0, si: 0 }));
         for _ in 0..12 {
             m.code.push(codense_ppc::encode(&Insn::Addi { rt: R3, ra: R3, si: 1 }));
@@ -435,7 +435,7 @@ mod tests {
     /// The same program for MIPS, counting in `$v0`.
     fn mips_counting_module() -> ObjectModule {
         use codense_mips::reg::{A0, V0, ZERO};
-        let mut m = ObjectModule::new("count");
+        let mut m = ObjectModule::new("count", codense_obj::IsaId::Mips);
         m.code.push(codense_mips::encode(&MInsn::Addiu { rt: V0, rs: ZERO, imm: 0 }));
         for _ in 0..12 {
             m.code.push(codense_mips::encode(&MInsn::Addiu { rt: V0, rs: V0, imm: 1 }));

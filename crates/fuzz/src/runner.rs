@@ -207,7 +207,7 @@ fn run_case(opts: &FuzzOptions, case: usize) -> CaseOutcome {
             out.faults.absorb(container_battery(&compressed, &mut frng, opts.fault_tries));
         }
     }
-    out.faults.absorb(module_battery(&built.module, opts.isa, &mut frng, opts.fault_tries));
+    out.faults.absorb(module_battery(&built.module, &mut frng, opts.fault_tries));
     out.faults.absorb(nibble_soup_battery(opts.isa, &mut frng, opts.fault_tries));
     out.faults.absorb(entropy_decoder_battery(&mut frng, opts.fault_tries));
     telemetry::FUZZ_FAULT_CHECKS.add(out.faults.checks);

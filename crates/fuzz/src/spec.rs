@@ -322,7 +322,7 @@ pub fn build(target: &dyn Target, spec: &ProgramSpec) -> Result<BuiltProgram, Bu
         jump_tables.push(JumpTable { targets });
     }
 
-    let mut module = ObjectModule::new("fuzz");
+    let mut module = ObjectModule::new("fuzz", isa.id());
     module.code = lower.a.finish()?;
     module.functions = functions;
     module.jump_tables = jump_tables;
@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn tiny_spec_builds_and_validates() {
         let built = build(&Ppc, &tiny_spec()).unwrap();
-        assert!(built.module.validate().is_ok());
+        assert!(built.module.validate_with(Ppc.isa()).is_ok());
         assert_eq!(built.module.functions.len(), 1);
         assert!(built.module.code.len() >= 8);
     }

@@ -17,7 +17,7 @@
 //! bit-for-bit between the native and compressed runs at every step.
 
 use codense_codegen::Rng;
-use codense_isa::IsaRef;
+use codense_isa::{IsaId, IsaRef};
 use codense_mips::reg::{Reg, GP, RA, S0, S1, S2, S3, SP, T8, T9, V0, ZERO};
 use codense_mips::MInsn;
 use codense_ppc::insn::{bo, Insn};
@@ -87,15 +87,10 @@ pub trait Target {
 }
 
 /// The fuzz target for an ISA handle.
-///
-/// # Panics
-///
-/// Panics for a backend without a target.
 pub fn for_isa(isa: IsaRef) -> &'static dyn Target {
-    match isa.name() {
-        "ppc" => &Ppc,
-        "mips" => &Mips,
-        other => panic!("no fuzz target for isa `{other}`"),
+    match isa.id() {
+        IsaId::Ppc => &Ppc,
+        IsaId::Mips => &Mips,
     }
 }
 
@@ -125,7 +120,7 @@ fn ppc(insns: &[Insn]) -> Vec<u32> {
 
 impl Target for Ppc {
     fn isa(&self) -> IsaRef {
-        IsaRef(&codense_ppc::ISA)
+        codense_codegen::isa_ref(IsaId::Ppc)
     }
 
     fn data_regs(&self) -> &'static [u8] {
@@ -355,7 +350,7 @@ fn mips(insns: &[MInsn]) -> Vec<u32> {
 
 impl Target for Mips {
     fn isa(&self) -> IsaRef {
-        IsaRef(&codense_mips::ISA)
+        codense_codegen::isa_ref(IsaId::Mips)
     }
 
     fn data_regs(&self) -> &'static [u8] {

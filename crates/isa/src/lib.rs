@@ -187,15 +187,68 @@ pub trait PredecodeCore: Core {
     ) -> Result<Outcome, MachineError>;
 }
 
+/// The instruction sets a module or compressed image can be built for.
+///
+/// Both file formats record the ISA as this tag in a header field
+/// (DESIGN.md §13), so the bytes carry the meaning of their escape bytes
+/// and branch fields. This is the one tag ↔ name table; a registry that
+/// links the backends maps a tag to its [`IsaRef`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum IsaId {
+    /// PowerPC, tag 0 (what files written before the tag existed hold).
+    Ppc = 0,
+    /// MIPS, tag 1.
+    Mips = 1,
+}
+
+impl IsaId {
+    /// Every known ISA, in tag order.
+    pub const ALL: [IsaId; 2] = [IsaId::Ppc, IsaId::Mips];
+
+    /// The on-disk tag.
+    pub const fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The ISA a tag names, or `None` for an unknown tag.
+    pub fn from_tag(tag: u8) -> Option<IsaId> {
+        IsaId::ALL.into_iter().find(|id| id.tag() == tag)
+    }
+
+    /// Short lowercase name (`"ppc"`, `"mips"`), used in reports and CLI
+    /// `--isa` selection.
+    pub const fn name(self) -> &'static str {
+        match self {
+            IsaId::Ppc => "ppc",
+            IsaId::Mips => "mips",
+        }
+    }
+
+    /// The ISA a [`name`](IsaId::name) names.
+    pub fn from_name(name: &str) -> Option<IsaId> {
+        IsaId::ALL.into_iter().find(|id| id.name() == name)
+    }
+}
+
+impl fmt::Display for IsaId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// The backend contract: everything the compressor, verifier, basic-block
 /// builder, and VM need to know about an instruction set.
 ///
 /// Implementations must be stateless (methods take `&self` and are pure);
 /// a backend exposes one `static` instance referenced through [`IsaRef`].
 pub trait Isa: Sync {
-    /// Short lowercase name (`"ppc"`, `"mips"`), used in reports and CLI
-    /// `--isa` selection.
-    fn name(&self) -> &'static str;
+    /// The backend's tag.
+    fn id(&self) -> IsaId;
+
+    /// Short lowercase name (`"ppc"`, `"mips"`).
+    fn name(&self) -> &'static str {
+        self.id().name()
+    }
 
     /// Extracts PC-relative branch information from a word, or `None` if the
     /// word is not a PC-relative branch (absolute and indirect branches and
@@ -261,6 +314,17 @@ pub trait Isa: Sync {
     /// assembly syntax.
     fn disassemble(&self, word: u32, addr: u32) -> String;
 
+    /// Disassembles a contiguous code region starting at byte address
+    /// `base`, one line per instruction: `ADDR:  WORD  MNEMONIC ...`.
+    fn dump(&self, words: &[u32], base: u32) -> String {
+        let mut out = String::new();
+        for (i, &w) in words.iter().enumerate() {
+            let addr = base + INSN_BYTES * i as u32;
+            out.push_str(&format!("{addr:08x}:  {w:08x}  {}\n", self.disassemble(w, addr)));
+        }
+        out
+    }
+
     /// Creates a fresh execution core with `mem_bytes` of data memory.
     fn new_core(&self, mem_bytes: usize) -> Box<dyn Core>;
 
@@ -277,16 +341,9 @@ pub trait Isa: Sync {
 
 /// A copyable handle to a backend's `static` [`Isa`] instance.
 ///
-/// Compared by [`Isa::name`], so two handles to the same backend are equal.
+/// Compared by [`Isa::id`], so two handles to the same backend are equal.
 #[derive(Clone, Copy)]
 pub struct IsaRef(pub &'static dyn Isa);
-
-impl IsaRef {
-    /// The backend's short name.
-    pub fn name(self) -> &'static str {
-        self.0.name()
-    }
-}
 
 impl std::ops::Deref for IsaRef {
     type Target = dyn Isa;
@@ -304,7 +361,7 @@ impl fmt::Debug for IsaRef {
 
 impl PartialEq for IsaRef {
     fn eq(&self, other: &IsaRef) -> bool {
-        self.0.name() == other.0.name()
+        self.0.id() == other.0.id()
     }
 }
 
@@ -323,6 +380,19 @@ mod tests {
         assert!(fits_signed(0, 1));
         assert!(fits_signed(-1, 1));
         assert!(!fits_signed(1, 1));
+    }
+
+    #[test]
+    fn isa_tags_and_names_round_trip() {
+        for id in IsaId::ALL {
+            assert_eq!(IsaId::from_tag(id.tag()), Some(id));
+            assert_eq!(IsaId::from_name(id.name()), Some(id));
+            assert_eq!(id.to_string(), id.name());
+        }
+        assert_eq!(IsaId::Ppc.tag(), 0, "files without a tag hold 0 and read as PowerPC");
+        assert_eq!(IsaId::Mips.tag(), 1);
+        assert_eq!(IsaId::from_tag(2), None);
+        assert_eq!(IsaId::from_name("arm"), None);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 use codense_core::dict::Dictionary;
 use codense_core::greedy::{run_greedy, CostModel, GreedyParams};
 use codense_core::model::ProgramModel;
-use codense_obj::ObjectModule;
+use codense_isa::IsaRef;
+use codense_obj::{IsaId, ObjectModule};
 use codense_ppc::{decode, Insn};
 
 /// Which of Liao's methods to apply.
@@ -64,16 +65,24 @@ impl LiaoCompressed {
 /// more than the greedy ever selects.
 const MAX_ENTRIES: usize = 1 << 14;
 
-/// Compresses a module with the chosen Liao method and entry-length cap.
+/// Compresses a PowerPC module with the chosen Liao method and entry-length
+/// cap.
 ///
 /// Sequences must span at least 2 instructions to profit (the codeword is a
 /// full word); the cost model enforces this automatically — a 1-instruction
 /// candidate can never have positive savings.
+///
+/// # Panics
+///
+/// Panics if the module is not built for PowerPC: both methods model
+/// PowerPC call and link-register semantics.
 pub fn compress(module: &ObjectModule, method: LiaoMethod, max_entry_len: usize) -> LiaoCompressed {
+    assert_eq!(module.isa, IsaId::Ppc, "Liao's methods model PowerPC");
+    let ppc = IsaRef(&codense_ppc::ISA);
     let mut model = match method {
         // Mini-subroutines execute via call/return, so sequences must not
         // use the link register (the call clobbers it).
-        LiaoMethod::MiniSubroutine => ProgramModel::build_with(module, |w| {
+        LiaoMethod::MiniSubroutine => ProgramModel::build_isa_with(module, ppc, |w| {
             let insn = decode(w);
             !insn.writes_lr()
                 && !matches!(
@@ -81,7 +90,7 @@ pub fn compress(module: &ObjectModule, method: LiaoMethod, max_entry_len: usize)
                     Insn::Mfspr { spr: codense_ppc::Spr::Lr, .. } | Insn::Bclr { .. }
                 )
         }),
-        LiaoMethod::CallDictionary => ProgramModel::build(module),
+        LiaoMethod::CallDictionary => ProgramModel::build_isa(module, ppc),
     };
     let fixed_bits = match method {
         // Stored sequence carries a trailing return instruction.
@@ -130,7 +139,7 @@ mod tests {
     use codense_ppc::reg::*;
 
     fn redundant_module() -> ObjectModule {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         for _ in 0..40 {
             m.code.push(enc(&Insn::Addi { rt: R3, ra: R3, si: 1 }));
             m.code.push(enc(&Insn::Addi { rt: R4, ra: R4, si: 2 }));
@@ -153,7 +162,7 @@ mod tests {
     fn single_instruction_patterns_not_compressible() {
         // A program of one repeated instruction: the paper's key criticism —
         // Liao's word-sized codeword cannot compress it at all.
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         m.code = vec![enc(&Insn::Addi { rt: R3, ra: R3, si: 1 }); 64];
         // Basic block = one run of 64 identical instructions; entries of
         // length >= 2 DO profit here (pairs repeat). Restrict entry length
@@ -173,7 +182,7 @@ mod tests {
 
     #[test]
     fn mini_subroutines_skip_lr_users() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         for _ in 0..30 {
             m.code.push(enc(&Insn::Mfspr { rt: R0, spr: Spr::Lr }));
             m.code.push(enc(&Insn::Stw { rs: R0, ra: R1, d: 8 }));

@@ -87,17 +87,6 @@ pub fn disassemble_insn(insn: &MInsn, addr: u32) -> String {
     }
 }
 
-/// Disassembles a contiguous code region starting at `base`, one line per
-/// instruction: `ADDR:  WORD  MNEMONIC ...`.
-pub fn dump(words: &[u32], base: u32) -> String {
-    let mut out = String::new();
-    for (i, &w) in words.iter().enumerate() {
-        let addr = base + 4 * i as u32;
-        out.push_str(&format!("{addr:08x}:  {w:08x}  {}\n", disassemble(w, addr)));
-    }
-    out
-}
-
 fn target(addr: u32, offset: i32) -> String {
     format!("{:08x}", addr.wrapping_add(offset as u32))
 }
@@ -153,7 +142,7 @@ mod tests {
     #[test]
     fn dump_formats_lines() {
         let words = [encode(&MInsn::Addiu { rt: V0, rs: ZERO, imm: 1 }), encode(&MInsn::Syscall)];
-        let text = dump(&words, 0x1000);
+        let text = codense_isa::Isa::dump(&crate::ISA, &words, 0x1000);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("00001000:"));

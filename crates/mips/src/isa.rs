@@ -6,7 +6,7 @@
 //! branch-form discriminants are stable: `0` = conditional/REGIMM (16-bit
 //! field), `1` = `j`/`jal` (26-bit field).
 
-use codense_isa::{Core, Isa, RelBranch, OVERFLOW_TABLE_HI};
+use codense_isa::{Core, Isa, IsaId, RelBranch, OVERFLOW_TABLE_HI};
 
 use crate::branch::{self, RelBranchKind};
 use crate::insn::MInsn;
@@ -56,8 +56,8 @@ pub struct MipsIsa;
 pub static ISA: MipsIsa = MipsIsa;
 
 impl Isa for MipsIsa {
-    fn name(&self) -> &'static str {
-        "mips"
+    fn id(&self) -> IsaId {
+        IsaId::Mips
     }
 
     fn rel_branch_info(&self, word: u32) -> Option<RelBranch> {

@@ -19,17 +19,6 @@ pub struct BasicBlocks {
 }
 
 impl BasicBlocks {
-    /// Computes the partition for a module under PowerPC decoding (see
-    /// [`compute_with`](Self::compute_with)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a branch or jump-table target lies outside the text
-    /// section — run [`ObjectModule::validate`] first for untrusted input.
-    pub fn compute(module: &ObjectModule) -> BasicBlocks {
-        BasicBlocks::compute_with(module, IsaRef(&codense_ppc::ISA))
-    }
-
     /// Computes the partition for a module under `isa`.
     ///
     /// Leaders are: instruction 0, every function entry, every PC-relative
@@ -116,9 +105,12 @@ impl BasicBlocks {
 mod tests {
     use super::*;
     use crate::module::JumpTable;
+    use codense_isa::IsaId;
     use codense_ppc::asm::Assembler;
     use codense_ppc::insn::Insn;
     use codense_ppc::reg::*;
+
+    const PPC: IsaRef = IsaRef(&codense_ppc::ISA);
 
     fn sample_module() -> ObjectModule {
         let mut a = Assembler::new();
@@ -128,7 +120,7 @@ mod tests {
         a.emit(Insn::Cmpwi { bf: CR0, ra: R3, si: 10 });
         a.bne(CR0, "loop"); // 3, ends block
         a.emit(Insn::Sc); // 4 leader (after branch)
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", IsaId::Ppc);
         m.code = a.finish().unwrap();
         m
     }
@@ -136,7 +128,7 @@ mod tests {
     #[test]
     fn leaders_and_blocks() {
         let m = sample_module();
-        let bb = BasicBlocks::compute(&m);
+        let bb = BasicBlocks::compute_with(&m, PPC);
         assert!(bb.is_leader(0));
         assert!(bb.is_leader(1));
         assert!(!bb.is_leader(2));
@@ -148,7 +140,7 @@ mod tests {
     #[test]
     fn blocks_cover_text_exactly() {
         let m = sample_module();
-        let bb = BasicBlocks::compute(&m);
+        let bb = BasicBlocks::compute_with(&m, PPC);
         let mut next = 0;
         for &(s, e) in bb.blocks() {
             assert_eq!(s, next);
@@ -162,14 +154,14 @@ mod tests {
     fn jump_table_targets_are_leaders() {
         let mut m = sample_module();
         m.jump_tables.push(JumpTable { targets: vec![2] });
-        let bb = BasicBlocks::compute(&m);
+        let bb = BasicBlocks::compute_with(&m, PPC);
         assert!(bb.is_leader(2));
     }
 
     #[test]
     fn empty_module() {
-        let m = ObjectModule::new("e");
-        let bb = BasicBlocks::compute(&m);
+        let m = ObjectModule::new("e", IsaId::Ppc);
+        let bb = BasicBlocks::compute_with(&m, PPC);
         assert!(bb.is_empty());
         assert_eq!(bb.mean_block_len(), 0.0);
     }

@@ -4,9 +4,10 @@
 //! compressor, analyzers, baselines, and VM all consume.
 //!
 //! An [`ObjectModule`] is a statically linked program image: a `.text`
-//! section of 32-bit PowerPC words plus the metadata a post-compilation
-//! compressor needs — function boundaries (with prologue/epilogue extents,
-//! for the paper's Table 3), and jump tables. Following §3.2.1 of the paper,
+//! section of 32-bit instruction words, tagged with the ISA they are
+//! encoded in, plus the metadata a post-compilation compressor needs —
+//! function boundaries (with prologue/epilogue extents, for the paper's
+//! Table 3), and jump tables. Following §3.2.1 of the paper,
 //! jump tables live in `.data` (not interleaved in `.text`) and hold
 //! instruction addresses that the compressor patches after relocation.
 //!
@@ -20,5 +21,6 @@ pub mod module;
 pub mod serialize;
 
 pub use bb::BasicBlocks;
+pub use codense_isa::IsaId;
 pub use module::{FunctionInfo, JumpTable, ModuleError, ObjectModule};
 pub use serialize::{deserialize, serialize, SerializeError};

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::Range;
 
-use codense_isa::IsaRef;
+use codense_isa::{IsaId, IsaRef};
 
 /// Metadata for one function in the text section.
 ///
@@ -97,6 +97,13 @@ pub enum ModuleError {
         /// Name of the offending function.
         name: String,
     },
+    /// The module was checked under an ISA other than the one it records.
+    IsaMismatch {
+        /// The ISA the module records.
+        module: IsaId,
+        /// The ISA it was checked under.
+        given: IsaId,
+    },
 }
 
 impl fmt::Display for ModuleError {
@@ -114,6 +121,9 @@ impl fmt::Display for ModuleError {
             ModuleError::BadFunctionRange { name } => {
                 write!(f, "function `{name}` has an invalid instruction range")
             }
+            ModuleError::IsaMismatch { module, given } => {
+                write!(f, "module is built for {module}, not {given}")
+            }
         }
     }
 }
@@ -121,10 +131,12 @@ impl fmt::Display for ModuleError {
 impl std::error::Error for ModuleError {}
 
 /// A statically linked program: `.text` plus compressor-relevant metadata.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectModule {
     /// Program name (benchmark name in the reproduction).
     pub name: String,
+    /// The instruction set the text is encoded in.
+    pub isa: IsaId,
     /// The text section as instruction words; instruction `i` lives at byte
     /// address `4 * i`.
     pub code: Vec<u32>,
@@ -135,9 +147,15 @@ pub struct ObjectModule {
 }
 
 impl ObjectModule {
-    /// Creates an empty module with the given name.
-    pub fn new(name: impl Into<String>) -> ObjectModule {
-        ObjectModule { name: name.into(), ..ObjectModule::default() }
+    /// Creates an empty module with the given name, for `isa`.
+    pub fn new(name: impl Into<String>, isa: IsaId) -> ObjectModule {
+        ObjectModule {
+            name: name.into(),
+            isa,
+            code: vec![],
+            functions: vec![],
+            jump_tables: vec![],
+        }
     }
 
     /// Number of instructions in `.text`.
@@ -161,40 +179,18 @@ impl ObjectModule {
         codense_ppc::words_to_bytes(&self.code)
     }
 
-    /// The instruction-index target of the PC-relative branch at `at`, if
-    /// the instruction is one (PowerPC decoding; see
-    /// [`branch_target_with`](Self::branch_target_with)).
-    pub fn branch_target(&self, at: usize) -> Option<usize> {
-        self.branch_target_with(IsaRef(&codense_ppc::ISA), at)
-    }
-
-    /// The instruction-index target of the PC-relative branch at `at` under
-    /// `isa`, if the instruction is one.
-    pub fn branch_target_with(&self, isa: IsaRef, at: usize) -> Option<usize> {
-        let info = isa.rel_branch_info(self.code[at])?;
-        let target = at as i64 + info.offset as i64 / 4;
-        debug_assert!(target >= 0 && (target as usize) < self.code.len());
-        Some(target as usize)
-    }
-
-    /// Checks internal consistency under PowerPC decoding (see
-    /// [`validate_with`](Self::validate_with)).
+    /// Checks internal consistency under `isa`, which must be the ISA the
+    /// module records: every relative branch and jump-table entry targets a
+    /// valid, aligned instruction, and function ranges are sane.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ModuleError`] encountered.
-    pub fn validate(&self) -> Result<(), ModuleError> {
-        self.validate_with(IsaRef(&codense_ppc::ISA))
-    }
-
-    /// Checks internal consistency under `isa`: every relative branch and
-    /// jump-table entry targets a valid, aligned instruction, and function
-    /// ranges are sane.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ModuleError`] encountered.
+    /// Returns the first [`ModuleError`] encountered;
+    /// [`ModuleError::IsaMismatch`] if `isa` is not the module's.
     pub fn validate_with(&self, isa: IsaRef) -> Result<(), ModuleError> {
+        if isa.id() != self.isa {
+            return Err(ModuleError::IsaMismatch { module: self.isa, given: isa.id() });
+        }
         for (i, &w) in self.code.iter().enumerate() {
             if let Some(info) = isa.rel_branch_info(w) {
                 if info.offset % 4 != 0 {
@@ -239,12 +235,14 @@ mod tests {
     use codense_ppc::insn::{bo, Insn};
     use codense_ppc::reg::*;
 
+    const PPC: IsaRef = IsaRef(&codense_ppc::ISA);
+
     fn nop() -> u32 {
         encode(&Insn::Ori { ra: R0, rs: R0, ui: 0 })
     }
 
     fn module_with_branch(offset: i16) -> ObjectModule {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", IsaId::Ppc);
         m.code = vec![
             nop(),
             encode(&Insn::Bc { bo: bo::IF_TRUE, bi: 2, bd: offset, aa: false, lk: false }),
@@ -255,34 +253,47 @@ mod tests {
     }
 
     #[test]
-    fn branch_targets_resolve() {
+    fn in_range_branch_validates() {
+        assert!(module_with_branch(8).validate_with(PPC).is_ok());
+    }
+
+    #[test]
+    fn foreign_isa_is_a_typed_error() {
         let m = module_with_branch(8);
-        assert_eq!(m.branch_target(1), Some(3));
-        assert_eq!(m.branch_target(0), None);
-        assert!(m.validate().is_ok());
+        assert_eq!(
+            m.validate_with(IsaRef(&codense_mips::ISA)),
+            Err(ModuleError::IsaMismatch { module: IsaId::Ppc, given: IsaId::Mips })
+        );
+        assert_eq!(
+            ModuleError::IsaMismatch { module: IsaId::Ppc, given: IsaId::Mips }.to_string(),
+            "module is built for ppc, not mips"
+        );
     }
 
     #[test]
     fn out_of_range_branch_detected() {
         let m = module_with_branch(128);
-        assert_eq!(m.validate(), Err(ModuleError::BranchOutOfRange { at: 1, target: 33 }));
+        assert_eq!(m.validate_with(PPC), Err(ModuleError::BranchOutOfRange { at: 1, target: 33 }));
         let m = module_with_branch(-8);
-        assert_eq!(m.validate(), Err(ModuleError::BranchOutOfRange { at: 1, target: -1 }));
+        assert_eq!(m.validate_with(PPC), Err(ModuleError::BranchOutOfRange { at: 1, target: -1 }));
     }
 
     #[test]
     fn jump_table_bounds_checked() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", IsaId::Ppc);
         m.code = vec![nop(); 4];
         m.jump_tables.push(JumpTable { targets: vec![0, 3] });
-        assert!(m.validate().is_ok());
+        assert!(m.validate_with(PPC).is_ok());
         m.jump_tables.push(JumpTable { targets: vec![4] });
-        assert_eq!(m.validate(), Err(ModuleError::JumpTableOutOfRange { table: 1, entry: 0 }));
+        assert_eq!(
+            m.validate_with(PPC),
+            Err(ModuleError::JumpTableOutOfRange { table: 1, entry: 0 })
+        );
     }
 
     #[test]
     fn function_ranges_checked() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", IsaId::Ppc);
         m.code = vec![nop(); 8];
         m.functions.push(FunctionInfo {
             name: "f".into(),
@@ -291,14 +302,14 @@ mod tests {
             prologue_len: 2,
             epilogues: std::iter::once(6..8).collect(),
         });
-        assert!(m.validate().is_ok());
+        assert!(m.validate_with(PPC).is_ok());
         m.functions[0].end = 9;
-        assert!(matches!(m.validate(), Err(ModuleError::BadFunctionRange { .. })));
+        assert!(matches!(m.validate_with(PPC), Err(ModuleError::BadFunctionRange { .. })));
     }
 
     #[test]
     fn sizes() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", IsaId::Ppc);
         m.code = vec![nop(); 10];
         m.jump_tables.push(JumpTable { targets: vec![0, 1, 2] });
         assert_eq!(m.text_bytes(), 40);

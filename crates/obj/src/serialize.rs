@@ -7,7 +7,7 @@
 //! ```text
 //! "CDNM"         magic
 //! u16            version (1)
-//! u16            reserved (0)
+//! u16            ISA tag (0 = PowerPC, 1 = MIPS; see `codense_isa::IsaId`)
 //! u16 + bytes    name
 //! u32 + u32×n    text words
 //! u32            function count
@@ -18,12 +18,16 @@
 //! u32            CRC-32 of everything above
 //! ```
 
+use codense_isa::IsaId;
+
 use crate::module::{FunctionInfo, JumpTable, ObjectModule};
 
 /// Magic bytes of the module format.
 pub const MAGIC: [u8; 4] = *b"CDNM";
 /// Current version.
 pub const VERSION: u16 = 1;
+/// Byte offset of the `u16` ISA tag: after the magic and version.
+pub const ISA_TAG_AT: usize = 6;
 
 pub use crate::crc32::crc32;
 
@@ -34,6 +38,8 @@ pub enum SerializeError {
     BadMagic,
     /// Unsupported version.
     BadVersion(u16),
+    /// Unknown ISA tag.
+    BadIsa(u16),
     /// Shorter than its fields claim.
     Truncated,
     /// Trailing CRC mismatch.
@@ -47,6 +53,7 @@ impl std::fmt::Display for SerializeError {
         match self {
             SerializeError::BadMagic => write!(f, "not a codense module (bad magic)"),
             SerializeError::BadVersion(v) => write!(f, "unsupported module version {v}"),
+            SerializeError::BadIsa(t) => write!(f, "unknown ISA tag {t} in module"),
             SerializeError::Truncated => write!(f, "module file truncated"),
             SerializeError::ChecksumMismatch => write!(f, "module checksum mismatch"),
             SerializeError::BadString => write!(f, "malformed string in module"),
@@ -66,7 +73,7 @@ pub fn serialize(module: &ObjectModule) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_be_bytes());
-    out.extend_from_slice(&0u16.to_be_bytes());
+    out.extend_from_slice(&u16::from(module.isa.tag()).to_be_bytes());
     put_str(&mut out, &module.name);
     out.extend_from_slice(&(module.code.len() as u32).to_be_bytes());
     for &w in &module.code {
@@ -151,7 +158,11 @@ pub fn deserialize(data: &[u8]) -> Result<ObjectModule, SerializeError> {
     if version != VERSION {
         return Err(SerializeError::BadVersion(version));
     }
-    let _reserved = r.u16()?;
+    let isa_tag = r.u16()?;
+    let isa = u8::try_from(isa_tag)
+        .ok()
+        .and_then(IsaId::from_tag)
+        .ok_or(SerializeError::BadIsa(isa_tag))?;
     let name = r.string()?;
     let n = r.u32()? as usize;
     let mut code = Vec::with_capacity(n.min(1 << 22));
@@ -184,7 +195,7 @@ pub fn deserialize(data: &[u8]) -> Result<ObjectModule, SerializeError> {
         }
         jump_tables.push(JumpTable { targets });
     }
-    Ok(ObjectModule { name, code, functions, jump_tables })
+    Ok(ObjectModule { name, isa, code, functions, jump_tables })
 }
 
 #[cfg(test)]
@@ -195,7 +206,7 @@ mod tests {
     use codense_ppc::reg::*;
 
     fn module() -> ObjectModule {
-        let mut m = ObjectModule::new("demo");
+        let mut m = ObjectModule::new("demo", IsaId::Ppc);
         m.code = (0..32).map(|i| encode(&Insn::Addi { rt: R3, ra: R3, si: i })).collect();
         m.functions.push(FunctionInfo {
             name: "f0".into(),
@@ -224,8 +235,29 @@ mod tests {
 
     #[test]
     fn empty_module_roundtrips() {
-        let m = ObjectModule::new("");
-        assert_eq!(deserialize(&serialize(&m)).unwrap(), m);
+        for isa in IsaId::ALL {
+            let m = ObjectModule::new("", isa);
+            assert_eq!(deserialize(&serialize(&m)).unwrap(), m);
+        }
+    }
+
+    /// PowerPC writes the zero the tag field held before it was a tag, and
+    /// an unknown tag (with the CRC re-fixed) is a typed error, not a guess.
+    #[test]
+    fn isa_tag_is_checked() {
+        let at = ISA_TAG_AT..ISA_TAG_AT + 2;
+        let mut bytes = serialize(&module());
+        assert_eq!(bytes[at.clone()], [0, 0]);
+        let mut m = module();
+        m.isa = IsaId::Mips;
+        assert_eq!(serialize(&m)[at.clone()], [0, 1]);
+        for tag in [2u16, 0x00ff, 0x0100, u16::MAX] {
+            bytes[at.clone()].copy_from_slice(&tag.to_be_bytes());
+            let n = bytes.len() - 4;
+            let crc = crc32(&bytes[..n]);
+            bytes[n..].copy_from_slice(&crc.to_be_bytes());
+            assert_eq!(deserialize(&bytes), Err(SerializeError::BadIsa(tag)));
+        }
     }
 
     #[test]
@@ -255,6 +287,8 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use codense_isa::IsaId;
+
     use crate::module::{FunctionInfo, JumpTable, ObjectModule};
     use codense_codegen::Rng;
 
@@ -267,7 +301,8 @@ mod prop_tests {
         for _ in 0..CASES {
             let name: String =
                 (0..rng.below(13)).map(|_| (b'a' + rng.below(26) as u8) as char).collect();
-            let mut m = ObjectModule::new(name);
+            let isa = IsaId::ALL[rng.below(IsaId::ALL.len())];
+            let mut m = ObjectModule::new(name, isa);
             m.code = (0..rng.below(300)).map(|_| rng.next_u64() as u32).collect();
             let n = m.code.len();
             let mut cuts: Vec<usize> =

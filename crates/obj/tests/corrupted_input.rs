@@ -8,6 +8,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use codense_isa::IsaId;
 use codense_obj::serialize::{crc32, deserialize, serialize, SerializeError};
 use codense_obj::{FunctionInfo, JumpTable, ObjectModule};
 use codense_ppc::encode;
@@ -15,7 +16,7 @@ use codense_ppc::insn::Insn;
 use codense_ppc::reg::R3;
 
 fn sample_module() -> ObjectModule {
-    let mut m = ObjectModule::new("fixture");
+    let mut m = ObjectModule::new("fixture", IsaId::Ppc);
     m.code = (0..48).map(|i| encode(&Insn::Addi { rt: R3, ra: R3, si: i })).collect();
     m.functions.push(FunctionInfo {
         name: "entry".into(),
@@ -44,12 +45,16 @@ struct Layout {
     boundaries: Vec<usize>,
     /// Offset of the module-name payload bytes.
     name_bytes: usize,
+    /// Offset of the `u16` ISA tag.
+    isa_tag: usize,
 }
 
 fn layout_of(m: &ObjectModule) -> Layout {
     let mut length_fields = Vec::new();
     let mut boundaries = Vec::new();
-    let mut pos = 4 + 2 + 2; // magic, version, reserved
+    let isa_tag = 4 + 2; // magic, version
+    assert_eq!(isa_tag, codense_obj::serialize::ISA_TAG_AT);
+    let mut pos = isa_tag + 2;
     boundaries.push(pos);
     length_fields.push((pos, 2)); // name length
     let name_bytes = pos + 2;
@@ -76,7 +81,7 @@ fn layout_of(m: &ObjectModule) -> Layout {
     }
     pos += 4; // CRC
     boundaries.push(pos);
-    Layout { length_fields, boundaries, name_bytes }
+    Layout { length_fields, boundaries, name_bytes, isa_tag }
 }
 
 /// Re-stamps the trailing CRC so corruption reaches the structural parser.
@@ -181,6 +186,25 @@ fn bad_magic_and_version_are_typed_errors() {
 }
 
 #[test]
+fn isa_tag_with_valid_crc_is_checked() {
+    let m = sample_module();
+    let at = layout_of(&m).isa_tag;
+    let bytes = serialize(&m);
+    assert_eq!(bytes[at..at + 2], [0, IsaId::Ppc.tag()]);
+    for tag in 0..=u16::MAX {
+        let mut bad = bytes.clone();
+        bad[at..at + 2].copy_from_slice(&tag.to_be_bytes());
+        refix_crc(&mut bad);
+        let got = assert_no_panic(&bad);
+        match u8::try_from(tag).ok().and_then(IsaId::from_tag) {
+            // A known tag decodes to the same module under that ISA.
+            Some(isa) => assert_eq!(got, Ok(ObjectModule { isa, ..m.clone() }), "tag {tag}"),
+            None => assert_eq!(got, Err(SerializeError::BadIsa(tag))),
+        }
+    }
+}
+
+#[test]
 fn every_single_byte_flip_is_caught() {
     let m = sample_module();
     let bytes = serialize(&m);
@@ -200,7 +224,7 @@ fn every_single_byte_flip_is_caught() {
 #[test]
 fn splice_of_two_valid_modules_is_rejected() {
     let a = serialize(&sample_module());
-    let b = serialize(&ObjectModule::new("other"));
+    let b = serialize(&ObjectModule::new("other", IsaId::Ppc));
     for cut in [4usize, a.len() / 2, a.len() - 5] {
         let mut spliced = a[..cut].to_vec();
         spliced.extend_from_slice(&b[cut.min(b.len())..]);

@@ -155,17 +155,6 @@ pub fn disassemble_insn(insn: &Insn, addr: u32) -> String {
     }
 }
 
-/// Disassembles a contiguous code region starting at `base`, one line per
-/// instruction: `ADDR:  WORD  MNEMONIC ...`.
-pub fn dump(words: &[u32], base: u32) -> String {
-    let mut out = String::new();
-    for (i, &w) in words.iter().enumerate() {
-        let addr = base + 4 * i as u32;
-        out.push_str(&format!("{addr:08x}:  {w:08x}  {}\n", disassemble(w, addr)));
-    }
-    out
-}
-
 fn dot(rc: bool) -> &'static str {
     if rc {
         "."
@@ -308,7 +297,7 @@ mod tests {
     #[test]
     fn dump_formats_lines() {
         let words = [encode(&Insn::Addi { rt: R3, ra: R0, si: 1 }), encode(&Insn::Sc)];
-        let text = dump(&words, 0x1000);
+        let text = codense_isa::Isa::dump(&crate::ISA, &words, 0x1000);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("00001000:"));

@@ -6,7 +6,7 @@
 //! branch-form discriminants are stable: `0` = I-form (`b`/`bl`, 24-bit
 //! field), `1` = B-form (`bc`, 14-bit field).
 
-use codense_isa::{Core, Isa, RelBranch, OVERFLOW_TABLE_HI};
+use codense_isa::{Core, Isa, IsaId, RelBranch, OVERFLOW_TABLE_HI};
 
 use crate::branch::{self, RelBranchKind};
 use crate::insn::{bo, Insn};
@@ -57,8 +57,8 @@ pub struct PpcIsa;
 pub static ISA: PpcIsa = PpcIsa;
 
 impl Isa for PpcIsa {
-    fn name(&self) -> &'static str {
-        "ppc"
+    fn id(&self) -> IsaId {
+        IsaId::Ppc
     }
 
     fn rel_branch_info(&self, word: u32) -> Option<RelBranch> {

@@ -75,7 +75,8 @@ fn cold_section(seed: u64) -> Vec<u32> {
 fn pad(mut kernel: Kernel, index: u64) -> Kernel {
     let cold = cold_section(0xC01D_0000_0000_0000 ^ (index + 1).wrapping_mul(COLD_SALT));
     kernel.module.code.extend_from_slice(&cold);
-    kernel.module.validate().expect("padded kernel validates");
+    let isa = codense_codegen::isa_ref(kernel.module.isa);
+    kernel.module.validate_with(isa).expect("padded kernel validates");
     kernel
 }
 

@@ -128,7 +128,8 @@ pub fn collect_subject(
         realigns: cstats.realigns,
     };
 
-    let blocks: Vec<BlockStat> = BasicBlocks::compute(&subject.module)
+    let isa = codense_codegen::isa_ref(subject.module.isa);
+    let blocks: Vec<BlockStat> = BasicBlocks::compute_with(&subject.module, isa)
         .blocks()
         .iter()
         .map(|&(start, end)| BlockStat {

@@ -95,7 +95,7 @@ fn random_op_battery_matches_reference_model() {
 }
 
 fn small_module(tag: u32) -> codense_obj::ObjectModule {
-    let mut m = codense_obj::ObjectModule::new("cache-test");
+    let mut m = codense_obj::ObjectModule::new("cache-test", codense_obj::IsaId::Ppc);
     let mut code = Vec::new();
     for i in 0..12u32 {
         for _ in 0..3 {

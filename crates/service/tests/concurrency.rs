@@ -15,7 +15,7 @@ use codense_service::{
 /// plus a differentiating instruction, so every request has its own cache
 /// key and its own expected container.
 fn module_for(tag: u32) -> codense_obj::ObjectModule {
-    let mut m = codense_obj::ObjectModule::new("concurrency-test");
+    let mut m = codense_obj::ObjectModule::new("concurrency-test", codense_obj::IsaId::Ppc);
     let mut code = Vec::new();
     for i in 0..12u32 {
         for _ in 0..3 {

@@ -15,7 +15,7 @@ use codense_service::protocol::{
 use codense_service::{serve, Client, CompressRequest, ErrorCode, Op, RequestError, ServeOptions};
 
 fn small_module() -> codense_obj::ObjectModule {
-    let mut m = codense_obj::ObjectModule::new("protocol-test");
+    let mut m = codense_obj::ObjectModule::new("protocol-test", codense_obj::IsaId::Ppc);
     let mut code = Vec::new();
     for i in 0..16u32 {
         for _ in 0..3 {

@@ -38,7 +38,7 @@ fn expected_container(module: &codense_obj::ObjectModule, req: &CompressRequest)
 /// A small module with enough repetition to produce a non-trivial
 /// dictionary, cheap enough to compress hundreds of times in a test.
 fn small_module() -> codense_obj::ObjectModule {
-    let mut m = codense_obj::ObjectModule::new("serve-test");
+    let mut m = codense_obj::ObjectModule::new("serve-test", codense_obj::IsaId::Ppc);
     let mut code = Vec::new();
     for i in 0..16u32 {
         for _ in 0..3 {

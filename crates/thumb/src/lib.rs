@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn pressure_penalty_applies() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         // 12 distinct registers named: 4 over the Thumb limit.
         for r in 3..15u8 {
             let reg = Gpr::new(r).unwrap();
@@ -488,7 +488,7 @@ mod tests {
 
     #[test]
     fn mode_choice_prefers_thumb_when_coverage_high() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         m.code = vec![encode(&Insn::Addi { rt: R3, ra: R3, si: 1 }); 20];
         m.functions.push(codense_obj::FunctionInfo {
             name: "f".into(),
@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn mode_choice_keeps_arm_when_coverage_low() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         m.code = vec![encode(&Insn::Divw { rt: R3, ra: R4, rb: R5, rc: false }); 20];
         m.functions.push(codense_obj::FunctionInfo {
             name: "f".into(),
@@ -535,7 +535,7 @@ mod tests {
 
     #[test]
     fn orphan_text_counted_at_full_width() {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         m.code = vec![encode(&Insn::Sc); 4];
         let r = analyze(&m);
         assert_eq!(r.size_bytes, 16);

@@ -249,9 +249,11 @@ impl PredecodedFetcher {
     }
 
     /// Builds the engine from a deserialized container image (see
-    /// `codense_core::container`) for an explicit target ISA: containers do
-    /// not record one. The cache starts empty.
+    /// `codense_core::container`) and the backend for the ISA it records
+    /// (`image.isa`; resolving a tag needs a crate that links every
+    /// backend). The cache starts empty.
     pub fn from_image_with(image: &ProgramImage, isa: IsaRef) -> PredecodedFetcher {
+        debug_assert_eq!(image.isa, isa.id(), "fetch engine built for another ISA");
         PredecodedFetcher {
             image: image.image.clone(),
             encoding: image.encoding,
@@ -467,7 +469,7 @@ mod tests {
     use codense_ppc::reg::*;
 
     fn module() -> ObjectModule {
-        let mut m = ObjectModule::new("t");
+        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         for _ in 0..10 {
             m.code.push(encode(&Insn::Addi { rt: R3, ra: R3, si: 1 }));
             m.code.push(encode(&Insn::Addi { rt: R4, ra: R4, si: 2 }));

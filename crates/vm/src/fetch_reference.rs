@@ -71,9 +71,9 @@ impl CompressedFetcher {
     }
 
     /// Builds the fetch engine from a deserialized container image (see
-    /// `codense_core::container`) for an explicit target ISA: containers do
-    /// not record one.
+    /// `codense_core::container`) and the backend for the ISA it records.
     pub fn from_image_with(image: &ProgramImage, isa: IsaRef) -> CompressedFetcher {
+        debug_assert_eq!(image.isa, isa.id(), "fetch engine built for another ISA");
         CompressedFetcher {
             image: image.image.clone(),
             encoding: image.encoding,

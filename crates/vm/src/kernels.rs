@@ -40,9 +40,9 @@ fn finish(
     init_mem: Vec<(u32, Vec<u8>)>,
     expected: u32,
 ) -> Kernel {
-    let mut module = ObjectModule::new(name);
+    let mut module = ObjectModule::new(name, codense_obj::IsaId::Ppc);
     module.code = a.finish().expect("kernel assembles");
-    module.validate().expect("kernel validates");
+    module.validate_with(codense_isa::IsaRef(&codense_ppc::ISA)).expect("kernel validates");
     Kernel { name, module, init_mem, expected }
 }
 

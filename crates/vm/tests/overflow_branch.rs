@@ -28,9 +28,9 @@ fn overflowing_module() -> ObjectModule {
     a.label("far");
     a.emit(Insn::Addi { rt: R3, ra: R0, si: 222 }); // taken result
     a.emit(Insn::Sc);
-    let mut m = ObjectModule::new("overflow");
+    let mut m = ObjectModule::new("overflow", codense_obj::IsaId::Ppc);
     m.code = a.finish().unwrap();
-    m.validate().unwrap();
+    m.validate_with(codense_isa::IsaRef(&codense_ppc::ISA)).unwrap();
     m
 }
 
@@ -85,7 +85,7 @@ fn ctr_decrementing_overflow_is_rejected() {
     }
     a.bdnz("top");
     a.emit(Insn::Sc);
-    let mut m = ObjectModule::new("bdnz-overflow");
+    let mut m = ObjectModule::new("bdnz-overflow", codense_obj::IsaId::Ppc);
     m.code = a.finish().unwrap();
     let err = Compressor::new(CompressionConfig::nibble_aligned()).compress(&m).unwrap_err();
     assert!(matches!(err, codense_core::CompressError::UnsupportedOverflowBranch { .. }));

@@ -7,8 +7,8 @@
 //! ```
 
 use codense::core::sweep::{
-    codeword_count_sweep, entry_len_sweep, small_dictionary_sweep, text_nibbles_under_split,
-    NibbleSplit,
+    codeword_count_sweep_with_isa, entry_len_sweep_with_isa, small_dictionary_sweep_with_isa,
+    text_nibbles_under_split, NibbleSplit,
 };
 use codense::prelude::*;
 
@@ -17,19 +17,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let module =
         codense::codegen::benchmark(&name).unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
     println!("design space for `{}` ({} bytes of text)\n", module.name, module.text_bytes());
+    let isa = codense::codegen::isa_ref(module.isa);
 
     println!("dictionary entry length (baseline codewords):");
-    for (len, ratio) in entry_len_sweep(&module, &[1, 2, 4, 8])? {
+    for (len, ratio) in entry_len_sweep_with_isa(&module, isa, &[1, 2, 4, 8])? {
         println!("  entries <= {len} insns: {:.1}%", 100.0 * ratio);
     }
 
     println!("\nnumber of codewords (baseline, one greedy run, prefix-exact):");
-    for (k, ratio) in codeword_count_sweep(&module, 4, &[16, 128, 1024, 8192])? {
+    for (k, ratio) in codeword_count_sweep_with_isa(&module, isa, 4, &[16, 128, 1024, 8192])? {
         println!("  {k:5} codewords: {:.1}%", 100.0 * ratio);
     }
 
     println!("\nsmall dictionaries (1-byte codewords):");
-    for (n, ratio) in small_dictionary_sweep(&module, &[8, 16, 32])? {
+    for (n, ratio) in small_dictionary_sweep_with_isa(&module, isa, &[8, 16, 32])? {
         println!("  {n:2} entries ({:3} B): {:.1}%", n * 16, 100.0 * ratio);
     }
 

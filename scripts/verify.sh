@@ -55,6 +55,22 @@ diff -u "$tmp/m1.counters" "$tmp/m8.counters"
 ./target/release/codense repro --isa both --out "$tmp/BENCH_isa.json" >/dev/null
 diff -u BENCH_isa.json "$tmp/BENCH_isa.json"
 
+echo "==> cross-ISA CLI gate (a written module compresses under the ISA it records)"
+# `compress` takes no --isa: the module's header tag picks the backend. Its
+# ratio on a corpus module written to disk must equal the nibble column of
+# the in-process repro row for the same program, on both backends.
+for isa in ppc mips; do
+    ./target/release/codense corpus --isa "$isa" --insns 10000 -o "$tmp/$isa.cdm" >/dev/null
+    got="$(./target/release/codense compress "$tmp/$isa.cdm" |
+        sed -n 's/.*ratio \([0-9.]*%\).*/\1/p')"
+    want="$(./target/release/codense repro --isa "$isa" --corpus 10k --bench compress |
+        awk '$1 == "corpus-10k" { print $6 }')"
+    if [ -z "$got" ] || [ "$got" != "$want" ]; then
+        echo "cross-ISA gate ($isa): compress ratio '$got' != repro nibble '$want'" >&2
+        exit 1
+    fi
+done
+
 echo "==> ratio gate (greedy/refine x nibble/huffman vs checked-in BENCH_ratio.json)"
 # Compression is deterministic, so the per-bench ratio artifact must
 # reproduce byte-for-byte; any selector or encoding drift shows up as a

@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn prelude_is_usable() {
         use crate::prelude::*;
-        let mut module = ObjectModule::new("t");
+        let mut module = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         module.code = vec![encode(&Insn::Sc); 4];
         let c = Compressor::new(CompressionConfig::baseline()).compress(&module).unwrap();
         verify(&module, &c).unwrap();

@@ -181,9 +181,10 @@ fn golden_mips_nibble() {
     );
 }
 
-/// Binding the compressor explicitly to the PowerPC backend must be
-/// byte-identical to the default construction — the multi-ISA refactor may
-/// not perturb any PPC output.
+/// `Compressor::new` keeps one default, PowerPC (the only backend
+/// `codense-core` links); binding PowerPC explicitly must be byte-identical
+/// to it. Modules record their ISA, so the default can no longer compress a
+/// module of another ISA: that is a typed error, not a PowerPC reading.
 #[test]
 fn ppc_isa_binding_matches_default() {
     let config = CompressionConfig::nibble_aligned();
@@ -203,4 +204,44 @@ fn golden_hybrid_all_cold() {
     check_golden("hybrid_all_cold.json", &snapshot);
     let plain = std::fs::read_to_string(golden_path("nibble.json")).unwrap();
     assert_eq!(snapshot, plain, "all-cold masked compression drifted from plain compression");
+}
+
+/// The on-disk bytes of both file formats: for every suite benchmark on
+/// both ISAs, the CRC-32 of its `.cdm` module and of its `.cdns` container
+/// under each encoding. The JSON goldens pin ratios and dictionaries; this
+/// one pins the files themselves, so a format change (a header field, an
+/// entry layout) shows up here even when no ratio moves.
+#[test]
+fn golden_formats() {
+    let crc = codense::obj::crc32::crc32;
+    let configs = [
+        ("baseline", CompressionConfig::baseline()),
+        ("onebyte", CompressionConfig::small_dictionary(256)),
+        ("nibble", CompressionConfig::nibble_aligned()),
+        ("huffman", CompressionConfig::huffman()),
+    ];
+    let suites = [
+        ("ppc", IsaRef(&codense::ppc::ISA), codense::codegen::generate_suite()),
+        ("mips", IsaRef(&codense::mips::ISA), codense::codegen::generate_suite_mips()),
+    ];
+    let mut out = String::new();
+    for (isa_name, isa, suite) in &suites {
+        for module in suite {
+            out.push_str(&format!(
+                "{isa_name} {:<10} cdm {:08x}",
+                module.name,
+                crc(&codense::obj::serialize(module))
+            ));
+            for (name, config) in &configs {
+                let c = Compressor::new(config.clone())
+                    .with_isa(*isa)
+                    .compress(module)
+                    .unwrap_or_else(|e| panic!("{isa_name} {} {name}: {e}", module.name));
+                let bytes = codense::core::container::serialize(&c);
+                out.push_str(&format!(" {name} {:08x}", crc(&bytes)));
+            }
+            out.push('\n');
+        }
+    }
+    check_golden("formats.txt", &out);
 }

@@ -2,8 +2,10 @@
 //! stand-in benchmarks. Each test cites the claim it reproduces.
 
 use codense::core::analysis::encoding_profile;
-use codense::core::sweep::{codeword_count_sweep, entry_len_sweep};
+use codense::core::sweep::{codeword_count_sweep_with_isa, entry_len_sweep_with_isa};
 use codense::prelude::*;
+
+const PPC: IsaRef = IsaRef(&codense::ppc::ISA);
 
 fn module(name: &str) -> ObjectModule {
     codense::codegen::benchmark(name).unwrap()
@@ -30,10 +32,10 @@ fn under_20_percent_of_insns_are_unique() {
 fn codeword_count_matters_more_than_entry_length() {
     let m = module("li");
     // Gain from 256 -> 8192 codewords at entry length 4:
-    let count_sweep = codeword_count_sweep(&m, 4, &[256, 8192]).unwrap();
+    let count_sweep = codeword_count_sweep_with_isa(&m, PPC, 4, &[256, 8192]).unwrap();
     let count_gain = count_sweep[0].1 - count_sweep[1].1;
     // Gain from entry length 4 -> 8 at full codeword space:
-    let len_sweep = entry_len_sweep(&m, &[4, 8]).unwrap();
+    let len_sweep = entry_len_sweep_with_isa(&m, PPC, &[4, 8]).unwrap();
     let len_gain = len_sweep[0].1 - len_sweep[1].1;
     assert!(
         count_gain > 4.0 * len_gain.max(0.0) && count_gain > 0.005,
@@ -46,7 +48,7 @@ fn codeword_count_matters_more_than_entry_length() {
 #[test]
 fn entry_lengths_above_four_do_not_help_noticeably() {
     let m = module("compress");
-    let sweep = entry_len_sweep(&m, &[4, 8]).unwrap();
+    let sweep = entry_len_sweep_with_isa(&m, PPC, &[4, 8]).unwrap();
     let delta = sweep[0].1 - sweep[1].1;
     assert!(delta.abs() < 0.01, "len 4 -> 8 moved ratio by {delta:.4}");
 }

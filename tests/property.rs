@@ -3,12 +3,14 @@
 //! with fixed seeds — no external property-testing crate, so the workspace
 //! builds fully offline.
 
-use codense::core::encoding::{self, read_item, Item};
+use codense::core::encoding::{self, read_item_coded, try_write_codeword_coded, Item};
 use codense::core::nibbles::{NibbleReader, NibbleWriter};
 use codense::prelude::*;
 use codense_codegen::Rng;
 
 const CASES: usize = 256;
+
+const PPC: IsaRef = IsaRef(&codense::ppc::ISA);
 
 /// Arbitrary instruction words biased toward the legal subset (pure random
 /// u32s are mostly illegal, which still must round-trip).
@@ -115,13 +117,13 @@ fn codec_stream_roundtrip() {
                 .map(|&(is_cw, v)| {
                     if is_cw {
                         let rank = v % capacity;
-                        encoding::write_codeword(kind, &mut w, rank);
+                        try_write_codeword_coded(kind, PPC, None, &mut w, rank).unwrap();
                         Item::Codeword(rank)
                     } else {
                         // Instruction words must not collide with escape
                         // opcodes under the byte-level schemes.
                         let word = (14 << 26) | (v & 0x03ff_ffff);
-                        encoding::write_insn(kind, &mut w, word);
+                        encoding::write_insn_coded(kind, None, &mut w, word);
                         Item::Insn(word)
                     }
                 })
@@ -129,7 +131,7 @@ fn codec_stream_roundtrip() {
             let bytes = w.into_bytes();
             let mut r = NibbleReader::new(&bytes);
             for want in &expected {
-                let got = read_item(kind, &mut r);
+                let got = read_item_coded(kind, PPC, None, &mut r);
                 assert_eq!(got.as_ref(), Some(want));
             }
         }
@@ -159,7 +161,7 @@ fn compressor_roundtrip_random_programs() {
             };
             code.push(encode(&insn));
         }
-        let mut module = ObjectModule::new("prop");
+        let mut module = ObjectModule::new("prop", codense_obj::IsaId::Ppc);
         module.code = code;
         for config in [CompressionConfig::baseline(), CompressionConfig::nibble_aligned()] {
             let c = Compressor::new(config).compress(&module).unwrap();
@@ -193,9 +195,9 @@ fn compressor_preserves_branches() {
             a.bne(CR0, &format!("L{to}"));
         }
         a.emit(Insn::Sc);
-        let mut module = ObjectModule::new("prop-br");
+        let mut module = ObjectModule::new("prop-br", codense_obj::IsaId::Ppc);
         module.code = a.finish().unwrap();
-        assert_eq!(module.validate(), Ok(()));
+        assert_eq!(module.validate_with(PPC), Ok(()));
         for config in [CompressionConfig::baseline(), CompressionConfig::nibble_aligned()] {
             let c = Compressor::new(config).compress(&module).unwrap();
             assert_eq!(verify(&module, &c), Ok(()));

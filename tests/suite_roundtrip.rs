@@ -13,7 +13,7 @@ fn benchmarks() -> Vec<ObjectModule> {
 #[test]
 fn all_encodings_roundtrip_on_real_benchmarks() {
     for module in benchmarks() {
-        module.validate().unwrap();
+        module.validate_with(codense::codegen::isa_ref(module.isa)).unwrap();
         for config in [
             CompressionConfig::baseline(),
             CompressionConfig::small_dictionary(32),
