@@ -5,7 +5,7 @@
 //! (`compress`), execution (`run-kernel`), the paper's tables (`repro`,
 //! `sweep`), SPEC-scale programs (`corpus`), profile-guided hybrid images
 //! (`profile`, `hybrid`, `hybrid-sweep`), differential fuzzing (`fuzz`), and
-//! the compression service (`serve`, `loadgen`, `loadsweep`). [`USAGE`] is
+//! the compression service (`serve`, `loadgen`). [`USAGE`] is
 //! the user-facing reference; [`COMMANDS`] holds each subcommand's flag
 //! list, which its arguments are checked against before it does any work.
 //!
@@ -37,7 +37,7 @@ fn main() -> ExitCode {
         }
     };
     let command = args.first().cloned().unwrap_or_else(|| "help".to_owned());
-    if !matches!(command.as_str(), "serve" | "loadgen" | "loadsweep") {
+    if !matches!(command.as_str(), "serve" | "loadgen") {
         restore_default_sigpipe();
     }
     let result = match args.first().map(String::as_str) {
@@ -121,15 +121,8 @@ usage:
   codense loadgen --addr HOST:PORT [--requests N] [--connections N]
                   [--bench NAME] [--encoding baseline|onebyte|nibble|huffman]
                   [--selector greedy|refine] [--corpus N]
-                  [--max-entry N] [--out BENCH_serve.json] [--shutdown]
-                  [--server-jobs N] [--server-queue-depth N]
-                  [--metrics-out METRICS.json] [--timeout-ms N]
-  codense loadsweep --addr HOST:PORT [--bench NAME]
-                    [--encoding baseline|onebyte|nibble|huffman]
-                    [--selector greedy|refine] [--max-entry N]
-                    [--rates CSV] [--point-requests N] [--connections N]
-                    [--unique CSV] [--cache-requests N] [--seed S]
-                    [--timeout-ms N] [--out BENCH_load.json] [--shutdown]
+                  [--max-entry N] [--metrics-out METRICS.json]
+                  [--timeout-ms N] [--shutdown]
 
 --jobs N sets the worker-thread count for parallel phases (sweep points,
 suite generation, fuzz campaigns); the default is the
@@ -188,21 +181,14 @@ frames for malformed input. The bound address is printed on stdout;
 serve blocks until a SHUTDOWN frame arrives, then drains in-flight work
 and exits.
 
-loadgen compresses --bench in process once, then drives --requests
-identical compression requests over --connections concurrent connections
-against --addr, byte-comparing every response (a mismatch counts as
-failed). Writes a schema-1 throughput + latency-quantile report (see
-EXPERIMENTS.md) to --out, and exits nonzero when any request failed.
---shutdown sends a SHUTDOWN frame after the run.
-
-loadsweep measures the serve front end along two axes and writes the
-schema-1 BENCH_load.json artifact (see EXPERIMENTS.md): an open-loop
-latency-vs-offered-load curve — requests arrive on a seeded Poisson-like
-schedule at each --rates point, pipelined over --connections connections,
-latency measured from the scheduled arrival — and a cache-hit-ratio sweep
-cycling --unique distinct module variants through one sequential
-connection while reading the server's serve.cache.* counters. Every
-response is byte-compared against in-process compression.
+loadgen is the serve correctness smoke. It compresses --bench in process
+once, then drives --requests identical compression requests over
+--connections concurrent connections against --addr, byte-comparing every
+response (a mismatch counts as failed). It prints one summary line (ok,
+busy and failed counts, req/s, p50 and p99 latency) and exits nonzero
+when any request failed. --metrics-out writes the server's telemetry
+report after the run; --shutdown then sends a SHUTDOWN frame. Serve
+performance is measured by the repository benchmark (benchmark/README.md).
 
 profile runs the built-in kernel suite (each kernel extended with a large
 never-executed cold section) natively under the VM's tracing hook and
@@ -347,15 +333,7 @@ const COMMANDS: &[Command] = &[
         cmd_loadgen,
         0,
         "--addr --requests --connections --timeout-ms --bench --encoding --selector --max-entry \
-         --corpus --dup --seed --out --metrics-out --server-jobs --server-queue-depth",
-        "--shutdown",
-    ),
-    cmd(
-        "loadsweep",
-        cmd_loadsweep,
-        0,
-        "--addr --bench --encoding --selector --max-entry --rates --point-requests --connections \
-         --unique --cache-requests --seed --timeout-ms --out",
+         --corpus --dup --seed --metrics-out",
         "--shutdown",
     ),
 ];
@@ -453,6 +431,21 @@ fn parse_selector(args: &Args) -> Result<SelectorKind, String> {
         None | Some("greedy") => Ok(SelectorKind::Greedy),
         Some("refine") => Ok(SelectorKind::Refine),
         Some(other) => Err(format!("unknown selector `{other}` (greedy|refine)")),
+    }
+}
+
+/// Resolves a `--max-entry` flag, the longest dictionary entry in
+/// instructions (default 4). A request with a cap of 0 is malformed on the
+/// wire, so no command accepts one.
+fn parse_max_entry<T>(args: &Args) -> Result<T, String>
+where
+    T: std::str::FromStr<Err = std::num::ParseIntError> + From<u8> + PartialOrd,
+{
+    let Some(v) = args.value("--max-entry") else { return Ok(T::from(4)) };
+    match v.parse() {
+        Ok(n) if n >= T::from(1) => Ok(n),
+        Ok(_) => Err(format!("bad --max-entry `{v}` (expected an integer >= 1)")),
+        Err(e) => Err(format!("bad --max-entry `{v}`: {e}")),
     }
 }
 
@@ -589,13 +582,12 @@ fn disasm_stream(image: &container::ProgramImage, skip_items: usize, count: usiz
 
 fn cmd_compress(args: &Args) -> CliResult {
     let path = args.positional(0).ok_or("compress: missing input .cdm")?;
-    let m = load_module(path)?;
     let encoding = parse_encoding(args.value("--encoding").unwrap_or("nibble"))?;
-    let mut config =
-        CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
-    if let Some(v) = args.value("--max-entry") {
-        config.max_entry_len = v.parse().map_err(|_| "bad --max-entry")?;
-    }
+    let mut config = CompressionConfig {
+        max_entry_len: parse_max_entry(args)?,
+        max_codewords: encoding.capacity(),
+        encoding,
+    };
     if let Some(v) = args.value("--max-codewords") {
         config.max_codewords = v.parse().map_err(|_| "bad --max-codewords")?;
     }
@@ -603,10 +595,12 @@ fn cmd_compress(args: &Args) -> CliResult {
         .value("-o")
         .map(str::to_owned)
         .unwrap_or_else(|| format!("{}.cdns", path.trim_end_matches(".cdm")));
+    let selector = parse_selector(args)?;
 
+    let m = load_module(path)?;
     let compressed = Compressor::new(config)
         .with_isa(isa_ref(m.isa))
-        .with_selector(parse_selector(args)?)
+        .with_selector(selector)
         .compress(&m)
         .map_err(|e| e.to_string())?;
     verify(&m, &compressed).map_err(|e| format!("verification failed: {e}"))?;
@@ -1421,16 +1415,9 @@ fn cmd_serve(args: &Args) -> CliResult {
 fn cmd_loadgen(args: &Args) -> CliResult {
     let addr = args.value("--addr").ok_or("loadgen: missing --addr HOST:PORT")?;
     let corpus_insns = corpus::corpus_arg(args)?;
-    let bench = match corpus_insns {
-        Some(n) => corpus::corpus_name(n),
-        None => args.value("--bench").unwrap_or("compress").to_owned(),
-    };
     let encoding = parse_encoding(args.value("--encoding").unwrap_or("nibble"))?;
-    let max_entry: u16 = match args.value("--max-entry") {
-        Some(v) => v.parse().map_err(|_| "bad --max-entry")?,
-        None => 4,
-    };
-    let out_path = args.value("--out").unwrap_or("BENCH_serve.json");
+    let selector = parse_selector(args)?;
+    let max_entry_len: u16 = parse_max_entry(args)?;
     let mut opts = codense_service::LoadgenOptions { addr: addr.to_owned(), ..Default::default() };
     if let Some(v) = args.value("--requests") {
         opts.requests = v.parse().map_err(|_| "bad --requests")?;
@@ -1450,13 +1437,16 @@ fn cmd_loadgen(args: &Args) -> CliResult {
     // MAX_FRAME / TOO_LARGE boundary itself is pinned by protocol tests).
     let module = match corpus_insns {
         Some(n) => corpus::corpus_program(args, n, IsaId::Ppc)?.module,
-        None => codense_codegen::benchmark(&bench)
-            .ok_or_else(|| format!("unknown benchmark `{bench}`"))?,
+        None => {
+            let bench = args.value("--bench").unwrap_or("compress");
+            codense_codegen::benchmark(bench)
+                .ok_or_else(|| format!("unknown benchmark `{bench}`"))?
+        }
     };
     let request = codense_service::CompressRequest {
         encoding,
-        selector: parse_selector(args)?,
-        max_entry_len: max_entry,
+        selector,
+        max_entry_len,
         max_codewords: 0, // the encoding's full codeword space
         module: codense_obj::serialize(&module),
     };
@@ -1468,7 +1458,7 @@ fn cmd_loadgen(args: &Args) -> CliResult {
         );
     }
     // The expected response, computed in process: every served result must
-    // be byte-identical, so the benchmark doubles as a correctness check.
+    // be byte-identical to it.
     let compressed = Compressor::new(request.config())
         .with_selector(request.selector)
         .compress(&module)
@@ -1487,26 +1477,8 @@ fn cmd_loadgen(args: &Args) -> CliResult {
             .map_err(|e| format!("loadgen: metrics: {e}"))?;
         std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
     }
-
-    // The server's shape is not observable through the wire protocol (the
-    // counters section must stay identical at any --jobs), so the caller
-    // records it explicitly; 0 means "not recorded".
-    let parse_shape = |flag: &str| -> Result<usize, String> {
-        match args.value(flag) {
-            Some(v) => v.parse().map_err(|_| format!("bad {flag} `{v}`")),
-            None => Ok(0),
-        }
-    };
-    let meta = codense_service::BenchMeta {
-        bench: bench.to_owned(),
-        encoding: args.value("--encoding").unwrap_or("nibble").to_owned(),
-        jobs: parse_shape("--server-jobs")?,
-        queue_depth: parse_shape("--server-queue-depth")?,
-    };
-    let json = codense_service::render_bench_json(&report, &opts, &meta);
-    std::fs::write(out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
     println!(
-        "{out_path}: {} ok, {} busy, {} failed; {:.1} req/s, p50 {} us, p99 {} us",
+        "{} ok, {} busy, {} failed; {:.1} req/s, p50 {} us, p99 {} us",
         report.ok,
         report.busy,
         report.failed,
@@ -1522,140 +1494,6 @@ fn cmd_loadgen(args: &Args) -> CliResult {
     }
     if report.failed > 0 {
         return Err(format!("{} request(s) failed", report.failed));
-    }
-    Ok(())
-}
-
-fn cmd_loadsweep(args: &Args) -> CliResult {
-    let addr = args.value("--addr").ok_or("loadsweep: missing --addr HOST:PORT")?;
-    let bench = args.value("--bench").unwrap_or("compress");
-    let encoding_name = args.value("--encoding").unwrap_or("nibble");
-    let encoding = parse_encoding(encoding_name)?;
-    let selector = parse_selector(args)?;
-    let max_entry: u16 = match args.value("--max-entry") {
-        Some(v) => v.parse().map_err(|_| "bad --max-entry")?,
-        None => 4,
-    };
-    let out_path = args.value("--out").unwrap_or("BENCH_load.json");
-    let timeout_ms: u64 = match args.value("--timeout-ms") {
-        Some(v) => v.parse().map_err(|_| "bad --timeout-ms")?,
-        None => 30_000,
-    };
-    let connections: usize = match args.value("--connections") {
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err(format!("bad --connections `{v}` (expected an integer >= 1)")),
-        },
-        None => 4,
-    };
-    let seed: u64 = match args.value("--seed") {
-        Some(v) => v.parse().map_err(|_| "bad --seed")?,
-        None => 0xC0DE,
-    };
-    let parse_csv = |flag: &str, default: &str| -> Result<Vec<u64>, String> {
-        args.value(flag)
-            .unwrap_or(default)
-            .split(',')
-            .map(|s| s.trim().parse().map_err(|_| format!("bad {flag} entry `{s}`")))
-            .collect()
-    };
-    let rates = parse_csv("--rates", "50,100,200,400,800")?;
-    let uniques = parse_csv("--unique", "1,2,4,8,16")?;
-    let point_requests: usize = match args.value("--point-requests") {
-        Some(v) => v.parse().map_err(|_| "bad --point-requests")?,
-        None => 64,
-    };
-    let cache_requests: usize = match args.value("--cache-requests") {
-        Some(v) => v.parse().map_err(|_| "bad --cache-requests")?,
-        None => 64,
-    };
-
-    // Distinct modules for the cache sweep: the base benchmark plus one
-    // differentiating instruction per variant — enough to change the
-    // content hash, cheap enough to compress in-process for every variant.
-    let base =
-        codense_codegen::benchmark(bench).ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
-    let max_unique = uniques.iter().copied().max().unwrap_or(1).max(4) as usize;
-    let mut items = Vec::with_capacity(max_unique);
-    for v in 0..max_unique {
-        let mut module = base.clone();
-        module.code.push(0x3860_0000 | v as u32); // li r3, v
-        let request = codense_service::CompressRequest {
-            encoding,
-            selector,
-            max_entry_len: max_entry,
-            max_codewords: 0, // the encoding's full codeword space
-            module: codense_obj::serialize(&module),
-        };
-        let compressed = Compressor::new(request.config())
-            .with_selector(request.selector)
-            .compress(&module)
-            .map_err(|e| format!("loadsweep: in-process compression failed: {e}"))?;
-        items.push(codense_service::WorkItem {
-            request,
-            expected: container::serialize(&compressed),
-        });
-    }
-
-    // Latency-vs-offered-load curve over a small working set that fits the
-    // cache: the first touches exercise the workers, steady state measures
-    // the reactor + cache service path under pipelined arrivals.
-    let mix = &items[..items.len().min(4)];
-    let mut load_points = Vec::new();
-    let mut failed_total = 0u64;
-    for &rate in &rates {
-        let opts = codense_service::OpenLoopOptions {
-            addr: addr.to_owned(),
-            rate_rps: rate as f64,
-            requests: point_requests,
-            connections,
-            timeout_ms,
-            seed,
-        };
-        let report = codense_service::run_open_loop(&opts, mix)
-            .map_err(|e| format!("loadsweep: {addr}: {e}"))?;
-        println!(
-            "rate {rate} rps: {} ok, {} busy, {} failed; p50 {} us, p99 {} us",
-            report.ok,
-            report.busy,
-            report.failed,
-            report.percentile_us(50.0),
-            report.percentile_us(99.0),
-        );
-        failed_total += report.failed;
-        load_points.push(codense_service::LoadPoint { offered_rps: rate as f64, report });
-    }
-
-    let mut cache_points = Vec::new();
-    for &d in &uniques {
-        let d = (d as usize).clamp(1, items.len());
-        let point = codense_service::run_cache_point(addr, timeout_ms, cache_requests, &items[..d])
-            .map_err(|e| format!("loadsweep: cache point ({d} distinct): {e}"))?;
-        println!(
-            "distinct {d}: {} requests, {} hits, {} misses, hit ratio {:.3}",
-            point.requests, point.hits, point.misses, point.hit_ratio,
-        );
-        cache_points.push(point);
-    }
-
-    let json = codense_service::render_load_json(
-        bench,
-        encoding_name,
-        connections,
-        seed,
-        &load_points,
-        &cache_points,
-    );
-    std::fs::write(out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
-    println!("{out_path}: {} load points, {} cache points", load_points.len(), cache_points.len());
-
-    if args.has("--shutdown") {
-        codense_service::Client::connect(addr, timeout_ms)
-            .and_then(|mut c| c.shutdown().map_err(|e| std::io::Error::other(e.to_string())))
-            .map_err(|e| format!("loadsweep: shutdown: {e}"))?;
-    }
-    if failed_total > 0 {
-        return Err(format!("{failed_total} open-loop request(s) failed"));
     }
     Ok(())
 }

@@ -24,6 +24,16 @@ fn write_module(path: &Path, code: Vec<u32>, jump_tables: Vec<JumpTable>) {
     std::fs::write(path, codense_obj::serialize(&m)).unwrap();
 }
 
+/// The names of the files in `dir`, sorted.
+fn dir_listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
 /// 601 straight-line instructions: two equal 300-instruction halves, `sc`.
 fn two_halves() -> Vec<u32> {
     let half = (0..300)
@@ -116,20 +126,28 @@ fn bad_inputs_fail_cleanly() {
     assert!(bin().args(["run-kernel", "list"]).output().unwrap().status.success());
 
     // Flags are checked against the command's own list before any work: a
-    // misspelled flag, a flag missing its value, and a retired command each
-    // exit 2 with a message naming the culprit.
+    // misspelled flag, a flag missing its value, a value out of range, and a
+    // retired command or flag each exit 2 with a message naming the culprit.
+    // Nothing listens on the discard port, so a loadgen that got past its
+    // flags would fail for another reason.
     let dir = tmpdir("badflags");
     bin().args(["gen", "compress", "-o", dir.to_str().unwrap()]).status().unwrap();
-    let cdm = dir.join("compress.cdm");
-    let cdm = cdm.to_str().unwrap();
+    let loadgen =
+        |rest: &[&'static str]| [&["loadgen", "--addr", "127.0.0.1:9"][..], rest].concat();
     for (args, named) in [
-        (&["compress", cdm, "--encodng", "huffman"][..], "unknown flag `--encodng`"),
-        (&["repro", "--bench"], "--bench requires a value"),
-        (&["compress", cdm, "-o"], "-o requires a value"),
-        (&["speed"], "unknown command `speed`"),
-        (&["scale"], "unknown command `scale`"),
+        (vec!["compress", "compress.cdm", "--encodng", "huffman"], "unknown flag `--encodng`"),
+        (vec!["repro", "--bench"], "--bench requires a value"),
+        (vec!["compress", "compress.cdm", "-o"], "-o requires a value"),
+        (vec!["compress", "compress.cdm", "--max-entry", "0"], "--max-entry"),
+        (loadgen(&["--requests", "2", "--max-entry", "0"]), "--max-entry"),
+        (loadgen(&["--out", "x.json"]), "unknown flag `--out`"),
+        (loadgen(&["--server-jobs", "1"]), "unknown flag `--server-jobs`"),
+        (loadgen(&["--server-queue-depth", "1"]), "unknown flag `--server-queue-depth`"),
+        (vec!["speed"], "unknown command `speed`"),
+        (vec!["scale"], "unknown command `scale`"),
+        (vec!["loadsweep"], "unknown command `loadsweep`"),
     ] {
-        let out = bin().args(args).output().unwrap();
+        let out = bin().current_dir(&dir).args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(named), "{args:?}: {err}");
@@ -139,8 +157,8 @@ fn bad_inputs_fail_cleanly() {
             String::from_utf8_lossy(&out.stdout)
         );
     }
-    // Neither rejected `compress` wrote an image to the default path.
-    assert!(!dir.join("compress.cdns").exists());
+    // No rejected command wrote a file: no image, no report.
+    assert_eq!(dir_listing(&dir), ["compress.cdm"]);
 
     // Modules whose checksum is valid but whose contents are not: every
     // command that loads one exits 2 with the validation error, instead of
@@ -163,6 +181,41 @@ fn bad_inputs_fail_cleanly() {
             assert!(err.contains(named), "{command} {path:?}: {err}");
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn loadgen_round_trips_through_serve_and_writes_only_its_metrics() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let dir = tmpdir("serve");
+    let mut server =
+        bin().args(["serve", "--addr", "127.0.0.1:0"]).stdout(Stdio::piped()).spawn().unwrap();
+    let mut lines = BufReader::new(server.stdout.take().unwrap()).lines();
+    let first = lines.next().unwrap().unwrap();
+    let addr = first.strip_prefix("serving on ").expect(&first).to_owned();
+
+    let out = bin()
+        .current_dir(&dir)
+        .args(["loadgen", "--addr", &addr, "--requests", "4"])
+        .args(["--metrics-out", "m.json", "--shutdown"])
+        .output()
+        .unwrap();
+    if !out.status.success() {
+        let _ = server.kill();
+    }
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("4 ok, 0 busy, 0 failed"), "{text}");
+
+    // One connection, four identical requests: one compression, then hits.
+    let metrics = std::fs::read_to_string(dir.join("m.json")).unwrap();
+    assert_eq!(codense_service::counter_value(&metrics, "serve.cache.hits"), Some(3));
+    assert_eq!(codense_service::counter_value(&metrics, "serve.cache.misses"), Some(1));
+
+    assert_eq!(lines.next().unwrap().unwrap(), "drained, exiting");
+    assert!(server.wait().unwrap().success());
+    assert_eq!(dir_listing(&dir), ["m.json"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

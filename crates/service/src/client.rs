@@ -130,8 +130,8 @@ impl Client {
 /// frames before reading anything, and receives responses in whatever
 /// order the server completes them. [`PipelinedClient::try_clone`] splits
 /// the connection into an independent sender and receiver half (both halves
-/// share the one socket), which is how the open-loop load generator runs a
-/// send thread and a receive thread per connection.
+/// share the one socket), which is how the repo benchmark's open-loop load
+/// generator runs a send thread and a receive thread per connection.
 #[derive(Debug)]
 pub struct PipelinedClient {
     stream: TcpStream,
@@ -162,12 +162,6 @@ impl PipelinedClient {
     /// `Ok(None)` means the server closed the connection cleanly.
     pub fn recv(&mut self) -> Result<Option<Frame>, FrameError> {
         Ok(read_frame(&mut &self.stream)?.map(|(frame, _)| frame))
-    }
-
-    /// Half-closes the write side (the server sees EOF after the bytes
-    /// already sent; responses still flow back).
-    pub fn finish_sending(&mut self) -> std::io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)
     }
 
     /// Direct access to the underlying socket, for tests that need to

@@ -38,9 +38,10 @@
 //!
 //! Everything is observable through the `serve.*` telemetry counters and a
 //! `METRICS` request op returning the schema-1 JSON report. The
-//! [`loadgen`] module is the matching measurement client: a closed-loop
-//! throughput/latency benchmark (`BENCH_serve.json`) and an open-loop
-//! latency-vs-offered-load + cache-hit-ratio sweep (`BENCH_load.json`).
+//! [`loadgen`] module holds the closed-loop correctness smoke behind
+//! `codense loadgen`, which byte-checks every response, and the arrival
+//! schedule and counter parser of the repo benchmark's open-loop load
+//! generator; that benchmark measures serve performance.
 
 pub mod cache;
 pub mod client;
@@ -53,10 +54,6 @@ pub mod sys;
 pub use cache::{CacheKey, InsertOutcome, ResultCache};
 pub use client::{Client, PipelinedClient, RequestError};
 pub use codec::{by_kind, by_name, by_tag, Codec, CODECS};
-pub use loadgen::{
-    arrival_schedule_us, counter_value, render_bench_json, render_load_json, run_cache_point,
-    run_loadgen, run_loadgen_multi, run_open_loop, BenchMeta, CachePoint, LoadPoint,
-    LoadgenOptions, LoadgenReport, OpenLoopOptions, WorkItem,
-};
+pub use loadgen::{arrival_schedule_us, counter_value, run_loadgen, LoadgenOptions, LoadgenReport};
 pub use protocol::{CompressRequest, ErrorCode, Frame, FrameError, Op, ParseOutcome};
 pub use server::{serve, ServeOptions, ServerHandle};

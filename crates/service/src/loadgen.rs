@@ -1,31 +1,22 @@
-//! Load generation against a serve instance, in two disciplines:
+//! Closed-loop load generation against a serve instance, plus two helpers
+//! that serve the repo benchmark's open-loop load generator
+//! (`benchmark/src/serve.rs`): [`arrival_schedule_us`] and
+//! [`counter_value`].
 //!
-//! * **closed loop** ([`run_loadgen`]) — N connections, each issuing its
-//!   next request as soon as the previous one answers. Measures best-case
-//!   service latency and saturation throughput.
-//! * **open loop** ([`run_open_loop`]) — requests arrive on a deterministic
-//!   Poisson-like schedule (seeded exponential inter-arrivals) regardless
-//!   of how fast the server answers, pipelined over a fixed set of
-//!   connections. Latency is measured from each request's *scheduled*
-//!   arrival, so a backed-up server cannot hide queueing delay by slowing
-//!   the generator down (the coordinated-omission trap).
-//!
-//! Every response is compared byte-for-byte against the expected container
-//! (the caller computes it once, in process), so the benchmark doubles as a
-//! correctness check: a served result that differs from the in-process
-//! compression counts as `failed`, not `ok`. The cache sweep
-//! ([`run_cache_point`]) cycles a window of distinct modules through one
-//! sequential connection and reads the server's own `serve.cache.*`
-//! counters to report the achieved hit ratio.
+//! [`run_loadgen`] opens N connections, each issuing its next request as
+//! soon as the previous one answers, and compares every response
+//! byte-for-byte against the expected container (the caller computes it
+//! once, in process). It is a correctness smoke first: a served result that
+//! differs from the in-process compression counts as `failed`, not `ok`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use codense_codegen::Rng;
 
-use crate::client::{Client, PipelinedClient, RequestError};
-use crate::protocol::{decode_error, CompressRequest, ErrorCode, Op};
+use crate::client::{Client, RequestError};
+use crate::protocol::{CompressRequest, ErrorCode};
 
 /// Load-generation parameters (closed loop).
 #[derive(Debug, Clone)]
@@ -51,7 +42,7 @@ impl Default for LoadgenOptions {
     }
 }
 
-/// Outcome of one load-generation run (either discipline).
+/// Outcome of one closed-loop run.
 #[derive(Debug, Clone, Default)]
 pub struct LoadgenReport {
     /// Responses byte-identical to the expected container.
@@ -78,14 +69,6 @@ impl LoadgenReport {
         self.latencies_us[rank.clamp(1, self.latencies_us.len()) - 1]
     }
 
-    /// Mean `ok` latency in microseconds.
-    pub fn mean_us(&self) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        self.latencies_us.iter().sum::<u64>() / self.latencies_us.len() as u64
-    }
-
     /// Completed (`ok`) requests per second of wall-clock.
     pub fn throughput_rps(&self) -> f64 {
         if self.wall_us == 0 {
@@ -95,48 +78,13 @@ impl LoadgenReport {
     }
 }
 
-/// Static facts about a run, recorded alongside the measurements in
-/// `BENCH_serve.json`.
-#[derive(Debug, Clone)]
-pub struct BenchMeta {
-    /// Benchmark (module) name the requests compress.
-    pub bench: String,
-    /// Encoding name (`baseline`/`onebyte`/`nibble`).
-    pub encoding: String,
-    /// Server worker threads.
-    pub jobs: usize,
-    /// Server queue depth.
-    pub queue_depth: usize,
-}
-
-/// One request/response pair the generator cycles through: the encoded
-/// request plus the container bytes an in-process compression produces.
-#[derive(Debug, Clone)]
-pub struct WorkItem {
-    /// The request to send.
-    pub request: CompressRequest,
-    /// The expected `.cdns` container bytes.
-    pub expected: Vec<u8>,
-}
-
-/// Drives `opts.requests` compression requests over `opts.connections`
+/// Drives `opts.requests` copies of `request` over `opts.connections`
 /// concurrent connections, checking each response against `expected`.
 pub fn run_loadgen(
     opts: &LoadgenOptions,
     request: &CompressRequest,
     expected: &[u8],
 ) -> std::io::Result<LoadgenReport> {
-    let item = WorkItem { request: request.clone(), expected: expected.to_vec() };
-    run_loadgen_multi(opts, std::slice::from_ref(&item))
-}
-
-/// Closed-loop run over a set of work items, assigned round-robin by
-/// global request index (request `k` sends `items[k % items.len()]`).
-pub fn run_loadgen_multi(
-    opts: &LoadgenOptions,
-    items: &[WorkItem],
-) -> std::io::Result<LoadgenReport> {
-    assert!(!items.is_empty(), "loadgen needs at least one work item");
     let next = AtomicUsize::new(0);
     let ok = AtomicU64::new(0);
     let busy = AtomicU64::new(0);
@@ -156,15 +104,10 @@ pub fn run_loadgen_multi(
                     }
                 };
                 let mut mine = Vec::new();
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= opts.requests {
-                        break;
-                    }
-                    let item = &items[k % items.len()];
+                while next.fetch_add(1, Ordering::Relaxed) < opts.requests {
                     let t0 = Instant::now();
-                    match client.compress(&item.request) {
-                        Ok(bytes) if bytes == item.expected => {
+                    match client.compress(request) {
+                        Ok(bytes) if bytes == expected => {
                             mine.push(t0.elapsed().as_micros() as u64);
                             ok.fetch_add(1, Ordering::Relaxed);
                         }
@@ -198,37 +141,6 @@ pub fn run_loadgen_multi(
     })
 }
 
-/// Open-loop parameters.
-#[derive(Debug, Clone)]
-pub struct OpenLoopOptions {
-    /// Server address.
-    pub addr: String,
-    /// Offered load: mean request arrivals per second.
-    pub rate_rps: f64,
-    /// Total requests in the run.
-    pub requests: usize,
-    /// Connections the arrivals are striped over (request `k` rides
-    /// connection `k % connections`, pipelined).
-    pub connections: usize,
-    /// Client-side socket timeout.
-    pub timeout_ms: u64,
-    /// Seed of the arrival schedule (same seed = same schedule).
-    pub seed: u64,
-}
-
-impl Default for OpenLoopOptions {
-    fn default() -> OpenLoopOptions {
-        OpenLoopOptions {
-            addr: "127.0.0.1:0".into(),
-            rate_rps: 100.0,
-            requests: 64,
-            connections: 4,
-            timeout_ms: 30_000,
-            seed: 0xC0DE,
-        }
-    }
-}
-
 /// The deterministic arrival schedule: cumulative microsecond offsets of
 /// `requests` exponential inter-arrival gaps at `rate_rps` (a Poisson
 /// process, reproducible from the seed).
@@ -246,128 +158,6 @@ pub fn arrival_schedule_us(rate_rps: f64, requests: usize, seed: u64) -> Vec<u64
         .collect()
 }
 
-/// Runs an open-loop sweep point: requests fire at their scheduled arrival
-/// times over pipelined connections, and latency for request `k` is
-/// measured from `schedule[k]` — not from the send — so server queueing is
-/// fully charged to the request.
-pub fn run_open_loop(opts: &OpenLoopOptions, items: &[WorkItem]) -> std::io::Result<LoadgenReport> {
-    assert!(!items.is_empty(), "loadgen needs at least one work item");
-    let schedule = arrival_schedule_us(opts.rate_rps, opts.requests, opts.seed);
-    let conns = opts.connections.max(1);
-
-    // Connect everything before the clock starts.
-    let mut pairs = Vec::with_capacity(conns);
-    for _ in 0..conns {
-        let sender = PipelinedClient::connect(opts.addr.as_str(), opts.timeout_ms)?;
-        let receiver = sender.try_clone()?;
-        pairs.push((sender, receiver));
-    }
-
-    let ok = AtomicU64::new(0);
-    let busy = AtomicU64::new(0);
-    let failed = AtomicU64::new(0);
-    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(opts.requests));
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for (c, (mut sender, mut receiver)) in pairs.into_iter().enumerate() {
-            let assigned: Vec<usize> = (0..opts.requests).filter(|k| k % conns == c).collect();
-            let expected_responses = assigned.len();
-            let (schedule, items) = (&schedule, items);
-            let (ok, busy, failed, latencies) = (&ok, &busy, &failed, &latencies);
-
-            let sent = assigned.clone();
-            scope.spawn(move || {
-                for &k in &sent {
-                    let target = Duration::from_micros(schedule[k]);
-                    let now = start.elapsed();
-                    if target > now {
-                        std::thread::sleep(target - now);
-                    }
-                    let item = &items[k % items.len()];
-                    if sender.send_compress(k as u32 + 1, &item.request).is_err() {
-                        failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                // Half-close: the server answers what it got, then closes,
-                // which is what ends the receiver loop below.
-                let _ = sender.finish_sending();
-            });
-
-            scope.spawn(move || {
-                let mut mine = Vec::new();
-                let mut got = 0usize;
-                while got < expected_responses {
-                    let frame = match receiver.recv() {
-                        Ok(Some(frame)) => frame,
-                        Ok(None) | Err(_) => break,
-                    };
-                    got += 1;
-                    let k = frame.request_id.wrapping_sub(1) as usize;
-                    if k >= opts.requests {
-                        failed.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let item = &items[k % items.len()];
-                    match frame.op {
-                        Op::RespOk if frame.payload == item.expected => {
-                            let now_us = start.elapsed().as_micros() as u64;
-                            mine.push(now_us.saturating_sub(schedule[k]));
-                            ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Op::RespErr
-                            if matches!(
-                                decode_error(&frame.payload),
-                                Some((ErrorCode::Busy, _))
-                            ) =>
-                        {
-                            busy.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                latencies.lock().unwrap().extend(mine);
-            });
-        }
-    });
-
-    let wall_us = start.elapsed().as_micros() as u64;
-    let mut latencies_us = latencies.into_inner().unwrap();
-    latencies_us.sort_unstable();
-    let (ok, busy, mut failed) = (ok.into_inner(), busy.into_inner(), failed.into_inner());
-    // Responses that never arrived (connection died early) are failures.
-    failed += (opts.requests as u64).saturating_sub(ok + busy + failed);
-    Ok(LoadgenReport { ok, busy, failed, wall_us, latencies_us })
-}
-
-/// One point of the latency-vs-offered-load sweep.
-#[derive(Debug, Clone)]
-pub struct LoadPoint {
-    /// Offered arrival rate, requests per second.
-    pub offered_rps: f64,
-    /// The measured open-loop report at that rate.
-    pub report: LoadgenReport,
-}
-
-/// One point of the cache-hit-ratio sweep.
-#[derive(Debug, Clone)]
-pub struct CachePoint {
-    /// Distinct modules cycled through.
-    pub distinct: usize,
-    /// Requests issued.
-    pub requests: usize,
-    /// Server-side `serve.cache.hits` delta across the point.
-    pub hits: u64,
-    /// Server-side `serve.cache.misses` delta across the point.
-    pub misses: u64,
-    /// `hits / (hits + misses)` (0 when the cache saw no lookups).
-    pub hit_ratio: f64,
-    /// Completed requests per second of wall-clock.
-    pub throughput_rps: f64,
-}
-
 /// Extracts one counter value from a schema-1 metrics JSON report.
 pub fn counter_value(metrics_json: &str, name: &str) -> Option<u64> {
     let at = metrics_json.find(&format!("\"{name}\":"))?;
@@ -379,136 +169,6 @@ pub fn counter_value(metrics_json: &str, name: &str) -> Option<u64> {
         .take_while(char::is_ascii_digit)
         .collect();
     digits.parse().ok()
-}
-
-fn request_failed(e: RequestError) -> std::io::Error {
-    std::io::Error::other(e.to_string())
-}
-
-/// Runs one cache sweep point: `requests` sequential requests cycling
-/// through `items` (whose modules must be distinct), reporting the
-/// server-observed hit/miss deltas. Any response that is not byte-identical
-/// to its expected container is an error.
-pub fn run_cache_point(
-    addr: &str,
-    timeout_ms: u64,
-    requests: usize,
-    items: &[WorkItem],
-) -> std::io::Result<CachePoint> {
-    assert!(!items.is_empty(), "cache point needs at least one work item");
-    let mut client = Client::connect(addr, timeout_ms)?;
-    let before = client.metrics().map_err(request_failed)?;
-    let hits0 = counter_value(&before, "serve.cache.hits").unwrap_or(0);
-    let misses0 = counter_value(&before, "serve.cache.misses").unwrap_or(0);
-
-    let start = Instant::now();
-    for k in 0..requests {
-        let item = &items[k % items.len()];
-        let bytes = client.compress(&item.request).map_err(request_failed)?;
-        if bytes != item.expected {
-            return Err(std::io::Error::other("served container differs from in-process result"));
-        }
-    }
-    let wall_us = start.elapsed().as_micros().max(1) as u64;
-
-    let after = client.metrics().map_err(request_failed)?;
-    let hits = counter_value(&after, "serve.cache.hits").unwrap_or(0).saturating_sub(hits0);
-    let misses = counter_value(&after, "serve.cache.misses").unwrap_or(0).saturating_sub(misses0);
-    let lookups = hits + misses;
-    Ok(CachePoint {
-        distinct: items.len(),
-        requests,
-        hits,
-        misses,
-        hit_ratio: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
-        throughput_rps: requests as f64 / (wall_us as f64 / 1e6),
-    })
-}
-
-/// Renders the `BENCH_serve.json` report (sorted keys, stable shape;
-/// schema 1 — documented in `EXPERIMENTS.md`).
-pub fn render_bench_json(
-    report: &LoadgenReport,
-    opts: &LoadgenOptions,
-    meta: &BenchMeta,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", meta.bench));
-    out.push_str(&format!("  \"busy\": {},\n", report.busy));
-    out.push_str(&format!("  \"connections\": {},\n", opts.connections));
-    out.push_str(&format!("  \"encoding\": \"{}\",\n", meta.encoding));
-    out.push_str(&format!("  \"failed\": {},\n", report.failed));
-    out.push_str(&format!("  \"jobs\": {},\n", meta.jobs));
-    out.push_str("  \"latency_us\": {\n");
-    out.push_str(&format!("    \"max\": {},\n", report.latencies_us.last().copied().unwrap_or(0)));
-    out.push_str(&format!("    \"mean\": {},\n", report.mean_us()));
-    out.push_str(&format!("    \"p50\": {},\n", report.percentile_us(50.0)));
-    out.push_str(&format!("    \"p95\": {},\n", report.percentile_us(95.0)));
-    out.push_str(&format!("    \"p99\": {}\n", report.percentile_us(99.0)));
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"ok\": {},\n", report.ok));
-    out.push_str(&format!("  \"queue_depth\": {},\n", meta.queue_depth));
-    out.push_str(&format!("  \"requests\": {},\n", opts.requests));
-    out.push_str("  \"schema\": 1,\n");
-    out.push_str(&format!("  \"throughput_rps\": {:.2},\n", report.throughput_rps()));
-    out.push_str(&format!("  \"wall_us\": {}\n", report.wall_us));
-    out.push_str("}\n");
-    out
-}
-
-/// Renders the `BENCH_load.json` report: the latency-vs-offered-load curve
-/// plus the cache-hit-ratio sweep (sorted keys, stable shape; schema 1 —
-/// documented in `EXPERIMENTS.md`).
-pub fn render_load_json(
-    bench: &str,
-    encoding: &str,
-    connections: usize,
-    seed: u64,
-    load_sweep: &[LoadPoint],
-    cache_sweep: &[CachePoint],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{bench}\",\n"));
-    out.push_str("  \"cache_sweep\": [\n");
-    for (i, p) in cache_sweep.iter().enumerate() {
-        let comma = if i + 1 < cache_sweep.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{ \"distinct\": {}, \"hit_ratio\": {:.4}, \"hits\": {}, \"misses\": {}, \
-             \"requests\": {}, \"throughput_rps\": {:.2} }}{comma}\n",
-            p.distinct, p.hit_ratio, p.hits, p.misses, p.requests, p.throughput_rps
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"connections\": {connections},\n"));
-    out.push_str(&format!("  \"encoding\": \"{encoding}\",\n"));
-    out.push_str("  \"load_sweep\": [\n");
-    for (i, p) in load_sweep.iter().enumerate() {
-        let comma = if i + 1 < load_sweep.len() { "," } else { "" };
-        let r = &p.report;
-        out.push_str(&format!(
-            "    {{ \"busy\": {}, \"failed\": {}, \"latency_us\": {{ \"max\": {}, \"mean\": {}, \
-             \"p50\": {}, \"p95\": {}, \"p99\": {} }}, \"offered_rps\": {:.2}, \"ok\": {}, \
-             \"throughput_rps\": {:.2}, \"wall_us\": {} }}{comma}\n",
-            r.busy,
-            r.failed,
-            r.latencies_us.last().copied().unwrap_or(0),
-            r.mean_us(),
-            r.percentile_us(50.0),
-            r.percentile_us(95.0),
-            r.percentile_us(99.0),
-            p.offered_rps,
-            r.ok,
-            r.throughput_rps(),
-            r.wall_us
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"schema\": 1,\n");
-    out.push_str(&format!("  \"seed\": {seed}\n"));
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -527,7 +187,6 @@ mod tests {
         assert_eq!(r.percentile_us(95.0), 95);
         assert_eq!(r.percentile_us(99.0), 99);
         assert_eq!(r.percentile_us(100.0), 100);
-        assert_eq!(r.mean_us(), 50);
         assert!((r.throughput_rps() - 100.0).abs() < 1e-9);
     }
 
@@ -551,7 +210,6 @@ mod tests {
     fn empty_report_is_all_zero() {
         let r = LoadgenReport::default();
         assert_eq!(r.percentile_us(99.0), 0);
-        assert_eq!(r.mean_us(), 0);
         assert_eq!(r.throughput_rps(), 0.0);
     }
 
