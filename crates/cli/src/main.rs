@@ -606,12 +606,25 @@ fn cmd_compress(args: &Args) -> CliResult {
     verify(&m, &compressed).map_err(|e| format!("verification failed: {e}"))?;
     std::fs::write(&out_path, container::serialize(&compressed))
         .map_err(|e| format!("{out_path}: {e}"))?;
-    println!(
-        "{out_path}: {} -> {} text bytes + {} dictionary bytes ({} entries), ratio {:.1}%",
-        m.text_bytes(),
+    // Every part of the compressed size, so the parts add up to the
+    // footprint `info` reports; `ratio` stays last.
+    let mut parts = format!(
+        "{} text bytes + {} dictionary bytes ({} entries)",
         compressed.text_bytes(),
         compressed.dictionary_bytes(),
-        compressed.dictionary.len(),
+        compressed.dictionary.len()
+    );
+    for (bytes, what) in [
+        (compressed.huffman_table_bytes(), "Huffman-table"),
+        (compressed.overflow_table_bytes(), "overflow-table"),
+    ] {
+        if bytes > 0 {
+            parts.push_str(&format!(" + {bytes} {what} bytes"));
+        }
+    }
+    println!(
+        "{out_path}: {} -> {parts}, ratio {:.1}%",
+        m.text_bytes(),
         100.0 * compressed.compression_ratio(),
     );
     if !compressed.overflow_table.is_empty() {

@@ -399,3 +399,77 @@ fn disasm_exits_quietly_when_its_reader_closes_early() {
     assert_ne!(out.status.code(), Some(101), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The parts `compress` prints, e.g. `… -> 100 text bytes + 40 dictionary
+/// bytes (5 entries) + 7 Huffman-table bytes, ratio …`: the number before
+/// each `bytes` label between `->` and `, ratio`.
+fn printed_parts(line: &str) -> Vec<usize> {
+    let parts = &line[line.find("->").unwrap() + 2..line.rfind(", ratio").unwrap()];
+    parts.split(" + ").map(|p| p.split_whitespace().next().unwrap().parse().unwrap()).collect()
+}
+
+#[test]
+fn compress_prints_parts_that_sum_to_the_footprint() {
+    // gcc under huffman carries a Huffman table and rewrites branches
+    // through the overflow table, so all four parts are nonzero there.
+    let dir = tmpdir("parts");
+    bin().args(["gen", "gcc", "-o", dir.to_str().unwrap()]).status().unwrap();
+    let cdm = dir.join("gcc.cdm");
+    let cdns = dir.join("gcc.cdns");
+    for encoding in ["baseline", "nibble", "huffman"] {
+        let out = bin()
+            .args(["compress", cdm.to_str().unwrap(), "-o", cdns.to_str().unwrap()])
+            .args(["--encoding", encoding])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{encoding}: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout);
+        let first = text.lines().next().unwrap();
+        let parts = printed_parts(first);
+        let info = bin().args(["info", cdns.to_str().unwrap()]).output().unwrap();
+        let info = String::from_utf8_lossy(&info.stdout);
+        let footprint: usize = info
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("footprint     : "))
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap_or_else(|| panic!("{encoding}: no footprint in {info}"))
+            .parse()
+            .unwrap();
+        assert_eq!(parts.iter().sum::<usize>(), footprint, "{encoding}: {first}\n{info}");
+        if encoding == "huffman" {
+            assert_eq!(parts.len(), 4, "{first}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn refine_packs_only_the_winning_trial() {
+    // Every refine trial is laid out and scored, but only the winner is
+    // patched and packed: `compress.runs` counts the greedy run plus each
+    // trial, while the pack phase under `refine` runs once.
+    let dir = tmpdir("refine-pack");
+    bin().args(["gen", "gcc", "-o", dir.to_str().unwrap()]).status().unwrap();
+    let metrics = dir.join("m.json");
+    let out = bin()
+        .args(["--metrics", metrics.to_str().unwrap(), "compress"])
+        .arg(dir.join("gcc.cdm"))
+        .args(["--selector", "refine", "--encoding", "huffman"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    let trials = codense_service::counter_value(&json, "refine.trials").unwrap();
+    assert!(trials > 0, "{json}");
+    assert_eq!(codense_service::counter_value(&json, "compress.runs"), Some(trials + 1));
+    let pack_calls: Vec<u64> = json
+        .lines()
+        .filter(|l| l.contains("\"name\": \"refine/") && l.contains("/pack\""))
+        .map(|l| {
+            let calls = &l[l.find("\"calls\": ").unwrap() + 9..];
+            calls[..calls.find(',').unwrap()].parse().unwrap()
+        })
+        .collect();
+    assert_eq!(pack_calls, [1], "{json}");
+    std::fs::remove_dir_all(&dir).ok();
+}

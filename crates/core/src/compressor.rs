@@ -1,5 +1,20 @@
-//! The compression pipeline: analyze → greedy select → rank → lay out →
-//! patch branches → pack.
+//! The compression pipeline, in two halves.
+//!
+//! * **Lay-out** (`Compressor::lay_out`): select → atoms → rank → Huffman
+//!   table → layout fixpoint. Its result, a `LaidOut`, knows the exact
+//!   size of the finished program (the numerator of the paper's Eq. 1)
+//!   without holding a single packed nibble.
+//! * **Finish** (`Compressor::finish`): patch branches → pack → patch
+//!   jump tables, building the [`CompressedProgram`].
+//!
+//! Greedy compression runs both halves in a row. The refinement selector
+//! ([`crate::selector`]) scores each trial by its lay-out alone and
+//! finishes only the winner. What depends only on the module, its
+//! PC-relative branches and the escape-collision scan, is resolved once per
+//! compression into a `Prepared` that every lay-out reads. The block
+//! model is built once per compression too, to mine the candidate index,
+//! and dropped before selection: selection returns a per-cell head array,
+//! and the atom stream is built from it and the module's words.
 
 use codense_isa::IsaRef;
 use codense_obj::ObjectModule;
@@ -9,13 +24,13 @@ use crate::dict::Dictionary;
 use crate::encoding::{self, try_write_codeword_coded, write_insn_coded};
 use crate::error::CompressError;
 use crate::greedy::{
-    run_greedy_banned, run_owned, BanSet, CandidateIndex, CostModel, GreedyParams, MatchfinderKind,
-    PickRecord,
+    BanSet, CandidateIndex, CostModel, GreedyParams, MatchfinderKind, PickRecord, NO_ENTRY,
 };
 use crate::huffcode::HuffCode;
 use crate::model::{Cell, ProgramModel};
 use crate::nibbles::NibbleWriter;
 use crate::selector::SelectorKind;
+use crate::telemetry;
 
 /// Synthetic high half of the overflow jump table's address (a `.data`
 /// object created by the compressor for branches whose patched offsets no
@@ -129,17 +144,24 @@ impl CompressedProgram {
         self.huffman.as_ref().map_or(0, |h| h.nibble_lengths().len().div_ceil(2))
     }
 
+    /// Compressed size in bytes, the numerator of the paper's Eq. 1: text,
+    /// dictionary, overflow table and Huffman decode table.
+    pub(crate) fn compressed_bytes(&self) -> usize {
+        eq1_bytes(
+            self.total_nibbles,
+            &self.dictionary,
+            self.overflow_table.len(),
+            self.huffman.as_ref(),
+        )
+    }
+
     /// The paper's compression ratio (Eq. 1): compressed size / original
     /// size, where compressed size includes the dictionary (plus any
     /// overflow-table bytes, and the Huffman decode table when that
     /// encoding is in use). Jump tables keep their original size and
     /// cancel out of the ratio.
     pub fn compression_ratio(&self) -> f64 {
-        (self.text_bytes()
-            + self.dictionary_bytes()
-            + self.overflow_table_bytes()
-            + self.huffman_table_bytes()) as f64
-            / self.original_text_bytes as f64
+        self.compressed_bytes() as f64 / self.original_text_bytes as f64
     }
 
     /// Nibble address of the original instruction index, if it starts an
@@ -289,7 +311,7 @@ impl Compressor {
     ) -> Result<CompressedProgram, CompressError> {
         self.check_isa(module)?;
         match self.selector {
-            SelectorKind::Greedy => self.compress_inner(module, &[], Some(index), &BanSet::new()),
+            SelectorKind::Greedy => self.compress_greedy(module, &[], Some(index)),
             SelectorKind::Refine => crate::selector::refine(self, module, &[], Some(index)),
         }
     }
@@ -318,13 +340,13 @@ impl Compressor {
     ) -> Result<CompressedProgram, CompressError> {
         self.check_isa(module)?;
         match self.selector {
-            SelectorKind::Greedy => self.compress_inner(module, exempt, None, &BanSet::new()),
+            SelectorKind::Greedy => self.compress_greedy(module, exempt, None),
             SelectorKind::Refine => crate::selector::refine(self, module, exempt, None),
         }
     }
 
     /// Builds the basic-block model with hot (exempt) cells already marked
-    /// incompressible — the model state every selection pass runs against.
+    /// incompressible — the model state candidate mining runs against.
     pub(crate) fn build_masked_model(
         &self,
         module: &ObjectModule,
@@ -345,61 +367,54 @@ impl Compressor {
         model
     }
 
-    pub(crate) fn compress_inner(
+    /// Greedy compression: one lay-out, finished.
+    fn compress_greedy(
         &self,
         module: &ObjectModule,
         exempt: &[bool],
-        shared_index: Option<&CandidateIndex>,
-        bans: &BanSet,
+        index: Option<&CandidateIndex>,
     ) -> Result<CompressedProgram, CompressError> {
-        self.compress_inner_priced(module, exempt, shared_index, bans, None)
+        let _compress = telemetry::phase("compress");
+        let prep = Prepared::new(self, module, exempt);
+        let laid = self.lay_out(&prep, index, &BanSet::new(), None)?;
+        let _pack = telemetry::phase("pack");
+        self.finish(&prep, laid)
     }
 
-    /// [`compress_inner`] with an overridden codeword-price estimate for
-    /// greedy selection (in bits; `None` uses the encoding's default). The
-    /// refinement selector probes cheaper prices for the variable-length
-    /// encodings — selection admits more candidates, and the exact layout
-    /// cost decides whether that was an improvement.
-    pub(crate) fn compress_inner_priced(
+    /// The first half of a compression: selection, the atom stream, rank
+    /// assignment, the Huffman table and the layout fixpoint. Selection runs
+    /// against `index` minus `bans` when given one, and otherwise mines the
+    /// masked model itself (or runs the reference engine). `codeword_bits`
+    /// overrides the encoding's codeword-price estimate for selection; the
+    /// refinement selector probes other prices and lets the exact cost
+    /// decide.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompressError`]; a lay-out that succeeds always finishes.
+    pub(crate) fn lay_out(
         &self,
-        module: &ObjectModule,
-        exempt: &[bool],
-        shared_index: Option<&CandidateIndex>,
+        prep: &Prepared,
+        index: Option<&CandidateIndex>,
         bans: &BanSet,
         codeword_bits: Option<u32>,
-    ) -> Result<CompressedProgram, CompressError> {
-        assert!(
-            exempt.is_empty() || exempt.len() == module.len(),
-            "exemption mask length {} does not match module length {}",
-            exempt.len(),
-            module.len()
-        );
+    ) -> Result<LaidOut, CompressError> {
+        debug_assert!(index.is_some() || bans.is_empty(), "bans need a shared index");
         let kind = self.config.encoding;
-        crate::telemetry::COMPRESS_RUNS.inc();
-        if !exempt.is_empty() {
-            crate::telemetry::HYBRID_COMPRESSIONS.inc();
-            crate::telemetry::HYBRID_EXEMPT_INSNS
-                .add(exempt.iter().filter(|&&hot| hot).count() as u64);
+        telemetry::COMPRESS_RUNS.inc();
+        if !prep.exempt.is_empty() {
+            telemetry::HYBRID_COMPRESSIONS.inc();
+            telemetry::HYBRID_EXEMPT_INSNS.add(prep.exempt_insns);
         }
-        let _phase = crate::telemetry::phase("compress");
-
-        // Escape opcodes must not occur as real instructions under the
-        // byte-level schemes (§4.1: escape bytes are *illegal* opcodes).
-        // The nibble-granular schemes have explicit escape codewords and
-        // accept any instruction word.
-        if matches!(kind, EncodingKind::Baseline | EncodingKind::OneByte) {
-            for (i, &w) in module.code.iter().enumerate() {
-                if self.isa.escape_index((w >> 24) as u8).is_some() {
-                    return Err(CompressError::EscapeCollision { at: i, word: w });
-                }
-            }
+        if let Some(collision) = &prep.collision {
+            return Err(collision.clone());
         }
 
-        // 1. Greedy dictionary selection over the basic-block model. Hot
-        //    (exempt) cells are marked incompressible before selection, so
-        //    the occurrence index only ever sees eligible code.
-        let greedy_phase = crate::telemetry::phase("greedy");
-        let mut model = self.build_masked_model(module, exempt);
+        // 1. Greedy dictionary selection. Hot (exempt) cells are marked
+        //    incompressible in the model the index is mined from, so the
+        //    occurrence index only ever sees eligible code. The model lives
+        //    only as long as mining: selection returns the head array.
+        let greedy_phase = telemetry::phase("greedy");
         let mut dictionary = Dictionary::new();
         let params = GreedyParams {
             max_entry_len: self.config.max_entry_len,
@@ -411,29 +426,28 @@ impl Compressor {
                 dict_entry_fixed_bits: 0,
             },
         };
-        // Banned selection is the refinement selector's probe; it always
-        // runs against an index (the reference matchfinder has no ban
-        // support, and refinement reuses one index across all trials). The
-        // reference engine mines as it selects, so it has no phase split.
-        let picks = match (shared_index, self.matchfinder) {
+        // The reference engine mines as it selects and rewrites its model,
+        // so it has no phase split and its heads are read back off the
+        // model.
+        let (picks, heads) = match (index, self.matchfinder) {
             (Some(index), _) => {
-                let _phase = crate::telemetry::phase("select");
-                run_greedy_banned(index, &mut model, &mut dictionary, params, bans)
+                let _phase = telemetry::phase("select");
+                crate::greedy::select(index, &mut dictionary, params, bans)
             }
-            (None, MatchfinderKind::Reference) if bans.is_empty() => {
-                crate::greedy::reference::run_greedy(&mut model, &mut dictionary, params)
+            (None, MatchfinderKind::Reference) => {
+                let mut model = self.build_masked_model(prep.module, prep.exempt);
+                let picks =
+                    crate::greedy::reference::run_greedy(&mut model, &mut dictionary, params);
+                (picks, crate::greedy::heads_of(&model))
             }
-            (None, _) => {
+            (None, MatchfinderKind::Interned) => {
                 let index = {
-                    let _phase = crate::telemetry::phase("mine");
+                    let model = self.build_masked_model(prep.module, prep.exempt);
+                    let _phase = telemetry::phase("mine");
                     CandidateIndex::build(&model, params.max_entry_len)?
                 };
-                let _phase = crate::telemetry::phase("select");
-                if bans.is_empty() {
-                    run_owned(index, &mut model, &mut dictionary, params)
-                } else {
-                    run_greedy_banned(&index, &mut model, &mut dictionary, params, bans)
-                }
+                let _phase = telemetry::phase("select");
+                crate::greedy::select_owned(index, &mut dictionary, params)
             }
         };
         drop(greedy_phase);
@@ -441,15 +455,38 @@ impl Compressor {
         // 2. Rank assignment: shortest codewords to the most-used entries.
         dictionary.assign_ranks_by_use();
 
-        // 3. Initial atom stream.
-        let mut atoms: Vec<Atom> = model
-            .atoms()
-            .map(|cell| match cell {
-                Cell::Insn { word, orig, .. } => Atom::Insn { word, orig },
-                Cell::Code { entry, orig, len } => Atom::Codeword { entry, orig, len },
-                Cell::Dead => unreachable!("atoms() skips tombstones"),
-            })
+        // 3. The atom stream, from the module's words and the head array (a
+        //    cell's flat offset is its original index). Each atom start's
+        //    head slot is overwritten with the atom's index once read, which
+        //    turns the array into an original-index → atom table for the
+        //    branch sites and targets: both are atom starts, and the cells a
+        //    codeword covers keep `NO_ENTRY`.
+        let code = &prep.module.code;
+        debug_assert_eq!(heads.len(), code.len());
+        let covered: usize = dictionary.entries().iter().map(|e| e.replaced * (e.len() - 1)).sum();
+        let mut atoms = Vec::with_capacity(code.len().saturating_sub(covered));
+        let mut atom_at = heads;
+        let mut escapes = 0u64;
+        let mut i = 0;
+        while i < code.len() {
+            let entry = atom_at[i];
+            atom_at[i] = atoms.len() as u32;
+            if entry == NO_ENTRY {
+                atoms.push(Atom::Insn { word: code[i], orig: i });
+                escapes += 1;
+                i += 1;
+            } else {
+                let len = dictionary.entry(entry).len();
+                atoms.push(Atom::Codeword { entry, orig: i, len });
+                i += len;
+            }
+        }
+        let branch_atoms: Vec<(u32, u32)> = prep
+            .branches
+            .iter()
+            .map(|b| (atom_at[b.site as usize], atom_at[b.target as usize]))
             .collect();
+        drop(atom_at);
 
         // 3b. Huffman only: freeze the codeword table from actual usage —
         // per-rank replacement counts plus the initial escape (uncompressed
@@ -457,13 +494,11 @@ impl Compressor {
         // fixpoint even though ViaTable rewrites add escaped instructions;
         // frequencies are weights, not an exact stream census.
         let huffman = (kind == EncodingKind::Huffman).then(|| {
-            crate::telemetry::HUFFMAN_CODES_BUILT.inc();
+            telemetry::HUFFMAN_CODES_BUILT.inc();
             let rank_freqs: Vec<u64> = (0..dictionary.len() as u32)
                 .map(|rank| dictionary.entry(dictionary.entry_of_rank(rank)).replaced as u64)
                 .collect();
-            let escape_freq =
-                atoms.iter().filter(|a| matches!(a, Atom::Insn { .. })).count() as u64;
-            HuffCode::from_frequencies(&rank_freqs, escape_freq)
+            HuffCode::from_frequencies(&rank_freqs, escapes)
         });
         let huff = huffman.as_ref();
 
@@ -471,89 +506,120 @@ impl Compressor {
         //    patched offsets overflow into overflow-table dispatches (which
         //    changes sizes, hence the loop). Rewrites only grow atoms, so
         //    the set of rewritten branches grows monotonically and the loop
-        //    terminates.
-        let layout_phase = crate::telemetry::phase("layout");
+        //    terminates. A round is one size pass plus one check per branch
+        //    not yet rewritten.
+        let layout_phase = telemetry::phase("layout");
+        let granule = kind.granule_nibbles();
+        let insn_nibbles = encoding::insn_nibbles_coded(kind, huff);
+        let entry_nibbles: Vec<u64> = (0..dictionary.len() as u32)
+            .map(|entry| {
+                let rank = dictionary.rank_of(entry);
+                encoding::try_codeword_nibbles_coded(kind, huff, rank)
+                    .unwrap_or_else(|| panic!("rank {rank} has no codeword under {kind:?}"))
+                    as u64
+            })
+            .collect();
         let mut overflow_slots = 0usize;
-        let mut addresses;
+        let mut addresses = Vec::with_capacity(atoms.len());
         let mut rounds = 0;
-        loop {
-            crate::telemetry::COMPRESS_LAYOUT_ROUNDS.inc();
-            addresses = self.layout(&atoms, &dictionary, huff);
-            let addr_of = |orig: usize, atoms: &[Atom]| -> u64 {
-                match atoms.binary_search_by_key(&orig, Atom::orig) {
-                    Ok(i) => addresses[i],
-                    Err(_) => unreachable!("branch target {orig} is not an atom start"),
-                }
-            };
+        let total_nibbles = loop {
+            telemetry::COMPRESS_LAYOUT_ROUNDS.inc();
+            addresses.clear();
+            let mut addr = 0u64;
+            for atom in &atoms {
+                addresses.push(addr);
+                addr += match *atom {
+                    Atom::Insn { .. } => insn_nibbles as u64,
+                    Atom::Codeword { entry, .. } => entry_nibbles[entry as usize],
+                    Atom::ViaTable { .. } => {
+                        atom_nibbles_coded(self.isa, kind, huff, atom, &dictionary)
+                    }
+                };
+            }
             let mut changed = false;
-            for i in 0..atoms.len() {
-                let Atom::Insn { word, orig } = atoms[i] else { continue };
-                let Some(info) = self.isa.rel_branch_info(word) else { continue };
-                let target = (orig as i64 + (info.offset / 4) as i64) as usize;
-                let delta = addr_of(target, &atoms) as i64 - addresses[i] as i64;
-                if !self.isa.offset_expressible(info.kind, delta, kind.granule_nibbles()) {
+            for (branch, &(site, target)) in prep.branches.iter().zip(&branch_atoms) {
+                let Atom::Insn { word, orig } = atoms[site as usize] else { continue };
+                let delta = addresses[target as usize] as i64 - addresses[site as usize] as i64;
+                if !self.isa.offset_expressible(branch.kind, delta, granule) {
                     // Rewrite through the overflow table. Branches the ISA
                     // cannot expand into a dispatch sequence (e.g. PowerPC's
                     // CTR-decrementing forms, whose dispatch would clobber
                     // CTR) are unsupported.
-                    let insn_nibbles = encoding::insn_nibbles_coded(kind, huff);
-                    if self
-                        .isa
-                        .overflow_expansion(word, 0, kind.granule_nibbles(), insn_nibbles)
-                        .is_none()
-                    {
+                    if self.isa.overflow_expansion(word, 0, granule, insn_nibbles).is_none() {
                         return Err(CompressError::UnsupportedOverflowBranch { at: orig });
                     }
-                    atoms[i] = Atom::ViaTable { word, orig, slot: overflow_slots };
-                    crate::telemetry::COMPRESS_OVERFLOW_REWRITES.inc();
+                    atoms[site as usize] = Atom::ViaTable { word, orig, slot: overflow_slots };
+                    telemetry::COMPRESS_OVERFLOW_REWRITES.inc();
                     overflow_slots += 1;
                     changed = true;
                 }
             }
             if !changed {
-                break;
+                break addr;
             }
             rounds += 1;
             if rounds > 64 {
                 return Err(CompressError::LayoutDiverged);
             }
-        }
-
-        // 5. Patch branch offsets and collect overflow-table targets.
-        // Targets are atom starts and atoms stay sorted by original index
-        // (patching rewrites words, never `orig`), so the same binary
-        // search the fixpoint loop uses stands in for a hash map of every
-        // atom address.
-        let addr_of = |orig: usize, atoms: &[Atom], addresses: &[u64]| -> u64 {
-            match atoms.binary_search_by_key(&orig, Atom::orig) {
-                Ok(i) => addresses[i],
-                Err(_) => unreachable!("branch target {orig} is not an atom start"),
-            }
         };
-        let mut overflow_table = vec![0u64; overflow_slots];
-        for i in 0..atoms.len() {
-            match atoms[i] {
-                Atom::Insn { word, orig } => {
-                    let Some(info) = self.isa.rel_branch_info(word) else { continue };
-                    let target = (orig as i64 + (info.offset / 4) as i64) as usize;
-                    let delta = addr_of(target, &atoms, &addresses) as i64 - addresses[i] as i64;
-                    let units = delta / kind.granule_nibbles() as i64;
-                    let patched = self.isa.patch_offset_units(word, info.kind, units as i32);
-                    atoms[i] = Atom::Insn { word: patched, orig };
-                }
-                Atom::ViaTable { word, orig, slot } => {
-                    let info = self.isa.rel_branch_info(word).expect("ViaTable holds a branch");
-                    let target = (orig as i64 + (info.offset / 4) as i64) as usize;
-                    overflow_table[slot] = addr_of(target, &atoms, &addresses);
-                }
-                Atom::Codeword { .. } => {}
-            }
-        }
-
         drop(layout_phase);
 
+        Ok(LaidOut {
+            dictionary,
+            atoms,
+            addresses,
+            total_nibbles,
+            overflow_slots,
+            huffman,
+            picks,
+            branch_atoms,
+        })
+    }
+
+    /// The second half of a compression: patches every branch to its laid-out
+    /// target (or fills its overflow-table slot), packs the image and
+    /// patches the jump tables. `laid` must come from
+    /// [`lay_out`](Self::lay_out) on the same `prep`.
+    ///
+    /// # Errors
+    ///
+    /// Only a codeword the encoding cannot write, which layout has already
+    /// sized with the same table (and would have panicked on).
+    pub(crate) fn finish(
+        &self,
+        prep: &Prepared,
+        laid: LaidOut,
+    ) -> Result<CompressedProgram, CompressError> {
+        let kind = self.config.encoding;
+        let LaidOut {
+            dictionary,
+            mut atoms,
+            addresses,
+            total_nibbles,
+            overflow_slots,
+            huffman,
+            picks,
+            branch_atoms,
+        } = laid;
+        let huff = huffman.as_ref();
+
+        // 5. Patch branch offsets and collect overflow-table targets.
+        let mut overflow_table = vec![0u64; overflow_slots];
+        for (branch, &(site, target)) in prep.branches.iter().zip(&branch_atoms) {
+            let (site, target) = (site as usize, target as usize);
+            match atoms[site] {
+                Atom::Insn { word, orig } => {
+                    let delta = addresses[target] as i64 - addresses[site] as i64;
+                    let units = delta / kind.granule_nibbles() as i64;
+                    let patched = self.isa.patch_offset_units(word, branch.kind, units as i32);
+                    atoms[site] = Atom::Insn { word: patched, orig };
+                }
+                Atom::ViaTable { slot, .. } => overflow_table[slot] = addresses[target],
+                Atom::Codeword { .. } => unreachable!("branches are never compressed"),
+            }
+        }
+
         // 6. Pack the image.
-        let pack_phase = crate::telemetry::phase("pack");
         let mut w = NibbleWriter::new();
         for (i, atom) in atoms.iter().enumerate() {
             debug_assert_eq!(w.len(), addresses[i], "layout/pack disagreement at atom {i}");
@@ -573,44 +639,164 @@ impl Compressor {
                 }
             }
         }
-        let total_nibbles = w.len();
-        drop(pack_phase);
+        debug_assert_eq!(w.len(), total_nibbles, "layout/pack disagreement at the end");
 
-        // 7. Patch jump tables to compressed addresses.
-        let jump_tables = module
-            .jump_tables
-            .iter()
-            .map(|t| t.targets.iter().map(|&idx| addr_of(idx, &atoms, &addresses)).collect())
-            .collect();
-
-        Ok(CompressedProgram {
-            name: module.name.clone(),
+        let mut program = CompressedProgram {
+            name: prep.module.name.clone(),
             encoding: kind,
             isa: self.isa,
             dictionary,
             atoms,
             addresses,
+            total_nibbles: w.len(),
             image: w.into_bytes(),
-            total_nibbles,
-            jump_tables,
+            jump_tables: Vec::new(),
             overflow_table,
             picks,
-            original_text_bytes: module.text_bytes(),
+            original_text_bytes: prep.module.text_bytes(),
             huffman,
-        })
-    }
+        };
 
-    /// Computes each atom's nibble address under the current sizes.
-    fn layout(&self, atoms: &[Atom], dict: &Dictionary, huff: Option<&HuffCode>) -> Vec<u64> {
-        let kind = self.config.encoding;
-        let mut addr = 0u64;
-        let mut out = Vec::with_capacity(atoms.len());
-        for atom in atoms {
-            out.push(addr);
-            addr += atom_nibbles_coded(self.isa, kind, huff, atom, dict);
-        }
-        out
+        // 7. Patch jump tables to compressed addresses.
+        program.jump_tables = prep
+            .module
+            .jump_tables
+            .iter()
+            .map(|t| {
+                t.targets
+                    .iter()
+                    .map(|&idx| {
+                        program.address_of_orig(idx).expect("jump-table targets start atoms")
+                    })
+                    .collect()
+            })
+            .collect();
+        Ok(program)
     }
+}
+
+/// What a compression resolves from its module once, before any selection,
+/// for every lay-out of it to read: greedy's one, or each refine trial's.
+pub(crate) struct Prepared<'a> {
+    module: &'a ObjectModule,
+    exempt: &'a [bool],
+    /// Hot (exempt) instructions, counted once.
+    exempt_insns: u64,
+    /// The first instruction word that collides with an escape byte, under
+    /// the byte-level encodings.
+    collision: Option<CompressError>,
+    /// Every PC-relative branch of the module, in program order.
+    branches: Vec<Branch>,
+}
+
+/// A PC-relative branch, decoded once per compression.
+#[derive(Debug, Clone, Copy)]
+struct Branch {
+    /// Original index of the branch.
+    site: u32,
+    /// Original index of its target (a basic-block leader, so an atom
+    /// start under every selection).
+    target: u32,
+    /// The ISA's branch-form discriminant.
+    kind: u8,
+}
+
+impl<'a> Prepared<'a> {
+    /// Scans `module` for `c`'s encoding and ISA.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exempt` is non-empty and `exempt.len() != module.len()`.
+    pub(crate) fn new(
+        c: &Compressor,
+        module: &'a ObjectModule,
+        exempt: &'a [bool],
+    ) -> Prepared<'a> {
+        assert!(
+            exempt.is_empty() || exempt.len() == module.len(),
+            "exemption mask length {} does not match module length {}",
+            exempt.len(),
+            module.len()
+        );
+        // Escape opcodes must not occur as real instructions under the
+        // byte-level schemes (§4.1: escape bytes are *illegal* opcodes).
+        // The nibble-granular schemes have explicit escape codewords and
+        // accept any instruction word.
+        let collision =
+            if matches!(c.config.encoding, EncodingKind::Baseline | EncodingKind::OneByte) {
+                module
+                    .code
+                    .iter()
+                    .enumerate()
+                    .find(|&(_, &w)| c.isa.escape_index((w >> 24) as u8).is_some())
+                    .map(|(at, &word)| CompressError::EscapeCollision { at, word })
+            } else {
+                None
+            };
+        let branches = module
+            .code
+            .iter()
+            .enumerate()
+            .filter_map(|(site, &word)| {
+                let info = c.isa.rel_branch_info(word)?;
+                let target = site as i64 + (info.offset / 4) as i64;
+                Some(Branch { site: site as u32, target: target as u32, kind: info.kind })
+            })
+            .collect();
+        Prepared {
+            module,
+            exempt,
+            exempt_insns: exempt.iter().filter(|&&hot| hot).count() as u64,
+            collision,
+            branches,
+        }
+    }
+}
+
+/// A laid-out compression: everything but the patched branch words, the
+/// packed image and the jump tables, which [`Compressor::finish`] adds.
+#[derive(Debug, Clone)]
+pub(crate) struct LaidOut {
+    /// The dictionary, ranked.
+    pub(crate) dictionary: Dictionary,
+    /// The atom stream, branches unpatched.
+    atoms: Vec<Atom>,
+    /// Nibble address of each atom.
+    addresses: Vec<u64>,
+    /// Stream length in nibbles.
+    total_nibbles: u64,
+    /// Branches rewritten through the overflow table.
+    overflow_slots: usize,
+    /// The Huffman codeword table ([`EncodingKind::Huffman`] only).
+    huffman: Option<HuffCode>,
+    /// The greedy pick log.
+    pub(crate) picks: Vec<PickRecord>,
+    /// Each branch's (site, target) atom index, parallel to
+    /// [`Prepared::branches`].
+    branch_atoms: Vec<(u32, u32)>,
+}
+
+impl LaidOut {
+    /// The exact compressed size the finished program will have: the
+    /// numerator of Eq. 1, as [`CompressedProgram::compressed_bytes`].
+    pub(crate) fn cost(&self) -> usize {
+        eq1_bytes(self.total_nibbles, &self.dictionary, self.overflow_slots, self.huffman.as_ref())
+    }
+}
+
+/// The numerator of the paper's Eq. 1, in bytes: the text stream (nibbles
+/// rounded up), the dictionary, the overflow table and the Huffman decode
+/// table. Jump tables keep their original size and cancel out of the ratio.
+fn eq1_bytes(
+    total_nibbles: u64,
+    dictionary: &Dictionary,
+    overflow_slots: usize,
+    huffman: Option<&HuffCode>,
+) -> usize {
+    total_nibbles.div_ceil(2) as usize
+        + dictionary.size_bytes()
+        + overflow_slots * 4
+        + huffman.map_or(0, |h| h.nibble_lengths().len().div_ceil(2))
 }
 
 /// Size of one atom in nibbles under `isa`, with the program's Huffman

@@ -34,8 +34,11 @@
 //!   recomputed savings still equals its key is the true maximum; stale
 //!   entries are re-inserted with their corrected value.
 //!
-//! Selection reads and writes only flat per-cell arrays and rewrites the
-//! [`ProgramModel`] once, after the last pick.
+//! Selection reads and writes only flat per-cell arrays, and its result is
+//! one of them: the *head array*, naming the entry whose codeword starts at
+//! each cell. The compressor builds its atom stream from that array and the
+//! module's words; the public [`run_greedy`] and [`run_greedy_with`]
+//! rewrite a [`ProgramModel`] from it once, after the last pick.
 //!
 //! Tie-breaking is deterministic (savings, then the greater sequence, which
 //! is the greater id), so compression output is bit-stable across runs,
@@ -175,7 +178,7 @@ type SeqId = u32;
 type HeapItem = (i64, SeqId);
 
 /// A run's head-array value for a cell that heads no replaced occurrence.
-const NO_ENTRY: u32 = u32::MAX;
+pub(crate) const NO_ENTRY: u32 = u32::MAX;
 
 /// The immutable product of window mining: every candidate sequence of the
 /// program, ranked by content, with its occurrence offsets and initial
@@ -359,28 +362,17 @@ pub fn run_greedy(
     params: GreedyParams,
 ) -> Result<Vec<PickRecord>, CompressError> {
     let index = CandidateIndex::build(model, params.max_entry_len)?;
-    Ok(run_owned(index, model, dict, params))
-}
-
-/// [`run_greedy`] against an index the caller built for this run alone:
-/// its arrays move into the selector instead of being cloned.
-pub(crate) fn run_owned(
-    mut index: CandidateIndex,
-    model: &mut ProgramModel,
-    dict: &mut Dictionary,
-    params: GreedyParams,
-) -> Vec<PickRecord> {
-    let occ = std::mem::take(&mut index.occ);
-    let live = std::mem::take(&mut index.compressible);
-    run_core(&index, occ, live, model, dict, params, &BanSet::default())
+    let (picks, heads) = select_owned(index, dict, params);
+    apply_replacements(model, &heads, dict);
+    Ok(picks)
 }
 
 /// Runs greedy selection against a prebuilt (shared) [`CandidateIndex`],
-/// cloning only the flat arrays a run mutates. The index must have been
-/// mined from a model with identical cell content, with a window cap ≥
-/// `params.max_entry_len`; candidates longer than the run's cap are
-/// filtered at heap seeding, so the result is byte-identical to a fresh
-/// build at the smaller cap.
+/// cloning only the flat arrays a run mutates, and rewrites `model` with
+/// the result. The index must have been mined from a model with identical
+/// cell content, with a window cap ≥ `params.max_entry_len`; candidates
+/// longer than the run's cap are filtered at heap seeding, so the result is
+/// byte-identical to a fresh build at the smaller cap.
 ///
 /// # Panics
 ///
@@ -391,24 +383,28 @@ pub fn run_greedy_with(
     dict: &mut Dictionary,
     params: GreedyParams,
 ) -> Vec<PickRecord> {
-    run_greedy_banned(index, model, dict, params, &BanSet::default())
+    let (picks, heads) = select(index, dict, params, &BanSet::default());
+    apply_replacements(model, &heads, dict);
+    picks
 }
 
-/// [`run_greedy_with`] minus any candidate whose sequence content is in
-/// `bans`. Banned candidates are excluded at heap seeding, so the run is an
-/// ordinary greedy selection over the remaining universe — the refinement
-/// selector's probe primitive.
+/// Greedy selection against a shared index, minus any candidate whose
+/// sequence content is in `bans`: banned candidates are excluded at heap
+/// seeding, so the run is an ordinary greedy selection over the remaining
+/// universe (the refinement selector's probe). Returns the pick log and
+/// the run's head array: per cell, by flat offset (the original
+/// instruction index), the entry whose codeword starts there, or
+/// [`NO_ENTRY`].
 ///
 /// # Panics
 ///
 /// Panics if `params.max_entry_len > index.max_entry_len()`.
-pub fn run_greedy_banned(
+pub(crate) fn select(
     index: &CandidateIndex,
-    model: &mut ProgramModel,
     dict: &mut Dictionary,
     params: GreedyParams,
     bans: &BanSet,
-) -> Vec<PickRecord> {
+) -> (Vec<PickRecord>, Vec<u32>) {
     assert!(
         params.max_entry_len <= index.max_entry_len,
         "index mined at max_entry_len {} cannot serve a run at {}",
@@ -416,21 +412,32 @@ pub fn run_greedy_banned(
         params.max_entry_len
     );
     telemetry::GREEDY_INDEX_REUSES.inc();
-    run_core(index, index.occ.clone(), index.compressible.clone(), model, dict, params, bans)
+    run_core(index, index.occ.clone(), index.compressible.clone(), dict, params, bans)
+}
+
+/// [`select`] with no bans against an index the caller built for this run
+/// alone: its arrays move into the selector instead of being cloned.
+pub(crate) fn select_owned(
+    mut index: CandidateIndex,
+    dict: &mut Dictionary,
+    params: GreedyParams,
+) -> (Vec<PickRecord>, Vec<u32>) {
+    let occ = std::mem::take(&mut index.occ);
+    let live = std::mem::take(&mut index.compressible);
+    run_core(&index, occ, live, dict, params, &BanSet::default())
 }
 
 /// The selection loop. `occ` is the run's copy of the occurrence arena and
 /// `live` its copy of the per-cell compressible flags; both only shrink.
+/// Returns the pick log and the head array (see [`select`]).
 fn run_core(
     index: &CandidateIndex,
     mut occ: Vec<u32>,
     mut live: Vec<bool>,
-    model: &mut ProgramModel,
     dict: &mut Dictionary,
     params: GreedyParams,
     bans: &BanSet,
-) -> Vec<PickRecord> {
-    debug_assert_eq!(live.len(), model.blocks.iter().map(|b| b.cells.len()).sum::<usize>());
+) -> (Vec<PickRecord>, Vec<u32>) {
     // Exact seeding: before any replacement every window is live, so the
     // build-time counts are each candidate's true initial savings.
     // Candidates that start non-positive can never become acceptable
@@ -501,8 +508,7 @@ fn run_core(
         telemetry::GREEDY_REPLACEMENTS.add(n as u64);
         picks.push(PickRecord { entry, len, replaced: n, savings_bits: savings });
     }
-    apply_replacements(model, &heads, dict);
-    picks
+    (picks, heads)
 }
 
 /// Rejects programs too large for the index's 32-bit fields: window
@@ -536,6 +542,7 @@ fn check_position_space(
 /// occurrence becomes one [`Cell::Code`], the rest of that occurrence
 /// tombstones. One sequential pass, after selection.
 fn apply_replacements(model: &mut ProgramModel, heads: &[u32], dict: &Dictionary) {
+    debug_assert_eq!(heads.len(), model.blocks.iter().map(|b| b.cells.len()).sum::<usize>());
     let mut base = 0;
     for block in &mut model.blocks {
         let cells = &mut block.cells;
@@ -556,6 +563,20 @@ fn apply_replacements(model: &mut ProgramModel, heads: &[u32], dict: &Dictionary
         }
         base += cells.len();
     }
+}
+
+/// The head array of a rewritten model, [`apply_replacements`] inverted:
+/// each [`Cell::Code`]'s entry at its original index, [`NO_ENTRY`]
+/// elsewhere. Lets an engine that rewrites the model itself (the
+/// [`reference`] engine) feed the same atom builder as [`select`].
+pub(crate) fn heads_of(model: &ProgramModel) -> Vec<u32> {
+    let mut heads = vec![NO_ENTRY; model.insns];
+    for cell in model.atoms() {
+        if let Cell::Code { entry, orig, .. } = cell {
+            heads[orig] = entry;
+        }
+    }
+    heads
 }
 
 /// Greedy left-to-right non-overlapping occurrence count over ascending

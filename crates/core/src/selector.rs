@@ -29,12 +29,17 @@
 //! The incumbent only ever changes to a strictly cheaper solution, so the
 //! refined result is **never worse than greedy** under the exact cost; a
 //! fixed probe order and budget make it deterministic for a given input.
-//! Every trial reuses one [`CandidateIndex`], so a probe costs one
-//! selection + layout pass, not a fresh mining pass.
+//!
+//! A trial is one selection plus one layout. The block model is built and
+//! mined once per refinement, into one [`CandidateIndex`] every trial
+//! selects against, and the module's branches are resolved once, into the
+//! `Prepared` every lay-out reads. A trial is scored by its
+//! `LaidOut::cost`, which is exact: the layout fixpoint already knows every
+//! atom's size. Only the winner is patched and packed.
 
 use codense_obj::ObjectModule;
 
-use crate::compressor::{CompressedProgram, Compressor};
+use crate::compressor::{CompressedProgram, Compressor, LaidOut, Prepared};
 use crate::config::EncodingKind;
 use crate::error::CompressError;
 use crate::greedy::{BanSet, CandidateIndex};
@@ -60,25 +65,42 @@ const MARGINALS_PER_ROUND: usize = 8;
 /// layout passes over a shared index.
 const MAX_TRIALS: usize = 24;
 
-/// The exact objective: the numerator of the paper's compression ratio.
-fn exact_cost(p: &CompressedProgram) -> usize {
-    p.text_bytes() + p.dictionary_bytes() + p.overflow_table_bytes() + p.huffman_table_bytes()
-}
-
 /// Runs refinement selection for `c` (see the module docs). Called by the
 /// compressor's entry points when [`SelectorKind::Refine`] is configured.
+/// Debug builds finish a copy of every lay-out the climb scores and check
+/// that its packed size is the cost it was scored at.
 pub(crate) fn refine(
     c: &Compressor,
     module: &ObjectModule,
     exempt: &[bool],
     shared_index: Option<&CandidateIndex>,
 ) -> Result<CompressedProgram, CompressError> {
+    refine_observed(c, module, exempt, shared_index, |prep, trial| {
+        debug_assert_eq!(packed_bytes(c, prep, trial), trial.cost(), "trial cost != packed size");
+    })
+}
+
+/// The packed size of a finished copy of `trial`.
+fn packed_bytes(c: &Compressor, prep: &Prepared, trial: &LaidOut) -> usize {
+    c.finish(prep, trial.clone()).expect("a laid-out trial finishes").compressed_bytes()
+}
+
+/// [`refine`], handing `observe` every lay-out it scores: greedy's, then
+/// each trial's that lays out.
+fn refine_observed(
+    c: &Compressor,
+    module: &ObjectModule,
+    exempt: &[bool],
+    shared_index: Option<&CandidateIndex>,
+    mut observe: impl FnMut(&Prepared, &LaidOut),
+) -> Result<CompressedProgram, CompressError> {
     telemetry::REFINE_RUNS.inc();
-    let _phase = telemetry::phase("refine");
+    let _refine = telemetry::phase("refine");
+    let prep = Prepared::new(c, module, exempt);
 
     // Every trial re-selects against one index. Mine it from the masked
     // model when the caller didn't supply one, exactly as a fresh greedy
-    // run would.
+    // run would; the model is dropped once mined.
     let owned;
     let index = match shared_index {
         Some(index) => index,
@@ -89,10 +111,20 @@ pub(crate) fn refine(
             &owned
         }
     };
+    let mut lay_out = |bans: &BanSet, price: Option<u32>| {
+        let laid = {
+            let _phase = telemetry::phase("compress");
+            c.lay_out(&prep, Some(index), bans, price)
+        };
+        if let Ok(laid) = &laid {
+            observe(&prep, laid);
+        }
+        laid
+    };
 
     let mut bans = BanSet::new();
-    let mut best = c.compress_inner(module, exempt, Some(index), &bans)?;
-    let mut best_cost = exact_cost(&best);
+    let mut best = lay_out(&bans, None)?;
+    let mut best_cost = best.cost();
     let mut trials = 0usize;
 
     // Phase 1 — re-price probes. Greedy prices every codeword at a flat
@@ -114,10 +146,10 @@ pub(crate) fn refine(
         }
         trials += 1;
         telemetry::REFINE_TRIALS.inc();
-        let Ok(trial) = c.compress_inner_priced(module, exempt, Some(index), &bans, Some(p)) else {
+        let Ok(trial) = lay_out(&bans, Some(p)) else {
             continue;
         };
-        let cost = exact_cost(&trial);
+        let cost = trial.cost();
         if cost < best_cost {
             telemetry::REFINE_SWAPS_ACCEPTED.inc();
             best = trial;
@@ -142,15 +174,13 @@ pub(crate) fn refine(
             trial_bans.insert(best.dictionary.entry(entry).words.clone());
             trials += 1;
             telemetry::REFINE_TRIALS.inc();
-            // A trial that fails to compress (e.g. the alternative layout
+            // A trial that fails to lay out (e.g. the alternative layout
             // hits an unsupported overflow branch) is simply not an
             // improvement; the incumbent stands.
-            let Ok(trial) =
-                c.compress_inner_priced(module, exempt, Some(index), &trial_bans, price)
-            else {
+            let Ok(trial) = lay_out(&trial_bans, price) else {
                 continue;
             };
-            let cost = exact_cost(&trial);
+            let cost = trial.cost();
             if cost < best_cost {
                 telemetry::REFINE_SWAPS_ACCEPTED.inc();
                 bans = trial_bans;
@@ -164,7 +194,8 @@ pub(crate) fn refine(
         break; // fixpoint: no marginal ban improves
     }
 
-    Ok(best)
+    let _pack = telemetry::phase("pack");
+    c.finish(&prep, best)
 }
 
 #[cfg(test)]
@@ -211,11 +242,11 @@ mod tests {
                 .compress(&m)
                 .unwrap();
             assert!(
-                exact_cost(&refined) <= exact_cost(&greedy),
+                refined.compressed_bytes() <= greedy.compressed_bytes(),
                 "{:?}: refined {} > greedy {}",
                 config.encoding,
-                exact_cost(&refined),
-                exact_cost(&greedy),
+                refined.compressed_bytes(),
+                greedy.compressed_bytes(),
             );
             verify(&m, &refined).unwrap();
         }
@@ -242,6 +273,54 @@ mod tests {
         let fresh = c.compress(&m).unwrap();
         let shared = c.compress_with_index(&m, &index).unwrap();
         assert_eq!(fresh.image, shared.image);
+    }
+
+    /// Every lay-out refine scores costs exactly what its packed image
+    /// does, summed part by part: on both ISAs' suites (PPC `gcc` under
+    /// huffman rewrites branches through the overflow table on every
+    /// trial), under all four encodings, and with a hot-exempt mask.
+    #[test]
+    fn every_scored_layout_costs_what_it_packs_to() {
+        use codense_codegen::{generate_suite, generate_suite_mips, isa_ref};
+        let configs = [
+            CompressionConfig::baseline(),
+            CompressionConfig::small_dictionary(256),
+            CompressionConfig::nibble_aligned(),
+            CompressionConfig::huffman(),
+        ];
+        let cases: Vec<(ObjectModule, CompressionConfig)> = generate_suite()
+            .into_iter()
+            .chain(generate_suite_mips())
+            .flat_map(|m| configs.iter().map(move |config| (m.clone(), config.clone())))
+            .collect();
+        let scored = crate::parallel::par_map(cases, |_, (m, config)| {
+            let c = Compressor::new(config).with_isa(isa_ref(m.isa));
+            // Every fourth instruction hot, under huffman only: one masked
+            // refinement per module.
+            let masks: &[Vec<bool>] = if c.config().encoding == EncodingKind::Huffman {
+                &[Vec::new(), (0..m.len()).map(|i| i % 4 == 0).collect()]
+            } else {
+                &[Vec::new()]
+            };
+            let mut scored = 0;
+            for exempt in masks {
+                let ctx =
+                    format!("{} {} {:?} mask {}", m.isa, m.name, c.config().encoding, exempt.len());
+                refine_observed(&c, &m, exempt, None, |prep, trial| {
+                    let p = c.finish(prep, trial.clone()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    let packed = p.text_bytes()
+                        + p.dictionary_bytes()
+                        + p.overflow_table_bytes()
+                        + p.huffman_table_bytes();
+                    assert_eq!(trial.cost(), packed, "{ctx}");
+                    scored += 1;
+                })
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            }
+            scored
+        });
+        // Greedy plus at least one trial per refinement.
+        assert!(scored.iter().all(|&n| n >= 2), "{scored:?}");
     }
 
     #[test]

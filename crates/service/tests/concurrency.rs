@@ -7,6 +7,7 @@ use std::io::Write;
 use std::time::Duration;
 
 use codense_core::{container, Compressor, EncodingKind, SelectorKind};
+use codense_service::protocol::encode_frame;
 use codense_service::{
     serve, Client, CompressRequest, ErrorCode, Op, PipelinedClient, ServeOptions,
 };
@@ -171,9 +172,13 @@ fn inline_ops_overtake_in_flight_compressions() {
     let req = request_for(&module);
     let expected = expected_container(&module, &req);
 
+    // Both frames go out in one write, so the reactor parses the ping in
+    // the same pass that dispatches the compression, before it can apply
+    // any completion: a fast compression cannot be answered first.
     let mut conn = PipelinedClient::connect(handle.addr(), 60_000).unwrap();
-    conn.send_compress(1, &req).unwrap();
-    conn.send(Op::ReqPing, 2, b"").unwrap();
+    let mut frames = encode_frame(Op::ReqCompress, 1, &req.encode());
+    frames.extend(encode_frame(Op::ReqPing, 2, b""));
+    conn.raw_stream().write_all(&frames).unwrap();
 
     let first = conn.recv().unwrap().expect("a response");
     assert_eq!(

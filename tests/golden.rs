@@ -245,3 +245,39 @@ fn golden_formats() {
     }
     check_golden("formats.txt", &out);
 }
+
+/// Refine's containers, byte for byte: for every suite benchmark on both
+/// ISAs, the CRC-32 of its `.cdns` under refine × nibble and refine ×
+/// huffman. `refine.json` pins ratios and dictionaries for refine × nibble
+/// on PowerPC only; this pins every image the refinement selector writes
+/// for the suite. Each container is computed once, the modules in parallel.
+#[test]
+fn golden_refine_formats() {
+    let crc = codense::obj::crc32::crc32;
+    let configs = [
+        ("nibble", CompressionConfig::nibble_aligned()),
+        ("huffman", CompressionConfig::huffman()),
+    ];
+    let suites = [
+        ("ppc", IsaRef(&codense::ppc::ISA), codense::codegen::generate_suite()),
+        ("mips", IsaRef(&codense::mips::ISA), codense::codegen::generate_suite_mips()),
+    ];
+    let jobs: Vec<_> = suites
+        .iter()
+        .flat_map(|(isa_name, isa, suite)| suite.iter().map(move |m| (*isa_name, *isa, m)))
+        .collect();
+    let lines = codense::core::parallel::par_map(jobs, |_, (isa_name, isa, module)| {
+        let mut line = format!("{isa_name} {:<10}", module.name);
+        for (name, config) in &configs {
+            let c = Compressor::new(config.clone())
+                .with_isa(isa)
+                .with_selector(SelectorKind::Refine)
+                .compress(module)
+                .unwrap_or_else(|e| panic!("{isa_name} {} {name}: {e}", module.name));
+            let bytes = codense::core::container::serialize(&c);
+            line.push_str(&format!(" {name} {:08x}", crc(&bytes)));
+        }
+        line + "\n"
+    });
+    check_golden("refine_formats.txt", &lines.concat());
+}
