@@ -4,7 +4,7 @@
 //!
 //! The reproduced paper motivates compression partly through the memory
 //! system ("Reducing program size is one way to reduce instruction cache
-//! misses and achieve higher performance", §1, citing [Chen97b]) and lists
+//! misses and achieve higher performance", §1, citing \[Chen97b\]) and lists
 //! performance exploration as future work (§5). This crate provides that
 //! substrate: a set-associative I-cache model ([`Cache`]) plus a tracing
 //! fetch adapter ([`TracingFetch`]) that records the program-memory
@@ -58,17 +58,6 @@ pub struct CacheStats {
     pub accesses: u64,
     /// Misses (including cold misses).
     pub misses: u64,
-}
-
-impl CacheStats {
-    /// Miss rate in `[0, 1]`; 0 for an untouched cache.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// A set-associative cache with true-LRU replacement.

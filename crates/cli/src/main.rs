@@ -1144,7 +1144,7 @@ fn cmd_sweep(args: &Args) -> CliResult {
 
 /// Profiles the kernel benchmark suite and renders the schema-1 artifact.
 fn cmd_profile(args: &Args) -> CliResult {
-    use codense_profile::{bench, collect_subject, render_profiles_json, Subject};
+    use codense_profile::{bench, collect, render_profiles_json, Subject};
     let encoding_name = args.value("--encoding").unwrap_or("nibble");
     let encoding = parse_encoding(encoding_name)?;
     let max_steps: u64 = match args.value("--max-steps") {
@@ -1164,7 +1164,7 @@ fn cmd_profile(args: &Args) -> CliResult {
         (None, None) => bench::benches().iter().map(Subject::from_kernel).collect(),
     };
     let profiles = codense_core::parallel::par_map(subjects, |_, s| {
-        collect_subject(&s, encoding, max_steps).map_err(|e| format!("{}: {e}", s.name))
+        collect(&s, encoding, max_steps).map_err(|e| format!("{}: {e}", s.name))
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
@@ -1194,9 +1194,11 @@ fn cmd_hybrid(args: &Args) -> CliResult {
     use codense_fuzz::oracle::{lockstep, LockstepOk, TraceMask};
     use codense_profile::{
         bench, collect, hot_mask, score_compressed, score_native, CostParams, HotnessPolicy,
+        Subject,
     };
     let name = args.value("--bench").ok_or("hybrid: missing --bench NAME")?;
     let kernel = bench::bench(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
+    let subject = Subject::from_kernel(&kernel);
     let encoding = parse_encoding(args.value("--encoding").unwrap_or("nibble"))?;
     let max_steps: u64 = match args.value("--max-steps") {
         Some(v) => v.parse().map_err(|_| "bad --max-steps")?,
@@ -1216,7 +1218,7 @@ fn cmd_hybrid(args: &Args) -> CliResult {
     };
     let cost = CostParams::default();
 
-    let profile = collect(&kernel, encoding, max_steps).map_err(|e| e.to_string())?;
+    let profile = collect(&subject, encoding, max_steps).map_err(|e| e.to_string())?;
     let mask = hot_mask(&profile, policy);
     let config =
         CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
@@ -1241,11 +1243,11 @@ fn cmd_hybrid(args: &Args) -> CliResult {
         return Err(format!("hybrid lockstep ended unexpectedly: {got:?}"));
     }
 
-    let native = score_native(&kernel, &cost, max_steps).map_err(|e| e.to_string())?;
+    let native = score_native(&subject, &cost, max_steps).map_err(|e| e.to_string())?;
     let full_score =
-        score_compressed(&kernel, &full, &cost, max_steps).map_err(|e| e.to_string())?;
+        score_compressed(&subject, &full, &cost, max_steps).map_err(|e| e.to_string())?;
     let hybrid_score =
-        score_compressed(&kernel, &hybrid, &cost, max_steps).map_err(|e| e.to_string())?;
+        score_compressed(&subject, &hybrid, &cost, max_steps).map_err(|e| e.to_string())?;
 
     println!(
         "{name}: {} insns, {} steps, lockstep ok ({:?})",
@@ -1272,9 +1274,7 @@ fn cmd_hybrid(args: &Args) -> CliResult {
 
 /// The whole-suite coverage sweep behind `BENCH_hybrid.json`.
 fn cmd_hybrid_sweep(args: &Args) -> CliResult {
-    use codense_profile::{
-        bench, hybrid_sweep_subjects, render_bench_json, HybridOptions, Subject,
-    };
+    use codense_profile::{bench, hybrid_sweep, render_bench_json, HybridOptions, Subject};
     let encoding_name = args.value("--encoding").unwrap_or("nibble");
     let options =
         HybridOptions { encoding: parse_encoding(encoding_name)?, ..HybridOptions::default() };
@@ -1285,7 +1285,7 @@ fn cmd_hybrid_sweep(args: &Args) -> CliResult {
     if let Some(n) = corpus::corpus_arg(args)? {
         subjects.push(corpus::corpus_subject(&corpus::corpus_program(args, n, IsaId::Ppc)?)?);
     }
-    let results = hybrid_sweep_subjects(&subjects, &options).map_err(|e| e.to_string())?;
+    let results = hybrid_sweep(&subjects, &options).map_err(|e| e.to_string())?;
     let json = render_bench_json(&results, encoding_name, &options.cost);
     std::fs::write(out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
     println!("{:<12} {:>7} {:>8} {:>8}  best mid-range point", "bench", "native", "full", "ratio");

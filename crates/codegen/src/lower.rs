@@ -9,8 +9,6 @@
 //! `r9/r11/r12/r10/r8`, register locals in `r26..r31`, `stmw`/`lmw`
 //! prologue/epilogue save sequences, and LR saved at `N+4(r1)`.
 
-use std::collections::HashMap;
-
 use codense_obj::{FunctionInfo, JumpTable, ObjectModule};
 use codense_ppc::asm::{AsmError, Assembler};
 use codense_ppc::insn::Insn;
@@ -760,9 +758,4 @@ pub(crate) fn function_is_leaf(func: &Function) -> bool {
         }
     }
     !func.body.iter().any(stmt_calls)
-}
-
-/// Maps function name → index, for tests and tooling.
-pub fn function_index(program: &Program) -> HashMap<&str, u32> {
-    program.functions.iter().enumerate().map(|(i, f)| (f.name.as_str(), i as u32)).collect()
 }

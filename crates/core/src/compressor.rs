@@ -11,10 +11,11 @@
 //! ([`crate::selector`]) scores each trial by its lay-out alone and
 //! finishes only the winner. What depends only on the module, its
 //! PC-relative branches and the escape-collision scan, is resolved once per
-//! compression into a `Prepared` that every lay-out reads. The block
-//! model is built once per compression too, to mine the candidate index,
-//! and dropped before selection: selection returns a per-cell head array,
-//! and the atom stream is built from it and the module's words.
+//! compression into a `Prepared` that every lay-out reads. The program
+//! model (per-instruction flags, hot code masked incompressible) is built
+//! once per compression too, to mine the candidate index, and dropped
+//! before selection: selection returns a per-cell head array, and the atom
+//! stream is built from it and the module's words.
 
 use codense_isa::IsaRef;
 use codense_obj::ObjectModule;
@@ -27,7 +28,7 @@ use crate::greedy::{
     BanSet, CandidateIndex, CostModel, GreedyParams, MatchfinderKind, PickRecord, NO_ENTRY,
 };
 use crate::huffcode::HuffCode;
-use crate::model::{Cell, ProgramModel};
+use crate::model::ProgramModel;
 use crate::nibbles::NibbleWriter;
 use crate::selector::SelectorKind;
 use crate::telemetry;
@@ -345,24 +346,16 @@ impl Compressor {
         }
     }
 
-    /// Builds the basic-block model with hot (exempt) cells already marked
+    /// Builds the program model with hot (exempt) instructions masked
     /// incompressible — the model state candidate mining runs against.
-    pub(crate) fn build_masked_model(
+    pub(crate) fn build_masked_model<'a>(
         &self,
-        module: &ObjectModule,
+        module: &'a ObjectModule,
         exempt: &[bool],
-    ) -> ProgramModel {
+    ) -> ProgramModel<'a> {
         let mut model = ProgramModel::build_isa(module, self.isa);
         if !exempt.is_empty() {
-            for block in &mut model.blocks {
-                for cell in &mut block.cells {
-                    if let Cell::Insn { orig, compressible, .. } = cell {
-                        if exempt[*orig] {
-                            *compressible = false;
-                        }
-                    }
-                }
-            }
+            model.exclude(exempt);
         }
         model
     }
@@ -426,9 +419,8 @@ impl Compressor {
                 dict_entry_fixed_bits: 0,
             },
         };
-        // The reference engine mines as it selects and rewrites its model,
-        // so it has no phase split and its heads are read back off the
-        // model.
+        // The reference engine mines as it selects, so it has no phase
+        // split.
         let (picks, heads) = match (index, self.matchfinder) {
             (Some(index), _) => {
                 let _phase = telemetry::phase("select");
@@ -438,7 +430,7 @@ impl Compressor {
                 let mut model = self.build_masked_model(prep.module, prep.exempt);
                 let picks =
                     crate::greedy::reference::run_greedy(&mut model, &mut dictionary, params);
-                (picks, crate::greedy::heads_of(&model))
+                (picks, model.heads)
             }
             (None, MatchfinderKind::Interned) => {
                 let index = {

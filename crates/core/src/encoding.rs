@@ -140,8 +140,9 @@ pub fn write_insn_coded(
 /// Serializes a codeword rank into the stream under `isa`'s escape-byte
 /// reservation and the program's Huffman code table (required only by
 /// [`EncodingKind::Huffman`]; ignored elsewhere), or returns
-/// [`CompressError::CodewordSpaceExhausted`] if the rank does not fit the
-/// encoding's (or table's) codeword space. Nothing is written on error.
+/// [`CompressError::CodewordSpaceExhausted`](crate::CompressError::CodewordSpaceExhausted)
+/// if the rank does not fit the encoding's (or table's) codeword space.
+/// Nothing is written on error.
 pub fn try_write_codeword_coded(
     kind: EncodingKind,
     isa: IsaRef,

@@ -1,7 +1,7 @@
 //! The greedy dictionary-selection pass (§3.1.1 of the paper) over a
 //! sort-mined candidate index.
 //!
-//! Choosing the optimum dictionary is NP-complete [Storer77], so — like the
+//! Choosing the optimum dictionary is NP-complete \[Storer77\], so — like the
 //! paper — "on every iteration of the algorithm, we examine each potential
 //! dictionary entry and find the one that results in the largest immediate
 //! savings", repeating until the codeword space is exhausted or no candidate
@@ -11,10 +11,10 @@
 //! implementation is equivalent but incremental, and allocation-free on the
 //! selection hot path:
 //!
-//! * a window is one `u32`: the **flat offset** of its first cell. Blocks
-//!   partition the text in order, so this is the original instruction
-//!   index, and since no window crosses a block, two windows of one
-//!   candidate overlap exactly when `p < prev + len`;
+//! * a window is one `u32`: the **flat offset** of its first cell, which is
+//!   its original instruction index in the flat [`ProgramModel`]. No window
+//!   crosses a block leader, so two windows of one candidate overlap
+//!   exactly when `p < prev + len`;
 //! * **mining** is prefix refinement, with no hashing: one sort orders the
 //!   compressible cells by (word, offset), and each group is split, depth
 //!   first, by the word that extends its windows by one instruction. Every
@@ -37,13 +37,14 @@
 //! Selection reads and writes only flat per-cell arrays, and its result is
 //! one of them: the *head array*, naming the entry whose codeword starts at
 //! each cell. The compressor builds its atom stream from that array and the
-//! module's words; the public [`run_greedy`] and [`run_greedy_with`]
-//! rewrite a [`ProgramModel`] from it once, after the last pick.
+//! module's words; the public [`run_greedy`] and [`run_greedy_with`] store
+//! it in the [`ProgramModel`].
 //!
 //! Tie-breaking is deterministic (savings, then the greater sequence, which
 //! is the greater id), so compression output is bit-stable across runs,
 //! platforms, and worker counts — and byte-identical to the original
-//! boxed-slice index, kept in [`reference`] as the executable specification.
+//! boxed-slice index, kept in [`reference`](mod@reference) as the executable
+//! specification.
 //!
 //! A [`CandidateIndex`] is immutable once built and can be shared across
 //! runs: the sweep engine builds one index at the largest entry length and
@@ -55,7 +56,7 @@ use std::collections::BinaryHeap;
 use crate::container::MAX_ENTRY_LEN;
 use crate::dict::Dictionary;
 use crate::error::CompressError;
-use crate::model::{Cell, ProgramModel};
+use crate::model::ProgramModel;
 use crate::telemetry;
 
 #[path = "greedy_reference.rs"]
@@ -165,8 +166,9 @@ pub enum MatchfinderKind {
     /// flat-offset occurrence lists, lazy liveness. The production path.
     #[default]
     Interned,
-    /// The original `Box<[u32]>`-keyed index ([`reference`]), kept as the
-    /// executable specification the equivalence tests compare against.
+    /// The original `Box<[u32]>`-keyed index ([`reference`](mod@reference)),
+    /// kept as the executable specification the equivalence tests compare
+    /// against.
     Reference,
 }
 
@@ -186,7 +188,7 @@ pub(crate) const NO_ENTRY: u32 = u32::MAX;
 /// ([`run_greedy_with`]) — each run clones only the arrays it mutates.
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
-    /// Each cell's instruction word by flat offset (0 where incompressible).
+    /// Each cell's instruction word by flat offset.
     words: Vec<u32>,
     /// Whether each cell is compressible.
     compressible: Vec<bool>,
@@ -217,41 +219,38 @@ impl CandidateIndex {
     /// [`CompressError::ProgramTooLarge`] if the program exceeds the
     /// matchfinder's 32-bit position space.
     pub fn build(model: &ProgramModel, max_len: usize) -> Result<CandidateIndex, CompressError> {
-        let largest_block = model.blocks.iter().map(|b| b.cells.len()).max().unwrap_or(0);
-        let total_cells: usize = model.blocks.iter().map(|b| b.cells.len()).sum();
-        let cap = max_len.min(largest_block).min(MAX_ENTRY_LEN);
-        check_position_space(model.blocks.len(), largest_block, total_cells, cap)?;
-
-        let mut index = CandidateIndex {
-            words: Vec::with_capacity(total_cells),
-            compressible: Vec::with_capacity(total_cells),
-            occ: Vec::new(),
-            starts: vec![0],
-            lens: Vec::new(),
-            counts: Vec::new(),
-            max_entry_len: max_len,
-        };
         // rem[p]: how many windows start at p, i.e. the compressible cells
-        // from p to the end of its run, capped at `cap`.
-        let mut rem = vec![0u32; total_cells];
-        for block in &model.blocks {
-            let base = index.words.len();
-            for cell in &block.cells {
-                let word = cell.compressible_word();
-                index.words.push(word.unwrap_or(0));
-                index.compressible.push(word.is_some());
-            }
-            let mut run = 0;
-            for p in (base..index.words.len()).rev() {
-                run = if index.compressible[p] { (run + 1).min(cap as u32) } else { 0 };
-                rem[p] = run;
+        // from p to the end of its run, capped at `max_len` (a run ends at
+        // an incompressible cell or a block's end). The same backward pass
+        // measures the blocks.
+        let n = model.words.len();
+        let limit = max_len.min(MAX_ENTRY_LEN) as u32;
+        let mut rem = vec![0u32; n];
+        let (mut blocks, mut largest_block, mut block_end, mut run) = (0, 0, n, 0);
+        for p in (0..n).rev() {
+            run = if model.compressible[p] { (run + 1).min(limit) } else { 0 };
+            rem[p] = run;
+            if model.leaders[p] {
+                blocks += 1;
+                largest_block = largest_block.max(block_end - p);
+                block_end = p;
+                run = 0;
             }
         }
+        let cap = max_len.min(largest_block).min(MAX_ENTRY_LEN);
+        check_position_space(blocks, largest_block, n, cap)?;
+
         let windows: usize = rem.iter().map(|&r| r as usize).sum();
-        index.occ.reserve_exact(windows);
-        index.starts.reserve(windows);
-        index.lens.reserve(windows);
-        index.counts.reserve(windows);
+        let mut index = CandidateIndex {
+            words: model.words.to_vec(),
+            compressible: model.compressible.clone(),
+            occ: Vec::with_capacity(windows),
+            starts: Vec::with_capacity(windows + 1),
+            lens: Vec::with_capacity(windows),
+            counts: Vec::with_capacity(windows),
+            max_entry_len: max_len,
+        };
+        index.starts.push(0);
 
         // Depth-first prefix refinement. `pending` holds sibling groups not
         // yet visited, each a range of `buf` plus its window length, pushed
@@ -261,10 +260,8 @@ impl CandidateIndex {
         // arena before its children are split off behind it.
         let mut buf: Vec<u32> = Vec::new();
         let mut pending: Vec<(usize, usize, usize)> = Vec::new();
-        let mut keys: Vec<u64> = (0..total_cells)
-            .filter(|&p| rem[p] > 0)
-            .map(|p| group_key(index.words[p], p))
-            .collect();
+        let mut keys: Vec<u64> =
+            (0..n).filter(|&p| rem[p] > 0).map(|p| group_key(index.words[p], p)).collect();
         push_groups(&mut keys, &mut buf, &mut pending, 1);
         while let Some((s, e, len)) = pending.pop() {
             if e - s == 1 {
@@ -349,8 +346,8 @@ fn push_groups(
     }
 }
 
-/// Runs greedy selection over `model`, filling `dict` and rewriting the
-/// model's blocks in place. Returns the pick log.
+/// Runs greedy selection over `model`, filling `dict` and storing the
+/// run's head array in the model. Returns the pick log.
 ///
 /// # Errors
 ///
@@ -363,16 +360,16 @@ pub fn run_greedy(
 ) -> Result<Vec<PickRecord>, CompressError> {
     let index = CandidateIndex::build(model, params.max_entry_len)?;
     let (picks, heads) = select_owned(index, dict, params);
-    apply_replacements(model, &heads, dict);
+    model.heads = heads;
     Ok(picks)
 }
 
 /// Runs greedy selection against a prebuilt (shared) [`CandidateIndex`],
-/// cloning only the flat arrays a run mutates, and rewrites `model` with
-/// the result. The index must have been mined from a model with identical
-/// cell content, with a window cap ≥ `params.max_entry_len`; candidates
-/// longer than the run's cap are filtered at heap seeding, so the result is
-/// byte-identical to a fresh build at the smaller cap.
+/// cloning only the flat arrays a run mutates, and stores the run's head
+/// array in `model`. The index must have been mined from a model with the
+/// same words and flags, with a window cap ≥ `params.max_entry_len`;
+/// candidates longer than the run's cap are filtered at heap seeding, so the
+/// result is byte-identical to a fresh build at the smaller cap.
 ///
 /// # Panics
 ///
@@ -384,7 +381,7 @@ pub fn run_greedy_with(
     params: GreedyParams,
 ) -> Vec<PickRecord> {
     let (picks, heads) = select(index, dict, params, &BanSet::default());
-    apply_replacements(model, &heads, dict);
+    model.heads = heads;
     picks
 }
 
@@ -538,47 +535,6 @@ fn check_position_space(
     Ok(())
 }
 
-/// Rewrites the model from a run's `heads`: each cell heading an accepted
-/// occurrence becomes one [`Cell::Code`], the rest of that occurrence
-/// tombstones. One sequential pass, after selection.
-fn apply_replacements(model: &mut ProgramModel, heads: &[u32], dict: &Dictionary) {
-    debug_assert_eq!(heads.len(), model.blocks.iter().map(|b| b.cells.len()).sum::<usize>());
-    let mut base = 0;
-    for block in &mut model.blocks {
-        let cells = &mut block.cells;
-        let mut c = 0;
-        while c < cells.len() {
-            let entry = heads[base + c];
-            if entry == NO_ENTRY {
-                c += 1;
-                continue;
-            }
-            let Cell::Insn { orig, .. } = cells[c] else {
-                unreachable!("replacement target must be an instruction")
-            };
-            let len = dict.entry(entry).len();
-            cells[c] = Cell::Code { entry, orig, len };
-            cells[c + 1..c + len].fill(Cell::Dead);
-            c += len;
-        }
-        base += cells.len();
-    }
-}
-
-/// The head array of a rewritten model, [`apply_replacements`] inverted:
-/// each [`Cell::Code`]'s entry at its original index, [`NO_ENTRY`]
-/// elsewhere. Lets an engine that rewrites the model itself (the
-/// [`reference`] engine) feed the same atom builder as [`select`].
-pub(crate) fn heads_of(model: &ProgramModel) -> Vec<u32> {
-    let mut heads = vec![NO_ENTRY; model.insns];
-    for cell in model.atoms() {
-        if let Cell::Code { entry, orig, .. } = cell {
-            heads[orig] = entry;
-        }
-    }
-    heads
-}
-
 /// Greedy left-to-right non-overlapping occurrence count over ascending
 /// window offsets.
 fn effective_count(positions: &[u32], len: usize) -> usize {
@@ -613,10 +569,21 @@ mod tests {
         encode(&Insn::Addi { rt: R3, ra: R3, si })
     }
 
-    fn model_of(words: Vec<u32>) -> ProgramModel {
+    const PPC: IsaRef = IsaRef(&codense_ppc::ISA);
+
+    fn module_of(words: Vec<u32>) -> ObjectModule {
         let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         m.code = words;
-        ProgramModel::build_isa(&m, IsaRef(&codense_ppc::ISA))
+        m
+    }
+
+    /// A fresh greedy run over `words`: its pick log, dictionary and heads.
+    fn greedy(words: &[u32], params: GreedyParams) -> (Vec<PickRecord>, Dictionary, Vec<u32>) {
+        let m = module_of(words.to_vec());
+        let mut model = ProgramModel::build_isa(&m, PPC);
+        let mut dict = Dictionary::new();
+        let picks = run_greedy(&mut model, &mut dict, params).unwrap();
+        (picks, dict, model.heads)
     }
 
     fn baseline_params(max_len: usize, max_cw: usize) -> GreedyParams {
@@ -643,9 +610,7 @@ mod tests {
         for _ in 0..3 {
             words.push(w(9));
         }
-        let mut model = model_of(words);
-        let mut dict = Dictionary::new();
-        let picks = run_greedy(&mut model, &mut dict, baseline_params(4, 100)).unwrap();
+        let (picks, dict, heads) = greedy(&words, baseline_params(4, 100));
         assert!(!picks.is_empty());
         // Best first pick is the pair (or a longer repetition of it).
         assert!(picks[0].savings_bits >= picks.last().unwrap().savings_bits);
@@ -653,7 +618,7 @@ mod tests {
         assert!(first.words.contains(&w(1)) || first.words.contains(&w(2)));
         // Everything replaceable got replaced: remaining instructions are
         // unique or unprofitable.
-        assert!(model.codewords() > 0);
+        assert!(heads.iter().any(|&h| h != NO_ENTRY));
     }
 
     #[test]
@@ -664,26 +629,17 @@ mod tests {
                 words.push(w(i));
             }
         }
-        let mut model = model_of(words.clone());
-        let mut dict = Dictionary::new();
-        run_greedy(&mut model, &mut dict, baseline_params(1, 5)).unwrap();
-        assert_eq!(dict.len(), 5);
-
-        let mut model = model_of(words);
-        let mut dict = Dictionary::new();
-        run_greedy(&mut model, &mut dict, baseline_params(1, 1000)).unwrap();
-        assert!(dict.len() > 5);
+        assert_eq!(greedy(&words, baseline_params(1, 5)).1.len(), 5);
+        assert!(greedy(&words, baseline_params(1, 1000)).1.len() > 5);
     }
 
     #[test]
     fn no_negative_savings_accepted() {
         // All-unique program: nothing is worth a dictionary entry.
         let words: Vec<u32> = (0..40).map(w).collect();
-        let mut model = model_of(words);
-        let mut dict = Dictionary::new();
-        let picks = run_greedy(&mut model, &mut dict, baseline_params(4, 100)).unwrap();
+        let (picks, _, heads) = greedy(&words, baseline_params(4, 100));
         assert!(picks.is_empty(), "unique code must not be compressed: {picks:?}");
-        assert_eq!(model.codewords(), 0);
+        assert!(heads.iter().all(|&h| h == NO_ENTRY));
     }
 
     #[test]
@@ -707,13 +663,8 @@ mod tests {
                 words.push(w(100 + i));
             }
         }
-        let run = |cap: usize| {
-            let mut model = model_of(words.clone());
-            let mut dict = Dictionary::new();
-            run_greedy(&mut model, &mut dict, baseline_params(4, cap)).unwrap()
-        };
-        let small = run(3);
-        let large = run(12);
+        let small = greedy(&words, baseline_params(4, 3)).0;
+        let large = greedy(&words, baseline_params(4, 12)).0;
         assert_eq!(small.len(), 3);
         assert_eq!(&large[..3], &small[..]);
     }
@@ -727,14 +678,8 @@ mod tests {
                 words.push(w(i % 5));
             }
         }
-        let run = || {
-            let mut model = model_of(words.clone());
-            let mut dict = Dictionary::new();
-            let picks = run_greedy(&mut model, &mut dict, baseline_params(4, 100)).unwrap();
-            (picks, dict)
-        };
-        let (p1, d1) = run();
-        let (p2, d2) = run();
+        let (p1, d1, _) = greedy(&words, baseline_params(4, 100));
+        let (p2, d2, _) = greedy(&words, baseline_params(4, 100));
         assert_eq!(p1, p2);
         assert_eq!(d1, d2);
     }
@@ -749,11 +694,7 @@ mod tests {
         }
         a.label("end");
         a.b("end");
-        let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
-        m.code = a.finish().unwrap();
-        let mut model = ProgramModel::build_isa(&m, IsaRef(&codense_ppc::ISA));
-        let mut dict = Dictionary::new();
-        run_greedy(&mut model, &mut dict, baseline_params(4, 100)).unwrap();
+        let (_, dict, _) = greedy(&a.finish().unwrap(), baseline_params(4, 100));
         for e in dict.entries() {
             for &word in &e.words {
                 assert!(codense_ppc::branch::rel_branch_info(word).is_none());
@@ -770,14 +711,14 @@ mod tests {
                 words.push(w(i % 4 + 50));
             }
         }
-        let mut m1 = model_of(words.clone());
-        let mut d1 = Dictionary::new();
-        let p1 = run_greedy(&mut m1, &mut d1, baseline_params(4, 100)).unwrap();
-        let mut m2 = model_of(words);
+        let (p1, d1, h1) = greedy(&words, baseline_params(4, 100));
+        let m = module_of(words);
+        let mut model = ProgramModel::build_isa(&m, PPC);
         let mut d2 = Dictionary::new();
-        let p2 = reference::run_greedy(&mut m2, &mut d2, baseline_params(4, 100));
+        let p2 = reference::run_greedy(&mut model, &mut d2, baseline_params(4, 100));
         assert_eq!(p1, p2);
         assert_eq!(d1, d2);
+        assert_eq!(h1, model.heads);
     }
 
     #[test]
@@ -791,7 +732,8 @@ mod tests {
             }
         }
         // Index mined at 8; runs at caps 1, 2, 4 must match fresh builds.
-        let model0 = model_of(words.clone());
+        let m = module_of(words.clone());
+        let model0 = ProgramModel::build_isa(&m, PPC);
         let index = CandidateIndex::build(&model0, 8).unwrap();
         for cap in [1usize, 2, 4, 8] {
             let mut shared_model = model0.clone();
@@ -802,12 +744,8 @@ mod tests {
                 &mut shared_dict,
                 baseline_params(cap, 64),
             );
-            let mut fresh_model = model_of(words.clone());
-            let mut fresh_dict = Dictionary::new();
-            let fresh =
-                run_greedy(&mut fresh_model, &mut fresh_dict, baseline_params(cap, 64)).unwrap();
-            assert_eq!(shared, fresh, "cap {cap}");
-            assert_eq!(shared_dict, fresh_dict, "cap {cap}");
+            let fresh = greedy(&words, baseline_params(cap, 64));
+            assert_eq!((shared, shared_dict, shared_model.heads), fresh, "cap {cap}");
         }
     }
 
@@ -847,10 +785,11 @@ mod tests {
         assert!(matches!(err, CompressError::ProgramTooLarge { .. }));
     }
 
-    /// A seeded random model over a three-word alphabet: a few backward
-    /// branches cut it into blocks, and half the models carry a hotness
-    /// mask that makes about one cell in five incompressible.
-    fn random_model(rng: &mut codense_codegen::Rng) -> ProgramModel {
+    /// A seeded random module over a three-word alphabet, with a few
+    /// backward branches that cut it into blocks, and an exclusion mask: for
+    /// half the modules a hotness mask that makes about one cell in five
+    /// incompressible, for the rest nothing.
+    fn random_module(rng: &mut codense_codegen::Rng) -> (ObjectModule, Vec<bool>) {
         let len = rng.range(8, 120);
         let mut code: Vec<u32> = (0..len).map(|_| w(rng.below(3) as i16)).collect();
         for _ in 0..rng.below(6) {
@@ -859,17 +798,9 @@ mod tests {
             let li = ((target as i64 - at as i64) * 4) as i32;
             code[at] = encode(&Insn::B { li, aa: false, lk: false });
         }
-        let mut model = model_of(code);
-        if rng.below(2) == 1 {
-            for cell in model.blocks.iter_mut().flat_map(|b| &mut b.cells) {
-                if let Cell::Insn { compressible, .. } = cell {
-                    if rng.below(5) == 0 {
-                        *compressible = false;
-                    }
-                }
-            }
-        }
-        model
+        let masked = rng.below(2) == 1;
+        let mask = (0..len).map(|_| masked && rng.below(5) == 0).collect();
+        (module_of(code), mask)
     }
 
     /// Every window of every compressible run up to `cap` long, by content:
@@ -879,17 +810,20 @@ mod tests {
         cap: usize,
     ) -> BTreeMap<Vec<u32>, Vec<(u32, usize, usize)>> {
         let mut out: BTreeMap<Vec<u32>, Vec<(u32, usize, usize)>> = BTreeMap::new();
-        let mut base = 0;
-        for (b, block) in model.blocks.iter().enumerate() {
-            for c in 0..block.cells.len() {
-                let mut seq = Vec::new();
-                for cell in block.cells[c..].iter().take(cap) {
-                    let Some(word) = cell.compressible_word() else { break };
-                    seq.push(word);
-                    out.entry(seq.clone()).or_default().push(((base + c) as u32, b, c));
-                }
+        let n = model.words.len();
+        let mut block = (0, 0); // index and start of p's block
+        for p in 0..n {
+            if p > 0 && model.leaders[p] {
+                block = (block.0 + 1, p);
             }
-            base += block.cells.len();
+            let mut seq = Vec::new();
+            for q in (p..n).take(cap) {
+                if !model.compressible[q] || (q > p && model.leaders[q]) {
+                    break;
+                }
+                seq.push(model.words[q]);
+                out.entry(seq.clone()).or_default().push((p as u32, block.0, p - block.1));
+            }
         }
         out
     }
@@ -913,7 +847,9 @@ mod tests {
     fn index_matches_brute_force_on_random_models() {
         let mut rng = codense_codegen::Rng::new(0x51DE_C0DE);
         for case in 0..64 {
-            let model = random_model(&mut rng);
+            let (m, mask) = random_module(&mut rng);
+            let mut model = ProgramModel::build_isa(&m, PPC);
+            model.exclude(&mask);
             for cap in 1..=8 {
                 let ctx = format!("case {case}, cap {cap}");
                 let index = CandidateIndex::build(&model, cap).unwrap();
@@ -961,10 +897,9 @@ mod tests {
         // spans the boundary.
         let (a, b) = (w(1), w(2));
         let br = encode(&Insn::B { li: -8, aa: false, lk: false });
-        let words = vec![a, b, a, b, br];
-        let model = model_of(words.clone());
-        let sizes: Vec<usize> = model.blocks.iter().map(|b| b.cells.len()).collect();
-        assert_eq!(sizes, [2, 3]);
+        let m = module_of(vec![a, b, a, b, br]);
+        let model = ProgramModel::build_isa(&m, PPC);
+        assert_eq!(model.leaders, [true, false, true, false, false]);
         let index = CandidateIndex::build(&model, 4).unwrap();
         let find = |seq: &[u32]| {
             (0..index.candidates()).find(|&id| index.words_of(&index.occ, id as SeqId) == seq)
@@ -972,16 +907,16 @@ mod tests {
         assert_eq!(index.counts[find(&[a, b]).unwrap()], 2);
         assert_eq!(find(&[b, a]), None);
 
-        let mut m1 = model;
+        let mut m1 = model.clone();
         let mut d1 = Dictionary::new();
         let p1 = run_greedy_with(&index, &mut m1, &mut d1, baseline_params(4, 8));
         assert_eq!(p1[0].replaced, 2);
-        let mut m2 = model_of(words);
+        let mut m2 = model;
         let mut d2 = Dictionary::new();
         let p2 = reference::run_greedy(&mut m2, &mut d2, baseline_params(4, 8));
         assert_eq!(p1, p2);
         assert_eq!(d1, d2);
-        assert!(m1.atoms().eq(m2.atoms()));
+        assert_eq!(m1.heads, m2.heads);
     }
 
     #[test]
@@ -993,10 +928,12 @@ mod tests {
                 m.code.push(encode(&Insn::B { li: -8, aa: false, lk: false }));
             }
         }
-        let model = ProgramModel::build_isa(&m, IsaRef(&codense_ppc::ISA));
-        let largest = model.blocks.iter().map(|b| b.cells.len()).max().unwrap();
+        let model = ProgramModel::build_isa(&m, PPC);
+        let mut starts: Vec<usize> = (0..m.code.len()).filter(|&i| model.leaders[i]).collect();
+        starts.push(m.code.len());
+        let largest = starts.windows(2).map(|b| b[1] - b[0]).max().unwrap();
         // Unclamped, the guard would refuse this small program at 100000.
-        assert!(check_position_space(model.blocks.len(), largest, m.code.len(), 100_000).is_err());
+        assert!(check_position_space(starts.len() - 1, largest, m.code.len(), 100_000).is_err());
         let compress = |cap: usize| {
             let config = crate::CompressionConfig {
                 max_entry_len: cap,

@@ -16,14 +16,59 @@
 //! Its removal path increments [`telemetry::GREEDY_REMOVAL_ALLOCS`] once
 //! per boxed lookup key — the counter the production index never touches.
 //! It names positions by (block, cell) and keeps its own overlap helpers,
-//! independent of the parent's flat offsets.
+//! independent of the parent's flat offsets: it copies the flat model into
+//! blocks of cells, rewrites those with codewords and tombstones as it
+//! selects, and reads the head array back off them at the end.
 
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
-use super::{GreedyParams, PickRecord};
+use super::{GreedyParams, PickRecord, NO_ENTRY};
 use crate::dict::Dictionary;
-use crate::model::{Cell, ProgramModel};
+use crate::model::ProgramModel;
 use crate::telemetry;
+
+/// One slot of the rewrite model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cell {
+    /// An (as yet) uncompressed instruction.
+    Insn { word: u32, compressible: bool },
+    /// A codeword standing for dictionary entry `entry`.
+    Code { entry: u32 },
+    /// An instruction slot consumed by a preceding [`Cell::Code`].
+    Dead,
+}
+
+impl Cell {
+    /// Returns the instruction word if this is a compressible instruction.
+    fn compressible_word(&self) -> Option<u32> {
+        match *self {
+            Cell::Insn { word, compressible: true } => Some(word),
+            _ => None,
+        }
+    }
+}
+
+/// A basic block: a run of cells, positionally stable under replacement
+/// (replacements tombstone cells rather than splice them out).
+struct Block {
+    /// The cells, one per original instruction of the block.
+    cells: Vec<Cell>,
+    /// Original index of the block's first instruction.
+    start: usize,
+}
+
+/// The flat model's instructions, one block of cells per basic block.
+fn blocks_of(model: &ProgramModel) -> Vec<Block> {
+    let mut blocks: Vec<Block> = Vec::new();
+    for (i, (&word, &compressible)) in model.words.iter().zip(&model.compressible).enumerate() {
+        if model.leaders[i] {
+            blocks.push(Block { cells: Vec::new(), start: i });
+        }
+        let block = blocks.last_mut().expect("instruction 0 leads a block");
+        block.cells.push(Cell::Insn { word, compressible });
+    }
+    blocks
+}
 
 type Seq = Box<[u32]>;
 /// Position of a window: (block index, cell index).
@@ -49,8 +94,8 @@ impl PartialOrd for HeapItem {
 }
 
 /// Runs greedy selection with the original allocation-heavy index. The
-/// observable output (pick log, dictionary, model rewrite) is identical to
-/// [`super::run_greedy`]; only the cost differs.
+/// observable output (pick log, dictionary, the model's head array) is
+/// identical to [`super::run_greedy`]; only the cost differs.
 pub fn run_greedy(
     model: &mut ProgramModel,
     dict: &mut Dictionary,
@@ -60,7 +105,8 @@ pub fn run_greedy(
     // production index does.
     let cap = params.max_entry_len.min(crate::container::MAX_ENTRY_LEN);
     let params = GreedyParams { max_entry_len: cap, ..params };
-    let mut index = Index::build(model, params.max_entry_len);
+    let mut blocks = blocks_of(model);
+    let mut index = Index::build(&blocks, params.max_entry_len);
     let mut picks = Vec::new();
 
     while dict.len() < params.max_codewords {
@@ -85,11 +131,19 @@ pub fn run_greedy(
         debug_assert_eq!(positions.len(), n);
         let entry = dict.push(top.seq.to_vec(), n);
         for &(b, p) in &positions {
-            index.replace(model, b as usize, p as usize, entry, len, params.max_entry_len);
+            index.replace(&mut blocks, b as usize, p as usize, entry, len, params.max_entry_len);
         }
         telemetry::GREEDY_PICKS_ACCEPTED.inc();
         telemetry::GREEDY_REPLACEMENTS.add(n as u64);
         picks.push(PickRecord { entry, len, replaced: n, savings_bits: savings });
+    }
+    model.heads = vec![NO_ENTRY; model.words.len()];
+    for block in &blocks {
+        for (c, cell) in block.cells.iter().enumerate() {
+            if let Cell::Code { entry } = *cell {
+                model.heads[block.start + c] = entry;
+            }
+        }
     }
     picks
 }
@@ -120,18 +174,17 @@ struct Index {
 }
 
 impl Index {
-    fn build(model: &ProgramModel, max_len: usize) -> Index {
+    fn build(blocks: &[Block], max_len: usize) -> Index {
         // Window mining is embarrassingly parallel over disjoint block
         // ranges; merging unions per-chunk maps. Positions from different
         // chunks never collide (they carry the block index), so the merged
         // map — and everything downstream — is bit-identical to a
         // sequential scan regardless of the worker count.
-        let ranges = crate::parallel::chunk_ranges(
-            model.blocks.len(),
-            crate::parallel::jobs().saturating_mul(4),
-        );
-        let chunks =
-            crate::parallel::par_map(ranges, |_, (b0, b1)| build_occ_range(model, b0, b1, max_len));
+        let ranges =
+            crate::parallel::chunk_ranges(blocks.len(), crate::parallel::jobs().saturating_mul(4));
+        let chunks = crate::parallel::par_map(ranges, |_, (b0, b1)| {
+            build_occ_range(blocks, b0, b1, max_len)
+        });
         let mut occ: HashMap<Seq, BTreeSet<Pos>> = HashMap::new();
         for chunk in chunks {
             if occ.is_empty() {
@@ -159,23 +212,23 @@ impl Index {
     /// instructions, updating the occurrence index locally.
     fn replace(
         &mut self,
-        model: &mut ProgramModel,
+        blocks: &mut [Block],
         b: usize,
         p: usize,
         entry: u32,
         len: usize,
         max_len: usize,
     ) {
-        let block = &mut model.blocks[b];
+        let block = &mut blocks[b];
         // The run containing p.
         let (rs, re) = run_around(&block.cells, p);
         debug_assert!(p + len <= re);
         remove_windows(&mut self.occ, &block.cells, b as u32, rs, re, max_len);
-        let orig = match block.cells[p] {
-            Cell::Insn { orig, .. } => orig,
-            _ => unreachable!("replacement target must be an instruction"),
-        };
-        block.cells[p] = Cell::Code { entry, orig, len };
+        debug_assert!(
+            matches!(block.cells[p], Cell::Insn { .. }),
+            "replacement target must be an instruction"
+        );
+        block.cells[p] = Cell::Code { entry };
         for cell in &mut block.cells[p + 1..p + len] {
             *cell = Cell::Dead;
         }
@@ -187,13 +240,13 @@ impl Index {
 /// Mines candidate windows for the block range `b0..b1` into a fresh map.
 /// Run on worker threads by [`Index::build`].
 fn build_occ_range(
-    model: &ProgramModel,
+    blocks: &[Block],
     b0: usize,
     b1: usize,
     max_len: usize,
 ) -> HashMap<Seq, BTreeSet<Pos>> {
     let mut occ: HashMap<Seq, BTreeSet<Pos>> = HashMap::new();
-    for (b, block) in model.blocks[b0..b1].iter().enumerate() {
+    for (b, block) in blocks[b0..b1].iter().enumerate() {
         for (start, end) in runs(&block.cells) {
             add_windows(&mut occ, &block.cells, (b0 + b) as u32, start, end, max_len);
         }

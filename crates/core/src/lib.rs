@@ -17,8 +17,9 @@
 //!
 //! # Pipeline
 //!
-//! 1. [`model::ProgramModel`] partitions the text into basic blocks and
-//!    marks PC-relative branches incompressible (§3.1.1).
+//! 1. [`model::ProgramModel`] flags each instruction as a basic-block
+//!    leader or not, and as compressible or not: PC-relative branches
+//!    (§3.1.1) and hot (exempt) code are not.
 //! 2. [`greedy`] selects dictionary entries by maximum immediate savings,
 //!    with an incremental occurrence index and a lazy max-heap.
 //! 3. [`dict::Dictionary::assign_ranks_by_use`] gives the most-used entries

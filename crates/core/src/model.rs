@@ -1,121 +1,68 @@
-//! The mutable program model the greedy selector rewrites: basic blocks of
-//! cells, where each cell is an instruction, a codeword, or a tombstone left
-//! behind by a replacement.
+//! The program model greedy selection runs on: flat per-instruction arrays
+//! over the module's words. Each instruction carries a compressible flag
+//! (PC-relative branches, hot code and a baseline's own constraints are
+//! excluded) and a block-leader flag (dictionary entries never cross a basic
+//! block, §3.1.1). A selection run stores its result in the model as the
+//! head array: the dictionary entry whose codeword starts at each
+//! instruction.
 
 use codense_isa::IsaRef;
 use codense_obj::{BasicBlocks, ObjectModule};
 
-/// One slot of the rewrite model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cell {
-    /// An (as yet) uncompressed instruction.
-    Insn {
-        /// The instruction word.
-        word: u32,
-        /// Original instruction index in the module.
-        orig: usize,
-        /// Whether the compressor may place this instruction in a dictionary
-        /// entry (`false` for PC-relative branches, §3.1.1).
-        compressible: bool,
-    },
-    /// A codeword covering `len` original instructions starting at `orig`.
-    Code {
-        /// Dictionary entry index.
-        entry: u32,
-        /// Original index of the first covered instruction.
-        orig: usize,
-        /// Number of instructions covered.
-        len: usize,
-    },
-    /// An instruction slot consumed by a preceding [`Cell::Code`].
-    Dead,
+use crate::greedy::NO_ENTRY;
+
+/// The whole program as per-instruction arrays, indexed by original
+/// instruction index.
+#[derive(Debug, Clone)]
+pub struct ProgramModel<'a> {
+    /// The module's instruction words.
+    pub(crate) words: &'a [u32],
+    /// Whether each instruction may join a dictionary entry.
+    pub(crate) compressible: Vec<bool>,
+    /// Whether each instruction starts a basic block.
+    pub(crate) leaders: Vec<bool>,
+    /// The last selection run's head array: the entry whose codeword starts
+    /// at each instruction, or [`NO_ENTRY`]. Empty before any run.
+    pub(crate) heads: Vec<u32>,
 }
 
-impl Cell {
-    /// Returns the instruction word if this is a compressible instruction.
-    pub fn compressible_word(&self) -> Option<u32> {
-        match *self {
-            Cell::Insn { word, compressible: true, .. } => Some(word),
-            _ => None,
+impl<'a> ProgramModel<'a> {
+    /// Builds the model from a module under `isa`: block leaders from its
+    /// basic blocks, and PC-relative branches marked incompressible.
+    pub fn build_isa(module: &'a ObjectModule, isa: IsaRef) -> ProgramModel<'a> {
+        let bbs = BasicBlocks::compute_with(module, isa);
+        ProgramModel {
+            words: &module.code,
+            compressible: module.code.iter().map(|&w| isa.rel_branch_info(w).is_none()).collect(),
+            leaders: (0..module.len()).map(|i| bbs.is_leader(i)).collect(),
+            heads: Vec::new(),
         }
     }
-}
 
-/// A basic block: a run of cells, positionally stable under replacement
-/// (replacements tombstone cells rather than splice them out).
-#[derive(Debug, Clone, Default)]
-pub struct Block {
-    /// The cells, one per original instruction of the block.
-    pub cells: Vec<Cell>,
-    /// Original index of the block's first instruction.
-    pub start: usize,
-}
-
-/// The whole program as rewritable blocks.
-#[derive(Debug, Clone)]
-pub struct ProgramModel {
-    /// Basic blocks in program order.
-    pub blocks: Vec<Block>,
-    /// Total instructions (original program length).
-    pub insns: usize,
-}
-
-impl ProgramModel {
-    /// Builds the model from a module under `isa`: computes basic blocks
-    /// and marks PC-relative branches incompressible.
-    pub fn build_isa(module: &ObjectModule, isa: IsaRef) -> ProgramModel {
-        // `build_isa_with` already excludes PC-relative branches; the extra
-        // predicate is identity so each word is decoded exactly once.
-        ProgramModel::build_isa_with(module, isa, |_| true)
+    /// Marks instruction `i` incompressible wherever `mask[i]` is set: hot
+    /// (exempt) code, or instructions a baseline cannot place in an entry
+    /// (Liao's mini-subroutines cannot contain link-register users). Mask
+    /// before selecting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask.len()` differs from the program's length.
+    pub fn exclude(&mut self, mask: &[bool]) {
+        assert_eq!(mask.len(), self.compressible.len(), "mask length must match the program");
+        for (compressible, &excluded) in self.compressible.iter_mut().zip(mask) {
+            *compressible &= !excluded;
+        }
     }
 
-    /// Like [`build_isa`](ProgramModel::build_isa), with a custom
-    /// compressibility predicate (baselines impose extra constraints — e.g.
-    /// Liao's software mini-subroutines cannot contain link-register users).
-    pub fn build_isa_with(
-        module: &ObjectModule,
-        isa: IsaRef,
-        compressible: impl Fn(u32) -> bool,
-    ) -> ProgramModel {
-        let bbs = BasicBlocks::compute_with(module, isa);
-        let blocks = bbs
-            .blocks()
-            .iter()
-            .map(|&(s, e)| Block {
-                start: s,
-                cells: (s..e)
-                    .map(|i| {
-                        let word = module.code[i];
-                        Cell::Insn {
-                            word,
-                            orig: i,
-                            compressible: isa.rel_branch_info(word).is_none() && compressible(word),
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
-        ProgramModel { blocks, insns: module.len() }
+    /// Whether each instruction may join a dictionary entry.
+    pub fn compressible(&self) -> &[bool] {
+        &self.compressible
     }
 
-    /// Iterates the final atom stream: codewords and uncompressed
-    /// instructions in program order (tombstones skipped).
-    pub fn atoms(&self) -> impl Iterator<Item = Cell> + '_ {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.cells.iter())
-            .filter(|c| !matches!(c, Cell::Dead))
-            .copied()
-    }
-
-    /// Counts uncompressed instructions remaining.
-    pub fn uncompressed_insns(&self) -> usize {
-        self.blocks.iter().flat_map(|b| &b.cells).filter(|c| matches!(c, Cell::Insn { .. })).count()
-    }
-
-    /// Counts codeword cells.
-    pub fn codewords(&self) -> usize {
-        self.blocks.iter().flat_map(|b| &b.cells).filter(|c| matches!(c, Cell::Code { .. })).count()
+    /// The dictionary entry whose codeword starts at instruction `i`, as
+    /// the last selection run over this model replaced it.
+    pub fn head(&self, i: usize) -> Option<u32> {
+        self.heads.get(i).copied().filter(|&entry| entry != NO_ENTRY)
     }
 }
 
@@ -126,7 +73,8 @@ mod tests {
     use codense_ppc::insn::Insn;
     use codense_ppc::reg::*;
 
-    fn module() -> ObjectModule {
+    #[test]
+    fn build_marks_branches_and_leaders_and_masks() {
         let mut a = Assembler::new();
         a.emit(Insn::Addi { rt: R3, ra: R0, si: 1 });
         a.label("l");
@@ -135,33 +83,11 @@ mod tests {
         a.emit(Insn::Sc);
         let mut m = ObjectModule::new("t", codense_isa::IsaId::Ppc);
         m.code = a.finish().unwrap();
-        m
-    }
-
-    fn build(module: &ObjectModule) -> ProgramModel {
-        ProgramModel::build_isa(module, IsaRef(&codense_ppc::ISA))
-    }
-
-    #[test]
-    fn build_marks_branches_incompressible() {
-        let pm = build(&module());
-        let flat: Vec<Cell> = pm.atoms().collect();
-        assert_eq!(flat.len(), 4);
-        assert!(matches!(flat[2], Cell::Insn { compressible: false, .. }));
-        assert!(matches!(flat[0], Cell::Insn { compressible: true, .. }));
-        assert_eq!(pm.insns, 4);
-    }
-
-    #[test]
-    fn atoms_skip_tombstones() {
-        let mut pm = build(&module());
-        // Manually fuse block 1's first cell into a codeword of length 1 and
-        // kill nothing; then fuse two cells.
-        pm.blocks[1].cells[0] = Cell::Code { entry: 0, orig: 1, len: 1 };
-        let flat: Vec<Cell> = pm.atoms().collect();
-        assert_eq!(flat.len(), 4);
-        assert!(matches!(flat[1], Cell::Code { entry: 0, len: 1, .. }));
-        assert_eq!(pm.uncompressed_insns(), 3);
-        assert_eq!(pm.codewords(), 1);
+        let mut pm = ProgramModel::build_isa(&m, IsaRef(&codense_ppc::ISA));
+        assert_eq!(pm.compressible(), [true, true, false, true]);
+        assert_eq!(pm.leaders, [true, true, false, true]);
+        assert_eq!(pm.head(0), None);
+        pm.exclude(&[false, false, false, true]);
+        assert_eq!(pm.compressible(), [true, true, false, false]);
     }
 }

@@ -30,7 +30,7 @@
 //! refined result is **never worse than greedy** under the exact cost; a
 //! fixed probe order and budget make it deterministic for a given input.
 //!
-//! A trial is one selection plus one layout. The block model is built and
+//! A trial is one selection plus one layout. The program model is built and
 //! mined once per refinement, into one [`CandidateIndex`] every trial
 //! selects against, and the module's branches are resolved once, into the
 //! `Prepared` every lay-out reads. A trial is scored by its

@@ -126,11 +126,6 @@ impl CompressedProgram {
     pub fn codeword_atoms(&self) -> usize {
         self.atoms.iter().filter(|a| matches!(a, Atom::Codeword { .. })).count()
     }
-
-    /// Number of uncompressed-instruction atoms in the stream.
-    pub fn insn_atoms(&self) -> usize {
-        self.atoms.iter().filter(|a| matches!(a, Atom::Insn { .. })).count()
-    }
 }
 
 #[cfg(test)]

@@ -11,11 +11,11 @@
 //! on the [`crate::parallel`] worker pool; each point is an independent
 //! compression of the same immutable module, so results are identical to
 //! the sequential loop and arrive in point order. These sweeps mine the
-//! program's candidate windows **once**, into a shared
-//! [`CandidateIndex`](crate::greedy::CandidateIndex) built at the largest
-//! entry length in the sweep; every point then reuses the shared index
-//! (candidates above the point's cap are filtered at heap seeding) instead
-//! of re-scanning the program, which is byte-identical to a fresh build.
+//! program's candidate windows **once**, into a shared [`CandidateIndex`]
+//! built at the largest entry length in the sweep; every point then reuses
+//! the shared index (candidates above the point's cap are filtered at heap
+//! seeding) instead of re-scanning the program, which is byte-identical to
+//! a fresh build.
 
 use codense_isa::IsaRef;
 use codense_obj::ObjectModule;
@@ -95,14 +95,16 @@ pub fn entry_len_sweep_with_isa(
 }
 
 /// Dictionary composition by entry length at several dictionary sizes
-/// (Fig 6): for each size `k`, a histogram `hist[l]` of entries with `l`
-/// instructions among the first `k` picks.
+/// (Fig 6), from one baseline run under `isa`: for each size `k`, a
+/// histogram `hist[l]` of entries with `l` instructions among the first `k`
+/// picks.
 ///
 /// # Errors
 ///
 /// Propagates [`CompressError`] from the underlying run.
-pub fn dict_composition_sweep(
+pub fn dict_composition_sweep_with_isa(
     module: &ObjectModule,
+    isa: IsaRef,
     max_entry_len: usize,
     sizes: &[usize],
 ) -> Result<Vec<(usize, Vec<usize>)>, CompressError> {
@@ -111,7 +113,7 @@ pub fn dict_composition_sweep(
     let cap = sizes.iter().copied().max().unwrap_or(0).min(EncodingKind::Baseline.capacity());
     let config =
         CompressionConfig { max_entry_len, max_codewords: cap, encoding: EncodingKind::Baseline };
-    let c = Compressor::new(config).compress(module)?;
+    let c = Compressor::new(config).with_isa(isa).compress(module)?;
     Ok(sizes
         .iter()
         .map(|&k| {
@@ -125,13 +127,15 @@ pub fn dict_composition_sweep(
 }
 
 /// Bytes saved, by entry length, at several dictionary sizes (Fig 7), as a
-/// fraction of the original program size. Baseline 2-byte codewords.
+/// fraction of the original program size, from one baseline (2-byte
+/// codeword) run under `isa`.
 ///
 /// # Errors
 ///
 /// Propagates [`CompressError`] from the underlying run.
-pub fn savings_by_length_sweep(
+pub fn savings_by_length_sweep_with_isa(
     module: &ObjectModule,
+    isa: IsaRef,
     max_entry_len: usize,
     sizes: &[usize],
 ) -> Result<Vec<(usize, Vec<f64>)>, CompressError> {
@@ -140,7 +144,7 @@ pub fn savings_by_length_sweep(
     let cap = sizes.iter().copied().max().unwrap_or(0).min(EncodingKind::Baseline.capacity());
     let config =
         CompressionConfig { max_entry_len, max_codewords: cap, encoding: EncodingKind::Baseline };
-    let c = Compressor::new(config).compress(module)?;
+    let c = Compressor::new(config).with_isa(isa).compress(module)?;
     let orig = c.original_text_bytes as f64;
     Ok(sizes
         .iter()
@@ -238,11 +242,39 @@ mod tests {
     #[test]
     fn dict_composition_histogram_counts_picks() {
         let m = module();
-        let comp = dict_composition_sweep(&m, 8, &[4, 16]).unwrap();
+        let comp = dict_composition_sweep_with_isa(&m, PPC, 8, &[4, 16]).unwrap();
         assert_eq!(comp[0].0, 4);
         assert_eq!(comp[0].1.iter().sum::<usize>(), 4.min(comp[0].1.iter().sum()));
         let total16: usize = comp[1].1.iter().sum();
         assert!(total16 <= 16);
+    }
+
+    /// Fig 6 and 7 read the pick log of a compression under the module's
+    /// own ISA, as the other sweeps do.
+    #[test]
+    fn pick_log_sweeps_take_the_module_isa() {
+        let m = codense_codegen::benchmark_mips("compress").unwrap();
+        let isa = codense_codegen::isa_ref(m.isa);
+        let sizes = [16, 256, 8192];
+        let comp = dict_composition_sweep_with_isa(&m, isa, 8, &sizes).unwrap();
+        let saved = savings_by_length_sweep_with_isa(&m, isa, 8, &sizes).unwrap();
+        let config = CompressionConfig {
+            max_entry_len: 8,
+            max_codewords: 8192,
+            encoding: EncodingKind::Baseline,
+        };
+        let c = Compressor::new(config).with_isa(isa).compress(&m).unwrap();
+        let orig = m.text_bytes() as f64;
+        for (i, &k) in sizes.iter().enumerate() {
+            let (mut hist, mut by_len) = (vec![0usize; 9], vec![0.0f64; 9]);
+            for p in c.picks.iter().take(k) {
+                hist[p.len] += 1;
+                let words = p.len as f64;
+                by_len[p.len] += (p.replaced as f64 * (4.0 * words - 2.0) - 4.0 * words) / orig;
+            }
+            assert_eq!(comp[i], (k, hist), "size {k}");
+            assert_eq!(saved[i], (k, by_len), "size {k}");
+        }
     }
 
     #[test]

@@ -10,60 +10,70 @@
 use codense_codegen::Rng;
 use codense_core::dict::Dictionary;
 use codense_core::greedy::{run_greedy, CostModel, GreedyParams};
-use codense_core::model::{Cell, ProgramModel};
-use codense_obj::ObjectModule;
+use codense_core::model::ProgramModel;
+use codense_isa::IsaRef;
+use codense_obj::{BasicBlocks, ObjectModule};
 use codense_ppc::encode;
 use codense_ppc::insn::Insn;
 use codense_ppc::reg::Gpr;
 
 const CASES: usize = 256;
 
+const PPC: IsaRef = IsaRef(&codense_ppc::ISA);
+
 const COST: CostModel =
     CostModel { insn_bits: 32, codeword_bits: 16, dict_word_bits: 32, dict_entry_fixed_bits: 0 };
 
+/// Each instruction's state after a run: `Some(word)` while it is still an
+/// uncompressed compressible instruction, `None` once a codeword covers it
+/// or if it was never compressible.
+fn live_words(m: &ObjectModule, model: &ProgramModel, dict: &Dictionary) -> Vec<Option<u32>> {
+    let mut live: Vec<Option<u32>> =
+        m.code.iter().zip(model.compressible()).map(|(&w, &c)| c.then_some(w)).collect();
+    for i in 0..live.len() {
+        if let Some(entry) = model.head(i) {
+            live[i..i + dict.entry(entry).len()].fill(None);
+        }
+    }
+    live
+}
+
 /// All candidate windows of the post-greedy model, with greedy
 /// non-overlapping counts, computed naively.
-fn best_remaining_savings(model: &ProgramModel, max_len: usize) -> i64 {
+fn best_remaining_savings(
+    m: &ObjectModule,
+    model: &ProgramModel,
+    dict: &Dictionary,
+    max_len: usize,
+) -> i64 {
     use std::collections::HashMap;
-    let mut occ: HashMap<Vec<u32>, Vec<(usize, usize)>> = HashMap::new();
-    for (b, block) in model.blocks.iter().enumerate() {
-        // Runs of compressible instruction cells.
-        let cells = &block.cells;
-        let mut start = None;
-        for i in 0..=cells.len() {
-            let live = i < cells.len() && cells[i].compressible_word().is_some();
-            if live && start.is_none() {
-                start = Some(i);
+    let live = live_words(m, model, dict);
+    let blocks = BasicBlocks::compute_with(m, PPC);
+    let mut occ: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
+    for w0 in 0..live.len() {
+        let mut seq = Vec::new();
+        for (k, &cell) in live.iter().enumerate().skip(w0).take(max_len) {
+            // Windows of live cells inside one block.
+            let Some(word) = cell else { break };
+            if k > w0 && blocks.is_leader(k) {
+                break;
             }
-            if !live {
-                if let Some(s) = start.take() {
-                    for w0 in s..i {
-                        for l in 1..=max_len.min(i - w0) {
-                            let seq: Vec<u32> = (w0..w0 + l)
-                                .map(|k| cells[k].compressible_word().unwrap())
-                                .collect();
-                            occ.entry(seq).or_default().push((b, w0));
-                        }
-                    }
-                }
-            }
+            seq.push(word);
+            occ.entry(seq.clone()).or_default().push(w0);
         }
     }
     occ.iter()
         .map(|(seq, positions)| {
             let len = seq.len();
-            let mut n = 0i64;
-            let mut last: Option<(usize, usize)> = None;
-            for &(b, p) in positions {
-                if let Some((lb, end)) = last {
-                    if lb == b && p < end {
-                        continue;
-                    }
+            let mut n = 0;
+            let mut end = 0;
+            for &p in positions {
+                if p >= end {
+                    n += 1;
+                    end = p + len;
                 }
-                n += 1;
-                last = Some((b, p + len));
             }
-            COST.savings_bits(len, n as usize)
+            COST.savings_bits(len, n)
         })
         .max()
         .unwrap_or(i64::MIN)
@@ -90,7 +100,7 @@ fn no_positive_savings_remain() {
     let mut rng = Rng::new(0x6EED_0001);
     for _ in 0..CASES {
         let m = random_module(&mut rng);
-        let mut model = ProgramModel::build_isa(&m, codense_isa::IsaRef(&codense_ppc::ISA));
+        let mut model = ProgramModel::build_isa(&m, PPC);
         let mut dict = Dictionary::new();
         run_greedy(
             &mut model,
@@ -98,7 +108,7 @@ fn no_positive_savings_remain() {
             GreedyParams { max_entry_len: 4, max_codewords: 10_000, cost: COST },
         )
         .unwrap();
-        let best = best_remaining_savings(&model, 4);
+        let best = best_remaining_savings(&m, &model, &dict, 4);
         assert!(best <= 0, "remaining candidate with savings {best}");
     }
 }
@@ -111,7 +121,7 @@ fn pick_savings_monotone_nonincreasing() {
     let mut rng = Rng::new(0x6EED_0002);
     for _ in 0..CASES {
         let m = random_module(&mut rng);
-        let mut model = ProgramModel::build_isa(&m, codense_isa::IsaRef(&codense_ppc::ISA));
+        let mut model = ProgramModel::build_isa(&m, PPC);
         let mut dict = Dictionary::new();
         let log = run_greedy(
             &mut model,
@@ -125,14 +135,15 @@ fn pick_savings_monotone_nonincreasing() {
     }
 }
 
-/// Dictionary entries and model state are consistent: every codeword cell's
-/// entry expands to the words the original program held there.
+/// Dictionary entries and model state are consistent: every codeword's
+/// entry expands to the words the original program held there, and the
+/// codewords never overlap.
 #[test]
 fn model_dictionary_consistency() {
     let mut rng = Rng::new(0x6EED_0003);
     for _ in 0..CASES {
         let m = random_module(&mut rng);
-        let mut model = ProgramModel::build_isa(&m, codense_isa::IsaRef(&codense_ppc::ISA));
+        let mut model = ProgramModel::build_isa(&m, PPC);
         let mut dict = Dictionary::new();
         run_greedy(
             &mut model,
@@ -140,24 +151,17 @@ fn model_dictionary_consistency() {
             GreedyParams { max_entry_len: 4, max_codewords: 10_000, cost: COST },
         )
         .unwrap();
-        let mut covered = 0usize;
-        for block in &model.blocks {
-            for cell in &block.cells {
-                match *cell {
-                    Cell::Code { entry, orig, len } => {
-                        let words = &dict.entry(entry).words;
-                        assert_eq!(words.len(), len);
-                        for (k, &w) in words.iter().enumerate() {
-                            assert_eq!(w, m.code[orig + k]);
-                        }
-                        covered += len;
-                    }
-                    Cell::Insn { .. } => covered += 1,
-                    Cell::Dead => {}
-                }
-            }
+        let mut i = 0;
+        while i < m.code.len() {
+            let Some(entry) = model.head(i) else {
+                i += 1;
+                continue;
+            };
+            let words = &dict.entry(entry).words;
+            assert_eq!(words[..], m.code[i..i + words.len()]);
+            assert!((i + 1..i + words.len()).all(|k| model.head(k).is_none()), "overlap at {i}");
+            i += words.len();
         }
-        assert_eq!(covered, m.code.len());
     }
 }
 

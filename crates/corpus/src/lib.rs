@@ -42,7 +42,6 @@ use codense_codegen::ir::{
 use codense_codegen::lower::lower_program_with;
 use codense_codegen::lower_mips::lower_program_mips_with;
 use codense_codegen::{LowerOptions, Rng};
-use codense_core::CompressedProgram;
 use codense_isa::{Core, IsaId, IsaRef, MachineError};
 use codense_obj::ObjectModule;
 use codense_vm::{run, LinearFetcher, RunResult};
@@ -269,22 +268,6 @@ impl CorpusProgram {
         for (t, table) in self.module.jump_tables.iter().enumerate() {
             for (e, &target) in table.targets.iter().enumerate() {
                 core.write32(self.table_addrs[t] + 4 * e as u32, 8 * target as u32)?;
-            }
-        }
-        Ok(core)
-    }
-
-    /// A fresh machine with the jump tables seeded for *compressed*
-    /// execution: entries hold the compressed program's patched
-    /// (nibble-domain) table values.
-    pub fn compressed_core(
-        &self,
-        compressed: &CompressedProgram,
-    ) -> Result<Box<dyn Core>, MachineError> {
-        let mut core = self.new_core();
-        for (t, table) in compressed.jump_tables.iter().enumerate() {
-            for (e, &target) in table.iter().enumerate() {
-                core.write32(self.table_addrs[t] + 4 * e as u32, target as u32)?;
             }
         }
         Ok(core)

@@ -6,8 +6,8 @@ use codense_core::analysis::{
     branch_offset_usage, encoding_profile, prologue_epilogue, top_encoding_coverage,
 };
 use codense_core::sweep::{
-    codeword_count_sweep_with_isa, dict_composition_sweep, entry_len_sweep_with_isa,
-    savings_by_length_sweep, small_dictionary_sweep_with_isa,
+    codeword_count_sweep_with_isa, dict_composition_sweep_with_isa, entry_len_sweep_with_isa,
+    savings_by_length_sweep_with_isa, small_dictionary_sweep_with_isa,
 };
 use codense_core::{verify::verify, CompressedProgram, CompressionConfig, Compressor};
 use codense_obj::ObjectModule;
@@ -229,7 +229,7 @@ pub fn fig6(ctx: &mut Ctx) {
     println!("(paper: 1-instruction entries are 48–80% of the dictionary, more as it grows)\n");
     let m = ctx.suite.iter().find(|m| m.name == "ijpeg").expect("ijpeg present");
     let sizes = [16usize, 64, 256, 1024, 8192];
-    let comp = dict_composition_sweep(m, 8, &sizes).expect("sweep");
+    let comp = dict_composition_sweep_with_isa(m, isa_ref(m.isa), 8, &sizes).expect("sweep");
     let mut t =
         Table::new(["dict size", "entries", "len1 %", "len2 %", "len3 %", "len4 %", "len5-8 %"]);
     for (size, hist) in comp {
@@ -257,7 +257,7 @@ pub fn fig7(ctx: &mut Ctx) {
     println!("(paper: 1-instruction entries contribute ~half the savings)\n");
     let m = ctx.suite.iter().find(|m| m.name == "ijpeg").expect("ijpeg present");
     let sizes = [16usize, 64, 256, 1024, 8192];
-    let sav = savings_by_length_sweep(m, 8, &sizes).expect("sweep");
+    let sav = savings_by_length_sweep_with_isa(m, isa_ref(m.isa), 8, &sizes).expect("sweep");
     let mut t =
         Table::new(["dict size", "total %", "len1 %", "len2 %", "len3 %", "len4 %", "len5-8 %"]);
     for (size, by_len) in sav {
@@ -451,7 +451,7 @@ pub fn thumb(ctx: &mut Ctx) {
     println!("{}", t.render());
 }
 
-/// Extension (§1/§5, [Chen97b]): I-cache misses, compressed vs uncompressed.
+/// Extension (§1/§5, \[Chen97b\]): I-cache misses, compressed vs uncompressed.
 pub fn cache(_ctx: &mut Ctx) {
     use codense_cache::{Cache, CacheConfig, TracingFetch};
     use codense_vm::{kernels, machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
@@ -634,13 +634,14 @@ pub fn mix(ctx: &mut Ctx) {
 /// Extension (§5): profile-guided hybrid compression — size vs modeled
 /// cycles at a few hotness-coverage points per runnable kernel.
 pub fn hybrid(_ctx: &mut Ctx) {
-    use codense_profile::{hybrid_sweep, HybridOptions};
+    use codense_profile::{bench, hybrid_sweep, HybridOptions, Subject};
     println!("Extension: profile-guided hybrid compression (paper §5 future work)");
     println!("(exempting the hottest blocks recovers expansion cycles while keeping");
     println!(" most of the size reduction; cost model in DESIGN.md §11)\n");
     let options =
         HybridOptions { coverages: vec![0.0, 0.25, 0.50, 0.75, 1.0], ..HybridOptions::default() };
-    let results = hybrid_sweep(&options).expect("hybrid sweep");
+    let subjects: Vec<Subject> = bench::benches().iter().map(Subject::from_kernel).collect();
+    let results = hybrid_sweep(&subjects, &options).expect("hybrid sweep");
     let mut t = Table::new([
         "kernel",
         "full ratio",

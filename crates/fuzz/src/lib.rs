@@ -26,8 +26,8 @@
 //!   codeword encoding, comparing the full architectural trace step by step.
 //! - [`faults`] — corruption batteries over the `.cdns`/`.cdm` binary
 //!   formats and raw nibble soup, asserting the no-panic decoder policy.
-//! - [`shrink`] — spec-level test-case minimization: every candidate is a
-//!   well-formed terminating program by construction.
+//! - [`shrink`](mod@shrink) — spec-level test-case minimization: every
+//!   candidate is a well-formed terminating program by construction.
 //! - [`runner`] — the campaign driver behind `codense fuzz`: per-case seed
 //!   derivation (the same stream for every ISA), parallel execution,
 //!   shrinking, deterministic reporting.

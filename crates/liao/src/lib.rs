@@ -79,19 +79,24 @@ const MAX_ENTRIES: usize = 1 << 14;
 pub fn compress(module: &ObjectModule, method: LiaoMethod, max_entry_len: usize) -> LiaoCompressed {
     assert_eq!(module.isa, IsaId::Ppc, "Liao's methods model PowerPC");
     let ppc = IsaRef(&codense_ppc::ISA);
-    let mut model = match method {
+    let mut model = ProgramModel::build_isa(module, ppc);
+    if method == LiaoMethod::MiniSubroutine {
         // Mini-subroutines execute via call/return, so sequences must not
         // use the link register (the call clobbers it).
-        LiaoMethod::MiniSubroutine => ProgramModel::build_isa_with(module, ppc, |w| {
-            let insn = decode(w);
-            !insn.writes_lr()
-                && !matches!(
-                    insn,
-                    Insn::Mfspr { spr: codense_ppc::Spr::Lr, .. } | Insn::Bclr { .. }
-                )
-        }),
-        LiaoMethod::CallDictionary => ProgramModel::build_isa(module, ppc),
-    };
+        let lr_users: Vec<bool> = module
+            .code
+            .iter()
+            .map(|&w| {
+                let insn = decode(w);
+                insn.writes_lr()
+                    || matches!(
+                        insn,
+                        Insn::Mfspr { spr: codense_ppc::Spr::Lr, .. } | Insn::Bclr { .. }
+                    )
+            })
+            .collect();
+        model.exclude(&lr_users);
+    }
     let fixed_bits = match method {
         // Stored sequence carries a trailing return instruction.
         LiaoMethod::MiniSubroutine => 32,
@@ -114,9 +119,10 @@ pub fn compress(module: &ObjectModule, method: LiaoMethod, max_entry_len: usize)
     )
     .expect("matchfinder position space exceeds any real embedded program");
 
-    // Sizes: every atom in the rewritten model is one word (codeword call
-    // or uncompressed instruction).
-    let atoms = model.atoms().count();
+    // Sizes: every atom is one word (codeword call or uncompressed
+    // instruction), so each replaced occurrence of an entry saves all its
+    // words but one.
+    let saved_words: usize = dictionary.entries().iter().map(|e| e.replaced * (e.len() - 1)).sum();
     let dict_words: usize = dictionary.entries().iter().map(|e| e.len()).sum();
     let extra_returns = match method {
         LiaoMethod::MiniSubroutine => dictionary.len(),
@@ -126,7 +132,7 @@ pub fn compress(module: &ObjectModule, method: LiaoMethod, max_entry_len: usize)
         method,
         dictionary,
         original_text_bytes: module.text_bytes(),
-        text_bytes: atoms * 4,
+        text_bytes: (module.len() - saved_words) * 4,
         dictionary_bytes: (dict_words + extra_returns) * 4,
     }
 }

@@ -24,7 +24,7 @@ fn b_field(offset: i32) -> u16 {
 
 /// Encodes an instruction to its canonical word form.
 ///
-/// The inverse of [`crate::decode`]: `decode(encode(&i)) == i` for every
+/// The inverse of [`crate::decode()`]: `decode(encode(&i)) == i` for every
 /// constructible instruction, and `encode(&decode(w)) == w` for every word.
 ///
 /// ```

@@ -14,8 +14,8 @@
 //! deviations (no delay slots; branch displacements relative to the branch
 //! itself; PC-relative `j`/`jal`) — see [`insn`] for the rationale.
 //!
-//! * [`MInsn`] is the structured form of an instruction. [`decode`] and
-//!   [`encode`] round-trip between `MInsn` and raw `u32` words; only
+//! * [`MInsn`] is the structured form of an instruction. [`decode()`] and
+//!   [`encode()`] round-trip between `MInsn` and raw `u32` words; only
 //!   canonical encodings decode, so `encode(decode(w)) == w` for *all* words.
 //! * [`branch::rel_branch_info`] classifies PC-relative branches and exposes
 //!   their offset fields so the compressor can patch them after relocation.

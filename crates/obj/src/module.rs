@@ -36,11 +36,6 @@ impl FunctionInfo {
         self.end == self.start
     }
 
-    /// Instructions belonging to the prologue.
-    pub fn prologue_range(&self) -> Range<usize> {
-        self.start..self.start + self.prologue_len
-    }
-
     /// Total epilogue instruction count.
     pub fn epilogue_insns(&self) -> usize {
         self.epilogues.iter().map(|r| r.len()).sum()

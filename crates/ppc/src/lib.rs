@@ -9,10 +9,10 @@
 //! applies dictionary compression to PowerPC programs, so everything above
 //! this crate manipulates 32-bit PowerPC instruction words:
 //!
-//! * [`Insn`] is the structured form of an instruction. [`decode`] and
-//!   [`encode`] round-trip between `Insn` and raw `u32` words.
-//! * [`branch::branch_info`] classifies branch instructions and exposes their
-//!   offset fields so the compressor can patch them after relocation.
+//! * [`Insn`] is the structured form of an instruction. [`decode()`] and
+//!   [`encode()`] round-trip between `Insn` and raw `u32` words.
+//! * [`branch::rel_branch_info`] classifies branch instructions and exposes
+//!   their offset fields so the compressor can patch them after relocation.
 //! * [`opcode::ILLEGAL_PRIMARY`] lists the eight illegal 6-bit primary
 //!   opcodes the paper uses to build 32 escape bytes for codewords.
 //! * [`asm::Assembler`] builds runnable programs with symbolic labels.

@@ -25,7 +25,7 @@ pub struct Machine {
     /// Condition register (bit 0 = CR0's LT, numbered big-endian as in the
     /// architecture books; bit *i* is `0x8000_0000 >> i`).
     pub cr: u32,
-    /// Carry bit (XER[CA]).
+    /// Carry bit (`XER[CA]`).
     pub ca: bool,
     /// Data memory, byte-addressed, big-endian multi-byte accesses.
     pub mem: Vec<u8>,

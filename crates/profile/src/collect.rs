@@ -2,7 +2,6 @@
 
 use codense_core::{telemetry, CompressError, CompressionConfig, Compressor, EncodingKind};
 use codense_obj::BasicBlocks;
-use codense_vm::kernels::Kernel;
 use codense_vm::{run, run_traced, LinearFetcher, MachineError, PredecodedFetcher};
 
 use crate::artifact::{BlockStat, FetchEvents, Profile};
@@ -63,31 +62,17 @@ impl From<codense_core::VerifyError> for ProfileError {
     }
 }
 
-/// Profiles one benchmark: a traced native run for per-instruction and
-/// per-block execution counts, plus a reference fully-compressed run under
-/// `encoding` for the fetch-path event totals (escape decodes, codeword
-/// expansions, nibble traffic, realignments).
+/// Profiles one [`Subject`] (a kernel, or a jump-table-bearing corpus
+/// program whose table seeds differ per fetch domain): a traced native run
+/// for per-instruction and per-block execution counts, plus a reference
+/// fully-compressed run under `encoding` for the fetch-path event totals
+/// (escape decodes, codeword expansions, nibble traffic, realignments).
 ///
 /// # Errors
 ///
 /// [`ProfileError`] if either run faults, exceeds `max_steps`, or exits
 /// with the wrong code, or if the reference compression fails.
 pub fn collect(
-    kernel: &Kernel,
-    encoding: EncodingKind,
-    max_steps: u64,
-) -> Result<Profile, ProfileError> {
-    collect_subject(&Subject::from_kernel(kernel), encoding, max_steps)
-}
-
-/// [`collect`] generalized to any [`Subject`], including jump-table-bearing
-/// corpus programs whose table seeds differ per fetch domain.
-///
-/// # Errors
-///
-/// [`ProfileError`] if either run faults, exceeds `max_steps`, or exits
-/// with the wrong code, or if the reference compression fails.
-pub fn collect_subject(
     subject: &Subject,
     encoding: EncodingKind,
     max_steps: u64,
@@ -161,7 +146,8 @@ mod tests {
     #[test]
     fn fib_profile_is_consistent() {
         let kernel = bench::bench("fib").unwrap();
-        let p = collect(&kernel, EncodingKind::NibbleAligned, 1_000_000).unwrap();
+        let p = collect(&Subject::from_kernel(&kernel), EncodingKind::NibbleAligned, 1_000_000)
+            .unwrap();
         assert_eq!(p.exit, kernel.expected);
         assert_eq!(p.total_weight(), p.steps);
         assert_eq!(p.counts.iter().sum::<u64>(), p.steps);
@@ -178,9 +164,9 @@ mod tests {
 
     #[test]
     fn profiles_are_deterministic() {
-        let kernel = bench::bench("gcd").unwrap();
-        let a = collect(&kernel, EncodingKind::Baseline, 1_000_000).unwrap();
-        let b = collect(&kernel, EncodingKind::Baseline, 1_000_000).unwrap();
+        let gcd = Subject::from_kernel(&bench::bench("gcd").unwrap());
+        let a = collect(&gcd, EncodingKind::Baseline, 1_000_000).unwrap();
+        let b = collect(&gcd, EncodingKind::Baseline, 1_000_000).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -17,7 +17,6 @@
 
 use codense_cache::{Cache, CacheConfig, TracingFetch};
 use codense_core::CompressedProgram;
-use codense_vm::kernels::Kernel;
 use codense_vm::{run, LinearFetcher, PredecodedFetcher};
 
 use crate::collect::ProfileError;
@@ -110,27 +109,13 @@ fn combine(params: &CostParams, ev: RunEvents, cache: &Cache, steps: u64, exit: 
     }
 }
 
-/// Scores the uncompressed run of a kernel under the cost model.
+/// Scores the uncompressed run of a [`Subject`] under the cost model.
 ///
 /// # Errors
 ///
 /// [`ProfileError`] if the run faults, exceeds `max_steps`, or exits with
 /// the wrong code.
 pub fn score_native(
-    kernel: &Kernel,
-    params: &CostParams,
-    max_steps: u64,
-) -> Result<Score, ProfileError> {
-    score_native_subject(&Subject::from_kernel(kernel), params, max_steps)
-}
-
-/// [`score_native`] generalized to any [`Subject`].
-///
-/// # Errors
-///
-/// [`ProfileError`] if the run faults, exceeds `max_steps`, or exits with
-/// the wrong code.
-pub fn score_native_subject(
     subject: &Subject,
     params: &CostParams,
     max_steps: u64,
@@ -148,30 +133,15 @@ pub fn score_native_subject(
 }
 
 /// Scores the run of a (possibly hybrid) compressed image under the cost
-/// model. `kernel` supplies the initial machine state and expected exit.
+/// model. `subject` supplies the initial machine state and expected exit;
+/// the machine is seeded with the *image's* jump-table values, so corpus
+/// dispatch loops branch to valid compressed-domain addresses.
 ///
 /// # Errors
 ///
 /// [`ProfileError`] if the run faults, exceeds `max_steps`, or exits with
 /// the wrong code.
 pub fn score_compressed(
-    kernel: &Kernel,
-    program: &CompressedProgram,
-    params: &CostParams,
-    max_steps: u64,
-) -> Result<Score, ProfileError> {
-    score_compressed_subject(&Subject::from_kernel(kernel), program, params, max_steps)
-}
-
-/// [`score_compressed`] generalized to any [`Subject`]: the machine is
-/// seeded with the *image's* jump-table values, so corpus dispatch loops
-/// branch to valid compressed-domain addresses.
-///
-/// # Errors
-///
-/// [`ProfileError`] if the run faults, exceeds `max_steps`, or exits with
-/// the wrong code.
-pub fn score_compressed_subject(
     subject: &Subject,
     program: &CompressedProgram,
     params: &CostParams,
@@ -203,9 +173,9 @@ mod tests {
 
     #[test]
     fn native_score_is_pure_fetch_plus_misses() {
-        let kernel = bench::bench("sum_array").unwrap();
+        let sum_array = Subject::from_kernel(&bench::bench("sum_array").unwrap());
         let params = CostParams::default();
-        let s = score_native(&kernel, &params, 1_000_000).unwrap();
+        let s = score_native(&sum_array, &params, 1_000_000).unwrap();
         assert_eq!(s.escapes, 0);
         assert_eq!(s.expanded_insns, 0);
         assert_eq!(s.realigns, 0);
@@ -215,12 +185,12 @@ mod tests {
 
     #[test]
     fn compressed_run_costs_more_cycles_per_insn() {
-        let kernel = bench::bench("fib").unwrap();
+        let fib = Subject::from_kernel(&bench::bench("fib").unwrap());
         let params = CostParams::default();
-        let native = score_native(&kernel, &params, 1_000_000).unwrap();
+        let native = score_native(&fib, &params, 1_000_000).unwrap();
         let compressed =
-            Compressor::new(CompressionConfig::nibble_aligned()).compress(&kernel.module).unwrap();
-        let s = score_compressed(&kernel, &compressed, &params, 1_000_000).unwrap();
+            Compressor::new(CompressionConfig::nibble_aligned()).compress(&fib.module).unwrap();
+        let s = score_compressed(&fib, &compressed, &params, 1_000_000).unwrap();
         assert_eq!(s.steps, native.steps);
         assert_eq!(s.escapes + s.expanded_insns, s.insns);
         assert!(s.cycles > native.cycles, "{} <= {}", s.cycles, native.cycles);

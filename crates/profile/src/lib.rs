@@ -7,7 +7,7 @@
 //! Three pieces, composed by `codense profile` / `codense hybrid` /
 //! `codense hybrid-sweep`:
 //!
-//! * [`collect`] — the execution profiler: runs a benchmark natively under
+//! * [`collect()`] — the execution profiler: runs a benchmark natively under
 //!   the VM's tracing hook and records per-instruction and per-basic-block
 //!   execution counts, plus the fetch-path event counts (escape decodes,
 //!   codeword expansions, nibble-PC realignments) of a reference compressed
@@ -23,10 +23,10 @@
 //!   the `codense-cache` I-cache simulator, scoring any image against a
 //!   run ([`score_native`], [`score_compressed`]).
 //!
-//! [`hybrid_sweep`] sweeps the hotness-coverage knob across the [`bench`]
-//! suite (each runnable kernel extended with a large never-executed cold
-//! section, the shape of real firmware) and emits the size-vs-cycles Pareto
-//! frontier checked in as `BENCH_hybrid.json`.
+//! [`hybrid_sweep`] sweeps the hotness-coverage knob across a list of
+//! subjects, the [`bench`](mod@bench) suite (each runnable kernel extended
+//! with a large never-executed cold section, the shape of real firmware) for
+//! the size-vs-cycles Pareto frontier checked in as `BENCH_hybrid.json`.
 
 pub mod artifact;
 pub mod bench;
@@ -37,14 +37,8 @@ pub mod subject;
 pub mod sweep;
 
 pub use artifact::{render_profiles_json, BlockStat, FetchEvents, Profile};
-pub use collect::{collect, collect_subject, ProfileError, MEM_BYTES};
-pub use cost::{
-    score_compressed, score_compressed_subject, score_native, score_native_subject, CostParams,
-    Score,
-};
+pub use collect::{collect, ProfileError, MEM_BYTES};
+pub use cost::{score_compressed, score_native, CostParams, Score};
 pub use hotness::{hot_mask, HotMask, HotnessPolicy};
 pub use subject::Subject;
-pub use sweep::{
-    hybrid_sweep, hybrid_sweep_subjects, render_bench_json, HybridBenchResult, HybridOptions,
-    HybridPoint,
-};
+pub use sweep::{hybrid_sweep, render_bench_json, HybridBenchResult, HybridOptions, HybridPoint};

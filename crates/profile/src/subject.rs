@@ -1,4 +1,4 @@
-//! A profiling subject: everything [`crate::collect`] and [`crate::cost`]
+//! A profiling subject: everything [`crate::collect()`] and [`crate::cost`]
 //! need to run one program in both fetch domains.
 //!
 //! [`Kernel`]s are subjects with no jump tables. SPEC-scale corpus programs

@@ -16,9 +16,8 @@ use codense_core::verify::verify;
 use codense_core::{telemetry, CompressionConfig, Compressor, EncodingKind};
 
 use crate::artifact::Profile;
-use crate::bench;
-use crate::collect::{collect_subject, ProfileError};
-use crate::cost::{score_compressed_subject, score_native_subject, CostParams, Score};
+use crate::collect::{collect, ProfileError};
+use crate::cost::{score_compressed, score_native, CostParams, Score};
 use crate::hotness::{hot_mask, HotnessPolicy};
 use crate::subject::Subject;
 
@@ -96,11 +95,11 @@ fn config_for(encoding: EncodingKind) -> CompressionConfig {
 }
 
 fn bench_ref(subject: &Subject, options: &HybridOptions) -> Result<BenchRef, ProfileError> {
-    let profile = collect_subject(subject, options.encoding, options.max_steps)?;
-    let native = score_native_subject(subject, &options.cost, options.max_steps)?;
+    let profile = collect(subject, options.encoding, options.max_steps)?;
+    let native = score_native(subject, &options.cost, options.max_steps)?;
     let full = Compressor::new(config_for(options.encoding)).compress(&subject.module)?;
     let full_ratio = full.compression_ratio();
-    let full_score = score_compressed_subject(subject, &full, &options.cost, options.max_steps)?;
+    let full_score = score_compressed(subject, &full, &options.cost, options.max_steps)?;
     Ok(BenchRef { profile, native, full: full_score, full_ratio })
 }
 
@@ -115,7 +114,7 @@ fn sweep_point(
     let hybrid = Compressor::new(config_for(options.encoding))
         .compress_masked(&subject.module, &mask.exempt)?;
     verify(&subject.module, &hybrid)?;
-    let score = score_compressed_subject(subject, &hybrid, &options.cost, options.max_steps)?;
+    let score = score_compressed(subject, &hybrid, &options.cost, options.max_steps)?;
     let ratio = hybrid.compression_ratio();
     let overhead = r.full.cycles.saturating_sub(r.native.cycles);
     let recovered_pct = if overhead == 0 {
@@ -136,25 +135,15 @@ fn sweep_point(
     })
 }
 
-/// Runs the full sweep over the padded benchmark suite, parallelized over
+/// Runs the sweep over `subjects` (the padded [`bench`](crate::bench)
+/// suite, optionally plus a SPEC-scale corpus program), parallelized over
 /// `codense_core::parallel` (results are identical at any `--jobs`).
 ///
 /// # Errors
 ///
-/// The first [`ProfileError`] from any benchmark (profiling, compression,
+/// The first [`ProfileError`] from any subject (profiling, compression,
 /// verification, or a scored run going wrong).
-pub fn hybrid_sweep(options: &HybridOptions) -> Result<Vec<HybridBenchResult>, ProfileError> {
-    let subjects: Vec<Subject> = bench::benches().iter().map(Subject::from_kernel).collect();
-    hybrid_sweep_subjects(&subjects, options)
-}
-
-/// [`hybrid_sweep`] over an explicit subject list (e.g. the padded suite
-/// plus a SPEC-scale corpus program), parallelized identically.
-///
-/// # Errors
-///
-/// The first [`ProfileError`] from any subject.
-pub fn hybrid_sweep_subjects(
+pub fn hybrid_sweep(
     subjects: &[Subject],
     options: &HybridOptions,
 ) -> Result<Vec<HybridBenchResult>, ProfileError> {

@@ -8,8 +8,13 @@ use codense_core::{CompressionConfig, Compressor, EncodingKind};
 use codense_fuzz::oracle::{lockstep, LockstepOk, TraceMask};
 use codense_profile::{
     bench, collect, hot_mask, hybrid_sweep, render_bench_json, render_profiles_json,
-    score_compressed, score_native, HotnessPolicy, HybridOptions,
+    score_compressed, score_native, HotnessPolicy, HybridOptions, Subject,
 };
+
+/// The padded benchmark suite as profiling subjects.
+fn bench_subjects() -> Vec<Subject> {
+    bench::benches().iter().map(Subject::from_kernel).collect()
+}
 
 fn config_for(encoding: EncodingKind) -> CompressionConfig {
     CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding }
@@ -22,7 +27,7 @@ fn config_for(encoding: EncodingKind) -> CompressionConfig {
 #[test]
 fn mid_range_coverage_recovers_cycles_and_retains_size() {
     let options = HybridOptions::default();
-    let results = hybrid_sweep(&options).unwrap();
+    let results = hybrid_sweep(&bench_subjects(), &options).unwrap();
     assert!(results.len() >= 4);
     let mut winners = Vec::new();
     for r in &results {
@@ -48,7 +53,9 @@ fn hybrid_images_lockstep_under_all_encodings() {
         TraceMask { skip_gprs: 1 << 0, mem_skip: std::iter::once(0xE0000..1 << 20).collect() };
     for name in ["fib", "bubble_sort", "call_frames", "quicksort"] {
         let kernel = bench::bench(name).unwrap();
-        let profile = collect(&kernel, EncodingKind::NibbleAligned, 10_000_000).unwrap();
+        let profile =
+            collect(&Subject::from_kernel(&kernel), EncodingKind::NibbleAligned, 10_000_000)
+                .unwrap();
         let hot = hot_mask(&profile, HotnessPolicy::TopCoverage(0.5));
         assert!(hot.exempt_insn_count() > 0, "{name}: expected some hot code");
         for encoding in [EncodingKind::Baseline, EncodingKind::OneByte, EncodingKind::NibbleAligned]
@@ -79,17 +86,17 @@ fn hybrid_images_lockstep_under_all_encodings() {
 /// impossible here since cold code still compresses — it must stay < 1).
 #[test]
 fn coverage_monotonically_trades_size_for_cycles() {
-    let kernel = bench::bench("gcd").unwrap();
+    let gcd = Subject::from_kernel(&bench::bench("gcd").unwrap());
     let options = HybridOptions::default();
-    let profile = collect(&kernel, options.encoding, options.max_steps).unwrap();
-    let native = score_native(&kernel, &options.cost, options.max_steps).unwrap();
+    let profile = collect(&gcd, options.encoding, options.max_steps).unwrap();
+    let native = score_native(&gcd, &options.cost, options.max_steps).unwrap();
     let mut last_ratio = 0.0;
     for coverage in [0.0, 0.5, 1.0] {
         let hot = hot_mask(&profile, HotnessPolicy::TopCoverage(coverage));
         let hybrid = Compressor::new(config_for(options.encoding))
-            .compress_masked(&kernel.module, &hot.exempt)
+            .compress_masked(&gcd.module, &hot.exempt)
             .unwrap();
-        let score = score_compressed(&kernel, &hybrid, &options.cost, options.max_steps).unwrap();
+        let score = score_compressed(&gcd, &hybrid, &options.cost, options.max_steps).unwrap();
         let ratio = hybrid.compression_ratio();
         assert!(ratio >= last_ratio, "ratio shrank as coverage grew: {ratio} < {last_ratio}");
         assert!(ratio < 1.0, "cold tail must still compress at coverage {coverage}");
@@ -101,10 +108,10 @@ fn coverage_monotonically_trades_size_for_cycles() {
 /// Both rendered artifacts must be byte-identical across worker counts.
 #[test]
 fn artifacts_are_identical_across_jobs() {
-    let kernels: Vec<_> = bench::benches().into_iter().take(4).collect();
+    let subjects = bench_subjects();
     let render = |jobs: usize| {
-        let profiles = par_map_with(jobs, kernels.clone(), |_, k| {
-            collect(&k, EncodingKind::NibbleAligned, 10_000_000).unwrap()
+        let profiles = par_map_with(jobs, subjects[..4].iter().collect(), |_, s| {
+            collect(s, EncodingKind::NibbleAligned, 10_000_000).unwrap()
         });
         render_profiles_json(&profiles, "nibble")
     };
@@ -113,7 +120,7 @@ fn artifacts_are_identical_across_jobs() {
     let options = HybridOptions { coverages: vec![0.0, 0.5, 1.0], ..HybridOptions::default() };
     let sweep = |jobs: usize| {
         codense_core::parallel::set_jobs(jobs);
-        let results = hybrid_sweep(&options).unwrap();
+        let results = hybrid_sweep(&subjects, &options).unwrap();
         codense_core::parallel::set_jobs(0);
         render_bench_json(&results, "nibble", &options.cost)
     };

@@ -24,7 +24,7 @@
 //! path ISA-independent.
 //!
 //! All engines report [`FetchStats`], making the fetch-bandwidth effect of
-//! compression measurable (the I-cache angle of [Chen97]).
+//! compression measurable (the I-cache angle of \[Chen97\]).
 
 use codense_core::container::ProgramImage;
 use codense_core::encoding::{read_item_coded, Item};

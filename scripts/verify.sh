@@ -26,6 +26,9 @@ cargo fmt --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc -D warnings (broken or ambiguous intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> fuzz smoke (500 cases)"
 ./target/release/codense fuzz --cases 500 --seed 1
 

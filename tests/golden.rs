@@ -281,3 +281,54 @@ fn golden_refine_formats() {
     });
     check_golden("refine_formats.txt", &lines.concat());
 }
+
+/// The program model's consumers other than [`Compressor`]: Liao's two
+/// methods (text and dictionary bytes at entry cap 4, the figures' cap) on
+/// the PowerPC suite, and every `core::sweep` entry point at full `f64`
+/// precision on a subset of both suites. The compressor goldens above pin
+/// none of these; Liao's own tests check only inequalities.
+#[test]
+fn golden_model_consumers() {
+    use codense::core::sweep;
+    use codense::liao::{self, LiaoMethod};
+    let mut out = String::new();
+    for m in codense::codegen::generate_suite() {
+        for (name, method) in
+            [("minisub", LiaoMethod::MiniSubroutine), ("calldict", LiaoMethod::CallDictionary)]
+        {
+            let c = liao::compress(&m, method, 4);
+            out.push_str(&format!(
+                "liao ppc {:<10} {name:<8} text {} dict {}\n",
+                m.name, c.text_bytes, c.dictionary_bytes
+            ));
+        }
+    }
+    const BENCHES: [&str; 3] = ["compress", "li", "ijpeg"];
+    let sizes = [16usize, 64, 256, 1024, 8192];
+    let suites = [
+        ("ppc", IsaRef(&codense::ppc::ISA), codense::codegen::generate_suite()),
+        ("mips", IsaRef(&codense::mips::ISA), codense::codegen::generate_suite_mips()),
+    ];
+    for (isa_name, isa, suite) in &suites {
+        for m in suite.iter().filter(|m| BENCHES.contains(&m.name.as_str())) {
+            let tag = format!("{isa_name} {:<10}", m.name);
+            let points = |sweep: &str, points: Vec<(usize, f64)>| {
+                points.iter().map(|(k, r)| format!("{tag} {sweep} {k} {r:?}\n")).collect::<String>()
+            };
+            let ratios = sweep::entry_len_sweep_with_isa(m, *isa, &[1, 2, 4, 8]).unwrap();
+            out.push_str(&points("entry_len", ratios));
+            let ratios = sweep::codeword_count_sweep_with_isa(m, *isa, 4, &sizes).unwrap();
+            out.push_str(&points("codeword_count", ratios));
+            let ratios = sweep::small_dictionary_sweep_with_isa(m, *isa, &[8, 16, 32]).unwrap();
+            out.push_str(&points("small_dictionary", ratios));
+            for (k, hist) in sweep::dict_composition_sweep_with_isa(m, *isa, 8, &sizes).unwrap() {
+                out.push_str(&format!("{tag} dict_composition {k} {hist:?}\n"));
+            }
+            for (k, by_len) in sweep::savings_by_length_sweep_with_isa(m, *isa, 8, &sizes).unwrap()
+            {
+                out.push_str(&format!("{tag} savings_by_length {k} {by_len:?}\n"));
+            }
+        }
+    }
+    check_golden("model_consumers.txt", &out);
+}
