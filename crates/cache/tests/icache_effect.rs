@@ -76,7 +76,7 @@ fn benchmark_images_halve_their_cold_footprint() {
     // holds), the cold-line footprint tracks the compression ratio: a
     // straight-line walk of the compressed image touches roughly half the
     // lines of the original.
-    let module = codense_codegen::benchmark("compress").unwrap();
+    let module = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
     let compressed =
         Compressor::new(CompressionConfig::nibble_aligned()).compress(&module).unwrap();
 

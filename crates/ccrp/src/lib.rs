@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! let module = codense_codegen::benchmark("compress").unwrap();
+//! let module = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
 //! let c = codense_ccrp::compress(&module, codense_ccrp::CcrpConfig::default());
 //! assert!(c.compression_ratio() < 1.0);
 //! let line0 = c.decompress_line(0).unwrap();

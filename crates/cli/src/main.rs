@@ -14,7 +14,7 @@
 
 use std::process::ExitCode;
 
-use codense_codegen::isa_ref;
+use codense_codegen::{isa_ref, LowerOptions};
 use codense_core::{
     container, verify::verify, CompressionConfig, Compressor, EncodingKind, SelectorKind,
 };
@@ -406,14 +406,6 @@ fn parse_isa(args: &Args) -> Result<IsaId, String> {
     IsaId::from_name(name).ok_or_else(|| format!("unknown ISA `{name}` (ppc|mips)"))
 }
 
-/// Generates one benchmark module for the given backend.
-fn benchmark_for(isa: IsaId, bench: &str) -> Option<ObjectModule> {
-    match isa {
-        IsaId::Ppc => codense_codegen::benchmark(bench),
-        IsaId::Mips => codense_codegen::benchmark_mips(bench),
-    }
-}
-
 fn parse_encoding(name: &str) -> Result<EncodingKind, String> {
     match name {
         "baseline" => Ok(EncodingKind::Baseline),
@@ -470,10 +462,10 @@ fn cmd_gen(args: &Args) -> CliResult {
         // Each benchmark is generated from its own seeded profile, so the
         // suite parallelizes with output identical to `generate_suite`.
         codense_core::parallel::par_map(codense_codegen::spec_profiles(), |_, p| {
-            codense_codegen::generate_module(&p)
+            codense_codegen::generate_module(&p, IsaId::Ppc, LowerOptions::default())
         })
     } else {
-        vec![codense_codegen::benchmark(which)
+        vec![codense_codegen::benchmark(which, IsaId::Ppc)
             .ok_or_else(|| format!("unknown benchmark `{which}`"))?]
     };
     for m in modules {
@@ -790,9 +782,8 @@ fn repro_rows(
     }
     let modules: Vec<ObjectModule> = {
         let _phase = telemetry::phase("suite-gen");
-        codense_core::parallel::par_map(profiles, move |_, p| match isa {
-            IsaId::Ppc => codense_codegen::generate_module(&p),
-            IsaId::Mips => codense_codegen::generate_module_mips(&p),
+        codense_core::parallel::par_map(profiles, move |_, p| {
+            codense_codegen::generate_module(&p, isa, LowerOptions::default())
         })
     };
 
@@ -1057,7 +1048,8 @@ fn cmd_sweep(args: &Args) -> CliResult {
     let selector = parse_selector(args)?;
     let module = match corpus::corpus_arg(args)? {
         Some(n) => corpus::corpus_program(args, n, isa)?.module,
-        None => benchmark_for(isa, bench).ok_or_else(|| format!("unknown benchmark `{bench}`"))?,
+        None => codense_codegen::benchmark(bench, isa)
+            .ok_or_else(|| format!("unknown benchmark `{bench}`"))?,
     };
     let isa = isa_ref(module.isa);
     println!("sweeps on `{}` ({} insns, {} bytes)", module.name, module.len(), module.text_bytes());
@@ -1452,7 +1444,7 @@ fn cmd_loadgen(args: &Args) -> CliResult {
         Some(n) => corpus::corpus_program(args, n, IsaId::Ppc)?.module,
         None => {
             let bench = args.value("--bench").unwrap_or("compress");
-            codense_codegen::benchmark(bench)
+            codense_codegen::benchmark(bench, IsaId::Ppc)
                 .ok_or_else(|| format!("unknown benchmark `{bench}`"))?
         }
     };

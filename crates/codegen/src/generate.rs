@@ -3,11 +3,13 @@
 //! Generation is fully deterministic (seeded [`Rng`]), so every run of the
 //! reproduction sees bit-identical "benchmarks".
 
+use codense_isa::IsaId;
 use codense_obj::ObjectModule;
 
 use crate::ir::{
     BinOp, CmpOp, Cond, Expr, FuncRef, Function, Global, Local, Program, Stmt, UnOp, Width,
 };
+use crate::lower::{lower_program, LowerOptions};
 use crate::profile::{lib_profile, spec_profiles, BenchProfile};
 use crate::rng::Rng;
 
@@ -276,108 +278,67 @@ pub fn build_program(profile: &BenchProfile) -> Program {
     Program { name: profile.name.to_owned(), functions, globals: profile.globals.max(lib.globals) }
 }
 
-/// Generates the object module for one benchmark profile.
+/// Generates the object module for one benchmark profile on `isa`. Every
+/// ISA lowers the same IR program (one generator stream); `options` sets
+/// the lowering policy (e.g. standardized prologues, the paper's §5
+/// proposal).
 ///
 /// # Panics
 ///
 /// Panics if lowering fails, which would indicate a generator bug (all
 /// generated functions are small enough for every branch to resolve).
-pub fn generate_module(profile: &BenchProfile) -> ObjectModule {
-    generate_module_with(profile, crate::lower::LowerOptions::default())
-}
-
-/// Generates a benchmark with explicit lowering policy (e.g. standardized
-/// prologues, the paper's §5 proposal).
-///
-/// # Panics
-///
-/// Panics if lowering fails (a generator bug).
-pub fn generate_module_with(
-    profile: &BenchProfile,
-    options: crate::lower::LowerOptions,
-) -> ObjectModule {
+pub fn generate_module(profile: &BenchProfile, isa: IsaId, options: LowerOptions) -> ObjectModule {
     let program = build_program(profile);
-    let module =
-        crate::lower::lower_program_with(&program, options).expect("generated program lowers");
-    debug_assert_eq!(module.validate_with(crate::isa_ref(module.isa)), Ok(()));
+    let module = lower_program(&program, isa, options).expect("generated program lowers");
+    debug_assert_eq!(module.validate_with(crate::isa_ref(isa)), Ok(()));
     module
 }
 
-/// Generates the full eight-benchmark suite in the paper's order.
-pub fn generate_suite() -> Vec<ObjectModule> {
-    spec_profiles().iter().map(generate_module).collect()
+/// Generates the full eight-benchmark suite on `isa` in the paper's order,
+/// with the default lowering.
+pub fn generate_suite(isa: IsaId) -> Vec<ObjectModule> {
+    spec_profiles().iter().map(|p| generate_module(p, isa, LowerOptions::default())).collect()
 }
 
-/// Generates a single benchmark by its paper name (`"gcc"`, `"ijpeg"`, …).
-pub fn benchmark(name: &str) -> Option<ObjectModule> {
-    spec_profiles().iter().find(|p| p.name == name).map(generate_module)
-}
-
-/// Generates the MIPS object module for one benchmark profile — the *same*
-/// IR program as [`generate_module`] (bit-identical generator stream),
-/// lowered through the MIPS templates.
-///
-/// # Panics
-///
-/// Panics if lowering fails, which would indicate a generator bug.
-pub fn generate_module_mips(profile: &BenchProfile) -> ObjectModule {
-    generate_module_mips_with(profile, crate::lower::LowerOptions::default())
-}
-
-/// [`generate_module_mips`] with explicit lowering policy.
-///
-/// # Panics
-///
-/// Panics if lowering fails (a generator bug).
-pub fn generate_module_mips_with(
-    profile: &BenchProfile,
-    options: crate::lower::LowerOptions,
-) -> ObjectModule {
-    let program = build_program(profile);
-    let module = crate::lower_mips::lower_program_mips_with(&program, options)
-        .expect("generated program lowers");
-    debug_assert_eq!(module.validate_with(crate::isa_ref(module.isa)), Ok(()));
-    module
-}
-
-/// Generates the full eight-benchmark suite as MIPS modules.
-pub fn generate_suite_mips() -> Vec<ObjectModule> {
-    spec_profiles().iter().map(generate_module_mips).collect()
-}
-
-/// Generates a single MIPS benchmark by its paper name.
-pub fn benchmark_mips(name: &str) -> Option<ObjectModule> {
-    spec_profiles().iter().find(|p| p.name == name).map(generate_module_mips)
+/// Generates a single benchmark on `isa` by its paper name (`"gcc"`,
+/// `"ijpeg"`, …), with the default lowering.
+pub fn benchmark(name: &str, isa: IsaId) -> Option<ObjectModule> {
+    let profile = spec_profiles().into_iter().find(|p| p.name == name)?;
+    Some(generate_module(&profile, isa, LowerOptions::default()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codense_isa::IsaId;
 
     #[test]
     fn generation_is_deterministic() {
         let p = &spec_profiles()[0];
-        let a = generate_module(p);
-        let b = generate_module(p);
-        assert_eq!(a.code, b.code);
-        assert_eq!(a.functions, b.functions);
-        assert_eq!(a.jump_tables, b.jump_tables);
+        for isa in IsaId::ALL {
+            let a = generate_module(p, isa, LowerOptions::default());
+            let b = generate_module(p, isa, LowerOptions::default());
+            assert_eq!(a.code, b.code);
+            assert_eq!(a.functions, b.functions);
+            assert_eq!(a.jump_tables, b.jump_tables);
+        }
     }
 
     #[test]
     fn modules_validate() {
         // Smallest benchmark only; the full suite is exercised by
         // integration tests.
-        let m = benchmark("compress").unwrap();
-        assert_eq!(m.validate_with(crate::isa_ref(IsaId::Ppc)), Ok(()));
-        assert!(m.len() > 2000, "compress stand-in too small: {}", m.len());
+        for isa in IsaId::ALL {
+            let m = benchmark("compress", isa).unwrap();
+            assert_eq!(m.isa, isa);
+            assert_eq!(m.validate_with(crate::isa_ref(isa)), Ok(()));
+            assert!(m.len() > 2000, "compress stand-in too small: {}", m.len());
+        }
     }
 
     #[test]
     fn library_tail_is_shared() {
-        let a = benchmark("compress").unwrap();
-        let b = benchmark("li").unwrap();
+        let a = benchmark("compress", IsaId::Ppc).unwrap();
+        let b = benchmark("li", IsaId::Ppc).unwrap();
         // The final library function bodies are identical instruction
         // sequences modulo relocation; compare the *last* function's length.
         let fa = a.functions.last().unwrap();
@@ -388,24 +349,7 @@ mod tests {
 
     #[test]
     fn unknown_benchmark_is_none() {
-        assert!(benchmark("espresso").is_none());
-    }
-
-    #[test]
-    fn mips_generation_is_deterministic() {
-        let p = &spec_profiles()[0];
-        let a = generate_module_mips(p);
-        let b = generate_module_mips(p);
-        assert_eq!(a.code, b.code);
-        assert_eq!(a.functions, b.functions);
-        assert_eq!(a.jump_tables, b.jump_tables);
-    }
-
-    #[test]
-    fn mips_modules_validate() {
-        let m = benchmark_mips("compress").unwrap();
-        assert_eq!(m.validate_with(crate::isa_ref(IsaId::Mips)), Ok(()));
-        assert!(m.len() > 2000, "compress stand-in too small: {}", m.len());
+        assert!(benchmark("espresso", IsaId::Ppc).is_none());
     }
 
     #[test]
@@ -413,8 +357,8 @@ mod tests {
         // The two backends consume the same IR program (one generator
         // stream), so they agree on structure: function count, names, and
         // jump-table shapes — only the instruction encoding differs.
-        let ppc = benchmark("compress").unwrap();
-        let mips = benchmark_mips("compress").unwrap();
+        let ppc = benchmark("compress", IsaId::Ppc).unwrap();
+        let mips = benchmark("compress", IsaId::Mips).unwrap();
         assert_eq!(ppc.functions.len(), mips.functions.len());
         for (a, b) in ppc.functions.iter().zip(&mips.functions) {
             assert_eq!(a.name, b.name);
@@ -428,15 +372,15 @@ mod tests {
     }
 
     #[test]
-    fn mips_standardized_prologues_grow_code() {
+    fn standardized_prologues_grow_code() {
         let profiles = spec_profiles();
         let p = profiles.iter().find(|p| p.name == "compress").unwrap();
-        let plain = generate_module_mips(p);
-        let std_pe = generate_module_mips_with(
-            p,
-            crate::lower::LowerOptions { standardize_prologues: true, ..Default::default() },
-        );
-        assert!(std_pe.len() > plain.len());
-        assert_eq!(std_pe.validate_with(crate::isa_ref(IsaId::Mips)), Ok(()));
+        for isa in IsaId::ALL {
+            let plain = generate_module(p, isa, LowerOptions::default());
+            let std_pe = LowerOptions { standardize_prologues: true, ..Default::default() };
+            let std_pe = generate_module(p, isa, std_pe);
+            assert!(std_pe.len() > plain.len());
+            assert_eq!(std_pe.validate_with(crate::isa_ref(isa)), Ok(()));
+        }
     }
 }

@@ -14,11 +14,11 @@
 //! * [`generate`] — a seeded random program builder with per-benchmark
 //!   [`profile::BenchProfile`]s that mirror the scale ordering and character
 //!   of the eight SPEC CINT95 programs,
-//! * [`lower`] — template-based PowerPC lowering with GCC-like conventions
-//!   (standard prologue/epilogue shapes, `stmw`/`lmw` register saves,
-//!   argument registers, scratch-register discipline, jump-table switches),
-//! * [`lower_mips`] — the MIPS twin: the same IR through O32-style
-//!   templates, sharing the register-allocation and leaf policies so one
+//! * [`lower`] — template-based lowering with GCC-like conventions
+//!   (standard prologue/epilogue shapes, argument registers,
+//!   scratch-register discipline, jump-table switches): one IR walk owns
+//!   frames, register allocation and control flow, over a PowerPC (SVR4,
+//!   `stmw`/`lmw` saves) or a MIPS (O32) instruction-template table, so one
 //!   program yields structurally parallel modules on both ISAs.
 //!
 //! Everything is deterministic: the same profile always yields the same
@@ -28,25 +28,27 @@
 //! # Example
 //!
 //! ```
-//! let module = codense_codegen::benchmark("compress").unwrap();
-//! assert_eq!(module.validate_with(codense_codegen::isa_ref(module.isa)), Ok(()));
-//! assert!(module.len() > 1000);
+//! use codense_isa::IsaId;
+//!
+//! for isa in IsaId::ALL {
+//!     let module = codense_codegen::benchmark("compress", isa).unwrap();
+//!     assert_eq!(module.validate_with(codense_codegen::isa_ref(isa)), Ok(()));
+//!     assert!(module.len() > 1000);
+//! }
 //! ```
 
 pub mod generate;
 pub mod ir;
 pub mod lower;
-pub mod lower_mips;
+mod mips_templates;
+mod ppc_templates;
 pub mod profile;
 pub mod rng;
 
 use codense_isa::{IsaId, IsaRef};
 
-pub use generate::{
-    benchmark, benchmark_mips, build_program, generate_module, generate_module_mips,
-    generate_module_mips_with, generate_module_with, generate_suite, generate_suite_mips,
-};
-pub use lower::LowerOptions;
+pub use generate::{benchmark, build_program, generate_module, generate_suite};
+pub use lower::{lower_program, LowerOptions};
 pub use profile::{lib_profile, spec_profiles, BenchProfile};
 pub use rng::Rng;
 

@@ -1,73 +1,75 @@
 //! Lowering correctness: template shapes, metadata, and — the strongest
-//! check — actually executing lowered IR on the VM and comparing against
-//! host-evaluated semantics.
+//! check — actually executing lowered IR on each ISA's machine and
+//! comparing against host-evaluated semantics.
 
 use codense_codegen::ir::*;
-use codense_codegen::lower::{lower_program_with, LowerOptions};
-use codense_codegen::{build_program, spec_profiles};
-use codense_ppc::{decode, Insn};
-use codense_vm::{machine::Machine, run::run, LinearFetcher};
+use codense_codegen::lower::{lower_program, LowerOptions, TABLE_BASE, TABLE_STRIDE};
+use codense_codegen::{build_program, generate_module, isa_ref, spec_profiles};
+use codense_isa::{Core, IsaId};
+use codense_mips::{reg as mreg, MInsn};
+use codense_ppc::Insn;
+use codense_vm::{run::run, LinearFetcher};
 
 /// The synthetic `.data` base the lowering uses for globals (see lower.rs).
 const GLOBAL_BASE: u32 = 0x0040_0000;
 
-fn lower_one(func: Function, globals: u16) -> codense_obj::ObjectModule {
-    let program = Program { name: "t".into(), functions: vec![func], globals };
-    lower_program_with(&program, LowerOptions::default()).unwrap()
+fn program(functions: Vec<Function>, globals: u16) -> Program {
+    Program { name: "t".into(), functions, globals }
 }
 
-/// Runs function 0 of a module to completion: enters at its first
-/// instruction with LR pointing at an appended `sc`, returns the machine.
-fn execute(module: &codense_obj::ObjectModule, args: &[u32]) -> Machine {
-    let mut code = module.code.clone();
-    let halt_index = code.len();
-    code.push(codense_ppc::encode(&Insn::Sc));
-    let mut machine = Machine::new(0x50_0000); // covers the global area
-    machine.lr = (8 * halt_index) as u32;
+/// Lowers `program` for `isa` behind the entry stub and runs it to the
+/// halt: function 0 gets `args` in the argument registers and its return
+/// value is the exit code. Jump tables are seeded for native execution.
+fn execute(program: &Program, isa: IsaId, args: &[u32]) -> Box<dyn Core> {
+    let options = LowerOptions { entry_stub: true, ..LowerOptions::default() };
+    let module = lower_program(program, isa, options).unwrap();
+    let mut core = isa_ref(isa).new_core(0x60_0000); // globals and jump tables
+    let arg0 = if isa == IsaId::Ppc { 3 } else { 4 };
     for (i, &v) in args.iter().enumerate() {
-        machine.gpr[3 + i] = v;
+        core.set_gpr(arg0 + i, v);
     }
-    let mut fetch = LinearFetcher::new(code);
-    run(&mut machine, &mut fetch, 8 * module.functions[0].start as u64, 1_000_000)
-        .expect("lowered function runs to completion");
-    machine
+    for (t, table) in module.jump_tables.iter().enumerate() {
+        for (e, &target) in table.targets.iter().enumerate() {
+            let addr = TABLE_BASE + TABLE_STRIDE * t as u32 + 4 * e as u32;
+            core.write32(addr, 8 * target as u32).unwrap();
+        }
+    }
+    let mut fetch = LinearFetcher::new(module.code);
+    run(core.as_mut(), &mut fetch, 0, 1_000_000).expect("lowered program runs to completion");
+    core
+}
+
+fn load32(core: &dyn Core, addr: u32) -> u32 {
+    let a = addr as usize;
+    u32::from_be_bytes(core.mem_bytes()[a..a + 4].try_into().unwrap())
+}
+
+fn local(l: u16) -> Expr {
+    Expr::Local(Local(l), Width::Word)
+}
+
+fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+    Expr::Bin(op, Box::new(a), Box::new(b))
 }
 
 #[test]
 fn arithmetic_lowers_to_correct_semantics() {
     // g0 = (7 + 5) * 3 - 4  == 32
+    let seven_plus_five = bin(BinOp::Add, Expr::Const(7), Expr::Const(5));
     let func = Function {
         name: "f".into(),
         params: 0,
         locals: 2,
         body: vec![
-            Stmt::AssignLocal(
-                Local(0),
-                Expr::Bin(
-                    BinOp::Mul,
-                    Box::new(Expr::Bin(
-                        BinOp::Add,
-                        Box::new(Expr::Const(7)),
-                        Box::new(Expr::Const(5)),
-                    )),
-                    Box::new(Expr::Const(3)),
-                ),
-            ),
-            Stmt::AssignGlobal(
-                Global(0),
-                Width::Word,
-                Expr::Bin(
-                    BinOp::Sub,
-                    Box::new(Expr::Local(Local(0), Width::Word)),
-                    Box::new(Expr::Const(4)),
-                ),
-            ),
+            Stmt::AssignLocal(Local(0), bin(BinOp::Mul, seven_plus_five, Expr::Const(3))),
+            Stmt::AssignGlobal(Global(0), Width::Word, bin(BinOp::Sub, local(0), Expr::Const(4))),
             Stmt::Return(None),
         ],
     };
-    let module = lower_one(func, 4);
-    let machine = execute(&module, &[]);
-    assert_eq!(machine.load32(GLOBAL_BASE).unwrap(), 32);
+    let program = program(vec![func], 4);
+    for isa in IsaId::ALL {
+        assert_eq!(load32(&*execute(&program, isa, &[]), GLOBAL_BASE), 32, "{isa:?}");
+    }
 }
 
 #[test]
@@ -78,31 +80,20 @@ fn params_return_and_calls_work() {
         params: 2,
         locals: 3,
         body: vec![
-            Stmt::AssignLocal(
-                Local(2),
-                Expr::Call(FuncRef(1), vec![Expr::Local(Local(0), Width::Word)]),
-            ),
-            Stmt::Return(Some(Expr::Bin(
-                BinOp::Add,
-                Box::new(Expr::Local(Local(2), Width::Word)),
-                Box::new(Expr::Local(Local(1), Width::Word)),
-            ))),
+            Stmt::AssignLocal(Local(2), Expr::Call(FuncRef(1), vec![local(0)])),
+            Stmt::Return(Some(bin(BinOp::Add, local(2), local(1)))),
         ],
     };
     let f1 = Function {
         name: "f1".into(),
         params: 1,
         locals: 1,
-        body: vec![Stmt::Return(Some(Expr::Bin(
-            BinOp::Mul,
-            Box::new(Expr::Local(Local(0), Width::Word)),
-            Box::new(Expr::Local(Local(0), Width::Word)),
-        )))],
+        body: vec![Stmt::Return(Some(bin(BinOp::Mul, local(0), local(0))))],
     };
-    let program = Program { name: "t".into(), functions: vec![f0, f1], globals: 1 };
-    let module = lower_program_with(&program, LowerOptions::default()).unwrap();
-    let machine = execute(&module, &[6, 9]);
-    assert_eq!(machine.gpr[3], 45);
+    let program = program(vec![f0, f1], 1);
+    for isa in IsaId::ALL {
+        assert_eq!(execute(&program, isa, &[6, 9]).exit_code(), 45, "{isa:?}");
+    }
 }
 
 #[test]
@@ -118,21 +109,14 @@ fn control_flow_lowers_correctly() {
                 var: Local(0),
                 from: 0,
                 to: 10,
-                body: vec![Stmt::AssignLocal(
-                    Local(1),
-                    Expr::Bin(
-                        BinOp::Add,
-                        Box::new(Expr::Local(Local(1), Width::Word)),
-                        Box::new(Expr::Local(Local(0), Width::Word)),
-                    ),
-                )],
+                body: vec![Stmt::AssignLocal(Local(1), bin(BinOp::Add, local(1), local(0)))],
             },
-            Stmt::AssignGlobal(Global(0), Width::Word, Expr::Local(Local(1), Width::Word)),
+            Stmt::AssignGlobal(Global(0), Width::Word, local(1)),
             Stmt::If {
                 cond: Cond {
                     op: CmpOp::Gt,
                     unsigned: false,
-                    lhs: Expr::Local(Local(1), Width::Word),
+                    lhs: local(1),
                     rhs: Expr::Const(40),
                     crf: 0,
                 },
@@ -142,10 +126,12 @@ fn control_flow_lowers_correctly() {
             Stmt::Return(None),
         ],
     };
-    let module = lower_one(func, 4);
-    let machine = execute(&module, &[]);
-    assert_eq!(machine.load32(GLOBAL_BASE).unwrap(), 45);
-    assert_eq!(machine.load32(GLOBAL_BASE + 4).unwrap(), 1);
+    let program = program(vec![func], 4);
+    for isa in IsaId::ALL {
+        let core = execute(&program, isa, &[]);
+        assert_eq!(load32(&*core, GLOBAL_BASE), 45, "{isa:?}");
+        assert_eq!(load32(&*core, GLOBAL_BASE + 4), 1, "{isa:?}");
+    }
 }
 
 #[test]
@@ -161,74 +147,150 @@ fn while_and_unary_ops() {
                 cond: Cond {
                     op: CmpOp::Lt,
                     unsigned: false,
-                    lhs: Expr::Local(Local(0), Width::Word),
+                    lhs: local(0),
                     rhs: Expr::Const(100),
                     crf: 1,
                 },
                 body: vec![Stmt::AssignLocal(
                     Local(0),
-                    Expr::Bin(
-                        BinOp::Shl(1),
-                        Box::new(Expr::Local(Local(0), Width::Word)),
-                        Box::new(Expr::Const(0)),
-                    ),
+                    bin(BinOp::Shl(1), local(0), Expr::Const(0)),
                 )],
             },
-            Stmt::AssignGlobal(
-                Global(0),
-                Width::Word,
-                Expr::Un(UnOp::Neg, Box::new(Expr::Local(Local(0), Width::Word))),
-            ),
+            Stmt::AssignGlobal(Global(0), Width::Word, Expr::Un(UnOp::Neg, Box::new(local(0)))),
             Stmt::Return(None),
         ],
     };
-    let module = lower_one(func, 1);
-    let machine = execute(&module, &[]);
-    assert_eq!(machine.load32(GLOBAL_BASE).unwrap(), (-128i32) as u32);
+    let program = program(vec![func], 1);
+    for isa in IsaId::ALL {
+        assert_eq!(load32(&*execute(&program, isa, &[]), GLOBAL_BASE), (-128i32) as u32, "{isa:?}");
+    }
+}
+
+#[test]
+fn switches_dispatch_through_their_jump_tables() {
+    // x = 100; switch (a) { 10, 11, 12 }; switch (a - 1) { x += 5, x += 7 };
+    // return x. The first scrutinee is a register local, the second owns
+    // a scratch register; an out-of-range value skips the switch.
+    let set = |v| vec![Stmt::AssignLocal(Local(1), Expr::Const(v))];
+    let add = |v| vec![Stmt::AssignLocal(Local(1), bin(BinOp::Add, local(1), Expr::Const(v)))];
+    let func = Function {
+        name: "f".into(),
+        params: 1,
+        locals: 2,
+        body: vec![
+            Stmt::AssignLocal(Local(1), Expr::Const(100)),
+            Stmt::Switch { scrutinee: local(0), cases: vec![set(10), set(11), set(12)] },
+            Stmt::Switch {
+                scrutinee: bin(BinOp::Sub, local(0), Expr::Const(1)),
+                cases: vec![add(5), add(7)],
+            },
+            Stmt::Return(Some(local(1))),
+        ],
+    };
+    let program = program(vec![func], 1);
+    for isa in IsaId::ALL {
+        for (arg, want) in [(0, 10), (1, 16), (2, 19), (3, 100), (u32::MAX, 100)] {
+            assert_eq!(execute(&program, isa, &[arg]).exit_code(), want, "{isa:?} a = {arg}");
+        }
+    }
+}
+
+#[test]
+fn indexed_stores_and_loads_round_trip() {
+    // p = &g[64]; q = &g[128] (a frame local); i = 1;
+    // p[3] = 77 (word); q[i] = -2 (half); p[i] = 5 (byte);
+    // return p[3] + q[i] + p[i] (zero-extended loads) == 77 + 0xfffe + 5.
+    let index = |base: u16, index: Expr, width| Expr::Index {
+        base: Local(base),
+        index: Box::new(index),
+        width,
+    };
+    let store = |base: u16, index: Expr, width, value: i16| Stmt::StoreIndex {
+        base: Local(base),
+        index,
+        width,
+        value: Expr::Const(value),
+    };
+    let func = Function {
+        name: "f".into(),
+        params: 0,
+        locals: 3,
+        body: vec![
+            Stmt::AssignLocal(Local(0), Expr::ConstWide((GLOBAL_BASE + 0x100) as i32)),
+            Stmt::AssignLocal(Local(2), Expr::ConstWide((GLOBAL_BASE + 0x200) as i32)),
+            Stmt::AssignLocal(Local(1), Expr::Const(1)),
+            store(0, Expr::Const(3), Width::Word, 77),
+            store(2, local(1), Width::Half, -2),
+            store(0, local(1), Width::Byte, 5),
+            Stmt::Return(Some(bin(
+                BinOp::Add,
+                bin(
+                    BinOp::Add,
+                    index(0, Expr::Const(3), Width::Word),
+                    index(2, local(1), Width::Half),
+                ),
+                index(0, local(1), Width::Byte),
+            ))),
+        ],
+    };
+    let program = program(vec![func], 256);
+    for isa in IsaId::ALL {
+        assert_eq!(execute(&program, isa, &[]).exit_code(), 77 + 0xfffe + 5, "{isa:?}");
+    }
 }
 
 #[test]
 fn prologue_template_shape() {
-    let profile = &spec_profiles()[0];
-    let program = build_program(profile);
-    let module = lower_program_with(&program, LowerOptions::default()).unwrap();
-    // Every function starts with the frame-allocation store-with-update.
-    for func in &module.functions {
-        let first = decode(module.code[func.start]);
-        assert!(matches!(first, Insn::Stwu { .. }), "{}: prologue starts {first:?}", func.name);
-        // Epilogue ends with blr.
-        let last = decode(module.code[func.end - 1]);
-        assert!(matches!(last, Insn::Bclr { .. }), "{}: ends {last:?}", func.name);
+    let program = build_program(&spec_profiles()[0]);
+    for isa in IsaId::ALL {
+        let module = lower_program(&program, isa, LowerOptions::default()).unwrap();
+        // Every function starts by allocating its frame and ends with the
+        // return through the link register.
+        for func in &module.functions {
+            let (first, last) = (module.code[func.start], module.code[func.end - 1]);
+            let shaped = match isa {
+                IsaId::Ppc => {
+                    matches!(codense_ppc::decode(first), Insn::Stwu { .. })
+                        && matches!(codense_ppc::decode(last), Insn::Bclr { .. })
+                }
+                IsaId::Mips => {
+                    matches!(codense_mips::decode(first), MInsn::Addiu { rt: mreg::SP, .. })
+                        && codense_mips::decode(last) == MInsn::Jr { rs: mreg::RA }
+                }
+            };
+            assert!(shaped, "{isa:?} {}: {first:08x} .. {last:08x}", func.name);
+        }
     }
 }
 
 #[test]
 fn standardized_prologues_are_identical() {
-    let profile = &spec_profiles()[0];
-    let program = build_program(profile);
-    let module = lower_program_with(
-        &program,
-        LowerOptions { standardize_prologues: true, ..LowerOptions::default() },
-    )
-    .unwrap();
-    // The 4-instruction core prologue (stwu/mflr/stw/stmw) is bit-identical
-    // in every function — the property that makes it one dictionary entry.
-    let reference: Vec<u32> = module.code[module.functions[0].start..][..4].to_vec();
-    for func in &module.functions {
-        assert_eq!(&module.code[func.start..func.start + 4], &reference[..], "{}", func.name);
+    let program = build_program(&spec_profiles()[0]);
+    let options = LowerOptions { standardize_prologues: true, ..LowerOptions::default() };
+    // The core prologue (PowerPC stwu/mflr/stw/stmw; MIPS addiu and seven
+    // sw) is bit-identical in every function — the property that makes it
+    // one dictionary entry.
+    for (isa, len) in [(IsaId::Ppc, 4), (IsaId::Mips, 8)] {
+        let module = lower_program(&program, isa, options).unwrap();
+        let reference = &module.code[module.functions[0].start..][..len];
+        for func in &module.functions {
+            assert_eq!(&module.code[func.start..][..len], reference, "{isa:?} {}", func.name);
+        }
     }
 }
 
 #[test]
 fn switches_produce_consistent_jump_tables() {
     let profile = &spec_profiles()[1]; // gcc: switch-heavy
-    let module = codense_codegen::generate_module(profile);
-    assert!(!module.jump_tables.is_empty());
-    let bbs = codense_obj::BasicBlocks::compute_with(&module, codense_codegen::isa_ref(module.isa));
-    for table in &module.jump_tables {
-        assert!(table.targets.len() >= 2);
-        for &t in &table.targets {
-            assert!(bbs.is_leader(t), "jump table target {t} must start a block");
+    for isa in IsaId::ALL {
+        let module = generate_module(profile, isa, LowerOptions::default());
+        assert!(!module.jump_tables.is_empty());
+        let bbs = codense_obj::BasicBlocks::compute_with(&module, isa_ref(isa));
+        for table in &module.jump_tables {
+            assert!(table.targets.len() >= 2);
+            for &t in &table.targets {
+                assert!(bbs.is_leader(t), "{isa:?}: jump table target {t} must start a block");
+            }
         }
     }
 }
@@ -236,7 +298,9 @@ fn switches_produce_consistent_jump_tables() {
 #[test]
 fn lowering_is_deterministic() {
     let profile = &spec_profiles()[3];
-    let a = codense_codegen::generate_module(profile);
-    let b = codense_codegen::generate_module(profile);
-    assert_eq!(a.code, b.code);
+    for isa in IsaId::ALL {
+        let a = generate_module(profile, isa, LowerOptions::default());
+        let b = generate_module(profile, isa, LowerOptions::default());
+        assert_eq!(a.code, b.code, "{isa:?}");
+    }
 }

@@ -281,16 +281,16 @@ mod tests {
     /// trial), under all four encodings, and with a hot-exempt mask.
     #[test]
     fn every_scored_layout_costs_what_it_packs_to() {
-        use codense_codegen::{generate_suite, generate_suite_mips, isa_ref};
+        use codense_codegen::{generate_suite, isa_ref};
         let configs = [
             CompressionConfig::baseline(),
             CompressionConfig::small_dictionary(256),
             CompressionConfig::nibble_aligned(),
             CompressionConfig::huffman(),
         ];
-        let cases: Vec<(ObjectModule, CompressionConfig)> = generate_suite()
+        let cases: Vec<(ObjectModule, CompressionConfig)> = codense_isa::IsaId::ALL
             .into_iter()
-            .chain(generate_suite_mips())
+            .flat_map(generate_suite)
             .flat_map(|m| configs.iter().map(move |config| (m.clone(), config.clone())))
             .collect();
         let scored = crate::parallel::par_map(cases, |_, (m, config)| {

@@ -253,7 +253,7 @@ mod tests {
     /// own ISA, as the other sweeps do.
     #[test]
     fn pick_log_sweeps_take_the_module_isa() {
-        let m = codense_codegen::benchmark_mips("compress").unwrap();
+        let m = codense_codegen::benchmark("compress", codense_isa::IsaId::Mips).unwrap();
         let isa = codense_codegen::isa_ref(m.isa);
         let sizes = [16, 256, 8192];
         let comp = dict_composition_sweep_with_isa(&m, isa, 8, &sizes).unwrap();

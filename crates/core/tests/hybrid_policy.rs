@@ -65,7 +65,7 @@ fn all_hot_mask_disables_the_dictionary() {
 /// `compress_masked` with nothing exempt.
 #[test]
 fn all_cold_mask_is_byte_identical_to_plain_compression() {
-    let m = codense_codegen::benchmark("compress").unwrap();
+    let m = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
     for config in configs() {
         let plain = Compressor::new(config.clone()).compress(&m).unwrap();
         for mask in [vec![], vec![false; m.len()]] {

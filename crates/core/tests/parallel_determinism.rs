@@ -20,7 +20,7 @@ static JOBS_LOCK: Mutex<()> = Mutex::new(());
 const PPC: codense_isa::IsaRef = codense_isa::IsaRef(&codense_ppc::ISA);
 
 fn module() -> ObjectModule {
-    codense_codegen::benchmark("compress").expect("compress benchmark")
+    codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).expect("compress benchmark")
 }
 
 /// Runs `f` under the given worker count, restoring the default after.

@@ -39,8 +39,7 @@
 use codense_codegen::ir::{
     BinOp, CmpOp, Cond, Expr, FuncRef, Function, Global, Local, Program, Stmt, Width,
 };
-use codense_codegen::lower::lower_program_with;
-use codense_codegen::lower_mips::lower_program_mips_with;
+use codense_codegen::lower::{code_addr_regs, lower_program, TABLE_STRIDE};
 use codense_codegen::{LowerOptions, Rng};
 use codense_isa::{Core, IsaId, IsaRef, MachineError};
 use codense_obj::ObjectModule;
@@ -51,9 +50,10 @@ use codense_vm::{run, LinearFetcher, RunResult};
 /// parked near the top.
 pub const MEM_BYTES: usize = 1 << 23;
 
-/// Base byte address of jump table 0; table *t* lives at `TABLE_BASE + 64t`
-/// (the lowering's `TABLE_HI`/`table_id * 64` addressing, 16 entries max).
-pub const TABLE_BASE: u32 = 0x0050_0000;
+/// Base byte address of jump table 0; table *t* lives at
+/// `TABLE_BASE + 64t`, where the lowering's switch template addresses it
+/// (16 entries max).
+pub use codense_codegen::lower::TABLE_BASE;
 
 /// Global variable slots (global 0 is the never-written cold-path flag).
 const GLOBALS: u16 = 256;
@@ -245,8 +245,7 @@ pub fn build(spec: &CorpusSpec, isa: CorpusIsa) -> Result<CorpusProgram, BuildEr
     };
 
     module.validate_with(isa.isa_ref()).map_err(|e| BuildError::Lower(e.to_string()))?;
-    let table_addrs: Vec<u32> =
-        (0..module.jump_tables.len()).map(|t| TABLE_BASE + 64 * t as u32).collect();
+    let table_addrs: Vec<u32> = (0..module.jump_tables.len()).map(table_addr).collect();
     let stats = CorpusStats {
         modules,
         functions: module.functions.len(),
@@ -264,13 +263,7 @@ impl CorpusProgram {
     /// *native* (word-granular) execution: entry *e* of table *t* holds the
     /// fetch-domain address `8 × target`.
     pub fn native_core(&self) -> Result<Box<dyn Core>, MachineError> {
-        let mut core = self.new_core();
-        for (t, table) in self.module.jump_tables.iter().enumerate() {
-            for (e, &target) in table.targets.iter().enumerate() {
-                core.write32(self.table_addrs[t] + 4 * e as u32, 8 * target as u32)?;
-            }
-        }
-        Ok(core)
+        seeded_core(&self.module, self.isa)
     }
 
     /// Runs the program natively (linear fetch) to completion.
@@ -281,39 +274,29 @@ impl CorpusProgram {
     /// cleanly; see [`CorpusStats::dynamic_insns`] for the step budget it
     /// needs).
     pub fn run_native(&self, max_steps: u64) -> Result<RunResult, MachineError> {
-        let mut core = self.native_core()?;
-        let mut fetch = LinearFetcher::new(self.module.code.clone());
-        run(core.as_mut(), &mut fetch, 0, max_steps)
+        run_module(&self.module, self.isa, max_steps)
     }
 
     /// GPR numbers that legitimately hold fetch-domain addresses under this
     /// ISA's lowering templates, for lockstep masking: the link-register
-    /// spill path and the jump-table dispatch scratch.
+    /// path and the jump-table dispatch scratch
+    /// ([`code_addr_regs`]).
     pub fn mask_gprs(&self) -> &'static [u8] {
-        match self.isa {
-            // r0 spills LR in prologues/epilogues; r11 carries the loaded
-            // jump-table entry in the switch template.
-            CorpusIsa::Ppc => &[0, 11],
-            // $ra holds `jal` link values; $t0/$t1 carry the loaded
-            // jump-table entry depending on scrutinee shape.
-            CorpusIsa::Mips => &[8, 9, 31],
-        }
+        code_addr_regs(self.isa.id())
     }
 
     /// Byte ranges excluded from lockstep memory comparison: the jump-table
     /// region (seeded domain-specifically by construction) and the stack
     /// region (stale spilled link-register values).
     pub fn mem_mask_ranges(&self) -> Vec<std::ops::Range<usize>> {
-        let tables = TABLE_BASE as usize..TABLE_BASE as usize + 64 * self.table_addrs.len();
+        let tables = TABLE_BASE as usize..table_addr(self.table_addrs.len()) as usize;
         vec![tables, MEM_BYTES - STACK_MASK_BYTES..MEM_BYTES]
     }
+}
 
-    fn new_core(&self) -> Box<dyn Core> {
-        match self.isa {
-            CorpusIsa::Ppc => Box::new(codense_ppc::machine::Machine::new(MEM_BYTES)),
-            CorpusIsa::Mips => Box::new(codense_mips::Machine::new(MEM_BYTES)),
-        }
-    }
+/// Byte address of jump table `t`.
+fn table_addr(t: usize) -> u32 {
+    TABLE_BASE + TABLE_STRIDE * t as u32
 }
 
 fn clamp_modules(n: usize) -> usize {
@@ -335,27 +318,29 @@ fn lower_ir(
 ) -> Result<ObjectModule, BuildError> {
     let program = build_ir(spec, modules, passes);
     let options = LowerOptions { entry_stub: true, ..LowerOptions::default() };
-    let lowered = match isa {
-        CorpusIsa::Ppc => lower_program_with(&program, options).map_err(|e| e.to_string()),
-        CorpusIsa::Mips => lower_program_mips_with(&program, options).map_err(|e| e.to_string()),
-    };
-    lowered.map_err(BuildError::Lower)
+    lower_program(&program, isa.id(), options).map_err(|e| BuildError::Lower(e.to_string()))
 }
 
+/// A fresh `isa` machine with `module`'s jump tables seeded for *native*
+/// (word-granular) execution: entry *e* of table *t* holds the
+/// fetch-domain address `8 × target`.
+fn seeded_core(module: &ObjectModule, isa: CorpusIsa) -> Result<Box<dyn Core>, MachineError> {
+    let mut core = isa.isa_ref().new_core(MEM_BYTES);
+    for (t, table) in module.jump_tables.iter().enumerate() {
+        for (e, &target) in table.targets.iter().enumerate() {
+            core.write32(table_addr(t) + 4 * e as u32, 8 * target as u32)?;
+        }
+    }
+    Ok(core)
+}
+
+/// Runs `module` natively (linear fetch) from PC 0.
 fn run_module(
     module: &ObjectModule,
     isa: CorpusIsa,
     max_steps: u64,
 ) -> Result<RunResult, MachineError> {
-    let mut core: Box<dyn Core> = match isa {
-        CorpusIsa::Ppc => Box::new(codense_ppc::machine::Machine::new(MEM_BYTES)),
-        CorpusIsa::Mips => Box::new(codense_mips::Machine::new(MEM_BYTES)),
-    };
-    for (t, table) in module.jump_tables.iter().enumerate() {
-        for (e, &target) in table.targets.iter().enumerate() {
-            core.write32(TABLE_BASE + 64 * t as u32 + 4 * e as u32, 8 * target as u32)?;
-        }
-    }
+    let mut core = seeded_core(module, isa)?;
     let mut fetch = LinearFetcher::new(module.code.clone());
     run(core.as_mut(), &mut fetch, 0, max_steps)
 }

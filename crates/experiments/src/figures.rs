@@ -10,7 +10,7 @@ use codense_core::sweep::{
     savings_by_length_sweep_with_isa, small_dictionary_sweep_with_isa,
 };
 use codense_core::{verify::verify, CompressedProgram, CompressionConfig, Compressor};
-use codense_obj::ObjectModule;
+use codense_obj::{IsaId, ObjectModule};
 
 use crate::report::{pct, Table};
 
@@ -503,11 +503,9 @@ pub fn prologue(ctx: &mut Ctx) {
         "std compressed vs plain compressed",
     ]);
     for profile in spec_profiles().iter().take(4) {
-        let plain = codense_codegen::generate_module(profile);
-        let std = codense_codegen::generate_module_with(
-            profile,
-            LowerOptions { standardize_prologues: true, ..LowerOptions::default() },
-        );
+        let plain = codense_codegen::generate_module(profile, IsaId::Ppc, LowerOptions::default());
+        let std_pe = LowerOptions { standardize_prologues: true, ..LowerOptions::default() };
+        let std = codense_codegen::generate_module(profile, IsaId::Ppc, std_pe);
         let comp = Compressor::new(CompressionConfig::nibble_aligned());
         let c_plain = comp.compress(&plain).expect("plain");
         let c_std = comp.compress(&std).expect("std");

@@ -66,6 +66,38 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
+/// Errors a backend assembler's `finish` returns while resolving labels.
+/// Both backends' assemblers (`codense_ppc::asm`, `codense_mips::asm`)
+/// re-export this one type, so lowering has one error for every ISA.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AsmError {
+    /// A branch referenced a label that was never defined.
+    UndefinedLabel(String),
+    /// A resolved branch displacement does not fit its field.
+    OffsetOutOfRange {
+        /// The referenced label.
+        label: String,
+        /// Index of the branch instruction.
+        at: usize,
+        /// The displacement in bytes that failed to fit.
+        offset: i64,
+    },
+}
+
+impl fmt::Display for AsmError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AsmError::UndefinedLabel(l) => write!(f, "undefined label `{l}`"),
+            AsmError::OffsetOutOfRange { label, at, offset } => write!(
+                f,
+                "branch at instruction {at} to `{label}`: displacement {offset} out of range"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for AsmError {}
+
 /// What an executed instruction asks the fetch engine to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {

@@ -23,42 +23,14 @@
 //! ```
 
 use std::collections::HashMap;
-use std::fmt;
 
 use crate::branch::{fits_signed, RelBranchKind};
 use crate::encode::encode;
 use crate::insn::MInsn;
 use crate::reg::Reg;
 
-/// Errors produced by [`Assembler::finish`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AsmError {
-    /// A branch referenced a label that was never defined.
-    UndefinedLabel(String),
-    /// A resolved branch displacement does not fit its field.
-    OffsetOutOfRange {
-        /// The referenced label.
-        label: String,
-        /// Index of the branch instruction.
-        at: usize,
-        /// The displacement in bytes that failed to fit.
-        offset: i64,
-    },
-}
-
-impl fmt::Display for AsmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AsmError::UndefinedLabel(l) => write!(f, "undefined label `{l}`"),
-            AsmError::OffsetOutOfRange { label, at, offset } => write!(
-                f,
-                "branch at instruction {at} to `{label}`: displacement {offset} out of range"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for AsmError {}
+/// Errors produced by [`Assembler::finish`] (the one type both backends share).
+pub use codense_isa::AsmError;
 
 #[derive(Debug, Clone)]
 struct Fixup {

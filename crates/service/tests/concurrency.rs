@@ -125,7 +125,7 @@ fn graceful_drain_answers_every_pipelined_request() {
         serve(&ServeOptions { jobs: 1, timeout_ms: 60_000, ..Default::default() }).unwrap();
     let addr = handle.addr();
 
-    let module = codense_codegen::benchmark("compress").unwrap();
+    let module = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
     let req = request_for(&module);
     let expected = expected_container(&module, &req);
 
@@ -168,7 +168,7 @@ fn graceful_drain_answers_every_pipelined_request() {
 #[test]
 fn inline_ops_overtake_in_flight_compressions() {
     let handle = serve(&ServeOptions { jobs: 1, ..Default::default() }).unwrap();
-    let module = codense_codegen::benchmark("compress").unwrap();
+    let module = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
     let req = request_for(&module);
     let expected = expected_container(&module, &req);
 

@@ -222,7 +222,7 @@ fn duplicate_request_id_in_flight_is_rejected() {
     // A heavyweight module keeps the first request in flight long enough
     // that the duplicate (sent in the same TCP segment) always lands while
     // it is outstanding.
-    let module = codense_codegen::benchmark("compress").unwrap();
+    let module = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
     let req = CompressRequest {
         encoding: EncodingKind::NibbleAligned,
         selector: SelectorKind::Greedy,

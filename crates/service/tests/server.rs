@@ -56,7 +56,8 @@ fn served_results_are_byte_identical_to_in_process_compression() {
     let addr = handle.addr().to_string();
 
     for bench in ["compress", "li"] {
-        let module = codense_codegen::benchmark(bench).expect("known benchmark");
+        let module =
+            codense_codegen::benchmark(bench, codense_obj::IsaId::Ppc).expect("known benchmark");
         for encoding in ALL {
             let req = request_for(&module, encoding);
             let expected = expected_container(&module, &req);
@@ -115,7 +116,7 @@ fn full_queue_answers_busy_and_never_drops_a_request() {
         serve(&ServeOptions { jobs: 1, queue_depth: 1, timeout_ms: 60_000, ..Default::default() })
             .unwrap();
     let addr = handle.addr().to_string();
-    let module = codense_codegen::benchmark("compress").unwrap();
+    let module = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
     let req = request_for(&module, EncodingKind::NibbleAligned);
     let expected = expected_container(&module, &req);
 
@@ -157,7 +158,7 @@ fn full_queue_answers_busy_and_never_drops_a_request() {
 fn graceful_drain_completes_in_flight_work_then_refuses_connections() {
     let handle = serve(&ServeOptions { jobs: 1, ..Default::default() }).unwrap();
     let addr = handle.addr();
-    let module = codense_codegen::benchmark("compress").unwrap();
+    let module = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
     let req = request_for(&module, EncodingKind::NibbleAligned);
     let expected = expected_container(&module, &req);
 

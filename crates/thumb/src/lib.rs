@@ -523,7 +523,7 @@ mod tests {
     fn benchmark_lands_near_paper_band() {
         // Thumb reports ~30% reduction on real code; the model should land
         // in a broadly similar band on the stand-ins (0.6..0.9 ratio).
-        let m = codense_codegen::benchmark("compress").unwrap();
+        let m = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
         let r = analyze(&m);
         assert!(r.coverage() > 0.35, "coverage {:.2}", r.coverage());
         assert!(

@@ -12,7 +12,7 @@ use codense::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "go".to_owned());
-    let module = codense::codegen::benchmark(&name)
+    let module = codense::codegen::benchmark(&name, IsaId::Ppc)
         .unwrap_or_else(|| panic!("unknown benchmark `{name}` (try compress/gcc/go/…)"));
     println!("benchmark `{}`: {} bytes of text\n", module.name, module.text_bytes());
     println!("method                     ratio    notes");

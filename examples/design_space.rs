@@ -14,8 +14,8 @@ use codense::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "m88ksim".to_owned());
-    let module =
-        codense::codegen::benchmark(&name).unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
+    let module = codense::codegen::benchmark(&name, IsaId::Ppc)
+        .unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
     println!("design space for `{}` ({} bytes of text)\n", module.name, module.text_bytes());
     let isa = codense::codegen::isa_ref(module.isa);
 

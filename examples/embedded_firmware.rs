@@ -12,7 +12,7 @@
 //! cargo run --release --example embedded_firmware
 //! ```
 
-use codense::codegen::BenchProfile;
+use codense::codegen::{BenchProfile, LowerOptions};
 use codense::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         switch_cases: (4, 10),
         giant_funcs: 0,
     };
-    let module = codense::codegen::generate_module(&profile);
+    let module = codense::codegen::generate_module(&profile, IsaId::Ppc, LowerOptions::default());
     println!(
         "firmware image: {} instructions = {} bytes of instruction ROM\n",
         module.len(),

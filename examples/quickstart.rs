@@ -10,7 +10,7 @@ use codense::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A deterministic synthetic stand-in for SPEC CINT95 `ijpeg` compiled
     // with GCC -O2 for PowerPC (statically linked).
-    let module = codense::codegen::benchmark("ijpeg").expect("known benchmark");
+    let module = codense::codegen::benchmark("ijpeg", IsaId::Ppc).expect("known benchmark");
     println!(
         "program `{}`: {} instructions, {} bytes of text, {} functions",
         module.name,

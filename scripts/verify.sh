@@ -186,6 +186,8 @@ echo "==> benchmark toy tests (benchmark/ against the workspace crates it links)
 # it: an API change in a crate it links would otherwise surface only when
 # the benchmark runs. The toy runs also execute corpus programs on the
 # predecoded VM and check exit code and step count against the native run.
-cargo test --release --offline --manifest-path benchmark/Cargo.toml
+# --locked: a dependency edit in a crate the benchmark links fails here
+# instead of silently rewriting benchmark/Cargo.lock.
+cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "verify: OK"

@@ -37,7 +37,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A benchmark program (deterministic synthetic stand-in for SPEC
 //! // CINT95 `compress` compiled with GCC -O2 for PowerPC).
-//! let module = codense::codegen::benchmark("compress").expect("known benchmark");
+//! let module = codense::codegen::benchmark("compress", IsaId::Ppc).expect("known benchmark");
 //!
 //! // Compress with the paper's most aggressive scheme.
 //! let compressed = Compressor::new(CompressionConfig::nibble_aligned()).compress(&module)?;
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use codense_core::{
         CompressedProgram, CompressionConfig, Compressor, EncodingKind, SelectorKind,
     };
-    pub use codense_isa::IsaRef;
+    pub use codense_isa::{IsaId, IsaRef};
     pub use codense_obj::ObjectModule;
     pub use codense_ppc::{decode, encode, Insn};
     pub use codense_vm::{LinearFetcher, Machine, PredecodedFetcher};

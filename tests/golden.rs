@@ -59,7 +59,7 @@ fn render_snapshot(encoding_name: &str, config: &CompressionConfig) -> String {
 /// compressor is pointed at the MIPS backend and the benchmarks come from
 /// the MIPS lowering of the synthetic suite.
 fn render_snapshot_mips(encoding_name: &str, config: &CompressionConfig) -> String {
-    render_suite(encoding_name, config, false, codense::codegen::generate_suite_mips(), |c| {
+    render_suite(encoding_name, config, false, codense::codegen::generate_suite(IsaId::Mips), |c| {
         c.with_isa(IsaRef(&codense::mips::ISA))
     })
 }
@@ -70,7 +70,13 @@ fn render_snapshot_mips(encoding_name: &str, config: &CompressionConfig) -> Stri
 fn render_snapshot_with(encoding_name: &str, config: &CompressionConfig, all_cold: bool) -> String {
     // The PPC path deliberately leaves the compressor at its default ISA so
     // these goldens also pin the default-construction behavior.
-    render_suite(encoding_name, config, all_cold, codense::codegen::generate_suite(), |c| c)
+    render_suite(
+        encoding_name,
+        config,
+        all_cold,
+        codense::codegen::generate_suite(IsaId::Ppc),
+        |c| c,
+    )
 }
 
 fn render_suite(
@@ -151,7 +157,7 @@ fn golden_huffman() {
 fn golden_refine() {
     let config = CompressionConfig::nibble_aligned();
     let snapshot =
-        render_suite("nibble", &config, false, codense::codegen::generate_suite(), |c| {
+        render_suite("nibble", &config, false, codense::codegen::generate_suite(IsaId::Ppc), |c| {
             c.with_selector(SelectorKind::Refine)
         });
     check_golden("refine.json", &snapshot);
@@ -189,7 +195,7 @@ fn golden_mips_nibble() {
 fn ppc_isa_binding_matches_default() {
     let config = CompressionConfig::nibble_aligned();
     let explicit =
-        render_suite("nibble", &config, false, codense::codegen::generate_suite(), |c| {
+        render_suite("nibble", &config, false, codense::codegen::generate_suite(IsaId::Ppc), |c| {
             c.with_isa(IsaRef(&codense::ppc::ISA))
         });
     assert_eq!(explicit, render_snapshot("nibble", &config), "explicit PPC ISA drifted");
@@ -221,8 +227,8 @@ fn golden_formats() {
         ("huffman", CompressionConfig::huffman()),
     ];
     let suites = [
-        ("ppc", IsaRef(&codense::ppc::ISA), codense::codegen::generate_suite()),
-        ("mips", IsaRef(&codense::mips::ISA), codense::codegen::generate_suite_mips()),
+        ("ppc", IsaRef(&codense::ppc::ISA), codense::codegen::generate_suite(IsaId::Ppc)),
+        ("mips", IsaRef(&codense::mips::ISA), codense::codegen::generate_suite(IsaId::Mips)),
     ];
     let mut out = String::new();
     for (isa_name, isa, suite) in &suites {
@@ -246,6 +252,54 @@ fn golden_formats() {
     check_golden("formats.txt", &out);
 }
 
+/// The lowering's output, byte for byte: the `.cdm` CRC-32 and instruction
+/// count of every suite benchmark on both ISAs under standardized
+/// prologues (`formats.txt` pins the default lowering), and of corpus
+/// programs on both ISAs with their `CorpusStats`, table addresses and
+/// lockstep register masks (the entry stub, jump tables and pass
+/// calibration).
+#[test]
+fn golden_lowering() {
+    use codense::codegen::LowerOptions;
+    use codense_corpus::{CorpusIsa, CorpusSpec};
+    let crc = |m: &ObjectModule| codense::obj::crc32::crc32(&codense::obj::serialize(m));
+    let std_pe = LowerOptions { standardize_prologues: true, ..LowerOptions::default() };
+    let mut out = String::new();
+    for p in codense::codegen::spec_profiles() {
+        for isa in IsaId::ALL {
+            let m = codense::codegen::generate_module(&p, isa, std_pe);
+            let isa = isa.name();
+            out.push_str(&format!(
+                "{isa} {:<10} std_pe cdm {:08x} insns {}\n",
+                m.name,
+                crc(&m),
+                m.len()
+            ));
+        }
+    }
+    for isa in [CorpusIsa::Ppc, CorpusIsa::Mips] {
+        for seed in [1, 2] {
+            let spec = CorpusSpec {
+                insns: 10_000,
+                dynamic_target: 200_000,
+                seed,
+                ..CorpusSpec::default()
+            };
+            let p = codense_corpus::build(&spec, isa).unwrap_or_else(|e| panic!("{seed}: {e}"));
+            out.push_str(&format!(
+                "{} corpus seed {seed} cdm {:08x} insns {} tables {:x?} mask {:?} {:?}\n",
+                isa.name(),
+                crc(&p.module),
+                p.module.len(),
+                (p.table_addrs.first(), p.table_addrs.last()),
+                p.mask_gprs(),
+                p.stats
+            ));
+        }
+    }
+    check_golden("lowering.txt", &out);
+}
+
 /// Refine's containers, byte for byte: for every suite benchmark on both
 /// ISAs, the CRC-32 of its `.cdns` under refine × nibble and refine ×
 /// huffman. `refine.json` pins ratios and dictionaries for refine × nibble
@@ -259,8 +313,8 @@ fn golden_refine_formats() {
         ("huffman", CompressionConfig::huffman()),
     ];
     let suites = [
-        ("ppc", IsaRef(&codense::ppc::ISA), codense::codegen::generate_suite()),
-        ("mips", IsaRef(&codense::mips::ISA), codense::codegen::generate_suite_mips()),
+        ("ppc", IsaRef(&codense::ppc::ISA), codense::codegen::generate_suite(IsaId::Ppc)),
+        ("mips", IsaRef(&codense::mips::ISA), codense::codegen::generate_suite(IsaId::Mips)),
     ];
     let jobs: Vec<_> = suites
         .iter()
@@ -292,7 +346,7 @@ fn golden_model_consumers() {
     use codense::core::sweep;
     use codense::liao::{self, LiaoMethod};
     let mut out = String::new();
-    for m in codense::codegen::generate_suite() {
+    for m in codense::codegen::generate_suite(IsaId::Ppc) {
         for (name, method) in
             [("minisub", LiaoMethod::MiniSubroutine), ("calldict", LiaoMethod::CallDictionary)]
         {
@@ -306,8 +360,8 @@ fn golden_model_consumers() {
     const BENCHES: [&str; 3] = ["compress", "li", "ijpeg"];
     let sizes = [16usize, 64, 256, 1024, 8192];
     let suites = [
-        ("ppc", IsaRef(&codense::ppc::ISA), codense::codegen::generate_suite()),
-        ("mips", IsaRef(&codense::mips::ISA), codense::codegen::generate_suite_mips()),
+        ("ppc", IsaRef(&codense::ppc::ISA), codense::codegen::generate_suite(IsaId::Ppc)),
+        ("mips", IsaRef(&codense::mips::ISA), codense::codegen::generate_suite(IsaId::Mips)),
     ];
     for (isa_name, isa, suite) in &suites {
         for m in suite.iter().filter(|m| BENCHES.contains(&m.name.as_str())) {

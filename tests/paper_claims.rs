@@ -8,7 +8,7 @@ use codense::prelude::*;
 const PPC: IsaRef = IsaRef(&codense::ppc::ISA);
 
 fn module(name: &str) -> ObjectModule {
-    codense::codegen::benchmark(name).unwrap()
+    codense::codegen::benchmark(name, IsaId::Ppc).unwrap()
 }
 
 /// §1.1: "less than 20% of the instructions in the benchmarks have bit

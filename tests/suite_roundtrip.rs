@@ -7,7 +7,7 @@ fn benchmarks() -> Vec<ObjectModule> {
     // The two smallest benchmarks keep debug-mode test time reasonable; the
     // full suite is exercised by the release-mode `repro` harness and
     // benches.
-    ["compress", "li"].iter().map(|n| codense::codegen::benchmark(n).unwrap()).collect()
+    ["compress", "li"].iter().map(|n| codense::codegen::benchmark(n, IsaId::Ppc).unwrap()).collect()
 }
 
 #[test]
@@ -28,7 +28,7 @@ fn all_encodings_roundtrip_on_real_benchmarks() {
 
 #[test]
 fn compression_is_deterministic() {
-    let module = codense::codegen::benchmark("compress").unwrap();
+    let module = codense::codegen::benchmark("compress", IsaId::Ppc).unwrap();
     let compress = |m: &ObjectModule| {
         Compressor::new(CompressionConfig::nibble_aligned()).compress(m).unwrap()
     };
@@ -41,7 +41,7 @@ fn compression_is_deterministic() {
 
 #[test]
 fn expansion_covers_every_instruction_once() {
-    let module = codense::codegen::benchmark("li").unwrap();
+    let module = codense::codegen::benchmark("li", IsaId::Ppc).unwrap();
     let c = Compressor::new(CompressionConfig::baseline()).compress(&module).unwrap();
     let expanded = c.expand();
     assert_eq!(expanded.len(), module.len());
@@ -76,7 +76,7 @@ fn ratio_bands_match_paper_regime() {
 
 #[test]
 fn jump_tables_patched_consistently() {
-    let module = codense::codegen::benchmark("compress").unwrap();
+    let module = codense::codegen::benchmark("compress", IsaId::Ppc).unwrap();
     assert!(!module.jump_tables.is_empty(), "benchmark should contain switches");
     let c = Compressor::new(CompressionConfig::nibble_aligned()).compress(&module).unwrap();
     assert_eq!(c.jump_tables.len(), module.jump_tables.len());
