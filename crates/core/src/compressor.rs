@@ -11,14 +11,16 @@
 //! ([`crate::selector`]) scores each trial by its lay-out alone and
 //! finishes only the winner. What depends only on the module, its
 //! PC-relative branches and the escape-collision scan, is resolved once per
-//! compression into a `Prepared` that every lay-out reads. The program
+//! compression into a `Prepared` that every lay-out reads; a branch or
+//! jump-table target outside the text is refused there, before any model
+//! is built. The program
 //! model (per-instruction flags, hot code masked incompressible) is built
 //! once per compression too, to mine the candidate index, and dropped
 //! before selection: selection returns a per-cell head array, and the atom
 //! stream is built from it and the module's words.
 
 use codense_isa::IsaRef;
-use codense_obj::ObjectModule;
+use codense_obj::{ModuleError, ObjectModule};
 
 use crate::config::{CompressionConfig, EncodingKind};
 use crate::dict::Dictionary;
@@ -353,6 +355,7 @@ impl Compressor {
         module: &'a ObjectModule,
         exempt: &[bool],
     ) -> ProgramModel<'a> {
+        let _phase = telemetry::phase("model");
         let mut model = ProgramModel::build_isa(module, self.isa);
         if !exempt.is_empty() {
             model.exclude(exempt);
@@ -368,7 +371,7 @@ impl Compressor {
         index: Option<&CandidateIndex>,
     ) -> Result<CompressedProgram, CompressError> {
         let _compress = telemetry::phase("compress");
-        let prep = Prepared::new(self, module, exempt);
+        let prep = Prepared::new(self, module, exempt)?;
         let laid = self.lay_out(&prep, index, &BanSet::new(), None)?;
         let _pack = telemetry::phase("pack");
         self.finish(&prep, laid)
@@ -412,15 +415,13 @@ impl Compressor {
         let params = GreedyParams {
             max_entry_len: self.config.max_entry_len,
             max_codewords: self.config.effective_max_codewords(),
-            cost: CostModel {
-                insn_bits: kind.uncompressed_insn_bits(),
-                codeword_bits: codeword_bits.unwrap_or_else(|| kind.codeword_bits_estimate()),
-                dict_word_bits: 32,
-                dict_entry_fixed_bits: 0,
-            },
+            cost: selection_cost(
+                kind,
+                codeword_bits.unwrap_or_else(|| kind.codeword_bits_estimate()),
+            ),
         };
-        // The reference engine mines as it selects, so it has no phase
-        // split.
+        // The reference engine mines as it selects, so only its model
+        // building is timed apart.
         let (picks, heads) = match (index, self.matchfinder) {
             (Some(index), _) => {
                 let _phase = telemetry::phase("select");
@@ -696,6 +697,13 @@ struct Branch {
 impl<'a> Prepared<'a> {
     /// Scans `module` for `c`'s encoding and ISA.
     ///
+    /// # Errors
+    ///
+    /// [`CompressError::InvalidModule`] if a PC-relative branch or a
+    /// jump-table entry targets an instruction outside the text: the
+    /// module [`ObjectModule::validate_with`] would reject, caught before
+    /// any model is built on it.
+    ///
     /// # Panics
     ///
     /// Panics if `exempt` is non-empty and `exempt.len() != module.len()`.
@@ -703,7 +711,8 @@ impl<'a> Prepared<'a> {
         c: &Compressor,
         module: &'a ObjectModule,
         exempt: &'a [bool],
-    ) -> Prepared<'a> {
+    ) -> Result<Prepared<'a>, CompressError> {
+        let _phase = telemetry::phase("prepare");
         assert!(
             exempt.is_empty() || exempt.len() == module.len(),
             "exemption mask length {} does not match module length {}",
@@ -725,23 +734,29 @@ impl<'a> Prepared<'a> {
             } else {
                 None
             };
-        let branches = module
-            .code
-            .iter()
-            .enumerate()
-            .filter_map(|(site, &word)| {
-                let info = c.isa.rel_branch_info(word)?;
-                let target = site as i64 + (info.offset / 4) as i64;
-                Some(Branch { site: site as u32, target: target as u32, kind: info.kind })
-            })
-            .collect();
-        Prepared {
+        let mut branches = Vec::new();
+        for (site, &word) in module.code.iter().enumerate() {
+            let Some(info) = c.isa.rel_branch_info(word) else { continue };
+            let target = site as i64 + (info.offset / 4) as i64;
+            if !(0..module.len() as i64).contains(&target) {
+                let error = ModuleError::BranchOutOfRange { at: site, target };
+                return Err(CompressError::InvalidModule(error));
+            }
+            branches.push(Branch { site: site as u32, target: target as u32, kind: info.kind });
+        }
+        for (table, t) in module.jump_tables.iter().enumerate() {
+            if let Some(entry) = t.targets.iter().position(|&idx| idx >= module.len()) {
+                let error = ModuleError::JumpTableOutOfRange { table, entry };
+                return Err(CompressError::InvalidModule(error));
+            }
+        }
+        Ok(Prepared {
             module,
             exempt,
             exempt_insns: exempt.iter().filter(|&&hot| hot).count() as u64,
             collision,
             branches,
-        }
+        })
     }
 }
 
@@ -773,6 +788,17 @@ impl LaidOut {
     /// numerator of Eq. 1, as [`CompressedProgram::compressed_bytes`].
     pub(crate) fn cost(&self) -> usize {
         eq1_bytes(self.total_nibbles, &self.dictionary, self.overflow_slots, self.huffman.as_ref())
+    }
+}
+
+/// The savings model selection prices candidates with under `kind`, with
+/// codewords priced at `codeword_bits`.
+pub(crate) fn selection_cost(kind: EncodingKind, codeword_bits: u32) -> CostModel {
+    CostModel {
+        insn_bits: kind.uncompressed_insn_bits(),
+        codeword_bits,
+        dict_word_bits: 32,
+        dict_entry_fixed_bits: 0,
     }
 }
 
@@ -981,6 +1007,36 @@ mod tests {
         assert_eq!(c.compress(&m).unwrap_err(), want);
         let index = CandidateIndex::build(&ProgramModel::build_isa(&m, PPC), 4).unwrap();
         assert_eq!(c.compress_with_index(&m, &index).unwrap_err(), want);
+    }
+
+    #[test]
+    fn targets_outside_the_text_are_typed_errors() {
+        let b = |li| encode(&Insn::B { li, aa: false, lk: false });
+        let mut table = simple_module(vec![addi(3, 1), addi(3, 2)]);
+        table.jump_tables.push(codense_obj::JumpTable { targets: vec![0, 5] });
+        let cases = [
+            (
+                simple_module(vec![addi(3, 1), b(0x1000), addi(3, 2)]),
+                ModuleError::BranchOutOfRange { at: 1, target: 1 + 0x400 },
+            ),
+            (
+                simple_module(vec![addi(3, 1), b(-0x1000), addi(3, 2)]),
+                ModuleError::BranchOutOfRange { at: 1, target: 1 - 0x400 },
+            ),
+            (table, ModuleError::JumpTableOutOfRange { table: 0, entry: 1 }),
+        ];
+        for (m, error) in &cases {
+            // The compressor refuses exactly what validation rejects.
+            assert_eq!(m.validate_with(PPC).as_ref(), Err(error));
+            let want = CompressError::InvalidModule(error.clone());
+            for selector in [SelectorKind::Greedy, SelectorKind::Refine] {
+                let c =
+                    Compressor::new(CompressionConfig::nibble_aligned()).with_selector(selector);
+                assert_eq!(c.compress(m).as_ref().unwrap_err(), &want, "{selector:?}");
+                let hot = vec![true; m.len()];
+                assert_eq!(c.compress_masked(m, &hot).as_ref().unwrap_err(), &want, "{selector:?}");
+            }
+        }
     }
 
     #[test]

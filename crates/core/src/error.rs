@@ -3,6 +3,7 @@
 use std::fmt;
 
 use codense_isa::IsaId;
+use codense_obj::ModuleError;
 
 /// Errors from [`Compressor::compress`](crate::Compressor::compress).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,6 +54,13 @@ pub enum CompressError {
         /// The ISA the compressor targets.
         compressor: IsaId,
     },
+    /// A PC-relative branch or a jump-table entry targets an instruction
+    /// outside the text section
+    /// ([`ModuleError::BranchOutOfRange`] or
+    /// [`ModuleError::JumpTableOutOfRange`]): a module
+    /// [`ObjectModule::validate_with`](codense_obj::ObjectModule::validate_with)
+    /// rejects, which the compressor refuses before building anything on it.
+    InvalidModule(ModuleError),
 }
 
 impl fmt::Display for CompressError {
@@ -78,6 +86,7 @@ impl fmt::Display for CompressError {
             CompressError::IsaMismatch { module, compressor } => {
                 write!(f, "module is built for {module}, but the compressor targets {compressor}")
             }
+            CompressError::InvalidModule(e) => write!(f, "invalid module: {e}"),
         }
     }
 }

@@ -15,12 +15,17 @@
 //!   its original instruction index in the flat [`ProgramModel`]. No window
 //!   crosses a block leader, so two windows of one candidate overlap
 //!   exactly when `p < prev + len`;
-//! * **mining** is prefix refinement, with no hashing: one sort orders the
-//!   compressible cells by (word, offset), and each group is split, depth
-//!   first, by the word that extends its windows by one instruction. Every
-//!   group is one candidate and its occurrence list comes out ascending. The
-//!   walk visits candidates in slice order of their words, so a candidate's
-//!   id *is* its lexicographic rank;
+//! * **mining** is prefix refinement, with no hashing: a stable radix sort
+//!   on the word orders the compressible cells by (word, offset), and each
+//!   group is split, depth first, by the word that extends its windows by
+//!   one instruction. Every group is one candidate and its occurrence list
+//!   comes out ascending. The walk visits candidates in slice order of their
+//!   words, so a candidate's id *is* its lexicographic rank;
+//! * only candidates that can pay are emitted: a sequence of up to four
+//!   instructions that occurs once saves nothing under any cost model
+//!   selection runs with (`LONE_PAYS_FROM` says why; selection asserts it
+//!   for every run), so the index omits it, and ids keep their relative
+//!   order;
 //! * the **occurrence index** is one flat offset arena in id order.
 //!   Replacements never touch it: a window is *live* while all its cells
 //!   are, checked against a per-cell flag array (and compacted out of the
@@ -182,10 +187,24 @@ type HeapItem = (i64, SeqId);
 /// A run's head-array value for a cell that heads no replaced occurrence.
 pub(crate) const NO_ENTRY: u32 = u32::MAX;
 
+/// The shortest candidate one occurrence of which can pay for its
+/// dictionary words, under every cost model selection runs with; the index
+/// omits shorter candidates that occur only once.
+///
+/// One occurrence of `len` instructions saves
+/// `(insn_bits - dict_word_bits) * len - codeword_bits`. The 32-bit-escape
+/// schemes (baseline, one-byte, Liao's) store what they escape, so that is
+/// never positive. The 36-bit-escape schemes (nibble, Huffman) price a
+/// codeword at 16 bits or more, refine's probes included, so it is at most
+/// `4 * 4 - 16 = 0` up to four instructions; at five it is 4 bits, which
+/// pays. [`select`] asserts the bound for every run.
+const LONE_PAYS_FROM: usize = 5;
+
 /// The immutable product of window mining: every candidate sequence of the
-/// program, ranked by content, with its occurrence offsets and initial
-/// count. Build once, run greedy selection against it any number of times
-/// ([`run_greedy_with`]) — each run clones only the arrays it mutates.
+/// program that could pay for its dictionary words, ranked by content,
+/// with its occurrence offsets and initial count. Build once, run greedy
+/// selection against it any number of times ([`run_greedy_with`]) — each
+/// run clones only the arrays it mutates.
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
     /// Each cell's instruction word by flat offset.
@@ -209,7 +228,9 @@ pub struct CandidateIndex {
 
 impl CandidateIndex {
     /// Mines every candidate window of `model` (runs of compressible cells,
-    /// windows up to `max_len` instructions). A cap above the longest block
+    /// windows up to `max_len` instructions), except sequences of up to four
+    /// instructions that occur only once: no cost model selection accepts
+    /// lets one of those pay. A cap above the longest block
     /// mines the same windows as the longest block's length, and is
     /// checked as that; a cap above [`MAX_ENTRY_LEN`], the longest entry a
     /// container can record, mines as that.
@@ -221,14 +242,16 @@ impl CandidateIndex {
     pub fn build(model: &ProgramModel, max_len: usize) -> Result<CandidateIndex, CompressError> {
         // rem[p]: how many windows start at p, i.e. the compressible cells
         // from p to the end of its run, capped at `max_len` (a run ends at
-        // an incompressible cell or a block's end). The same backward pass
+        // an incompressible cell or a block's end). The cap is at most
+        // `MAX_ENTRY_LEN`, a `u8`, so one byte per cell holds it and the
+        // walk's random reads of it stay in cache. The same backward pass
         // measures the blocks.
         let n = model.words.len();
-        let limit = max_len.min(MAX_ENTRY_LEN) as u32;
-        let mut rem = vec![0u32; n];
-        let (mut blocks, mut largest_block, mut block_end, mut run) = (0, 0, n, 0);
+        let limit = max_len.min(MAX_ENTRY_LEN) as u8;
+        let mut rem = vec![0u8; n];
+        let (mut blocks, mut largest_block, mut block_end, mut run) = (0, 0, n, 0u8);
         for p in (0..n).rev() {
-            run = if model.compressible[p] { (run + 1).min(limit) } else { 0 };
+            run = if model.compressible[p] { run.saturating_add(1).min(limit) } else { 0 };
             rem[p] = run;
             if model.leaders[p] {
                 blocks += 1;
@@ -240,51 +263,59 @@ impl CandidateIndex {
         let cap = max_len.min(largest_block).min(MAX_ENTRY_LEN);
         check_position_space(blocks, largest_block, n, cap)?;
 
-        let windows: usize = rem.iter().map(|&r| r as usize).sum();
         let mut index = CandidateIndex {
             words: model.words.to_vec(),
             compressible: model.compressible.clone(),
-            occ: Vec::with_capacity(windows),
-            starts: Vec::with_capacity(windows + 1),
-            lens: Vec::with_capacity(windows),
-            counts: Vec::with_capacity(windows),
+            occ: Vec::new(),
+            starts: vec![0],
+            lens: Vec::new(),
+            counts: Vec::new(),
             max_entry_len: max_len,
         };
-        index.starts.push(0);
 
         // Depth-first prefix refinement. `pending` holds sibling groups not
         // yet visited, each a range of `buf` plus its window length, pushed
         // greatest word first so the least pops first: the visit order is
         // slice order. A popped group's range is the top of `buf`, since
-        // every group above it has been visited, and it moves into the
-        // arena before its children are split off behind it.
+        // every group above it has been visited; its children are split
+        // off behind it once it is consumed. A group is emitted unless one
+        // occurrence is all it has and that cannot pay (see
+        // `LONE_PAYS_FROM`); its children have no more occurrences, so
+        // with a cap below that length the walk does not descend either.
         let mut buf: Vec<u32> = Vec::new();
         let mut pending: Vec<(usize, usize, usize)> = Vec::new();
         let mut keys: Vec<u64> =
             (0..n).filter(|&p| rem[p] > 0).map(|p| group_key(index.words[p], p)).collect();
-        push_groups(&mut keys, &mut buf, &mut pending, 1);
+        radix_sort_by_word(&mut keys);
+        push_groups(&keys, &mut buf, &mut pending, 1);
         while let Some((s, e, len)) = pending.pop() {
             if e - s == 1 {
                 // A lone window's extensions are lone windows: a chain.
                 let p = buf[s];
-                for l in len..=rem[p as usize] as usize {
-                    index.push_candidate(&[p], l);
+                for l in len.max(LONE_PAYS_FROM)..=rem[p as usize] as usize {
+                    index.push_candidate(&[p], l, 1);
                 }
                 buf.truncate(s);
                 continue;
             }
-            let a = index.occ.len();
-            index.push_candidate(&buf[s..e], len);
-            buf.truncate(s);
-            if len < cap {
+            let count = effective_count(&buf[s..e], len);
+            let descend = len < cap && (count > 1 || cap >= LONE_PAYS_FROM);
+            if descend {
                 keys.clear();
                 keys.extend(
-                    index.occ[a..]
+                    buf[s..e]
                         .iter()
                         .filter(|&&p| rem[p as usize] as usize > len)
                         .map(|&p| group_key(index.words[p as usize + len], p as usize)),
                 );
-                push_groups(&mut keys, &mut buf, &mut pending, len + 1);
+            }
+            if count > 1 || len >= LONE_PAYS_FROM {
+                index.push_candidate(&buf[s..e], len, count);
+            }
+            buf.truncate(s);
+            if descend {
+                keys.sort_unstable();
+                push_groups(&keys, &mut buf, &mut pending, len + 1);
             }
         }
 
@@ -297,12 +328,12 @@ impl CandidateIndex {
     }
 
     /// Appends the next candidate in id order: windows of `len` at
-    /// `positions`.
-    fn push_candidate(&mut self, positions: &[u32], len: usize) {
+    /// `positions`, `count` of them non-overlapping.
+    fn push_candidate(&mut self, positions: &[u32], len: usize, count: usize) {
         self.occ.extend_from_slice(positions);
         self.starts.push(self.occ.len() as u32);
         self.lens.push(len as u32);
-        self.counts.push(effective_count(positions, len) as u32);
+        self.counts.push(count as u32);
     }
 
     /// Number of distinct candidate sequences.
@@ -330,15 +361,46 @@ fn group_key(word: u32, p: usize) -> u64 {
     (!word as u64) << 32 | p as u64
 }
 
-/// Sorts `keys` (see [`group_key`]) and pushes one pending group of window
-/// length `len` per distinct word, its offsets appended to `buf`.
+/// Stable LSD radix sort of `keys` by their word half (see [`group_key`]),
+/// one byte per pass: equal words keep their input order. The first level's
+/// keys arrive in offset order, so this gives the order `sort_unstable`
+/// would, in four linear passes instead of a comparison sort.
+fn radix_sort_by_word(keys: &mut Vec<u64>) {
+    let digit = |k: u64, d: usize| (k >> (32 + 8 * d)) as usize & 0xff;
+    let mut histograms = [[0usize; 256]; 4];
+    for &k in keys.iter() {
+        for (d, h) in histograms.iter_mut().enumerate() {
+            h[digit(k, d)] += 1;
+        }
+    }
+    let mut out = vec![0u64; keys.len()];
+    for (d, h) in histograms.iter().enumerate() {
+        if h.contains(&keys.len()) {
+            continue; // every key has this digit: the pass would move nothing
+        }
+        let mut next = [0usize; 256];
+        let mut sum = 0;
+        for (slot, &n) in next.iter_mut().zip(h) {
+            *slot = sum;
+            sum += n;
+        }
+        for &k in keys.iter() {
+            let b = digit(k, d);
+            out[next[b]] = k;
+            next[b] += 1;
+        }
+        std::mem::swap(keys, &mut out);
+    }
+}
+
+/// Pushes one pending group of window length `len` per distinct word of
+/// the sorted `keys` (see [`group_key`]), its offsets appended to `buf`.
 fn push_groups(
-    keys: &mut [u64],
+    keys: &[u64],
     buf: &mut Vec<u32>,
     pending: &mut Vec<(usize, usize, usize)>,
     len: usize,
 ) {
-    keys.sort_unstable();
     for group in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
         let start = buf.len();
         buf.extend(group.iter().map(|&k| k as u32));
@@ -353,6 +415,12 @@ fn push_groups(
 ///
 /// [`CompressError::ProgramTooLarge`] if the program exceeds the
 /// matchfinder's 32-bit position space.
+///
+/// # Panics
+///
+/// Panics if `params.cost` lets one occurrence of up to four instructions
+/// save bits: the index omits such candidates (no encoding's, refine's or
+/// Liao's cost model does).
 pub fn run_greedy(
     model: &mut ProgramModel,
     dict: &mut Dictionary,
@@ -373,7 +441,9 @@ pub fn run_greedy(
 ///
 /// # Panics
 ///
-/// Panics if `params.max_entry_len > index.max_entry_len()`.
+/// Panics if `params.max_entry_len > index.max_entry_len()`, or if
+/// `params.cost` lets one occurrence of up to four instructions save bits
+/// (see [`run_greedy`]).
 pub fn run_greedy_with(
     index: &CandidateIndex,
     model: &mut ProgramModel,
@@ -395,7 +465,9 @@ pub fn run_greedy_with(
 ///
 /// # Panics
 ///
-/// Panics if `params.max_entry_len > index.max_entry_len()`.
+/// Panics if `params.max_entry_len > index.max_entry_len()`, or if
+/// `params.cost` lets one occurrence of up to four instructions save bits
+/// (see [`run_greedy`]).
 pub(crate) fn select(
     index: &CandidateIndex,
     dict: &mut Dictionary,
@@ -435,6 +507,13 @@ fn run_core(
     params: GreedyParams,
     bans: &BanSet,
 ) -> (Vec<PickRecord>, Vec<u32>) {
+    for len in 1..=params.max_entry_len.min(LONE_PAYS_FROM - 1) {
+        assert!(
+            params.cost.savings_bits(len, 1) <= 0,
+            "{:?} lets one occurrence of {len} instructions pay, but the index omits those",
+            params.cost
+        );
+    }
     // Exact seeding: before any replacement every window is live, so the
     // build-time counts are each candidate's true initial savings.
     // Candidates that start non-positive can never become acceptable
@@ -843,6 +922,9 @@ mod tests {
         n
     }
 
+    /// The index mines every window brute force finds, except exactly the
+    /// candidates one occurrence of which cannot pay: a count of 1 at fewer
+    /// than [`LONE_PAYS_FROM`] instructions.
     #[test]
     fn index_matches_brute_force_on_random_models() {
         let mut rng = codense_codegen::Rng::new(0x51DE_C0DE);
@@ -853,7 +935,7 @@ mod tests {
             for cap in 1..=8 {
                 let ctx = format!("case {case}, cap {cap}");
                 let index = CandidateIndex::build(&model, cap).unwrap();
-                let expected = brute_force_windows(&model, cap);
+                let mut expected = brute_force_windows(&model, cap);
                 let list = |id: usize| {
                     &index.occ[index.starts[id] as usize..index.starts[id + 1] as usize]
                 };
@@ -876,6 +958,12 @@ mod tests {
                     assert_eq!(index.counts[id] as usize, block_cell_count(brute, len), "{ctx}");
                     mined.insert(words(id).to_vec(), positions.to_vec());
                 }
+                // What the index omits is exactly what cannot pay alone.
+                expected.retain(|seq, ps| {
+                    let lone = block_cell_count(ps, seq.len()) == 1 && seq.len() < LONE_PAYS_FROM;
+                    assert_eq!(mined.contains_key(seq), !lone, "{ctx}: {seq:x?}");
+                    !lone
+                });
                 let flat: BTreeMap<Vec<u32>, Vec<u32>> = expected
                     .iter()
                     .map(|(seq, ps)| (seq.clone(), ps.iter().map(|p| p.0).collect()))
@@ -888,6 +976,38 @@ mod tests {
                 assert_eq!(index.occ.len(), expected.values().map(Vec::len).sum::<usize>());
             }
         }
+    }
+
+    /// The bound [`select`]'s guard checks, under every cost model the
+    /// compressor selects with: each encoding's, and refine's probe prices
+    /// (`codense-liao` checks Liao's). At [`LONE_PAYS_FROM`] one occurrence
+    /// pays under the nibble-granular schemes, so the bound is tight.
+    #[test]
+    fn one_occurrence_pays_only_from_five_instructions() {
+        use crate::compressor::selection_cost;
+        use crate::config::EncodingKind::*;
+        let mut models: Vec<CostModel> = [Baseline, OneByte, NibbleAligned, Huffman]
+            .into_iter()
+            .map(|kind| selection_cost(kind, kind.codeword_bits_estimate()))
+            .collect();
+        for kind in [NibbleAligned, Huffman] {
+            models.extend(crate::selector::PROBE_PRICES.map(|price| selection_cost(kind, price)));
+        }
+        for cost in &models {
+            for len in 1..LONE_PAYS_FROM {
+                assert!(cost.savings_bits(len, 1) <= 0, "{cost:?} at {len}");
+            }
+        }
+        assert!(selection_cost(NibbleAligned, 16).savings_bits(LONE_PAYS_FROM, 1) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lets one occurrence of 3 instructions pay")]
+    fn selection_refuses_a_cost_model_the_index_cannot_serve() {
+        let mut params = baseline_params(4, 8);
+        params.cost.insn_bits = 36;
+        params.cost.codeword_bits = 8;
+        greedy(&[w(1), w(2), w(3)], params);
     }
 
     #[test]

@@ -65,6 +65,10 @@ const MARGINALS_PER_ROUND: usize = 8;
 /// layout passes over a shared index.
 const MAX_TRIALS: usize = 24;
 
+/// The codeword prices (bits) phase 1 re-prices selection at under the
+/// variable-length encodings.
+pub(crate) const PROBE_PRICES: [u32; 4] = [17, 18, 19, 22];
+
 /// Runs refinement selection for `c` (see the module docs). Called by the
 /// compressor's entry points when [`SelectorKind::Refine`] is configured.
 /// Debug builds finish a copy of every lay-out the climb scores and check
@@ -96,7 +100,7 @@ fn refine_observed(
 ) -> Result<CompressedProgram, CompressError> {
     telemetry::REFINE_RUNS.inc();
     let _refine = telemetry::phase("refine");
-    let prep = Prepared::new(c, module, exempt);
+    let prep = Prepared::new(c, module, exempt)?;
 
     // Every trial re-selects against one index. Mine it from the masked
     // model when the caller didn't supply one, exactly as a fresh greedy
@@ -137,7 +141,7 @@ fn refine_observed(
     // changes nothing.
     let mut price: Option<u32> = None;
     let probe_prices: &[u32] = match c.config().encoding {
-        EncodingKind::NibbleAligned | EncodingKind::Huffman => &[17, 18, 19, 22],
+        EncodingKind::NibbleAligned | EncodingKind::Huffman => &PROBE_PRICES,
         _ => &[], // fixed-width codewords: the estimate is already exact
     };
     for &p in probe_prices {

@@ -5,7 +5,9 @@
 //! four properties are checked:
 //!
 //! 1. **Coverage** — the expanded atom stream covers original instructions
-//!    `0..n` exactly once, in order.
+//!    `0..n` exactly once, in order. The same pass records which atom starts
+//!    at each original instruction, so every target check below is one
+//!    table lookup.
 //! 2. **Word fidelity** — every non-branch instruction expands to its
 //!    original word; every patched branch resolves (through the
 //!    compressed-domain address arithmetic) to the atom holding its original
@@ -38,21 +40,67 @@ pub fn verify(module: &ObjectModule, compressed: &CompressedProgram) -> Result<(
     if compressed.isa.id() != module.isa {
         return Err(VerifyError::IsaMismatch { module: module.isa, program: compressed.isa.id() });
     }
-    verify_coverage_and_words(module, compressed)?;
+    let atoms = AtomTable::new(module, compressed)?;
+    verify_words(module, compressed, &atoms)?;
     verify_image(compressed)?;
-    verify_jump_tables(module, compressed)?;
+    verify_jump_tables(module, compressed, &atoms)?;
     Ok(())
 }
 
-fn verify_coverage_and_words(
+/// The original-index → atom table of a program whose atoms cover the
+/// module: branch, overflow-slot and jump-table checks look their targets
+/// up in it.
+struct AtomTable {
+    /// The atom starting at each original instruction, or [`NO_ATOM`].
+    atom_at: Vec<u32>,
+}
+
+/// An [`AtomTable`] slot for an instruction inside a codeword.
+const NO_ATOM: u32 = u32::MAX;
+
+impl AtomTable {
+    /// Checks coverage (the atoms cover original instructions `0..n`
+    /// exactly once, in order) while filling the table, in one pass.
+    fn new(module: &ObjectModule, c: &CompressedProgram) -> Result<AtomTable, VerifyError> {
+        let n = module.len();
+        let mut atom_at = vec![NO_ATOM; n];
+        let mut next = 0usize;
+        for (i, atom) in c.atoms.iter().enumerate() {
+            if atom.orig() != next {
+                return Err(VerifyError::CoverageGap { expected: next, got: atom.orig() });
+            }
+            next += atom.covered();
+            if next > n {
+                return Err(VerifyError::CoverageGap { expected: next, got: n });
+            }
+            // Only an atom covering nothing can start at `n`.
+            if let Some(slot) = atom_at.get_mut(atom.orig()) {
+                *slot = i as u32;
+            }
+        }
+        if next != n {
+            return Err(VerifyError::CoverageGap { expected: next, got: n });
+        }
+        Ok(AtomTable { atom_at })
+    }
+
+    /// The compressed address of original instruction `orig`, if an atom
+    /// starts there.
+    fn address_of(&self, c: &CompressedProgram, orig: usize) -> Option<u64> {
+        match self.atom_at.get(orig) {
+            Some(&atom) if atom != NO_ATOM => Some(c.addresses[atom as usize]),
+            _ => None,
+        }
+    }
+}
+
+/// Word fidelity, over atoms that cover the module (see [`AtomTable::new`]).
+fn verify_words(
     module: &ObjectModule,
     c: &CompressedProgram,
+    atoms: &AtomTable,
 ) -> Result<(), VerifyError> {
-    let mut next = 0usize;
     for (i, atom) in c.atoms.iter().enumerate() {
-        if atom.orig() != next {
-            return Err(VerifyError::CoverageGap { expected: next, got: atom.orig() });
-        }
         match *atom {
             Atom::Codeword { entry, orig, len } => {
                 let words = &c.dictionary.entry(entry).words;
@@ -92,7 +140,7 @@ fn verify_coverage_and_words(
                         let units = c.isa.read_offset_units(word, info.kind) as i64;
                         let target_addr =
                             c.addresses[i] as i64 + units * c.encoding.granule_nibbles() as i64;
-                        let ok = c.address_of_orig(want_target) == Some(target_addr as u64);
+                        let ok = atoms.address_of(c, want_target) == Some(target_addr as u64);
                         if !ok {
                             return Err(VerifyError::BranchTargetMismatch { orig, want_target });
                         }
@@ -106,15 +154,11 @@ fn verify_coverage_and_words(
                 }
                 let info = c.isa.rel_branch_info(original).expect("ViaTable is a branch");
                 let want_target = (orig as i64 + (info.offset / 4) as i64) as usize;
-                if c.address_of_orig(want_target) != Some(c.overflow_table[slot]) {
+                if atoms.address_of(c, want_target) != Some(c.overflow_table[slot]) {
                     return Err(VerifyError::BranchTargetMismatch { orig, want_target });
                 }
             }
         }
-        next += atom.covered();
-    }
-    if next != module.len() {
-        return Err(VerifyError::CoverageGap { expected: next, got: module.len() });
     }
     Ok(())
 }
@@ -150,10 +194,14 @@ fn verify_image(c: &CompressedProgram) -> Result<(), VerifyError> {
     Ok(())
 }
 
-fn verify_jump_tables(module: &ObjectModule, c: &CompressedProgram) -> Result<(), VerifyError> {
+fn verify_jump_tables(
+    module: &ObjectModule,
+    c: &CompressedProgram,
+    atoms: &AtomTable,
+) -> Result<(), VerifyError> {
     for (t, table) in module.jump_tables.iter().enumerate() {
         for (e, &idx) in table.targets.iter().enumerate() {
-            if c.address_of_orig(idx) != Some(c.jump_tables[t][e]) {
+            if atoms.address_of(c, idx) != Some(c.jump_tables[t][e]) {
                 return Err(VerifyError::JumpTableMismatch { table: t, entry: e });
             }
         }
@@ -238,6 +286,39 @@ mod tests {
             verify(&mips, &c),
             Err(VerifyError::IsaMismatch { module: IsaId::Mips, program: IsaId::Ppc })
         );
+    }
+
+    #[test]
+    fn branch_targets_outside_the_text_are_typed_mismatches() {
+        let m = looped_module();
+        let c = Compressor::new(CompressionConfig::nibble_aligned()).compress(&m).unwrap();
+        let site = m.code.len() - 2; // the `bne` back to `head`
+        assert!(codense_ppc::branch::rel_branch_info(m.code[site]).is_some());
+        for bd in [0x1000, -0x1000] {
+            let mut bad = m.clone();
+            bad.code[site] = codense_ppc::encode(&Insn::Bc {
+                bo: codense_ppc::insn::bo::IF_FALSE,
+                bi: 2,
+                bd,
+                aa: false,
+                lk: false,
+            });
+            let want_target = (site as i64 + bd as i64 / 4) as usize;
+            assert_eq!(
+                verify(&bad, &c),
+                Err(VerifyError::BranchTargetMismatch { orig: site, want_target })
+            );
+        }
+    }
+
+    #[test]
+    fn atoms_running_past_the_text_are_coverage_gaps() {
+        let m = looped_module();
+        let c = Compressor::new(CompressionConfig::baseline()).compress(&m).unwrap();
+        let mut short = m.clone();
+        short.code.truncate(m.code.len() - 1);
+        short.jump_tables.clear();
+        assert!(matches!(verify(&short, &c), Err(VerifyError::CoverageGap { .. })));
     }
 
     #[test]

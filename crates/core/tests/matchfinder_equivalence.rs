@@ -4,9 +4,12 @@
 //! random hotness masks.
 //!
 //! 256 seeded cases (the in-repo deterministic generator, fixed seeds), each
-//! compressed by both engines under all three encodings: the pick log, the
+//! compressed by both engines under every encoding: the pick log, the
 //! dictionary (words, counts, rank permutation), the packed image, the atom
-//! stream, and the addresses must all match exactly.
+//! stream, and the addresses must all match exactly. Nibble and Huffman run
+//! at an entry cap of 8 as well: there one occurrence of five or more
+//! instructions pays, so the sequences it mines must not be among those the
+//! index omits.
 
 use codense_codegen::Rng;
 use codense_core::greedy::MatchfinderKind;
@@ -57,7 +60,10 @@ fn interned_matches_reference_across_encodings_and_masks() {
         CompressionConfig::baseline(),
         CompressionConfig::small_dictionary(32),
         CompressionConfig::nibble_aligned(),
+        CompressionConfig { max_entry_len: 8, ..CompressionConfig::nibble_aligned() },
+        CompressionConfig { max_entry_len: 8, ..CompressionConfig::huffman() },
     ];
+    let mut lone_picks = 0;
     for case in 0..CASES {
         let m = random_module(&mut rng);
         let mask = random_mask(&mut rng, m.code.len());
@@ -76,7 +82,13 @@ fn interned_matches_reference_across_encodings_and_masks() {
                 }
                 (a, b) => panic!("case {case}: one engine failed: {a:?} vs {b:?}"),
             };
-            let ctx = format!("case {case}, encoding {:?}, mask {}", config.encoding, mask.len());
+            let ctx = format!(
+                "case {case}, encoding {:?}, cap {}, mask {}",
+                config.encoding,
+                config.max_entry_len,
+                mask.len()
+            );
+            lone_picks += a.picks.iter().filter(|p| p.replaced == 1).count();
             assert_eq!(a.picks, b.picks, "{ctx}: pick log diverged");
             assert_eq!(a.dictionary, b.dictionary, "{ctx}: dictionary diverged");
             assert_eq!(a.atoms, b.atoms, "{ctx}: atom stream diverged");
@@ -86,4 +98,5 @@ fn interned_matches_reference_across_encodings_and_masks() {
             assert_eq!(a.overflow_table, b.overflow_table, "{ctx}: overflow table diverged");
         }
     }
+    assert!(lone_picks > 0, "no case picked a sequence that pays from one occurrence");
 }

@@ -65,6 +65,17 @@ impl LiaoCompressed {
 /// more than the greedy ever selects.
 const MAX_ENTRIES: usize = 1 << 14;
 
+/// The savings model both methods select with: a codeword is one
+/// instruction word, and a mini-subroutine's stored sequence carries a
+/// trailing return instruction.
+fn cost_model(method: LiaoMethod) -> CostModel {
+    let dict_entry_fixed_bits = match method {
+        LiaoMethod::MiniSubroutine => 32,
+        LiaoMethod::CallDictionary => 0,
+    };
+    CostModel { insn_bits: 32, codeword_bits: 32, dict_word_bits: 32, dict_entry_fixed_bits }
+}
+
 /// Compresses a PowerPC module with the chosen Liao method and entry-length
 /// cap.
 ///
@@ -97,25 +108,11 @@ pub fn compress(module: &ObjectModule, method: LiaoMethod, max_entry_len: usize)
             .collect();
         model.exclude(&lr_users);
     }
-    let fixed_bits = match method {
-        // Stored sequence carries a trailing return instruction.
-        LiaoMethod::MiniSubroutine => 32,
-        LiaoMethod::CallDictionary => 0,
-    };
     let mut dictionary = Dictionary::new();
     run_greedy(
         &mut model,
         &mut dictionary,
-        GreedyParams {
-            max_entry_len,
-            max_codewords: MAX_ENTRIES,
-            cost: CostModel {
-                insn_bits: 32,
-                codeword_bits: 32,
-                dict_word_bits: 32,
-                dict_entry_fixed_bits: fixed_bits,
-            },
-        },
+        GreedyParams { max_entry_len, max_codewords: MAX_ENTRIES, cost: cost_model(method) },
     )
     .expect("matchfinder position space exceeds any real embedded program");
 
@@ -176,6 +173,19 @@ mod tests {
         let c = compress(&m, LiaoMethod::CallDictionary, 1);
         assert_eq!(c.dictionary.len(), 0);
         assert!((c.compression_ratio() - 1.0).abs() < 1e-9);
+    }
+
+    /// The candidate index omits sequences that occur once in up to four
+    /// instructions, and selection asserts that its cost model never lets
+    /// those pay; under both of Liao's models no single occurrence pays at
+    /// any length.
+    #[test]
+    fn one_occurrence_never_pays() {
+        for method in [LiaoMethod::MiniSubroutine, LiaoMethod::CallDictionary] {
+            for len in 1..=255 {
+                assert!(cost_model(method).savings_bits(len, 1) <= 0, "{method:?} at {len}");
+            }
+        }
     }
 
     #[test]

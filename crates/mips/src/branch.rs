@@ -48,6 +48,10 @@ pub struct RelBranch {
 ///
 /// Returns `None` for register-indirect jumps (`jr`, `jalr`) and
 /// non-branches — they carry no displacement field and are compressible.
+/// The compressor asks this of every word several times per compression,
+/// so a word outside primary opcodes 1–7 (REGIMM, the jumps and the
+/// conditional branches) is answered from the opcode alone, without a
+/// decode.
 ///
 /// ```
 /// use codense_mips::branch::{rel_branch_info, RelBranchKind};
@@ -57,6 +61,9 @@ pub struct RelBranch {
 /// ```
 pub fn rel_branch_info(word: u32) -> Option<RelBranch> {
     use MInsn::*;
+    if !(op::REGIMM..=op::BGTZ).contains(&(word >> 26)) {
+        return None;
+    }
     match crate::decode(word) {
         Bltz { offset, .. }
         | Bgez { offset, .. }

@@ -11,6 +11,7 @@ use codense_isa::{Core, Isa, IsaId, RelBranch, OVERFLOW_TABLE_HI};
 use crate::branch::{self, RelBranchKind};
 use crate::insn::MInsn;
 use crate::machine::Machine;
+use crate::opcode::op;
 use crate::reg::{AT, RA};
 
 /// Discriminant for 16-bit-field conditional branches in [`RelBranch::kind`].
@@ -85,6 +86,12 @@ impl Isa for MipsIsa {
     }
 
     fn ends_block(&self, word: u32) -> bool {
+        // Every control transfer and `syscall` sits under primary opcodes
+        // 0–7 (SPECIAL, REGIMM, the jumps and the conditional branches); any
+        // other word is answered without a decode.
+        if word >> 26 > op::BGTZ {
+            return false;
+        }
         let insn = crate::decode(word);
         insn.is_branch() || matches!(insn, MInsn::Syscall)
     }
@@ -190,6 +197,49 @@ mod tests {
         assert!(isa.ends_block(crate::encode(&MInsn::Syscall)));
         assert!(!isa.ends_block(crate::encode(&MInsn::Addiu { rt: T0, rs: T0, imm: 1 })));
         assert!(!isa.ends_block(crate::encode(&MInsn::Break)));
+    }
+
+    /// The opcode gates of `rel_branch_info` and `ends_block` against their
+    /// decode-based definitions, kept here as the spec: every primary opcode,
+    /// each with 65,536 seeded random low-26-bit patterns, all-zeros and
+    /// all-ones.
+    #[test]
+    fn opcode_gates_match_decode() {
+        fn spec_rel_branch_info(word: u32) -> Option<branch::RelBranch> {
+            use MInsn::*;
+            let (kind, lk) = (RelBranchKind::I16, false);
+            match crate::decode(word) {
+                Bltz { offset, .. }
+                | Bgez { offset, .. }
+                | Beq { offset, .. }
+                | Bne { offset, .. }
+                | Blez { offset, .. }
+                | Bgtz { offset, .. } => Some(branch::RelBranch { kind, offset, lk }),
+                J { offset } => Some(branch::RelBranch { kind: RelBranchKind::J26, offset, lk }),
+                Jal { offset } => {
+                    Some(branch::RelBranch { kind: RelBranchKind::J26, offset, lk: true })
+                }
+                _ => None,
+            }
+        }
+        fn spec_ends_block(word: u32) -> bool {
+            let insn = crate::decode(word);
+            insn.is_branch() || matches!(insn, MInsn::Syscall)
+        }
+        let isa = IsaRef(&ISA);
+        let mut rng = codense_codegen::Rng::new(0x0BC0_DE26);
+        for op in 0u32..64 {
+            let random = (0..65_536).map(|_| rng.next_u64() as u32 & 0x03ff_ffff);
+            for low in [0, 0x03ff_ffff].into_iter().chain(random) {
+                let word = op << 26 | low;
+                assert_eq!(
+                    branch::rel_branch_info(word),
+                    spec_rel_branch_info(word),
+                    "{word:#010x}"
+                );
+                assert_eq!(isa.ends_block(word), spec_ends_block(word), "{word:#010x}");
+            }
+        }
     }
 
     #[test]

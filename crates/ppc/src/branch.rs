@@ -9,6 +9,7 @@
 //! resolution fitting/patching arithmetic.
 
 use crate::insn::Insn;
+use crate::opcode::primary;
 
 /// Which relative-branch form a word is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,7 +45,9 @@ pub struct RelBranch {
 /// Extracts relative-branch information from an instruction word.
 ///
 /// Returns `None` for absolute branches (`aa = 1`), indirect branches, and
-/// non-branches.
+/// non-branches. The compressor asks this of every word several times per
+/// compression, so a word whose primary opcode is neither `bc` nor `b` is
+/// answered from the opcode alone, without a decode.
 ///
 /// ```
 /// use codense_ppc::branch::{rel_branch_info, RelBranchKind};
@@ -53,6 +56,9 @@ pub struct RelBranch {
 /// assert_eq!(info.offset, 8);
 /// ```
 pub fn rel_branch_info(word: u32) -> Option<RelBranch> {
+    if !matches!(word >> 26, primary::BC | primary::B) {
+        return None;
+    }
     match crate::decode(word) {
         Insn::B { li, aa: false, lk } => {
             Some(RelBranch { kind: RelBranchKind::IForm, offset: li, lk })

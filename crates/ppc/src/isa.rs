@@ -11,6 +11,7 @@ use codense_isa::{Core, Isa, IsaId, RelBranch, OVERFLOW_TABLE_HI};
 use crate::branch::{self, RelBranchKind};
 use crate::insn::{bo, Insn};
 use crate::machine::Machine;
+use crate::opcode::primary;
 use crate::reg::{R0, R12};
 use crate::Spr;
 
@@ -86,6 +87,12 @@ impl Isa for PpcIsa {
     }
 
     fn ends_block(&self, word: u32) -> bool {
+        // Every branch and `sc` sits under primary opcodes 16–19 (`bc`,
+        // `sc`, `b` and the XL group); any other word is answered without a
+        // decode.
+        if !(primary::BC..=primary::XL).contains(&(word >> 26)) {
+            return false;
+        }
         let insn = crate::decode(word);
         insn.is_branch() || matches!(insn, Insn::Sc)
     }
@@ -183,6 +190,43 @@ mod tests {
         assert!(isa.ends_block(crate::encode(&Insn::Bclr { bo: bo::ALWAYS, bi: 0, lk: false })));
         assert!(isa.ends_block(crate::encode(&Insn::Sc)));
         assert!(!isa.ends_block(crate::encode(&Insn::Addi { rt: crate::reg::R3, ra: R0, si: 1 })));
+    }
+
+    /// The opcode gates of `rel_branch_info` and `ends_block` against their
+    /// decode-based definitions, kept here as the spec: every primary opcode,
+    /// each with 65,536 seeded random low-26-bit patterns, all-zeros and
+    /// all-ones.
+    #[test]
+    fn opcode_gates_match_decode() {
+        fn spec_rel_branch_info(word: u32) -> Option<branch::RelBranch> {
+            match crate::decode(word) {
+                Insn::B { li, aa: false, lk } => {
+                    Some(branch::RelBranch { kind: RelBranchKind::IForm, offset: li, lk })
+                }
+                Insn::Bc { bd, aa: false, lk, .. } => {
+                    Some(branch::RelBranch { kind: RelBranchKind::BForm, offset: bd as i32, lk })
+                }
+                _ => None,
+            }
+        }
+        fn spec_ends_block(word: u32) -> bool {
+            let insn = crate::decode(word);
+            insn.is_branch() || matches!(insn, Insn::Sc)
+        }
+        let isa = IsaRef(&ISA);
+        let mut rng = codense_codegen::Rng::new(0x0BC0_DE26);
+        for op in 0u32..64 {
+            let random = (0..65_536).map(|_| rng.next_u64() as u32 & 0x03ff_ffff);
+            for low in [0, 0x03ff_ffff].into_iter().chain(random) {
+                let word = op << 26 | low;
+                assert_eq!(
+                    branch::rel_branch_info(word),
+                    spec_rel_branch_info(word),
+                    "{word:#010x}"
+                );
+                assert_eq!(isa.ends_block(word), spec_ends_block(word), "{word:#010x}");
+            }
+        }
     }
 
     #[test]
