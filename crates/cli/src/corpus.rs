@@ -4,11 +4,11 @@
 
 use std::time::Instant;
 
-use codense_core::{verify::verify, CompressionConfig, Compressor};
+use codense_core::{verify::verify, CompressionConfig, Compressor, EncodingKind};
 use codense_corpus::{build, CorpusIsa, CorpusProgram, CorpusSpec};
 use codense_isa::IsaId;
 
-use crate::{parse_seed, Args, CliResult, ReproRow, REPRO_ENCODINGS};
+use crate::{parse_seed, Args, CliResult, ReproRow};
 
 /// Parses a human-scale instruction count: plain decimal, or with a
 /// `k`/`m` suffix (`10k`, `250k`, `1m`).
@@ -102,7 +102,7 @@ pub fn corpus_repro_row(
     selector: codense_core::SelectorKind,
 ) -> Result<ReproRow, String> {
     let mut ratios = [0.0f64; 4];
-    for (i, &(_, encoding)) in REPRO_ENCODINGS.iter().enumerate() {
+    for (ratio, encoding) in ratios.iter_mut().zip(EncodingKind::ALL) {
         let config =
             CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
         let c = Compressor::new(config)
@@ -112,7 +112,7 @@ pub fn corpus_repro_row(
             .map_err(|e| format!("{}: {e}", corpus_name(p.spec.insns)))?;
         verify(&p.module, &c)
             .map_err(|e| format!("{} ({encoding:?}): {e}", corpus_name(p.spec.insns)))?;
-        ratios[i] = c.compression_ratio();
+        *ratio = c.compression_ratio();
     }
     Ok((corpus_name(p.spec.insns), p.module.len(), p.module.text_bytes(), ratios))
 }

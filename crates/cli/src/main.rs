@@ -108,11 +108,11 @@ usage:
                  [-o FILE.cdm]
   codense sweep [--bench NAME] [--isa ppc|mips] [--selector greedy|refine]
                 [--corpus N]
-  codense profile [--bench NAME] [--encoding baseline|onebyte|nibble]
+  codense profile [--bench NAME] [--encoding baseline|onebyte|nibble|huffman]
                   [--max-steps N] [--out PROFILE.json] [--corpus N]
   codense hybrid --bench NAME [--coverage FRAC | --threshold N]
-                 [--encoding baseline|onebyte|nibble] [--max-steps N]
-  codense hybrid-sweep [--encoding baseline|onebyte|nibble]
+                 [--encoding baseline|onebyte|nibble|huffman] [--max-steps N]
+  codense hybrid-sweep [--encoding baseline|onebyte|nibble|huffman]
                        [--out BENCH_hybrid.json] [--corpus N]
   codense fuzz [--cases N] [--seed S] [--max-steps N] [--fault-tries N]
                [--hybrid] [--isa ppc|mips]
@@ -407,23 +407,18 @@ fn parse_isa(args: &Args) -> Result<IsaId, String> {
 }
 
 fn parse_encoding(name: &str) -> Result<EncodingKind, String> {
-    match name {
-        "baseline" => Ok(EncodingKind::Baseline),
-        "onebyte" => Ok(EncodingKind::OneByte),
-        "nibble" => Ok(EncodingKind::NibbleAligned),
-        "huffman" => Ok(EncodingKind::Huffman),
-        other => Err(format!("unknown encoding `{other}` (baseline|onebyte|nibble|huffman)")),
-    }
+    EncodingKind::from_name(name).ok_or_else(|| {
+        format!("unknown encoding `{name}` ({})", EncodingKind::ALL.map(|k| k.name()).join("|"))
+    })
 }
 
 /// Resolves a `--selector` flag to a dictionary selection strategy
 /// (default `greedy`).
 fn parse_selector(args: &Args) -> Result<SelectorKind, String> {
-    match args.value("--selector") {
-        None | Some("greedy") => Ok(SelectorKind::Greedy),
-        Some("refine") => Ok(SelectorKind::Refine),
-        Some(other) => Err(format!("unknown selector `{other}` (greedy|refine)")),
-    }
+    let name = args.value("--selector").unwrap_or(SelectorKind::default().name());
+    SelectorKind::from_name(name).ok_or_else(|| {
+        format!("unknown selector `{name}` ({})", SelectorKind::ALL.map(|k| k.name()).join("|"))
+    })
 }
 
 /// Resolves a `--max-entry` flag, the longest dictionary entry in
@@ -753,17 +748,9 @@ fn cmd_asm(args: &Args) -> CliResult {
 /// suite, compress every benchmark under all four encodings, verify each
 /// result, and print the ratio table.
 /// One `repro` table row: benchmark name, instruction count, text bytes,
-/// ratio per encoding (baseline, onebyte, nibble, huffman).
+/// ratio per encoding in [`EncodingKind::ALL`] order, the table's column
+/// order (the JSON artifacts sort keys alphabetically on their own).
 type ReproRow = (String, usize, usize, [f64; 4]);
-
-/// The repro encoding order (table column order; the JSON artifacts sort
-/// keys alphabetically on their own).
-const REPRO_ENCODINGS: [(&str, EncodingKind); 4] = [
-    ("baseline", EncodingKind::Baseline),
-    ("onebyte", EncodingKind::OneByte),
-    ("nibble", EncodingKind::NibbleAligned),
-    ("huffman", EncodingKind::Huffman),
-];
 
 /// Generates the suite for one backend and compresses every benchmark
 /// under all four encodings with the given selector, verifying each result.
@@ -791,7 +778,7 @@ fn repro_rows(
     let isa = isa_ref(isa);
     codense_core::parallel::par_map(modules, move |_, m| {
         let mut ratios = [0.0f64; 4];
-        for (i, &(_, encoding)) in REPRO_ENCODINGS.iter().enumerate() {
+        for (ratio, encoding) in ratios.iter_mut().zip(EncodingKind::ALL) {
             let config = CompressionConfig {
                 max_entry_len: 4,
                 max_codewords: encoding.capacity(),
@@ -803,7 +790,7 @@ fn repro_rows(
                 .compress(&m)
                 .map_err(|e| format!("{}: {e}", m.name))?;
             verify(&m, &c).map_err(|e| format!("{} ({encoding:?}): {e}", m.name))?;
-            ratios[i] = c.compression_ratio();
+            *ratio = c.compression_ratio();
         }
         Ok::<_, String>((m.name.clone(), m.len(), m.text_bytes(), ratios))
     })
@@ -846,6 +833,43 @@ fn print_repro_table(rows: &[ReproRow]) {
     );
 }
 
+/// `"key": value` pairs as one JSON object, keys sorted as every artifact
+/// sorts them.
+fn json_object(mut fields: Vec<(&str, String)>) -> String {
+    fields.sort_by_key(|&(key, _)| key);
+    let fields: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    format!("{{ {} }}", fields.join(", "))
+}
+
+/// A row's ratios keyed by encoding name.
+fn ratio_fields(ratios: &[f64; 4]) -> Vec<(&'static str, String)> {
+    EncodingKind::ALL.iter().zip(ratios).map(|(k, r)| (k.name(), format!("{r:.4}"))).collect()
+}
+
+/// Appends one artifact cell indented by `pad`: a `"benches"` object with
+/// one line per benchmark, by name (with its sizes when `sizes`), then the
+/// per-encoding `"mean"`.
+fn push_cell(json: &mut String, pad: &str, rows: &[ReproRow], sizes: bool) {
+    let mut rows: Vec<_> = rows.to_vec();
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    json.push_str(&format!("{pad}\"benches\": {{\n"));
+    let mut mean = [0.0f64; 4];
+    for (bi, (name, insns, bytes, r)) in rows.iter().enumerate() {
+        let mut fields = ratio_fields(r);
+        if sizes {
+            fields.extend([("insns", insns.to_string()), ("text_bytes", bytes.to_string())]);
+        }
+        let comma = if bi + 1 < rows.len() { "," } else { "" };
+        json.push_str(&format!("{pad}  \"{name}\": {}{comma}\n", json_object(fields)));
+        for (m, x) in mean.iter_mut().zip(r) {
+            *m += x;
+        }
+    }
+    let n = rows.len() as f64;
+    let mean = json_object(ratio_fields(&mean.map(|m| m / n)));
+    json.push_str(&format!("{pad}}},\n{pad}\"mean\": {mean}\n"));
+}
+
 /// Renders the schema-1 `BENCH_isa.json` cross-ISA density artifact:
 /// sorted-key JSON with per-benchmark ratios and per-ISA means for both
 /// backends under all four encodings (greedy selector).
@@ -856,40 +880,16 @@ fn render_isa_artifact(per_isa: &[(&str, &[ReproRow])]) -> String {
     isas.sort_by_key(|(name, _)| *name);
     for (ii, (isa, rows)) in isas.iter().enumerate() {
         let isa_comma = if ii + 1 < isas.len() { "," } else { "" };
-        json.push_str(&format!("    \"{isa}\": {{\n      \"benches\": {{\n"));
-        let mut rows: Vec<_> = rows.to_vec();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut mean = [0.0f64; 4];
-        for (bi, (name, insns, bytes, r)) in rows.iter().enumerate() {
-            let comma = if bi + 1 < rows.len() { "," } else { "" };
-            json.push_str(&format!(
-                "        \"{name}\": {{ \"baseline\": {:.4}, \"huffman\": {:.4}, \
-                 \"insns\": {insns}, \"nibble\": {:.4}, \"onebyte\": {:.4}, \
-                 \"text_bytes\": {bytes} }}{comma}\n",
-                r[0], r[3], r[2], r[1]
-            ));
-            for i in 0..4 {
-                mean[i] += r[i];
-            }
-        }
-        let n = rows.len() as f64;
-        json.push_str("      },\n");
-        json.push_str(&format!(
-            "      \"mean\": {{ \"baseline\": {:.4}, \"huffman\": {:.4}, \"nibble\": {:.4}, \
-             \"onebyte\": {:.4} }}\n",
-            mean[0] / n,
-            mean[3] / n,
-            mean[2] / n,
-            mean[1] / n
-        ));
+        json.push_str(&format!("    \"{isa}\": {{\n"));
+        push_cell(&mut json, "      ", rows, true);
         json.push_str(&format!("    }}{isa_comma}\n"));
     }
     json.push_str("  },\n  \"schema\": 1\n}\n");
     json
 }
 
-/// One ISA's column of the ratio artifact: repro rows per selector name.
-type SelectorCells<'a> = [(&'a str, &'a [ReproRow]); 2];
+/// One ISA's column of the ratio artifact: repro rows per selector.
+type SelectorCells<'a> = [(SelectorKind, &'a [ReproRow]); 2];
 
 /// Renders the schema-1 `BENCH_ratio.json` selector-trajectory artifact:
 /// per-benchmark compression ratios for both ISAs under every
@@ -906,34 +906,11 @@ fn render_ratio_artifact(per_isa: &[(&str, SelectorCells)]) -> String {
         let isa_comma = if ii + 1 < isas.len() { "," } else { "" };
         json.push_str(&format!("    \"{isa}\": {{\n"));
         let mut selectors = *selectors;
-        selectors.sort_by_key(|(name, _)| *name);
+        selectors.sort_by_key(|(s, _)| s.name());
         for (si, (selector, rows)) in selectors.iter().enumerate() {
             let sel_comma = if si + 1 < selectors.len() { "," } else { "" };
-            json.push_str(&format!("      \"{selector}\": {{\n        \"benches\": {{\n"));
-            let mut rows: Vec<_> = rows.to_vec();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut mean = [0.0f64; 4];
-            for (bi, (name, _, _, r)) in rows.iter().enumerate() {
-                let comma = if bi + 1 < rows.len() { "," } else { "" };
-                json.push_str(&format!(
-                    "          \"{name}\": {{ \"baseline\": {:.4}, \"huffman\": {:.4}, \
-                     \"nibble\": {:.4}, \"onebyte\": {:.4} }}{comma}\n",
-                    r[0], r[3], r[2], r[1]
-                ));
-                for i in 0..4 {
-                    mean[i] += r[i];
-                }
-            }
-            let n = rows.len() as f64;
-            json.push_str("        },\n");
-            json.push_str(&format!(
-                "        \"mean\": {{ \"baseline\": {:.4}, \"huffman\": {:.4}, \
-                 \"nibble\": {:.4}, \"onebyte\": {:.4} }}\n",
-                mean[0] / n,
-                mean[3] / n,
-                mean[2] / n,
-                mean[1] / n
-            ));
+            json.push_str(&format!("      \"{}\": {{\n", selector.name()));
+            push_cell(&mut json, "        ", rows, false);
             json.push_str(&format!("      }}{sel_comma}\n"));
         }
         json.push_str(&format!("    }}{isa_comma}\n"));
@@ -1010,7 +987,7 @@ fn cmd_repro(args: &Args) -> CliResult {
     // The ratio artifact carries the full isa × selector × encoding grid.
     if let Some(path) = ratio_path {
         for isa in IsaId::ALL {
-            for s in [SelectorKind::Greedy, SelectorKind::Refine] {
+            for s in SelectorKind::ALL {
                 rows_for(&mut computed, isa, s, bench_filter)?;
             }
         }
@@ -1023,15 +1000,7 @@ fn cmd_repro(args: &Args) -> CliResult {
         };
         let per_isa: Vec<(&str, SelectorCells)> = IsaId::ALL
             .into_iter()
-            .map(|isa| {
-                (
-                    isa.name(),
-                    [
-                        ("greedy", cell(isa, SelectorKind::Greedy)),
-                        ("refine", cell(isa, SelectorKind::Refine)),
-                    ],
-                )
-            })
+            .map(|isa| (isa.name(), SelectorKind::ALL.map(|s| (s, cell(isa, s)))))
             .collect();
         let json = render_ratio_artifact(&per_isa);
         std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;

@@ -18,19 +18,58 @@
 ///   observation): nibble-aligned canonical Huffman codewords whose lengths
 ///   come from the program's *actual* dictionary-entry usage frequencies
 ///   ([`crate::huffcode::HuffCode`]); the escape is itself a Huffman symbol.
+///
+/// This is the one tag ↔ name table for encodings: the `.cdns` header and
+/// a serve `REQ_COMPRESS` frame carry the [`tag`](EncodingKind::tag), the
+/// CLI's `--encoding` and the ratio artifacts the
+/// [`name`](EncodingKind::name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EncodingKind {
-    /// 2-byte escape + index codewords (the paper's baseline).
-    Baseline,
-    /// 1-byte escape-byte codewords (small-dictionary scheme, Fig 8).
-    OneByte,
-    /// Nibble-aligned 4/8/12/16-bit codewords (Fig 10/11).
-    NibbleAligned,
-    /// Frequency-driven nibble-aligned canonical Huffman codewords.
-    Huffman,
+    /// 2-byte escape + index codewords (the paper's baseline), tag 0.
+    Baseline = 0,
+    /// 1-byte escape-byte codewords (small-dictionary scheme, Fig 8), tag 1.
+    OneByte = 1,
+    /// Nibble-aligned 4/8/12/16-bit codewords (Fig 10/11), tag 2.
+    NibbleAligned = 2,
+    /// Frequency-driven nibble-aligned canonical Huffman codewords, tag 3.
+    Huffman = 3,
 }
 
 impl EncodingKind {
+    /// Every encoding, in tag order.
+    pub const ALL: [EncodingKind; 4] = [
+        EncodingKind::Baseline,
+        EncodingKind::OneByte,
+        EncodingKind::NibbleAligned,
+        EncodingKind::Huffman,
+    ];
+
+    /// The tag files and frames record.
+    pub const fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The encoding a tag names, or `None` for an unknown tag.
+    pub fn from_tag(tag: u8) -> Option<EncodingKind> {
+        EncodingKind::ALL.into_iter().find(|k| k.tag() == tag)
+    }
+
+    /// Short lowercase name (`"baseline"`, `"onebyte"`, `"nibble"`,
+    /// `"huffman"`).
+    pub const fn name(self) -> &'static str {
+        match self {
+            EncodingKind::Baseline => "baseline",
+            EncodingKind::OneByte => "onebyte",
+            EncodingKind::NibbleAligned => "nibble",
+            EncodingKind::Huffman => "huffman",
+        }
+    }
+
+    /// The encoding a [`name`](EncodingKind::name) names.
+    pub fn from_name(name: &str) -> Option<EncodingKind> {
+        EncodingKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+
     /// Maximum number of dictionary entries the codeword space can index.
     pub fn capacity(self) -> usize {
         match self {
@@ -180,5 +219,18 @@ mod tests {
         assert_eq!(c.encoding.granule_nibbles(), 1);
         assert_eq!(c.encoding.uncompressed_insn_bits(), 36);
         assert_eq!(c.encoding.codeword_bits_estimate(), 16);
+    }
+
+    #[test]
+    fn encodings_round_trip_through_tags_and_names() {
+        for kind in EncodingKind::ALL {
+            assert_eq!(EncodingKind::from_tag(kind.tag()), Some(kind));
+            assert_eq!(EncodingKind::from_name(kind.name()), Some(kind));
+        }
+        // `.cdns` headers and serve frames record these values.
+        let tags = EncodingKind::ALL.map(|k| (k.tag(), k.name()));
+        assert_eq!(tags, [(0, "baseline"), (1, "onebyte"), (2, "nibble"), (3, "huffman")]);
+        assert_eq!(EncodingKind::from_tag(4), None);
+        assert_eq!(EncodingKind::from_name("arith"), None);
     }
 }

@@ -9,8 +9,8 @@
 //! ```text
 //! "CDNS"            magic
 //! u16               format version (1)
-//! u8                encoding (0 = baseline, 1 = one-byte, 2 = nibble,
-//!                             3 = huffman)
+//! u8                encoding tag (0 = baseline, 1 = one-byte, 2 = nibble,
+//!                             3 = huffman; see `EncodingKind::tag`)
 //! u8                ISA tag (0 = PowerPC, 1 = MIPS; see `codense_isa::IsaId`)
 //! u32               original text bytes
 //! u64               stream length in nibbles
@@ -28,6 +28,7 @@
 //! ```
 
 use codense_isa::IsaId;
+use codense_obj::crc32::crc32;
 
 use crate::compressor::CompressedProgram;
 use crate::config::EncodingKind;
@@ -113,38 +114,12 @@ impl std::fmt::Display for ContainerError {
 
 impl std::error::Error for ContainerError {}
 
-/// CRC-32 (IEEE 802.3, reflected). Delegates to the table/hardware
-/// implementation in [`codense_obj::crc32`] (the bitwise reference lives
-/// there too, pinned equal by its check-value suite).
-pub fn crc32(data: &[u8]) -> u32 {
-    codense_obj::crc32::crc32(data)
-}
-
-fn encoding_tag(kind: EncodingKind) -> u8 {
-    match kind {
-        EncodingKind::Baseline => 0,
-        EncodingKind::OneByte => 1,
-        EncodingKind::NibbleAligned => 2,
-        EncodingKind::Huffman => 3,
-    }
-}
-
-fn encoding_from_tag(tag: u8) -> Option<EncodingKind> {
-    match tag {
-        0 => Some(EncodingKind::Baseline),
-        1 => Some(EncodingKind::OneByte),
-        2 => Some(EncodingKind::NibbleAligned),
-        3 => Some(EncodingKind::Huffman),
-        _ => None,
-    }
-}
-
 /// Serializes a compressed program into the container format.
 pub fn serialize(program: &CompressedProgram) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_be_bytes());
-    out.push(encoding_tag(program.encoding));
+    out.push(program.encoding.tag());
     out.push(program.isa.id().tag());
     out.extend_from_slice(&(program.original_text_bytes as u32).to_be_bytes());
     out.extend_from_slice(&program.total_nibbles.to_be_bytes());
@@ -247,7 +222,7 @@ pub fn deserialize(data: &[u8]) -> Result<ProgramImage, ContainerError> {
         return Err(ContainerError::BadVersion(version));
     }
     let enc_tag = r.u8()?;
-    let encoding = encoding_from_tag(enc_tag).ok_or(ContainerError::BadEncoding(enc_tag))?;
+    let encoding = EncodingKind::from_tag(enc_tag).ok_or(ContainerError::BadEncoding(enc_tag))?;
     let isa_tag = r.u8()?;
     let isa = IsaId::from_tag(isa_tag).ok_or(ContainerError::BadIsa(isa_tag))?;
     let original_text_bytes = r.u32()?;
@@ -433,19 +408,26 @@ mod tests {
         }
     }
 
+    /// The encoding tag precedes the ISA tag; an unknown one under a valid
+    /// CRC is a typed error.
+    #[test]
+    fn unknown_encoding_is_a_typed_error() {
+        let c = program();
+        let mut bytes = serialize(&c);
+        assert_eq!(bytes[ISA_TAG_AT - 1], c.encoding.tag());
+        bytes[ISA_TAG_AT - 1] = 4;
+        let n = bytes.len() - 4;
+        let crc = crc32(&bytes[..n]);
+        bytes[n..].copy_from_slice(&crc.to_be_bytes());
+        assert_eq!(deserialize(&bytes), Err(ContainerError::BadEncoding(4)));
+    }
+
     #[test]
     fn truncation_detected() {
         let bytes = serialize(&program());
         for len in [0usize, 3, 8, bytes.len() - 5] {
             assert!(deserialize(&bytes[..len]).is_err(), "len {len}");
         }
-    }
-
-    #[test]
-    fn crc32_reference_vector() {
-        // Standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -206,9 +206,10 @@ const LONE_PAYS_FROM: usize = 5;
 /// selection against it any number of times ([`run_greedy_with`]) — each
 /// run clones only the arrays it mutates.
 #[derive(Debug, Clone)]
-pub struct CandidateIndex {
-    /// Each cell's instruction word by flat offset.
-    words: Vec<u32>,
+pub struct CandidateIndex<'a> {
+    /// Each cell's instruction word by flat offset: the module's words,
+    /// borrowed.
+    words: &'a [u32],
     /// Whether each cell is compressible.
     compressible: Vec<bool>,
     /// Window start offsets, grouped by candidate in id order, ascending
@@ -226,7 +227,7 @@ pub struct CandidateIndex {
     max_entry_len: usize,
 }
 
-impl CandidateIndex {
+impl<'a> CandidateIndex<'a> {
     /// Mines every candidate window of `model` (runs of compressible cells,
     /// windows up to `max_len` instructions), except sequences of up to four
     /// instructions that occur only once: no cost model selection accepts
@@ -239,7 +240,10 @@ impl CandidateIndex {
     ///
     /// [`CompressError::ProgramTooLarge`] if the program exceeds the
     /// matchfinder's 32-bit position space.
-    pub fn build(model: &ProgramModel, max_len: usize) -> Result<CandidateIndex, CompressError> {
+    pub fn build(
+        model: &ProgramModel<'a>,
+        max_len: usize,
+    ) -> Result<CandidateIndex<'a>, CompressError> {
         // rem[p]: how many windows start at p, i.e. the compressible cells
         // from p to the end of its run, capped at `max_len` (a run ends at
         // an incompressible cell or a block's end). The cap is at most
@@ -264,7 +268,7 @@ impl CandidateIndex {
         check_position_space(blocks, largest_block, n, cap)?;
 
         let mut index = CandidateIndex {
-            words: model.words.to_vec(),
+            words: model.words,
             compressible: model.compressible.clone(),
             occ: Vec::new(),
             starts: vec![0],

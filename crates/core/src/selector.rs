@@ -46,14 +46,46 @@ use crate::greedy::{BanSet, CandidateIndex};
 use crate::telemetry;
 
 /// Which dictionary-selection strategy a [`Compressor`] runs.
+///
+/// This is the one tag ↔ name table for selectors: a serve `REQ_COMPRESS`
+/// frame and its cache key carry the [`tag`](SelectorKind::tag), the CLI's
+/// `--selector` and `BENCH_ratio.json` the [`name`](SelectorKind::name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SelectorKind {
-    /// Plain greedy selection — one pass, maximum immediate savings.
+    /// Plain greedy selection — one pass, maximum immediate savings; tag 0.
     #[default]
-    Greedy,
+    Greedy = 0,
     /// Greedy plus the ban-and-reselect hill climb described in this
-    /// module, re-scored with the exact layout cost.
-    Refine,
+    /// module, re-scored with the exact layout cost; tag 1.
+    Refine = 1,
+}
+
+impl SelectorKind {
+    /// Every selector, in tag order.
+    pub const ALL: [SelectorKind; 2] = [SelectorKind::Greedy, SelectorKind::Refine];
+
+    /// The tag frames and cache keys record.
+    pub const fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The selector a tag names, or `None` for an unknown tag.
+    pub fn from_tag(tag: u8) -> Option<SelectorKind> {
+        SelectorKind::ALL.into_iter().find(|k| k.tag() == tag)
+    }
+
+    /// Short lowercase name (`"greedy"`, `"refine"`).
+    pub const fn name(self) -> &'static str {
+        match self {
+            SelectorKind::Greedy => "greedy",
+            SelectorKind::Refine => "refine",
+        }
+    }
+
+    /// The selector a [`name`](SelectorKind::name) names.
+    pub fn from_name(name: &str) -> Option<SelectorKind> {
+        SelectorKind::ALL.into_iter().find(|k| k.name() == name)
+    }
 }
 
 /// Marginal entries probed per round: the bottom of the pick log by
@@ -331,5 +363,18 @@ mod tests {
     fn selector_kind_default_is_greedy() {
         assert_eq!(SelectorKind::default(), SelectorKind::Greedy);
         assert_eq!(Compressor::default().selector(), SelectorKind::Greedy);
+    }
+
+    #[test]
+    fn selectors_round_trip_through_tags_and_names() {
+        for kind in SelectorKind::ALL {
+            assert_eq!(SelectorKind::from_tag(kind.tag()), Some(kind));
+            assert_eq!(SelectorKind::from_name(kind.name()), Some(kind));
+        }
+        // Serve frames and cache keys record these values.
+        let tags = SelectorKind::ALL.map(|k| (k.tag(), k.name()));
+        assert_eq!(tags, [(0, "greedy"), (1, "refine")]);
+        assert_eq!(SelectorKind::from_tag(2), None);
+        assert_eq!(SelectorKind::from_name("anneal"), None);
     }
 }

@@ -113,7 +113,7 @@ pub fn corrupt(bytes: &[u8], rng: &mut Rng) -> Vec<u8> {
 /// passes the integrity check and reaches the parser.
 fn refix_crc(bytes: &mut [u8]) {
     let (payload, crc) = bytes.split_at_mut(bytes.len() - 4);
-    crc.copy_from_slice(&container::crc32(payload).to_be_bytes());
+    crc.copy_from_slice(&codense_obj::crc32::crc32(payload).to_be_bytes());
 }
 
 /// `bytes` with the `width`-byte big-endian field at `at` set to `tag` and

@@ -1,17 +1,14 @@
 //! CRC-32 (IEEE 802.3, polynomial `0xEDB88320` reflected) — the checksum of
-//! the `.cdm` module format, the `.cdz` container, and every serve frame.
+//! the `.cdm` module format, the `.cdns` container, and every serve frame.
 //!
-//! Three implementations, all bit-for-bit identical:
+//! Two implementations, bit-for-bit identical:
 //!
+//! * [`crc32`] — slicing-by-8: eight 256-entry lookup tables (generated at
+//!   compile time by a `const fn`) process 8 input bytes per iteration with
+//!   no data-dependent branching. ~10× the bitwise loop on any CPU, no
+//!   feature detection needed;
 //! * [`crc32_bitwise`] — the original 8-shifts-per-byte loop, kept as the
-//!   executable reference the check-value suite compares everything against;
-//! * [`crc32_slice8`] — slicing-by-8: eight 256-entry lookup tables
-//!   (generated at compile time by a `const fn`) process 8 input bytes per
-//!   iteration with no data-dependent branching. ~10× the bitwise loop on
-//!   any CPU, no feature detection needed;
-//! * an AArch64 hardware path using the `crc32b`/`crc32x` instructions
-//!   (ARMv8 CRC extension), which implement exactly this polynomial. Chosen
-//!   at runtime via `is_aarch64_feature_detected!`.
+//!   executable reference the check-value suite compares [`crc32`] against.
 //!
 //! x86-64's SSE4.2 `crc32` instruction is deliberately **not** used: it
 //! hard-wires the Castagnoli polynomial (`0x1EDC6F41`, CRC-32C), not the
@@ -23,21 +20,8 @@
 /// The IEEE 802.3 polynomial, reflected.
 const POLY: u32 = 0xedb8_8320;
 
-/// CRC-32 of `data` — dispatches to the fastest correct implementation for
-/// the running CPU.
-pub fn crc32(data: &[u8]) -> u32 {
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("crc") {
-            // SAFETY: the `crc` feature was just detected.
-            return unsafe { crc32_aarch64(data) };
-        }
-    }
-    crc32_slice8(data)
-}
-
 /// Bitwise reference implementation: 8 shifts per byte. Slow; exists so the
-/// table and hardware paths have an independently-simple ground truth.
+/// table path has an independently-simple ground truth.
 pub fn crc32_bitwise(data: &[u8]) -> u32 {
     let mut crc = 0xffff_ffffu32;
     for &b in data {
@@ -81,9 +65,9 @@ const fn build_tables() -> [[u32; 256]; 8] {
     t
 }
 
-/// Slicing-by-8 table implementation: 8 bytes per iteration, 8 independent
+/// CRC-32 of `data`, slicing-by-8: 8 bytes per iteration, 8 independent
 /// table loads whose XOR reduction the CPU can overlap.
-pub fn crc32_slice8(data: &[u8]) -> u32 {
+pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xffff_ffffu32;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
@@ -103,27 +87,6 @@ pub fn crc32_slice8(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Hardware path: ARMv8 `crc32x`/`crc32b` compute the IEEE polynomial
-/// directly, 8 bytes per instruction.
-///
-/// # Safety
-///
-/// Caller must ensure the CPU supports the `crc` feature.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "crc")]
-unsafe fn crc32_aarch64(data: &[u8]) -> u32 {
-    use std::arch::aarch64::{__crc32b, __crc32d};
-    let mut crc = 0xffff_ffffu32;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        crc = __crc32d(crc, u64::from_le_bytes(c.try_into().unwrap()));
-    }
-    for &b in chunks.remainder() {
-        crc = __crc32b(crc, b);
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,7 +96,6 @@ mod tests {
         // The standard CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32_bitwise(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32_slice8(b"123456789"), 0xcbf4_3926);
     }
 
     #[test]
@@ -143,8 +105,7 @@ mod tests {
         let data: Vec<u8> = (0u32..64).map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8).collect();
         for len in 0..data.len() {
             let want = crc32_bitwise(&data[..len]);
-            assert_eq!(crc32_slice8(&data[..len]), want, "slice8 at len {len}");
-            assert_eq!(crc32(&data[..len]), want, "dispatch at len {len}");
+            assert_eq!(crc32(&data[..len]), want, "slice8 at len {len}");
         }
     }
 }

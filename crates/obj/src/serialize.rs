@@ -29,7 +29,7 @@ pub const VERSION: u16 = 1;
 /// Byte offset of the `u16` ISA tag: after the magic and version.
 pub const ISA_TAG_AT: usize = 6;
 
-pub use crate::crc32::crc32;
+use crate::crc32::crc32;
 
 /// Module-format errors.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -9,7 +9,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use codense_isa::IsaId;
-use codense_obj::serialize::{crc32, deserialize, serialize, SerializeError};
+use codense_obj::crc32::crc32;
+use codense_obj::serialize::{deserialize, serialize, SerializeError};
 use codense_obj::{FunctionInfo, JumpTable, ObjectModule};
 use codense_ppc::encode;
 use codense_ppc::insn::Insn;

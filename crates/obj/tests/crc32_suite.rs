@@ -1,10 +1,9 @@
-//! IEEE CRC-32 check-value suite: pins the dispatching implementation (and
-//! the slicing-by-8 tables, and the hardware path where present) against
-//! known vectors and against the bitwise reference on structured and
-//! pseudorandom buffers, including a 1 MiB stream exercising every alignment
-//! of the 8-byte main loop.
+//! IEEE CRC-32 check-value suite: pins the slicing-by-8 implementation
+//! against known vectors and against the bitwise reference on structured
+//! and pseudorandom buffers, including a 1 MiB stream exercising every
+//! alignment of the 8-byte main loop.
 
-use codense_obj::crc32::{crc32, crc32_bitwise, crc32_slice8};
+use codense_obj::crc32::{crc32, crc32_bitwise};
 
 /// Known IEEE 802.3 CRC-32 vectors (reflected, init/xorout `0xFFFFFFFF`).
 #[test]
@@ -18,9 +17,8 @@ fn known_vectors() {
         (b"The quick brown fox jumps over the lazy dog", 0x414f_a339),
     ];
     for &(input, want) in vectors {
-        assert_eq!(crc32(input), want, "dispatch on {input:?}");
+        assert_eq!(crc32(input), want, "slice8 on {input:?}");
         assert_eq!(crc32_bitwise(input), want, "bitwise on {input:?}");
-        assert_eq!(crc32_slice8(input), want, "slice8 on {input:?}");
     }
 }
 
@@ -64,12 +62,10 @@ fn pseudorandom(len: usize) -> Vec<u8> {
 fn one_mebibyte_pseudorandom_agrees_bit_for_bit() {
     let data = pseudorandom(1 << 20);
     let want = crc32_bitwise(&data);
-    assert_eq!(crc32_slice8(&data), want, "slice8 diverges from bitwise reference");
-    assert_eq!(crc32(&data), want, "dispatched path diverges from bitwise reference");
+    assert_eq!(crc32(&data), want, "slice8 diverges from bitwise reference");
     // Unaligned starts and tails hit the remainder loops.
     for (lo, hi) in [(1, 1 << 20), (0, (1 << 20) - 3), (7, (1 << 20) - 7)] {
         let want = crc32_bitwise(&data[lo..hi]);
-        assert_eq!(crc32_slice8(&data[lo..hi]), want, "slice8 on [{lo}..{hi}]");
-        assert_eq!(crc32(&data[lo..hi]), want, "dispatch on [{lo}..{hi}]");
+        assert_eq!(crc32(&data[lo..hi]), want, "slice8 on [{lo}..{hi}]");
     }
 }

@@ -6,11 +6,11 @@
 //! compression literature leans on) makes the same modules arrive over and
 //! over; a hit turns a multi-millisecond compression into a hash lookup.
 //! Keys are *content-addressed*: an FNV-1a 64 hash of the raw module bytes
-//! plus every parameter that changes the output (codec tag, entry-length
-//! cap, codeword cap) and the module length as a cheap second check. The
-//! cached value is the exact `.cdns` container a fresh compression would
-//! produce, so a hit is byte-identical to a miss — the cache property
-//! suite pins this against in-process compression.
+//! plus every parameter that changes the output (encoding and selector
+//! tags, entry-length cap, codeword cap) and the module length as a cheap
+//! second check. The cached value is the exact `.cdns` container a fresh
+//! compression would produce, so a hit is byte-identical to a miss — the
+//! cache property suite pins this against in-process compression.
 //!
 //! All cache operations happen on the reactor thread, which is what makes
 //! the `serve.cache.{hits,misses,evictions}` counters deterministic for a
@@ -39,10 +39,11 @@ pub struct CacheKey {
     pub content: u64,
     /// Length of the module bytes (cheap collision backstop).
     pub len: u32,
-    /// Codec registry tag.
+    /// Encoding tag ([`EncodingKind::tag`](codense_core::EncodingKind::tag)).
     pub codec: u8,
-    /// Selector wire byte (0 greedy, 1 refine) — the two produce different
-    /// containers for the same module, so they must not share an entry.
+    /// Selector tag ([`SelectorKind::tag`](codense_core::SelectorKind::tag))
+    /// — the two selectors produce different containers for the same
+    /// module, so they must not share an entry.
     pub selector: u8,
     /// Maximum instructions per dictionary entry.
     pub max_entry_len: u16,

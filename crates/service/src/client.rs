@@ -19,7 +19,9 @@ pub enum RequestError {
     Frame(FrameError),
     /// The server answered with a typed error frame.
     Rejected(ErrorCode, String),
-    /// The server answered with a frame type the request cannot accept.
+    /// The server answered with a frame this request cannot accept: an op
+    /// it does not expect, another request's id, or a body that does not
+    /// decode.
     Unexpected(Op),
 }
 
@@ -80,7 +82,7 @@ impl Client {
                 // A sequential client has exactly one request outstanding;
                 // any other id in the answer is a server bug.
                 if frame.request_id != id {
-                    return Err(RequestError::Frame(FrameError::UnknownOp(frame.op as u8)));
+                    return Err(RequestError::Unexpected(frame.op));
                 }
                 Ok((frame.op, frame.payload))
             }
@@ -94,8 +96,8 @@ impl Client {
         match self.roundtrip(req, payload)? {
             (op, payload) if op == want => Ok(payload),
             (Op::RespErr, payload) => {
-                let (code, msg) = decode_error(&payload)
-                    .ok_or(RequestError::Frame(FrameError::UnknownOp(Op::RespErr as u8)))?;
+                let (code, msg) =
+                    decode_error(&payload).ok_or(RequestError::Unexpected(Op::RespErr))?;
                 Err(RequestError::Rejected(code, msg))
             }
             (op, _) => Err(RequestError::Unexpected(op)),
@@ -111,8 +113,7 @@ impl Client {
     /// Fetches the server's schema-1 telemetry JSON.
     pub fn metrics(&mut self) -> Result<String, RequestError> {
         let payload = self.expect(Op::ReqMetrics, b"", Op::RespMetrics)?;
-        String::from_utf8(payload)
-            .map_err(|_| RequestError::Frame(FrameError::UnknownOp(Op::RespMetrics as u8)))
+        String::from_utf8(payload).map_err(|_| RequestError::Unexpected(Op::RespMetrics))
     }
 
     /// Liveness probe.
@@ -168,5 +169,37 @@ impl PipelinedClient {
     /// write adversarial byte sequences (sub-frame chunks, torn frames).
     pub fn raw_stream(&mut self) -> &mut TcpStream {
         &mut self.stream
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A scripted peer answers three requests with defined ops the requests
+    /// cannot accept: a pong carrying another request's id, an error frame
+    /// whose body does not decode, and metrics that are not UTF-8.
+    #[test]
+    fn undecodable_answers_are_unexpected_frames() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            for (op, id_shift, payload) in [
+                (Op::RespPong, 1, &b""[..]),
+                (Op::RespErr, 0, b"\x01"),
+                (Op::RespMetrics, 0, b"\xff"),
+            ] {
+                let (req, _) = read_frame(&mut &stream).unwrap().expect("a request");
+                write_frame(&mut &stream, op, req.request_id + id_shift, payload).unwrap();
+            }
+        });
+        let mut client = Client::connect(addr, 5000).unwrap();
+        let errs =
+            [client.ping().unwrap_err(), client.ping().unwrap_err(), client.metrics().unwrap_err()];
+        for (err, op) in errs.iter().zip([Op::RespPong, Op::RespErr, Op::RespMetrics]) {
+            assert!(matches!(err, RequestError::Unexpected(got) if *got == op), "{err}");
+        }
+        peer.join().unwrap();
     }
 }

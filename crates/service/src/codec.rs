@@ -1,86 +1,28 @@
-//! The per-request codec registry.
+//! The worker-side compression of one request.
 //!
-//! Frame headers select compression by a one-byte codec tag; the registry
-//! maps tags to servable encodings the way ClickHouse's
-//! `CompressionCodecFactory` maps codec names to implementations. The
-//! registry is deliberately wider than what is servable today: `lzw` holds
-//! tag 4 with no [`EncodingKind`] behind it (the Unix Compress comparison
-//! model is not randomly accessible, so it may never be), keeping the
-//! registered-but-unservable error taxonomy and its conformance tests live.
-//! `huffman` rode the same slot discipline at tag 3 until Huffman-coded
-//! codewords landed; flipping it servable needed no protocol bump.
+//! A `REQ_COMPRESS` frame names its encoding and selector by the tags of
+//! [`EncodingKind`](codense_core::EncodingKind) and
+//! [`SelectorKind`](codense_core::SelectorKind), which
+//! [`CompressRequest::decode`] resolves; this module runs the decoded
+//! request through the same pipeline an in-process caller uses.
 
-use codense_core::{container, Compressor, EncodingKind};
-use codense_obj::ObjectModule;
+use codense_core::{container, Compressor};
 
 use crate::protocol::{CompressRequest, ErrorCode};
 
-/// One registry entry: a wire tag plus the encoding it routes to (when
-/// servable).
-#[derive(Debug, Clone, Copy)]
-pub struct Codec {
-    /// The wire tag carried in a `REQ_COMPRESS` header.
-    pub tag: u8,
-    /// Stable registry name (CLI `--encoding` values match these).
-    pub name: &'static str,
-    /// The encoding behind the tag; `None` = registered, not yet servable.
-    pub kind: Option<EncodingKind>,
-}
-
-/// The closed registry, indexed by tag.
-pub const CODECS: [Codec; 5] = [
-    Codec { tag: 0, name: "baseline", kind: Some(EncodingKind::Baseline) },
-    Codec { tag: 1, name: "onebyte", kind: Some(EncodingKind::OneByte) },
-    Codec { tag: 2, name: "nibble", kind: Some(EncodingKind::NibbleAligned) },
-    Codec { tag: 3, name: "huffman", kind: Some(EncodingKind::Huffman) },
-    Codec { tag: 4, name: "lzw", kind: None },
-];
-
-/// Resolves a wire tag; `None` for tags outside the registry.
-pub fn by_tag(tag: u8) -> Option<&'static Codec> {
-    CODECS.iter().find(|c| c.tag == tag)
-}
-
-/// Resolves a registry name; `None` for unknown names.
-pub fn by_name(name: &str) -> Option<&'static Codec> {
-    CODECS.iter().find(|c| c.name == name)
-}
-
-/// The registry entry serving an encoding (every [`EncodingKind`] has one).
-pub fn by_kind(kind: EncodingKind) -> &'static Codec {
-    CODECS.iter().find(|c| c.kind == Some(kind)).expect("every encoding is registered")
-}
-
-/// Runs one decoded request through its codec: deserialize → validate →
-/// compress → serialize, every failure a typed error code plus message.
-/// The module's recorded ISA picks the backend. This is the worker-side
-/// entry point; the reactor never compresses.
+/// Runs one decoded request: deserialize → validate → compress →
+/// serialize, every failure a typed error code plus message. The module's
+/// recorded ISA picks the backend. This is the worker-side entry point;
+/// the reactor never compresses.
 pub fn process(req: &CompressRequest) -> Result<Vec<u8>, (ErrorCode, String)> {
     let module =
         codense_obj::deserialize(&req.module).map_err(|e| (ErrorCode::BadModule, e.to_string()))?;
     let isa = codense_codegen::isa_ref(module.isa);
     module.validate_with(isa).map_err(|e| (ErrorCode::BadModule, e.to_string()))?;
-    compress_with(by_kind(req.encoding), &module, req)
-}
-
-fn compress_with(
-    codec: &Codec,
-    module: &ObjectModule,
-    req: &CompressRequest,
-) -> Result<Vec<u8>, (ErrorCode, String)> {
-    // Decode already rejects unservable tags, but a registry edit or a new
-    // call path must hit a hard typed error here, not undefined behaviour
-    // in release builds (this was a `debug_assert!`).
-    if codec.kind.is_none() {
-        return Err((
-            ErrorCode::CompressFailed,
-            format!("codec `{}` is registered but not servable", codec.name),
-        ));
-    }
     let compressed = Compressor::new(req.config())
-        .with_isa(codense_codegen::isa_ref(module.isa))
+        .with_isa(isa)
         .with_selector(req.selector)
-        .compress(module)
+        .compress(&module)
         .map_err(|e| (ErrorCode::CompressFailed, e.to_string()))?;
     Ok(container::serialize(&compressed))
 }
@@ -88,36 +30,8 @@ fn compress_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_tags_are_dense_and_names_unique() {
-        for (i, c) in CODECS.iter().enumerate() {
-            assert_eq!(c.tag as usize, i, "tags are the array index");
-            assert_eq!(by_tag(c.tag).unwrap().name, c.name);
-            assert_eq!(by_name(c.name).unwrap().tag, c.tag);
-        }
-        assert!(by_tag(99).is_none());
-        assert!(by_name("arith").is_none());
-    }
-
-    #[test]
-    fn every_encoding_has_a_codec() {
-        for kind in [
-            EncodingKind::Baseline,
-            EncodingKind::OneByte,
-            EncodingKind::NibbleAligned,
-            EncodingKind::Huffman,
-        ] {
-            assert_eq!(by_kind(kind).kind, Some(kind));
-        }
-    }
-
-    #[test]
-    fn huffman_is_servable() {
-        let c = by_name("huffman").unwrap();
-        assert_eq!(c.tag, 3);
-        assert_eq!(c.kind, Some(EncodingKind::Huffman));
-    }
+    use codense_core::{EncodingKind, SelectorKind};
+    use codense_obj::ObjectModule;
 
     #[test]
     fn any_wire_window_cap_is_servable() {
@@ -128,7 +42,7 @@ mod tests {
         module.code = (0..300u32).map(|i| 0x3860_0000 | (i % 7)).collect(); // li r3, i % 7
         let req = |module: &ObjectModule, max_entry_len| CompressRequest {
             encoding: EncodingKind::NibbleAligned,
-            selector: codense_core::SelectorKind::Greedy,
+            selector: SelectorKind::Greedy,
             max_entry_len,
             max_codewords: 0,
             module: codense_obj::serialize(module),
@@ -154,7 +68,7 @@ mod tests {
         module.code = vec![0x2442_0001; 40]; // addiu $2,$2,1
         let req = CompressRequest {
             encoding: EncodingKind::Baseline,
-            selector: codense_core::SelectorKind::Greedy,
+            selector: SelectorKind::Greedy,
             max_entry_len: 4,
             max_codewords: 0,
             module: codense_obj::serialize(&module),
@@ -164,22 +78,5 @@ mod tests {
         let compressed = Compressor::new(req.config()).with_isa(mips).compress(&module).unwrap();
         assert_eq!(served, compressed.to_image());
         assert_eq!(served.isa, codense_obj::IsaId::Mips);
-    }
-
-    #[test]
-    fn unservable_codec_is_a_hard_typed_error() {
-        let lzw = by_name("lzw").unwrap();
-        assert!(lzw.kind.is_none());
-        let module = ObjectModule::new("t", codense_obj::IsaId::Ppc);
-        let req = CompressRequest {
-            encoding: EncodingKind::Baseline, // ignored: the codec gates first
-            selector: codense_core::SelectorKind::Greedy,
-            max_entry_len: 4,
-            max_codewords: 0,
-            module: codense_obj::serialize(&module),
-        };
-        let (code, msg) = compress_with(lzw, &module, &req).unwrap_err();
-        assert_eq!(code, ErrorCode::CompressFailed);
-        assert!(msg.contains("not servable"), "{msg}");
     }
 }

@@ -7,10 +7,10 @@
 //! its robustness and latency become measurable. The server
 //! ([`server::serve`]) is a `poll(2)`-based reactor ([`sys`]) driving
 //! per-connection state machines: it accepts length-prefixed, CRC-checked
-//! binary frames ([`protocol`]) carrying a request id, a codec tag
-//! ([`codec`]) and a serialized `ObjectModule`, compresses on a bounded
-//! worker pool behind a completion queue, and answers with the `.cdns`
-//! container bytes — **byte-identical** to an in-process
+//! binary frames ([`protocol`]) carrying a request id, the encoding and
+//! selector tags and a serialized `ObjectModule`, compresses ([`codec`]) on
+//! a bounded worker pool behind a completion queue, and answers with the
+//! `.cdns` container bytes — **byte-identical** to an in-process
 //! [`Compressor::compress`](codense_core::Compressor) + `container::serialize`
 //! of the same module, pinned by the integration tests.
 //!
@@ -53,7 +53,6 @@ pub mod sys;
 
 pub use cache::{CacheKey, InsertOutcome, ResultCache};
 pub use client::{Client, PipelinedClient, RequestError};
-pub use codec::{by_kind, by_name, by_tag, Codec, CODECS};
 pub use loadgen::{arrival_schedule_us, counter_value, run_loadgen, LoadgenOptions, LoadgenReport};
 pub use protocol::{CompressRequest, ErrorCode, Frame, FrameError, Op, ParseOutcome};
 pub use server::{serve, ServeOptions, ServerHandle};

@@ -23,17 +23,18 @@
 //! A `REQ_COMPRESS` payload is:
 //!
 //! ```text
-//! u8   codec          registry tag: 0 baseline, 1 onebyte, 2 nibble, 3 huffman
-//! u8   selector       0 greedy, 1 refine; other values are malformed
+//! u8   codec          EncodingKind tag: 0 baseline, 1 onebyte, 2 nibble, 3 huffman
+//! u8   selector       SelectorKind tag: 0 greedy, 1 refine
 //! u16  max_entry_len  maximum instructions per dictionary entry
 //! u32  max_codewords  0 = the encoding's full codeword space
 //! ...  module         a serialized `.cdm` ObjectModule
 //! ```
 //!
-//! (The selector byte was the must-be-zero reserved byte of early v2
-//! frames; greedy = 0 keeps those frames decoding identically.)
+//! An unknown codec or selector tag is malformed (`BAD_FRAME`). (The
+//! selector byte was the must-be-zero reserved byte of early v2 frames;
+//! greedy = 0 keeps those frames decoding identically.)
 //!
-//! and the matching `RESP_OK` payload is the serialized `.cdns` container.
+//! The matching `RESP_OK` payload is the serialized `.cdns` container.
 //! A `RESP_ERR` payload is `u8 code | u16 msg_len | msg` (see
 //! [`ErrorCode`]).
 //!
@@ -48,11 +49,10 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
-use codense_core::container::crc32;
 use codense_core::{CompressionConfig, EncodingKind, SelectorKind};
-
-use crate::codec;
+use codense_obj::crc32::crc32;
 
 /// Largest accepted frame (length field bound): 64 MiB.
 pub const MAX_FRAME: u32 = 64 << 20;
@@ -108,8 +108,7 @@ pub enum ErrorCode {
     BadFrame = 1,
     /// The `.cdm` module bytes failed to deserialize or validate.
     BadModule = 2,
-    /// Compression returned a typed `CompressError`, or the requested
-    /// codec is registered but not yet servable.
+    /// Compression returned a typed `CompressError`.
     CompressFailed = 3,
     /// The bounded work queue is full; retry later.
     Busy = 4,
@@ -278,47 +277,21 @@ pub enum ParseOutcome {
 /// Attempts to parse one frame from the front of `buf`. Never blocks and
 /// never consumes implicitly — the caller drains `consumed` bytes itself.
 pub fn parse_frame(buf: &[u8]) -> ParseOutcome {
-    if buf.len() < 4 {
-        return ParseOutcome::Incomplete;
-    }
-    let len = u32::from_be_bytes(buf[..4].try_into().expect("4 bytes"));
+    let Some(len) = buf.get(..4) else { return ParseOutcome::Incomplete };
+    let len = u32::from_be_bytes(len.try_into().expect("4 bytes"));
     if len > MAX_FRAME {
         return ParseOutcome::Fatal { err: FrameError::TooLarge(len) };
     }
-    let total = 4 + len as usize;
-    if buf.len() < total {
-        return ParseOutcome::Incomplete;
+    let consumed = 4 + len as usize;
+    let Some(body) = buf.get(4..consumed) else { return ParseOutcome::Incomplete };
+    match check_body(body) {
+        Ok((op, request_id, payload)) => ParseOutcome::Frame {
+            frame: Frame { op, request_id, payload: body[payload].to_vec() },
+            consumed,
+        },
+        // The declared extent is still skippable: resynchronize past it.
+        Err((err, request_id)) => ParseOutcome::Bad { err, request_id, consumed },
     }
-    if len < MIN_FRAME {
-        // The declared (tiny) body is still skippable: resynchronize past it.
-        return ParseOutcome::Bad {
-            err: FrameError::TooShort(len),
-            request_id: 0,
-            consumed: total,
-        };
-    }
-    let body = &buf[4..total];
-    let crc_at = body.len() - 4;
-    let request_id = u32::from_be_bytes(body[1..5].try_into().expect("4 bytes"));
-    let got = u32::from_be_bytes(body[crc_at..].try_into().expect("4 bytes"));
-    let want = crc32(&body[..crc_at]);
-    if got != want {
-        // `request_id` is best-effort here: the damage may have hit it.
-        return ParseOutcome::Bad {
-            err: FrameError::BadCrc { got, want },
-            request_id,
-            consumed: total,
-        };
-    }
-    let Some(op) = Op::from_u8(body[0]) else {
-        return ParseOutcome::Bad {
-            err: FrameError::UnknownOp(body[0]),
-            request_id,
-            consumed: total,
-        };
-    };
-    let payload = body[5..crc_at].to_vec();
-    ParseOutcome::Frame { frame: Frame { op, request_id, payload }, consumed: total }
 }
 
 /// Reads one frame from a blocking stream. `Ok(None)` is a clean end of
@@ -343,22 +316,35 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(Frame, u64)>, FrameError>
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
-    if len < MIN_FRAME {
-        return Err(FrameError::TooShort(len));
-    }
     let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body).map_err(FrameError::Io)?;
+    // A body below the minimum is refused unread, by its length alone.
+    if len >= MIN_FRAME {
+        r.read_exact(&mut body).map_err(FrameError::Io)?;
+    }
+    let (op, request_id, payload) = check_body(&body).map_err(|(err, _)| err)?;
+    body.truncate(payload.end);
+    body.drain(..payload.start);
+    Ok(Some((Frame { op, request_id, payload: body }, 4 + len as u64)))
+}
+
+/// Checks a frame body, the `len <= MAX_FRAME` bytes after its length
+/// field: the minimum length, the CRC, then the op. Returns the op, the
+/// request id and the payload's range in `body`. An error carries the
+/// best-effort request id: 0 when the body is too short to hold one, and
+/// possibly damaged when the CRC does not match.
+fn check_body(body: &[u8]) -> Result<(Op, u32, Range<usize>), (FrameError, u32)> {
+    if body.len() < MIN_FRAME as usize {
+        return Err((FrameError::TooShort(body.len() as u32), 0));
+    }
     let crc_at = body.len() - 4;
+    let request_id = u32::from_be_bytes(body[1..5].try_into().expect("4 bytes"));
     let got = u32::from_be_bytes(body[crc_at..].try_into().expect("4 bytes"));
     let want = crc32(&body[..crc_at]);
     if got != want {
-        return Err(FrameError::BadCrc { got, want });
+        return Err((FrameError::BadCrc { got, want }, request_id));
     }
-    let op = Op::from_u8(body[0]).ok_or(FrameError::UnknownOp(body[0]))?;
-    let request_id = u32::from_be_bytes(body[1..5].try_into().expect("4 bytes"));
-    body.truncate(crc_at);
-    body.drain(..5);
-    Ok(Some((Frame { op, request_id, payload: body }, 4 + len as u64)))
+    let op = Op::from_u8(body[0]).ok_or((FrameError::UnknownOp(body[0]), request_id))?;
+    Ok((op, request_id, 5..crc_at))
 }
 
 /// Encodes an [`Op::RespErr`] payload.
@@ -382,34 +368,13 @@ pub fn decode_error(payload: &[u8]) -> Option<(ErrorCode, String)> {
     Some((code, String::from_utf8_lossy(msg).into_owned()))
 }
 
-/// Why a `REQ_COMPRESS` body could not be turned into work.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The fixed header was malformed (answered as `BAD_FRAME`).
-    Malformed(String),
-    /// The codec tag names a registered codec with no servable encoding
-    /// yet (answered as `COMPRESS_FAILED`).
-    Unsupported(&'static str),
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::Malformed(msg) => f.write_str(msg),
-            DecodeError::Unsupported(name) => {
-                write!(f, "codec `{name}` is registered but not yet servable")
-            }
-        }
-    }
-}
-
 /// A parsed `REQ_COMPRESS` body: compression parameters plus the serialized
 /// module.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressRequest {
-    /// Codeword encoding to compress under.
+    /// Codeword encoding to compress under (wire byte: its tag).
     pub encoding: EncodingKind,
-    /// Dictionary selection strategy (wire byte: 0 greedy, 1 refine).
+    /// Dictionary selection strategy (wire byte: its tag).
     pub selector: SelectorKind,
     /// Maximum instructions per dictionary entry.
     pub max_entry_len: u16,
@@ -422,44 +387,28 @@ pub struct CompressRequest {
 impl CompressRequest {
     /// Encodes the request into a `REQ_COMPRESS` frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let tag = codec::by_kind(self.encoding).tag;
         let mut out = Vec::with_capacity(8 + self.module.len());
-        out.push(tag);
-        out.push(match self.selector {
-            SelectorKind::Greedy => 0,
-            SelectorKind::Refine => 1,
-        });
+        out.extend_from_slice(&[self.encoding.tag(), self.selector.tag()]);
         out.extend_from_slice(&self.max_entry_len.to_be_bytes());
         out.extend_from_slice(&self.max_codewords.to_be_bytes());
         out.extend_from_slice(&self.module);
         out
     }
 
-    /// Decodes a `REQ_COMPRESS` frame payload. Codec tags resolve through
-    /// the [`codec`] registry, so a registered-but-not-servable codec (e.g.
-    /// `huffman`) is distinguished from an unknown tag.
-    pub fn decode(payload: &[u8]) -> Result<CompressRequest, DecodeError> {
+    /// Decodes a `REQ_COMPRESS` frame payload. The error is the message a
+    /// `BAD_FRAME` answer carries.
+    pub fn decode(payload: &[u8]) -> Result<CompressRequest, String> {
         if payload.len() < 8 {
-            return Err(DecodeError::Malformed(format!(
-                "compress request header needs 8 bytes, got {}",
-                payload.len()
-            )));
+            return Err(format!("compress request header needs 8 bytes, got {}", payload.len()));
         }
-        let codec = codec::by_tag(payload[0])
-            .ok_or_else(|| DecodeError::Malformed(format!("unknown codec tag {}", payload[0])))?;
-        let encoding = codec.kind.ok_or(DecodeError::Unsupported(codec.name))?;
-        let selector = match payload[1] {
-            0 => SelectorKind::Greedy,
-            1 => SelectorKind::Refine,
-            other => {
-                return Err(DecodeError::Malformed(format!(
-                    "selector byte must be 0 (greedy) or 1 (refine), got {other}"
-                )));
-            }
-        };
+        let encoding = EncodingKind::from_tag(payload[0])
+            .ok_or_else(|| format!("unknown codec tag {}", payload[0]))?;
+        let selector = SelectorKind::from_tag(payload[1]).ok_or_else(|| {
+            format!("selector byte must be 0 (greedy) or 1 (refine), got {}", payload[1])
+        })?;
         let max_entry_len = u16::from_be_bytes([payload[2], payload[3]]);
         if max_entry_len == 0 {
-            return Err(DecodeError::Malformed("max_entry_len must be >= 1".into()));
+            return Err("max_entry_len must be >= 1".into());
         }
         let max_codewords = u32::from_be_bytes(payload[4..8].try_into().expect("4 bytes"));
         Ok(CompressRequest {
@@ -619,18 +568,12 @@ mod tests {
     }
 
     #[test]
-    fn lzw_tag_is_registered_but_unsupported() {
-        let mut payload = vec![4u8, 0, 0, 4, 0, 0, 0, 0];
-        payload.extend_from_slice(b"module");
-        match CompressRequest::decode(&payload) {
-            Err(DecodeError::Unsupported("lzw")) => {}
-            other => panic!("expected Unsupported(lzw), got {other:?}"),
+    fn unknown_codec_tags_are_malformed() {
+        // Tag 4 is the first past `EncodingKind::ALL`.
+        for tag in [4u8, 99] {
+            let err = CompressRequest::decode(&[tag, 0, 0, 4, 0, 0, 0, 0]).unwrap_err();
+            assert_eq!(err, format!("unknown codec tag {tag}"));
         }
-        // A tag past the registry is malformed, not unsupported.
-        assert!(matches!(
-            CompressRequest::decode(&[99, 0, 0, 4, 0, 0, 0, 0]),
-            Err(DecodeError::Malformed(_))
-        ));
     }
 
     #[test]
@@ -646,10 +589,7 @@ mod tests {
     fn selector_byte_out_of_range_is_malformed() {
         // Byte 1 was the must-be-zero reserved byte; 0 and 1 now select,
         // anything else stays a typed BAD_FRAME.
-        assert!(matches!(
-            CompressRequest::decode(&[2, 2, 0, 4, 0, 0, 0, 0]),
-            Err(DecodeError::Malformed(_))
-        ));
+        assert!(CompressRequest::decode(&[2, 2, 0, 4, 0, 0, 0, 0]).is_err());
         let refined = CompressRequest::decode(&[2, 1, 0, 4, 0, 0, 0, 0]).unwrap();
         assert_eq!(refined.selector, SelectorKind::Refine);
     }

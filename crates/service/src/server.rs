@@ -40,13 +40,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use codense_core::telemetry;
-use codense_core::SelectorKind;
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::codec;
 use crate::protocol::{
-    encode_error, encode_frame, parse_frame, CompressRequest, DecodeError, ErrorCode, Frame, Op,
-    ParseOutcome,
+    encode_error, encode_frame, parse_frame, CompressRequest, ErrorCode, Frame, Op, ParseOutcome,
 };
 use crate::sys::{poll_fds, PollFd, POLLIN, POLLOUT};
 
@@ -561,13 +559,9 @@ impl Reactor {
         }
         let request = match CompressRequest::decode(&payload) {
             Ok(req) => req,
-            Err(e) => {
-                let code = match e {
-                    DecodeError::Malformed(_) => ErrorCode::BadFrame,
-                    DecodeError::Unsupported(_) => ErrorCode::CompressFailed,
-                };
+            Err(msg) => {
                 telemetry::SERVE_REQUESTS_FAILED.inc();
-                respond_err(conn, request_id, code, &e.to_string());
+                respond_err(conn, request_id, ErrorCode::BadFrame, &msg);
                 return;
             }
         };
@@ -582,11 +576,8 @@ impl Reactor {
             return;
         }
         let key = CacheKey::new(
-            codec::by_kind(request.encoding).tag,
-            match request.selector {
-                SelectorKind::Greedy => 0,
-                SelectorKind::Refine => 1,
-            },
+            request.encoding.tag(),
+            request.selector.tag(),
             request.max_entry_len,
             request.max_codewords,
             &request.module,

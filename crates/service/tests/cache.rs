@@ -6,9 +6,11 @@
 
 use std::sync::Mutex;
 
-use codense_core::telemetry;
-use codense_core::{container, Compressor, EncodingKind};
+use codense_core::{telemetry, EncodingKind};
 use codense_service::{serve, CacheKey, Client, CompressRequest, ResultCache, ServeOptions};
+
+mod common;
+use common::expected_container;
 
 /// Serializes the tests that read the process-global `serve.*` counters —
 /// a concurrently running server test would pollute the deltas.
@@ -95,32 +97,11 @@ fn random_op_battery_matches_reference_model() {
 }
 
 fn small_module(tag: u32) -> codense_obj::ObjectModule {
-    let mut m = codense_obj::ObjectModule::new("cache-test", codense_obj::IsaId::Ppc);
-    let mut code = Vec::new();
-    for i in 0..12u32 {
-        for _ in 0..3 {
-            code.push(0x3860_0000 | i); // li r3, i
-            code.push(0x3880_0100 | i); // li r4, 256+i
-        }
-    }
-    code.push(0x3860_0000 | (tag & 0xffff)); // li r3, tag
-    m.code = code;
-    m
+    common::module("cache-test", 12, Some(tag))
 }
 
 fn request_for(module: &codense_obj::ObjectModule) -> CompressRequest {
-    CompressRequest {
-        encoding: EncodingKind::NibbleAligned,
-        selector: codense_core::SelectorKind::Greedy,
-        max_entry_len: 4,
-        max_codewords: 0,
-        module: codense_obj::serialize(module),
-    }
-}
-
-fn expected_container(module: &codense_obj::ObjectModule, req: &CompressRequest) -> Vec<u8> {
-    let compressed = Compressor::new(req.config()).compress(module).expect("compresses");
-    container::serialize(&compressed)
+    common::request(module, EncodingKind::NibbleAligned)
 }
 
 fn serve_counters() -> Vec<(&'static str, u64)> {

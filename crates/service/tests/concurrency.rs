@@ -6,42 +6,24 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::time::Duration;
 
-use codense_core::{container, Compressor, EncodingKind, SelectorKind};
+use codense_core::EncodingKind;
 use codense_service::protocol::encode_frame;
 use codense_service::{
     serve, Client, CompressRequest, ErrorCode, Op, PipelinedClient, ServeOptions,
 };
 
+mod common;
+use common::expected_container;
+
 /// A distinct small module per (connection, request) pair: base repetition
 /// plus a differentiating instruction, so every request has its own cache
 /// key and its own expected container.
 fn module_for(tag: u32) -> codense_obj::ObjectModule {
-    let mut m = codense_obj::ObjectModule::new("concurrency-test", codense_obj::IsaId::Ppc);
-    let mut code = Vec::new();
-    for i in 0..12u32 {
-        for _ in 0..3 {
-            code.push(0x3860_0000 | i); // li r3, i
-            code.push(0x3880_0100 | i); // li r4, 256+i
-        }
-    }
-    code.push(0x3860_0000 | (tag & 0xffff)); // li r3, tag
-    m.code = code;
-    m
+    common::module("concurrency-test", 12, Some(tag))
 }
 
 fn request_for(module: &codense_obj::ObjectModule) -> CompressRequest {
-    CompressRequest {
-        encoding: EncodingKind::NibbleAligned,
-        selector: SelectorKind::Greedy,
-        max_entry_len: 4,
-        max_codewords: 0,
-        module: codense_obj::serialize(module),
-    }
-}
-
-fn expected_container(module: &codense_obj::ObjectModule, req: &CompressRequest) -> Vec<u8> {
-    let compressed = Compressor::new(req.config()).compress(module).expect("compresses");
-    container::serialize(&compressed)
+    common::request(module, EncodingKind::NibbleAligned)
 }
 
 /// N connections × M pipelined requests each, written to the socket in

@@ -8,33 +8,22 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use codense_core::{container::crc32, EncodingKind, SelectorKind};
+use codense_core::EncodingKind;
+use codense_obj::crc32::crc32;
 use codense_service::protocol::{
     decode_error, encode_frame, read_frame, Frame, FrameError, MAX_FRAME,
 };
 use codense_service::{serve, Client, CompressRequest, ErrorCode, Op, RequestError, ServeOptions};
 
+mod common;
+use common::request;
+
 fn small_module() -> codense_obj::ObjectModule {
-    let mut m = codense_obj::ObjectModule::new("protocol-test", codense_obj::IsaId::Ppc);
-    let mut code = Vec::new();
-    for i in 0..16u32 {
-        for _ in 0..3 {
-            code.push(0x3860_0000 | i); // li r3, i
-            code.push(0x3880_0100 | i); // li r4, 256+i
-        }
-    }
-    m.code = code;
-    m
+    common::module("protocol-test", 16, None)
 }
 
 fn compress_request() -> CompressRequest {
-    CompressRequest {
-        encoding: EncodingKind::NibbleAligned,
-        selector: SelectorKind::Greedy,
-        max_entry_len: 4,
-        max_codewords: 0,
-        module: codense_obj::serialize(&small_module()),
-    }
+    request(&small_module(), EncodingKind::NibbleAligned)
 }
 
 fn connect(addr: &std::net::SocketAddr) -> TcpStream {
@@ -199,13 +188,7 @@ fn oversized_length_is_answered_then_closed() {
 fn zero_length_module_is_bad_module_not_a_hang() {
     let handle = serve(&ServeOptions::default()).unwrap();
     let mut client = Client::connect(handle.addr(), 10_000).unwrap();
-    let req = CompressRequest {
-        encoding: EncodingKind::NibbleAligned,
-        selector: SelectorKind::Greedy,
-        max_entry_len: 4,
-        max_codewords: 0,
-        module: Vec::new(),
-    };
+    let req = CompressRequest { module: Vec::new(), ..compress_request() };
     match client.compress(&req) {
         Err(RequestError::Rejected(ErrorCode::BadModule, _)) => {}
         other => panic!("expected BAD_MODULE, got {other:?}"),
@@ -223,14 +206,7 @@ fn duplicate_request_id_in_flight_is_rejected() {
     // that the duplicate (sent in the same TCP segment) always lands while
     // it is outstanding.
     let module = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
-    let req = CompressRequest {
-        encoding: EncodingKind::NibbleAligned,
-        selector: SelectorKind::Greedy,
-        max_entry_len: 4,
-        max_codewords: 0,
-        module: codense_obj::serialize(&module),
-    };
-    let payload = req.encode();
+    let payload = request(&module, EncodingKind::NibbleAligned).encode();
     let mut two = encode_frame(Op::ReqCompress, 42, &payload);
     two.extend_from_slice(&encode_frame(Op::ReqCompress, 42, &payload));
 
@@ -270,46 +246,47 @@ fn malformed_frame_between_two_good_frames_answers_all_three_in_order() {
     drop(handle);
 }
 
-/// The lzw codec is registered but not servable (no random access): a
-/// compress request carrying its tag gets `COMPRESS_FAILED`, not
-/// `BAD_FRAME`, and the connection survives.
+/// A compressor error answers `COMPRESS_FAILED` and the connection
+/// survives. The module validates, but its first word has opcode 0, an
+/// escape byte the baseline encoding cannot store.
 #[test]
-fn unservable_codec_tag_is_compress_failed() {
+fn compressor_error_is_compress_failed() {
     let handle = serve(&ServeOptions::default()).unwrap();
-    let module = codense_obj::serialize(&small_module());
-    // Build the compress payload by hand: tag 4 (lzw) has no encoding.
-    let mut payload = vec![4u8, 0u8];
-    payload.extend_from_slice(&4u16.to_be_bytes());
-    payload.extend_from_slice(&0u32.to_be_bytes());
-    payload.extend_from_slice(&module);
+    let mut module = small_module();
+    module.code[0] = 0x0000_0000;
+    let payload = request(&module, EncodingKind::Baseline).encode();
 
     let stream = connect(&handle.addr());
     (&stream).write_all(&encode_frame(Op::ReqCompress, 11, &payload)).unwrap();
     let resp = recv(&stream).expect("a typed response");
-    expect_err(&resp, ErrorCode::CompressFailed);
+    let msg = expect_err(&resp, ErrorCode::CompressFailed);
+    assert!(msg.contains("reserved escape opcode"), "{msg}");
     assert_eq!(resp.request_id, 11);
 
     (&stream).write_all(&encode_frame(Op::ReqPing, 12, b"")).unwrap();
-    let pong = recv(&stream).expect("connection survives an unservable codec");
+    let pong = recv(&stream).expect("connection survives a compressor error");
     assert_eq!((pong.op, pong.request_id), (Op::RespPong, 12));
     drop(handle);
 }
 
-/// A codec tag outside the registry is a malformed request: `BAD_FRAME`.
+/// A codec tag no `EncodingKind` has is a malformed request: `BAD_FRAME`,
+/// and the connection survives. Tag 4 is one past `EncodingKind::ALL`.
 #[test]
 fn unregistered_codec_tag_is_bad_frame() {
     let handle = serve(&ServeOptions::default()).unwrap();
-    let module = codense_obj::serialize(&small_module());
-    let mut payload = vec![99u8, 0u8];
-    payload.extend_from_slice(&4u16.to_be_bytes());
-    payload.extend_from_slice(&0u32.to_be_bytes());
-    payload.extend_from_slice(&module);
-
     let stream = connect(&handle.addr());
-    (&stream).write_all(&encode_frame(Op::ReqCompress, 13, &payload)).unwrap();
-    let resp = recv(&stream).expect("a typed response");
-    expect_err(&resp, ErrorCode::BadFrame);
-    assert_eq!(resp.request_id, 13);
+    for (id, tag) in [(13, 4u8), (14, 99)] {
+        let mut payload = compress_request().encode();
+        payload[0] = tag;
+        (&stream).write_all(&encode_frame(Op::ReqCompress, id, &payload)).unwrap();
+        let resp = recv(&stream).expect("a typed response");
+        let msg = expect_err(&resp, ErrorCode::BadFrame);
+        assert_eq!(msg, format!("unknown codec tag {tag}"));
+        assert_eq!(resp.request_id, id);
+    }
+    (&stream).write_all(&encode_frame(Op::ReqPing, 15, b"")).unwrap();
+    let pong = recv(&stream).expect("connection survives an unknown codec tag");
+    assert_eq!((pong.op, pong.request_id), (Op::RespPong, 15));
     drop(handle);
 }
 

@@ -8,46 +8,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
 
-use codense_core::{container, Compressor, EncodingKind, SelectorKind};
+use codense_core::EncodingKind;
 use codense_service::protocol::{decode_error, read_frame, write_frame, FrameError, MAX_FRAME};
 use codense_service::{serve, Client, CompressRequest, ErrorCode, Op, RequestError, ServeOptions};
 
-const ALL: [EncodingKind; 4] = [
-    EncodingKind::Baseline,
-    EncodingKind::OneByte,
-    EncodingKind::NibbleAligned,
-    EncodingKind::Huffman,
-];
+mod common;
+use common::{expected_container, request};
 
-fn request_for(module: &codense_obj::ObjectModule, encoding: EncodingKind) -> CompressRequest {
-    CompressRequest {
-        encoding,
-        selector: SelectorKind::Greedy,
-        max_entry_len: 4,
-        max_codewords: 0, // the encoding's full codeword space
-        module: codense_obj::serialize(module),
-    }
-}
-
-/// The in-process reference result the served bytes must match exactly.
-fn expected_container(module: &codense_obj::ObjectModule, req: &CompressRequest) -> Vec<u8> {
-    let compressed = Compressor::new(req.config()).compress(module).expect("compresses");
-    container::serialize(&compressed)
-}
-
-/// A small module with enough repetition to produce a non-trivial
-/// dictionary, cheap enough to compress hundreds of times in a test.
 fn small_module() -> codense_obj::ObjectModule {
-    let mut m = codense_obj::ObjectModule::new("serve-test", codense_obj::IsaId::Ppc);
-    let mut code = Vec::new();
-    for i in 0..16u32 {
-        for _ in 0..3 {
-            code.push(0x3860_0000 | i); // li r3, i
-            code.push(0x3880_0100 | i); // li r4, 256+i
-        }
-    }
-    m.code = code;
-    m
+    common::module("serve-test", 16, None)
 }
 
 #[test]
@@ -58,8 +27,8 @@ fn served_results_are_byte_identical_to_in_process_compression() {
     for bench in ["compress", "li"] {
         let module =
             codense_codegen::benchmark(bench, codense_obj::IsaId::Ppc).expect("known benchmark");
-        for encoding in ALL {
-            let req = request_for(&module, encoding);
+        for encoding in EncodingKind::ALL {
+            let req = request(&module, encoding);
             let expected = expected_container(&module, &req);
             let mut client = Client::connect(addr.as_str(), 60_000).unwrap();
             let served = client
@@ -75,7 +44,7 @@ fn served_results_are_byte_identical_to_in_process_compression() {
 fn one_connection_serves_many_sequential_requests() {
     let handle = serve(&ServeOptions::default()).unwrap();
     let module = small_module();
-    let req = request_for(&module, EncodingKind::NibbleAligned);
+    let req = request(&module, EncodingKind::NibbleAligned);
     let expected = expected_container(&module, &req);
 
     let mut client = Client::connect(handle.addr(), 30_000).unwrap();
@@ -117,7 +86,7 @@ fn full_queue_answers_busy_and_never_drops_a_request() {
             .unwrap();
     let addr = handle.addr().to_string();
     let module = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
-    let req = request_for(&module, EncodingKind::NibbleAligned);
+    let req = request(&module, EncodingKind::NibbleAligned);
     let expected = expected_container(&module, &req);
 
     let busy = AtomicU64::new(0);
@@ -159,7 +128,7 @@ fn graceful_drain_completes_in_flight_work_then_refuses_connections() {
     let handle = serve(&ServeOptions { jobs: 1, ..Default::default() }).unwrap();
     let addr = handle.addr();
     let module = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
-    let req = request_for(&module, EncodingKind::NibbleAligned);
+    let req = request(&module, EncodingKind::NibbleAligned);
     let expected = expected_container(&module, &req);
 
     let in_flight = std::thread::spawn({
@@ -187,7 +156,7 @@ fn malformed_frames_get_typed_errors_and_never_kill_the_server() {
     let handle = serve(&ServeOptions { jobs: 1, timeout_ms: 150, ..Default::default() }).unwrap();
     let addr = handle.addr();
     let module = small_module();
-    let req = request_for(&module, EncodingKind::NibbleAligned);
+    let req = request(&module, EncodingKind::NibbleAligned);
 
     // The pristine frame the corruption battery mutates.
     let mut pristine = Vec::new();
@@ -274,11 +243,8 @@ fn bad_module_bytes_get_a_typed_error_not_a_panic() {
     let handle = serve(&ServeOptions::default()).unwrap();
     let mut client = Client::connect(handle.addr(), 10_000).unwrap();
     let req = CompressRequest {
-        encoding: EncodingKind::NibbleAligned,
-        selector: SelectorKind::Greedy,
-        max_entry_len: 4,
-        max_codewords: 0,
         module: b"definitely not a .cdm module".to_vec(),
+        ..request(&small_module(), EncodingKind::NibbleAligned)
     };
     match client.compress(&req) {
         Err(RequestError::Rejected(ErrorCode::BadModule, _)) => {}
