@@ -4,11 +4,10 @@
 
 use std::time::Instant;
 
-use codense_core::{verify::verify, CompressionConfig, Compressor, EncodingKind};
 use codense_corpus::{build, CorpusIsa, CorpusProgram, CorpusSpec};
 use codense_isa::IsaId;
 
-use crate::{parse_seed, Args, CliResult, ReproRow};
+use crate::{parse_seed, Args, CliResult};
 
 /// Parses a human-scale instruction count: plain decimal, or with a
 /// `k`/`m` suffix (`10k`, `250k`, `1m`).
@@ -92,29 +91,6 @@ pub fn corpus_subject(p: &CorpusProgram) -> Result<codense_profile::Subject, Str
         expected: p.stats.exit_code,
         mem_bytes: codense_corpus::MEM_BYTES,
     })
-}
-
-/// Compresses a corpus program under all four repro encodings with the
-/// given selector, verifying each result — one extra row for the `repro`
-/// table (printed only; the blessed artifacts carry the fixed suite).
-pub fn corpus_repro_row(
-    p: &CorpusProgram,
-    selector: codense_core::SelectorKind,
-) -> Result<ReproRow, String> {
-    let mut ratios = [0.0f64; 4];
-    for (ratio, encoding) in ratios.iter_mut().zip(EncodingKind::ALL) {
-        let config =
-            CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
-        let c = Compressor::new(config)
-            .with_isa(p.isa.isa_ref())
-            .with_selector(selector)
-            .compress(&p.module)
-            .map_err(|e| format!("{}: {e}", corpus_name(p.spec.insns)))?;
-        verify(&p.module, &c)
-            .map_err(|e| format!("{} ({encoding:?}): {e}", corpus_name(p.spec.insns)))?;
-        *ratio = c.compression_ratio();
-    }
-    Ok((corpus_name(p.spec.insns), p.module.len(), p.module.text_bytes(), ratios))
 }
 
 /// `codense corpus`: build one SPEC-scale program, print its measurements,

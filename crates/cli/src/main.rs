@@ -486,7 +486,7 @@ fn cmd_info(args: &Args) -> CliResult {
         println!("  basic blocks : {} (mean {:.1} insns)", bbs.len(), bbs.mean_block_len());
     } else if bytes.starts_with(&container::MAGIC) {
         let image = container::deserialize(&bytes).map_err(|e| format!("{path}: {e}"))?;
-        println!("compressed program ({:?})", image.encoding);
+        println!("compressed program ({})", image.encoding.name());
         println!("  isa           : {}", image.isa);
         println!("  original text : {} bytes", image.original_text_bytes);
         println!("  stream        : {} nibbles ({} bytes)", image.total_nibbles, image.image.len());
@@ -744,9 +744,6 @@ fn cmd_asm(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// The paper's headline experiment: regenerate the deterministic synthetic
-/// suite, compress every benchmark under all four encodings, verify each
-/// result, and print the ratio table.
 /// One `repro` table row: benchmark name, instruction count, text bytes,
 /// ratio per encoding in [`EncodingKind::ALL`] order, the table's column
 /// order (the JSON artifacts sort keys alphabetically on their own).
@@ -775,27 +772,27 @@ fn repro_rows(
     };
 
     let _compress_phase = telemetry::phase("compress-suite");
-    let isa = isa_ref(isa);
-    codense_core::parallel::par_map(modules, move |_, m| {
-        let mut ratios = [0.0f64; 4];
-        for (ratio, encoding) in ratios.iter_mut().zip(EncodingKind::ALL) {
-            let config = CompressionConfig {
-                max_entry_len: 4,
-                max_codewords: encoding.capacity(),
-                encoding,
-            };
-            let c = Compressor::new(config)
-                .with_isa(isa)
-                .with_selector(selector)
-                .compress(&m)
-                .map_err(|e| format!("{}: {e}", m.name))?;
-            verify(&m, &c).map_err(|e| format!("{} ({encoding:?}): {e}", m.name))?;
-            *ratio = c.compression_ratio();
-        }
-        Ok::<_, String>((m.name.clone(), m.len(), m.text_bytes(), ratios))
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()
+    codense_core::parallel::par_map(modules, move |_, m| repro_row(m.name.clone(), &m, selector))
+        .into_iter()
+        .collect::<Result<_, _>>()
+}
+
+/// Compresses `m` under all four encodings with `selector` and the ISA it
+/// records, verifying each result: the `repro` row called `name`.
+fn repro_row(name: String, m: &ObjectModule, selector: SelectorKind) -> Result<ReproRow, String> {
+    let mut ratios = [0.0f64; 4];
+    for (ratio, encoding) in ratios.iter_mut().zip(EncodingKind::ALL) {
+        let config =
+            CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
+        let c = Compressor::new(config)
+            .with_isa(isa_ref(m.isa))
+            .with_selector(selector)
+            .compress(m)
+            .map_err(|e| format!("{name}: {e}"))?;
+        verify(m, &c).map_err(|e| format!("{name} ({}): {e}", encoding.name()))?;
+        *ratio = c.compression_ratio();
+    }
+    Ok((name, m.len(), m.text_bytes(), ratios))
 }
 
 fn print_repro_row((name, insns, bytes, r): &ReproRow) {
@@ -919,6 +916,9 @@ fn render_ratio_artifact(per_isa: &[(&str, SelectorCells)]) -> String {
     json
 }
 
+/// The paper's headline experiment: regenerate the deterministic synthetic
+/// suite, compress every benchmark under all four encodings, verify each
+/// result, and print the ratio table.
 fn cmd_repro(args: &Args) -> CliResult {
     let bench_filter = args.value("--bench");
     let show: Vec<IsaId> = match args.value("--isa").unwrap_or("ppc") {
@@ -963,7 +963,7 @@ fn cmd_repro(args: &Args) -> CliResult {
         // blessed artifacts carry the fixed suite.
         if let Some(n) = corpus_insns {
             let p = corpus::corpus_program(args, n, isa)?;
-            print_repro_row(&corpus::corpus_repro_row(&p, selector)?);
+            print_repro_row(&repro_row(corpus::corpus_name(p.spec.insns), &p.module, selector)?);
         }
     }
 

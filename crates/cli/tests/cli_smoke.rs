@@ -73,6 +73,31 @@ fn gen_compress_info_pipeline() {
 }
 
 #[test]
+fn info_names_the_encoding_as_the_flag_spells_it() {
+    let dir = tmpdir("info-encoding");
+    bin().args(["gen", "compress", "-o", dir.to_str().unwrap()]).status().unwrap();
+    let cdm = dir.join("compress.cdm");
+    let cdns = dir.join("compress.cdns");
+    let out = bin()
+        .args([
+            "compress",
+            cdm.to_str().unwrap(),
+            "-o",
+            cdns.to_str().unwrap(),
+            "--encoding",
+            "onebyte",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = bin().args(["info", cdns.to_str().unwrap()]).output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.starts_with("compressed program (onebyte)\n"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn compress_accepts_a_window_cap_past_every_block() {
     // No window is longer than the longest block, so any larger cap mines
     // the same windows: the largest usize neither overflows nor trips the

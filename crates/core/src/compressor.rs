@@ -19,7 +19,7 @@
 //! before selection: selection returns a per-cell head array, and the atom
 //! stream is built from it and the module's words.
 
-use codense_isa::IsaRef;
+use codense_isa::{BranchKind, IsaRef};
 use codense_obj::{ModuleError, ObjectModule};
 
 use crate::config::{CompressionConfig, EncodingKind};
@@ -690,8 +690,8 @@ struct Branch {
     /// Original index of its target (a basic-block leader, so an atom
     /// start under every selection).
     target: u32,
-    /// The ISA's branch-form discriminant.
-    kind: u8,
+    /// The branch form.
+    kind: BranchKind,
 }
 
 impl<'a> Prepared<'a> {
@@ -878,7 +878,6 @@ pub fn via_table_expansion_coded(
 mod tests {
     use super::*;
     use codense_isa::IsaId;
-    use codense_ppc::branch::RelBranchKind;
     use codense_ppc::encode;
     use codense_ppc::insn::{bo, Insn};
     use codense_ppc::reg::*;
@@ -978,7 +977,7 @@ mod tests {
             other => panic!("expected inverted bc, got {other:?}"),
         }
         // Skip displacement covers the whole 5-instruction atom.
-        let units = codense_ppc::branch::read_offset_units(seq[0], RelBranchKind::BForm);
+        let units = codense_ppc::branch::read_offset_units(seq[0], BranchKind::Conditional);
         assert_eq!(units as u32 * EncodingKind::Baseline.granule_nibbles(), 5 * 8);
     }
 

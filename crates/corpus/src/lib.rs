@@ -61,6 +61,11 @@ const GLOBALS: u16 = 256;
 /// Module-internal helper functions chained below each root.
 const INTERNALS: usize = 5;
 
+/// Cold-path bulk multiplier: how many statements each never-executed
+/// error-handling block carries, so a large share of every program is
+/// statically present but dynamically dead.
+const COLD_WEIGHT: usize = 3;
+
 /// Jump-table budget: the lowering addresses table *t* at `table_id * 64`
 /// through a signed 16-bit immediate, capping ids at 511. Hot dispatch
 /// switches stop at 350 and cold switches at 480, leaving headroom.
@@ -115,11 +120,6 @@ pub struct CorpusSpec {
     pub dup: usize,
     /// PRNG seed for everything the spec doesn't pin.
     pub seed: u64,
-    /// Cold-path bulk multiplier: how many statements each never-executed
-    /// error-handling block carries (the hotness knob — higher means a
-    /// larger fraction of the program is statically present but
-    /// dynamically dead).
-    pub cold_weight: u32,
     /// Approximate dynamic instruction count of a full run. The builder
     /// measures one dispatch pass and sets the main loop's pass count so a
     /// run executes about this many instructions before halting.
@@ -128,13 +128,7 @@ pub struct CorpusSpec {
 
 impl Default for CorpusSpec {
     fn default() -> CorpusSpec {
-        CorpusSpec {
-            insns: 100_000,
-            dup: 8,
-            seed: 0xC0DE_5EED,
-            cold_weight: 3,
-            dynamic_target: 4_000_000,
-        }
+        CorpusSpec { insns: 100_000, dup: 8, seed: 0xC0DE_5EED, dynamic_target: 4_000_000 }
     }
 }
 
@@ -259,13 +253,6 @@ pub fn build(spec: &CorpusSpec, isa: CorpusIsa) -> Result<CorpusProgram, BuildEr
 }
 
 impl CorpusProgram {
-    /// A fresh machine for this program with the jump tables seeded for
-    /// *native* (word-granular) execution: entry *e* of table *t* holds the
-    /// fetch-domain address `8 × target`.
-    pub fn native_core(&self) -> Result<Box<dyn Core>, MachineError> {
-        seeded_core(&self.module, self.isa)
-    }
-
     /// Runs the program natively (linear fetch) to completion.
     ///
     /// # Errors
@@ -306,7 +293,7 @@ fn clamp_modules(n: usize) -> usize {
 /// Rough lowered-size estimate of one module; the proportional correction
 /// pass absorbs the error.
 fn estimate_module_insns(spec: &CorpusSpec) -> usize {
-    let per_fn = 34 + 30 * spec.cold_weight as usize;
+    let per_fn = 34 + 30 * COLD_WEIGHT;
     (1 + INTERNALS + spec.dup) * per_fn
 }
 
@@ -381,7 +368,6 @@ impl Layout {
 
 struct Gen {
     rng: Rng,
-    cold_weight: u32,
     /// Jump tables emitted so far, counted in lowering encounter order
     /// (function index order, statement order) to respect the id budget.
     tables: usize,
@@ -389,7 +375,7 @@ struct Gen {
 
 fn build_ir(spec: &CorpusSpec, modules: usize, passes: u32) -> Program {
     let layout = Layout::new(modules, spec.dup);
-    let mut g = Gen { rng: Rng::new(spec.seed), cold_weight: spec.cold_weight.max(1), tables: 0 };
+    let mut g = Gen { rng: Rng::new(spec.seed), tables: 0 };
     let lib_templates: Vec<Function> = (0..spec.dup).map(|t| lib_template(spec.seed, t)).collect();
 
     let mut functions = Vec::with_capacity(1 + layout.groups + modules * layout.fns_per_module);
@@ -746,7 +732,7 @@ impl Gen {
     /// memory keeps the guard false forever, so everything inside is
     /// compressed and fetched through coverage sweeps but never executed.
     fn cold_block(&mut self, layout: &Layout, m: usize) -> Stmt {
-        let n = (3 + self.rng.below(4)) * self.cold_weight as usize;
+        let n = (3 + self.rng.below(4)) * COLD_WEIGHT;
         let mut stmts = Vec::with_capacity(n);
         for _ in 0..n {
             stmts.push(self.cold_stmt(layout, m, 0));

@@ -15,7 +15,8 @@
 //! terminating program — the minimizer never has to reason about dangling
 //! branches.
 
-use codense_isa::{fits_signed, IsaRef};
+use codense_isa::asm::{patch_branch, PatchError};
+use codense_isa::IsaRef;
 use codense_obj::{FunctionInfo, JumpTable, ObjectModule};
 
 use crate::target::Target;
@@ -150,7 +151,8 @@ impl std::error::Error for BuildError {}
 
 /// Instruction words with numbered labels. Each fixup names a word ending
 /// a template — a relative branch with displacement 0 — and the label it
-/// targets; [`Asm::finish`] patches the displacement through the ISA.
+/// targets; [`Asm::finish`] aims it with [`patch_branch`], the resolver the
+/// backends' assemblers share.
 struct Asm {
     isa: IsaRef,
     code: Vec<u32>,
@@ -182,17 +184,17 @@ impl Asm {
     fn finish(mut self) -> Result<Vec<u32>, BuildError> {
         for &(at, label) in &self.fixups {
             let word = self.code[at];
-            let Some(branch) = self.isa.rel_branch_info(word) else {
-                return Err(BuildError::Asm(format!("word {at} ({word:#010x}) is not a branch")));
-            };
             let Some(target) = self.labels[label] else {
                 return Err(BuildError::Asm(format!("branch at {at} targets an unbound label")));
             };
-            let units = target as i64 - at as i64;
-            if !fits_signed(units, self.isa.branch_field_bits(branch.kind)) {
-                return Err(BuildError::Asm(format!("branch at {at} out of range ({units})")));
-            }
-            self.code[at] = self.isa.patch_offset_units(word, branch.kind, units as i32);
+            self.code[at] = patch_branch(&*self.isa, word, at, target).map_err(|e| {
+                BuildError::Asm(match e {
+                    PatchError::NotABranch => format!("word {at} ({word:#010x}) is not a branch"),
+                    PatchError::OutOfRange(units) => {
+                        format!("branch at {at} out of range ({units})")
+                    }
+                })
+            })?;
         }
         Ok(self.code)
     }

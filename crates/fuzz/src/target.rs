@@ -8,8 +8,8 @@
 //! templates for loops, ifs, dispatches, calls, prologues and exits.
 //!
 //! Templates that transfer control end in a relative branch whose
-//! displacement is left zero; [`crate::spec::build`] patches it through
-//! [`codense_isa::Isa::patch_offset_units`] once labels are placed.
+//! displacement is left zero; [`crate::spec::build`] aims it with
+//! [`codense_isa::asm::patch_branch`] once labels are placed.
 //!
 //! Register discipline is the same on every target: only the registers in
 //! [`Target::code_addr_regs`] (and the link state the core keeps outside

@@ -45,11 +45,11 @@ pub fn byte_frequencies(data: &[u8]) -> [u64; 256] {
 /// result gives each symbol's code length in bits (0 = symbol absent), with
 /// no length exceeding `max_len`.
 ///
-/// This is the same construction [`HuffmanCode::from_frequencies`] uses —
-/// deterministic min-heap merge with insertion-order tie-breaks, followed by
-/// the zlib-style Kraft repair when any raw tree depth exceeds the limit —
-/// generalized so dictionary-compression codeword alphabets (thousands of
-/// ranks) can reuse it. `max_len` is clamped to `1..=`[`MAX_CODE_LEN`].
+/// The construction is a deterministic min-heap merge with insertion-order
+/// tie-breaks, followed by the zlib-style Kraft repair when any raw tree
+/// depth exceeds the limit; [`HuffmanCode::from_frequencies`] is this
+/// construction over the byte alphabet at [`MAX_CODE_LEN`]. `max_len` is
+/// clamped to `1..=`[`MAX_CODE_LEN`].
 ///
 /// The returned lengths always satisfy the Kraft inequality, so feeding them
 /// to a canonical code constructor yields a valid prefix code. A `max_len`
@@ -112,8 +112,14 @@ pub fn code_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
                 }
             }
             // Histogram with everything deeper than the limit clamped into
-            // the deepest bucket, then the same one-step Kraft repair as
-            // `limit_lengths`.
+            // the deepest bucket. Clamping overfills the code space: a full
+            // tree has sum(2^(max - len)) == 2^max, and shortening a code
+            // only inflates its term. Repair by repeatedly retiring one
+            // deepest-bucket code and splitting a shallower code into two
+            // one bit longer; each step shrinks the sum by exactly one until
+            // the lengths again describe a full prefix tree. When no depth
+            // exceeds the limit the histogram is already full and the raw
+            // depths come back unchanged.
             let mut num = vec![0u64; max + 1];
             for node in 0..coded.len() {
                 num[(depth[node].max(1) as usize).min(max)] += 1;
@@ -131,8 +137,8 @@ pub fn code_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
                 total -= 1;
             }
             // Assign repaired lengths shortest-first to symbols ordered by
-            // raw depth (ties by symbol value) — identical policy to the
-            // byte-alphabet path, so determinism carries over.
+            // raw depth (ties by symbol value), preserving the relative
+            // code-length order of the unlimited tree.
             let mut order: Vec<usize> = (0..coded.len()).collect();
             order.sort_by_key(|&node| (depth[node], coded[node]));
             let mut it = order.into_iter();
@@ -161,74 +167,8 @@ impl HuffmanCode {
     /// get no code. If only one distinct symbol occurs it receives a 1-bit
     /// code.
     pub fn from_frequencies(freq: &[u64; 256]) -> HuffmanCode {
-        #[derive(PartialEq, Eq)]
-        struct Node {
-            weight: u64,
-            /// Tie-break for determinism.
-            id: u32,
-            kind: NodeKind,
-        }
-        #[derive(PartialEq, Eq)]
-        enum NodeKind {
-            Leaf(u8),
-            Internal(Box<Node>, Box<Node>),
-        }
-        impl Ord for Node {
-            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-                // Reversed for a min-heap.
-                o.weight.cmp(&self.weight).then(o.id.cmp(&self.id))
-            }
-        }
-        impl PartialOrd for Node {
-            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(o))
-            }
-        }
-
-        let mut heap: BinaryHeap<Node> = BinaryHeap::new();
-        let mut next_id = 0u32;
-        for (s, &w) in freq.iter().enumerate() {
-            if w > 0 {
-                heap.push(Node { weight: w, id: next_id, kind: NodeKind::Leaf(s as u8) });
-                next_id += 1;
-            }
-        }
         let mut lengths = [0u8; 256];
-        match heap.len() {
-            0 => {}
-            1 => {
-                if let NodeKind::Leaf(s) = heap.pop().expect("len 1").kind {
-                    lengths[s as usize] = 1;
-                }
-            }
-            _ => {
-                while heap.len() > 1 {
-                    let a = heap.pop().expect("len > 1");
-                    let b = heap.pop().expect("len > 1");
-                    heap.push(Node {
-                        weight: a.weight + b.weight,
-                        id: next_id,
-                        kind: NodeKind::Internal(Box::new(a), Box::new(b)),
-                    });
-                    next_id += 1;
-                }
-                // Tree depth can reach `symbols - 1` (255) on pathological
-                // weight distributions, so raw depths are tracked in u16 and
-                // length-limited to [`MAX_CODE_LEN`] afterwards.
-                fn walk(n: &Node, depth: u16, lengths: &mut [u16; 256]) {
-                    match &n.kind {
-                        NodeKind::Leaf(s) => lengths[*s as usize] = depth.max(1),
-                        NodeKind::Internal(a, b) => {
-                            walk(a, depth + 1, lengths);
-                            walk(b, depth + 1, lengths);
-                        }
-                    }
-                }
-                let mut deep = [0u16; 256];
-                walk(&heap.pop().expect("root"), 0, &mut deep);
-                limit_lengths(&deep, &mut lengths);
-            }
-        }
+        lengths.copy_from_slice(&code_lengths(freq, MAX_CODE_LEN));
         HuffmanCode::from_lengths(lengths)
     }
 
@@ -290,60 +230,6 @@ impl HuffmanCode {
                 l as u64
             })
             .sum()
-    }
-}
-
-/// Converts raw Huffman-tree depths into final code lengths, limiting them
-/// to [`MAX_CODE_LEN`] bits (zlib/miniz-style Kraft repair).
-///
-/// When no depth exceeds the limit — every realistic frequency
-/// distribution — the depths pass through unchanged, so length-limiting
-/// never perturbs the codes existing snapshots were built from. Only
-/// pathological (e.g. Fibonacci) weight sets take the repair path.
-fn limit_lengths(deep: &[u16; 256], out: &mut [u8; 256]) {
-    const MAX: usize = MAX_CODE_LEN as usize;
-    if deep.iter().all(|&d| d <= MAX as u16) {
-        for (o, &d) in out.iter_mut().zip(deep.iter()) {
-            *o = d as u8;
-        }
-        return;
-    }
-    // Histogram of code lengths with everything deeper than the limit
-    // clamped into the deepest bucket.
-    let mut num = [0u32; MAX + 1];
-    for &d in deep.iter().filter(|&&d| d > 0) {
-        num[(d as usize).min(MAX)] += 1;
-    }
-    // Clamping overfills the code space: a full tree has
-    // sum(2^(MAX - len)) == 2^MAX, and shortening a code only inflates its
-    // term. Repair by repeatedly retiring one deepest-bucket code and
-    // splitting a shallower code into two one bit longer — each step
-    // shrinks the sum by exactly one until the lengths again describe a
-    // full prefix tree.
-    let mut total: u64 = (1..=MAX).map(|i| (num[i] as u64) << (MAX - i)).sum();
-    while total > 1u64 << MAX {
-        num[MAX] -= 1;
-        for i in (1..MAX).rev() {
-            if num[i] > 0 {
-                num[i] -= 1;
-                num[i + 1] += 2;
-                break;
-            }
-        }
-        total -= 1;
-    }
-    // Hand the repaired lengths back out shortest-first to symbols ordered
-    // by original depth (ties by symbol value), preserving the relative
-    // code-length order of the unlimited tree.
-    let mut symbols: Vec<u8> = (0u16..256).map(|s| s as u8).collect();
-    symbols.retain(|&s| deep[s as usize] > 0);
-    symbols.sort_by_key(|&s| (deep[s as usize], s));
-    let mut it = symbols.into_iter();
-    for (l, &n) in num.iter().enumerate().skip(1) {
-        for _ in 0..n {
-            let s = it.next().expect("histogram covers every coded symbol");
-            out[s as usize] = l as u8;
-        }
     }
 }
 
@@ -663,16 +549,24 @@ mod tests {
     }
 
     #[test]
-    fn code_lengths_matches_byte_construction() {
-        // On a byte-sized alphabet the generalized constructor must produce
-        // exactly the lengths `from_frequencies` assigns.
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let freq = byte_frequencies(data);
-        let code = HuffmanCode::from_frequencies(&freq);
-        let general = code_lengths(&freq, MAX_CODE_LEN);
-        for (s, &len) in general.iter().enumerate() {
-            assert_eq!(len, code.length(s as u8), "symbol {s}");
+    fn fibonacci_weights_pin_the_limited_lengths() {
+        // Forty Fibonacci weights give raw depths up to 39, which the
+        // repair limits to 32 bits.
+        let mut freq = [0u64; 256];
+        let (mut a, mut b) = (1u64, 1u64);
+        for f in freq.iter_mut().take(40) {
+            *f = a;
+            (a, b) = (b, a + b);
         }
+        let code = HuffmanCode::from_frequencies(&freq);
+        let want = [
+            32, 32, 32, 32, 32, 32, 32, 32, 32, 32, 31, 30, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19,
+            18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1,
+        ];
+        assert_eq!(code.lengths()[..40], want);
+        assert!(code.lengths()[40..].iter().all(|&l| l == 0));
+        let data: Vec<u8> = (0..40).collect();
+        assert_eq!(decode(&code, &encode(&code, &data), data.len()).unwrap(), data);
     }
 
     #[test]

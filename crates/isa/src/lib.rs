@@ -9,6 +9,9 @@
 //! that contract as the object-safe [`Isa`] trait, plus the [`Core`]
 //! execution trait the VM's fetch/step loop drives, so `codense-core` and
 //! `codense-vm` work with any backend (`codense-ppc`, `codense-mips`, …).
+//! What the backends would otherwise each repeat lives here once: label
+//! resolution for their assemblers ([`asm`]) and the operand parsers of
+//! their assembly-text readers ([`text`]).
 //!
 //! Every backend targets a fixed 4-byte instruction word ([`INSN_BYTES`]);
 //! branch *offsets* are exchanged in bytes, fetch-domain *addresses* in
@@ -17,6 +20,11 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+
+pub mod asm;
+pub mod text;
+
+pub use asm::AsmError;
 
 /// Instruction width in bytes. Every [`Isa`] backend is a fixed-32-bit RISC;
 /// the compressor's layout arithmetic relies on this being uniform.
@@ -66,38 +74,6 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// Errors a backend assembler's `finish` returns while resolving labels.
-/// Both backends' assemblers (`codense_ppc::asm`, `codense_mips::asm`)
-/// re-export this one type, so lowering has one error for every ISA.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AsmError {
-    /// A branch referenced a label that was never defined.
-    UndefinedLabel(String),
-    /// A resolved branch displacement does not fit its field.
-    OffsetOutOfRange {
-        /// The referenced label.
-        label: String,
-        /// Index of the branch instruction.
-        at: usize,
-        /// The displacement in bytes that failed to fit.
-        offset: i64,
-    },
-}
-
-impl fmt::Display for AsmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AsmError::UndefinedLabel(l) => write!(f, "undefined label `{l}`"),
-            AsmError::OffsetOutOfRange { label, at, offset } => write!(
-                f,
-                "branch at instruction {at} to `{label}`: displacement {offset} out of range"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for AsmError {}
-
 /// What an executed instruction asks the fetch engine to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
@@ -110,15 +86,24 @@ pub enum Outcome {
     Halt,
 }
 
+/// The two PC-relative branch forms of a backend. Each form's field width
+/// is per-ISA ([`Isa::branch_field_bits`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BranchKind {
+    /// The conditional form: PowerPC B-form `bc` (14-bit field), MIPS
+    /// `beq`…`bgez` (16-bit field).
+    Conditional,
+    /// The jump form: PowerPC I-form `b`/`bl` (24-bit field), MIPS
+    /// `j`/`jal` (26-bit field).
+    Jump,
+}
+
 /// A decoded PC-relative branch, ISA-neutral.
-///
-/// `kind` is a backend-defined discriminant (stable per backend) that keys
-/// [`Isa::branch_field_bits`] / [`Isa::patch_offset_units`]; the compressor
-/// treats it as opaque.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelBranch {
-    /// Backend-defined branch-form discriminant.
-    pub kind: u8,
+    /// The branch form, which keys [`Isa::branch_field_bits`] and
+    /// [`Isa::patch_offset_units`].
+    pub kind: BranchKind,
     /// Byte displacement from the branch's own address (multiple of
     /// [`INSN_BYTES`] in an uncompressed program).
     pub offset: i32,
@@ -290,7 +275,7 @@ pub trait Isa: Sync {
 
     /// Width in bits of the signed displacement field of branch form `kind`
     /// (sign bit included).
-    fn branch_field_bits(&self, kind: u8) -> u32;
+    fn branch_field_bits(&self, kind: BranchKind) -> u32;
 
     /// Rewrites the displacement field of a relative branch with a new raw
     /// field value (already divided down to the target granularity). All
@@ -300,12 +285,12 @@ pub trait Isa: Sync {
     ///
     /// Panics if `word` is not a branch of form `kind` or `units` does not
     /// fit the field.
-    fn patch_offset_units(&self, word: u32, kind: u8, units: i32) -> u32;
+    fn patch_offset_units(&self, word: u32, kind: BranchKind, units: i32) -> u32;
 
     /// Reads back the raw displacement field of a patched branch,
     /// sign-extended, in field units (the inverse of
     /// [`patch_offset_units`](Isa::patch_offset_units)).
-    fn read_offset_units(&self, word: u32, kind: u8) -> i32;
+    fn read_offset_units(&self, word: u32, kind: BranchKind) -> i32;
 
     /// The escape bytes reserved for codewords: byte values no legal
     /// instruction's most-significant byte can take (§4.1 of the paper).
@@ -364,7 +349,12 @@ pub trait Isa: Sync {
     /// branch form `kind` when the field is interpreted in `granule_nibbles`
     /// units? The uncompressed ISA uses `granule_nibbles = 8` (4-byte
     /// units); the paper's schemes use 4, 2 and 1.
-    fn offset_expressible(&self, kind: u8, offset_nibbles: i64, granule_nibbles: u32) -> bool {
+    fn offset_expressible(
+        &self,
+        kind: BranchKind,
+        offset_nibbles: i64,
+        granule_nibbles: u32,
+    ) -> bool {
         debug_assert!(granule_nibbles > 0);
         let g = granule_nibbles as i64;
         offset_nibbles % g == 0 && fits_signed(offset_nibbles / g, self.branch_field_bits(kind))

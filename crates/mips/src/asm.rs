@@ -22,9 +22,8 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
+use codense_isa::asm::Code;
 
-use crate::branch::{fits_signed, RelBranchKind};
 use crate::encode::encode;
 use crate::insn::MInsn;
 use crate::reg::Reg;
@@ -32,45 +31,12 @@ use crate::reg::Reg;
 /// Errors produced by [`Assembler::finish`] (the one type both backends share).
 pub use codense_isa::AsmError;
 
-#[derive(Debug, Clone)]
-struct Fixup {
-    at: usize,
-    label: String,
-    /// The branch instruction with a zero displacement; `finish` fills the
-    /// offset in. Its variant determines the field width to range-check.
-    template: MInsn,
-}
-
-fn kind_of(template: &MInsn) -> RelBranchKind {
-    match template {
-        MInsn::J { .. } | MInsn::Jal { .. } => RelBranchKind::J26,
-        _ => RelBranchKind::I16,
-    }
-}
-
-fn with_offset(template: &MInsn, offset: i32) -> MInsn {
-    use MInsn::*;
-    match *template {
-        Bltz { rs, .. } => Bltz { rs, offset },
-        Bgez { rs, .. } => Bgez { rs, offset },
-        Beq { rs, rt, .. } => Beq { rs, rt, offset },
-        Bne { rs, rt, .. } => Bne { rs, rt, offset },
-        Blez { rs, .. } => Blez { rs, offset },
-        Bgtz { rs, .. } => Bgtz { rs, offset },
-        J { .. } => J { offset },
-        Jal { .. } => Jal { offset },
-        ref other => panic!("not a relative branch template: {other:?}"),
-    }
-}
-
 /// An incremental program builder with symbolic branch labels.
 ///
 /// See the [module docs](self) for an example.
 #[derive(Debug, Default)]
 pub struct Assembler {
-    insns: Vec<MInsn>,
-    labels: HashMap<String, usize>,
-    fixups: Vec<Fixup>,
+    code: Code,
 }
 
 impl Assembler {
@@ -81,7 +47,7 @@ impl Assembler {
 
     /// The index (instruction count so far) the next instruction will get.
     pub fn here(&self) -> usize {
-        self.insns.len()
+        self.code.len()
     }
 
     /// Defines `name` at the current position.
@@ -91,25 +57,18 @@ impl Assembler {
     /// Panics if the label was already defined (a programming error in the
     /// caller, not an input condition).
     pub fn label(&mut self, name: &str) -> &mut Assembler {
-        let prev = self.labels.insert(name.to_owned(), self.insns.len());
-        assert!(prev.is_none(), "label `{name}` defined twice");
+        self.code.label(name);
         self
     }
 
     /// Returns the position of a defined label, if any.
     pub fn label_pos(&self, name: &str) -> Option<usize> {
-        self.labels.get(name).copied()
+        self.code.label_pos(name)
     }
 
     /// Appends an instruction.
     pub fn emit(&mut self, insn: MInsn) -> &mut Assembler {
-        self.insns.push(insn);
-        self
-    }
-
-    /// Appends raw pre-encoded words.
-    pub fn emit_words(&mut self, words: &[u32]) -> &mut Assembler {
-        self.insns.extend(words.iter().map(|&w| crate::decode(w)));
+        self.code.push(encode(&insn));
         self
     }
 
@@ -165,21 +124,21 @@ impl Assembler {
         self.emit(MInsn::Jr { rs: crate::reg::RA })
     }
 
+    /// Appends `template`, a relative branch with displacement 0, aimed at
+    /// `label` by [`finish`](Assembler::finish).
     fn branch_fixup(&mut self, label: &str, template: MInsn) -> &mut Assembler {
-        self.fixups.push(Fixup { at: self.insns.len(), label: label.to_owned(), template });
-        // Placeholder; patched in finish().
-        self.insns.push(template);
+        self.code.branch(encode(&template), label);
         self
     }
 
     /// Number of instructions emitted so far.
     pub fn len(&self) -> usize {
-        self.insns.len()
+        self.code.len()
     }
 
     /// Returns `true` if no instructions have been emitted.
     pub fn is_empty(&self) -> bool {
-        self.insns.is_empty()
+        self.code.is_empty()
     }
 
     /// Resolves all fixups and returns the encoded instruction words.
@@ -190,25 +149,8 @@ impl Assembler {
     /// label, or [`AsmError::OffsetOutOfRange`] if a resolved displacement
     /// does not fit its field (±128 KiB for conditional branches, ±128 MiB
     /// for `j`/`jal`).
-    pub fn finish(mut self) -> Result<Vec<u32>, AsmError> {
-        for fix in &self.fixups {
-            let &target = self
-                .labels
-                .get(&fix.label)
-                .ok_or_else(|| AsmError::UndefinedLabel(fix.label.clone()))?;
-            let offset = (target as i64 - fix.at as i64) * 4;
-            // The displacement field holds offset/4, so the byte offset must
-            // fit field_bits + 2 signed bits.
-            if !fits_signed(offset, kind_of(&fix.template).field_bits() + 2) {
-                return Err(AsmError::OffsetOutOfRange {
-                    label: fix.label.clone(),
-                    at: fix.at,
-                    offset,
-                });
-            }
-            self.insns[fix.at] = with_offset(&fix.template, offset as i32);
-        }
-        Ok(self.insns.iter().map(encode).collect())
+    pub fn finish(self) -> Result<Vec<u32>, AsmError> {
+        self.code.finish(&crate::ISA)
     }
 }
 
@@ -280,7 +222,7 @@ mod tests {
         a.emit(MInsn::Syscall);
         let words = a.finish().unwrap();
         let info = rel_branch_info(words[0]).unwrap();
-        assert_eq!(info.kind, RelBranchKind::I16);
+        assert_eq!(info.kind, codense_isa::BranchKind::Conditional);
         assert_eq!(info.offset, 4);
     }
 }

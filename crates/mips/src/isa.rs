@@ -1,28 +1,22 @@
 //! The [`codense_isa::Isa`] implementation for the MIPS-like backend.
 //!
 //! Everything here delegates to the crate's own modules ([`crate::branch`],
-//! [`crate::opcode`], [`crate::disasm`], [`crate::machine`]); this file only
-//! adapts their MIPS-typed signatures to the ISA-neutral trait. The
-//! branch-form discriminants are stable: `0` = conditional/REGIMM (16-bit
-//! field), `1` = `j`/`jal` (26-bit field).
+//! [`crate::disasm`], [`crate::machine`]) or is the backend's one escape
+//! table. [`BranchKind::Conditional`] is the conditional/REGIMM form
+//! (16-bit field), [`BranchKind::Jump`] is `j`/`jal` (26-bit field).
 
-use codense_isa::{Core, Isa, IsaId, RelBranch, OVERFLOW_TABLE_HI};
+use codense_isa::{BranchKind, Core, Isa, IsaId, RelBranch, OVERFLOW_TABLE_HI};
 
-use crate::branch::{self, RelBranchKind};
+use crate::branch;
 use crate::insn::MInsn;
 use crate::machine::Machine;
 use crate::opcode::op;
 use crate::reg::{AT, RA};
 
-/// Discriminant for 16-bit-field conditional branches in [`RelBranch::kind`].
-pub const KIND_I16: u8 = 0;
-/// Discriminant for 26-bit-field relative jumps in [`RelBranch::kind`].
-pub const KIND_J26: u8 = 1;
-
 /// The 32 escape bytes, in escape-index order: each illegal primary opcode
-/// `op` contributes the four byte values `op << 2 | 0 ..= op << 2 | 3`
-/// (the next two opcode bits spill into the top byte). Mirrors
-/// [`crate::opcode::escape_bytes`] as a static table.
+/// `op` of [`crate::opcode::ILLEGAL_PRIMARY`] contributes the four byte
+/// values `op << 2 | 0 ..= op << 2 | 3` (the next two opcode bits spill into
+/// the top byte). This is the backend's only escape table.
 pub static ESCAPE_BYTES: [u8; 32] = [
     0x48, 0x49, 0x4a, 0x4b, // primary 0x12
     0x4c, 0x4d, 0x4e, 0x4f, // primary 0x13
@@ -33,21 +27,6 @@ pub static ESCAPE_BYTES: [u8; 32] = [
     0xc8, 0xc9, 0xca, 0xcb, // primary 0x32
     0xe8, 0xe9, 0xea, 0xeb, // primary 0x3a
 ];
-
-fn kind_of(kind: u8) -> RelBranchKind {
-    match kind {
-        KIND_I16 => RelBranchKind::I16,
-        KIND_J26 => RelBranchKind::J26,
-        _ => panic!("unknown mips branch kind {kind}"),
-    }
-}
-
-fn kind_code(kind: RelBranchKind) -> u8 {
-    match kind {
-        RelBranchKind::I16 => KIND_I16,
-        RelBranchKind::J26 => KIND_J26,
-    }
-}
 
 /// The MIPS-like backend, exposed as [`ISA`].
 #[derive(Debug)]
@@ -62,23 +41,19 @@ impl Isa for MipsIsa {
     }
 
     fn rel_branch_info(&self, word: u32) -> Option<RelBranch> {
-        branch::rel_branch_info(word).map(|i| RelBranch {
-            kind: kind_code(i.kind),
-            offset: i.offset,
-            lk: i.lk,
-        })
+        branch::rel_branch_info(word)
     }
 
-    fn branch_field_bits(&self, kind: u8) -> u32 {
-        kind_of(kind).field_bits()
+    fn branch_field_bits(&self, kind: BranchKind) -> u32 {
+        branch::field_bits(kind)
     }
 
-    fn patch_offset_units(&self, word: u32, kind: u8, units: i32) -> u32 {
-        branch::patch_offset_units(word, kind_of(kind), units)
+    fn patch_offset_units(&self, word: u32, kind: BranchKind, units: i32) -> u32 {
+        branch::patch_offset_units(word, kind, units)
     }
 
-    fn read_offset_units(&self, word: u32, kind: u8) -> i32 {
-        branch::read_offset_units(word, kind_of(kind))
+    fn read_offset_units(&self, word: u32, kind: BranchKind) -> i32 {
+        branch::read_offset_units(word, kind)
     }
 
     fn escape_bytes(&self) -> &'static [u8] {
@@ -121,7 +96,8 @@ impl Isa for MipsIsa {
         if let Some(skip) = inverted {
             let skip_nibbles = (1 + dispatch_len) * insn_nibbles;
             let units = (skip_nibbles / granule_nibbles) as i32;
-            out.push(branch::patch_offset_units(crate::encode(&skip), RelBranchKind::I16, units));
+            let skip = crate::encode(&skip);
+            out.push(branch::patch_offset_units(skip, BranchKind::Conditional, units));
         }
         out.push(crate::encode(&Lui { rt: AT, imm: OVERFLOW_TABLE_HI as u16 }));
         out.push(crate::encode(&Lw { rt: AT, base: AT, offset: (slot * 4) as i16 }));
@@ -149,8 +125,7 @@ mod tests {
     use codense_isa::IsaRef;
 
     #[test]
-    fn escape_table_matches_opcode_module() {
-        assert_eq!(ESCAPE_BYTES.to_vec(), crate::opcode::escape_bytes());
+    fn escape_table_is_the_illegal_opcodes() {
         let isa = IsaRef(&ISA);
         for (i, &b) in ESCAPE_BYTES.iter().enumerate() {
             assert_eq!(isa.escape_index(b), Some(i as u32));
@@ -172,20 +147,24 @@ mod tests {
         let isa = IsaRef(&ISA);
         let jal = crate::encode(&MInsn::Jal { offset: -64 });
         let info = isa.rel_branch_info(jal).unwrap();
-        assert_eq!((info.kind, info.offset, info.lk), (KIND_J26, -64, true));
-        assert_eq!(isa.branch_field_bits(KIND_I16), 16);
-        assert_eq!(isa.branch_field_bits(KIND_J26), 26);
+        assert_eq!((info.kind, info.offset, info.lk), (BranchKind::Jump, -64, true));
+        assert_eq!(isa.branch_field_bits(BranchKind::Conditional), 16);
+        assert_eq!(isa.branch_field_bits(BranchKind::Jump), 26);
 
         let beq = crate::encode(&MInsn::Beq { rs: T0, rt: T1, offset: 0 });
         for units in [-32768, -1, 0, 1, 32767] {
-            let p = isa.patch_offset_units(beq, KIND_I16, units);
-            assert_eq!(p, branch::patch_offset_units(beq, RelBranchKind::I16, units));
-            assert_eq!(isa.read_offset_units(p, KIND_I16), units);
+            let p = isa.patch_offset_units(beq, BranchKind::Conditional, units);
+            assert_eq!(p, branch::patch_offset_units(beq, BranchKind::Conditional, units));
+            assert_eq!(isa.read_offset_units(p, BranchKind::Conditional), units);
         }
 
-        assert!(isa.offset_expressible(KIND_I16, 40960, 8));
-        assert!(!isa.offset_expressible(KIND_I16, 40960, 1));
-        assert!(!isa.offset_expressible(KIND_I16, 7, 2));
+        // A 20 KiB displacement is 40960 nibbles: 5120 4-byte units fit the
+        // 16-bit field, 40960 nibbles do not, the 26-bit field holds it at
+        // any granule, and a misaligned displacement fits nowhere.
+        assert!(isa.offset_expressible(BranchKind::Conditional, 40960, 8));
+        assert!(!isa.offset_expressible(BranchKind::Conditional, 40960, 1));
+        assert!(isa.offset_expressible(BranchKind::Jump, 40960, 1));
+        assert!(!isa.offset_expressible(BranchKind::Conditional, 7, 2));
     }
 
     #[test]
@@ -205,20 +184,18 @@ mod tests {
     /// all-ones.
     #[test]
     fn opcode_gates_match_decode() {
-        fn spec_rel_branch_info(word: u32) -> Option<branch::RelBranch> {
+        fn spec_rel_branch_info(word: u32) -> Option<RelBranch> {
             use MInsn::*;
-            let (kind, lk) = (RelBranchKind::I16, false);
+            let (kind, lk) = (BranchKind::Conditional, false);
             match crate::decode(word) {
                 Bltz { offset, .. }
                 | Bgez { offset, .. }
                 | Beq { offset, .. }
                 | Bne { offset, .. }
                 | Blez { offset, .. }
-                | Bgtz { offset, .. } => Some(branch::RelBranch { kind, offset, lk }),
-                J { offset } => Some(branch::RelBranch { kind: RelBranchKind::J26, offset, lk }),
-                Jal { offset } => {
-                    Some(branch::RelBranch { kind: RelBranchKind::J26, offset, lk: true })
-                }
+                | Bgtz { offset, .. } => Some(RelBranch { kind, offset, lk }),
+                J { offset } => Some(RelBranch { kind: BranchKind::Jump, offset, lk }),
+                Jal { offset } => Some(RelBranch { kind: BranchKind::Jump, offset, lk: true }),
                 _ => None,
             }
         }
@@ -270,7 +247,7 @@ mod tests {
             other => panic!("expected skip bne, got {other:?}"),
         }
         // Skip distance: (1 + 3) insns × 8 nibbles ÷ 4-nibble granule.
-        assert_eq!(isa.read_offset_units(seq[0], KIND_I16), 8);
+        assert_eq!(isa.read_offset_units(seq[0], BranchKind::Conditional), 8);
 
         // Every conditional form inverts.
         for w in [

@@ -54,42 +54,3 @@ pub use insn::MInsn;
 pub use isa::ISA;
 pub use machine::Machine;
 pub use reg::Reg;
-
-/// Size of one (uncompressed) instruction in bytes.
-pub const INSN_BYTES: u32 = 4;
-
-/// Serializes a slice of instruction words to big-endian bytes, the memory
-/// image layout of a `.text` section on this (big-endian) machine.
-///
-/// ```
-/// let bytes = codense_mips::words_to_bytes(&[0x2402_0001]);
-/// assert_eq!(bytes, [0x24, 0x02, 0x00, 0x01]);
-/// ```
-pub fn words_to_bytes(words: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(words.len() * 4);
-    for w in words {
-        out.extend_from_slice(&w.to_be_bytes());
-    }
-    out
-}
-
-/// Reassembles big-endian bytes into instruction words.
-///
-/// # Panics
-///
-/// Panics if `bytes.len()` is not a multiple of 4.
-pub fn bytes_to_words(bytes: &[u8]) -> Vec<u32> {
-    assert!(bytes.len().is_multiple_of(4), "text image must be word aligned");
-    bytes.chunks_exact(4).map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]])).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn word_byte_roundtrip() {
-        let words = vec![0x2402_0001, 0x03e0_0008, 0xdead_beef];
-        assert_eq!(bytes_to_words(&words_to_bytes(&words)), words);
-    }
-}

@@ -4,7 +4,8 @@
 //! Mirrors `codense-ppc`'s suite.
 
 use codense_codegen::Rng;
-use codense_mips::branch::{patch_offset_units, read_offset_units, rel_branch_info, RelBranchKind};
+use codense_isa::BranchKind;
+use codense_mips::branch::{patch_offset_units, read_offset_units, rel_branch_info};
 use codense_mips::{decode, encode, MInsn};
 
 const CASES: usize = 512;
@@ -35,8 +36,8 @@ fn patch_roundtrip_i16() {
         let rt = codense_mips::Reg::new(rng.below(32) as u8).unwrap();
         let units = rng.range(0, 65535) as i32 - 32768;
         let word = encode(&MInsn::Beq { rs, rt, offset: 0 });
-        let patched = patch_offset_units(word, RelBranchKind::I16, units);
-        assert_eq!(read_offset_units(patched, RelBranchKind::I16), units);
+        let patched = patch_offset_units(word, BranchKind::Conditional, units);
+        assert_eq!(read_offset_units(patched, BranchKind::Conditional), units);
         assert_eq!(patched >> 16, word >> 16);
     }
 }
@@ -49,8 +50,8 @@ fn patch_roundtrip_j26() {
         let lk = rng.chance(0.5);
         let units = rng.range(0, (1 << 26) - 1) as i32 - (1 << 25);
         let word = encode(&if lk { MInsn::Jal { offset: 0 } } else { MInsn::J { offset: 0 } });
-        let patched = patch_offset_units(word, RelBranchKind::J26, units);
-        assert_eq!(read_offset_units(patched, RelBranchKind::J26), units);
+        let patched = patch_offset_units(word, BranchKind::Jump, units);
+        assert_eq!(read_offset_units(patched, BranchKind::Jump), units);
         assert_eq!(patched >> 26, word >> 26);
     }
 }
@@ -72,11 +73,11 @@ fn branch_info_consistent() {
         match decode(w) {
             MInsn::J { offset } => {
                 let i = info.expect("relative j");
-                assert_eq!((i.kind, i.offset, i.lk), (RelBranchKind::J26, offset, false));
+                assert_eq!((i.kind, i.offset, i.lk), (BranchKind::Jump, offset, false));
             }
             MInsn::Jal { offset } => {
                 let i = info.expect("relative jal");
-                assert_eq!((i.kind, i.offset, i.lk), (RelBranchKind::J26, offset, true));
+                assert_eq!((i.kind, i.offset, i.lk), (BranchKind::Jump, offset, true));
             }
             MInsn::Bltz { offset, .. }
             | MInsn::Bgez { offset, .. }
@@ -85,7 +86,7 @@ fn branch_info_consistent() {
             | MInsn::Blez { offset, .. }
             | MInsn::Bgtz { offset, .. } => {
                 let i = info.expect("relative conditional");
-                assert_eq!((i.kind, i.offset, i.lk), (RelBranchKind::I16, offset, false));
+                assert_eq!((i.kind, i.offset, i.lk), (BranchKind::Conditional, offset, false));
             }
             _ => assert!(info.is_none(), "unexpected branch info for {w:#010x}"),
         }

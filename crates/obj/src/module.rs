@@ -171,7 +171,7 @@ impl ObjectModule {
     /// The text section serialized as big-endian bytes (for byte-granular
     /// compressors such as LZW and CCRP).
     pub fn text_image(&self) -> Vec<u8> {
-        codense_ppc::words_to_bytes(&self.code)
+        self.code.iter().flat_map(|w| w.to_be_bytes()).collect()
     }
 
     /// Checks internal consistency under `isa`, which must be the ISA the

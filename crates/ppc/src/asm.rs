@@ -22,7 +22,7 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
+use codense_isa::asm::Code;
 
 use crate::encode::encode;
 use crate::insn::{bo, Insn};
@@ -31,27 +31,12 @@ use crate::reg::CrField;
 /// Errors produced by [`Assembler::finish`] (the one type both backends share).
 pub use codense_isa::AsmError;
 
-#[derive(Debug, Clone, Copy)]
-enum FixKind {
-    IForm { lk: bool },
-    BForm { bo: u8, bi: u8, lk: bool },
-}
-
-#[derive(Debug, Clone)]
-struct Fixup {
-    at: usize,
-    label: String,
-    kind: FixKind,
-}
-
 /// An incremental program builder with symbolic branch labels.
 ///
 /// See the [module docs](self) for an example.
 #[derive(Debug, Default)]
 pub struct Assembler {
-    insns: Vec<Insn>,
-    labels: HashMap<String, usize>,
-    fixups: Vec<Fixup>,
+    code: Code,
 }
 
 impl Assembler {
@@ -62,7 +47,7 @@ impl Assembler {
 
     /// The index (instruction count so far) the next instruction will get.
     pub fn here(&self) -> usize {
-        self.insns.len()
+        self.code.len()
     }
 
     /// Defines `name` at the current position.
@@ -72,41 +57,34 @@ impl Assembler {
     /// Panics if the label was already defined (a programming error in the
     /// caller, not an input condition).
     pub fn label(&mut self, name: &str) -> &mut Assembler {
-        let prev = self.labels.insert(name.to_owned(), self.insns.len());
-        assert!(prev.is_none(), "label `{name}` defined twice");
+        self.code.label(name);
         self
     }
 
     /// Returns the position of a defined label, if any.
     pub fn label_pos(&self, name: &str) -> Option<usize> {
-        self.labels.get(name).copied()
+        self.code.label_pos(name)
     }
 
     /// Appends an instruction.
     pub fn emit(&mut self, insn: Insn) -> &mut Assembler {
-        self.insns.push(insn);
-        self
-    }
-
-    /// Appends raw pre-encoded words.
-    pub fn emit_words(&mut self, words: &[u32]) -> &mut Assembler {
-        self.insns.extend(words.iter().map(|&w| crate::decode(w)));
+        self.code.push(encode(&insn));
         self
     }
 
     /// Unconditional branch to `label`.
     pub fn b(&mut self, label: &str) -> &mut Assembler {
-        self.branch_fixup(label, FixKind::IForm { lk: false })
+        self.branch_fixup(label, Insn::B { li: 0, aa: false, lk: false })
     }
 
     /// Branch-and-link (call) to `label`.
     pub fn bl(&mut self, label: &str) -> &mut Assembler {
-        self.branch_fixup(label, FixKind::IForm { lk: true })
+        self.branch_fixup(label, Insn::B { li: 0, aa: false, lk: true })
     }
 
     /// Generic conditional branch to `label`.
     pub fn bc(&mut self, bo_field: u8, bi: u8, label: &str) -> &mut Assembler {
-        self.branch_fixup(label, FixKind::BForm { bo: bo_field, bi, lk: false })
+        self.branch_fixup(label, Insn::Bc { bo: bo_field, bi, bd: 0, aa: false, lk: false })
     }
 
     /// Branch if EQ bit of `cr` is set.
@@ -149,21 +127,21 @@ impl Assembler {
         self.emit(Insn::Bclr { bo: bo::ALWAYS, bi: 0, lk: false })
     }
 
-    fn branch_fixup(&mut self, label: &str, kind: FixKind) -> &mut Assembler {
-        self.fixups.push(Fixup { at: self.insns.len(), label: label.to_owned(), kind });
-        // Placeholder; patched in finish().
-        self.insns.push(Insn::B { li: 0, aa: false, lk: false });
+    /// Appends `template`, a relative branch with displacement 0, aimed at
+    /// `label` by [`finish`](Assembler::finish).
+    fn branch_fixup(&mut self, label: &str, template: Insn) -> &mut Assembler {
+        self.code.branch(encode(&template), label);
         self
     }
 
     /// Number of instructions emitted so far.
     pub fn len(&self) -> usize {
-        self.insns.len()
+        self.code.len()
     }
 
     /// Returns `true` if no instructions have been emitted.
     pub fn is_empty(&self) -> bool {
-        self.insns.is_empty()
+        self.code.is_empty()
     }
 
     /// Resolves all fixups and returns the encoded instruction words.
@@ -174,34 +152,8 @@ impl Assembler {
     /// label, or [`AsmError::OffsetOutOfRange`] if a resolved displacement
     /// does not fit its field (±32 KiB for conditional, ±32 MiB for
     /// unconditional branches).
-    pub fn finish(mut self) -> Result<Vec<u32>, AsmError> {
-        for fix in &self.fixups {
-            let &target = self
-                .labels
-                .get(&fix.label)
-                .ok_or_else(|| AsmError::UndefinedLabel(fix.label.clone()))?;
-            let offset = (target as i64 - fix.at as i64) * 4;
-            let out_of_range = |off| AsmError::OffsetOutOfRange {
-                label: fix.label.clone(),
-                at: fix.at,
-                offset: off,
-            };
-            self.insns[fix.at] = match fix.kind {
-                FixKind::IForm { lk } => {
-                    if !crate::branch::fits_signed(offset, 26) {
-                        return Err(out_of_range(offset));
-                    }
-                    Insn::B { li: offset as i32, aa: false, lk }
-                }
-                FixKind::BForm { bo, bi, lk } => {
-                    if !crate::branch::fits_signed(offset, 16) {
-                        return Err(out_of_range(offset));
-                    }
-                    Insn::Bc { bo, bi, bd: offset as i16, aa: false, lk }
-                }
-            };
-        }
-        Ok(self.insns.iter().map(encode).collect())
+    pub fn finish(self) -> Result<Vec<u32>, AsmError> {
+        self.code.finish(&crate::ISA)
     }
 }
 

@@ -8,38 +8,18 @@
 //! byte-aligned targets. This module exposes the fields and the reduced-
 //! resolution fitting/patching arithmetic.
 
+use codense_isa::{fits_signed, BranchKind, RelBranch};
+
 use crate::insn::Insn;
 use crate::opcode::primary;
 
-/// Which relative-branch form a word is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RelBranchKind {
-    /// I-form `b`/`bl`: 24-bit displacement field.
-    IForm,
-    /// B-form `bc` (conditional): 14-bit displacement field.
-    BForm,
-}
-
-impl RelBranchKind {
-    /// Width in bits of the signed displacement field (sign bit included).
-    pub const fn field_bits(self) -> u32 {
-        match self {
-            RelBranchKind::IForm => 24,
-            RelBranchKind::BForm => 14,
-        }
+/// Width in bits of the signed displacement field of `kind` (sign bit
+/// included): 14 for B-form `bc`, 24 for I-form `b`/`bl`.
+pub const fn field_bits(kind: BranchKind) -> u32 {
+    match kind {
+        BranchKind::Conditional => 14,
+        BranchKind::Jump => 24,
     }
-}
-
-/// A decoded PC-relative branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RelBranch {
-    /// Encoding form (determines the displacement field width).
-    pub kind: RelBranchKind,
-    /// Byte displacement from the branch's own address (multiple of 4 in an
-    /// uncompressed program).
-    pub offset: i32,
-    /// Whether the branch sets the link register (a call).
-    pub lk: bool,
 }
 
 /// Extracts relative-branch information from an instruction word.
@@ -50,9 +30,10 @@ pub struct RelBranch {
 /// answered from the opcode alone, without a decode.
 ///
 /// ```
-/// use codense_ppc::branch::{rel_branch_info, RelBranchKind};
+/// use codense_isa::BranchKind;
+/// use codense_ppc::branch::rel_branch_info;
 /// let info = rel_branch_info(0x4800_0008).unwrap(); // b .+8
-/// assert_eq!(info.kind, RelBranchKind::IForm);
+/// assert_eq!(info.kind, BranchKind::Jump);
 /// assert_eq!(info.offset, 8);
 /// ```
 pub fn rel_branch_info(word: u32) -> Option<RelBranch> {
@@ -60,33 +41,12 @@ pub fn rel_branch_info(word: u32) -> Option<RelBranch> {
         return None;
     }
     match crate::decode(word) {
-        Insn::B { li, aa: false, lk } => {
-            Some(RelBranch { kind: RelBranchKind::IForm, offset: li, lk })
-        }
+        Insn::B { li, aa: false, lk } => Some(RelBranch { kind: BranchKind::Jump, offset: li, lk }),
         Insn::Bc { bd, aa: false, lk, .. } => {
-            Some(RelBranch { kind: RelBranchKind::BForm, offset: bd as i32, lk })
+            Some(RelBranch { kind: BranchKind::Conditional, offset: bd as i32, lk })
         }
         _ => None,
     }
-}
-
-/// Returns `true` if `value` fits a signed two's-complement field of
-/// `bits` bits.
-pub const fn fits_signed(value: i64, bits: u32) -> bool {
-    let half = 1i64 << (bits - 1);
-    value >= -half && value < half
-}
-
-/// Can a displacement of `offset_nibbles` (4-bit units) be expressed by this
-/// branch form when the field is interpreted in `granule_nibbles` units?
-///
-/// The uncompressed ISA uses `granule_nibbles = 8` (4-byte units); the
-/// paper's schemes use 4 (2-byte codewords), 2 (1-byte codewords) and
-/// 1 (nibble-aligned codewords).
-pub fn offset_expressible(kind: RelBranchKind, offset_nibbles: i64, granule_nibbles: u32) -> bool {
-    debug_assert!(granule_nibbles > 0);
-    let g = granule_nibbles as i64;
-    offset_nibbles % g == 0 && fits_signed(offset_nibbles / g, kind.field_bits())
 }
 
 /// Rewrites the displacement field of a relative branch with a new raw field
@@ -97,19 +57,19 @@ pub fn offset_expressible(kind: RelBranchKind, offset_nibbles: i64, granule_nibb
 ///
 /// Panics if `word` is not a relative branch of the given `kind`, or if
 /// `units` does not fit the field.
-pub fn patch_offset_units(word: u32, kind: RelBranchKind, units: i32) -> u32 {
+pub fn patch_offset_units(word: u32, kind: BranchKind, units: i32) -> u32 {
     assert!(
-        fits_signed(units as i64, kind.field_bits()),
+        fits_signed(units as i64, field_bits(kind)),
         "patched displacement {units} does not fit a {}-bit field",
-        kind.field_bits()
+        field_bits(kind)
     );
     match kind {
-        RelBranchKind::IForm => {
-            assert_eq!(word >> 26, crate::opcode::primary::B, "not an I-form branch");
+        BranchKind::Jump => {
+            assert_eq!(word >> 26, primary::B, "not an I-form branch");
             (word & !0x03ff_fffc) | (((units as u32) & 0x00ff_ffff) << 2)
         }
-        RelBranchKind::BForm => {
-            assert_eq!(word >> 26, crate::opcode::primary::BC, "not a B-form branch");
+        BranchKind::Conditional => {
+            assert_eq!(word >> 26, primary::BC, "not a B-form branch");
             (word & !0x0000_fffc) | (((units as u32) & 0x3fff) << 2)
         }
     }
@@ -117,13 +77,13 @@ pub fn patch_offset_units(word: u32, kind: RelBranchKind, units: i32) -> u32 {
 
 /// Reads back the raw displacement field of a patched branch, sign-extended,
 /// in field units (the inverse of [`patch_offset_units`]).
-pub fn read_offset_units(word: u32, kind: RelBranchKind) -> i32 {
+pub fn read_offset_units(word: u32, kind: BranchKind) -> i32 {
     match kind {
-        RelBranchKind::IForm => {
+        BranchKind::Jump => {
             let v = (word >> 2) & 0x00ff_ffff;
             ((v << 8) as i32) >> 8
         }
-        RelBranchKind::BForm => {
+        BranchKind::Conditional => {
             let v = (word >> 2) & 0x3fff;
             ((v << 18) as i32) >> 18
         }
@@ -140,11 +100,11 @@ mod tests {
     fn info_for_forms() {
         let b = encode(&Insn::B { li: -64, aa: false, lk: true });
         let i = rel_branch_info(b).unwrap();
-        assert_eq!((i.kind, i.offset, i.lk), (RelBranchKind::IForm, -64, true));
+        assert_eq!((i.kind, i.offset, i.lk), (BranchKind::Jump, -64, true));
 
         let bc = encode(&Insn::Bc { bo: bo::IF_FALSE, bi: 0, bd: 128, aa: false, lk: false });
         let i = rel_branch_info(bc).unwrap();
-        assert_eq!((i.kind, i.offset, i.lk), (RelBranchKind::BForm, 128, false));
+        assert_eq!((i.kind, i.offset, i.lk), (BranchKind::Conditional, 128, false));
 
         let blr = encode(&Insn::Bclr { bo: bo::ALWAYS, bi: 0, lk: false });
         assert_eq!(rel_branch_info(blr), None);
@@ -153,40 +113,18 @@ mod tests {
     }
 
     #[test]
-    fn fits_signed_bounds() {
-        assert!(fits_signed(8191, 14));
-        assert!(!fits_signed(8192, 14));
-        assert!(fits_signed(-8192, 14));
-        assert!(!fits_signed(-8193, 14));
-    }
-
-    #[test]
-    fn expressibility_at_granularities() {
-        // 20 KiB displacement = 40960 nibbles.
-        let d = 40960i64;
-        // 4-byte granule: 40960/8 = 5120 fits 14 bits.
-        assert!(offset_expressible(RelBranchKind::BForm, d, 8));
-        // 2-byte granule: 10240 does not fit 14 bits signed.
-        assert!(!offset_expressible(RelBranchKind::BForm, d, 4));
-        // I-form fits everywhere at these sizes.
-        assert!(offset_expressible(RelBranchKind::IForm, d, 1));
-        // Misaligned displacement is inexpressible.
-        assert!(!offset_expressible(RelBranchKind::BForm, 7, 2));
-    }
-
-    #[test]
     fn patch_and_read_roundtrip() {
         let word = encode(&Insn::Bc { bo: bo::IF_TRUE, bi: 6, bd: 0, aa: false, lk: false });
         for units in [-8192, -1, 0, 1, 8191] {
-            let p = patch_offset_units(word, RelBranchKind::BForm, units);
-            assert_eq!(read_offset_units(p, RelBranchKind::BForm), units);
+            let p = patch_offset_units(word, BranchKind::Conditional, units);
+            assert_eq!(read_offset_units(p, BranchKind::Conditional), units);
             // bo/bi preserved:
             assert_eq!(p >> 16, word >> 16);
         }
         let word = encode(&Insn::B { li: 0, aa: false, lk: true });
         for units in [-(1 << 23), -3, 0, 5, (1 << 23) - 1] {
-            let p = patch_offset_units(word, RelBranchKind::IForm, units);
-            assert_eq!(read_offset_units(p, RelBranchKind::IForm), units);
+            let p = patch_offset_units(word, BranchKind::Jump, units);
+            assert_eq!(read_offset_units(p, BranchKind::Jump), units);
             assert_eq!(p & 3, word & 3);
         }
     }
@@ -195,6 +133,6 @@ mod tests {
     #[should_panic(expected = "does not fit")]
     fn patch_overflow_panics() {
         let word = encode(&Insn::Bc { bo: bo::ALWAYS, bi: 0, bd: 0, aa: false, lk: false });
-        patch_offset_units(word, RelBranchKind::BForm, 8192);
+        patch_offset_units(word, BranchKind::Conditional, 8192);
     }
 }

@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn escape_words_decode_illegal() {
-        for b in crate::opcode::escape_bytes() {
+        for b in crate::isa::ESCAPE_BYTES {
             let w = (b as u32) << 24 | 0x0012_3456;
             assert!(matches!(decode(w), Insn::Illegal(_)), "escape byte {b:#x}");
         }

@@ -1,29 +1,23 @@
 //! The [`codense_isa::Isa`] implementation for the PowerPC backend.
 //!
 //! Everything here delegates to the crate's own modules ([`crate::branch`],
-//! [`crate::opcode`], [`crate::disasm`], [`crate::machine`]); this file only
-//! adapts their PowerPC-typed signatures to the ISA-neutral trait. The
-//! branch-form discriminants are stable: `0` = I-form (`b`/`bl`, 24-bit
-//! field), `1` = B-form (`bc`, 14-bit field).
+//! [`crate::disasm`], [`crate::machine`]) or is the backend's one escape
+//! table. [`BranchKind::Conditional`] is B-form `bc` (14-bit field),
+//! [`BranchKind::Jump`] is I-form `b`/`bl` (24-bit field).
 
-use codense_isa::{Core, Isa, IsaId, RelBranch, OVERFLOW_TABLE_HI};
+use codense_isa::{BranchKind, Core, Isa, IsaId, RelBranch, OVERFLOW_TABLE_HI};
 
-use crate::branch::{self, RelBranchKind};
+use crate::branch;
 use crate::insn::{bo, Insn};
 use crate::machine::Machine;
 use crate::opcode::primary;
 use crate::reg::{R0, R12};
 use crate::Spr;
 
-/// Discriminant for I-form branches in [`RelBranch::kind`].
-pub const KIND_IFORM: u8 = 0;
-/// Discriminant for B-form branches in [`RelBranch::kind`].
-pub const KIND_BFORM: u8 = 1;
-
 /// The 32 escape bytes, in escape-index order: each illegal primary opcode
-/// `op` contributes the four byte values `op << 2 | 0 ..= op << 2 | 3`
-/// (the next two opcode bits spill into the top byte). Mirrors
-/// [`crate::opcode::escape_bytes`] as a static table.
+/// `op` of [`crate::opcode::ILLEGAL_PRIMARY`] contributes the four byte
+/// values `op << 2 | 0 ..= op << 2 | 3` (the next two opcode bits spill into
+/// the top byte). This is the backend's only escape table.
 pub static ESCAPE_BYTES: [u8; 32] = [
     0x00, 0x01, 0x02, 0x03, // primary 0
     0x04, 0x05, 0x06, 0x07, // primary 1
@@ -34,21 +28,6 @@ pub static ESCAPE_BYTES: [u8; 32] = [
     0x58, 0x59, 0x5a, 0x5b, // primary 22
     0x78, 0x79, 0x7a, 0x7b, // primary 30
 ];
-
-fn kind_of(kind: u8) -> RelBranchKind {
-    match kind {
-        KIND_IFORM => RelBranchKind::IForm,
-        KIND_BFORM => RelBranchKind::BForm,
-        _ => panic!("unknown ppc branch kind {kind}"),
-    }
-}
-
-fn kind_code(kind: RelBranchKind) -> u8 {
-    match kind {
-        RelBranchKind::IForm => KIND_IFORM,
-        RelBranchKind::BForm => KIND_BFORM,
-    }
-}
 
 /// The PowerPC backend, exposed as [`ISA`].
 #[derive(Debug)]
@@ -63,23 +42,19 @@ impl Isa for PpcIsa {
     }
 
     fn rel_branch_info(&self, word: u32) -> Option<RelBranch> {
-        branch::rel_branch_info(word).map(|i| RelBranch {
-            kind: kind_code(i.kind),
-            offset: i.offset,
-            lk: i.lk,
-        })
+        branch::rel_branch_info(word)
     }
 
-    fn branch_field_bits(&self, kind: u8) -> u32 {
-        kind_of(kind).field_bits()
+    fn branch_field_bits(&self, kind: BranchKind) -> u32 {
+        branch::field_bits(kind)
     }
 
-    fn patch_offset_units(&self, word: u32, kind: u8, units: i32) -> u32 {
-        branch::patch_offset_units(word, kind_of(kind), units)
+    fn patch_offset_units(&self, word: u32, kind: BranchKind, units: i32) -> u32 {
+        branch::patch_offset_units(word, kind, units)
     }
 
-    fn read_offset_units(&self, word: u32, kind: u8) -> i32 {
-        branch::read_offset_units(word, kind_of(kind))
+    fn read_offset_units(&self, word: u32, kind: BranchKind) -> i32 {
+        branch::read_offset_units(word, kind)
     }
 
     fn escape_bytes(&self) -> &'static [u8] {
@@ -119,7 +94,7 @@ impl Isa for PpcIsa {
                 let units = (skip_nibbles / granule_nibbles) as i32;
                 let skip =
                     crate::encode(&Insn::Bc { bo: inverted, bi, bd: 0, aa: false, lk: false });
-                out.push(branch::patch_offset_units(skip, RelBranchKind::BForm, units));
+                out.push(branch::patch_offset_units(skip, BranchKind::Conditional, units));
             }
         }
         out.push(crate::encode(&Insn::Addis { rt: R12, ra: R0, si: OVERFLOW_TABLE_HI }));
@@ -144,8 +119,7 @@ mod tests {
     use codense_isa::IsaRef;
 
     #[test]
-    fn escape_table_matches_opcode_module() {
-        assert_eq!(ESCAPE_BYTES.to_vec(), crate::opcode::escape_bytes());
+    fn escape_table_is_the_illegal_opcodes() {
         let isa = IsaRef(&ISA);
         for (i, &b) in ESCAPE_BYTES.iter().enumerate() {
             assert_eq!(isa.escape_index(b), Some(i as u32));
@@ -167,20 +141,24 @@ mod tests {
         let isa = IsaRef(&ISA);
         let b = crate::encode(&Insn::B { li: -64, aa: false, lk: true });
         let info = isa.rel_branch_info(b).unwrap();
-        assert_eq!((info.kind, info.offset, info.lk), (KIND_IFORM, -64, true));
-        assert_eq!(isa.branch_field_bits(KIND_IFORM), 24);
-        assert_eq!(isa.branch_field_bits(KIND_BFORM), 14);
+        assert_eq!((info.kind, info.offset, info.lk), (BranchKind::Jump, -64, true));
+        assert_eq!(isa.branch_field_bits(BranchKind::Jump), 24);
+        assert_eq!(isa.branch_field_bits(BranchKind::Conditional), 14);
 
         let bc = crate::encode(&Insn::Bc { bo: bo::IF_TRUE, bi: 6, bd: 0, aa: false, lk: false });
         for units in [-8192, -1, 0, 1, 8191] {
-            let p = isa.patch_offset_units(bc, KIND_BFORM, units);
-            assert_eq!(p, branch::patch_offset_units(bc, RelBranchKind::BForm, units));
-            assert_eq!(isa.read_offset_units(p, KIND_BFORM), units);
+            let p = isa.patch_offset_units(bc, BranchKind::Conditional, units);
+            assert_eq!(p, branch::patch_offset_units(bc, BranchKind::Conditional, units));
+            assert_eq!(isa.read_offset_units(p, BranchKind::Conditional), units);
         }
 
-        assert!(isa.offset_expressible(KIND_BFORM, 40960, 8));
-        assert!(!isa.offset_expressible(KIND_BFORM, 40960, 4));
-        assert!(!isa.offset_expressible(KIND_BFORM, 7, 2));
+        // A 20 KiB displacement is 40960 nibbles: 5120 4-byte units fit the
+        // 14-bit field, 10240 2-byte units do not, the 24-bit field holds
+        // it at any granule, and a misaligned displacement fits nowhere.
+        assert!(isa.offset_expressible(BranchKind::Conditional, 40960, 8));
+        assert!(!isa.offset_expressible(BranchKind::Conditional, 40960, 4));
+        assert!(isa.offset_expressible(BranchKind::Jump, 40960, 1));
+        assert!(!isa.offset_expressible(BranchKind::Conditional, 7, 2));
     }
 
     #[test]
@@ -198,13 +176,13 @@ mod tests {
     /// all-ones.
     #[test]
     fn opcode_gates_match_decode() {
-        fn spec_rel_branch_info(word: u32) -> Option<branch::RelBranch> {
+        fn spec_rel_branch_info(word: u32) -> Option<RelBranch> {
             match crate::decode(word) {
                 Insn::B { li, aa: false, lk } => {
-                    Some(branch::RelBranch { kind: RelBranchKind::IForm, offset: li, lk })
+                    Some(RelBranch { kind: BranchKind::Jump, offset: li, lk })
                 }
                 Insn::Bc { bd, aa: false, lk, .. } => {
-                    Some(branch::RelBranch { kind: RelBranchKind::BForm, offset: bd as i32, lk })
+                    Some(RelBranch { kind: BranchKind::Conditional, offset: bd as i32, lk })
                 }
                 _ => None,
             }
@@ -252,7 +230,7 @@ mod tests {
             other => panic!("expected skip bc, got {other:?}"),
         }
         // Skip distance: (1 + 4) insns × 8 nibbles ÷ 4-nibble granule.
-        assert_eq!(isa.read_offset_units(seq[0], KIND_BFORM), 10);
+        assert_eq!(isa.read_offset_units(seq[0], BranchKind::Conditional), 10);
 
         // CTR-decrementing conditionals cannot be expanded.
         let bdnz = crate::encode(&Insn::Bc { bo: bo::DNZ, bi: 0, bd: 0, aa: false, lk: false });

@@ -104,22 +104,6 @@ pub fn is_illegal_primary(op: u32) -> bool {
     ILLEGAL_PRIMARY.contains(&(op & 0x3f))
 }
 
-/// The 32 escape bytes available to the baseline compression scheme: every
-/// byte whose top 6 bits form an illegal primary opcode.
-///
-/// Each illegal opcode contributes 4 bytes (the 2 remaining low bits are
-/// free), for 8 × 4 = 32 escape bytes, enough to index 32 × 256 = 8192
-/// codewords with 2-byte codewords.
-pub fn escape_bytes() -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    for &op in &ILLEGAL_PRIMARY {
-        for low in 0..4u8 {
-            out.push(((op as u8) << 2) | low);
-        }
-    }
-    out
-}
-
 /// Extracts the primary opcode (bits 0–5, i.e. the top 6 bits) of a word.
 pub const fn primary_of(word: u32) -> u32 {
     word >> 26
@@ -128,19 +112,6 @@ pub const fn primary_of(word: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_bytes_are_32_distinct_and_illegal() {
-        let e = escape_bytes();
-        assert_eq!(e.len(), 32);
-        let mut sorted = e.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 32);
-        for b in e {
-            assert!(is_illegal_primary((b as u32) >> 2));
-        }
-    }
 
     #[test]
     fn legal_opcodes_are_not_escapes() {

@@ -9,27 +9,14 @@
 //! disassembler prints them) and require the instruction's own address to
 //! recover the relative displacement, hence [`parse_insn`] takes `addr`.
 
+use codense_isa::text::{self, err, parse_i16, parse_int, parse_target, parse_u16};
+
 use crate::insn::{bo, Insn};
 use crate::reg::{CrField, Gpr, Spr};
 
-/// Parse errors, with the offending fragment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "parse error: {}", self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-fn err<T>(message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError { message: message.into() })
-}
+/// Parse errors, with the offending fragment (the one type both backends
+/// share).
+pub use codense_isa::text::ParseError;
 
 fn parse_gpr(s: &str) -> Result<Gpr, ParseError> {
     let n: u8 = s
@@ -47,55 +34,12 @@ fn parse_crf(s: &str) -> Result<CrField, ParseError> {
     CrField::new(n).ok_or(ParseError { message: format!("CR field out of range `{s}`") })
 }
 
-fn parse_int(s: &str) -> Result<i64, ParseError> {
-    let s = s.trim();
-    let (neg, body) = match s.strip_prefix('-') {
-        Some(rest) => (true, rest),
-        None => (false, s),
-    };
-    let v = if let Some(hex) = body.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16)
-    } else {
-        body.parse()
-    }
-    .map_err(|_| ParseError { message: format!("bad integer `{s}`") })?;
-    Ok(if neg { -v } else { v })
-}
-
-fn parse_i16(s: &str) -> Result<i16, ParseError> {
-    let v = parse_int(s)?;
-    i16::try_from(v).map_err(|_| ParseError { message: format!("immediate out of range `{s}`") })
-}
-
-fn parse_u16(s: &str) -> Result<u16, ParseError> {
-    let v = parse_int(s)?;
-    u16::try_from(v).map_err(|_| ParseError { message: format!("immediate out of range `{s}`") })
-}
-
 fn parse_u8_field(s: &str, max: u8) -> Result<u8, ParseError> {
     let v = parse_int(s)?;
     match u8::try_from(v) {
         Ok(v) if v < max => Ok(v),
         _ => err(format!("field out of range `{s}`")),
     }
-}
-
-/// Splits `d(ra)` into (d, ra).
-fn parse_mem(s: &str) -> Result<(i16, Gpr), ParseError> {
-    let open = s.find('(').ok_or(ParseError { message: format!("bad memory operand `{s}`") })?;
-    let close = s.len() - 1;
-    if !s.ends_with(')') || close <= open {
-        return err(format!("bad memory operand `{s}`"));
-    }
-    Ok((parse_i16(&s[..open])?, parse_gpr(&s[open + 1..close])?))
-}
-
-/// Branch target as printed by the disassembler: an 8-digit (or any) hex
-/// address without `0x`.
-fn parse_target(s: &str, addr: u32) -> Result<i32, ParseError> {
-    let target = u32::from_str_radix(s, 16)
-        .map_err(|_| ParseError { message: format!("bad branch target `{s}`") })?;
-    Ok(target.wrapping_sub(addr) as i32)
 }
 
 /// Parses one instruction of disassembly text located at byte address
@@ -105,21 +49,9 @@ fn parse_target(s: &str, addr: u32) -> Result<i32, ParseError> {
 ///
 /// Returns a [`ParseError`] for unknown mnemonics, malformed operands, or
 /// out-of-range fields.
-pub fn parse_insn(text: &str, addr: u32) -> Result<Insn, ParseError> {
-    let text = text.trim();
-    let (mnemonic, rest) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
-    let ops: Vec<&str> = if rest.trim().is_empty() {
-        Vec::new()
-    } else {
-        rest.trim().split(',').map(str::trim).collect()
-    };
-    let n = |k: usize| -> Result<(), ParseError> {
-        if ops.len() == k {
-            Ok(())
-        } else {
-            err(format!("`{mnemonic}` expects {k} operands, got {}", ops.len()))
-        }
-    };
+pub fn parse_insn(line: &str, addr: u32) -> Result<Insn, ParseError> {
+    let (mnemonic, ops) = text::split(line);
+    let n = |k: usize| text::arity(mnemonic, &ops, k);
 
     // Record-form suffix.
     let (base, rc) = match mnemonic.strip_suffix('.') {
@@ -150,14 +82,14 @@ pub fn parse_insn(text: &str, addr: u32) -> Result<Insn, ParseError> {
     macro_rules! mem_load {
         ($variant:ident) => {{
             n(2)?;
-            let (d, ra) = parse_mem(ops[1])?;
+            let (d, ra) = text::parse_mem(ops[1], parse_gpr)?;
             Ok(Insn::$variant { rt: parse_gpr(ops[0])?, ra, d })
         }};
     }
     macro_rules! mem_store {
         ($variant:ident) => {{
             n(2)?;
-            let (d, ra) = parse_mem(ops[1])?;
+            let (d, ra) = text::parse_mem(ops[1], parse_gpr)?;
             Ok(Insn::$variant { rs: parse_gpr(ops[0])?, ra, d })
         }};
     }

@@ -3,7 +3,8 @@
 //! property-testing crate, so the workspace builds fully offline.
 
 use codense_codegen::Rng;
-use codense_ppc::branch::{patch_offset_units, read_offset_units, rel_branch_info, RelBranchKind};
+use codense_isa::BranchKind;
+use codense_ppc::branch::{patch_offset_units, read_offset_units, rel_branch_info};
 use codense_ppc::{decode, encode};
 
 const CASES: usize = 512;
@@ -31,8 +32,8 @@ fn patch_roundtrip_bform() {
         let bi = rng.below(32) as u8;
         let units = rng.range(0, 16383) as i32 - 8192;
         let word = encode(&codense_ppc::Insn::Bc { bo, bi, bd: 0, aa: false, lk: false });
-        let patched = patch_offset_units(word, RelBranchKind::BForm, units);
-        assert_eq!(read_offset_units(patched, RelBranchKind::BForm), units);
+        let patched = patch_offset_units(word, BranchKind::Conditional, units);
+        assert_eq!(read_offset_units(patched, BranchKind::Conditional), units);
         assert_eq!(patched & !0x0000_fffc, word & !0x0000_fffc);
     }
 }
@@ -45,8 +46,8 @@ fn patch_roundtrip_iform() {
         let lk = rng.chance(0.5);
         let units = rng.range(0, (1 << 24) - 1) as i32 - (1 << 23);
         let word = encode(&codense_ppc::Insn::B { li: 0, aa: false, lk });
-        let patched = patch_offset_units(word, RelBranchKind::IForm, units);
-        assert_eq!(read_offset_units(patched, RelBranchKind::IForm), units);
+        let patched = patch_offset_units(word, BranchKind::Jump, units);
+        assert_eq!(read_offset_units(patched, BranchKind::Jump), units);
         assert_eq!(patched & 3, word & 3);
     }
 }

@@ -256,11 +256,6 @@ pub fn thumb_cost_bytes(insn: &Insn, model: ThumbModel) -> u32 {
     }
 }
 
-/// Is this instruction's 16-bit cost the narrow 2 bytes?
-pub fn reencodable(insn: &Insn) -> bool {
-    thumb_cost_bytes(insn, ThumbModel::default()) == 2
-}
-
 /// Analyzes a module under the default cost model.
 pub fn analyze(module: &ObjectModule) -> ThumbReport {
     analyze_with(module, ThumbModel::default())

@@ -74,6 +74,20 @@ for isa in ppc mips; do
     fi
 done
 
+echo "==> assembly-text round trip (corpus 10k -> disasm -> asm -> disasm, both ISAs)"
+# The disassembly of a corpus module, stripped of its address and word
+# columns, must reassemble to a module with the same listing: each
+# backend's parser reads back every form its lowering emits.
+for isa in ppc mips; do
+    ./target/release/codense corpus --isa "$isa" --insns 10k -o "$tmp/rt-$isa.cdm" >/dev/null
+    ./target/release/codense disasm "$tmp/rt-$isa.cdm" 0 100000000 > "$tmp/rt-$isa.lst"
+    test -s "$tmp/rt-$isa.lst"
+    sed 's/^[0-9a-f]*:  [0-9a-f]*  //' "$tmp/rt-$isa.lst" > "$tmp/rt-$isa.s"
+    ./target/release/codense asm --isa "$isa" "$tmp/rt-$isa.s" -o "$tmp/rt-$isa.re.cdm" >/dev/null
+    ./target/release/codense disasm "$tmp/rt-$isa.re.cdm" 0 100000000 > "$tmp/rt-$isa.re.lst"
+    diff -u "$tmp/rt-$isa.lst" "$tmp/rt-$isa.re.lst"
+done
+
 echo "==> ratio gate (greedy/refine x nibble/huffman vs checked-in BENCH_ratio.json)"
 # Compression is deterministic, so the per-bench ratio artifact must
 # reproduce byte-for-byte; any selector or encoding drift shows up as a
