@@ -6,12 +6,13 @@
 //! system ("Reducing program size is one way to reduce instruction cache
 //! misses and achieve higher performance", §1, citing \[Chen97b\]) and lists
 //! performance exploration as future work (§5). This crate provides that
-//! substrate: a set-associative I-cache model ([`Cache`]) plus a tracing
-//! fetch adapter ([`TracingFetch`]) that records the program-memory
-//! references a fetch engine actually makes, so compressed and uncompressed
-//! executions of the same kernel can be compared miss-for-miss. The same
-//! trace also drives the paper's §3.3 dictionary-cache model
-//! ([`replay_dict_cache`]).
+//! substrate: a set-associative I-cache model ([`Cache`]) and a replay of
+//! the program-memory references a run makes ([`FetchRef`], [`replay`]),
+//! so compressed and uncompressed executions of the same kernel can be
+//! compared miss-for-miss. A caller records the trace from the VM's run
+//! loop: `codense_vm::run_traced` hands its observer each delivery's PC and
+//! the nibbles it read. The same trace also drives the paper's §3.3
+//! dictionary-cache model ([`replay_dict_cache`]).
 //!
 //! A compressed program touches fewer distinct bytes for the same executed
 //! instructions, so at equal cache size its miss count can only shrink —
@@ -30,7 +31,6 @@
 //! ```
 
 use codense_core::{telemetry, Atom, CompressedProgram};
-use codense_vm::{Fetch, FetchStats};
 
 /// Cache geometry. All three parameters must be powers of two and
 /// `size_bytes >= line_bytes * ways`.
@@ -154,37 +154,6 @@ pub struct FetchRef {
     pub nibbles: u64,
 }
 
-/// Wraps any fetch engine and records each program-memory reference it
-/// makes (derived from its own fetch counters, so buffered dictionary
-/// deliveries correctly record zero memory traffic).
-#[derive(Debug)]
-pub struct TracingFetch<F> {
-    inner: F,
-    trace: Vec<FetchRef>,
-}
-
-impl<F: Fetch> TracingFetch<F> {
-    /// Wraps a fetch engine.
-    pub fn new(inner: F) -> TracingFetch<F> {
-        TracingFetch { inner, trace: Vec::new() }
-    }
-
-    /// The recorded reference trace.
-    pub fn trace(&self) -> &[FetchRef] {
-        &self.trace
-    }
-
-    /// Consumes the adapter, returning the trace.
-    pub fn into_trace(self) -> Vec<FetchRef> {
-        self.trace
-    }
-
-    /// Replays the recorded trace against a cache.
-    pub fn replay(&self, cache: &mut Cache) {
-        replay(&self.trace, cache);
-    }
-}
-
 /// Replays a reference trace against a cache (nibble addresses halved to
 /// bytes, lengths rounded out to whole bytes).
 pub fn replay(trace: &[FetchRef], cache: &mut Cache) {
@@ -244,24 +213,6 @@ pub fn replay_dict_cache(
         resident.push(entry);
     }
     stats
-}
-
-impl<F: Fetch> Fetch for TracingFetch<F> {
-    fn fetch(&mut self, pc: u64) -> Result<codense_vm::fetch::Fetched, codense_vm::MachineError> {
-        let before = self.inner.stats().nibbles_fetched;
-        let out = self.inner.fetch(pc)?;
-        let consumed = self.inner.stats().nibbles_fetched - before;
-        self.trace.push(FetchRef { nibble_addr: pc, nibbles: consumed });
-        Ok(out)
-    }
-
-    fn granule(&self) -> u32 {
-        self.inner.granule()
-    }
-
-    fn stats(&self) -> FetchStats {
-        self.inner.stats()
-    }
 }
 
 #[cfg(test)]

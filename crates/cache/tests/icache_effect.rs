@@ -5,29 +5,35 @@
 //! aggregate ones, plus a strong per-program claim on the real benchmark
 //! images whose redundancy the scheme targets.
 
-use codense_cache::{replay, replay_dict_cache, Cache, CacheConfig, FetchRef, TracingFetch};
+use codense_cache::{replay, replay_dict_cache, Cache, CacheConfig, FetchRef};
 use codense_core::{CompressionConfig, Compressor};
-use codense_vm::{kernels, machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
+use codense_vm::kernels::{self, Kernel};
+use codense_vm::{run_traced, Fetch, LinearFetcher, PredecodedFetcher, RunResult};
 
-fn miss_counts(kernel: &codense_vm::kernels::Kernel, config: CacheConfig) -> (u64, u64) {
-    let mut machine = Machine::new(1 << 20);
-    kernel.apply_init(&mut machine);
-    let mut fetch = TracingFetch::new(LinearFetcher::new(kernel.module.code.clone()));
-    let r1 = run(&mut machine, &mut fetch, 0, 10_000_000).expect("uncompressed run");
+/// Runs `kernel` over `fetch`, recording each delivery's program-memory
+/// reference.
+fn traced(kernel: &Kernel, fetch: &mut impl Fetch) -> (RunResult, Vec<FetchRef>) {
+    let mut trace = Vec::new();
+    let result = run_traced(&mut kernel.machine(), fetch, 0, 10_000_000, |pc, f| {
+        trace.push(FetchRef { nibble_addr: pc, nibbles: f.nibbles });
+    })
+    .expect("kernel runs");
+    (result, trace)
+}
+
+fn miss_counts(kernel: &Kernel, config: CacheConfig) -> (u64, u64) {
+    let (r1, trace) = traced(kernel, &mut LinearFetcher::new(kernel.module.code.clone()));
     let mut cache = Cache::new(config);
-    fetch.replay(&mut cache);
+    replay(&trace, &mut cache);
     let plain = cache.stats().misses;
 
     let compressed = Compressor::new(CompressionConfig::nibble_aligned())
         .compress(&kernel.module)
         .expect("compress");
-    let mut machine = Machine::new(1 << 20);
-    kernel.apply_init(&mut machine);
-    let mut fetch = TracingFetch::new(PredecodedFetcher::new(&compressed));
-    let r2 = run(&mut machine, &mut fetch, 0, 10_000_000).expect("compressed run");
+    let (r2, trace) = traced(kernel, &mut PredecodedFetcher::new(&compressed));
     assert_eq!(r1.exit_code, r2.exit_code);
     let mut cache = Cache::new(config);
-    fetch.replay(&mut cache);
+    replay(&trace, &mut cache);
     (plain, cache.stats().misses)
 }
 
@@ -93,13 +99,7 @@ fn benchmark_images_halve_their_cold_footprint() {
 #[test]
 fn trace_replay_is_deterministic() {
     let kernel = kernels::bubble_sort();
-    let run_trace = || {
-        let mut machine = Machine::new(1 << 20);
-        kernel.apply_init(&mut machine);
-        let mut fetch = TracingFetch::new(LinearFetcher::new(kernel.module.code.clone()));
-        run(&mut machine, &mut fetch, 0, 10_000_000).unwrap();
-        fetch.into_trace()
-    };
+    let run_trace = || traced(&kernel, &mut LinearFetcher::new(kernel.module.code.clone())).1;
     let a: Vec<FetchRef> = run_trace();
     let b: Vec<FetchRef> = run_trace();
     assert_eq!(a, b);
@@ -118,15 +118,12 @@ fn dictionary_cache_models_section_3_3() {
     let kernel = kernels::bubble_sort();
     let compressed =
         Compressor::new(CompressionConfig::nibble_aligned()).compress(&kernel.module).unwrap();
-    let mut machine = Machine::new(1 << 20);
-    kernel.apply_init(&mut machine);
-    let mut fetch = TracingFetch::new(PredecodedFetcher::new(&compressed));
-    let result = run(&mut machine, &mut fetch, 0, 1_000_000).unwrap();
+    let (result, trace) = traced(&kernel, &mut PredecodedFetcher::new(&compressed));
     assert_eq!(result.exit_code, kernel.expected);
 
-    let tiny = replay_dict_cache(fetch.trace(), &compressed, 1);
-    let small = replay_dict_cache(fetch.trace(), &compressed, 4);
-    let huge = replay_dict_cache(fetch.trace(), &compressed, 10_000);
+    let tiny = replay_dict_cache(&trace, &compressed, 1);
+    let small = replay_dict_cache(&trace, &compressed, 4);
+    let huge = replay_dict_cache(&trace, &compressed, 10_000);
     for stats in [tiny, small, huge] {
         assert_eq!(stats.hits + stats.misses, result.stats.codewords, "one touch per expansion");
     }
@@ -137,5 +134,5 @@ fn dictionary_cache_models_section_3_3() {
     assert!(huge.bytes_loaded <= compressed.dictionary_bytes() as u64);
     assert!(tiny.misses > huge.misses, "a one-entry cache must thrash on bubble_sort");
     // The zero-entry request is clamped to one entry.
-    assert_eq!(replay_dict_cache(fetch.trace(), &compressed, 0), tiny);
+    assert_eq!(replay_dict_cache(&trace, &compressed, 0), tiny);
 }

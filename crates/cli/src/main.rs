@@ -407,9 +407,13 @@ fn parse_isa(args: &Args) -> Result<IsaId, String> {
 }
 
 fn parse_encoding(name: &str) -> Result<EncodingKind, String> {
-    EncodingKind::from_name(name).ok_or_else(|| {
-        format!("unknown encoding `{name}` ({})", EncodingKind::ALL.map(|k| k.name()).join("|"))
-    })
+    EncodingKind::from_name(name)
+        .ok_or_else(|| format!("unknown encoding `{name}` ({})", encodings()))
+}
+
+/// Every encoding name, as the `--encoding` flag spells it.
+fn encodings() -> String {
+    EncodingKind::ALL.map(|k| k.name()).join("|")
 }
 
 /// Resolves a `--selector` flag to a dictionary selection strategy
@@ -1193,11 +1197,7 @@ fn cmd_hybrid(args: &Args) -> CliResult {
     // Full-trace equivalence, not just matching exit codes.
     let trace_mask =
         TraceMask { skip_gprs: 1 << 0, mem_skip: std::iter::once(0xE0000..1 << 20).collect() };
-    let boot = || {
-        let mut machine = codense_vm::Machine::new(1 << 20);
-        kernel.apply_init(&mut machine);
-        Box::new(machine)
-    };
+    let boot = || Box::new(kernel.machine());
     let got = lockstep(&kernel.module, &hybrid, &[], &boot, &trace_mask, max_steps)
         .map_err(|d| format!("hybrid image diverged from native: {d}"))?;
     if got != (LockstepOk::Completed { steps: profile.steps, exit: kernel.expected }) {
@@ -1211,8 +1211,10 @@ fn cmd_hybrid(args: &Args) -> CliResult {
         score_compressed(&subject, &hybrid, &cost, max_steps).map_err(|e| e.to_string())?;
 
     println!(
-        "{name}: {} insns, {} steps, lockstep ok ({:?})",
-        profile.insns, profile.steps, encoding
+        "{name}: {} insns, {} steps, lockstep ok ({})",
+        profile.insns,
+        profile.steps,
+        encoding.name()
     );
     println!(
         "  hot: {} of {} blocks, {} of {} insns exempt",
@@ -1311,7 +1313,7 @@ fn parse_seed(v: &str) -> Result<u64, String> {
 }
 
 fn cmd_run_kernel(args: &Args) -> CliResult {
-    use codense_vm::{kernels, machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
+    use codense_vm::{kernels, run::run, LinearFetcher, PredecodedFetcher};
     let name = args.positional(0).ok_or("run-kernel: missing kernel name (try `list`)")?;
     let all = kernels::all();
     if name == "list" {
@@ -1326,13 +1328,13 @@ fn cmd_run_kernel(args: &Args) -> CliResult {
         .ok_or_else(|| format!("unknown kernel `{name}` (try `list`)"))?;
     let encoding = args.value("--encoding").unwrap_or("nibble");
 
-    let mut machine = Machine::new(1 << 20);
-    kernel.apply_init(&mut machine);
+    let mut machine = kernel.machine();
     let result = if encoding == "none" {
         let mut fetch = LinearFetcher::new(kernel.module.code.clone());
         run(&mut machine, &mut fetch, 0, 100_000_000).map_err(|e| e.to_string())?
     } else {
-        let kind = parse_encoding(encoding)?;
+        let kind = EncodingKind::from_name(encoding)
+            .ok_or_else(|| format!("unknown encoding `{encoding}` ({}|none)", encodings()))?;
         let config =
             CompressionConfig { max_entry_len: 4, max_codewords: kind.capacity(), encoding: kind };
         let compressed =

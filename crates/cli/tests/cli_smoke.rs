@@ -94,6 +94,32 @@ fn info_names_the_encoding_as_the_flag_spells_it() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.starts_with("compressed program (onebyte)\n"), "{text}");
+
+    let args = ["hybrid", "--bench", "quicksort", "--coverage", "0.5", "--encoding", "onebyte"];
+    let out = bin().args(args).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.lines().next().unwrap().ends_with("lockstep ok (onebyte)"), "{text}");
+
+    // `run-kernel` takes `none` as well as every encoding.
+    let out = bin().args(["run-kernel", "fib", "--encoding", "bogus"]).output().unwrap();
+    assert!(!out.status.success());
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("(baseline|onebyte|nibble|huffman|none)"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn metrics_time_the_vm() {
+    let dir = tmpdir("vm-phase");
+    let metrics = dir.join("m.json");
+    let out = bin()
+        .args(["--metrics", metrics.to_str().unwrap(), "run-kernel", "quicksort"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    assert!(json.contains(r#"{ "calls": 1, "name": "vm", "total_us": "#), "{json}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -4,6 +4,15 @@
 //! (The `timings` section carries wall-clock data and worker counts and is
 //! explicitly outside the contract.)
 //!
+//! The jobs diff cannot see a count that is lost on every path, so each
+//! `--jobs 1` section is also pinned in `tests/golden/counters.txt`. To
+//! re-bless it after a change that means to move a counter:
+//!
+//! ```text
+//! CODENSE_BLESS=1 cargo test -p codense-cli --test metrics_determinism
+//! git diff crates/cli/tests/golden/   # review every changed count
+//! ```
+//!
 //! Run as subprocesses so each measurement starts from zeroed counters —
 //! in-process tests share the global registry and would race.
 
@@ -29,11 +38,12 @@ fn counters_section(json: &str) -> String {
     json[open..=close].to_string()
 }
 
-/// Runs the binary with `--metrics` at a given job count; returns the
-/// counters section of the report.
-fn run_with_jobs(dir: &Path, tag: &str, jobs: &str, args: &[&str]) -> String {
-    let path = dir.join(format!("{tag}-j{jobs}.json"));
+/// Runs the binary in `dir` with `--metrics` at a given job count; returns
+/// the counters section of the report.
+fn run_with_jobs(dir: &Path, jobs: &str, args: &[&str]) -> String {
+    let path = dir.join(format!("metrics-j{jobs}.json"));
     let mut cmd = bin();
+    cmd.current_dir(dir);
     cmd.args(["--jobs", jobs, "--metrics", path.to_str().unwrap()]);
     cmd.args(args);
     let out = cmd.output().unwrap();
@@ -45,43 +55,49 @@ fn run_with_jobs(dir: &Path, tag: &str, jobs: &str, args: &[&str]) -> String {
     counters_section(&json)
 }
 
+/// Compares `actual` with `tests/golden/counters.txt`, or rewrites the
+/// golden when `CODENSE_BLESS=1` is set.
+fn check_golden(actual: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/counters.txt");
+    if std::env::var("CODENSE_BLESS").as_deref() == Ok("1") {
+        std::fs::write(&path, actual).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_default();
+    assert_eq!(actual, expected, "counters differ from {}; see the module doc", path.display());
+}
+
 #[test]
-fn repro_and_profile_counters_identical_across_job_counts() {
-    let dir = tmpdir("repro");
+fn counters_identical_across_job_counts() {
+    let dir = tmpdir("counters");
     let profile = dir.join("profile.json");
-    let profile = profile.to_str().unwrap();
+    let fuzz = ["fuzz", "--cases", "12", "--seed", "0xfeed", "--max-steps", "200"];
+    let mut pinned = String::new();
     // One small benchmark keeps debug-mode runtime reasonable; the full
     // suite goes through the same par_map path. The 10K corpus program
     // covers the SPEC-scale path: built, compressed and verified under all
     // four encodings (repro), then run natively and through the compressed
-    // fetch path (profile).
+    // fetch path (profile). `hybrid` adds the lockstep oracle and the cycle
+    // model's traced runs, and `fuzz` the oracle and fault battery on both
+    // ISAs.
     for args in [
         &["repro", "--bench", "compress"][..],
         &["repro", "--corpus", "10k", "--bench", "compress"],
-        &["profile", "--corpus", "10k", "--out", profile],
+        &["profile", "--corpus", "10k", "--out", "profile.json"],
+        &["hybrid", "--bench", "quicksort", "--coverage", "0.5"],
+        &fuzz,
+        &[&fuzz[..], &["--isa", "mips", "--hybrid"]].concat(),
     ] {
-        let seq = run_with_jobs(&dir, "repro", "1", args);
-        let seq_profile = std::fs::read(profile).ok();
-        let par = run_with_jobs(&dir, "repro", "8", args);
+        let seq = run_with_jobs(&dir, "1", args);
+        let seq_profile = std::fs::read(&profile).ok();
+        let par = run_with_jobs(&dir, "8", args);
         assert_eq!(seq, par, "{args:?}: counters diverged between --jobs 1 and --jobs 8");
         // The profile artifact is byte-identical at any job count too.
-        assert_eq!(seq_profile, std::fs::read(profile).ok(), "{args:?}: profile diverged");
+        assert_eq!(seq_profile, std::fs::read(&profile).ok(), "{args:?}: profile diverged");
         // The run must actually have exercised the compressor.
         assert!(!seq.contains("\"compress.runs\": 0"), "{args:?}: {seq}");
+        pinned += &format!("$ {}\n{seq}\n", args.join(" "));
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn fuzz_counters_identical_across_job_counts() {
-    let dir = tmpdir("fuzz");
-    let base = ["fuzz", "--cases", "12", "--seed", "0xfeed", "--max-steps", "200"];
-    for extra in [&[][..], &["--isa", "mips", "--hybrid"]] {
-        let args = [&base[..], extra].concat();
-        let seq = run_with_jobs(&dir, "fuzz", "1", &args);
-        let par = run_with_jobs(&dir, "fuzz", "8", &args);
-        assert_eq!(seq, par, "{extra:?}: fuzz counters diverged between --jobs 1 and --jobs 8");
-        assert!(seq.contains("\"fuzz.cases\": 12"), "{extra:?}: {seq}");
-    }
+    check_golden(&pinned);
     std::fs::remove_dir_all(&dir).ok();
 }

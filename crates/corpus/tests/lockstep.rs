@@ -50,14 +50,16 @@ fn corpus_lockstep_all_isas_all_encodings() {
     }
 }
 
-/// The predecoded threaded-dispatch loop is observably identical to the
-/// re-parsing engine on corpus programs: same halt, same step count, same
-/// cumulative fetch counters, identical final machine with no masking (both
-/// engines run in the compressed fetch domain, so even link values agree).
+/// The predecoded engine stepping a typed machine's predecoded form is
+/// observably identical to the re-parsing engine stepping the same machine
+/// as a `dyn Core`, which decodes every word as it steps it, on corpus
+/// programs: same halt, same step count, same cumulative fetch counters,
+/// identical final machine with no masking (both engines run in the
+/// compressed fetch domain, so even link values agree).
 #[test]
 fn corpus_predecoded_matches_reparse_ppc() {
     use codense_vm::fetch_reference::CompressedFetcher;
-    use codense_vm::{run, run_predecoded, PredecodedFetcher};
+    use codense_vm::{run, Core, PredecodedFetcher};
 
     let p = build(&spec(), CorpusIsa::Ppc).expect("build");
     for (label, config) in encodings() {
@@ -66,13 +68,14 @@ fn corpus_predecoded_matches_reparse_ppc() {
         let mut rm = codense_ppc::machine::Machine::new(MEM_BYTES);
         seed_compressed_tables(&mut rm.mem, &p, &compressed);
         let mut ref_fetch = CompressedFetcher::new(&compressed);
-        let reference = run(&mut rm, &mut ref_fetch, 0, p.stats.dynamic_insns + 10).expect(label);
+        let spec_core: &mut dyn Core = &mut rm;
+        let reference = run(spec_core, &mut ref_fetch, 0, p.stats.dynamic_insns + 10).expect(label);
         assert_eq!(reference.exit_code, p.stats.exit_code, "{label}");
 
         let mut gm = codense_ppc::machine::Machine::new(MEM_BYTES);
         seed_compressed_tables(&mut gm.mem, &p, &compressed);
         let mut fetch = PredecodedFetcher::new(&compressed);
-        let got = run_predecoded(&mut gm, &mut fetch, 0, p.stats.dynamic_insns + 10).expect(label);
+        let got = run(&mut gm, &mut fetch, 0, p.stats.dynamic_insns + 10).expect(label);
 
         assert_eq!(got, reference, "{label}: run result");
         assert_eq!(gm.gpr, rm.gpr, "{label}: gpr");
@@ -85,7 +88,7 @@ fn corpus_predecoded_matches_reparse_ppc() {
 #[test]
 fn corpus_predecoded_matches_reparse_mips() {
     use codense_vm::fetch_reference::CompressedFetcher;
-    use codense_vm::{run, run_predecoded, PredecodedFetcher};
+    use codense_vm::{run, Core, PredecodedFetcher};
 
     let p = build(&spec(), CorpusIsa::Mips).expect("build");
     for (label, config) in encodings() {
@@ -97,13 +100,14 @@ fn corpus_predecoded_matches_reparse_mips() {
         let mut rm = codense_mips::Machine::new(MEM_BYTES);
         seed_compressed_tables(&mut rm.mem, &p, &compressed);
         let mut ref_fetch = CompressedFetcher::new(&compressed);
-        let reference = run(&mut rm, &mut ref_fetch, 0, p.stats.dynamic_insns + 10).expect(label);
+        let spec_core: &mut dyn Core = &mut rm;
+        let reference = run(spec_core, &mut ref_fetch, 0, p.stats.dynamic_insns + 10).expect(label);
         assert_eq!(reference.exit_code, p.stats.exit_code, "{label}");
 
         let mut gm = codense_mips::Machine::new(MEM_BYTES);
         seed_compressed_tables(&mut gm.mem, &p, &compressed);
         let mut fetch = PredecodedFetcher::new(&compressed);
-        let got = run_predecoded(&mut gm, &mut fetch, 0, p.stats.dynamic_insns + 10).expect(label);
+        let got = run(&mut gm, &mut fetch, 0, p.stats.dynamic_insns + 10).expect(label);
 
         assert_eq!(got, reference, "{label}: run result");
         assert_eq!(gm.gpr, rm.gpr, "{label}: gpr");

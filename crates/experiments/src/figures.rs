@@ -398,23 +398,19 @@ pub fn methods(ctx: &mut Ctx) {
 
 /// Extension: fetch-bandwidth effect measured on the runnable kernels.
 pub fn bandwidth(_ctx: &mut Ctx) {
-    use codense_vm::{kernels, machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
+    use codense_vm::{kernels, run::run, LinearFetcher, PredecodedFetcher};
     println!("Extension: program-memory bits fetched per executed instruction");
     println!("(compressed fetch amortizes codeword bits over expanded instructions)\n");
     let mut t = Table::new(["kernel", "uncompressed b/insn", "nibble b/insn", "exit ok"]);
     for k in kernels::all() {
-        let mut m1 = Machine::new(1 << 20);
-        k.apply_init(&mut m1);
         let mut lf = LinearFetcher::new(k.module.code.clone());
-        let r1 = run(&mut m1, &mut lf, 0, 10_000_000).expect("uncompressed run");
+        let r1 = run(&mut k.machine(), &mut lf, 0, 10_000_000).expect("uncompressed run");
 
         let c = Compressor::new(CompressionConfig::nibble_aligned())
             .compress(&k.module)
             .expect("compress kernel");
-        let mut m2 = Machine::new(1 << 20);
-        k.apply_init(&mut m2);
         let mut cf = PredecodedFetcher::new(&c);
-        let r2 = run(&mut m2, &mut cf, 0, 10_000_000).expect("compressed run");
+        let r2 = run(&mut k.machine(), &mut cf, 0, 10_000_000).expect("compressed run");
 
         t.row([
             k.name.to_string(),
@@ -451,10 +447,24 @@ pub fn thumb(ctx: &mut Ctx) {
     println!("{}", t.render());
 }
 
+/// Runs `kernel` over `fetch`, returning the program-memory references the
+/// run made.
+fn kernel_trace(
+    kernel: &codense_vm::kernels::Kernel,
+    fetch: &mut impl codense_vm::Fetch,
+) -> Vec<codense_cache::FetchRef> {
+    let mut trace = Vec::new();
+    codense_vm::run_traced(&mut kernel.machine(), fetch, 0, 10_000_000, |pc, f| {
+        trace.push(codense_cache::FetchRef { nibble_addr: pc, nibbles: f.nibbles });
+    })
+    .expect("kernel run");
+    trace
+}
+
 /// Extension (§1/§5, \[Chen97b\]): I-cache misses, compressed vs uncompressed.
 pub fn cache(_ctx: &mut Ctx) {
-    use codense_cache::{Cache, CacheConfig, TracingFetch};
-    use codense_vm::{kernels, machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
+    use codense_cache::{replay, Cache, CacheConfig};
+    use codense_vm::{kernels, LinearFetcher, PredecodedFetcher};
     println!("Extension: I-cache misses executing kernels (16B lines, direct-mapped)");
     println!("(compression shrinks the code working set; [Chen97b]'s premise)\n");
     let sizes = [64usize, 128, 256, 512];
@@ -466,21 +476,15 @@ pub fn cache(_ctx: &mut Ctx) {
         let compressed = Compressor::new(CompressionConfig::nibble_aligned())
             .compress(&kernel.module)
             .expect("compress kernel");
-        let mut machine = Machine::new(1 << 20);
-        kernel.apply_init(&mut machine);
-        let mut plain = TracingFetch::new(LinearFetcher::new(kernel.module.code.clone()));
-        run(&mut machine, &mut plain, 0, 10_000_000).expect("plain run");
-        let mut machine = Machine::new(1 << 20);
-        kernel.apply_init(&mut machine);
-        let mut comp = TracingFetch::new(PredecodedFetcher::new(&compressed));
-        run(&mut machine, &mut comp, 0, 10_000_000).expect("compressed run");
+        let plain = kernel_trace(&kernel, &mut LinearFetcher::new(kernel.module.code.clone()));
+        let comp = kernel_trace(&kernel, &mut PredecodedFetcher::new(&compressed));
 
         let mut row = vec![kernel.name.to_string()];
         for &size in &sizes {
             let config = CacheConfig { size_bytes: size, line_bytes: 16, ways: 1 };
             let (mut c1, mut c2) = (Cache::new(config), Cache::new(config));
-            plain.replay(&mut c1);
-            comp.replay(&mut c2);
+            replay(&plain, &mut c1);
+            replay(&comp, &mut c2);
             row.push(format!("{}/{}", c1.stats().misses, c2.stats().misses));
         }
         t.row(row);
@@ -558,8 +562,8 @@ pub fn partition(ctx: &mut Ctx) {
 /// Extension (§3.3): on-demand dictionary cache instead of a fully on-chip
 /// dictionary, replayed over each kernel's fetch trace.
 pub fn dictcache(_ctx: &mut Ctx) {
-    use codense_cache::{replay_dict_cache, TracingFetch};
-    use codense_vm::{kernels, machine::Machine, run::run, PredecodedFetcher};
+    use codense_cache::replay_dict_cache;
+    use codense_vm::{kernels, PredecodedFetcher};
     println!("Extension: dictionary kept in data memory, cached on chip (paper §3.3)");
     println!("(hit rate and load traffic per dictionary-cache size, nibble scheme)\n");
     let sizes = [2usize, 4, 8, 16];
@@ -571,13 +575,10 @@ pub fn dictcache(_ctx: &mut Ctx) {
         let compressed = Compressor::new(CompressionConfig::nibble_aligned())
             .compress(&kernel.module)
             .expect("compress kernel");
-        let mut machine = Machine::new(1 << 20);
-        kernel.apply_init(&mut machine);
-        let mut fetch = TracingFetch::new(PredecodedFetcher::new(&compressed));
-        run(&mut machine, &mut fetch, 0, 10_000_000).expect("run");
+        let trace = kernel_trace(&kernel, &mut PredecodedFetcher::new(&compressed));
         let mut row = vec![kernel.name.to_string()];
         for &size in &sizes {
-            let stats = replay_dict_cache(fetch.trace(), &compressed, size);
+            let stats = replay_dict_cache(&trace, &compressed, size);
             let total = stats.hits + stats.misses;
             let hit = if total == 0 { 100.0 } else { 100.0 * stats.hits as f64 / total as f64 };
             row.push(format!("{hit:.0}%/{}", stats.bytes_loaded));

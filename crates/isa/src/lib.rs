@@ -172,12 +172,13 @@ pub trait Core {
 
 /// A [`Core`] whose decode stage can be hoisted out of the execution loop.
 ///
-/// [`Core::step_word`] re-decodes its instruction word on every step; a
-/// predecoded execution loop (see `codense-vm`'s `run_predecoded`) decodes
-/// each distinct fetched item once, caches the backend's decoded form, and
-/// replays it — so the per-step cost is dispatch + execute only. Not object
-/// safe (the decoded type is backend-specific); the loop is monomorphized
-/// per backend.
+/// [`Core::step_word`] re-decodes its instruction word on every step; the
+/// VM's run loop (`codense_vm::run`) decodes each word its fetch engine
+/// pools once, keeps the backend's decoded form, and replays it — so the
+/// per-step cost is dispatch + execute only. Not object safe (the decoded
+/// type is backend-specific); the loop is monomorphized per backend, and a
+/// `dyn Core` takes it through the impl below, whose decoded form is the
+/// raw word.
 pub trait PredecodeCore: Core {
     /// The backend's decoded-instruction representation.
     type Insn;
@@ -202,6 +203,51 @@ pub trait PredecodeCore: Core {
         next_pc: u64,
         granule: u32,
     ) -> Result<Outcome, MachineError>;
+
+    /// The decoded form of `word`, the word at index `slot` of a fetch
+    /// engine's `pool`, read from `mirror`, the run's decoded copy of that
+    /// pool. A slot past the mirror's end first tops the mirror up from
+    /// the pool, so each pooled word is decoded once per run.
+    #[inline(always)]
+    fn decoded<'a>(
+        mirror: &'a mut Vec<Self::Insn>,
+        pool: &[u32],
+        slot: usize,
+        _word: &'a u32,
+    ) -> &'a Self::Insn {
+        if slot >= mirror.len() {
+            let from = mirror.len();
+            mirror.extend(pool[from..].iter().map(|&w| Self::predecode(w)));
+        }
+        &mirror[slot]
+    }
+}
+
+/// A boxed core runs the same loop: its decoded form is the word itself,
+/// which needs no mirror, and each step decodes it through
+/// [`Core::step_word`].
+impl PredecodeCore for dyn Core + '_ {
+    type Insn = u32;
+
+    fn predecode(word: u32) -> u32 {
+        word
+    }
+
+    fn step_insn(
+        &mut self,
+        insn: &u32,
+        cur_pc: u64,
+        next_pc: u64,
+        granule: u32,
+    ) -> Result<Outcome, MachineError> {
+        self.step_word(*insn, cur_pc, next_pc, granule)
+    }
+
+    /// The delivered word itself: no mirror, so a run copies no code.
+    #[inline(always)]
+    fn decoded<'a>(_: &'a mut Vec<u32>, _: &[u32], _: usize, word: &'a u32) -> &'a u32 {
+        word
+    }
 }
 
 /// The instruction sets a module or compressed image can be built for.

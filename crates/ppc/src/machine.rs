@@ -171,7 +171,7 @@ impl Machine {
     // loads/stores, conditional branches) live in `#[inline(always)]`
     // helpers so the full interpreter ([`step`]) and the predecoded hot
     // dispatch ([`codense_isa::PredecodeCore::step_insn`]) execute the
-    // same body — one inlined into the VM's threaded loop, one behind the
+    // same body — one inlined into the VM's run loop, one behind the
     // interpreter's match.
 
     #[inline(always)]

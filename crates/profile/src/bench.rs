@@ -97,7 +97,7 @@ pub fn bench(name: &str) -> Option<Kernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codense_vm::{machine::Machine, run::run, LinearFetcher};
+    use codense_vm::{run::run, LinearFetcher};
 
     #[test]
     fn padded_kernels_still_pass() {
@@ -108,10 +108,8 @@ mod tests {
                 "{}: cold section too small",
                 kernel.name
             );
-            let mut machine = Machine::new(1 << 20);
-            kernel.apply_init(&mut machine);
             let mut fetch = LinearFetcher::new(kernel.module.code.clone());
-            let result = run(&mut machine, &mut fetch, 0, 10_000_000)
+            let result = run(&mut kernel.machine(), &mut fetch, 0, 10_000_000)
                 .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
             assert_eq!(result.exit_code, kernel.expected, "{}", kernel.name);
         }

@@ -15,9 +15,9 @@
 //! Every event count comes from a deterministic VM run, so scores are
 //! byte-stable across thread counts.
 
-use codense_cache::{Cache, CacheConfig, TracingFetch};
+use codense_cache::{replay, Cache, CacheConfig, FetchRef};
 use codense_core::CompressedProgram;
-use codense_vm::{run, LinearFetcher, PredecodedFetcher};
+use codense_vm::{run_traced, Fetch, LinearFetcher, Machine, PredecodedFetcher, RunResult};
 
 use crate::collect::ProfileError;
 use crate::subject::Subject;
@@ -109,6 +109,28 @@ fn combine(params: &CostParams, ev: RunEvents, cache: &Cache, steps: u64, exit: 
     }
 }
 
+/// Runs `machine` over `fetch` from PC 0, checks the exit against
+/// `subject`'s, and replays the program-memory references the run made
+/// through an I-cache of the modeled geometry.
+fn replayed_run(
+    subject: &Subject,
+    mut machine: Machine,
+    fetch: &mut impl Fetch,
+    params: &CostParams,
+    max_steps: u64,
+) -> Result<(RunResult, Cache), ProfileError> {
+    let mut trace = Vec::new();
+    let result = run_traced(&mut machine, fetch, 0, max_steps, |pc, f| {
+        trace.push(FetchRef { nibble_addr: pc, nibbles: f.nibbles });
+    })?;
+    if result.exit_code != subject.expected {
+        return Err(ProfileError::WrongExit { got: result.exit_code, want: subject.expected });
+    }
+    let mut cache = Cache::new(params.cache);
+    replay(&trace, &mut cache);
+    Ok((result, cache))
+}
+
 /// Scores the uncompressed run of a [`Subject`] under the cost model.
 ///
 /// # Errors
@@ -120,14 +142,9 @@ pub fn score_native(
     params: &CostParams,
     max_steps: u64,
 ) -> Result<Score, ProfileError> {
-    let mut machine = subject.machine_native();
-    let mut fetch = TracingFetch::new(LinearFetcher::new(subject.module.code.clone()));
-    let result = run(&mut machine, &mut fetch, 0, max_steps)?;
-    if result.exit_code != subject.expected {
-        return Err(ProfileError::WrongExit { got: result.exit_code, want: subject.expected });
-    }
-    let mut cache = Cache::new(params.cache);
-    fetch.replay(&mut cache);
+    let mut fetch = LinearFetcher::new(subject.module.code.clone());
+    let (result, cache) =
+        replayed_run(subject, subject.machine_native(), &mut fetch, params, max_steps)?;
     let ev = RunEvents { insns: result.stats.insns, escapes: 0, expanded: 0, realigns: 0 };
     Ok(combine(params, ev, &cache, result.steps, result.exit_code))
 }
@@ -147,14 +164,9 @@ pub fn score_compressed(
     params: &CostParams,
     max_steps: u64,
 ) -> Result<Score, ProfileError> {
-    let mut machine = subject.machine_compressed(program);
-    let mut fetch = TracingFetch::new(PredecodedFetcher::new(program));
-    let result = run(&mut machine, &mut fetch, 0, max_steps)?;
-    if result.exit_code != subject.expected {
-        return Err(ProfileError::WrongExit { got: result.exit_code, want: subject.expected });
-    }
-    let mut cache = Cache::new(params.cache);
-    fetch.replay(&mut cache);
+    let mut fetch = PredecodedFetcher::new(program);
+    let machine = subject.machine_compressed(program);
+    let (result, cache) = replayed_run(subject, machine, &mut fetch, params, max_steps)?;
     let stats = result.stats;
     let ev = RunEvents {
         insns: stats.insns,

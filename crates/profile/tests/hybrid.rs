@@ -64,11 +64,7 @@ fn hybrid_images_lockstep_under_all_encodings() {
                 .compress_masked(&kernel.module, &hot.exempt)
                 .unwrap();
             verify(&kernel.module, &hybrid).unwrap();
-            let boot = || {
-                let mut machine = codense_vm::Machine::new(1 << 20);
-                kernel.apply_init(&mut machine);
-                Box::new(machine)
-            };
+            let boot = || Box::new(kernel.machine());
             let got = lockstep(&kernel.module, &hybrid, &[], &boot, &mask, 10_000_000)
                 .unwrap_or_else(|d| panic!("{name} {encoding:?}: trace divergence: {d}"));
             assert_eq!(

@@ -10,21 +10,19 @@
 //! fetch of that offset replays the cache with no parsing, no dictionary
 //! copy, and no allocation. Faults are never cached.
 //!
-//! The engine is byte-exact with the re-parsing specification in
-//! [`crate::fetch_reference`], which parses the stream on every fetch: same
-//! delivered stream, same [`FetchStats`], same telemetry counters
-//! (`vm.fetch.*`), so the cycle model and `BENCH_hybrid.json` read the same
-//! numbers. Its [`Fetch`] impl serves the generic loop
-//! ([`crate::run::run`]); [`crate::run::run_predecoded`] drives the same
-//! cache with a threaded dispatch loop that also hoists instruction
-//! *decode* out of the step cycle (see [`codense_isa::PredecodeCore`]).
+//! Engines deliver raw instruction *words*, which keeps the fetch path
+//! ISA-independent, and name each word's index in their pool
+//! ([`Fetched::slot`]), so the run loop ([`crate::run::run_traced`])
+//! decodes each pooled word once.
 //!
-//! Fetch engines deliver raw instruction *words* — decode belongs to the
-//! target core ([`codense_isa::Core::step_word`]), which keeps the fetch
-//! path ISA-independent.
-//!
-//! All engines report [`FetchStats`], making the fetch-bandwidth effect of
-//! compression measurable (the I-cache angle of \[Chen97\]).
+//! All engines count [`FetchStats`], making the fetch-bandwidth effect of
+//! compression measurable (the I-cache angle of \[Chen97\]), and add them
+//! to the `vm.fetch.*` telemetry counters in bulk ([`Fetch::publish`]): the
+//! run loop publishes when it exits, and an engine publishes what is left
+//! when it is dropped. The compressed engine is byte-exact with the
+//! re-parsing specification in [`crate::fetch_reference`]: same delivered
+//! stream, same [`FetchStats`], same telemetry, so the cycle model and
+//! `BENCH_hybrid.json` read the same numbers.
 
 use codense_core::container::ProgramImage;
 use codense_core::encoding::{read_item_coded, Item};
@@ -70,6 +68,12 @@ pub struct Fetched {
     /// Fetch-domain address of the following instruction (what sequential
     /// flow and `lk` should use).
     pub next_pc: u64,
+    /// The word's index in the engine's [`Fetch::pool`].
+    pub slot: usize,
+    /// Program-memory nibbles this delivery read: 8 for a native word, the
+    /// item's width for an escaped word or a codeword's first word, and 0
+    /// while an expansion drains.
+    pub nibbles: u64,
 }
 
 /// An instruction-fetch engine with a nibble-granular PC.
@@ -88,35 +92,49 @@ pub trait Fetch {
 
     /// Fetch counters so far.
     fn stats(&self) -> FetchStats;
+
+    /// Every word delivered so far, at its [`Fetched::slot`]. The pool only
+    /// grows, so a slot keeps its word.
+    fn pool(&self) -> &[u32];
+
+    /// Adds the `vm.fetch.*` telemetry counts since the last call.
+    fn publish(&mut self);
+
+    /// Starts a new instruction stream: the next fetch is a control
+    /// transfer, not the successor of the previous delivery, and an
+    /// expansion left draining is dropped. The cache, the pool and the
+    /// counters stay. The run loop calls this on entry.
+    fn restart(&mut self);
 }
 
 /// The conventional fetch path over an uncompressed text image.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LinearFetcher {
     code: Vec<u32>,
     stats: FetchStats,
+    /// `stats` as of the last [`Fetch::publish`].
+    published: FetchStats,
 }
 
 impl LinearFetcher {
     /// Creates a fetcher over instruction words (instruction `i` lives at
     /// nibble address `8 * i`).
     pub fn new(code: Vec<u32>) -> LinearFetcher {
-        LinearFetcher { code, stats: FetchStats::default() }
+        LinearFetcher { code, stats: FetchStats::default(), published: FetchStats::default() }
     }
 }
 
 impl Fetch for LinearFetcher {
+    #[inline(always)]
     fn fetch(&mut self, pc: u64) -> Result<Fetched, MachineError> {
         if !pc.is_multiple_of(8) {
             return Err(MachineError::FetchFault { pc });
         }
-        let idx = (pc / 8) as usize;
-        let word = *self.code.get(idx).ok_or(MachineError::FetchFault { pc })?;
+        let slot = (pc / 8) as usize;
+        let word = *self.code.get(slot).ok_or(MachineError::FetchFault { pc })?;
         self.stats.insns += 1;
         self.stats.nibbles_fetched += 8;
-        telemetry::VM_FETCH_LINEAR_INSNS.inc();
-        telemetry::VM_FETCH_NIBBLES.add(8);
-        Ok(Fetched { word, next_pc: pc + 8 })
+        Ok(Fetched { word, next_pc: pc + 8, slot, nibbles: 8 })
     }
 
     fn granule(&self) -> u32 {
@@ -126,12 +144,31 @@ impl Fetch for LinearFetcher {
     fn stats(&self) -> FetchStats {
         self.stats
     }
+
+    fn pool(&self) -> &[u32] {
+        &self.code
+    }
+
+    fn publish(&mut self) {
+        let (now, then) = (self.stats, std::mem::replace(&mut self.published, self.stats));
+        telemetry::VM_FETCH_LINEAR_INSNS.add(now.insns - then.insns);
+        telemetry::VM_FETCH_NIBBLES.add(now.nibbles_fetched - then.nibbles_fetched);
+    }
+
+    /// Nothing to forget: every fetch stands alone.
+    fn restart(&mut self) {}
+}
+
+impl Drop for LinearFetcher {
+    fn drop(&mut self) {
+        self.publish();
+    }
 }
 
 // ---- compressed fetch engine ----------------------------------------------
 
 /// Cache-entry tag: offset holds an escaped (uncompressed) instruction.
-pub(crate) const TAG_INSN: u64 = 1;
+const TAG_INSN: u64 = 1;
 /// Cache-entry tag: offset holds a codeword.
 const TAG_CODEWORD: u64 = 2;
 /// Cache-entry tag: the entry overflows the packed form; the payload is an
@@ -168,7 +205,7 @@ fn pack_wide(tag: u64, consumed: u64, len: usize, start: usize) -> u64 {
 /// The `(tag, consumed_nibbles, delivered_len, pool_start)` of a table
 /// entry, chasing [`TAG_SIDE`] indirections through `side`.
 #[inline(always)]
-pub(crate) fn unpack_entry(e: u32, side: &[u64]) -> (u64, u64, usize, usize) {
+fn unpack_entry(e: u32, side: &[u64]) -> (u64, u64, usize, usize) {
     let tag = (e >> 30) as u64;
     if tag == TAG_SIDE {
         let w = side[(e & 0x3fff_ffff) as usize];
@@ -176,19 +213,6 @@ pub(crate) fn unpack_entry(e: u32, side: &[u64]) -> (u64, u64, usize, usize) {
     } else {
         (tag, ((e >> 26) & 0xf) as u64, ((e >> 22) & 0xf) as usize, (e & 0x3f_ffff) as usize)
     }
-}
-
-/// Counters a predecoded run loop accumulates locally and flushes in bulk —
-/// the batched form of the per-fetch bookkeeping. Final [`FetchStats`] and
-/// telemetry values are identical to per-fetch updates (the counters are
-/// plain sums), only the update granularity differs.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct RunCounters {
-    pub insns: u64,
-    pub nibbles: u64,
-    pub codewords: u64,
-    pub expanded: u64,
-    pub realigns: u64,
 }
 
 /// The compressed-program fetch engine: escape detection and dictionary
@@ -208,7 +232,7 @@ pub(crate) struct RunCounters {
 ///
 /// Delivered words, [`FetchStats`] and telemetry are byte-exact with the
 /// re-parsing specification in [`crate::fetch_reference`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PredecodedFetcher {
     image: Vec<u8>,
     encoding: codense_core::EncodingKind,
@@ -229,16 +253,21 @@ pub struct PredecodedFetcher {
     pool: Vec<u32>,
     /// Cached items (not pool words).
     filled: usize,
-    // Expansion-drain state for the `Fetch` impl (start/len/pos index into
-    // `pool`), the codeword's PC, and the address after it.
-    drain_start: usize,
-    drain_len: usize,
+    /// Expansion-drain state: the pool index of the next word to deliver,
+    /// one past the last, and the address after the codeword.
     drain_pos: usize,
-    buffer_pc: u64,
+    drain_end: usize,
     after_buffer: u64,
-    /// `next_pc` of the previous delivery, for realignment detection.
+    /// `next_pc` of the previous delivery: sequential flow, which drains
+    /// an expansion and never realigns.
     expect_pc: u64,
+    /// Every counter but `insns`, which is `escapes` plus the expansion
+    /// words.
     stats: FetchStats,
+    /// Escaped instructions delivered.
+    escapes: u64,
+    /// [`Fetch::stats`] as of the last [`Fetch::publish`].
+    published: FetchStats,
 }
 
 impl PredecodedFetcher {
@@ -264,13 +293,13 @@ impl PredecodedFetcher {
             side: Vec::new(),
             pool: Vec::new(),
             filled: 0,
-            drain_start: 0,
-            drain_len: 0,
             drain_pos: 0,
-            buffer_pc: u64::MAX,
+            drain_end: 0,
             after_buffer: 0,
             expect_pc: u64::MAX,
             stats: FetchStats::default(),
+            escapes: 0,
+            published: FetchStats::default(),
         }
     }
 
@@ -279,175 +308,90 @@ impl PredecodedFetcher {
         self.filled
     }
 
-    /// The cache entry for `pc`, parsing and filling on a miss.
+    /// Parses the item at `pc`, caches it and returns its table entry.
     ///
     /// # Errors
     ///
     /// [`MachineError::FetchFault`] if `pc` does not address a parseable
     /// item; the fault is not cached.
-    fn lookup_or_fill(&mut self, pc: u64) -> Result<u32, MachineError> {
-        match self.entries.get(pc as usize) {
-            Some(0) => self.fill(pc),
-            Some(&e) => Ok(e),
-            None => Err(MachineError::FetchFault { pc }),
-        }
-    }
-
-    /// The `(tag, consumed, len, start)` of a table entry, chasing side
-    /// indirections.
-    #[inline(always)]
-    fn resolve(&self, e: u32) -> (u64, u64, usize, usize) {
-        unpack_entry(e, &self.side)
-    }
-
     #[cold]
     fn fill(&mut self, pc: u64) -> Result<u32, MachineError> {
-        let (mut entries, mut side, mut pool) = self.take_storage();
-        let r = self.fill_detached(pc, &mut entries, &mut side, &mut pool);
-        self.restore_storage(entries, side, pool);
-        r
-    }
-
-    /// Detaches the entry table and word pool for a run loop's exclusive
-    /// use. [`crate::run::run_predecoded`] keeps them in locals so the hot
-    /// path reads them through loop-invariant pointers instead of reloading
-    /// `self`'s fields every iteration; [`Self::restore_storage`] puts them
-    /// back before the loop's counters are absorbed. While detached, the
-    /// fetcher's own storage is empty (every lookup misses), so the two
-    /// calls must bracket the loop tightly.
-    pub(crate) fn take_storage(&mut self) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
-        (
-            std::mem::take(&mut self.entries),
-            std::mem::take(&mut self.side),
-            std::mem::take(&mut self.pool),
-        )
-    }
-
-    /// Reattaches storage detached by [`Self::take_storage`].
-    pub(crate) fn restore_storage(&mut self, entries: Vec<u32>, side: Vec<u64>, pool: Vec<u32>) {
-        self.entries = entries;
-        self.side = side;
-        self.pool = pool;
-    }
-
-    /// [`Self::fill`] against detached storage.
-    ///
-    /// # Errors
-    ///
-    /// [`MachineError::FetchFault`] if `pc` does not address a parseable
-    /// item; the fault is not cached.
-    #[cold]
-    pub(crate) fn fill_detached(
-        &mut self,
-        pc: u64,
-        entries: &mut [u32],
-        side: &mut Vec<u64>,
-        pool: &mut Vec<u32>,
-    ) -> Result<u32, MachineError> {
+        let fault = MachineError::FetchFault { pc };
         let mut r = NibbleReader::new(&self.image);
         r.seek(pc);
         let before = r.pos();
-        let (tag, words) =
-            match read_item_coded(self.encoding, self.isa, self.huffman.as_ref(), &mut r) {
-                Some(Item::Insn(word)) => (TAG_INSN, vec![word]),
-                Some(Item::Codeword(rank)) => {
-                    let seq = self
-                        .by_rank
-                        .get(rank as usize)
-                        .ok_or(MachineError::FetchFault { pc })?
-                        .clone();
-                    if seq.is_empty() {
-                        return Err(MachineError::FetchFault { pc });
-                    }
-                    (TAG_CODEWORD, seq)
-                }
-                None => return Err(MachineError::FetchFault { pc }),
-            };
-        let consumed = r.pos() - before;
-        let start = pool.len();
-        let entry = match pack_entry(tag, consumed, words.len(), start) {
-            Some(e) => e,
-            None => {
-                // Overflows the packed form: park the wide record in the
-                // side table and point at it.
-                side.push(pack_wide(tag, consumed, words.len(), start));
-                (TAG_SIDE as u32) << 30 | (side.len() - 1) as u32
+        let start = self.pool.len();
+        let tag = match read_item_coded(self.encoding, self.isa, self.huffman.as_ref(), &mut r) {
+            Some(Item::Insn(word)) => {
+                self.pool.push(word);
+                TAG_INSN
             }
+            Some(Item::Codeword(rank)) => {
+                let seq = self.by_rank.get(rank as usize).filter(|s| !s.is_empty()).ok_or(fault)?;
+                self.pool.extend_from_slice(seq);
+                TAG_CODEWORD
+            }
+            None => return Err(fault),
         };
-        pool.extend_from_slice(&words);
-        entries[pc as usize] = entry;
+        let (consumed, len) = (r.pos() - before, self.pool.len() - start);
+        let entry = pack_entry(tag, consumed, len, start).unwrap_or_else(|| {
+            // Overflows the packed form: park the wide record in the side
+            // table and point at it.
+            self.side.push(pack_wide(tag, consumed, len, start));
+            (TAG_SIDE as u32) << 30 | (self.side.len() - 1) as u32
+        });
+        self.entries[pc as usize] = entry;
         self.filled += 1;
         Ok(entry)
-    }
-
-    /// Folds a run loop's batched counters into stats and telemetry, and
-    /// adopts its final drain state so interleaved [`Fetch`] use stays
-    /// coherent.
-    pub(crate) fn absorb(
-        &mut self,
-        c: &RunCounters,
-        expect_pc: u64,
-        drain: (usize, usize, usize, u64, u64),
-    ) {
-        self.stats.insns += c.insns;
-        self.stats.nibbles_fetched += c.nibbles;
-        self.stats.codewords += c.codewords;
-        self.stats.expanded_insns += c.expanded;
-        self.stats.realigns += c.realigns;
-        // Every delivered instruction is either an escaped one or an
-        // expansion word, so the escape count needs no counter of its own.
-        telemetry::VM_FETCH_ESCAPES.add(c.insns - c.expanded);
-        telemetry::VM_FETCH_CODEWORDS.add(c.codewords);
-        telemetry::VM_FETCH_BUFFERED_INSNS.add(c.expanded);
-        telemetry::VM_FETCH_NIBBLES.add(c.nibbles);
-        telemetry::VM_FETCH_REALIGNS.add(c.realigns);
-        self.expect_pc = expect_pc;
-        (self.drain_start, self.drain_len, self.drain_pos, self.buffer_pc, self.after_buffer) =
-            drain;
-    }
-
-    fn deliver_pooled(&mut self) -> Fetched {
-        let word = self.pool[self.drain_start + self.drain_pos];
-        self.drain_pos += 1;
-        self.stats.insns += 1;
-        self.stats.expanded_insns += 1;
-        telemetry::VM_FETCH_BUFFERED_INSNS.inc();
-        let next_pc =
-            if self.drain_pos < self.drain_len { self.buffer_pc } else { self.after_buffer };
-        self.expect_pc = next_pc;
-        Fetched { word, next_pc }
     }
 }
 
 impl Fetch for PredecodedFetcher {
+    // Always inlined: the run loop is instantiated in its callers' crates,
+    // and a call per step costs it about a fifth of its speed.
+    #[inline(always)]
     fn fetch(&mut self, pc: u64) -> Result<Fetched, MachineError> {
-        if pc != self.expect_pc && !pc.is_multiple_of(8) {
+        let sequential = pc == self.expect_pc;
+        if !sequential && !pc.is_multiple_of(8) {
             self.stats.realigns += 1;
-            telemetry::VM_FETCH_REALIGNS.inc();
         }
-        if pc == self.buffer_pc && self.drain_pos < self.drain_len {
-            return Ok(self.deliver_pooled());
-        }
-        let e = self.lookup_or_fill(pc)?;
-        let (tag, consumed, len, start) = self.resolve(e);
-        self.stats.nibbles_fetched += consumed;
-        telemetry::VM_FETCH_NIBBLES.add(consumed);
-        if tag == TAG_INSN {
-            self.stats.insns += 1;
-            telemetry::VM_FETCH_ESCAPES.inc();
-            self.buffer_pc = u64::MAX;
-            self.expect_pc = pc + consumed;
-            Ok(Fetched { word: self.pool[start], next_pc: pc + consumed })
-        } else {
+        let mut nibbles = 0;
+        // Sequential flow inside an expansion stays on the codeword's PC,
+        // where the previous delivery pointed.
+        if !sequential || self.drain_pos == self.drain_end {
+            let e = match self.entries.get(pc as usize) {
+                Some(0) => self.fill(pc)?,
+                Some(&e) => e,
+                None => return Err(MachineError::FetchFault { pc }),
+            };
+            let (tag, consumed, len, start) = unpack_entry(e, &self.side);
+            self.stats.nibbles_fetched += consumed;
+            nibbles = consumed;
+            if tag == TAG_INSN {
+                self.escapes += 1;
+                if !sequential {
+                    // A branch leaves any expansion behind (a sequential
+                    // lookup means it had drained).
+                    self.drain_end = self.drain_pos;
+                }
+                self.expect_pc = pc + consumed;
+                // A fill has pooled the slot. `get` cannot panic, so a run
+                // loop that reads only the slot drops the read.
+                let word = self.pool.get(start).copied().unwrap_or(0);
+                return Ok(Fetched { word, next_pc: pc + consumed, slot: start, nibbles });
+            }
             self.stats.codewords += 1;
-            telemetry::VM_FETCH_CODEWORDS.inc();
-            self.drain_start = start;
-            self.drain_len = len;
-            self.drain_pos = 0;
-            self.buffer_pc = pc;
+            (self.drain_pos, self.drain_end) = (start, start + len);
             self.after_buffer = pc + consumed;
-            Ok(self.deliver_pooled())
         }
+        // Deliver the expansion's next word.
+        let slot = self.drain_pos;
+        self.drain_pos += 1;
+        self.stats.expanded_insns += 1;
+        let next_pc = if self.drain_pos < self.drain_end { pc } else { self.after_buffer };
+        self.expect_pc = next_pc;
+        let word = self.pool.get(slot).copied().unwrap_or(0);
+        Ok(Fetched { word, next_pc, slot, nibbles })
     }
 
     fn granule(&self) -> u32 {
@@ -455,7 +399,33 @@ impl Fetch for PredecodedFetcher {
     }
 
     fn stats(&self) -> FetchStats {
-        self.stats
+        FetchStats { insns: self.escapes + self.stats.expanded_insns, ..self.stats }
+    }
+
+    fn pool(&self) -> &[u32] {
+        &self.pool
+    }
+
+    fn publish(&mut self) {
+        let now = self.stats();
+        let then = std::mem::replace(&mut self.published, now);
+        let escapes = |s: FetchStats| s.insns - s.expanded_insns;
+        telemetry::VM_FETCH_ESCAPES.add(escapes(now) - escapes(then));
+        telemetry::VM_FETCH_CODEWORDS.add(now.codewords - then.codewords);
+        telemetry::VM_FETCH_BUFFERED_INSNS.add(now.expanded_insns - then.expanded_insns);
+        telemetry::VM_FETCH_NIBBLES.add(now.nibbles_fetched - then.nibbles_fetched);
+        telemetry::VM_FETCH_REALIGNS.add(now.realigns - then.realigns);
+    }
+
+    fn restart(&mut self) {
+        self.expect_pc = u64::MAX;
+        self.drain_end = self.drain_pos;
+    }
+}
+
+impl Drop for PredecodedFetcher {
+    fn drop(&mut self) {
+        self.publish();
     }
 }
 

@@ -14,6 +14,9 @@
 //! * `vm/tests/telemetry_parity.rs` requires identical `vm.fetch.*`
 //!   telemetry deltas.
 //!
+//! It keeps per-fetch telemetry, because it is the reference the engines'
+//! batched [`Fetch::publish`] is checked against.
+//!
 //! It is test-only: not re-exported at the crate root, and not used by any
 //! library, binary or example.
 
@@ -46,9 +49,11 @@ pub struct CompressedFetcher {
     /// encodings — or when a container carried unusable lengths, in which
     /// case every fetch faults instead of panicking.
     huffman: Option<HuffCode>,
-    /// Remaining instructions of the codeword being drained.
-    buffer: Vec<u32>,
-    /// Position within the draining codeword.
+    /// Every delivered word, each in a fresh slot: an escaped word as it is
+    /// delivered, a codeword's expansion whole as it is parsed. The
+    /// expansion buffer is the pool from `buffer_pos` on.
+    pool: Vec<u32>,
+    /// Pool index of the draining codeword's next word.
     buffer_pos: usize,
     /// PC the buffer belongs to.
     buffer_pc: u64,
@@ -82,7 +87,7 @@ impl CompressedFetcher {
             // Hostile or absent lengths yield `None`; Huffman fetches then
             // fault rather than panic.
             huffman: HuffCode::from_nibble_lengths(image.huffman_lengths.clone()),
-            buffer: Vec::new(),
+            pool: Vec::new(),
             buffer_pos: 0,
             buffer_pc: u64::MAX,
             after_buffer: 0,
@@ -91,16 +96,16 @@ impl CompressedFetcher {
         }
     }
 
-    fn deliver_buffered(&mut self) -> Fetched {
-        let word = self.buffer[self.buffer_pos];
+    fn deliver_buffered(&mut self, nibbles: u64) -> Fetched {
+        let slot = self.buffer_pos;
         self.buffer_pos += 1;
         self.stats.insns += 1;
         self.stats.expanded_insns += 1;
         telemetry::VM_FETCH_BUFFERED_INSNS.inc();
         let next_pc =
-            if self.buffer_pos < self.buffer.len() { self.buffer_pc } else { self.after_buffer };
+            if self.buffer_pos < self.pool.len() { self.buffer_pc } else { self.after_buffer };
         self.expect_pc = next_pc;
-        Fetched { word, next_pc }
+        Fetched { word: self.pool[slot], next_pc, slot, nibbles }
     }
 }
 
@@ -114,40 +119,40 @@ impl Fetch for CompressedFetcher {
             telemetry::VM_FETCH_REALIGNS.inc();
         }
         // Drain the expansion buffer while sequential flow stays on it.
-        if pc == self.buffer_pc && self.buffer_pos < self.buffer.len() {
-            return Ok(self.deliver_buffered());
+        if pc == self.buffer_pc && self.buffer_pos < self.pool.len() {
+            return Ok(self.deliver_buffered(0));
         }
         let mut r = NibbleReader::new(&self.image);
         r.seek(pc);
         let before = r.pos();
         match read_item_coded(self.encoding, self.isa, self.huffman.as_ref(), &mut r) {
             Some(Item::Insn(word)) => {
+                let nibbles = r.pos() - before;
                 self.stats.insns += 1;
-                self.stats.nibbles_fetched += r.pos() - before;
+                self.stats.nibbles_fetched += nibbles;
                 // Under every encoding an uncompressed instruction in the
                 // stream is introduced by an escape prefix.
                 telemetry::VM_FETCH_ESCAPES.inc();
-                telemetry::VM_FETCH_NIBBLES.add(r.pos() - before);
+                telemetry::VM_FETCH_NIBBLES.add(nibbles);
                 // Leaving any previous codeword behind.
                 self.buffer_pc = u64::MAX;
                 self.expect_pc = r.pos();
-                Ok(Fetched { word, next_pc: r.pos() })
+                self.pool.push(word);
+                Ok(Fetched { word, next_pc: r.pos(), slot: self.pool.len() - 1, nibbles })
             }
             Some(Item::Codeword(rank)) => {
-                let seq =
-                    self.by_rank.get(rank as usize).ok_or(MachineError::FetchFault { pc })?.clone();
-                if seq.is_empty() {
-                    return Err(MachineError::FetchFault { pc });
-                }
+                let seq = self.by_rank.get(rank as usize).filter(|s| !s.is_empty());
+                let seq = seq.ok_or(MachineError::FetchFault { pc })?;
+                let nibbles = r.pos() - before;
                 self.stats.codewords += 1;
-                self.stats.nibbles_fetched += r.pos() - before;
+                self.stats.nibbles_fetched += nibbles;
                 telemetry::VM_FETCH_CODEWORDS.inc();
-                telemetry::VM_FETCH_NIBBLES.add(r.pos() - before);
-                self.buffer = seq;
-                self.buffer_pos = 0;
+                telemetry::VM_FETCH_NIBBLES.add(nibbles);
+                self.buffer_pos = self.pool.len();
+                self.pool.extend_from_slice(seq);
                 self.buffer_pc = pc;
                 self.after_buffer = r.pos();
-                Ok(self.deliver_buffered())
+                Ok(self.deliver_buffered(nibbles))
             }
             None => Err(MachineError::FetchFault { pc }),
         }
@@ -159,5 +164,17 @@ impl Fetch for CompressedFetcher {
 
     fn stats(&self) -> FetchStats {
         self.stats
+    }
+
+    fn pool(&self) -> &[u32] {
+        &self.pool
+    }
+
+    /// Nothing to add: every fetch already updated telemetry.
+    fn publish(&mut self) {}
+
+    fn restart(&mut self) {
+        self.expect_pc = u64::MAX;
+        self.buffer_pc = u64::MAX;
     }
 }

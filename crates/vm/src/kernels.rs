@@ -2,6 +2,7 @@
 //! sorting, hashing) used to prove that compressed programs execute
 //! identically to their originals on the [`crate::machine::Machine`].
 
+use crate::machine::Machine;
 use codense_obj::ObjectModule;
 use codense_ppc::asm::Assembler;
 use codense_ppc::insn::Insn;
@@ -21,16 +22,15 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Writes the kernel's input data into a machine's memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an init region exceeds the machine's memory.
-    pub fn apply_init(&self, machine: &mut crate::machine::Machine) {
+    /// A fresh machine with 1 MiB of memory holding the kernel's input
+    /// data: the machine every kernel runs on.
+    pub fn machine(&self) -> Machine {
+        let mut machine = Machine::new(1 << 20);
         for (addr, bytes) in &self.init_mem {
             let a = *addr as usize;
             machine.mem[a..a + bytes.len()].copy_from_slice(bytes);
         }
+        machine
     }
 }
 
@@ -561,16 +561,13 @@ pub fn all() -> Vec<Kernel> {
 mod tests {
     use super::*;
     use crate::fetch::LinearFetcher;
-    use crate::machine::Machine;
     use crate::run::run;
 
     #[test]
     fn kernels_produce_expected_results_uncompressed() {
         for k in all() {
-            let mut machine = Machine::new(1 << 20);
-            k.apply_init(&mut machine);
             let mut fetch = LinearFetcher::new(k.module.code.clone());
-            let result = run(&mut machine, &mut fetch, 0, 1_000_000)
+            let result = run(&mut k.machine(), &mut fetch, 0, 1_000_000)
                 .unwrap_or_else(|e| panic!("{}: {e}", k.name));
             assert_eq!(result.exit_code, k.expected, "kernel {}", k.name);
         }

@@ -13,11 +13,13 @@
 //!   decode, and expands codewords through the on-chip dictionary, caching
 //!   each parsed item by its stream offset.
 //!
-//! Because the machine's PC domain is nibble addresses in both cases, the
-//! *same* execution loop ([`run::run`]) runs both program forms; the
-//! [`kernels`] module supplies real programs to prove equivalence
-//! end-to-end. [`run::run_predecoded`] is the threaded-dispatch loop over
-//! the same compressed engine, for corpus-scale runs.
+//! Because the machine's PC domain is nibble addresses in both cases, one
+//! execution loop ([`run::run_traced`], or [`run::run`] without an
+//! observer) runs both program forms, on a typed machine or a boxed
+//! `dyn Core` alike. A typed machine decodes each pooled word once (a
+//! `dyn Core` decodes the word it steps), and the loop publishes the fetch
+//! counters once per run. The [`kernels`] module supplies real
+//! programs to prove equivalence end-to-end.
 //!
 //! [`fetch_reference`] keeps the re-parsing engine that parses the stream
 //! on every fetch: a test-only executable specification the compressed
@@ -32,8 +34,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let kernel = kernels::fib();
 //! let compressed = Compressor::new(CompressionConfig::baseline()).compress(&kernel.module)?;
-//! let mut machine = Machine::new(1 << 20);
-//! kernel.apply_init(&mut machine);
+//! let mut machine = kernel.machine();
 //! let mut fetch = PredecodedFetcher::new(&compressed);
 //! let result = run(&mut machine, &mut fetch, 0, 1_000_000)?;
 //! assert_eq!(result.exit_code, 6765);

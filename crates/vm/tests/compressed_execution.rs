@@ -3,7 +3,7 @@
 //! as its uncompressed original.
 
 use codense_core::{verify::verify, CompressionConfig, Compressor};
-use codense_vm::{kernels, machine::Machine, run::run, LinearFetcher, PredecodedFetcher};
+use codense_vm::{kernels, run::run, LinearFetcher, PredecodedFetcher};
 
 fn configs() -> Vec<(&'static str, CompressionConfig)> {
     vec![
@@ -17,8 +17,7 @@ fn configs() -> Vec<(&'static str, CompressionConfig)> {
 fn compressed_kernels_match_uncompressed() {
     for kernel in kernels::all() {
         // Reference run.
-        let mut ref_machine = Machine::new(1 << 20);
-        kernel.apply_init(&mut ref_machine);
+        let mut ref_machine = kernel.machine();
         let mut ref_fetch = LinearFetcher::new(kernel.module.code.clone());
         let reference = run(&mut ref_machine, &mut ref_fetch, 0, 1_000_000)
             .unwrap_or_else(|e| panic!("{} uncompressed: {e}", kernel.name));
@@ -31,8 +30,7 @@ fn compressed_kernels_match_uncompressed() {
             verify(&kernel.module, &compressed)
                 .unwrap_or_else(|e| panic!("{} {tag}: {e}", kernel.name));
 
-            let mut machine = Machine::new(1 << 20);
-            kernel.apply_init(&mut machine);
+            let mut machine = kernel.machine();
             let mut fetch = PredecodedFetcher::new(&compressed);
             let result = run(&mut machine, &mut fetch, 0, 1_000_000)
                 .unwrap_or_else(|e| panic!("{} {tag}: {e}", kernel.name));
@@ -79,20 +77,14 @@ fn kernels_lockstep_full_trace_under_all_encodings() {
             kernel.name
         );
         // Reference step count, for the cross-encoding agreement check.
-        let mut ref_machine = Machine::new(1 << 20);
-        kernel.apply_init(&mut ref_machine);
         let mut ref_fetch = LinearFetcher::new(kernel.module.code.clone());
-        let reference = run(&mut ref_machine, &mut ref_fetch, 0, 1_000_000).unwrap();
+        let reference = run(&mut kernel.machine(), &mut ref_fetch, 0, 1_000_000).unwrap();
 
         for (tag, config) in configs() {
             let compressed = Compressor::new(config)
                 .compress(&kernel.module)
                 .unwrap_or_else(|e| panic!("{} {tag}: {e}", kernel.name));
-            let boot = || {
-                let mut machine = Machine::new(1 << 20);
-                kernel.apply_init(&mut machine);
-                Box::new(machine)
-            };
+            let boot = || Box::new(kernel.machine());
             let got = lockstep(&kernel.module, &compressed, &[], &boot, &mask, 1_000_000)
                 .unwrap_or_else(|d| panic!("{} {tag}: trace divergence: {d}", kernel.name));
             assert_eq!(
@@ -113,15 +105,10 @@ fn compressed_fetch_bandwidth_not_worse() {
     let compressed =
         Compressor::new(CompressionConfig::nibble_aligned()).compress(&kernel.module).unwrap();
 
-    let mut m1 = Machine::new(1 << 20);
-    kernel.apply_init(&mut m1);
     let mut lf = LinearFetcher::new(kernel.module.code.clone());
-    let r1 = run(&mut m1, &mut lf, 0, 1_000_000).unwrap();
-
-    let mut m2 = Machine::new(1 << 20);
-    kernel.apply_init(&mut m2);
+    let r1 = run(&mut kernel.machine(), &mut lf, 0, 1_000_000).unwrap();
     let mut cf = PredecodedFetcher::new(&compressed);
-    let r2 = run(&mut m2, &mut cf, 0, 1_000_000).unwrap();
+    let r2 = run(&mut kernel.machine(), &mut cf, 0, 1_000_000).unwrap();
 
     assert_eq!(r1.exit_code, r2.exit_code);
     assert!(
@@ -142,10 +129,8 @@ fn container_roundtrip_executes_identically() {
         let image = deserialize(&serialize(&compressed)).unwrap();
         assert_eq!(image, compressed.to_image());
 
-        let mut machine = Machine::new(1 << 20);
-        kernel.apply_init(&mut machine);
         let mut fetch = PredecodedFetcher::from_image_with(&image, compressed.isa);
-        let result = run(&mut machine, &mut fetch, 0, 1_000_000)
+        let result = run(&mut kernel.machine(), &mut fetch, 0, 1_000_000)
             .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
         assert_eq!(result.exit_code, kernel.expected, "{}", kernel.name);
     }

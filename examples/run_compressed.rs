@@ -15,8 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("-------------------------------------------------------------");
     for kernel in kernels::all() {
         // Reference: uncompressed execution.
-        let mut machine = Machine::new(1 << 20);
-        kernel.apply_init(&mut machine);
+        let mut machine = kernel.machine();
         let mut fetch = LinearFetcher::new(kernel.module.code.clone());
         let reference = run(&mut machine, &mut fetch, 0, 10_000_000)?;
         println!(
@@ -36,8 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let compressed = Compressor::new(config).compress(&kernel.module)?;
             verify(&kernel.module, &compressed)?;
 
-            let mut machine = Machine::new(1 << 20);
-            kernel.apply_init(&mut machine);
+            let mut machine = kernel.machine();
             let mut fetch = PredecodedFetcher::new(&compressed);
             let result = run(&mut machine, &mut fetch, 0, 10_000_000)?;
             assert_eq!(result.exit_code, reference.exit_code, "{} {tag}", kernel.name);

@@ -26,7 +26,7 @@
 //! | [`liao`] | `codense-liao` | call-dictionary / mini-subroutine baseline |
 //! | [`thumb`] | `codense-thumb` | Thumb/MIPS16-style subsetting baseline |
 //! | [`vm`] | `codense-vm` | interpreter + compressed fetch path |
-//! | [`cache`] | `codense-cache` | I-cache simulator + fetch tracing |
+//! | [`cache`] | `codense-cache` | I-cache simulator + reference-trace replay |
 //! | [`profile`] | `codense-profile` | execution profiler, hybrid policy, cycle model |
 //!
 //! # Quickstart
