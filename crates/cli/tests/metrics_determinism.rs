@@ -74,7 +74,9 @@ fn counters_identical_across_job_counts() {
     let fuzz = ["fuzz", "--cases", "12", "--seed", "0xfeed", "--max-steps", "200"];
     let mut pinned = String::new();
     // One small benchmark keeps debug-mode runtime reasonable; the full
-    // suite goes through the same par_map path. The 10K corpus program
+    // suite goes through the same par_map path. It runs twice: under the
+    // greedy selector, then under refine, whose trials each select again
+    // (its selection counters are pinned here). The 10K corpus program
     // covers the SPEC-scale path: built, compressed and verified under all
     // four encodings (repro), then run natively and through the compressed
     // fetch path (profile). `hybrid` adds the lockstep oracle and the cycle
@@ -82,6 +84,7 @@ fn counters_identical_across_job_counts() {
     // ISAs.
     for args in [
         &["repro", "--bench", "compress"][..],
+        &["repro", "--bench", "compress", "--selector", "refine"],
         &["repro", "--corpus", "10k", "--bench", "compress"],
         &["profile", "--corpus", "10k", "--out", "profile.json"],
         &["hybrid", "--bench", "quicksort", "--coverage", "0.5"],
