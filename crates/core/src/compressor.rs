@@ -372,18 +372,81 @@ impl Compressor {
     ) -> Result<CompressedProgram, CompressError> {
         let _compress = telemetry::phase("compress");
         let prep = Prepared::new(self, module, exempt)?;
-        let laid = self.lay_out(&prep, index, &BanSet::new(), None)?;
+        let laid =
+            self.lay_out(&prep, |dict| self.select(&prep, index, &BanSet::new(), None, dict))?;
         let _pack = telemetry::phase("pack");
         self.finish(&prep, laid)
     }
 
+    /// The selection limits, and the savings model with codewords priced at
+    /// `codeword_bits`, or at the encoding's estimate when `None`.
+    pub(crate) fn greedy_params(&self, codeword_bits: Option<u32>) -> GreedyParams {
+        let kind = self.config.encoding;
+        GreedyParams {
+            max_entry_len: self.config.max_entry_len,
+            max_codewords: self.config.effective_max_codewords(),
+            cost: selection_cost(
+                kind,
+                codeword_bits.unwrap_or_else(|| kind.codeword_bits_estimate()),
+            ),
+        }
+    }
+
+    /// Greedy dictionary selection from scratch, into `dictionary`: against
+    /// `index` minus `bans` when given one, and otherwise mining the masked
+    /// model itself (or running the reference engine). `codeword_bits`
+    /// overrides the encoding's codeword-price estimate (see
+    /// [`greedy_params`](Self::greedy_params)); the refinement selector
+    /// probes other prices and lets the exact cost decide. Returns the pick
+    /// log and the head array.
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::ProgramTooLarge`] if it mines an index the program
+    /// does not fit.
+    pub(crate) fn select(
+        &self,
+        prep: &Prepared,
+        index: Option<&CandidateIndex>,
+        bans: &BanSet,
+        codeword_bits: Option<u32>,
+        dictionary: &mut Dictionary,
+    ) -> Result<(Vec<PickRecord>, Vec<u32>), CompressError> {
+        debug_assert!(index.is_some() || bans.is_empty(), "bans need a shared index");
+        let params = self.greedy_params(codeword_bits);
+        // Hot (exempt) cells are marked incompressible in the model the
+        // index is mined from, so the occurrence index only ever sees
+        // eligible code. The model lives only as long as mining: selection
+        // returns the head array. The reference engine mines as it selects,
+        // so only its model building is timed apart.
+        Ok(match (index, self.matchfinder) {
+            (Some(index), _) => {
+                let _phase = telemetry::phase("select");
+                crate::greedy::select(index, dictionary, params, bans)
+            }
+            (None, MatchfinderKind::Reference) => {
+                let mut model = self.build_masked_model(prep.module, prep.exempt);
+                let picks = crate::greedy::reference::run_greedy(&mut model, dictionary, params);
+                (picks, model.heads)
+            }
+            (None, MatchfinderKind::Interned) => {
+                let index = {
+                    let model = self.build_masked_model(prep.module, prep.exempt);
+                    let _phase = telemetry::phase("mine");
+                    CandidateIndex::build(&model, params.max_entry_len)?
+                };
+                let _phase = telemetry::phase("select");
+                crate::greedy::select_owned(index, dictionary, params)
+            }
+        })
+    }
+
     /// The first half of a compression: selection, the atom stream, rank
-    /// assignment, the Huffman table and the layout fixpoint. Selection runs
-    /// against `index` minus `bans` when given one, and otherwise mines the
-    /// masked model itself (or runs the reference engine). `codeword_bits`
-    /// overrides the encoding's codeword-price estimate for selection; the
-    /// refinement selector probes other prices and lets the exact cost
-    /// decide.
+    /// assignment, the Huffman table and the layout fixpoint. `select`
+    /// makes the selection, into the empty dictionary it is handed, under
+    /// the `greedy` phase: [`select`](Self::select) from scratch, or a run
+    /// the refinement selector resumes from its checkpoint. Everything
+    /// after it reads only the dictionary, the pick log and the head array.
     ///
     /// # Errors
     ///
@@ -391,11 +454,8 @@ impl Compressor {
     pub(crate) fn lay_out(
         &self,
         prep: &Prepared,
-        index: Option<&CandidateIndex>,
-        bans: &BanSet,
-        codeword_bits: Option<u32>,
+        select: impl FnOnce(&mut Dictionary) -> Result<(Vec<PickRecord>, Vec<u32>), CompressError>,
     ) -> Result<LaidOut, CompressError> {
-        debug_assert!(index.is_some() || bans.is_empty(), "bans need a shared index");
         let kind = self.config.encoding;
         telemetry::COMPRESS_RUNS.inc();
         if !prep.exempt.is_empty() {
@@ -406,43 +466,10 @@ impl Compressor {
             return Err(collision.clone());
         }
 
-        // 1. Greedy dictionary selection. Hot (exempt) cells are marked
-        //    incompressible in the model the index is mined from, so the
-        //    occurrence index only ever sees eligible code. The model lives
-        //    only as long as mining: selection returns the head array.
+        // 1. Greedy dictionary selection.
         let greedy_phase = telemetry::phase("greedy");
         let mut dictionary = Dictionary::new();
-        let params = GreedyParams {
-            max_entry_len: self.config.max_entry_len,
-            max_codewords: self.config.effective_max_codewords(),
-            cost: selection_cost(
-                kind,
-                codeword_bits.unwrap_or_else(|| kind.codeword_bits_estimate()),
-            ),
-        };
-        // The reference engine mines as it selects, so only its model
-        // building is timed apart.
-        let (picks, heads) = match (index, self.matchfinder) {
-            (Some(index), _) => {
-                let _phase = telemetry::phase("select");
-                crate::greedy::select(index, &mut dictionary, params, bans)
-            }
-            (None, MatchfinderKind::Reference) => {
-                let mut model = self.build_masked_model(prep.module, prep.exempt);
-                let picks =
-                    crate::greedy::reference::run_greedy(&mut model, &mut dictionary, params);
-                (picks, model.heads)
-            }
-            (None, MatchfinderKind::Interned) => {
-                let index = {
-                    let model = self.build_masked_model(prep.module, prep.exempt);
-                    let _phase = telemetry::phase("mine");
-                    CandidateIndex::build(&model, params.max_entry_len)?
-                };
-                let _phase = telemetry::phase("select");
-                crate::greedy::select_owned(index, &mut dictionary, params)
-            }
-        };
+        let (picks, heads) = select(&mut dictionary)?;
         drop(greedy_phase);
 
         // 2. Rank assignment: shortest codewords to the most-used entries.

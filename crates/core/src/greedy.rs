@@ -54,7 +54,10 @@
 //! A [`CandidateIndex`] is immutable once built and can be shared across
 //! runs: the sweep engine builds one index at the largest entry length and
 //! every sweep point reuses it (cloning only the flat arrays a run mutates)
-//! instead of re-mining the program per point.
+//! instead of re-mining the program per point. A run's own state is one
+//! cloneable `Selection`, whose loop can stop after a given number of picks
+//! and resume, skipping one candidate if asked: the refinement selector
+//! selects each round's shared prefix once and resumes copies of it.
 
 use std::collections::BinaryHeap;
 
@@ -106,40 +109,35 @@ pub struct GreedyParams {
 
 /// A set of banned candidate *sequences* (matched by instruction content).
 /// Banned sequences are excluded at heap seeding, so a run with bans is a
-/// greedy run over the remaining candidate universe — the refinement
-/// selector's probe: ban a marginal accepted entry, re-select, and keep the
-/// result only if the exact layout cost improves.
+/// greedy run over the remaining candidate universe: the refinement
+/// selector's accepted swaps, each a marginal entry whose ban made the exact
+/// layout cost fall.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BanSet {
+pub(crate) struct BanSet {
     /// Banned sequences, sorted for binary-search membership tests.
     seqs: Vec<Vec<u32>>,
 }
 
 impl BanSet {
     /// Creates an empty ban set.
-    pub fn new() -> BanSet {
+    pub(crate) fn new() -> BanSet {
         BanSet::default()
     }
 
-    /// Number of banned sequences.
-    pub fn len(&self) -> usize {
-        self.seqs.len()
-    }
-
     /// Returns `true` when nothing is banned.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.seqs.is_empty()
     }
 
     /// Bans a sequence (idempotent).
-    pub fn insert(&mut self, seq: Vec<u32>) {
+    pub(crate) fn insert(&mut self, seq: Vec<u32>) {
         if let Err(at) = self.seqs.binary_search(&seq) {
             self.seqs.insert(at, seq);
         }
     }
 
     /// Whether the sequence is banned.
-    pub fn contains(&self, seq: &[u32]) -> bool {
+    pub(crate) fn contains(&self, seq: &[u32]) -> bool {
         self.seqs.binary_search_by(|s| s.as_slice().cmp(seq)).is_ok()
     }
 }
@@ -351,11 +349,25 @@ impl<'a> CandidateIndex<'a> {
     }
 
     /// The instruction words of candidate `id`, read at its first window in
-    /// `occ` (the index's arena or a run's compacted copy of it: compaction
-    /// keeps some window of `id` at the head of its span).
+    /// `occ`: the index's arena, or a run's copy of it before any pick.
     fn words_of(&self, occ: &[u32], id: SeqId) -> &[u32] {
         let p = occ[self.starts[id as usize] as usize] as usize;
         &self.words[p..p + self.lens[id as usize] as usize]
+    }
+
+    /// The id of the candidate whose words are `seq`, if there is one. Ids
+    /// rank candidates by their words, so this is a binary search.
+    pub(crate) fn id_of(&self, seq: &[u32]) -> Option<SeqId> {
+        let mut ids = 0..self.candidates() as SeqId;
+        while !ids.is_empty() {
+            let mid = ids.start + (ids.end - ids.start) / 2;
+            match self.words_of(&self.occ, mid).cmp(seq) {
+                std::cmp::Ordering::Less => ids.start = mid + 1,
+                std::cmp::Ordering::Greater => ids.end = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
+        }
+        None
     }
 }
 
@@ -462,10 +474,9 @@ pub fn run_greedy_with(
 /// Greedy selection against a shared index, minus any candidate whose
 /// sequence content is in `bans`: banned candidates are excluded at heap
 /// seeding, so the run is an ordinary greedy selection over the remaining
-/// universe (the refinement selector's probe). Returns the pick log and
-/// the run's head array: per cell, by flat offset (the original
-/// instruction index), the entry whose codeword starts there, or
-/// [`NO_ENTRY`].
+/// universe. Returns the pick log and the run's head array: per cell, by
+/// flat offset (the original instruction index), the entry whose codeword
+/// starts there, or [`NO_ENTRY`].
 ///
 /// # Panics
 ///
@@ -478,14 +489,9 @@ pub(crate) fn select(
     params: GreedyParams,
     bans: &BanSet,
 ) -> (Vec<PickRecord>, Vec<u32>) {
-    assert!(
-        params.max_entry_len <= index.max_entry_len,
-        "index mined at max_entry_len {} cannot serve a run at {}",
-        index.max_entry_len,
-        params.max_entry_len
-    );
-    telemetry::GREEDY_INDEX_REUSES.inc();
-    run_core(index, index.occ.clone(), index.compressible.clone(), dict, params, bans)
+    let mut run = Selection::start(index, std::mem::take(dict), params, bans);
+    run.run(index, usize::MAX, None);
+    run.finish(dict)
 }
 
 /// [`select`] with no bans against an index the caller built for this run
@@ -497,98 +503,193 @@ pub(crate) fn select_owned(
 ) -> (Vec<PickRecord>, Vec<u32>) {
     let occ = std::mem::take(&mut index.occ);
     let live = std::mem::take(&mut index.compressible);
-    run_core(&index, occ, live, dict, params, &BanSet::default())
+    let mut run = Selection::new(&index, occ, live, std::mem::take(dict), params, &BanSet::new());
+    run.run(&index, usize::MAX, None);
+    run.finish(dict)
 }
 
-/// The selection loop. `occ` is the run's copy of the occurrence arena and
-/// `live` its copy of the per-cell compressible flags; both only shrink.
-/// Returns the pick log and the head array (see [`select`]).
-fn run_core(
-    index: &CandidateIndex,
-    mut occ: Vec<u32>,
-    mut live: Vec<bool>,
-    dict: &mut Dictionary,
+/// One greedy run's state: everything the selection loop reads and writes
+/// besides the immutable [`CandidateIndex`] it runs against. A run can stop
+/// after some picks and resume, and a stopped run can be cloned and resumed
+/// along different paths: the refinement selector's checkpoint.
+#[derive(Debug, Clone)]
+pub(crate) struct Selection {
+    /// The run's limits and cost model.
     params: GreedyParams,
-    bans: &BanSet,
-) -> (Vec<PickRecord>, Vec<u32>) {
-    for len in 1..=params.max_entry_len.min(LONE_PAYS_FROM - 1) {
+    /// Window start offsets, grouped by candidate: the run's copy of the
+    /// index's arena, or after [`keep_queued`](Selection::keep_queued) the
+    /// queued candidates' windows alone.
+    occ: Vec<u32>,
+    /// Candidate `id`'s windows are `occ[spans[id].0..spans[id].1]`; the
+    /// ones that lost a cell are compacted out when it pops.
+    spans: Vec<(u32, u32)>,
+    /// Whether each cell is compressible and not yet replaced.
+    live: Vec<bool>,
+    /// The entry whose codeword heads each cell, or [`NO_ENTRY`].
+    heads: Vec<u32>,
+    /// Every candidate that may still be accepted, at most once each, keyed
+    /// by an upper bound of its savings.
+    heap: BinaryHeap<HeapItem>,
+    /// The picks accepted so far.
+    picks: Vec<PickRecord>,
+    /// The dictionary they built.
+    dict: Dictionary,
+}
+
+impl Selection {
+    /// A run of `params` against the shared `index`, minus `bans`, before
+    /// its first pick, appending to `dict`: it clones the arrays it mutates.
+    ///
+    /// # Panics
+    ///
+    /// See [`select`].
+    pub(crate) fn start(
+        index: &CandidateIndex,
+        dict: Dictionary,
+        params: GreedyParams,
+        bans: &BanSet,
+    ) -> Selection {
         assert!(
-            params.cost.savings_bits(len, 1) <= 0,
-            "{:?} lets one occurrence of {len} instructions pay, but the index omits those",
-            params.cost
+            params.max_entry_len <= index.max_entry_len,
+            "index mined at max_entry_len {} cannot serve a run at {}",
+            index.max_entry_len,
+            params.max_entry_len
         );
+        telemetry::GREEDY_INDEX_REUSES.inc();
+        Selection::new(index, index.occ.clone(), index.compressible.clone(), dict, params, bans)
     }
-    // Exact seeding: before any replacement every window is live, so the
-    // build-time counts are each candidate's true initial savings.
-    // Candidates that start non-positive can never become acceptable
-    // (counts only shrink), so they never enter the heap.
-    let seeds: Vec<HeapItem> = (0..index.candidates())
-        .filter_map(|i| {
-            let len = index.lens[i] as usize;
-            if len > params.max_entry_len {
-                return None;
-            }
-            let savings = params.cost.savings_bits(len, index.counts[i] as usize);
-            let id = i as SeqId;
-            (savings > 0 && !bans.contains(index.words_of(&occ, id))).then_some((savings, id))
-        })
-        .collect();
-    let mut heap = BinaryHeap::from(seeds);
-    // Each candidate's live windows are `occ[starts[id]..ends[id]]`.
-    let mut ends = index.starts[1..].to_vec();
-    // The entry whose codeword heads each cell, once replaced.
-    let mut heads = vec![NO_ENTRY; live.len()];
-    let mut picks = Vec::new();
 
-    while dict.len() < params.max_codewords {
-        let Some((top, id)) = heap.pop() else { break };
-        telemetry::GREEDY_HEAP_POPS.inc();
-        let len = index.lens[id as usize] as usize;
-        // Lazy liveness: drop windows that lost a cell to an accepted
-        // replacement, then recount.
-        let (s, e) = (index.starts[id as usize] as usize, ends[id as usize] as usize);
-        let mut w = s;
-        for r in s..e {
-            let p = occ[r] as usize;
-            if live[p..p + len].iter().all(|&l| l) {
-                occ[w] = p as u32;
-                w += 1;
-            }
+    /// A run before its first pick. `occ` and `live` are the run's own
+    /// copies of the index's arena and per-cell compressible flags.
+    fn new(
+        index: &CandidateIndex,
+        occ: Vec<u32>,
+        live: Vec<bool>,
+        dict: Dictionary,
+        params: GreedyParams,
+        bans: &BanSet,
+    ) -> Selection {
+        for len in 1..=params.max_entry_len.min(LONE_PAYS_FROM - 1) {
+            assert!(
+                params.cost.savings_bits(len, 1) <= 0,
+                "{:?} lets one occurrence of {len} instructions pay, but the index omits those",
+                params.cost
+            );
         }
-        ends[id as usize] = w as u32;
-        telemetry::GREEDY_WINDOW_REMOVES.add((e - w) as u64);
-        let positions = &occ[s..w];
-        let n = effective_count(positions, len);
-        let savings = params.cost.savings_bits(len, n);
-        debug_assert!(savings <= top, "counts only decrease");
-        if savings <= 0 {
-            continue; // candidate dead; others may still be live
+        // Exact seeding: before any replacement every window is live, so the
+        // build-time counts are each candidate's true initial savings.
+        // Candidates that start non-positive can never become acceptable
+        // (counts only shrink), so they never enter the heap.
+        let seeds: Vec<HeapItem> = (0..index.candidates())
+            .filter_map(|i| {
+                let len = index.lens[i] as usize;
+                if len > params.max_entry_len {
+                    return None;
+                }
+                let savings = params.cost.savings_bits(len, index.counts[i] as usize);
+                let id = i as SeqId;
+                (savings > 0 && !bans.contains(index.words_of(&occ, id))).then_some((savings, id))
+            })
+            .collect();
+        Selection {
+            params,
+            spans: index.starts.windows(2).map(|s| (s[0], s[1])).collect(),
+            heads: vec![NO_ENTRY; live.len()],
+            heap: BinaryHeap::from(seeds),
+            picks: Vec::new(),
+            occ,
+            live,
+            dict,
         }
-        if savings < top {
-            telemetry::GREEDY_STALE_REINSERTS.inc();
-            heap.push((savings, id));
-            continue;
-        }
-
-        // Accept: replace every non-overlapping occurrence left to right.
-        // No index surgery — windows overlapping a replacement simply stop
-        // being live and are compacted away on their next recount.
-        let entry = dict.push(index.words_of(&occ, id), n);
-        let mut next = 0;
-        for &p in positions {
-            let p = p as usize;
-            if p >= next {
-                live[p..p + len].fill(false);
-                heads[p] = entry;
-                next = p + len;
-            }
-        }
-        debug_assert_eq!(positions.iter().filter(|&&p| heads[p as usize] == entry).count(), n);
-        telemetry::GREEDY_PICKS_ACCEPTED.inc();
-        telemetry::GREEDY_REPLACEMENTS.add(n as u64);
-        picks.push(PickRecord { entry, len, replaced: n, savings_bits: savings });
     }
-    (picks, heads)
+
+    /// Selects until the dictionary holds `stop` entries (at most
+    /// `max_codewords`) or no candidate saves anything, never accepting
+    /// candidate `skip`.
+    ///
+    /// Each step accepts the greatest (true savings, id) among the
+    /// candidates still queued, whatever stale keys the lazy heap holds, and
+    /// ids are unique. So a run stopped after `k` picks is the prefix of the
+    /// uninterrupted run, and skipping a candidate as it pops selects
+    /// exactly what banning it at seeding would.
+    pub(crate) fn run(&mut self, index: &CandidateIndex, stop: usize, skip: Option<SeqId>) {
+        let Selection { params, occ, spans, live, heads, heap, picks, dict } = self;
+        let stop = stop.min(params.max_codewords);
+        while dict.len() < stop {
+            let Some((top, id)) = heap.pop() else { break };
+            telemetry::GREEDY_HEAP_POPS.inc();
+            if Some(id) == skip {
+                continue;
+            }
+            let len = index.lens[id as usize] as usize;
+            // Lazy liveness: drop windows that lost a cell to an accepted
+            // replacement, then recount.
+            let (s, e) = spans[id as usize];
+            let (s, e) = (s as usize, e as usize);
+            let mut w = s;
+            for r in s..e {
+                let p = occ[r] as usize;
+                if live[p..p + len].iter().all(|&l| l) {
+                    occ[w] = p as u32;
+                    w += 1;
+                }
+            }
+            spans[id as usize].1 = w as u32;
+            telemetry::GREEDY_WINDOW_REMOVES.add((e - w) as u64);
+            let positions = &occ[s..w];
+            let n = effective_count(positions, len);
+            let savings = params.cost.savings_bits(len, n);
+            debug_assert!(savings <= top, "counts only decrease");
+            if savings <= 0 {
+                continue; // candidate dead; others may still be live
+            }
+            if savings < top {
+                telemetry::GREEDY_STALE_REINSERTS.inc();
+                heap.push((savings, id));
+                continue;
+            }
+
+            // Accept: replace every non-overlapping occurrence left to right.
+            // No index surgery — windows overlapping a replacement simply stop
+            // being live and are compacted away on their next recount.
+            let first = positions[0] as usize;
+            let entry = dict.push(&index.words[first..first + len], n);
+            let mut next = 0;
+            for &p in positions {
+                let p = p as usize;
+                if p >= next {
+                    live[p..p + len].fill(false);
+                    heads[p] = entry;
+                    next = p + len;
+                }
+            }
+            debug_assert_eq!(positions.iter().filter(|&&p| heads[p as usize] == entry).count(), n);
+            telemetry::GREEDY_PICKS_ACCEPTED.inc();
+            telemetry::GREEDY_REPLACEMENTS.add(n as u64);
+            picks.push(PickRecord { entry, len, replaced: n, savings_bits: savings });
+        }
+    }
+
+    /// Drops the windows of every candidate no longer queued: none of them
+    /// pops again, so a checkpoint keeps only what a resumed run reads.
+    /// The spans of the dropped candidates are left dangling.
+    pub(crate) fn keep_queued(&mut self) {
+        let mut occ = Vec::new();
+        for &(_, id) in self.heap.iter() {
+            let (s, e) = self.spans[id as usize];
+            let start = occ.len() as u32;
+            occ.extend_from_slice(&self.occ[s as usize..e as usize]);
+            self.spans[id as usize] = (start, occ.len() as u32);
+        }
+        self.occ = occ;
+    }
+
+    /// Ends the run: moves its dictionary into `dict` and returns the pick
+    /// log and the head array.
+    pub(crate) fn finish(self, dict: &mut Dictionary) -> (Vec<PickRecord>, Vec<u32>) {
+        *dict = self.dict;
+        (self.picks, self.heads)
+    }
 }
 
 /// Rejects programs too large for the index's 32-bit fields: window
@@ -982,12 +1083,10 @@ mod tests {
         }
     }
 
-    /// The bound [`select`]'s guard checks, under every cost model the
-    /// compressor selects with: each encoding's, and refine's probe prices
-    /// (`codense-liao` checks Liao's). At [`LONE_PAYS_FROM`] one occurrence
-    /// pays under the nibble-granular schemes, so the bound is tight.
-    #[test]
-    fn one_occurrence_pays_only_from_five_instructions() {
+    /// Every cost model the compressor selects with, once each: each
+    /// encoding's, and refine's probe prices under the variable-length
+    /// encodings.
+    fn compressor_cost_models() -> Vec<CostModel> {
         use crate::compressor::selection_cost;
         use crate::config::EncodingKind::*;
         let mut models: Vec<CostModel> = [Baseline, OneByte, NibbleAligned, Huffman]
@@ -997,12 +1096,93 @@ mod tests {
         for kind in [NibbleAligned, Huffman] {
             models.extend(crate::selector::PROBE_PRICES.map(|price| selection_cost(kind, price)));
         }
-        for cost in &models {
+        let mut unique = Vec::new();
+        for cost in models {
+            if !unique.contains(&cost) {
+                unique.push(cost);
+            }
+        }
+        unique
+    }
+
+    /// The bound [`select`]'s guard checks, under every cost model the
+    /// compressor selects with (`codense-liao` checks Liao's). At
+    /// [`LONE_PAYS_FROM`] one occurrence pays under the nibble-granular
+    /// schemes, so the bound is tight.
+    #[test]
+    fn one_occurrence_pays_only_from_five_instructions() {
+        use crate::config::EncodingKind::NibbleAligned;
+        for cost in &compressor_cost_models() {
             for len in 1..LONE_PAYS_FROM {
                 assert!(cost.savings_bits(len, 1) <= 0, "{cost:?} at {len}");
             }
         }
-        assert!(selection_cost(NibbleAligned, 16).savings_bits(LONE_PAYS_FROM, 1) > 0);
+        let nibble = crate::compressor::selection_cost(NibbleAligned, 16);
+        assert!(nibble.savings_bits(LONE_PAYS_FROM, 1) > 0);
+    }
+
+    /// A run's pick log, dictionary and head array.
+    type Outcome = (Vec<PickRecord>, Dictionary, Vec<u32>);
+
+    fn outcome(run: Selection) -> Outcome {
+        let mut dict = Dictionary::new();
+        let (picks, heads) = run.finish(&mut dict);
+        (picks, dict, heads)
+    }
+
+    /// The resume property the refinement selector's checkpoint rests on,
+    /// under every cost model the compressor selects with and at caps 1 to
+    /// 8: a run stopped after `k` picks, with only its queued candidates'
+    /// windows kept, resumes to the uninterrupted run; and resumed with the
+    /// candidate of pick `j >= k` skipped, it selects what a from-scratch
+    /// run with that sequence banned does.
+    #[test]
+    fn resumed_runs_match_from_scratch_runs() {
+        let mut rng = codense_codegen::Rng::new(0x2E5_03E5);
+        let (mut resumed, mut capped) = (0, 0);
+        for case in 0..32 {
+            let (m, mask) = random_module(&mut rng);
+            let mut model = ProgramModel::build_isa(&m, PPC);
+            model.exclude(&mask);
+            let index = CandidateIndex::build(&model, 8).unwrap();
+            for cost in compressor_cost_models() {
+                for cap in 1..=8 {
+                    // Some runs stop at the codeword cap, not for want of
+                    // candidates.
+                    let max_codewords = if (case + cap) % 5 == 0 { 3 } else { 64 };
+                    let params = GreedyParams { max_entry_len: cap, max_codewords, cost };
+                    let ctx =
+                        format!("case {case}, {cost:?}, cap {cap}, {max_codewords} codewords");
+                    let fresh =
+                        || Selection::start(&index, Dictionary::new(), params, &BanSet::new());
+                    let mut run = fresh();
+                    run.run(&index, usize::MAX, None);
+                    let full = outcome(run);
+                    capped += usize::from(full.0.len() == max_codewords);
+                    for k in 0..=full.0.len() {
+                        let mut checkpoint = fresh();
+                        checkpoint.run(&index, k, None);
+                        checkpoint.keep_queued();
+                        let mut run = checkpoint.clone();
+                        run.run(&index, usize::MAX, None);
+                        assert_eq!(outcome(run), full, "{ctx}: resumed after {k} picks");
+                        for pick in &full.0[k..] {
+                            let seq = &full.1.entry(pick.entry).words;
+                            let mut bans = BanSet::new();
+                            bans.insert(seq.clone());
+                            let mut dict = Dictionary::new();
+                            let (picks, heads) = select(&index, &mut dict, params, &bans);
+                            let mut run = checkpoint.clone();
+                            run.run(&index, usize::MAX, index.id_of(seq));
+                            let ctx = format!("{ctx}: entry {} skipped after {k}", pick.entry);
+                            assert_eq!(outcome(run), (picks, dict, heads), "{ctx}");
+                            resumed += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(resumed > 5000 && capped > 0, "{resumed} skipping runs, {capped} capped");
     }
 
     #[test]

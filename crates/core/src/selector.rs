@@ -23,26 +23,41 @@
 //!    over the remaining candidate universe. Banning an entry redirects
 //!    its occurrences to other candidates, which greedy then re-selects —
 //!    the "swap". Keep the trial only if it improves; otherwise lift the
-//!    ban.
+//!    ban. A round probes up to eight marginal entries
+//!    (`MARGINALS_PER_ROUND`) and ends at the first accepted swap.
 //! 4. Repeat until no marginal ban improves, or the trial budget runs out.
 //!
 //! The incumbent only ever changes to a strictly cheaper solution, so the
 //! refined result is **never worse than greedy** under the exact cost; a
 //! fixed probe order and budget make it deterministic for a given input.
 //!
-//! A trial is one selection plus one layout. The program model is built and
-//! mined once per refinement, into one [`CandidateIndex`] every trial
-//! selects against, and the module's branches are resolved once, into the
-//! `Prepared` every lay-out reads. A trial is scored by its
-//! `LaidOut::cost`, which is exact: the layout fixpoint already knows every
-//! atom's size. Only the winner is patched and packed.
+//! The program model is built and mined once per refinement, into one
+//! [`CandidateIndex`] every selection runs against, and the module's
+//! branches are resolved once, into the `Prepared` every lay-out reads. A
+//! trial is scored by its `LaidOut::cost`, which is exact: the layout
+//! fixpoint already knows every atom's size. Only the winner is patched and
+//! packed.
+//!
+//! A re-price probe selects from scratch, since a price change reorders the
+//! picks from the first one on. A ban trial does not. Each greedy step
+//! accepts the greatest (true savings, candidate id) among the unbanned
+//! candidates, so a run that also bans the sequence of pick `j` makes the
+//! incumbent's first `j` picks and reaches the incumbent's state after
+//! them. Each round therefore re-runs the incumbent's selection once, with
+//! its bans and price, up to `k` picks, `k` the round's earliest marginal
+//! entry, and keeps that state, with only the windows of the candidates
+//! still queued, as the round's checkpoint. Every ban trial of the round
+//! clones it and selects only the tail, skipping the banned candidate when
+//! it pops, which selects what banning it from the start would. A trial is
+//! that tail plus one layout.
 
 use codense_obj::ObjectModule;
 
 use crate::compressor::{CompressedProgram, Compressor, LaidOut, Prepared};
 use crate::config::EncodingKind;
+use crate::dict::Dictionary;
 use crate::error::CompressError;
-use crate::greedy::{BanSet, CandidateIndex};
+use crate::greedy::{BanSet, CandidateIndex, Selection};
 use crate::telemetry;
 
 /// Which dictionary-selection strategy a [`Compressor`] runs.
@@ -93,8 +108,10 @@ impl SelectorKind {
 /// the log is re-ranked and probing starts over.
 const MARGINALS_PER_ROUND: usize = 8;
 
-/// Total recompression budget. Refinement cost is `trials + 1` selection +
-/// layout passes over a shared index.
+/// Total trial budget: re-price probes plus ban trials. A probe selects
+/// from scratch; a ban trial selects only the tail its checkpoint leaves,
+/// and each round of ban trials costs one partial selection for the
+/// checkpoint. Every trial is laid out in full.
 const MAX_TRIALS: usize = 24;
 
 /// The codeword prices (bits) phase 1 re-prices selection at under the
@@ -111,7 +128,7 @@ pub(crate) fn refine(
     exempt: &[bool],
     shared_index: Option<&CandidateIndex>,
 ) -> Result<CompressedProgram, CompressError> {
-    refine_observed(c, module, exempt, shared_index, |prep, trial| {
+    refine_observed(c, module, exempt, shared_index, |prep, trial, _| {
         debug_assert_eq!(packed_bytes(c, prep, trial), trial.cost(), "trial cost != packed size");
     })
 }
@@ -121,20 +138,27 @@ fn packed_bytes(c: &Compressor, prep: &Prepared, trial: &LaidOut) -> usize {
     c.finish(prep, trial.clone()).expect("a laid-out trial finishes").compressed_bytes()
 }
 
+/// A ban trial as the climb ran it: the incumbent's bans, the sequence of
+/// the marginal entry the trial bans, and the incumbent's codeword price.
+/// Resumed from the round's checkpoint of the incumbent's selection, the
+/// trial selects what a from-scratch selection at that price, minus both
+/// the bans and the banned sequence, does.
+type BanTrial<'a> = (&'a BanSet, &'a [u32], Option<u32>);
+
 /// [`refine`], handing `observe` every lay-out it scores: greedy's, then
-/// each trial's that lays out.
+/// each trial's that lays out, with the ban trials' [`BanTrial`].
 fn refine_observed(
     c: &Compressor,
     module: &ObjectModule,
     exempt: &[bool],
     shared_index: Option<&CandidateIndex>,
-    mut observe: impl FnMut(&Prepared, &LaidOut),
+    mut observe: impl FnMut(&Prepared, &LaidOut, Option<BanTrial>),
 ) -> Result<CompressedProgram, CompressError> {
     telemetry::REFINE_RUNS.inc();
     let _refine = telemetry::phase("refine");
     let prep = Prepared::new(c, module, exempt)?;
 
-    // Every trial re-selects against one index. Mine it from the masked
+    // Every trial selects against one index. Mine it from the masked
     // model when the caller didn't supply one, exactly as a fresh greedy
     // run would; the model is dropped once mined.
     let owned;
@@ -147,19 +171,20 @@ fn refine_observed(
             &owned
         }
     };
-    let mut lay_out = |bans: &BanSet, price: Option<u32>| {
-        let laid = {
-            let _phase = telemetry::phase("compress");
-            c.lay_out(&prep, Some(index), bans, price)
-        };
+    // A lay-out of a from-scratch selection at `price`, minus `bans`.
+    let from_scratch = |bans: &BanSet, price: Option<u32>| {
+        let _phase = telemetry::phase("compress");
+        c.lay_out(&prep, |dict| c.select(&prep, Some(index), bans, price, dict))
+    };
+    let mut scored = |laid: Result<LaidOut, CompressError>, ban: Option<BanTrial>| {
         if let Ok(laid) = &laid {
-            observe(&prep, laid);
+            observe(&prep, laid, ban);
         }
         laid
     };
 
     let mut bans = BanSet::new();
-    let mut best = lay_out(&bans, None)?;
+    let mut best = scored(from_scratch(&bans, None), None)?;
     let mut best_cost = best.cost();
     let mut trials = 0usize;
 
@@ -170,7 +195,8 @@ fn refine_observed(
     // marginal picks that bloat them. The probe points were chosen
     // empirically over the benchmark suite; the exact layout cost
     // arbitrates, so a probe that doesn't pan out costs one trial and
-    // changes nothing.
+    // changes nothing. A price change reorders the picks from the first
+    // one on, so each probe selects from scratch.
     let mut price: Option<u32> = None;
     let probe_prices: &[u32] = match c.config().encoding {
         EncodingKind::NibbleAligned | EncodingKind::Huffman => &PROBE_PRICES,
@@ -182,7 +208,7 @@ fn refine_observed(
         }
         trials += 1;
         telemetry::REFINE_TRIALS.inc();
-        let Ok(trial) = lay_out(&bans, Some(p)) else {
+        let Ok(trial) = scored(from_scratch(&bans, Some(p)), None) else {
             continue;
         };
         let cost = trial.cost();
@@ -201,29 +227,51 @@ fn refine_observed(
         let mut order: Vec<(i64, u32)> =
             best.picks.iter().map(|p| (p.savings_bits, p.entry)).collect();
         order.sort_unstable();
+        order.truncate(MARGINALS_PER_ROUND.min(MAX_TRIALS - trials));
 
-        for &(_, entry) in order.iter().take(MARGINALS_PER_ROUND) {
-            if trials >= MAX_TRIALS {
-                break;
-            }
-            let mut trial_bans = bans.clone();
-            trial_bans.insert(best.dictionary.entry(entry).words.clone());
+        // A trial that bans pick `j` repeats the incumbent's first `j`
+        // picks, so every trial of the round starts from the incumbent's
+        // state after its `k` picks, `k` the earliest marginal entry:
+        // select those once, into the checkpoint each trial resumes from.
+        let Some(k) = order.iter().map(|&(_, entry)| entry as usize).min() else {
+            break;
+        };
+        let checkpoint = {
+            let _phase = telemetry::phase("checkpoint");
+            let mut run = Selection::start(index, Dictionary::new(), c.greedy_params(price), &bans);
+            run.run(index, k, None);
+            run.keep_queued();
+            run
+        };
+
+        for &(_, entry) in &order {
+            let banned = &best.dictionary.entry(entry).words;
+            let skip = index.id_of(banned).expect("every dictionary entry is a candidate");
             trials += 1;
             telemetry::REFINE_TRIALS.inc();
+            let laid = {
+                let _phase = telemetry::phase("compress");
+                c.lay_out(&prep, |dict| {
+                    let _phase = telemetry::phase("select");
+                    let mut run = checkpoint.clone();
+                    run.run(index, usize::MAX, Some(skip));
+                    Ok(run.finish(dict))
+                })
+            };
             // A trial that fails to lay out (e.g. the alternative layout
             // hits an unsupported overflow branch) is simply not an
             // improvement; the incumbent stands.
-            let Ok(trial) = lay_out(&trial_bans, price) else {
+            let Ok(trial) = scored(laid, Some((&bans, banned, price))) else {
                 continue;
             };
             let cost = trial.cost();
             if cost < best_cost {
                 telemetry::REFINE_SWAPS_ACCEPTED.inc();
-                bans = trial_bans;
+                bans.insert(banned.clone());
                 best = trial;
                 best_cost = cost;
                 // The pick log changed; re-rank the marginals against the
-                // new incumbent.
+                // new incumbent, from a fresh checkpoint.
                 continue 'climb;
             }
         }
@@ -311,12 +359,16 @@ mod tests {
         assert_eq!(fresh.image, shared.image);
     }
 
-    /// Every lay-out refine scores costs exactly what its packed image
-    /// does, summed part by part: on both ISAs' suites (PPC `gcc` under
-    /// huffman rewrites branches through the overflow table on every
-    /// trial), under all four encodings, and with a hot-exempt mask.
-    #[test]
-    fn every_scored_layout_costs_what_it_packs_to() {
+    /// Refines every case of the battery, handing `check` each lay-out
+    /// refine scores, with its ban trial if it is one, the compressor, the
+    /// shared index and a context string. The battery: both ISAs' suites
+    /// (PPC `gcc` under huffman rewrites branches through the overflow
+    /// table on every trial), under all four encodings, and under huffman
+    /// once more with every fourth instruction hot. Returns the number of
+    /// lay-outs each refinement scored.
+    fn over_the_battery(
+        check: impl Fn(&Compressor, &CandidateIndex, &Prepared, &LaidOut, Option<BanTrial>, &str) + Sync,
+    ) -> Vec<usize> {
         use codense_codegen::{generate_suite, isa_ref};
         let configs = [
             CompressionConfig::baseline(),
@@ -324,39 +376,87 @@ mod tests {
             CompressionConfig::nibble_aligned(),
             CompressionConfig::huffman(),
         ];
-        let cases: Vec<(ObjectModule, CompressionConfig)> = codense_isa::IsaId::ALL
+        let cases: Vec<(ObjectModule, CompressionConfig, Vec<bool>)> = codense_isa::IsaId::ALL
             .into_iter()
             .flat_map(generate_suite)
             .flat_map(|m| configs.iter().map(move |config| (m.clone(), config.clone())))
+            .flat_map(|(m, config)| {
+                let hot = (0..m.len()).map(|i| i % 4 == 0).collect();
+                let masks = match config.encoding {
+                    EncodingKind::Huffman => vec![Vec::new(), hot],
+                    _ => vec![Vec::new()],
+                };
+                masks.into_iter().map(move |exempt| (m.clone(), config.clone(), exempt))
+            })
             .collect();
-        let scored = crate::parallel::par_map(cases, |_, (m, config)| {
+        crate::parallel::par_map(cases, |_, (m, config, exempt)| {
             let c = Compressor::new(config).with_isa(isa_ref(m.isa));
-            // Every fourth instruction hot, under huffman only: one masked
-            // refinement per module.
-            let masks: &[Vec<bool>] = if c.config().encoding == EncodingKind::Huffman {
-                &[Vec::new(), (0..m.len()).map(|i| i % 4 == 0).collect()]
-            } else {
-                &[Vec::new()]
-            };
+            let ctx =
+                format!("{} {} {:?} mask {}", m.isa, m.name, c.config().encoding, exempt.len());
+            let model = c.build_masked_model(&m, &exempt);
+            let index = CandidateIndex::build(&model, c.config().max_entry_len).unwrap();
             let mut scored = 0;
-            for exempt in masks {
-                let ctx =
-                    format!("{} {} {:?} mask {}", m.isa, m.name, c.config().encoding, exempt.len());
-                refine_observed(&c, &m, exempt, None, |prep, trial| {
-                    let p = c.finish(prep, trial.clone()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    let packed = p.text_bytes()
-                        + p.dictionary_bytes()
-                        + p.overflow_table_bytes()
-                        + p.huffman_table_bytes();
-                    assert_eq!(trial.cost(), packed, "{ctx}");
-                    scored += 1;
-                })
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            }
+            refine_observed(&c, &m, &exempt, Some(&index), |prep, laid, ban| {
+                check(&c, &index, prep, laid, ban, &ctx);
+                scored += 1;
+            })
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             scored
+        })
+    }
+
+    /// Every lay-out refine scores costs exactly what its packed image
+    /// does, summed part by part, over the battery.
+    #[test]
+    fn every_scored_layout_costs_what_it_packs_to() {
+        let scored = over_the_battery(|c, _, prep, laid, _, ctx| {
+            let p = c.finish(prep, laid.clone()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let packed = p.text_bytes()
+                + p.dictionary_bytes()
+                + p.overflow_table_bytes()
+                + p.huffman_table_bytes();
+            assert_eq!(laid.cost(), packed, "{ctx}");
         });
         // Greedy plus at least one trial per refinement.
         assert!(scored.iter().all(|&n| n >= 2), "{scored:?}");
+    }
+
+    /// The executable specification of a ban trial: a from-scratch
+    /// selection over the whole candidate universe at the incumbent's
+    /// price, minus its bans and the banned sequence, laid out.
+    fn ban_trial_from_scratch(
+        c: &Compressor,
+        index: &CandidateIndex,
+        prep: &Prepared,
+        (bans, banned, price): BanTrial,
+    ) -> Result<LaidOut, CompressError> {
+        let mut bans = bans.clone();
+        bans.insert(banned.to_vec());
+        c.lay_out(prep, |dict| c.select(prep, Some(index), &bans, price, dict))
+    }
+
+    /// Every ban trial, resumed from its round's checkpoint, finishes to the
+    /// program its from-scratch specification does, over the battery.
+    #[test]
+    fn resumed_ban_trials_match_from_scratch_trials() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        let compared = AtomicUsize::new(0);
+        let refinements = over_the_battery(|c, index, prep, laid, ban, ctx| {
+            let Some(ban) = ban else { return };
+            compared.fetch_add(1, Relaxed);
+            let spec = ban_trial_from_scratch(c, index, prep, ban).unwrap_or_else(|e| {
+                panic!("{ctx}: the spec fails where the resumed trial does not: {e}")
+            });
+            let (resumed, spec) = (c.finish(prep, laid.clone()), c.finish(prep, spec));
+            let (resumed, spec) = (resumed.unwrap(), spec.unwrap());
+            assert_eq!(resumed.picks, spec.picks, "{ctx}");
+            assert_eq!(resumed.dictionary, spec.dictionary, "{ctx}");
+            assert_eq!(resumed.atoms, spec.atoms, "{ctx}");
+            assert_eq!(resumed.overflow_table, spec.overflow_table, "{ctx}");
+            assert_eq!(resumed.image, spec.image, "{ctx}");
+        });
+        // Most refinements run several ban trials.
+        assert!(compared.into_inner() > 2 * refinements.len(), "{refinements:?}");
     }
 
     #[test]
