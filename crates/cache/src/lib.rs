@@ -14,9 +14,11 @@
 //! the nibbles it read. The same trace also drives the paper's §3.3
 //! dictionary-cache model ([`replay_dict_cache`]).
 //!
-//! A compressed program touches fewer distinct bytes for the same executed
-//! instructions, so at equal cache size its miss count can only shrink —
-//! measured, not assumed, by `codense-experiments`' `cache` exhibit.
+//! A compressed program usually touches fewer distinct bytes for the same
+//! executed instructions, so it misses less at equal cache size. The `cache`
+//! exhibit (`codense exhibit cache`) measures this rather than assuming it:
+//! tiny low-redundancy kernels grow under the escape overhead and can miss
+//! more.
 //!
 //! # Example
 //!

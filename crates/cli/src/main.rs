@@ -2,8 +2,9 @@
 //!
 //! One subcommand per pipeline stage or experiment: module generation and
 //! inspection (`gen`, `info`, `disasm`, `analyze`, `asm`), compression
-//! (`compress`), execution (`run-kernel`), the paper's tables (`repro`,
-//! `sweep`), SPEC-scale programs (`corpus`), profile-guided hybrid images
+//! (`compress`), execution (`run-kernel`), the paper's tables and figures
+//! (`repro`, `exhibit`, and `sweep`, which runs Figs 4, 5 and 8 on one
+//! module), SPEC-scale programs (`corpus`), profile-guided hybrid images
 //! (`profile`, `hybrid`, `hybrid-sweep`), differential fuzzing (`fuzz`), and
 //! the compression service (`serve`, `loadgen`). [`USAGE`] is
 //! the user-facing reference; [`COMMANDS`] holds each subcommand's flag
@@ -22,6 +23,8 @@ use codense_isa::IsaId;
 use codense_obj::ObjectModule;
 
 mod corpus;
+mod exhibits;
+mod report;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,9 +104,9 @@ usage:
   codense asm <FILE.s> [-o OUT.cdm] [--isa ppc|mips]
   codense run-kernel <NAME|list>
                      [--encoding baseline|onebyte|nibble|huffman|none]
-  codense repro [--bench NAME] [--isa ppc|mips|both] [--out BENCH_isa.json]
-                [--selector greedy|refine] [--ratio-out BENCH_ratio.json]
-                [--corpus N]
+  codense repro [--bench NAME] [--isa ppc|mips|both] [--selector greedy|refine]
+                [--ratio-out BENCH_ratio.json] [--corpus N]
+  codense exhibit <NAME...|all>
   codense corpus [--insns N] [--dup N] [--seed S] [--isa ppc|mips]
                  [-o FILE.cdm]
   codense sweep [--bench NAME] [--isa ppc|mips] [--selector greedy|refine]
@@ -125,7 +128,7 @@ usage:
                   [--timeout-ms N] [--shutdown]
 
 --jobs N sets the worker-thread count for parallel phases (sweep points,
-suite generation, fuzz campaigns); the default is the
+suite generation, exhibits, fuzz campaigns); the default is the
 machine's available parallelism, and --jobs 1 is the exact sequential
 reference. Output is bit-identical at any job count.
 
@@ -147,11 +150,15 @@ prints the compression-ratio table (the paper's headline numbers).
 MIPS templates; `both` prints one table per ISA). --selector picks the
 dictionary selector for the printed table (greedy is the paper's
 algorithm; refine hill-climbs the greedy pick log under the real layout
-cost model). --out writes the schema-1 BENCH_isa.json cross-ISA density
-artifact, which always carries both backends under the greedy selector.
---ratio-out writes the schema-1 BENCH_ratio.json density trajectory:
-per-bench ratios for every ISA x selector x encoding cell, with means
-(see EXPERIMENTS.md for both bless workflows).
+cost model). --ratio-out writes the schema-1 BENCH_ratio.json density
+artifact: per-bench ratios for every ISA x selector x encoding cell, with
+means (see EXPERIMENTS.md for the bless workflow).
+
+exhibit prints the paper's tables and figures (fig1, table1, fig2, fig4,
+fig5, table2, fig6-fig11, table3) and the extensions (methods, bandwidth,
+thumb, cache, prologue, partition, dictcache, splits, mix, hybrid) on the
+PowerPC suite, in the order named; `all` prints every one in paper order.
+Each exhibit is a --metrics phase of its name.
 
 corpus builds one seeded-deterministic SPEC-scale program (see DESIGN.md
 section 15): deep multi-module call graphs over a library layer duplicated
@@ -163,14 +170,14 @@ suffixes (default 100k). -o writes the module as a .cdm file.
 --corpus N on repro/sweep/profile/hybrid-sweep/loadgen swaps that
 command's benchmark for the N-instruction corpus program (sharing --dup /
 --seed with the corpus command). repro prints the corpus row under the
-suite table without touching the blessed artifacts; profile and
+suite table without touching the blessed artifact; profile and
 hybrid-sweep run it as a PPC profiling subject. Performance at corpus
 scale is measured by the repository benchmark (benchmark/README.md).
 
-sweep runs the parameter sweeps behind Figures 4-8 (max entry length,
-codeword count, small dictionaries) on one benchmark (default `compress`)
-under the --isa backend. --selector refine recompresses every sweep
-point with the refinement selector (no pick-log shortcuts).
+sweep prints Figures 4, 5 and 8 (max entry length, codeword count, small
+dictionaries) for one benchmark (default `compress`) under the --isa
+backend. --selector refine recompresses every sweep point with the
+refinement selector (no pick-log shortcuts).
 
 serve runs the batch-compression TCP service (DESIGN.md section 10): a
 poll(2) reactor with pipelined per-connection state machines, a bounded
@@ -308,13 +315,8 @@ const COMMANDS: &[Command] = &[
     cmd("analyze", cmd_analyze, 1, "", ""),
     cmd("asm", cmd_asm, 1, "-o --isa", ""),
     cmd("run-kernel", cmd_run_kernel, 1, "--encoding", ""),
-    cmd(
-        "repro",
-        cmd_repro,
-        0,
-        "--bench --isa --out --ratio-out --selector --corpus --dup --seed",
-        "",
-    ),
+    cmd("repro", cmd_repro, 0, "--bench --isa --ratio-out --selector --corpus --dup --seed", ""),
+    cmd("exhibit", cmd_exhibit, exhibits::EXHIBITS.len(), "", ""),
     cmd("corpus", corpus::cmd_corpus, 0, "--insns --dup --seed --isa -o", ""),
     cmd("sweep", cmd_sweep, 0, "--bench --isa --selector --corpus --dup --seed", ""),
     cmd(
@@ -453,20 +455,29 @@ fn module_from_bytes(path: &str, bytes: &[u8]) -> Result<ObjectModule, String> {
     Ok(m)
 }
 
+/// The benchmark suite lowered for `isa` in the paper's order, or only the
+/// benchmark `bench`. Each module is generated from its own seeded
+/// profile, so the suite is generated on the worker pool with output
+/// identical to `generate_suite`.
+fn suite(isa: IsaId, bench: Option<&str>) -> Result<Vec<ObjectModule>, String> {
+    let profiles: Vec<_> = codense_codegen::spec_profiles()
+        .into_iter()
+        .filter(|p| bench.is_none_or(|b| p.name == b))
+        .collect();
+    if profiles.is_empty() {
+        return Err(format!("unknown benchmark `{}`", bench.unwrap_or_default()));
+    }
+    let _phase = codense_core::telemetry::phase("suite-gen");
+    Ok(codense_core::parallel::par_map(profiles, |_, p| {
+        codense_codegen::generate_module(&p, isa, LowerOptions::default())
+    }))
+}
+
 fn cmd_gen(args: &Args) -> CliResult {
     let which = args.positional(0).ok_or("gen: missing benchmark name (or `all`)")?;
     let dir = args.value("-o").unwrap_or(".");
+    let modules = suite(IsaId::Ppc, Some(which).filter(|&w| w != "all"))?;
     std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
-    let modules: Vec<ObjectModule> = if which == "all" {
-        // Each benchmark is generated from its own seeded profile, so the
-        // suite parallelizes with output identical to `generate_suite`.
-        codense_core::parallel::par_map(codense_codegen::spec_profiles(), |_, p| {
-            codense_codegen::generate_module(&p, IsaId::Ppc, LowerOptions::default())
-        })
-    } else {
-        vec![codense_codegen::benchmark(which, IsaId::Ppc)
-            .ok_or_else(|| format!("unknown benchmark `{which}`"))?]
-    };
     for m in modules {
         let path = format!("{dir}/{}.cdm", m.name);
         std::fs::write(&path, codense_obj::serialize(&m)).map_err(|e| format!("{path}: {e}"))?;
@@ -750,7 +761,7 @@ fn cmd_asm(args: &Args) -> CliResult {
 
 /// One `repro` table row: benchmark name, instruction count, text bytes,
 /// ratio per encoding in [`EncodingKind::ALL`] order, the table's column
-/// order (the JSON artifacts sort keys alphabetically on their own).
+/// order (the JSON artifact sorts keys alphabetically on its own).
 type ReproRow = (String, usize, usize, [f64; 4]);
 
 /// Generates the suite for one backend and compresses every benchmark
@@ -760,22 +771,8 @@ fn repro_rows(
     bench_filter: Option<&str>,
     selector: SelectorKind,
 ) -> Result<Vec<ReproRow>, String> {
-    use codense_core::telemetry;
-    let profiles: Vec<_> = codense_codegen::spec_profiles()
-        .into_iter()
-        .filter(|p| bench_filter.is_none_or(|b| p.name == b))
-        .collect();
-    if profiles.is_empty() {
-        return Err(format!("repro: unknown benchmark `{}`", bench_filter.unwrap_or("")));
-    }
-    let modules: Vec<ObjectModule> = {
-        let _phase = telemetry::phase("suite-gen");
-        codense_core::parallel::par_map(profiles, move |_, p| {
-            codense_codegen::generate_module(&p, isa, LowerOptions::default())
-        })
-    };
-
-    let _compress_phase = telemetry::phase("compress-suite");
+    let modules = suite(isa, bench_filter)?;
+    let _compress_phase = codense_core::telemetry::phase("compress-suite");
     codense_core::parallel::par_map(modules, move |_, m| repro_row(m.name.clone(), &m, selector))
         .into_iter()
         .collect::<Result<_, _>>()
@@ -848,20 +845,15 @@ fn ratio_fields(ratios: &[f64; 4]) -> Vec<(&'static str, String)> {
 }
 
 /// Appends one artifact cell indented by `pad`: a `"benches"` object with
-/// one line per benchmark, by name (with its sizes when `sizes`), then the
-/// per-encoding `"mean"`.
-fn push_cell(json: &mut String, pad: &str, rows: &[ReproRow], sizes: bool) {
+/// one line per benchmark, by name, then the per-encoding `"mean"`.
+fn push_cell(json: &mut String, pad: &str, rows: &[ReproRow]) {
     let mut rows: Vec<_> = rows.to_vec();
     rows.sort_by(|a, b| a.0.cmp(&b.0));
     json.push_str(&format!("{pad}\"benches\": {{\n"));
     let mut mean = [0.0f64; 4];
-    for (bi, (name, insns, bytes, r)) in rows.iter().enumerate() {
-        let mut fields = ratio_fields(r);
-        if sizes {
-            fields.extend([("insns", insns.to_string()), ("text_bytes", bytes.to_string())]);
-        }
+    for (bi, (name, _, _, r)) in rows.iter().enumerate() {
         let comma = if bi + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!("{pad}  \"{name}\": {}{comma}\n", json_object(fields)));
+        json.push_str(&format!("{pad}  \"{name}\": {}{comma}\n", json_object(ratio_fields(r))));
         for (m, x) in mean.iter_mut().zip(r) {
             *m += x;
         }
@@ -869,24 +861,6 @@ fn push_cell(json: &mut String, pad: &str, rows: &[ReproRow], sizes: bool) {
     let n = rows.len() as f64;
     let mean = json_object(ratio_fields(&mean.map(|m| m / n)));
     json.push_str(&format!("{pad}}},\n{pad}\"mean\": {mean}\n"));
-}
-
-/// Renders the schema-1 `BENCH_isa.json` cross-ISA density artifact:
-/// sorted-key JSON with per-benchmark ratios and per-ISA means for both
-/// backends under all four encodings (greedy selector).
-fn render_isa_artifact(per_isa: &[(&str, &[ReproRow])]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"isas\": {\n");
-    let mut isas: Vec<_> = per_isa.to_vec();
-    isas.sort_by_key(|(name, _)| *name);
-    for (ii, (isa, rows)) in isas.iter().enumerate() {
-        let isa_comma = if ii + 1 < isas.len() { "," } else { "" };
-        json.push_str(&format!("    \"{isa}\": {{\n"));
-        push_cell(&mut json, "      ", rows, true);
-        json.push_str(&format!("    }}{isa_comma}\n"));
-    }
-    json.push_str("  },\n  \"schema\": 1\n}\n");
-    json
 }
 
 /// One ISA's column of the ratio artifact: repro rows per selector.
@@ -911,7 +885,7 @@ fn render_ratio_artifact(per_isa: &[(&str, SelectorCells)]) -> String {
         for (si, (selector, rows)) in selectors.iter().enumerate() {
             let sel_comma = if si + 1 < selectors.len() { "," } else { "" };
             json.push_str(&format!("      \"{}\": {{\n", selector.name()));
-            push_cell(&mut json, "        ", rows, false);
+            push_cell(&mut json, "        ", rows);
             json.push_str(&format!("      }}{sel_comma}\n"));
         }
         json.push_str(&format!("    }}{isa_comma}\n"));
@@ -930,13 +904,11 @@ fn cmd_repro(args: &Args) -> CliResult {
         name => vec![IsaId::from_name(name)
             .ok_or_else(|| format!("unknown ISA `{name}` (ppc|mips|both)"))?],
     };
-    let out_path = args.value("--out");
     let ratio_path = args.value("--ratio-out");
     let selector = parse_selector(args)?;
 
-    // (isa, selector) → rows, computed lazily so the table, the isa
-    // artifact (always greedy), and the ratio artifact (both selectors)
-    // share work.
+    // (isa, selector) → rows, computed lazily so the table and the ratio
+    // artifact share work.
     let mut computed: Vec<((IsaId, SelectorKind), Vec<ReproRow>)> = Vec::new();
     fn rows_for<'a>(
         computed: &'a mut Vec<((IsaId, SelectorKind), Vec<ReproRow>)>,
@@ -964,28 +936,11 @@ fn cmd_repro(args: &Args) -> CliResult {
         }
         print_repro_table(rows);
         // The corpus scale point rides along in the printed table only; the
-        // blessed artifacts carry the fixed suite.
+        // blessed artifact carries the fixed suite.
         if let Some(n) = corpus_insns {
             let p = corpus::corpus_program(args, n, isa)?;
             print_repro_row(&repro_row(corpus::corpus_name(p.spec.insns), &p.module, selector)?);
         }
-    }
-
-    // The isa artifact is the cross-ISA comparison: it always carries both
-    // backends under the greedy selector, computing whatever the table
-    // display didn't need.
-    if let Some(path) = out_path {
-        for isa in IsaId::ALL {
-            rows_for(&mut computed, isa, SelectorKind::Greedy, bench_filter)?;
-        }
-        let per_isa: Vec<(&str, &[ReproRow])> = computed
-            .iter()
-            .filter(|((_, s), _)| *s == SelectorKind::Greedy)
-            .map(|((i, _), r)| (i.name(), r.as_slice()))
-            .collect();
-        let json = render_isa_artifact(&per_isa);
-        std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
-        println!("{path}: {} isa(s)", per_isa.len());
     }
 
     // The ratio artifact carries the full isa × selector × encoding grid.
@@ -1013,97 +968,31 @@ fn cmd_repro(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Parameter sweeps behind Figures 4-8 on one benchmark.
+/// Runs the named exhibits on the PowerPC suite.
+fn cmd_exhibit(args: &Args) -> CliResult {
+    let chosen = exhibits::select(&args.positionals)?;
+    let mut ctx = exhibits::Ctx::new(suite(IsaId::Ppc, None)?, SelectorKind::Greedy);
+    let insns: usize = ctx.suite.iter().map(ObjectModule::len).sum();
+    println!("benchmark suite: {} programs, {insns} total instructions\n", ctx.suite.len());
+    exhibits::run(&mut ctx, &chosen);
+    Ok(())
+}
+
+/// Figures 4, 5 and 8 on one module.
 fn cmd_sweep(args: &Args) -> CliResult {
-    use codense_core::{sweep, telemetry};
-    let bench = args.value("--bench").unwrap_or("compress");
     let isa = parse_isa(args)?;
     let selector = parse_selector(args)?;
     let module = match corpus::corpus_arg(args)? {
         Some(n) => corpus::corpus_program(args, n, isa)?.module,
-        None => codense_codegen::benchmark(bench, isa)
-            .ok_or_else(|| format!("unknown benchmark `{bench}`"))?,
+        None => suite(isa, Some(args.value("--bench").unwrap_or("compress")))?.remove(0),
     };
-    let isa = isa_ref(module.isa);
     println!("sweeps on `{}` ({} insns, {} bytes)", module.name, module.len(), module.text_bytes());
     if selector != SelectorKind::Greedy {
         println!("selector: refine");
     }
-    // Refinement invalidates the greedy pick-log prefix shortcut the core
-    // sweeps lean on, so the refine path recompresses every point honestly.
-    let ratio_at = |config: CompressionConfig| -> Result<f64, String> {
-        let c = Compressor::new(config)
-            .with_isa(isa)
-            .with_selector(selector)
-            .compress(&module)
-            .map_err(|e| e.to_string())?;
-        Ok(c.compression_ratio())
-    };
-
-    {
-        let _phase = telemetry::phase("sweep-entry-len");
-        let lens = [1usize, 2, 3, 4, 6, 8];
-        let points: Vec<(usize, f64)> = match selector {
-            SelectorKind::Greedy => {
-                sweep::entry_len_sweep_with_isa(&module, isa, &lens).map_err(|e| e.to_string())?
-            }
-            SelectorKind::Refine => lens
-                .iter()
-                .map(|&l| {
-                    let kind = EncodingKind::Baseline;
-                    let config = CompressionConfig {
-                        max_entry_len: l,
-                        max_codewords: kind.capacity(),
-                        encoding: kind,
-                    };
-                    Ok((l, ratio_at(config)?))
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        println!("max entry length (Fig 4):");
-        for (l, ratio) in points {
-            println!("  {l:>2} insns: {:.1}%", 100.0 * ratio);
-        }
-    }
-    {
-        let _phase = telemetry::phase("sweep-codewords");
-        let counts = [16usize, 64, 256, 1024, 4096, 8192];
-        let points: Vec<(usize, f64)> = match selector {
-            SelectorKind::Greedy => sweep::codeword_count_sweep_with_isa(&module, isa, 4, &counts)
-                .map_err(|e| e.to_string())?,
-            SelectorKind::Refine => counts
-                .iter()
-                .map(|&k| {
-                    let config = CompressionConfig {
-                        max_entry_len: 4,
-                        max_codewords: k,
-                        encoding: EncodingKind::Baseline,
-                    };
-                    Ok((k, ratio_at(config)?))
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        println!("codeword count (Fig 5):");
-        for (k, ratio) in points {
-            println!("  {k:>5} codewords: {:.1}%", 100.0 * ratio);
-        }
-    }
-    {
-        let _phase = telemetry::phase("sweep-small-dict");
-        let counts = [16usize, 32, 64, 128, 256];
-        let points: Vec<(usize, f64)> = match selector {
-            SelectorKind::Greedy => sweep::small_dictionary_sweep_with_isa(&module, isa, &counts)
-                .map_err(|e| e.to_string())?,
-            SelectorKind::Refine => counts
-                .iter()
-                .map(|&n| Ok((n, ratio_at(CompressionConfig::small_dictionary(n))?)))
-                .collect::<Result<_, String>>()?,
-        };
-        println!("small dictionaries, 1-byte codewords (Fig 8):");
-        for (n, ratio) in points {
-            println!("  {n:>4} entries: {:.1}%", 100.0 * ratio);
-        }
-    }
+    println!();
+    let figures = exhibits::select(&["fig4", "fig5", "fig8"])?;
+    exhibits::run(&mut exhibits::Ctx::new(vec![module], selector), &figures);
     Ok(())
 }
 

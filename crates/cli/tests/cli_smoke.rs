@@ -124,6 +124,71 @@ fn metrics_time_the_vm() {
 }
 
 #[test]
+fn metrics_name_the_command_and_time_each_exhibit() {
+    let dir = tmpdir("exhibit-phase");
+    let metrics = dir.join("m.json");
+    let out = bin()
+        .args(["--metrics", metrics.to_str().unwrap(), "exhibit", "fig10", "table3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    assert!(json.contains(r#""command": "exhibit","#), "{json}");
+    for phase in ["fig10", "table3"] {
+        let timed = format!(r#"{{ "calls": 1, "name": "{phase}", "total_us": "#);
+        assert!(json.contains(&timed), "{json}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every exhibit's stdout, pinned byte for byte in `tests/golden/exhibits.txt`.
+/// An odd `--jobs` also checks that the output does not depend on the
+/// job count. To re-bless after an intentional change:
+///
+/// ```text
+/// CODENSE_BLESS=1 cargo test -p codense-cli --test cli_smoke exhibits_match_golden
+/// git diff crates/cli/tests/golden/   # review every changed number
+/// ```
+#[test]
+fn exhibits_match_golden() {
+    let out = bin().args(["--jobs", "3", "exhibit", "all"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let actual = String::from_utf8(out.stdout).unwrap();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/exhibits.txt");
+    if std::env::var("CODENSE_BLESS").as_deref() == Ok("1") {
+        std::fs::write(&path, &actual).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_default();
+    assert_eq!(actual, expected, "exhibits differ from {}; see this test's doc", path.display());
+}
+
+/// The lines of `text` that start with `bench`.
+fn rows_of<'a>(text: &'a str, bench: &str) -> Vec<&'a str> {
+    text.lines().filter(|l| l.split_whitespace().next() == Some(bench)).collect()
+}
+
+#[test]
+fn sweep_prints_the_suite_figures_for_one_module() {
+    let out = bin().args(["sweep", "--bench", "compress"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let sweep = String::from_utf8(out.stdout).unwrap();
+    let out = bin().args(["exhibit", "fig4", "fig5", "fig8"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let suite = String::from_utf8(out.stdout).unwrap();
+    let rows = rows_of(&sweep, "compress");
+    assert_eq!(rows.len(), 3, "{sweep}");
+    assert_eq!(rows, rows_of(&suite, "compress"), "{sweep}\n{suite}");
+
+    let out =
+        bin().args(["sweep", "--bench", "compress", "--selector", "refine"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let refine = String::from_utf8(out.stdout).unwrap();
+    assert!(refine.lines().any(|l| l == "selector: refine"), "{refine}");
+    assert_eq!(rows_of(&refine, "compress").len(), 3, "{refine}");
+}
+
+#[test]
 fn compress_accepts_a_window_cap_past_every_block() {
     // No window is longer than the longest block, so any larger cap mines
     // the same windows: the largest usize neither overflows nor trips the
@@ -188,6 +253,9 @@ fn bad_inputs_fail_cleanly() {
     for (args, named) in [
         (vec!["compress", "compress.cdm", "--encodng", "huffman"], "unknown flag `--encodng`"),
         (vec!["repro", "--bench"], "--bench requires a value"),
+        (vec!["repro", "--out", "x.json"], "unknown flag `--out`"),
+        (vec!["exhibit", "fig3"], "unknown exhibit `fig3` (all|fig1|table1|fig2|fig4|"),
+        (vec!["exhibit"], "missing exhibit name (all|fig1|table1|fig2|fig4|"),
         (vec!["compress", "compress.cdm", "-o"], "-o requires a value"),
         (vec!["compress", "compress.cdm", "--max-entry", "0"], "--max-entry"),
         (loadgen(&["--requests", "2", "--max-entry", "0"]), "--max-entry"),
@@ -420,12 +488,27 @@ fn disasm_renders_compressed_streams() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn disasm_exits_quietly_when_its_reader_closes_early() {
-    // `codense disasm … | head -1`: the reader takes one line and closes
-    // the pipe while more than a pipe buffer (64 KiB) of output is pending.
+/// Runs `codense ARGS | head -1`: the reader takes one line and closes the
+/// pipe while output is still pending. The command must end quietly, as any
+/// Unix filter does, not panic on the failed write.
+fn exits_quietly_when_its_reader_closes_early(args: &[&str]) {
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;
+    let mut child = bin().args(args).stdout(Stdio::piped()).stderr(Stdio::piped()).spawn().unwrap();
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut line).unwrap();
+    assert!(!line.is_empty());
+    // The reader is dropped here, closing the pipe.
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+}
+
+#[test]
+fn disasm_exits_quietly_when_its_reader_closes_early() {
+    // More than a pipe buffer (64 KiB) of output, so the write that meets
+    // the closed pipe comes after the reader's one line.
     let dir = tmpdir("dis-pipe");
     bin().args(["gen", "compress", "-o", dir.to_str().unwrap()]).status().unwrap();
     let cdm = dir.join("compress.cdm");
@@ -433,22 +516,14 @@ fn disasm_exits_quietly_when_its_reader_closes_early() {
     bin().args(["compress", cdm.to_str().unwrap(), "-o", cdns.to_str().unwrap()]).status().unwrap();
     let full = bin().args(["disasm", cdns.to_str().unwrap(), "0", "100000"]).output().unwrap();
     assert!(full.stdout.len() > 64 << 10, "only {} bytes of output", full.stdout.len());
-
-    let mut child = bin()
-        .args(["disasm", cdns.to_str().unwrap(), "0", "100000"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut line = String::new();
-    BufReader::new(child.stdout.take().unwrap()).read_line(&mut line).unwrap();
-    assert!(!line.is_empty());
-    // The reader is dropped here, closing the pipe.
-    let out = child.wait_with_output().unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    exits_quietly_when_its_reader_closes_early(&["disasm", cdns.to_str().unwrap(), "0", "100000"]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn exhibits_exit_quietly_when_their_reader_closes_early() {
+    // The suite header comes first; the exhibits print after their work.
+    exits_quietly_when_its_reader_closes_early(&["exhibit", "all"]);
 }
 
 /// The parts `compress` prints, e.g. `… -> 100 text bytes + 40 dictionary

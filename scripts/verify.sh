@@ -54,9 +54,19 @@ echo "==> per-ISA gate (mips repro + counters --jobs 1 vs --jobs 8)"
 sed -n '/"counters"/,/}/p' "$tmp/m1.json" > "$tmp/m1.counters"
 sed -n '/"counters"/,/}/p' "$tmp/m8.json" > "$tmp/m8.counters"
 diff -u "$tmp/m1.counters" "$tmp/m8.counters"
-# The checked-in BENCH_isa.json must match a fresh run of both backends.
-./target/release/codense repro --isa both --out "$tmp/BENCH_isa.json" >/dev/null
-diff -u BENCH_isa.json "$tmp/BENCH_isa.json"
+
+echo "==> exhibit gate (exhibit all vs golden, stdout + counters --jobs 1 vs --jobs 8)"
+# Every table and figure of the paper plus the extensions: the release
+# build's stdout must equal the golden the debug test pins, and stdout and
+# counters must not depend on the job count.
+for j in 1 8; do
+    ./target/release/codense --jobs "$j" --metrics "$tmp/exhibit-$j.json" exhibit all \
+        > "$tmp/exhibit-$j.out"
+    sed -n '/"counters"/,/}/p' "$tmp/exhibit-$j.json" > "$tmp/exhibit-$j.counters"
+done
+cmp crates/cli/tests/golden/exhibits.txt "$tmp/exhibit-1.out"
+cmp "$tmp/exhibit-1.out" "$tmp/exhibit-8.out"
+diff -u "$tmp/exhibit-1.counters" "$tmp/exhibit-8.counters"
 
 echo "==> cross-ISA CLI gate (a written module compresses under the ISA it records)"
 # `compress` takes no --isa: the module's header tag picks the backend. Its
