@@ -526,7 +526,7 @@ pub fn thumb(ctx: &mut Ctx) {
     println!(" that while keeping every register and instruction reachable)\n");
     let mut t = Table::new(["bench", "16-bit coverage", "thumb-model ratio", "nibble dict ratio"]);
     let rows = codense_core::parallel::par_map(ctx.suite.iter().collect(), |_, m| {
-        let report = codense_thumb::analyze(m);
+        let report = codense_thumb::analyze(m).expect("the suite is PowerPC");
         let dict = Compressor::new(CompressionConfig::nibble_aligned())
             .with_isa(isa_ref(m.isa))
             .compress(m)
@@ -722,7 +722,7 @@ pub fn mix(ctx: &mut Ctx) {
     println!("(compiled RISC integer code: ~20-35% memory, ~15-20% branches)\n");
     let mut t = Table::new(["bench", "loads", "stores", "branches", "compares", "alu"]);
     for m in &ctx.suite {
-        let f = instruction_mix(m).fractions();
+        let f = instruction_mix(m).expect("the suite is PowerPC").fractions();
         t.row([m.name.clone(), pct(f[0]), pct(f[1]), pct(f[2]), pct(f[3]), pct(f[4])]);
     }
     println!("{}", t.render());

@@ -599,3 +599,34 @@ fn refine_packs_only_the_winning_trial() {
     assert_eq!(pack_calls, [1], "{json}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The `calls` count of phase `path` in a metrics report, if it ran.
+fn phase_calls(json: &str, path: &str) -> Option<u64> {
+    let line = json.lines().find(|l| l.contains(&format!("\"name\": \"{path}\",")))?;
+    let calls = &line[line.find("\"calls\": ")? + 9..];
+    calls[..calls.find(',')?].parse().ok()
+}
+
+#[test]
+fn every_layout_runs_under_its_phase() {
+    // A lay-out's ranks, Huffman table, mark pass and fixpoint all run
+    // under `layout`: once for greedy, and under refine once for greedy's
+    // selection and once per trial.
+    let dir = tmpdir("layout-phase");
+    bin().args(["gen", "gcc", "-o", dir.to_str().unwrap()]).status().unwrap();
+    let metrics = dir.join("m.json");
+    for (selector, path) in [("greedy", "compress/layout"), ("refine", "refine/compress/layout")] {
+        let out = bin()
+            .args(["--metrics", metrics.to_str().unwrap(), "compress"])
+            .arg(dir.join("gcc.cdm"))
+            .args(["--encoding", "nibble", "--selector", selector])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let json = std::fs::read_to_string(&metrics).unwrap();
+        let trials = codense_service::counter_value(&json, "refine.trials").unwrap();
+        assert_eq!(trials > 0, selector == "refine", "{json}");
+        assert_eq!(phase_calls(&json, path), Some(trials + 1), "{selector}: {json}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

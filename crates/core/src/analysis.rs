@@ -4,8 +4,8 @@
 
 use std::collections::HashMap;
 
-use codense_isa::IsaRef;
-use codense_obj::ObjectModule;
+use codense_isa::{IsaId, IsaRef};
+use codense_obj::{ModuleError, ObjectModule};
 
 /// Instruction-encoding redundancy profile of a program (Fig 1).
 #[derive(Debug, Clone, PartialEq)]
@@ -263,9 +263,17 @@ impl InstructionMix {
     }
 }
 
-/// Classifies every instruction of a module.
-pub fn instruction_mix(module: &ObjectModule) -> InstructionMix {
+/// Classifies every instruction of a PowerPC module.
+///
+/// # Errors
+///
+/// [`ModuleError::IsaMismatch`] for a module built for another ISA: the
+/// classes are PowerPC's, and another ISA's words would get a wrong reading.
+pub fn instruction_mix(module: &ObjectModule) -> Result<InstructionMix, ModuleError> {
     use codense_ppc::Insn::*;
+    if module.isa != IsaId::Ppc {
+        return Err(ModuleError::IsaMismatch { module: module.isa, given: IsaId::Ppc });
+    }
     let mut mix = InstructionMix::default();
     for &w in &module.code {
         match codense_ppc::decode(w) {
@@ -296,7 +304,7 @@ pub fn instruction_mix(module: &ObjectModule) -> InstructionMix {
             _ => mix.alu += 1,
         }
     }
-    mix
+    Ok(mix)
 }
 
 #[cfg(test)]
@@ -316,7 +324,7 @@ mod mix_tests {
             encode(&Insn::Cmpwi { bf: CR0, ra: R3, si: 0 }),
             encode(&Insn::Add { rt: R3, ra: R3, rb: R3, rc: false }),
         ];
-        let mix = instruction_mix(&m);
+        let mix = instruction_mix(&m).unwrap();
         assert_eq!((mix.loads, mix.stores, mix.branches, mix.compares, mix.alu), (1, 1, 1, 1, 1));
         assert_eq!(mix.total(), 5);
         assert!((mix.fractions().iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -325,11 +333,18 @@ mod mix_tests {
     #[test]
     fn benchmark_mix_is_risc_like() {
         let m = codense_codegen_stub();
-        let mix = instruction_mix(&m);
+        let mix = instruction_mix(&m).unwrap();
         let f = mix.fractions();
         // Memory traffic and branch density in realistic RISC bands.
         assert!((0.15..0.50).contains(&(f[0] + f[1])), "mem {:.2}", f[0] + f[1]);
         assert!((0.05..0.30).contains(&f[2]), "branches {:.2}", f[2]);
+    }
+
+    #[test]
+    fn a_mips_module_is_refused() {
+        let m = codense_codegen::benchmark("compress", IsaId::Mips).unwrap();
+        let want = ModuleError::IsaMismatch { module: IsaId::Mips, given: IsaId::Ppc };
+        assert_eq!(instruction_mix(&m), Err(want));
     }
 
     // analysis lives below codegen in the crate graph; synthesize a small

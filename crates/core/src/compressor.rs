@@ -1,23 +1,25 @@
 //! The compression pipeline, in two halves.
 //!
-//! * **Lay-out** (`Compressor::lay_out`): select → atoms → rank → Huffman
-//!   table → layout fixpoint. Its result, a `LaidOut`, knows the exact
-//!   size of the finished program (the numerator of the paper's Eq. 1)
-//!   without holding a single packed nibble.
-//! * **Finish** (`Compressor::finish`): patch branches → pack → patch
-//!   jump tables, building the [`CompressedProgram`].
+//! * **Lay-out** (`Compressor::lay_out`): select → rank → Huffman table →
+//!   mark addresses → layout fixpoint. Its result, a `LaidOut`, is a size:
+//!   the exact size of the finished program (the numerator of the paper's
+//!   Eq. 1) and every overflow decision, computed from the selection's head
+//!   array and the addresses of the *marks*, the branch sites and targets.
+//!   It builds no atom and holds no packed nibble.
+//! * **Finish** (`Compressor::finish`): the one place the atom stream and
+//!   its addresses are built; then patch branches and jump tables → pack,
+//!   building the [`CompressedProgram`].
 //!
 //! Greedy compression runs both halves in a row. The refinement selector
 //! ([`crate::selector`]) scores each trial by its lay-out alone and
 //! finishes only the winner. What depends only on the module, its
-//! PC-relative branches and the escape-collision scan, is resolved once per
-//! compression into a `Prepared` that every lay-out reads; a branch or
-//! jump-table target outside the text is refused there, before any model
-//! is built. The program
-//! model (per-instruction flags, hot code masked incompressible) is built
-//! once per compression too, to mine the candidate index, and dropped
-//! before selection: selection returns a per-cell head array, and the atom
-//! stream is built from it and the module's words.
+//! PC-relative branches, their marks and the escape-collision scan, is
+//! resolved once per compression into a `Prepared` that every lay-out reads;
+//! a branch or jump-table target outside the text is refused there, before
+//! any model is built. The program model (per-instruction flags, hot code
+//! masked incompressible) is built once per compression too, to mine the
+//! candidate index, and dropped before selection: selection returns a
+//! per-cell head array, which is all a lay-out and its finish read of it.
 
 use codense_isa::{BranchKind, IsaRef};
 use codense_obj::{ModuleError, ObjectModule};
@@ -441,12 +443,13 @@ impl Compressor {
         })
     }
 
-    /// The first half of a compression: selection, the atom stream, rank
-    /// assignment, the Huffman table and the layout fixpoint. `select`
+    /// The first half of a compression: selection, rank assignment, the
+    /// Huffman table, the mark addresses and the layout fixpoint. `select`
     /// makes the selection, into the empty dictionary it is handed, under
     /// the `greedy` phase: [`select`](Self::select) from scratch, or a run
     /// the refinement selector resumes from its checkpoint. Everything
-    /// after it reads only the dictionary, the pick log and the head array.
+    /// after it reads only the dictionary, the pick log and the head array,
+    /// under the `layout` phase, and builds nothing per atom.
     ///
     /// # Errors
     ///
@@ -471,135 +474,128 @@ impl Compressor {
         let mut dictionary = Dictionary::new();
         let (picks, heads) = select(&mut dictionary)?;
         drop(greedy_phase);
+        let _layout = telemetry::phase("layout");
+        let code = &prep.module.code;
+        debug_assert_eq!(heads.len(), code.len());
+        debug_assert!(
+            starts_atoms(&heads, &dictionary, &prep.marks),
+            "a branch site or target lies inside a codeword"
+        );
 
         // 2. Rank assignment: shortest codewords to the most-used entries.
         dictionary.assign_ranks_by_use();
 
-        // 3. The atom stream, from the module's words and the head array (a
-        //    cell's flat offset is its original index). Each atom start's
-        //    head slot is overwritten with the atom's index once read, which
-        //    turns the array into an original-index → atom table for the
-        //    branch sites and targets: both are atom starts, and the cells a
-        //    codeword covers keep `NO_ENTRY`.
-        let code = &prep.module.code;
-        debug_assert_eq!(heads.len(), code.len());
-        let covered: usize = dictionary.entries().iter().map(|e| e.replaced * (e.len() - 1)).sum();
-        let mut atoms = Vec::with_capacity(code.len().saturating_sub(covered));
-        let mut atom_at = heads;
-        let mut escapes = 0u64;
-        let mut i = 0;
-        while i < code.len() {
-            let entry = atom_at[i];
-            atom_at[i] = atoms.len() as u32;
-            if entry == NO_ENTRY {
-                atoms.push(Atom::Insn { word: code[i], orig: i });
-                escapes += 1;
-                i += 1;
-            } else {
-                let len = dictionary.entry(entry).len();
-                atoms.push(Atom::Codeword { entry, orig: i, len });
-                i += len;
-            }
-        }
-        let branch_atoms: Vec<(u32, u32)> = prep
-            .branches
-            .iter()
-            .map(|b| (atom_at[b.site as usize], atom_at[b.target as usize]))
-            .collect();
-        drop(atom_at);
-
-        // 3b. Huffman only: freeze the codeword table from actual usage —
-        // per-rank replacement counts plus the initial escape (uncompressed
-        // instruction) count. The code stays fixed through the layout
-        // fixpoint even though ViaTable rewrites add escaped instructions;
-        // frequencies are weights, not an exact stream census.
+        // 3. Huffman only: freeze the codeword table from actual usage —
+        //    per-rank replacement counts plus the escape count, the cells no
+        //    codeword covers. The code stays fixed through the layout
+        //    fixpoint even though ViaTable rewrites add escaped instructions;
+        //    frequencies are weights, not an exact stream census.
         let huffman = (kind == EncodingKind::Huffman).then(|| {
             telemetry::HUFFMAN_CODES_BUILT.inc();
+            let covered: usize = dictionary.entries().iter().map(|e| e.replaced * e.len()).sum();
             let rank_freqs: Vec<u64> = (0..dictionary.len() as u32)
                 .map(|rank| dictionary.entry(dictionary.entry_of_rank(rank)).replaced as u64)
                 .collect();
-            HuffCode::from_frequencies(&rank_freqs, escapes)
+            HuffCode::from_frequencies(&rank_freqs, (code.len() - covered) as u64)
         });
         let huff = huffman.as_ref();
-
-        // 4. Layout fixpoint: compute addresses; rewrite branches whose
-        //    patched offsets overflow into overflow-table dispatches (which
-        //    changes sizes, hence the loop). Rewrites only grow atoms, so
-        //    the set of rewritten branches grows monotonically and the loop
-        //    terminates. A round is one size pass plus one check per branch
-        //    not yet rewritten.
-        let layout_phase = telemetry::phase("layout");
         let granule = kind.granule_nibbles();
         let insn_nibbles = encoding::insn_nibbles_coded(kind, huff);
-        let entry_nibbles: Vec<u64> = (0..dictionary.len() as u32)
-            .map(|entry| {
-                let rank = dictionary.rank_of(entry);
-                encoding::try_codeword_nibbles_coded(kind, huff, rank)
-                    .unwrap_or_else(|| panic!("rank {rank} has no codeword under {kind:?}"))
-                    as u64
-            })
-            .collect();
+
+        // 4. Mark addresses, in one branch-free pass over the head array.
+        //    Every cell counts as an escaped instruction, and the cell a
+        //    codeword heads adds what the codeword changes against the
+        //    instructions it covers. The cells inside a codeword hold
+        //    `NO_ENTRY`, which `+ 1` wraps to slot 0 of `change`: nothing.
+        //    A mark starts an atom, so every codeword headed before it also
+        //    ends before it.
+        let mut change = vec![0i64; dictionary.len() + 1];
+        for (entry, nibbles) in codeword_nibbles(kind, huff, &dictionary).into_iter().enumerate() {
+            let replaced = dictionary.entry(entry as u32).len() as i64 * insn_nibbles as i64;
+            change[entry + 1] = nibbles as i64 - replaced;
+        }
+        let size_change = |cells: &[u32]| -> i64 {
+            cells.iter().map(|&h| change[h.wrapping_add(1) as usize]).sum()
+        };
+        let mut addresses = Vec::with_capacity(prep.marks.len());
+        let (mut cell, mut changed) = (0usize, 0i64);
+        for &mark in &prep.marks {
+            let mark = mark as usize;
+            changed += size_change(&heads[cell..mark]);
+            addresses.push((insn_nibbles as i64 * mark as i64 + changed) as u64);
+            cell = mark;
+        }
+        changed += size_change(&heads[cell..]);
+        let mut total_nibbles = (insn_nibbles as i64 * code.len() as i64 + changed) as u64;
+
+        // 5. Layout fixpoint on the mark addresses: rewrite branches whose
+        //    patched offsets overflow into overflow-table dispatches, slots
+        //    numbered in branch order, round by round. A rewrite grows its
+        //    site by the dispatch's extra instructions, which moves every
+        //    mark after the site; the moves apply at the round's end, so a
+        //    round checks every branch not yet rewritten against the
+        //    addresses the previous rounds left. Rewrites only grow the
+        //    stream, so the set of rewritten branches grows monotonically
+        //    and the loop terminates.
+        let mut slots: Vec<Option<u32>> = vec![None; prep.branches.len()];
         let mut overflow_slots = 0usize;
-        let mut addresses = Vec::with_capacity(atoms.len());
+        // This round's rewrites: (site mark, nibbles grown), in mark order.
+        let mut grown: Vec<(usize, u64)> = Vec::new();
         let mut rounds = 0;
-        let total_nibbles = loop {
+        loop {
             telemetry::COMPRESS_LAYOUT_ROUNDS.inc();
-            addresses.clear();
-            let mut addr = 0u64;
-            for atom in &atoms {
-                addresses.push(addr);
-                addr += match *atom {
-                    Atom::Insn { .. } => insn_nibbles as u64,
-                    Atom::Codeword { entry, .. } => entry_nibbles[entry as usize],
-                    Atom::ViaTable { .. } => {
-                        atom_nibbles_coded(self.isa, kind, huff, atom, &dictionary)
-                    }
+            for (branch, slot) in prep.branches.iter().zip(&mut slots) {
+                if slot.is_some() {
+                    continue;
+                }
+                let (site, target) = (branch.site as usize, branch.target as usize);
+                let delta = addresses[target] as i64 - addresses[site] as i64;
+                if self.isa.offset_expressible(branch.kind, delta, granule) {
+                    continue;
+                }
+                // Rewrite through the overflow table. Branches the ISA
+                // cannot expand into a dispatch sequence (e.g. PowerPC's
+                // CTR-decrementing forms, whose dispatch would clobber CTR)
+                // are unsupported.
+                let at = prep.marks[site] as usize;
+                let Some(dispatch) = self.isa.overflow_expansion(
+                    code[at],
+                    overflow_slots as u32,
+                    granule,
+                    insn_nibbles,
+                ) else {
+                    return Err(CompressError::UnsupportedOverflowBranch { at });
                 };
+                *slot = Some(overflow_slots as u32);
+                grown.push((site, (dispatch.len() as u64 - 1) * insn_nibbles as u64));
+                telemetry::COMPRESS_OVERFLOW_REWRITES.inc();
+                overflow_slots += 1;
             }
-            let mut changed = false;
-            for (branch, &(site, target)) in prep.branches.iter().zip(&branch_atoms) {
-                let Atom::Insn { word, orig } = atoms[site as usize] else { continue };
-                let delta = addresses[target as usize] as i64 - addresses[site as usize] as i64;
-                if !self.isa.offset_expressible(branch.kind, delta, granule) {
-                    // Rewrite through the overflow table. Branches the ISA
-                    // cannot expand into a dispatch sequence (e.g. PowerPC's
-                    // CTR-decrementing forms, whose dispatch would clobber
-                    // CTR) are unsupported.
-                    if self.isa.overflow_expansion(word, 0, granule, insn_nibbles).is_none() {
-                        return Err(CompressError::UnsupportedOverflowBranch { at: orig });
-                    }
-                    atoms[site as usize] = Atom::ViaTable { word, orig, slot: overflow_slots };
-                    telemetry::COMPRESS_OVERFLOW_REWRITES.inc();
-                    overflow_slots += 1;
-                    changed = true;
+            let Some(&(first, _)) = grown.first() else { break };
+            let mut moved = 0;
+            let mut sites = grown.drain(..).peekable();
+            for (mark, address) in addresses.iter_mut().enumerate().skip(first) {
+                *address += moved;
+                if let Some((_, nibbles)) = sites.next_if(|&(site, _)| site == mark) {
+                    moved += nibbles;
                 }
             }
-            if !changed {
-                break addr;
-            }
+            total_nibbles += moved;
             rounds += 1;
             if rounds > 64 {
                 return Err(CompressError::LayoutDiverged);
             }
-        };
-        drop(layout_phase);
+        }
 
-        Ok(LaidOut {
-            dictionary,
-            atoms,
-            addresses,
-            total_nibbles,
-            overflow_slots,
-            huffman,
-            picks,
-            branch_atoms,
-        })
+        Ok(LaidOut { dictionary, heads, slots, total_nibbles, overflow_slots, huffman, picks })
     }
 
-    /// The second half of a compression: patches every branch to its laid-out
-    /// target (or fills its overflow-table slot), packs the image and
-    /// patches the jump tables. `laid` must come from
-    /// [`lay_out`](Self::lay_out) on the same `prep`.
+    /// The second half of a compression, and the one place atoms are built:
+    /// the atom stream and its addresses from the head array and the
+    /// overflow slots, then every branch patched to its target (or its
+    /// overflow-table slot filled), the jump tables patched and the image
+    /// packed. `laid` must come from [`lay_out`](Self::lay_out) on the same
+    /// `prep`.
     ///
     /// # Errors
     ///
@@ -611,35 +607,103 @@ impl Compressor {
         laid: LaidOut,
     ) -> Result<CompressedProgram, CompressError> {
         let kind = self.config.encoding;
-        let LaidOut {
-            dictionary,
-            mut atoms,
-            addresses,
-            total_nibbles,
-            overflow_slots,
-            huffman,
-            picks,
-            branch_atoms,
-        } = laid;
+        let LaidOut { dictionary, heads, slots, total_nibbles, overflow_slots, huffman, picks } =
+            laid;
         let huff = huffman.as_ref();
+        let code = &prep.module.code;
+        let insn_nibbles = encoding::insn_nibbles_coded(kind, huff) as u64;
+        let entry_nibbles = codeword_nibbles(kind, huff, &dictionary);
 
-        // 5. Patch branch offsets and collect overflow-table targets.
+        // 6. The atom stream, from the module's words, the head array (a
+        //    cell's flat offset is its original index) and the overflow
+        //    slots. Each atom start's head slot is overwritten with the
+        //    atom's index once read, which turns the array into an
+        //    original-index → atom table for the branch sites and targets
+        //    and the jump-table targets: all are atom starts, and the cells
+        //    a codeword covers keep `NO_ENTRY`. The table is dropped before
+        //    the addresses are allocated, so a finish never holds the head
+        //    array and the addresses at once.
+        let covered: usize = dictionary.entries().iter().map(|e| e.replaced * (e.len() - 1)).sum();
+        let mut atoms = Vec::with_capacity(code.len() - covered);
+        let mut rewritten = prep
+            .branches
+            .iter()
+            .zip(&slots)
+            .filter_map(|(b, &slot)| Some((prep.marks[b.site as usize] as usize, slot?)))
+            .peekable();
+        let mut atom_at = heads;
+        let mut i = 0;
+        while i < code.len() {
+            let entry = atom_at[i];
+            atom_at[i] = atoms.len() as u32;
+            let atom = if entry != NO_ENTRY {
+                Atom::Codeword { entry, orig: i, len: dictionary.entry(entry).len() }
+            } else if let Some((_, slot)) = rewritten.next_if(|&(site, _)| site == i) {
+                Atom::ViaTable { word: code[i], orig: i, slot: slot as usize }
+            } else {
+                Atom::Insn { word: code[i], orig: i }
+            };
+            i += atom.covered();
+            atoms.push(atom);
+        }
+        let atom_of = |mark: u32| atom_at[prep.marks[mark as usize] as usize] as usize;
+        let branch_atoms: Vec<(usize, usize)> =
+            prep.branches.iter().map(|b| (atom_of(b.site), atom_of(b.target))).collect();
+        // Each jump-table entry holds its target's atom until step 8.
+        let mut jump_tables: Vec<Vec<u64>> = prep
+            .module
+            .jump_tables
+            .iter()
+            .map(|t| {
+                t.targets
+                    .iter()
+                    .map(|&idx| {
+                        let atom = atom_at[idx];
+                        assert_ne!(atom, NO_ENTRY, "jump-table targets start atoms");
+                        atom as u64
+                    })
+                    .collect()
+            })
+            .collect();
+        drop(atom_at);
+
+        // 7. Addresses, from a per-entry nibble table.
+        let mut addresses = Vec::with_capacity(atoms.len());
+        let mut addr = 0u64;
+        for atom in &atoms {
+            addresses.push(addr);
+            addr += match *atom {
+                Atom::Insn { .. } => insn_nibbles,
+                Atom::Codeword { entry, .. } => entry_nibbles[entry as usize],
+                Atom::ViaTable { word, slot, .. } => {
+                    via_table_expansion_coded(self.isa, kind, huff, word, slot).len() as u64
+                        * insn_nibbles
+                }
+            };
+        }
+        debug_assert_eq!(addr, total_nibbles, "the stream is not the size it was laid out at");
+
+        // 8. Patch branch offsets, collect overflow-table targets and patch
+        //    jump tables to compressed addresses.
         let mut overflow_table = vec![0u64; overflow_slots];
         for (branch, &(site, target)) in prep.branches.iter().zip(&branch_atoms) {
-            let (site, target) = (site as usize, target as usize);
+            let target = addresses[target];
             match atoms[site] {
                 Atom::Insn { word, orig } => {
-                    let delta = addresses[target] as i64 - addresses[site] as i64;
+                    let delta = target as i64 - addresses[site] as i64;
                     let units = delta / kind.granule_nibbles() as i64;
                     let patched = self.isa.patch_offset_units(word, branch.kind, units as i32);
                     atoms[site] = Atom::Insn { word: patched, orig };
                 }
-                Atom::ViaTable { slot, .. } => overflow_table[slot] = addresses[target],
+                Atom::ViaTable { slot, .. } => overflow_table[slot] = target,
                 Atom::Codeword { .. } => unreachable!("branches are never compressed"),
             }
         }
+        for entry in jump_tables.iter_mut().flatten() {
+            *entry = addresses[*entry as usize];
+        }
 
-        // 6. Pack the image.
+        // 9. Pack the image.
         let mut w = NibbleWriter::new();
         for (i, atom) in atoms.iter().enumerate() {
             debug_assert_eq!(w.len(), addresses[i], "layout/pack disagreement at atom {i}");
@@ -661,7 +725,7 @@ impl Compressor {
         }
         debug_assert_eq!(w.len(), total_nibbles, "layout/pack disagreement at the end");
 
-        let mut program = CompressedProgram {
+        Ok(CompressedProgram {
             name: prep.module.name.clone(),
             encoding: kind,
             isa: self.isa,
@@ -670,28 +734,12 @@ impl Compressor {
             addresses,
             total_nibbles: w.len(),
             image: w.into_bytes(),
-            jump_tables: Vec::new(),
+            jump_tables,
             overflow_table,
             picks,
             original_text_bytes: prep.module.text_bytes(),
             huffman,
-        };
-
-        // 7. Patch jump tables to compressed addresses.
-        program.jump_tables = prep
-            .module
-            .jump_tables
-            .iter()
-            .map(|t| {
-                t.targets
-                    .iter()
-                    .map(|&idx| {
-                        program.address_of_orig(idx).expect("jump-table targets start atoms")
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(program)
+        })
     }
 }
 
@@ -707,15 +755,18 @@ pub(crate) struct Prepared<'a> {
     collision: Option<CompressError>,
     /// Every PC-relative branch of the module, in program order.
     branches: Vec<Branch>,
+    /// The marks: the original index of every branch site and target,
+    /// ascending and distinct. They are the only cells whose addresses a
+    /// lay-out needs, and each is an atom start under every selection.
+    marks: Vec<u32>,
 }
 
 /// A PC-relative branch, decoded once per compression.
 #[derive(Debug, Clone, Copy)]
 struct Branch {
-    /// Original index of the branch.
+    /// Mark of the branch (its index in [`Prepared::marks`]).
     site: u32,
-    /// Original index of its target (a basic-block leader, so an atom
-    /// start under every selection).
+    /// Mark of its target, a basic-block leader.
     target: u32,
     /// The branch form.
     kind: BranchKind,
@@ -761,13 +812,20 @@ impl<'a> Prepared<'a> {
             } else {
                 None
             };
+        // Branches are collected with original indices, which a bitmap over
+        // the cells records; each is then renumbered by its mark, the count
+        // of set bits before it, in linear time.
         let mut branches = Vec::new();
+        let mut bits = vec![0u64; module.len().div_ceil(64)];
         for (site, &word) in module.code.iter().enumerate() {
             let Some(info) = c.isa.rel_branch_info(word) else { continue };
             let target = site as i64 + (info.offset / 4) as i64;
             if !(0..module.len() as i64).contains(&target) {
                 let error = ModuleError::BranchOutOfRange { at: site, target };
                 return Err(CompressError::InvalidModule(error));
+            }
+            for cell in [site, target as usize] {
+                bits[cell / 64] |= 1 << (cell % 64);
             }
             branches.push(Branch { site: site as u32, target: target as u32, kind: info.kind });
         }
@@ -777,26 +835,47 @@ impl<'a> Prepared<'a> {
                 return Err(CompressError::InvalidModule(error));
             }
         }
+        let mut marks = Vec::new();
+        let mut marks_before = Vec::with_capacity(bits.len());
+        for (w, &word_bits) in bits.iter().enumerate() {
+            marks_before.push(marks.len() as u32);
+            let mut rest = word_bits;
+            while rest != 0 {
+                marks.push(64 * w as u32 + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+        let mark_of = |cell: u32| {
+            let (w, bit) = (cell as usize / 64, cell % 64);
+            marks_before[w] + (bits[w] & ((1u64 << bit) - 1)).count_ones()
+        };
+        for branch in &mut branches {
+            (branch.site, branch.target) = (mark_of(branch.site), mark_of(branch.target));
+        }
         Ok(Prepared {
             module,
             exempt,
             exempt_insns: exempt.iter().filter(|&&hot| hot).count() as u64,
             collision,
             branches,
+            marks,
         })
     }
 }
 
-/// A laid-out compression: everything but the patched branch words, the
-/// packed image and the jump tables, which [`Compressor::finish`] adds.
+/// A laid-out compression: a size and the decisions that make it, which
+/// [`Compressor::finish`] turns into atoms, a patched and packed image and
+/// patched jump tables.
 #[derive(Debug, Clone)]
 pub(crate) struct LaidOut {
     /// The dictionary, ranked.
     pub(crate) dictionary: Dictionary,
-    /// The atom stream, branches unpatched.
-    atoms: Vec<Atom>,
-    /// Nibble address of each atom.
-    addresses: Vec<u64>,
+    /// The selection's head array: per cell, the entry whose codeword
+    /// starts there, or `NO_ENTRY`.
+    heads: Vec<u32>,
+    /// Each branch's overflow-table slot, if it is rewritten through the
+    /// table, parallel to [`Prepared::branches`].
+    slots: Vec<Option<u32>>,
     /// Stream length in nibbles.
     total_nibbles: u64,
     /// Branches rewritten through the overflow table.
@@ -805,9 +884,6 @@ pub(crate) struct LaidOut {
     huffman: Option<HuffCode>,
     /// The greedy pick log.
     pub(crate) picks: Vec<PickRecord>,
-    /// Each branch's (site, target) atom index, parallel to
-    /// [`Prepared::branches`].
-    branch_atoms: Vec<(u32, u32)>,
 }
 
 impl LaidOut {
@@ -844,33 +920,34 @@ fn eq1_bytes(
         + huffman.map_or(0, |h| h.nibble_lengths().len().div_ceil(2))
 }
 
-/// Size of one atom in nibbles under `isa`, with the program's Huffman
-/// codeword table when the encoding needs one.
+/// Each entry's codeword size in nibbles under `kind`, by entry index, at
+/// the entry's rank.
 ///
 /// # Panics
 ///
-/// Panics if `kind` is [`EncodingKind::Huffman`] and `huff` is `None`, or
-/// the atom's rank has no codeword in the table.
-pub fn atom_nibbles_coded(
-    isa: IsaRef,
-    kind: EncodingKind,
-    huff: Option<&HuffCode>,
-    atom: &Atom,
-    dict: &Dictionary,
-) -> u64 {
-    match *atom {
-        Atom::Insn { .. } => encoding::insn_nibbles_coded(kind, huff) as u64,
-        Atom::Codeword { entry, .. } => {
+/// Panics if `kind` is [`EncodingKind::Huffman`] and `huff` is `None`, or a
+/// rank has no codeword in the table.
+fn codeword_nibbles(kind: EncodingKind, huff: Option<&HuffCode>, dict: &Dictionary) -> Vec<u64> {
+    (0..dict.len() as u32)
+        .map(|entry| {
             let rank = dict.rank_of(entry);
             encoding::try_codeword_nibbles_coded(kind, huff, rank)
                 .unwrap_or_else(|| panic!("rank {rank} has no codeword under {kind:?}"))
                 as u64
-        }
-        Atom::ViaTable { word, slot, .. } => {
-            via_table_expansion_coded(isa, kind, huff, word, slot).len() as u64
-                * encoding::insn_nibbles_coded(kind, huff) as u64
-        }
+        })
+        .collect()
+}
+
+/// Whether every cell of `cells` starts an atom under `heads`: no codeword
+/// covers it past its first instruction. Branch sites and targets do under
+/// every selection, since branches are never compressed and targets are
+/// block leaders.
+fn starts_atoms(heads: &[u32], dict: &Dictionary, cells: &[u32]) -> bool {
+    let mut inside = vec![false; heads.len()];
+    for (i, &entry) in heads.iter().enumerate().filter(|&(_, &entry)| entry != NO_ENTRY) {
+        inside[i + 1..i + dict.entry(entry).len()].fill(true);
     }
+    cells.iter().all(|&cell| !inside[cell as usize])
 }
 
 /// The instruction sequence a [`Atom::ViaTable`] packs under `isa`: an

@@ -41,9 +41,9 @@
 //!
 //! Selection reads and writes only flat per-cell arrays, and its result is
 //! one of them: the *head array*, naming the entry whose codeword starts at
-//! each cell. The compressor builds its atom stream from that array and the
-//! module's words; the public [`run_greedy`] and [`run_greedy_with`] store
-//! it in the [`ProgramModel`].
+//! each cell. The compressor sizes its layout from that array and builds
+//! its atom stream from it and the module's words; the public
+//! [`run_greedy`] and [`run_greedy_with`] store it in the [`ProgramModel`].
 //!
 //! Tie-breaking is deterministic (savings, then the greater sequence, which
 //! is the greater id), so compression output is bit-stable across runs,

@@ -34,9 +34,10 @@
 //! The program model is built and mined once per refinement, into one
 //! [`CandidateIndex`] every selection runs against, and the module's
 //! branches are resolved once, into the `Prepared` every lay-out reads. A
-//! trial is scored by its `LaidOut::cost`, which is exact: the layout
-//! fixpoint already knows every atom's size. Only the winner is patched and
-//! packed.
+//! trial is scored by its `LaidOut::cost`, which is exact: a lay-out sizes
+//! the stream from the selection's head array and the addresses of the
+//! branch sites and targets, and builds no atom. Only the winner is
+//! finished: its atoms built, patched and packed.
 //!
 //! A re-price probe selects from scratch, since a price change reorders the
 //! picks from the first one on. A ban trial does not. Each greedy step

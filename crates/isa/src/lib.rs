@@ -34,6 +34,18 @@ pub const INSN_BYTES: u32 = 4;
 /// their target from `(OVERFLOW_TABLE_HI << 16) + 4 * slot`.
 pub const OVERFLOW_TABLE_HI: i16 = 0x0060;
 
+/// The two halves a trampoline builds the address of overflow-table slot
+/// `slot` from: the high halfword its `addis`/`lui` sets, and the signed
+/// displacement of its load. With the displacement sign-extended,
+/// `(high << 16) + low` is `(OVERFLOW_TABLE_HI << 16) + 4 * slot`; the high
+/// half carries what a negative displacement borrows, so every slot below
+/// 8192 loads through `OVERFLOW_TABLE_HI` itself.
+pub fn overflow_slot_halves(slot: u32) -> (u16, i16) {
+    let address = ((OVERFLOW_TABLE_HI as u32) << 16).wrapping_add(slot.wrapping_mul(4));
+    let low = address as i16;
+    ((address.wrapping_sub(low as u32) >> 16) as u16, low)
+}
+
 /// Execution faults.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MachineError {
@@ -358,7 +370,9 @@ pub trait Isa: Sync {
     /// whose displacement no longer fits at the compressed granularity
     /// (§3.2.2): an optional inverted-condition skip over the trampoline,
     /// then an indirect jump through slot `slot` of the overflow table at
-    /// `(OVERFLOW_TABLE_HI << 16) + 4 * slot`.
+    /// `(OVERFLOW_TABLE_HI << 16) + 4 * slot`, built from the halves
+    /// [`overflow_slot_halves`] gives, so the trampoline's length does not
+    /// depend on the slot.
     ///
     /// `granule_nibbles`/`insn_nibbles` describe the encoding the expansion
     /// will be laid out in (the skip branch's displacement is patched in

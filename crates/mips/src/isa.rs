@@ -5,7 +5,7 @@
 //! table. [`BranchKind::Conditional`] is the conditional/REGIMM form
 //! (16-bit field), [`BranchKind::Jump`] is `j`/`jal` (26-bit field).
 
-use codense_isa::{BranchKind, Core, Isa, IsaId, RelBranch, OVERFLOW_TABLE_HI};
+use codense_isa::{overflow_slot_halves, BranchKind, Core, Isa, IsaId, RelBranch};
 
 use crate::branch;
 use crate::insn::MInsn;
@@ -99,8 +99,9 @@ impl Isa for MipsIsa {
             let skip = crate::encode(&skip);
             out.push(branch::patch_offset_units(skip, BranchKind::Conditional, units));
         }
-        out.push(crate::encode(&Lui { rt: AT, imm: OVERFLOW_TABLE_HI as u16 }));
-        out.push(crate::encode(&Lw { rt: AT, base: AT, offset: (slot * 4) as i16 }));
+        let (high, low) = overflow_slot_halves(slot);
+        out.push(crate::encode(&Lui { rt: AT, imm: high }));
+        out.push(crate::encode(&Lw { rt: AT, base: AT, offset: low }));
         if info.lk {
             out.push(crate::encode(&Jalr { rd: RA, rs: AT }));
         } else {
@@ -122,7 +123,7 @@ impl Isa for MipsIsa {
 mod tests {
     use super::*;
     use crate::reg::*;
-    use codense_isa::IsaRef;
+    use codense_isa::{IsaRef, OVERFLOW_TABLE_HI};
 
     #[test]
     fn escape_table_is_the_illegal_opcodes() {
@@ -262,6 +263,25 @@ mod tests {
 
         // Non-branches have no expansion.
         assert_eq!(isa.overflow_expansion(crate::encode(&MInsn::Syscall), 0, 4, 8), None);
+    }
+
+    #[test]
+    fn trampolines_load_their_own_slot() {
+        // `lw`'s signed 16-bit offset reaches slot 8191; from slot 8192 on,
+        // `lui` carries the rest of the offset.
+        let isa = IsaRef(&ISA);
+        let j = crate::encode(&MInsn::J { offset: 0 });
+        for slot in [0, 8191, 8192, 70_000] {
+            let seq = isa.overflow_expansion(j, slot, 1, 9).unwrap();
+            let MInsn::Lui { rt: AT, imm } = crate::decode(seq[0]) else {
+                panic!("slot {slot}: {:?}", crate::decode(seq[0]))
+            };
+            let MInsn::Lw { rt: AT, base: AT, offset } = crate::decode(seq[1]) else {
+                panic!("slot {slot}: {:?}", crate::decode(seq[1]))
+            };
+            let address = ((imm as u32) << 16).wrapping_add(offset as u32);
+            assert_eq!(address, ((OVERFLOW_TABLE_HI as u32) << 16) + 4 * slot, "slot {slot}");
+        }
     }
 
     #[test]

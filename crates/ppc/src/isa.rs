@@ -5,7 +5,7 @@
 //! table. [`BranchKind::Conditional`] is B-form `bc` (14-bit field),
 //! [`BranchKind::Jump`] is I-form `b`/`bl` (24-bit field).
 
-use codense_isa::{BranchKind, Core, Isa, IsaId, RelBranch, OVERFLOW_TABLE_HI};
+use codense_isa::{overflow_slot_halves, BranchKind, Core, Isa, IsaId, RelBranch};
 
 use crate::branch;
 use crate::insn::{bo, Insn};
@@ -97,8 +97,9 @@ impl Isa for PpcIsa {
                 out.push(branch::patch_offset_units(skip, BranchKind::Conditional, units));
             }
         }
-        out.push(crate::encode(&Insn::Addis { rt: R12, ra: R0, si: OVERFLOW_TABLE_HI }));
-        out.push(crate::encode(&Insn::Lwz { rt: R12, ra: R12, d: (slot * 4) as i16 }));
+        let (high, low) = overflow_slot_halves(slot);
+        out.push(crate::encode(&Insn::Addis { rt: R12, ra: R0, si: high as i16 }));
+        out.push(crate::encode(&Insn::Lwz { rt: R12, ra: R12, d: low }));
         out.push(crate::encode(&Insn::Mtspr { spr: Spr::Ctr, rs: R12 }));
         out.push(crate::encode(&Insn::Bcctr { bo: bo::ALWAYS, bi: 0, lk: info.lk }));
         Some(out)
@@ -116,7 +117,7 @@ impl Isa for PpcIsa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codense_isa::IsaRef;
+    use codense_isa::{IsaRef, OVERFLOW_TABLE_HI};
 
     #[test]
     fn escape_table_is_the_illegal_opcodes() {
@@ -235,6 +236,25 @@ mod tests {
         // CTR-decrementing conditionals cannot be expanded.
         let bdnz = crate::encode(&Insn::Bc { bo: bo::DNZ, bi: 0, bd: 0, aa: false, lk: false });
         assert_eq!(isa.overflow_expansion(bdnz, 0, 4, 8), None);
+    }
+
+    #[test]
+    fn trampolines_load_their_own_slot() {
+        // `lwz`'s signed 16-bit displacement reaches slot 8191; from slot
+        // 8192 on, `addis` carries the rest of the offset.
+        let isa = IsaRef(&ISA);
+        let b = crate::encode(&Insn::B { li: 0, aa: false, lk: false });
+        for slot in [0, 8191, 8192, 70_000] {
+            let seq = isa.overflow_expansion(b, slot, 1, 9).unwrap();
+            let Insn::Addis { rt: R12, ra: R0, si } = crate::decode(seq[0]) else {
+                panic!("slot {slot}: {:?}", crate::decode(seq[0]))
+            };
+            let Insn::Lwz { rt: R12, ra: R12, d } = crate::decode(seq[1]) else {
+                panic!("slot {slot}: {:?}", crate::decode(seq[1]))
+            };
+            let address = ((si as u32) << 16).wrapping_add(d as u32);
+            assert_eq!(address, ((OVERFLOW_TABLE_HI as u32) << 16) + 4 * slot, "slot {slot}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 
 use std::collections::HashSet;
 
-use codense_obj::ObjectModule;
+use codense_obj::{IsaId, ModuleError, ObjectModule};
 use codense_ppc::{decode, Insn};
 
 /// Cost parameters of the 16-bit mode.
@@ -256,14 +256,28 @@ pub fn thumb_cost_bytes(insn: &Insn, model: ThumbModel) -> u32 {
     }
 }
 
-/// Analyzes a module under the default cost model.
-pub fn analyze(module: &ObjectModule) -> ThumbReport {
+/// Analyzes a PowerPC module under the default cost model.
+///
+/// # Errors
+///
+/// See [`analyze_with`].
+pub fn analyze(module: &ObjectModule) -> Result<ThumbReport, ModuleError> {
     analyze_with(module, ThumbModel::default())
 }
 
-/// Analyzes a module, choosing per function between 32-bit mode and 16-bit
-/// mode. Text outside any function is charged at 32 bits per instruction.
-pub fn analyze_with(module: &ObjectModule, model: ThumbModel) -> ThumbReport {
+/// Analyzes a PowerPC module, choosing per function between 32-bit mode and
+/// 16-bit mode. Text outside any function is charged at 32 bits per
+/// instruction.
+///
+/// # Errors
+///
+/// [`ModuleError::IsaMismatch`] for a module built for another ISA: the
+/// cost model prices PowerPC instructions, and another ISA's words would
+/// get a wrong reading.
+pub fn analyze_with(module: &ObjectModule, model: ThumbModel) -> Result<ThumbReport, ModuleError> {
+    if module.isa != IsaId::Ppc {
+        return Err(ModuleError::IsaMismatch { module: module.isa, given: IsaId::Ppc });
+    }
     let mut report = ThumbReport {
         insns: module.len(),
         narrow: 0,
@@ -305,7 +319,7 @@ pub fn analyze_with(module: &ObjectModule, model: ThumbModel) -> ThumbReport {
         }
     }
     report.size_bytes += 4 * covered.iter().filter(|&&c| !c).count();
-    report
+    Ok(report)
 }
 
 /// Records the GPRs an instruction names (r0/r1 excluded: zero/SP).
@@ -470,8 +484,9 @@ mod tests {
             prologue_len: 0,
             epilogues: vec![],
         });
-        let loose = analyze_with(&m, ThumbModel { pressure_bytes: 0, ..Default::default() });
-        let tight = analyze_with(&m, ThumbModel::default());
+        let loose =
+            analyze_with(&m, ThumbModel { pressure_bytes: 0, ..Default::default() }).unwrap();
+        let tight = analyze_with(&m, ThumbModel::default()).unwrap();
         // Without the penalty the function profits from 16-bit mode
         // (4 + 12*2 = 28 bytes); with 4 over-limit registers at 8 bytes the
         // 16-bit cost (60) exceeds ARM (48), so it stays 32-bit.
@@ -492,7 +507,7 @@ mod tests {
             prologue_len: 0,
             epilogues: vec![],
         });
-        let r = analyze(&m);
+        let r = analyze(&m).unwrap();
         assert_eq!(r.thumb_functions, 1);
         assert_eq!(r.size_bytes, 2 * 20 + 4);
         assert!(r.compression_ratio() < 0.6);
@@ -509,7 +524,7 @@ mod tests {
             prologue_len: 0,
             epilogues: vec![],
         });
-        let r = analyze(&m);
+        let r = analyze(&m).unwrap();
         assert_eq!(r.arm_functions, 1);
         assert_eq!(r.size_bytes, 80);
     }
@@ -519,7 +534,7 @@ mod tests {
         // Thumb reports ~30% reduction on real code; the model should land
         // in a broadly similar band on the stand-ins (0.6..0.9 ratio).
         let m = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
-        let r = analyze(&m);
+        let r = analyze(&m).unwrap();
         assert!(r.coverage() > 0.35, "coverage {:.2}", r.coverage());
         assert!(
             (0.55..0.95).contains(&r.compression_ratio()),
@@ -529,10 +544,17 @@ mod tests {
     }
 
     #[test]
+    fn a_mips_module_is_refused() {
+        let m = codense_codegen::benchmark("compress", IsaId::Mips).unwrap();
+        let want = ModuleError::IsaMismatch { module: IsaId::Mips, given: IsaId::Ppc };
+        assert_eq!(analyze(&m), Err(want));
+    }
+
+    #[test]
     fn orphan_text_counted_at_full_width() {
         let mut m = ObjectModule::new("t", codense_obj::IsaId::Ppc);
         m.code = vec![encode(&Insn::Sc); 4];
-        let r = analyze(&m);
+        let r = analyze(&m).unwrap();
         assert_eq!(r.size_bytes, 16);
     }
 }

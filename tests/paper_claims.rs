@@ -147,7 +147,7 @@ fn dictionary_scheme_beats_ccrp_model() {
 #[test]
 fn dictionary_beats_static_subsetting() {
     let m = module("compress");
-    let thumb = codense::thumb::analyze(&m);
+    let thumb = codense::thumb::analyze(&m).unwrap();
     assert!(
         (0.60..0.85).contains(&thumb.compression_ratio()),
         "thumb model ratio {:.2}",
