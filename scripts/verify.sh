@@ -199,10 +199,11 @@ echo "==> matchfinder equivalence at corpus scale (100K insns, both ISAs, nibble
 # makes this step release-only; the 10K variant runs in `cargo test`.
 cargo test -q --release -p codense-corpus --test matchfinder -- --ignored
 
-echo "==> refine at corpus scale (100K insns, both ISAs, huffman, container CRC-32s vs golden)"
-# The refinement selector's containers on SPEC-scale programs must match
-# crates/corpus/tests/golden/refine_100k.txt byte for byte. Refine runs a
-# dozen selection passes per program, which makes this step release-only.
+echo "==> containers at corpus scale (100K refine x huffman; 1M greedy/refine x nibble/huffman; both ISAs; CRC-32s vs golden)"
+# Containers of SPEC-scale programs must match
+# crates/corpus/tests/golden/refine_100k.txt and containers_1m.txt byte for
+# byte. Refine runs a dozen selection passes per program, which makes this
+# step release-only.
 cargo test -q --release -p codense-corpus --test refine -- --ignored
 
 echo "==> benchmark toy tests (benchmark/ against the workspace crates it links)"
