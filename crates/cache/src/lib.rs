@@ -200,7 +200,8 @@ pub fn replay_dict_cache(
     let mut resident: Vec<u32> = Vec::new();
     let mut stats = DictCacheStats::default();
     for r in trace.iter().filter(|r| r.nibbles > 0) {
-        let Ok(i) = program.addresses.binary_search(&r.nibble_addr) else { continue };
+        let Ok(addr) = u32::try_from(r.nibble_addr) else { continue };
+        let Ok(i) = program.addresses.binary_search(&addr) else { continue };
         let Atom::Codeword { entry, .. } = program.atoms[i] else { continue };
         if let Some(pos) = resident.iter().position(|&e| e == entry) {
             resident.remove(pos);

@@ -240,12 +240,13 @@ pub fn fig2(ctx: &mut Ctx) {
     println!("{:34}  Compressed code", "Uncompressed code");
     let mut used_entries = Vec::new();
     for atom in window {
+        let orig = atom.orig();
         match *atom {
-            codense_core::Atom::Insn { orig, .. } => {
+            codense_core::Atom::Insn { .. } => {
                 let text = isa.disassemble(module.code[orig], orig as u32 * 4);
                 println!("{text:34}  {text}");
             }
-            codense_core::Atom::Codeword { entry, orig, len } => {
+            codense_core::Atom::Codeword { entry, len, .. } => {
                 if !used_entries.contains(&entry) {
                     used_entries.push(entry);
                 }
@@ -253,7 +254,7 @@ pub fn fig2(ctx: &mut Ctx) {
                     "CODEWORD #{}",
                     used_entries.iter().position(|&e| e == entry).unwrap() + 1
                 );
-                for k in 0..len {
+                for k in 0..len as usize {
                     let text = isa.disassemble(module.code[orig + k], (orig + k) as u32 * 4);
                     if k == 0 {
                         println!("{text:34}  {tag}");
@@ -262,7 +263,7 @@ pub fn fig2(ctx: &mut Ctx) {
                     }
                 }
             }
-            codense_core::Atom::ViaTable { orig, .. } => {
+            codense_core::Atom::ViaTable { .. } => {
                 let text = isa.disassemble(module.code[orig], orig as u32 * 4);
                 println!("{text:34}  <branch via table>");
             }

@@ -44,6 +44,11 @@ use crate::telemetry;
 pub use codense_isa::OVERFLOW_TABLE_HI;
 
 /// One element of the compressed program's logical stream.
+///
+/// Every field is 32 bits wide, so an atom takes 16 bytes. The compressor
+/// indexes a module's cells in 32 bits throughout (mining refuses a
+/// program whose cells do not fit, with [`CompressError::ProgramTooLarge`]),
+/// so an original index, a length and an overflow slot all fit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Atom {
     /// An uncompressed instruction (branches carry their *patched* word).
@@ -51,16 +56,16 @@ pub enum Atom {
         /// The (possibly patched) instruction word.
         word: u32,
         /// Original instruction index.
-        orig: usize,
+        orig: u32,
     },
     /// A codeword standing for a dictionary entry.
     Codeword {
         /// Dictionary entry index.
         entry: u32,
         /// Original index of the first covered instruction.
-        orig: usize,
+        orig: u32,
         /// Instructions covered.
-        len: usize,
+        len: u32,
     },
     /// A branch rewritten to dispatch through the overflow jump table
     /// because its patched offset no longer fits its field.
@@ -68,9 +73,9 @@ pub enum Atom {
         /// The original branch word.
         word: u32,
         /// Original instruction index.
-        orig: usize,
+        orig: u32,
         /// Slot in the overflow table holding the target address.
-        slot: usize,
+        slot: u32,
     },
 }
 
@@ -79,7 +84,7 @@ impl Atom {
     pub fn orig(&self) -> usize {
         match *self {
             Atom::Insn { orig, .. } | Atom::Codeword { orig, .. } | Atom::ViaTable { orig, .. } => {
-                orig
+                orig as usize
             }
         }
     }
@@ -87,7 +92,7 @@ impl Atom {
     /// Original instructions covered.
     pub fn covered(&self) -> usize {
         match *self {
-            Atom::Codeword { len, .. } => len,
+            Atom::Codeword { len, .. } => len as usize,
             _ => 1,
         }
     }
@@ -95,6 +100,13 @@ impl Atom {
 
 /// A compressed program: logical atom stream, dictionary, packed image,
 /// patched data tables, and the selection log.
+///
+/// Addresses are 32-bit nibble addresses, the width [`ProgramImage`] and
+/// the container record: the compressor refuses a stream longer than
+/// `u32::MAX` nibbles ([`CompressError::StreamTooLong`]), so every address
+/// of a finished program fits.
+///
+/// [`ProgramImage`]: crate::container::ProgramImage
 #[derive(Debug, Clone)]
 pub struct CompressedProgram {
     /// Program name (copied from the module).
@@ -108,15 +120,15 @@ pub struct CompressedProgram {
     /// Logical stream in program order.
     pub atoms: Vec<Atom>,
     /// Nibble address of each atom.
-    pub addresses: Vec<u64>,
+    pub addresses: Vec<u32>,
     /// The packed byte image of the compressed text section.
     pub image: Vec<u8>,
     /// Total stream length in nibbles.
     pub total_nibbles: u64,
     /// Jump tables patched to compressed (nibble) addresses.
-    pub jump_tables: Vec<Vec<u64>>,
+    pub jump_tables: Vec<Vec<u32>>,
     /// Overflow jump table: target nibble address per rewritten branch.
-    pub overflow_table: Vec<u64>,
+    pub overflow_table: Vec<u32>,
     /// The greedy pick log (enables exact dictionary-size sweeps).
     pub picks: Vec<PickRecord>,
     /// Original text size in bytes.
@@ -171,7 +183,7 @@ impl CompressedProgram {
 
     /// Nibble address of the original instruction index, if it starts an
     /// atom (branch targets always do).
-    pub fn address_of_orig(&self, orig: usize) -> Option<u64> {
+    pub fn address_of_orig(&self, orig: usize) -> Option<u32> {
         match self.atoms.binary_search_by_key(&orig, Atom::orig) {
             Ok(i) => Some(self.addresses[i]),
             Err(_) => None,
@@ -184,15 +196,16 @@ impl CompressedProgram {
         let mut out = Vec::new();
         for atom in &self.atoms {
             match *atom {
-                Atom::Insn { word, orig } => out.push((orig, word)),
+                Atom::Insn { word, orig } | Atom::ViaTable { word, orig, .. } => {
+                    out.push((orig as usize, word))
+                }
                 Atom::Codeword { entry, orig, len } => {
                     let words = &self.dictionary.entry(entry).words;
-                    debug_assert_eq!(words.len(), len);
+                    debug_assert_eq!(words.len(), len as usize);
                     for (k, &w) in words.iter().enumerate() {
-                        out.push((orig + k, w));
+                        out.push((orig as usize + k, w));
                     }
                 }
-                Atom::ViaTable { word, orig, .. } => out.push((orig, word)),
             }
         }
         out
@@ -453,7 +466,10 @@ impl Compressor {
     ///
     /// # Errors
     ///
-    /// See [`CompressError`]; a lay-out that succeeds always finishes.
+    /// See [`CompressError`]; a lay-out that succeeds always finishes. A
+    /// stream longer than `u32::MAX` nibbles is refused here, the one place
+    /// a nibble count narrows to the 32 bits a finished program's addresses
+    /// take ([`CompressError::StreamTooLong`]).
     pub(crate) fn lay_out(
         &self,
         prep: &Prepared,
@@ -586,6 +602,7 @@ impl Compressor {
                 return Err(CompressError::LayoutDiverged);
             }
         }
+        let total_nibbles = nibble_count(total_nibbles)?;
 
         Ok(LaidOut { dictionary, heads, slots, total_nibbles, overflow_slots, huffman, picks })
     }
@@ -611,7 +628,7 @@ impl Compressor {
             laid;
         let huff = huffman.as_ref();
         let code = &prep.module.code;
-        let insn_nibbles = encoding::insn_nibbles_coded(kind, huff) as u64;
+        let insn_nibbles = encoding::insn_nibbles_coded(kind, huff);
         let entry_nibbles = codeword_nibbles(kind, huff, &dictionary);
 
         // 6. The atom stream, from the module's words, the head array (a
@@ -636,12 +653,13 @@ impl Compressor {
         while i < code.len() {
             let entry = atom_at[i];
             atom_at[i] = atoms.len() as u32;
+            let orig = i as u32;
             let atom = if entry != NO_ENTRY {
-                Atom::Codeword { entry, orig: i, len: dictionary.entry(entry).len() }
+                Atom::Codeword { entry, orig, len: dictionary.entry(entry).len() as u32 }
             } else if let Some((_, slot)) = rewritten.next_if(|&(site, _)| site == i) {
-                Atom::ViaTable { word: code[i], orig: i, slot: slot as usize }
+                Atom::ViaTable { word: code[i], orig, slot }
             } else {
-                Atom::Insn { word: code[i], orig: i }
+                Atom::Insn { word: code[i], orig }
             };
             i += atom.covered();
             atoms.push(atom);
@@ -650,7 +668,7 @@ impl Compressor {
         let branch_atoms: Vec<(usize, usize)> =
             prep.branches.iter().map(|b| (atom_of(b.site), atom_of(b.target))).collect();
         // Each jump-table entry holds its target's atom until step 8.
-        let mut jump_tables: Vec<Vec<u64>> = prep
+        let mut jump_tables: Vec<Vec<u32>> = prep
             .module
             .jump_tables
             .iter()
@@ -660,23 +678,24 @@ impl Compressor {
                     .map(|&idx| {
                         let atom = atom_at[idx];
                         assert_ne!(atom, NO_ENTRY, "jump-table targets start atoms");
-                        atom as u64
+                        atom
                     })
                     .collect()
             })
             .collect();
         drop(atom_at);
 
-        // 7. Addresses, from a per-entry nibble table.
+        // 7. Addresses, from a per-entry nibble table. The lay-out refused
+        //    a stream whose length does not fit 32 bits, so none overflows.
         let mut addresses = Vec::with_capacity(atoms.len());
-        let mut addr = 0u64;
+        let mut addr = 0u32;
         for atom in &atoms {
             addresses.push(addr);
             addr += match *atom {
                 Atom::Insn { .. } => insn_nibbles,
                 Atom::Codeword { entry, .. } => entry_nibbles[entry as usize],
                 Atom::ViaTable { word, slot, .. } => {
-                    via_table_expansion_coded(self.isa, kind, huff, word, slot).len() as u64
+                    via_table_expansion_coded(self.isa, kind, huff, word, slot).len() as u32
                         * insn_nibbles
                 }
             };
@@ -685,7 +704,7 @@ impl Compressor {
 
         // 8. Patch branch offsets, collect overflow-table targets and patch
         //    jump tables to compressed addresses.
-        let mut overflow_table = vec![0u64; overflow_slots];
+        let mut overflow_table = vec![0u32; overflow_slots];
         for (branch, &(site, target)) in prep.branches.iter().zip(&branch_atoms) {
             let target = addresses[target];
             match atoms[site] {
@@ -695,7 +714,7 @@ impl Compressor {
                     let patched = self.isa.patch_offset_units(word, branch.kind, units as i32);
                     atoms[site] = Atom::Insn { word: patched, orig };
                 }
-                Atom::ViaTable { slot, .. } => overflow_table[slot] = target,
+                Atom::ViaTable { slot, .. } => overflow_table[slot as usize] = target,
                 Atom::Codeword { .. } => unreachable!("branches are never compressed"),
             }
         }
@@ -706,7 +725,7 @@ impl Compressor {
         // 9. Pack the image.
         let mut w = NibbleWriter::new();
         for (i, atom) in atoms.iter().enumerate() {
-            debug_assert_eq!(w.len(), addresses[i], "layout/pack disagreement at atom {i}");
+            debug_assert_eq!(w.len(), addresses[i] as u64, "layout/pack disagreement at atom {i}");
             match *atom {
                 Atom::Insn { word, .. } => write_insn_coded(kind, huff, &mut w, word),
                 Atom::Codeword { entry, .. } => try_write_codeword_coded(
@@ -723,7 +742,7 @@ impl Compressor {
                 }
             }
         }
-        debug_assert_eq!(w.len(), total_nibbles, "layout/pack disagreement at the end");
+        debug_assert_eq!(w.len(), total_nibbles as u64, "layout/pack disagreement at the end");
 
         Ok(CompressedProgram {
             name: prep.module.name.clone(),
@@ -876,8 +895,9 @@ pub(crate) struct LaidOut {
     /// Each branch's overflow-table slot, if it is rewritten through the
     /// table, parallel to [`Prepared::branches`].
     slots: Vec<Option<u32>>,
-    /// Stream length in nibbles.
-    total_nibbles: u64,
+    /// Stream length in nibbles, which every address of the finished
+    /// program fits below.
+    total_nibbles: u32,
     /// Branches rewritten through the overflow table.
     overflow_slots: usize,
     /// The Huffman codeword table ([`EncodingKind::Huffman`] only).
@@ -890,7 +910,8 @@ impl LaidOut {
     /// The exact compressed size the finished program will have: the
     /// numerator of Eq. 1, as [`CompressedProgram::compressed_bytes`].
     pub(crate) fn cost(&self) -> usize {
-        eq1_bytes(self.total_nibbles, &self.dictionary, self.overflow_slots, self.huffman.as_ref())
+        let total_nibbles = self.total_nibbles as u64;
+        eq1_bytes(total_nibbles, &self.dictionary, self.overflow_slots, self.huffman.as_ref())
     }
 }
 
@@ -927,15 +948,25 @@ fn eq1_bytes(
 ///
 /// Panics if `kind` is [`EncodingKind::Huffman`] and `huff` is `None`, or a
 /// rank has no codeword in the table.
-fn codeword_nibbles(kind: EncodingKind, huff: Option<&HuffCode>, dict: &Dictionary) -> Vec<u64> {
+fn codeword_nibbles(kind: EncodingKind, huff: Option<&HuffCode>, dict: &Dictionary) -> Vec<u32> {
     (0..dict.len() as u32)
         .map(|entry| {
             let rank = dict.rank_of(entry);
             encoding::try_codeword_nibbles_coded(kind, huff, rank)
                 .unwrap_or_else(|| panic!("rank {rank} has no codeword under {kind:?}"))
-                as u64
         })
         .collect()
+}
+
+/// Narrows a stream length to the 32-bit nibble addresses a finished
+/// program, its image and its container record.
+///
+/// # Errors
+///
+/// [`CompressError::StreamTooLong`] if the stream has more than `u32::MAX`
+/// nibbles.
+fn nibble_count(total_nibbles: u64) -> Result<u32, CompressError> {
+    u32::try_from(total_nibbles).map_err(|_| CompressError::StreamTooLong { total_nibbles })
 }
 
 /// Whether every cell of `cells` starts an atom under `heads`: no codeword
@@ -967,11 +998,11 @@ pub fn via_table_expansion_coded(
     kind: EncodingKind,
     huff: Option<&HuffCode>,
     word: u32,
-    slot: usize,
+    slot: u32,
 ) -> Vec<u32> {
     isa.overflow_expansion(
         word,
-        slot as u32,
+        slot,
         kind.granule_nibbles(),
         encoding::insn_nibbles_coded(kind, huff),
     )
@@ -1140,6 +1171,25 @@ mod tests {
                 assert_eq!(c.compress_masked(m, &hot).as_ref().unwrap_err(), &want, "{selector:?}");
             }
         }
+    }
+
+    /// Every atom field is 32 bits wide: a `usize` field would grow an atom
+    /// (one per output item, ~790K at 1M instructions) back to 24 bytes.
+    #[test]
+    fn an_atom_takes_16_bytes() {
+        assert_eq!(std::mem::size_of::<Atom>(), 16);
+    }
+
+    /// The one place a nibble count narrows to the 32 bits of a finished
+    /// program's addresses: `u32::MAX` nibbles fit, one more is refused.
+    #[test]
+    fn streams_past_32_bit_addresses_are_refused() {
+        assert_eq!(nibble_count(u32::MAX as u64), Ok(u32::MAX));
+        let total_nibbles = u32::MAX as u64 + 1;
+        assert_eq!(
+            nibble_count(total_nibbles),
+            Err(CompressError::StreamTooLong { total_nibbles })
+        );
     }
 
     #[test]

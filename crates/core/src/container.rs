@@ -146,13 +146,13 @@ pub fn serialize(program: &CompressedProgram) -> Vec<u8> {
     for table in &program.jump_tables {
         out.extend_from_slice(&(table.len() as u32).to_be_bytes());
         for &addr in table {
-            out.extend_from_slice(&(addr as u32).to_be_bytes());
+            out.extend_from_slice(&addr.to_be_bytes());
         }
     }
 
     out.extend_from_slice(&(program.overflow_table.len() as u32).to_be_bytes());
     for &addr in &program.overflow_table {
-        out.extend_from_slice(&(addr as u32).to_be_bytes());
+        out.extend_from_slice(&addr.to_be_bytes());
     }
 
     let crc = crc32(&out);
@@ -297,12 +297,8 @@ impl CompressedProgram {
                 .unwrap_or_default(),
             image: self.image.clone(),
             total_nibbles: self.total_nibbles,
-            jump_tables: self
-                .jump_tables
-                .iter()
-                .map(|t| t.iter().map(|&a| a as u32).collect())
-                .collect(),
-            overflow_table: self.overflow_table.iter().map(|&a| a as u32).collect(),
+            jump_tables: self.jump_tables.clone(),
+            overflow_table: self.overflow_table.clone(),
             original_text_bytes: self.original_text_bytes as u32,
         }
     }

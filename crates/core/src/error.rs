@@ -47,6 +47,13 @@ pub enum CompressError {
         /// Cells in the largest block.
         largest_block: usize,
     },
+    /// The compressed stream is longer than the `u32::MAX` nibbles a
+    /// finished program's 32-bit addresses, its image and its container
+    /// can address.
+    StreamTooLong {
+        /// The stream's length in nibbles.
+        total_nibbles: u64,
+    },
     /// The compressor targets an ISA other than the one the module records.
     IsaMismatch {
         /// The ISA the module records.
@@ -82,6 +89,9 @@ impl fmt::Display for CompressError {
                     "program exceeds the matchfinder's 32-bit position space \
                      ({blocks} blocks, largest block {largest_block} cells)"
                 )
+            }
+            CompressError::StreamTooLong { total_nibbles } => {
+                write!(f, "compressed stream of {total_nibbles} nibbles exceeds 32-bit addresses")
             }
             CompressError::IsaMismatch { module, compressor } => {
                 write!(f, "module is built for {module}, but the compressor targets {compressor}")
@@ -121,6 +131,15 @@ pub enum VerifyError {
         /// Original target instruction index.
         want_target: usize,
     },
+    /// The trampoline of an overflow-rewritten branch does not load its own
+    /// overflow-table slot, so a taken branch would dispatch through
+    /// another branch's target.
+    TrampolineSlotMismatch {
+        /// Original instruction index of the branch.
+        orig: usize,
+        /// The slot its atom names.
+        slot: u32,
+    },
     /// The packed byte image disagrees with the logical atom stream.
     ImageMismatch {
         /// Atom index where parsing diverged.
@@ -154,6 +173,9 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::BranchTargetMismatch { orig, want_target } => {
                 write!(f, "branch {orig} no longer reaches instruction {want_target}")
+            }
+            VerifyError::TrampolineSlotMismatch { orig, slot } => {
+                write!(f, "the trampoline of branch {orig} does not load overflow slot {slot}")
             }
             VerifyError::ImageMismatch { atom } => {
                 write!(f, "packed image diverges from atom {atom}")

@@ -37,7 +37,9 @@
 //! trial is scored by its `LaidOut::cost`, which is exact: a lay-out sizes
 //! the stream from the selection's head array and the addresses of the
 //! branch sites and targets, and builds no atom. Only the winner is
-//! finished: its atoms built, patched and packed.
+//! finished: its atoms built, patched and packed. An index refine mined
+//! itself is dropped when the climb ends, before that finish, so the
+//! winner's atoms and image never share the heap with it.
 //!
 //! A re-price probe selects from scratch, since a price change reorders the
 //! picks from the first one on. A ban trial does not. Each greedy step
@@ -153,7 +155,7 @@ fn refine_observed(
     module: &ObjectModule,
     exempt: &[bool],
     shared_index: Option<&CandidateIndex>,
-    mut observe: impl FnMut(&Prepared, &LaidOut, Option<BanTrial>),
+    observe: impl FnMut(&Prepared, &LaidOut, Option<BanTrial>),
 ) -> Result<CompressedProgram, CompressError> {
     telemetry::REFINE_RUNS.inc();
     let _refine = telemetry::phase("refine");
@@ -161,25 +163,41 @@ fn refine_observed(
 
     // Every trial selects against one index. Mine it from the masked
     // model when the caller didn't supply one, exactly as a fresh greedy
-    // run would; the model is dropped once mined.
-    let owned;
-    let index = match shared_index {
-        Some(index) => index,
+    // run would; the model is dropped once mined, and the index once the
+    // climb ends, before the winner's atoms and image are built. A
+    // caller's index is the caller's to drop.
+    let best = match shared_index {
+        Some(index) => climb(c, &prep, index, observe)?,
         None => {
-            let model = c.build_masked_model(module, exempt);
-            let _phase = telemetry::phase("mine");
-            owned = CandidateIndex::build(&model, c.config().max_entry_len)?;
-            &owned
+            let index = {
+                let model = c.build_masked_model(module, exempt);
+                let _phase = telemetry::phase("mine");
+                CandidateIndex::build(&model, c.config().max_entry_len)?
+            };
+            climb(c, &prep, &index, observe)?
         }
     };
+    let _pack = telemetry::phase("pack");
+    c.finish(&prep, best)
+}
+
+/// The climb of the module docs, against `index`: greedy's lay-out, the
+/// re-price probes, then ban trials until none improves or the budget runs
+/// out. Returns the cheapest lay-out, unfinished.
+fn climb(
+    c: &Compressor,
+    prep: &Prepared,
+    index: &CandidateIndex,
+    mut observe: impl FnMut(&Prepared, &LaidOut, Option<BanTrial>),
+) -> Result<LaidOut, CompressError> {
     // A lay-out of a from-scratch selection at `price`, minus `bans`.
     let from_scratch = |bans: &BanSet, price: Option<u32>| {
         let _phase = telemetry::phase("compress");
-        c.lay_out(&prep, |dict| c.select(&prep, Some(index), bans, price, dict))
+        c.lay_out(prep, |dict| c.select(prep, Some(index), bans, price, dict))
     };
     let mut scored = |laid: Result<LaidOut, CompressError>, ban: Option<BanTrial>| {
         if let Ok(laid) = &laid {
-            observe(&prep, laid, ban);
+            observe(prep, laid, ban);
         }
         laid
     };
@@ -252,7 +270,7 @@ fn refine_observed(
             telemetry::REFINE_TRIALS.inc();
             let laid = {
                 let _phase = telemetry::phase("compress");
-                c.lay_out(&prep, |dict| {
+                c.lay_out(prep, |dict| {
                     let _phase = telemetry::phase("select");
                     let mut run = checkpoint.clone();
                     run.run(index, usize::MAX, Some(skip));
@@ -278,9 +296,7 @@ fn refine_observed(
         }
         break; // fixpoint: no marginal ban improves
     }
-
-    let _pack = telemetry::phase("pack");
-    c.finish(&prep, best)
+    Ok(best)
 }
 
 #[cfg(test)]

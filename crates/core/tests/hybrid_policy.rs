@@ -124,7 +124,8 @@ fn hot_function_exempt_cold_twin_still_compresses() {
         let mut hot_covered = 0usize;
         let mut cold_covered = 0usize;
         for atom in &c.atoms {
-            if let Atom::Codeword { orig, len, .. } = *atom {
+            if let Atom::Codeword { .. } = *atom {
+                let (orig, len) = (atom.orig(), atom.covered());
                 assert!(
                     orig >= half && orig + len <= m.len(),
                     "{:?}: codeword at {orig} (+{len}) covers hot code",

@@ -126,7 +126,7 @@ fn seed_compressed_tables(
     for (t, table) in compressed.jump_tables.iter().enumerate() {
         for (e, &target) in table.iter().enumerate() {
             let a = (p.table_addrs[t] + 4 * e as u32) as usize;
-            mem[a..a + 4].copy_from_slice(&(target as u32).to_be_bytes());
+            mem[a..a + 4].copy_from_slice(&target.to_be_bytes());
         }
     }
 }

@@ -178,7 +178,7 @@ fn seed_tables<C: Core + ?Sized>(
         for (e, &target) in table.targets.iter().enumerate() {
             let addr = table_addrs[t] + 4 * e as u32;
             native.write32(addr, 8 * target as u32).map_err(|err| format!("table seed: {err}"))?;
-            comp.write32(addr, compressed.jump_tables[t][e] as u32)
+            comp.write32(addr, compressed.jump_tables[t][e])
                 .map_err(|err| format!("table seed: {err}"))?;
         }
     }
@@ -239,7 +239,7 @@ pub fn lockstep_with<C: Core + ?Sized>(
     // Atom map: expected compressed PC for each original instruction index.
     // Instructions inside a codeword share the codeword's address (the PC
     // parks there while the expansion buffer drains).
-    let mut expected_pc = vec![u64::MAX; module.code.len()];
+    let mut expected_pc = vec![u32::MAX; module.code.len()];
     for (i, atom) in compressed.atoms.iter().enumerate() {
         for k in 0..atom.covered() {
             if let Some(slot) = expected_pc.get_mut(atom.orig() + k) {
@@ -255,7 +255,7 @@ pub fn lockstep_with<C: Core + ?Sized>(
     }
 
     let mut npc = 0u64;
-    let mut cpc = compressed.address_of_orig(0).unwrap_or(0);
+    let mut cpc = compressed.address_of_orig(0).map_or(0, u64::from);
 
     for step in 0..max_steps {
         let diverge = |kind, detail| Err(Divergence { step, kind, detail });
@@ -264,7 +264,7 @@ pub fn lockstep_with<C: Core + ?Sized>(
         // instruction address; otherwise both fetches fault below).
         if npc.is_multiple_of(8) {
             if let Some(&want) = expected_pc.get((npc / 8) as usize) {
-                if want != u64::MAX && cpc != want {
+                if want != u32::MAX && cpc != want as u64 {
                     return diverge(
                         DivergenceKind::PcMismatch,
                         format!(

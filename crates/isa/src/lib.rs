@@ -34,16 +34,30 @@ pub const INSN_BYTES: u32 = 4;
 /// their target from `(OVERFLOW_TABLE_HI << 16) + 4 * slot`.
 pub const OVERFLOW_TABLE_HI: i16 = 0x0060;
 
+/// The data address of overflow-table slot `slot`:
+/// `(OVERFLOW_TABLE_HI << 16) + 4 * slot`, the word a trampoline for that
+/// slot loads its target from.
+pub fn overflow_slot_address(slot: u32) -> u32 {
+    ((OVERFLOW_TABLE_HI as u32) << 16).wrapping_add(slot.wrapping_mul(4))
+}
+
 /// The two halves a trampoline builds the address of overflow-table slot
 /// `slot` from: the high halfword its `addis`/`lui` sets, and the signed
 /// displacement of its load. With the displacement sign-extended,
-/// `(high << 16) + low` is `(OVERFLOW_TABLE_HI << 16) + 4 * slot`; the high
-/// half carries what a negative displacement borrows, so every slot below
-/// 8192 loads through `OVERFLOW_TABLE_HI` itself.
+/// `(high << 16) + low` is [`overflow_slot_address`]; the high half carries
+/// what a negative displacement borrows, so every slot below 8192 loads
+/// through `OVERFLOW_TABLE_HI` itself.
 pub fn overflow_slot_halves(slot: u32) -> (u16, i16) {
-    let address = ((OVERFLOW_TABLE_HI as u32) << 16).wrapping_add(slot.wrapping_mul(4));
+    let address = overflow_slot_address(slot);
     let low = address as i16;
     ((address.wrapping_sub(low as u32) >> 16) as u16, low)
+}
+
+/// The address a trampoline's load reads, from the halves it built it
+/// from: the high halfword of its `addis`/`lui` plus its load's
+/// sign-extended displacement (the inverse of [`overflow_slot_halves`]).
+pub fn overflow_load_address(high: u16, low: i16) -> u32 {
+    ((high as u32) << 16).wrapping_add(low as i32 as u32)
 }
 
 /// Execution faults.
@@ -386,6 +400,14 @@ pub trait Isa: Sync {
         granule_nibbles: u32,
         insn_nibbles: u32,
     ) -> Option<Vec<u32>>;
+
+    /// The data address the dispatch of an
+    /// [`overflow_expansion`](Isa::overflow_expansion) loads its target
+    /// from, decoded from the expansion's words; `None` if `expansion` does
+    /// not end in this backend's dispatch sequence. A trampoline for slot
+    /// `slot` must load [`overflow_slot_address`]`(slot)`, which
+    /// verification checks without trusting the code that built it.
+    fn overflow_table_address(&self, expansion: &[u32]) -> Option<u32>;
 
     /// Disassembles a word located at byte address `addr` to the backend's
     /// assembly syntax.

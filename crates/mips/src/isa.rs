@@ -5,7 +5,9 @@
 //! table. [`BranchKind::Conditional`] is the conditional/REGIMM form
 //! (16-bit field), [`BranchKind::Jump`] is `j`/`jal` (26-bit field).
 
-use codense_isa::{overflow_slot_halves, BranchKind, Core, Isa, IsaId, RelBranch};
+use codense_isa::{
+    overflow_load_address, overflow_slot_halves, BranchKind, Core, Isa, IsaId, RelBranch,
+};
 
 use crate::branch;
 use crate::insn::MInsn;
@@ -108,6 +110,18 @@ impl Isa for MipsIsa {
             out.push(crate::encode(&Jr { rs: AT }));
         }
         Some(out)
+    }
+
+    fn overflow_table_address(&self, expansion: &[u32]) -> Option<u32> {
+        // The dispatch is `lui $at,hi; lw $at,lo($at); jr/jalr $at`, after
+        // the skip of a conditional branch.
+        let [.., high, load, _] = *expansion else { return None };
+        match (crate::decode(high), crate::decode(load)) {
+            (MInsn::Lui { rt: AT, imm }, MInsn::Lw { rt: AT, base: AT, offset }) => {
+                Some(overflow_load_address(imm, offset))
+            }
+            _ => None,
+        }
     }
 
     fn disassemble(&self, word: u32, addr: u32) -> String {
@@ -271,17 +285,18 @@ mod tests {
         // `lui` carries the rest of the offset.
         let isa = IsaRef(&ISA);
         let j = crate::encode(&MInsn::J { offset: 0 });
-        for slot in [0, 8191, 8192, 70_000] {
-            let seq = isa.overflow_expansion(j, slot, 1, 9).unwrap();
-            let MInsn::Lui { rt: AT, imm } = crate::decode(seq[0]) else {
-                panic!("slot {slot}: {:?}", crate::decode(seq[0]))
-            };
-            let MInsn::Lw { rt: AT, base: AT, offset } = crate::decode(seq[1]) else {
-                panic!("slot {slot}: {:?}", crate::decode(seq[1]))
-            };
-            let address = ((imm as u32) << 16).wrapping_add(offset as u32);
-            assert_eq!(address, ((OVERFLOW_TABLE_HI as u32) << 16) + 4 * slot, "slot {slot}");
+        let beq = crate::encode(&MInsn::Beq { rs: T0, rt: T1, offset: 0 });
+        for word in [j, beq] {
+            for slot in [0, 8191, 8192, 70_000] {
+                let seq = isa.overflow_expansion(word, slot, 1, 9).unwrap();
+                let want = ((OVERFLOW_TABLE_HI as u32) << 16) + 4 * slot;
+                assert_eq!(isa.overflow_table_address(&seq), Some(want), "slot {slot}");
+            }
         }
+        // Anything but a dispatch sequence loads nothing.
+        let seq = isa.overflow_expansion(j, 0, 1, 9).unwrap();
+        assert_eq!(isa.overflow_table_address(&seq[1..]), None);
+        assert_eq!(isa.overflow_table_address(&[j; 3]), None);
     }
 
     #[test]

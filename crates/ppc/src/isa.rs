@@ -5,7 +5,9 @@
 //! table. [`BranchKind::Conditional`] is B-form `bc` (14-bit field),
 //! [`BranchKind::Jump`] is I-form `b`/`bl` (24-bit field).
 
-use codense_isa::{overflow_slot_halves, BranchKind, Core, Isa, IsaId, RelBranch};
+use codense_isa::{
+    overflow_load_address, overflow_slot_halves, BranchKind, Core, Isa, IsaId, RelBranch,
+};
 
 use crate::branch;
 use crate::insn::{bo, Insn};
@@ -103,6 +105,18 @@ impl Isa for PpcIsa {
         out.push(crate::encode(&Insn::Mtspr { spr: Spr::Ctr, rs: R12 }));
         out.push(crate::encode(&Insn::Bcctr { bo: bo::ALWAYS, bi: 0, lk: info.lk }));
         Some(out)
+    }
+
+    fn overflow_table_address(&self, expansion: &[u32]) -> Option<u32> {
+        // The dispatch is `addis r12,0,hi; lwz r12,lo(r12); mtctr r12;
+        // bcctr`, after the skip of a conditional branch.
+        let [.., high, load, _, _] = *expansion else { return None };
+        match (crate::decode(high), crate::decode(load)) {
+            (Insn::Addis { rt: R12, ra: R0, si }, Insn::Lwz { rt: R12, ra: R12, d }) => {
+                Some(overflow_load_address(si as u16, d))
+            }
+            _ => None,
+        }
     }
 
     fn disassemble(&self, word: u32, addr: u32) -> String {
@@ -244,17 +258,18 @@ mod tests {
         // 8192 on, `addis` carries the rest of the offset.
         let isa = IsaRef(&ISA);
         let b = crate::encode(&Insn::B { li: 0, aa: false, lk: false });
-        for slot in [0, 8191, 8192, 70_000] {
-            let seq = isa.overflow_expansion(b, slot, 1, 9).unwrap();
-            let Insn::Addis { rt: R12, ra: R0, si } = crate::decode(seq[0]) else {
-                panic!("slot {slot}: {:?}", crate::decode(seq[0]))
-            };
-            let Insn::Lwz { rt: R12, ra: R12, d } = crate::decode(seq[1]) else {
-                panic!("slot {slot}: {:?}", crate::decode(seq[1]))
-            };
-            let address = ((si as u32) << 16).wrapping_add(d as u32);
-            assert_eq!(address, ((OVERFLOW_TABLE_HI as u32) << 16) + 4 * slot, "slot {slot}");
+        let bc = crate::encode(&Insn::Bc { bo: bo::IF_TRUE, bi: 2, bd: 0, aa: false, lk: false });
+        for word in [b, bc] {
+            for slot in [0, 8191, 8192, 70_000] {
+                let seq = isa.overflow_expansion(word, slot, 1, 9).unwrap();
+                let want = ((OVERFLOW_TABLE_HI as u32) << 16) + 4 * slot;
+                assert_eq!(isa.overflow_table_address(&seq), Some(want), "slot {slot}");
+            }
         }
+        // Anything but a dispatch sequence loads nothing.
+        let seq = isa.overflow_expansion(b, 0, 1, 9).unwrap();
+        assert_eq!(isa.overflow_table_address(&seq[1..]), None);
+        assert_eq!(isa.overflow_table_address(&[b; 4]), None);
     }
 
     #[test]

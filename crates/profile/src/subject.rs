@@ -79,14 +79,14 @@ impl Subject {
         let mut m = self.machine_base();
         for (t, table) in compressed.jump_tables.iter().enumerate() {
             for (e, &target) in table.iter().enumerate() {
-                m.store32(self.table_addrs[t] + 4 * e as u32, target as u32)
+                m.store32(self.table_addrs[t] + 4 * e as u32, target)
                     .expect("jump table within subject memory");
             }
         }
         let overflow_base = (OVERFLOW_TABLE_HI as u32) << 16;
         if overflow_base as usize + 4 * compressed.overflow_table.len() <= self.mem_bytes {
             for (slot, &target) in compressed.overflow_table.iter().enumerate() {
-                m.store32(overflow_base + 4 * slot as u32, target as u32)
+                m.store32(overflow_base + 4 * slot as u32, target)
                     .expect("overflow table within subject memory");
             }
         }

@@ -92,7 +92,7 @@ fn run_both(m: &ObjectModule, c: &CompressedProgram, r4: u32) -> (RunResult, Run
     machine.gpr[4] = r4;
     let table_base = (OVERFLOW_TABLE_HI as u32) << 16;
     for (slot, &addr) in c.overflow_table.iter().enumerate() {
-        machine.store32(table_base + 4 * slot as u32, addr as u32).unwrap();
+        machine.store32(table_base + 4 * slot as u32, addr).unwrap();
     }
     let mut fetch = PredecodedFetcher::new(c);
     let result = run(&mut machine, &mut fetch, 0, 100_000).unwrap();

@@ -44,13 +44,13 @@ fn seed_tables(mem: &mut [u8], table_addrs: &[u32], compressed: &CompressedProgr
     for (t, table) in compressed.jump_tables.iter().enumerate() {
         for (e, &target) in table.iter().enumerate() {
             let a = (table_addrs[t] + 4 * e as u32) as usize;
-            mem[a..a + 4].copy_from_slice(&(target as u32).to_be_bytes());
+            mem[a..a + 4].copy_from_slice(&target.to_be_bytes());
         }
     }
 }
 
 fn entry_of(compressed: &CompressedProgram) -> u64 {
-    compressed.address_of_orig(0).unwrap_or(0)
+    compressed.address_of_orig(0).map_or(0, u64::from)
 }
 
 /// A fresh machine holding the image's jump tables.
