@@ -199,11 +199,13 @@ echo "==> matchfinder equivalence at corpus scale (100K insns, both ISAs, nibble
 # makes this step release-only; the 10K variant runs in `cargo test`.
 cargo test -q --release -p codense-corpus --test matchfinder -- --ignored
 
-echo "==> containers at corpus scale (100K refine x huffman; 1M greedy/refine x nibble/huffman; both ISAs; CRC-32s vs golden)"
-# Containers of SPEC-scale programs must match
-# crates/corpus/tests/golden/refine_100k.txt and containers_1m.txt byte for
-# byte. Refine runs a dozen selection passes per program, which makes this
-# step release-only.
+echo "==> builds and containers at corpus scale (10K/1M builds at the 4M-insn dynamic target; 100K refine x huffman; 1M greedy/refine x nibble/huffman; both ISAs; vs golden)"
+# Corpus builds at the benchmark's dynamic target must match
+# crates/corpus/tests/golden/builds_4m.txt (stats and module CRC-32), and
+# containers of SPEC-scale programs must match refine_100k.txt and
+# containers_1m.txt byte for byte. Refine runs a dozen selection passes per
+# program and a build runs 4M instructions natively, which makes this step
+# release-only.
 cargo test -q --release -p codense-corpus --test refine -- --ignored
 
 echo "==> benchmark toy tests (benchmark/ against the workspace crates it links)"
