@@ -8,7 +8,7 @@ use std::process::Command;
 use codense_core::container::{self, ProgramImage};
 use codense_core::{EncodingKind, SelectorKind};
 use codense_corpus::{build, CorpusIsa, CorpusSpec, MEM_BYTES};
-use codense_isa::{IsaId, OVERFLOW_TABLE_HI};
+use codense_isa::{CoreVisitor, IsaId, PredecodeCore, OVERFLOW_TABLE_HI};
 use codense_service::{serve, Client, CompressRequest, ServeOptions};
 use codense_vm::{PredecodedFetcher, RunResult};
 
@@ -21,19 +21,34 @@ fn codense(args: &[&str]) -> String {
 /// Boots `image` on a fresh core of the ISA it records, with its jump and
 /// overflow tables in place, and runs it to halt.
 fn run_image(image: &ProgramImage, table_addrs: &[u32], max_steps: u64) -> RunResult {
-    let isa = codense_codegen::isa_ref(image.isa);
-    let mut core = isa.new_core(MEM_BYTES);
-    for (table, &base) in image.jump_tables.iter().zip(table_addrs) {
-        for (e, &target) in table.iter().enumerate() {
-            core.write32(base + 4 * e as u32, target).unwrap();
+    codense_codegen::with_core(image.isa, MEM_BYTES, ImageRun { image, table_addrs, max_steps })
+}
+
+/// [`run_image`]'s run, on the concrete machine `with_core` boots.
+struct ImageRun<'a> {
+    image: &'a ProgramImage,
+    table_addrs: &'a [u32],
+    max_steps: u64,
+}
+
+impl CoreVisitor for ImageRun<'_> {
+    type Output = RunResult;
+
+    fn visit<C: PredecodeCore + 'static>(self, mut core: C) -> RunResult {
+        let image = self.image;
+        for (table, &base) in image.jump_tables.iter().zip(self.table_addrs) {
+            for (e, &target) in table.iter().enumerate() {
+                core.write32(base + 4 * e as u32, target).unwrap();
+            }
         }
+        let overflow_base = (OVERFLOW_TABLE_HI as u32) << 16;
+        for (slot, &target) in image.overflow_table.iter().enumerate() {
+            core.write32(overflow_base + 4 * slot as u32, target).unwrap();
+        }
+        let mut fetch =
+            PredecodedFetcher::from_image_with(image, codense_codegen::isa_ref(image.isa));
+        codense_vm::run(&mut core, &mut fetch, 0, self.max_steps).unwrap()
     }
-    let overflow_base = (OVERFLOW_TABLE_HI as u32) << 16;
-    for (slot, &target) in image.overflow_table.iter().enumerate() {
-        core.write32(overflow_base + 4 * slot as u32, target).unwrap();
-    }
-    let mut fetch = PredecodedFetcher::from_image_with(image, isa);
-    codense_vm::run(&mut *core, &mut fetch, 0, max_steps).unwrap()
 }
 
 #[test]

@@ -45,7 +45,7 @@ mod ppc_templates;
 pub mod profile;
 pub mod rng;
 
-use codense_isa::{IsaId, IsaRef};
+use codense_isa::{CoreVisitor, IsaId, IsaRef};
 
 pub use generate::{benchmark, build_program, generate_module, generate_suite};
 pub use lower::{lower_program, LowerOptions};
@@ -59,5 +59,18 @@ pub fn isa_ref(id: IsaId) -> IsaRef {
     match id {
         IsaId::Ppc => IsaRef(&codense_ppc::ISA),
         IsaId::Mips => IsaRef(&codense_mips::ISA),
+    }
+}
+
+/// Boots a fresh machine of the backend behind `id`, with `mem_bytes` of
+/// data memory, and hands it to `visitor`: the concrete
+/// `codense_ppc::Machine` or `codense_mips::Machine`, so a run the visitor
+/// starts takes the loop monomorphized for it and decodes each word once.
+/// [`IsaRef`]'s `new_core` boxes the same machine as a `dyn Core`, whose
+/// every step decodes its word again; keep that for cores stepped by hand.
+pub fn with_core<V: CoreVisitor>(id: IsaId, mem_bytes: usize, visitor: V) -> V::Output {
+    match id {
+        IsaId::Ppc => visitor.visit(codense_ppc::Machine::new(mem_bytes)),
+        IsaId::Mips => visitor.visit(codense_mips::Machine::new(mem_bytes)),
     }
 }

@@ -4,8 +4,8 @@
 
 use codense_codegen::ir::*;
 use codense_codegen::lower::{lower_program, LowerOptions, TABLE_BASE, TABLE_STRIDE};
-use codense_codegen::{build_program, generate_module, isa_ref, spec_profiles};
-use codense_isa::{Core, IsaId};
+use codense_codegen::{build_program, generate_module, isa_ref, spec_profiles, with_core};
+use codense_isa::{Core, CoreVisitor, IsaId, PredecodeCore};
 use codense_mips::{reg as mreg, MInsn};
 use codense_ppc::Insn;
 use codense_vm::{run::run, LinearFetcher};
@@ -18,25 +18,41 @@ fn program(functions: Vec<Function>, globals: u16) -> Program {
 }
 
 /// Lowers `program` for `isa` behind the entry stub and runs it to the
-/// halt: function 0 gets `args` in the argument registers and its return
-/// value is the exit code. Jump tables are seeded for native execution.
+/// halt on the ISA's concrete machine: function 0 gets `args` in the
+/// argument registers and its return value is the exit code. Jump tables
+/// are seeded for native execution. Returns the halted machine.
 fn execute(program: &Program, isa: IsaId, args: &[u32]) -> Box<dyn Core> {
     let options = LowerOptions { entry_stub: true, ..LowerOptions::default() };
     let module = lower_program(program, isa, options).unwrap();
-    let mut core = isa_ref(isa).new_core(0x60_0000); // globals and jump tables
     let arg0 = if isa == IsaId::Ppc { 3 } else { 4 };
-    for (i, &v) in args.iter().enumerate() {
-        core.set_gpr(arg0 + i, v);
-    }
-    for (t, table) in module.jump_tables.iter().enumerate() {
-        for (e, &target) in table.targets.iter().enumerate() {
-            let addr = TABLE_BASE + TABLE_STRIDE * t as u32 + 4 * e as u32;
-            core.write32(addr, 8 * target as u32).unwrap();
+    // 6 MiB holds the globals and the jump tables.
+    with_core(isa, 0x60_0000, Execute { module, arg0, args })
+}
+
+/// [`execute`]'s run, on the concrete machine `with_core` boots.
+struct Execute<'a> {
+    module: codense_obj::ObjectModule,
+    arg0: usize,
+    args: &'a [u32],
+}
+
+impl CoreVisitor for Execute<'_> {
+    type Output = Box<dyn Core>;
+
+    fn visit<C: PredecodeCore + 'static>(self, mut core: C) -> Box<dyn Core> {
+        for (i, &v) in self.args.iter().enumerate() {
+            core.set_gpr(self.arg0 + i, v);
         }
+        for (t, table) in self.module.jump_tables.iter().enumerate() {
+            for (e, &target) in table.targets.iter().enumerate() {
+                let addr = TABLE_BASE + TABLE_STRIDE * t as u32 + 4 * e as u32;
+                core.write32(addr, 8 * target as u32).unwrap();
+            }
+        }
+        let mut fetch = LinearFetcher::new(self.module.code);
+        run(&mut core, &mut fetch, 0, 1_000_000).expect("lowered program runs to completion");
+        Box::new(core)
     }
-    let mut fetch = LinearFetcher::new(module.code);
-    run(core.as_mut(), &mut fetch, 0, 1_000_000).expect("lowered program runs to completion");
-    core
 }
 
 fn load32(core: &dyn Core, addr: u32) -> u32 {

@@ -41,7 +41,8 @@ use codense_codegen::ir::{
 };
 use codense_codegen::lower::{code_addr_regs, lower_program, TABLE_STRIDE};
 use codense_codegen::{LowerOptions, Rng};
-use codense_isa::{Core, IsaId, IsaRef, MachineError};
+use codense_core::telemetry;
+use codense_isa::{Core, CoreVisitor, IsaId, IsaRef, MachineError, PredecodeCore};
 use codense_obj::ObjectModule;
 use codense_vm::{run, LinearFetcher, RunResult};
 
@@ -206,6 +207,7 @@ impl std::error::Error for BuildError {}
 /// [`BuildError`] if lowering rejects the program or a calibration run
 /// fails to halt — neither occurs inside the documented spec envelope.
 pub fn build(spec: &CorpusSpec, isa: CorpusIsa) -> Result<CorpusProgram, BuildError> {
+    let _phase = telemetry::phase("corpus");
     let per_module = estimate_module_insns(spec);
     let overhead = 120;
     let mut modules = clamp_modules(spec.insns.saturating_sub(overhead) / per_module.max(1));
@@ -303,33 +305,61 @@ fn lower_ir(
     passes: u32,
     isa: CorpusIsa,
 ) -> Result<ObjectModule, BuildError> {
-    let program = build_ir(spec, modules, passes);
+    let program = {
+        let _phase = telemetry::phase("ir");
+        build_ir(spec, modules, passes)
+    };
+    let _phase = telemetry::phase("lower");
     let options = LowerOptions { entry_stub: true, ..LowerOptions::default() };
     lower_program(&program, isa.id(), options).map_err(|e| BuildError::Lower(e.to_string()))
 }
 
-/// A fresh `isa` machine with `module`'s jump tables seeded for *native*
+/// Seeds `core`'s copy of `module`'s jump tables for *native*
 /// (word-granular) execution: entry *e* of table *t* holds the
-/// fetch-domain address `8 × target`.
-fn seeded_core(module: &ObjectModule, isa: CorpusIsa) -> Result<Box<dyn Core>, MachineError> {
-    let mut core = isa.isa_ref().new_core(MEM_BYTES);
+/// fetch-domain address `8 × target`, at [`TABLE_BASE`]` + 64t + 4e`.
+///
+/// # Errors
+///
+/// [`MachineError::MemoryFault`] if a table lies past the core's memory
+/// (a corpus core has [`MEM_BYTES`], which holds every table).
+pub fn seed_native_tables<C: Core + ?Sized>(
+    core: &mut C,
+    module: &ObjectModule,
+) -> Result<(), MachineError> {
     for (t, table) in module.jump_tables.iter().enumerate() {
         for (e, &target) in table.targets.iter().enumerate() {
             core.write32(table_addr(t) + 4 * e as u32, 8 * target as u32)?;
         }
     }
-    Ok(core)
+    Ok(())
 }
 
-/// Runs `module` natively (linear fetch) from PC 0.
+/// Runs `module` natively (linear fetch) from PC 0, on a fresh `isa`
+/// machine with its jump tables seeded.
 fn run_module(
     module: &ObjectModule,
     isa: CorpusIsa,
     max_steps: u64,
 ) -> Result<RunResult, MachineError> {
-    let mut core = seeded_core(module, isa)?;
-    let mut fetch = LinearFetcher::new(module.code.clone());
-    run(core.as_mut(), &mut fetch, 0, max_steps)
+    codense_codegen::with_core(isa.id(), MEM_BYTES, NativeRun { module, max_steps })
+}
+
+/// [`run_module`]'s run, on the concrete machine [`with_core`] boots.
+///
+/// [`with_core`]: codense_codegen::with_core
+struct NativeRun<'a> {
+    module: &'a ObjectModule,
+    max_steps: u64,
+}
+
+impl CoreVisitor for NativeRun<'_> {
+    type Output = Result<RunResult, MachineError>;
+
+    fn visit<C: PredecodeCore + 'static>(self, mut core: C) -> Self::Output {
+        seed_native_tables(&mut core, self.module)?;
+        let mut fetch = LinearFetcher::new(self.module.code.clone());
+        run(&mut core, &mut fetch, 0, self.max_steps)
+    }
 }
 
 // ---- IR construction ------------------------------------------------------

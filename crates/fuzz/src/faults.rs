@@ -15,12 +15,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use codense_codegen::{isa_ref, Rng};
+use codense_codegen::{isa_ref, with_core, Rng};
 use codense_core::container;
 use codense_core::encoding::read_item_coded;
 use codense_core::nibbles::NibbleReader;
 use codense_core::{CompressedProgram, CompressionConfig, Compressor, EncodingKind, HuffCode};
-use codense_isa::IsaRef;
+use codense_isa::{CoreVisitor, IsaRef, PredecodeCore};
 use codense_obj::ObjectModule;
 use codense_vm::fetch::PredecodedFetcher;
 
@@ -126,12 +126,26 @@ fn with_tag(bytes: &[u8], at: usize, width: usize, tag: u16) -> Vec<u8> {
 }
 
 /// Drives a fetcher booted from an accepted (possibly corrupt) image for a
-/// bounded number of steps on a fresh `isa` core. Every outcome — clean
-/// halt, typed fault, budget exhaustion — is acceptable; only a panic is
-/// not.
-fn bounded_run(image: &container::ProgramImage, isa: IsaRef, max_steps: u64) {
-    let mut fetcher = PredecodedFetcher::from_image_with(image, isa);
-    let _ = codense_vm::run(&mut *isa.new_core(1 << 16), &mut fetcher, 0, max_steps);
+/// bounded number of steps on a fresh core of the ISA the image records.
+/// Every outcome — clean halt, typed fault, budget exhaustion — is
+/// acceptable; only a panic is not.
+fn bounded_run(image: &container::ProgramImage, max_steps: u64) {
+    with_core(image.isa, 1 << 16, BoundedRun { image, max_steps });
+}
+
+/// [`bounded_run`]'s run, on the concrete machine [`with_core`] boots.
+struct BoundedRun<'a> {
+    image: &'a container::ProgramImage,
+    max_steps: u64,
+}
+
+impl CoreVisitor for BoundedRun<'_> {
+    type Output = ();
+
+    fn visit<C: PredecodeCore + 'static>(self, mut core: C) {
+        let mut fetcher = PredecodedFetcher::from_image_with(self.image, isa_ref(self.image.isa));
+        let _ = codense_vm::run(&mut core, &mut fetcher, 0, self.max_steps);
+    }
 }
 
 /// Corrupts the `.cdns` container of a compressed program `tries` times and
@@ -159,7 +173,7 @@ pub fn container_battery(
         report.checks += 1;
         let outcome = catch_unwind(AssertUnwindSafe(|| match container::deserialize(&input) {
             Ok(image) => {
-                bounded_run(&image, isa_ref(image.isa), 50_000);
+                bounded_run(&image, 50_000);
                 (false, true)
             }
             Err(_) => (true, false),

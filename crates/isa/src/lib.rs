@@ -9,6 +9,8 @@
 //! that contract as the object-safe [`Isa`] trait, plus the [`Core`]
 //! execution trait the VM's fetch/step loop drives, so `codense-core` and
 //! `codense-vm` work with any backend (`codense-ppc`, `codense-mips`, …).
+//! A [`CoreVisitor`] is how code that holds only an [`IsaId`] gets that
+//! backend's concrete machine, and so the loop monomorphized for it.
 //! What the backends would otherwise each repeat lives here once: label
 //! resolution for their assemblers ([`asm`]) and the operand parsers of
 //! their assembly-text readers ([`text`]).
@@ -251,7 +253,11 @@ pub trait PredecodeCore: Core {
 
 /// A boxed core runs the same loop: its decoded form is the word itself,
 /// which needs no mirror, and each step decodes it through
-/// [`Core::step_word`].
+/// [`Core::step_word`]. This is the reference path the equivalence tests
+/// compare [`PredecodeCore::step_insn`] against, not a production path:
+/// each step decodes its word again, through a vtable. Code that holds
+/// only an [`IsaId`] boots the concrete machine through a
+/// [`CoreVisitor`] instead.
 impl PredecodeCore for dyn Core + '_ {
     type Insn = u32;
 
@@ -274,6 +280,24 @@ impl PredecodeCore for dyn Core + '_ {
     fn decoded<'a>(_: &'a mut Vec<u32>, _: &[u32], _: usize, word: &'a u32) -> &'a u32 {
         word
     }
+}
+
+/// Work to do on a fresh core of a backend's concrete machine type.
+///
+/// A registry that links the backends (`codense_codegen::with_core`) boots
+/// the machine an [`IsaId`] names and hands it to [`visit`], so code that
+/// knows the ISA only at run time still runs the loop monomorphized for
+/// that machine, which decodes each word once. The machine owns its
+/// state, so a visitor may also keep it (say, as a `Box<dyn Core>`).
+///
+/// [`visit`]: CoreVisitor::visit
+pub trait CoreVisitor {
+    /// What a visit returns.
+    type Output;
+
+    /// Runs on `core`, a fresh machine: the one [`Isa::new_core`] boxes,
+    /// with zeroed memory and only the stack pointer set.
+    fn visit<C: PredecodeCore + 'static>(self, core: C) -> Self::Output;
 }
 
 /// The instruction sets a module or compressed image can be built for.
@@ -424,7 +448,10 @@ pub trait Isa: Sync {
         out
     }
 
-    /// Creates a fresh execution core with `mem_bytes` of data memory.
+    /// Creates a fresh execution core with `mem_bytes` of data memory, for
+    /// code that steps a core by hand (the lockstep oracle) and as the
+    /// [`Core::step_word`] reference of the equivalence tests. A run boots
+    /// the concrete machine through a [`CoreVisitor`] instead.
     fn new_core(&self, mem_bytes: usize) -> Box<dyn Core>;
 
     /// Can a displacement of `offset_nibbles` (4-bit units) be expressed by

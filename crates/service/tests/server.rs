@@ -80,27 +80,34 @@ fn full_queue_answers_busy_and_never_drops_a_request() {
     // One worker, queue depth one: with 6 simultaneous heavyweight requests
     // at most two are admitted (one in flight + one queued); the rest must
     // get an immediate BUSY, and every admitted request must still return
-    // the byte-exact container.
+    // the byte-exact container. Each sender of each round sends a module
+    // the server has not seen (renamed by round and sender), so no request
+    // is answered from the cache and every one needs the worker. The name
+    // is part of the module's bytes, not of the container.
     let handle =
         serve(&ServeOptions { jobs: 1, queue_depth: 1, timeout_ms: 60_000, ..Default::default() })
             .unwrap();
     let addr = handle.addr().to_string();
     let module = codense_codegen::benchmark("compress", codense_obj::IsaId::Ppc).unwrap();
-    let req = request(&module, EncodingKind::NibbleAligned);
-    let expected = expected_container(&module, &req);
+    let expected = expected_container(&module, &request(&module, EncodingKind::NibbleAligned));
 
     let busy = AtomicU64::new(0);
     let ok = AtomicU64::new(0);
     for round in 0..10 {
         let barrier = Barrier::new(6);
         std::thread::scope(|scope| {
-            for _ in 0..6 {
-                scope.spawn(|| {
+            for sender in 0..6 {
+                let (module, addr, barrier, expected) = (&module, &addr, &barrier, &expected);
+                let (busy, ok) = (&busy, &ok);
+                scope.spawn(move || {
+                    let mut fresh = module.clone();
+                    fresh.name = format!("compress-r{round}-s{sender}");
+                    let req = request(&fresh, EncodingKind::NibbleAligned);
                     let mut client = Client::connect(addr.as_str(), 60_000).unwrap();
                     barrier.wait();
                     match client.compress(&req) {
                         Ok(bytes) => {
-                            assert_eq!(bytes, expected, "admitted request returned wrong bytes");
+                            assert_eq!(&bytes, expected, "admitted request returned wrong bytes");
                             ok.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(RequestError::Rejected(ErrorCode::Busy, _)) => {

@@ -15,11 +15,14 @@
 //!
 //! Because the machine's PC domain is nibble addresses in both cases, one
 //! execution loop ([`run::run_traced`], or [`run::run`] without an
-//! observer) runs both program forms, on a typed machine or a boxed
-//! `dyn Core` alike. A typed machine decodes each pooled word once (a
-//! `dyn Core` decodes the word it steps), and the loop publishes the fetch
-//! counters once per run. The [`kernels`] module supplies real
-//! programs to prove equivalence end-to-end.
+//! observer) runs both program forms. A typed machine decodes each pooled
+//! word once, and the loop publishes the fetch counters once per run.
+//! Code that knows the ISA only at run time gets the typed machine from
+//! `codense_codegen::with_core`. The loop also takes a boxed `dyn Core`,
+//! which decodes the word it steps: that is the `step_word` reference the
+//! equivalence tests compare the typed machines against, not a production
+//! path. The [`kernels`] module supplies real programs to prove
+//! equivalence end-to-end.
 //!
 //! [`fetch_reference`] keeps the re-parsing engine that parses the stream
 //! on every fetch: a test-only executable specification the compressed

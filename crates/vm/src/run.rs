@@ -1,7 +1,8 @@
 //! The one execution loop gluing a core to a fetch engine: [`run_traced`],
 //! and [`run`], which is that loop with no observer. It is generic over the
-//! core and the engine, so native, compressed, boxed-core and traced runs
-//! all take the same monomorphized path.
+//! core and the engine, so native, compressed and traced runs all take the
+//! same path, monomorphized per machine and engine (a boxed `dyn Core`,
+//! the tests' `step_word` reference, takes it too).
 
 use crate::fetch::{Fetch, FetchStats, Fetched, PredecodedFetcher};
 use crate::machine::{MachineError, Outcome};
