@@ -124,6 +124,26 @@ fn metrics_time_the_vm() {
 }
 
 #[test]
+fn metrics_time_a_corpus_builds_stages() {
+    // One build: its IR builds, lowerings and native runs each time under
+    // it, so the report shows where the build's time went.
+    let dir = tmpdir("corpus-phase");
+    let metrics = dir.join("m.json");
+    let out = bin()
+        .args(["--metrics", metrics.to_str().unwrap(), "corpus", "--insns", "4000"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    assert_eq!(phase_calls(&json, "corpus"), Some(1), "{json}");
+    for stage in ["corpus/ir", "corpus/lower", "corpus/vm"] {
+        assert!(phase_calls(&json, stage).is_some_and(|n| n >= 1), "{stage}: {json}");
+    }
+    assert_eq!(phase_calls(&json, "vm"), None, "a build's runs time under it: {json}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn metrics_name_the_command_and_time_each_exhibit() {
     let dir = tmpdir("exhibit-phase");
     let metrics = dir.join("m.json");
